@@ -339,10 +339,12 @@ let runtime_mode_name = function
   | Worker_stall { round; ms } -> Printf.sprintf "worker-stall@r%d(%dms)" round ms
   | Alloc_storm { every } -> Printf.sprintf "alloc-storm(every=%d)" every
 
-(* Arm the collector's per-(phase, round, worker) hook. Worker 0 is the
-   dispatching mutator thread: it is never stalled (the watchdog runs on
-   it) and never raised (so the fault always lands in a pool domain). *)
-let arm_hook = function
+(* Arm [mode] against a machine about to run. The worker faults go
+   through the collector's per-(phase, round, worker) hook: worker 0 is
+   the dispatching mutator thread, so it is never stalled (the watchdog
+   runs on it) and never raised (so the fault always lands in a pool
+   domain). A storm is a property of the machine. *)
+let arm_runtime (st : Vm.Interp.t) = function
   | Worker_raise { round } ->
       Gc.Gc_pool.fault_hook :=
         Some
@@ -353,7 +355,7 @@ let arm_hook = function
         Some
           (fun ~phase:_ ~round:r ~worker ->
             if r = round && worker > 0 then Unix.sleepf (float_of_int ms /. 1e3))
-  | Alloc_storm _ -> ()
+  | Alloc_storm { every } -> st.Vm.Interp.alloc_pressure_every <- every
 
 let disarm_hook () = Gc.Gc_pool.fault_hook := None
 
@@ -373,9 +375,7 @@ let count_rounds img ~fuel =
 let run_runtime_case ~reference ~ref_mem ~fuel img mode : outcome =
   let st = Vm.Interp.create img in
   Gc.Cheney.install st;
-  (match mode with
-  | Alloc_storm { every } -> st.Vm.Interp.alloc_pressure_every <- every
-  | _ -> arm_hook mode);
+  arm_runtime st mode;
   let finish () = disarm_hook () in
   match Vm.Interp.run ~fuel st with
   | () ->

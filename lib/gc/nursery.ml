@@ -11,8 +11,12 @@
     (globals, the gc-point tables' stack and register entries, derived
     values through the un-derive/re-derive protocol of §3) plus two
     generational extras: the remembered set filled by the compiler-emitted
-    [Wbar] barriers, and the pretenured [big_objects], whose fields are
-    scanned wholesale so static barrier elimination stays sound for them.
+    [Wbar] barriers, and every object placed in the old generation since
+    the previous minor (big and pretenured objects, the young part of each
+    pool). Each placed object is scanned by one minor only: that covers
+    the stores whose barriers static elimination dropped, all of which
+    happen before the object's first gc-point, and every later store into
+    it runs its barrier, so the remembered set covers it from then on.
 
     When the nursery cannot satisfy a request, or the old generation lacks
     promotion headroom, the ordinary full {!Cheney.collect} runs instead —
@@ -50,7 +54,12 @@ let c_emergency = T.Metrics.counter "gc_pressure.emergency_full"
 let default_nursery_words semi = min semi (max 300 (semi / 4))
 
 (** One minor collection: evacuate [nursery_base, nursery_alloc) onto the
-    old-generation frontier. The caller has checked promotion headroom. *)
+    old-generation frontier. The caller has checked promotion headroom.
+
+    The four phase windows (stack walk, un-derive, copy, re-derive) tile
+    the whole pause, so their histograms sum to it; the forward-roots
+    window inside the copy covers only the table-driven stack and register
+    roots, as in {!Cheney.collect}. *)
 let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
   let t_start = now_ns () in
   let gcs = st.Vm.Interp.gc in
@@ -67,7 +76,6 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
     "gc.minor";
   (* --- stack tracing: same tables, same walk as a full collection. --- *)
   T.Trace.begin_span ~cat:"gc" "gc.stackwalk";
-  let t_trace0 = now_ns () in
   let frames = Stackwalk.walk st in
   gcs.Vm.Interp.frames_traced <- gcs.Vm.Interp.frames_traced + List.length frames;
   let t_walk1 = now_ns () in
@@ -76,7 +84,7 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
   (* --- un-derive (§3): identical protocol; bases move like any root. --- *)
   T.Trace.begin_span ~cat:"gc" "gc.underive";
   let adjusted = Derived_update.adjust_all st frames in
-  let t_trace1 = now_ns () in
+  let t_under1 = now_ns () in
   T.Trace.end_span ();
   let derived_snap =
     if Verify.post_enabled () then Some (Verify.snapshot_derived st adjusted) else None
@@ -98,66 +106,68 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
   List.iter
     (fun a -> Vm.Mem.set mem a (Cheney.forward c (Vm.Mem.get mem a)))
     st.Vm.Interp.image.Vm.Image.global_roots;
-  (* Stack and register roots. *)
+  (* Stack and register roots (trace time, per the paper's accounting). *)
   T.Trace.begin_span ~cat:"gc" "gc.forward_roots";
   let t_roots0 = now_ns () in
   List.iter (Cheney.forward_frame_roots c) frames;
+  let t_roots1 = now_ns () in
+  T.Trace.end_span ();
   (* Generational roots: old-generation slots recorded by the write
-     barriers, and the fields of every pretenured object. *)
+     barriers, and every object placed in the old generation since the
+     last minor — big and pretenured objects, and the young part of each
+     pool. A statically elided barrier may have stored a nursery pointer
+     into such an object before this gc-point; once scanned here, every
+     later store into it runs its barrier, so each is scanned once. *)
   Remset.iter (fun a -> Vm.Mem.set mem a (Cheney.forward c (Vm.Mem.get mem a))) g;
   List.iter
     (fun addr -> ignore (Cheney.scan_object c addr))
     g.Vm.Interp.big_objects;
-  (* Pool regions: dense runs of policy-pooled objects, scanned wholesale
-     for exactly the reason the pretenured big objects are — a statically
-     elided write barrier may have stored a nursery pointer into them. *)
   List.iter
     (fun (lo, hi) ->
       let a = ref lo in
       while !a < hi do
         a := Cheney.scan_object c !a
       done)
-    (Vm.Interp.pool_filled_ranges st);
-  let t_roots1 = now_ns () in
-  T.Trace.end_span ();
+    (Vm.Interp.pool_young_ranges st);
   (* Cheney scan of the promotion region. *)
   let scan = ref c.Cheney.dst_lo in
   while !scan < c.Cheney.to_alloc do
     scan := Cheney.scan_object c !scan
   done;
-  let t_copy1 = now_ns () in
-  T.Trace.end_span ();
-  (* --- re-derive; reopen the nursery. --- *)
-  T.Trace.begin_span ~cat:"gc" "gc.rederive";
-  let t_red0 = now_ns () in
-  Derived_update.rederive_all st adjusted;
-  let t_red1 = now_ns () in
-  T.Trace.end_span ();
+  (* Reopen the nursery: it is empty, so no old→young reference remains,
+     the remembered set is stale and nothing placed so far is young. *)
   let remset_roots = Remset.length g in
   Remset.clear st g;
+  Vm.Interp.gen_placed_scanned st g;
   g.Vm.Interp.old_alloc <- c.Cheney.to_alloc;
   g.Vm.Interp.nursery_alloc <- g.Vm.Interp.nursery_base;
   st.Vm.Interp.alloc <- g.Vm.Interp.old_alloc;
+  let t_copy1 = now_ns () in
+  T.Trace.end_span ();
+  (* --- re-derive. --- *)
+  T.Trace.begin_span ~cat:"gc" "gc.rederive";
+  Derived_update.rederive_all st adjusted;
+  T.Trace.end_span ();
   let words = c.Cheney.to_alloc - c.Cheney.dst_lo in
   gcs.Vm.Interp.words_copied <- gcs.Vm.Interp.words_copied + words;
   T.Metrics.incr ~by:words c_copy_words;
-  let t_end = now_ns () in
   T.Trace.end_span ~args:[ ("words_promoted", T.Json.Int words) ] ();
+  let t_end = now_ns () in
   let open Int64 in
-  gcs.Vm.Interp.copy_ns <- add gcs.Vm.Interp.copy_ns (sub t_copy1 t_trace1);
+  gcs.Vm.Interp.copy_ns <- add gcs.Vm.Interp.copy_ns (sub t_copy1 t_under1);
   gcs.Vm.Interp.total_gc_ns <- add gcs.Vm.Interp.total_gc_ns (sub t_end t_start);
   gcs.Vm.Interp.trace_ns <-
     add gcs.Vm.Interp.trace_ns
       (add
-         (add (sub t_trace1 t_trace0) (sub t_roots1 t_roots0))
-         (sub t_red1 t_red0));
+         (add (sub t_under1 t_start) (sub t_roots1 t_roots0))
+         (sub t_end t_copy1));
   if T.Control.on () then begin
     T.Metrics.observe_ns h_pause (sub t_end t_start);
-    T.Metrics.observe_ns h_stackwalk (sub t_walk1 t_trace0);
-    T.Metrics.observe_ns h_underive (sub t_trace1 t_walk1);
-    T.Metrics.observe_ns h_copy (sub t_copy1 t_trace1);
+    T.Metrics.observe_ns h_stackwalk (sub t_walk1 t_start);
+    T.Metrics.observe_ns h_underive (sub t_under1 t_walk1);
+    T.Metrics.observe_ns h_copy (sub t_copy1 t_under1);
     T.Metrics.observe_ns h_roots (sub t_roots1 t_roots0);
-    T.Metrics.observe_ns h_rederive (sub t_red1 t_red0);
+    T.Metrics.observe_ns h_rederive (sub t_end t_copy1);
     T.Metrics.observe h_words (float_of_int words);
     T.Metrics.observe h_objects (float_of_int (gcs.Vm.Interp.objects_copied - objects0));
     T.Metrics.observe h_frames (float_of_int (List.length frames));

@@ -328,10 +328,11 @@ let check_tricolor c =
 
 (* Generational invariant: every old-generation slot holding a nursery
    pointer must be covered — recorded in the remembered set by a write
-   barrier, or inside a pretenured object, which minor collections scan
-   wholesale. An uncovered old→young reference is exactly the bug a
-   missing (or wrongly eliminated) barrier produces: the next minor
-   collection would leave it dangling. *)
+   barrier, or inside an object placed in the old generation since the
+   last minor collection (a big or pretenured object, or the young part of
+   a pool), which the next minor scans once. An uncovered old→young
+   reference is exactly the bug a missing (or wrongly eliminated) barrier
+   produces: the next minor collection would leave it dangling. *)
 let check_old_young c =
   match c.st.Vm.Interp.gen with
   | None -> ()
@@ -341,12 +342,20 @@ let check_old_young c =
         let layouts = c.st.Vm.Interp.image.Vm.Image.layouts in
         let big = Hashtbl.create 16 in
         List.iter (fun a -> Hashtbl.replace big a ()) g.Vm.Interp.big_objects;
-        (* Pool-resident objects are wholesale-scanned at every minor, so
-           (like the pretenured big objects) their slots need no remembered
-           set entry. *)
-        let pool_ranges = Vm.Interp.pool_filled_ranges c.st in
-        let in_pool owner =
-          List.exists (fun (lo, hi) -> owner >= lo && owner < hi) pool_ranges
+        (* Young pool ranges are disjoint; sorted by [lo], the only range
+           that can hold [owner] is the last one starting at or below it. *)
+        let young = Array.of_list (Vm.Interp.pool_young_ranges c.st) in
+        Array.sort compare young;
+        let in_young_pool owner =
+          let rec go lo hi =
+            (* invariant: ranges [0, lo) start at or below [owner], ranges
+               [hi, n) start above it *)
+            if lo >= hi then lo > 0 && owner < snd young.(lo - 1)
+            else
+              let mid = (lo + hi) / 2 in
+              if fst young.(mid) <= owner then go (mid + 1) hi else go lo mid
+          in
+          go 0 (Array.length young)
         in
         let check_slot owner a =
           let v = mem.{a} in
@@ -354,11 +363,11 @@ let check_old_young c =
             in_nursery c.st v
             && (not (Remset.mem c.st g a))
             && (not (Hashtbl.mem big owner))
-            && not (in_pool owner)
+            && not (in_young_pool owner)
           then
             violate c
               "old-generation word %d holds nursery pointer %d but is neither remembered \
-               nor inside a pretenured or pooled object"
+               nor inside a placed object the next minor collection scans"
               a v
         in
         Hashtbl.iter

@@ -4,10 +4,10 @@
     point — pays one more dividend here. The generational collector's
     invariant is that every old→young reference lives in the remembered
     set, filled by a write barrier on every heap pointer store. But a store
-    into an object that is {e provably still in the nursery} (or in the
-    pretenured big-object set, which minor collections scan wholesale) can
-    never create an unrecorded old→young reference, so its barrier is dead
-    weight.
+    into an object that is {e provably still in the nursery} (or placed in
+    the old generation since the last minor collection, which the next
+    minor scans once) can never create an unrecorded old→young reference,
+    so its barrier is dead weight.
 
     A temp is "fresh" from the allocation call that defines it until the
     next gc-point: collections happen only at gc-points (allocating calls —

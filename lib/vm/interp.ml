@@ -65,10 +65,11 @@ type gen_state = {
   mutable remset : int array; (* recorded old-gen slot addresses *)
   mutable remset_len : int;
   mutable big_objects : int list;
-    (* objects too large for the nursery, pretenured into the old
-       generation; their fields are scanned wholesale at every minor
-       collection (cleared by a full collection), which keeps static
-       barrier elimination sound for them *)
+    (* objects placed straight into the old generation (too large for the
+       nursery, or policy-pretenured) since the last collection; the next
+       minor scans their fields once and empties the list, which keeps
+       static barrier elimination sound for them — from then on every
+       store into them runs its barrier *)
   mutable barrier_execs : int;
   mutable remset_inserts : int;
   mutable old_request : bool;
@@ -92,6 +93,12 @@ type pool_state = {
   mutable pl_closed : (int * int * int) list;
       (* retired chunks as (lo, filled_hi, limit): objects fill
          [lo, filled_hi), the tail [filled_hi, limit) is a gap *)
+  mutable pl_scanned : int;
+      (* young high-water mark: [pl_scanned, pl_alloc) of the current
+         chunk was allocated since the last minor collection *)
+  mutable pl_young : (int * int) list;
+      (* filled parts of retired chunks allocated since the last minor
+         collection, as [lo, hi) *)
 }
 
 (** Profile-guided placement, installed by the driver (from an [mm-policy]
@@ -483,7 +490,9 @@ let gen_reset_after_full t =
               ps.pl_chunk <- -1;
               ps.pl_alloc <- 0;
               ps.pl_limit <- 0;
-              ps.pl_closed <- [])
+              ps.pl_closed <- [];
+              ps.pl_scanned <- 0;
+              ps.pl_young <- [])
             pl.pc_pools
       | None -> ())
 
@@ -530,8 +539,8 @@ let allocate_gen t (g : gen_state) size =
   end
   else begin
     (* Pretenure: the object can never fit the nursery, so it goes straight
-       to the old generation and onto [big_objects] for wholesale scanning
-       at minor collections. *)
+       to the old generation and onto [big_objects], for the next minor
+       collection to scan once. *)
     let a = allocate_old t g size in
     g.big_objects <- a :: g.big_objects;
     a
@@ -611,13 +620,6 @@ let allocate_flat t size =
           a)
 
 let allocate t size =
-  (* Allocation-failure storm (fault injection): force the slow path —
-     a full trip through collect/grow — every Nth allocation. Purely
-     deterministic, so storm runs are reproducible. *)
-  if
-    t.alloc_pressure_every > 0
-    && (t.alloc_count + 1) mod t.alloc_pressure_every = 0
-  then (match t.collector with Some c -> c t ~needed:size | None -> ());
   match t.gen with Some g -> allocate_gen t g size | None -> allocate_flat t size
 
 (* --- profile-guided placement --------------------------------------- *)
@@ -638,7 +640,15 @@ let set_placement t ~source (decisions : int array) =
         pc_decisions = decisions;
         pc_pools =
           Array.map
-            (fun _ -> { pl_chunk = -1; pl_alloc = 0; pl_limit = 0; pl_closed = [] })
+            (fun _ ->
+              {
+                pl_chunk = -1;
+                pl_alloc = 0;
+                pl_limit = 0;
+                pl_closed = [];
+                pl_scanned = 0;
+                pl_young = [];
+              })
             decisions;
         pc_source = source;
         pc_pretenured_objects = 0;
@@ -654,10 +664,10 @@ let placement_info t =
   | Some pl -> Some (pl.pc_source, pl.pc_decisions)
 
 (* A pretenured object is exactly a policy-chosen big object: old
-   generation placement plus [big_objects] registration, so every minor
-   collection scans its fields wholesale — which keeps static barrier
-   elimination sound for it (an elided barrier's store happens between the
-   object's allocation and the next gc-point, while it is on the list). *)
+   generation placement plus [big_objects] registration, so the next minor
+   collection scans its fields — which keeps static barrier elimination
+   sound for it (an elided barrier's store happens between the object's
+   allocation and the next gc-point, while it is on the list). *)
 let alloc_pretenured t (g : gen_state) (pl : placement) size =
   let a = allocate_old t g size in
   g.big_objects <- a :: g.big_objects;
@@ -674,14 +684,18 @@ let alloc_pool t (g : gen_state) (pl : placement) (ps : pool_state) size =
        the next full collection — and carve a new one. The carve may run
        a full collection, which resets every pool through
        [gen_reset_after_full]; the fields are only written afterwards. *)
-    if ps.pl_chunk >= 0 then
+    if ps.pl_chunk >= 0 then begin
       ps.pl_closed <- (ps.pl_chunk, ps.pl_alloc, ps.pl_limit) :: ps.pl_closed;
+      if ps.pl_alloc > ps.pl_scanned then
+        ps.pl_young <- (ps.pl_scanned, ps.pl_alloc) :: ps.pl_young
+    end;
     let words = max pool_chunk_words size in
     let a = allocate_old t g words in
     Mem.fill t.mem a words 0;
     ps.pl_chunk <- a;
     ps.pl_alloc <- a;
-    ps.pl_limit <- a + words
+    ps.pl_limit <- a + words;
+    ps.pl_scanned <- a
   end;
   let a = ps.pl_alloc in
   ps.pl_alloc <- a + size;
@@ -696,6 +710,13 @@ let alloc_pool t (g : gen_state) (pl : placement) (ps : pool_state) size =
    oversized objects take the existing big-object path whatever the policy
    says. *)
 let allocate_placed t site size =
+  (* Allocation-failure storm (fault injection): force the slow path —
+     a full trip through collect/grow — every Nth allocation, placed ones
+     included. Purely deterministic, so storm runs are reproducible. *)
+  if
+    t.alloc_pressure_every > 0
+    && (t.alloc_count + 1) mod t.alloc_pressure_every = 0
+  then (match t.collector with Some c -> c t ~needed:size | None -> ());
   match (t.gen, t.placement) with
   | Some g, Some pl
     when site >= 0 && site < Array.length pl.pc_decisions && size <= g.nursery_cap
@@ -724,24 +745,35 @@ let pool_gaps t =
         pl.pc_pools;
       List.sort compare !acc
 
-(** Filled pool ranges, each a dense run of valid pool-allocated objects.
-    Minor collections scan them wholesale (exactly like [big_objects]), so
-    elided write barriers stay sound for pool-resident objects and their
-    nursery referents survive minors. *)
-let pool_filled_ranges t =
+(** Young pool ranges: dense runs of pool objects allocated since the
+    last minor collection. The next minor scans them once (exactly like
+    [big_objects]), so elided write barriers stay sound for pool-resident
+    objects and their nursery referents survive; older pool objects are
+    covered by the remembered set like any other old object. *)
+let pool_young_ranges t =
   match t.placement with
   | None -> []
   | Some pl ->
-      let acc = ref [] in
+      Array.fold_left
+        (fun acc ps ->
+          let acc = List.rev_append ps.pl_young acc in
+          if ps.pl_alloc > ps.pl_scanned then
+            (ps.pl_scanned, ps.pl_alloc) :: acc
+          else acc)
+        [] pl.pc_pools
+
+(** Advance the young high-water marks after a minor collection scanned
+    every young placed object: nothing placed so far is young any more. *)
+let gen_placed_scanned t (g : gen_state) =
+  g.big_objects <- [];
+  match t.placement with
+  | None -> ()
+  | Some pl ->
       Array.iter
         (fun ps ->
-          if ps.pl_chunk >= 0 && ps.pl_alloc > ps.pl_chunk then
-            acc := (ps.pl_chunk, ps.pl_alloc) :: !acc;
-          List.iter
-            (fun (lo, hi, _) -> if hi > lo then acc := (lo, hi) :: !acc)
-            ps.pl_closed)
-        pl.pc_pools;
-      !acc
+          ps.pl_scanned <- ps.pl_alloc;
+          ps.pl_young <- [])
+        pl.pc_pools
 
 let rt_alloc t ?(site = -1) tdid ~length =
   (* Incremental slice poll, strictly {e before} the new object exists:

@@ -7,9 +7,12 @@
    the post-collection heap verifier. A profile-derived policy must also
    never increase the total words the collectors copy (that is the whole
    point). The boundary units pin the nursery-capacity cutoff between the
-   placed path and the big-object path, and the mutation unit pins the
-   old→young edge created by storing a nursery pointer into a pretenured
-   object. The mm-policy serialization round-trips under qcheck. *)
+   placed path and the big-object path, and the mutation units pin the
+   old→young edges a placed object can hold: one created by a store
+   whose barrier was elided, which the first minor after the object's
+   allocation must scan, and one created after that minor, which only the
+   barrier may cover. The mm-policy serialization round-trips under
+   qcheck. *)
 
 module T = Telemetry
 module C = Driver.Compile
@@ -27,8 +30,29 @@ let verified f =
   Gc.Verify.set_post true;
   Fun.protect ~finally:(fun () -> Gc.Verify.set_post false) f
 
+(* Index of the first occurrence of [needle] in [s]. *)
+let find_sub s needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
 let compile ~heap src =
   C.compile ~options:{ C.default_options with heap_words = heap } src
+
+(* A generational machine with the decision codes installed, not yet run,
+   for tests that reach into it. *)
+let placed_machine ~nursery img codes =
+  let st = Vm.Interp.create img in
+  Vm.Interp.set_placement st ~source:"file" codes;
+  Gc.Nursery.install ~nursery_words:nursery st;
+  st
+
+let pool_all_codes img =
+  fst (Policy.decisions_for (Policy.uniform Policy.Pool (C.sites_for img)) (C.sites_for img))
 
 (* Run [img] under an explicit engine, bypassing MM_THREADED. *)
 let run_with ?policy ?adaptive ?profile ?(nursery = 512) ~threaded ~gen img =
@@ -182,10 +206,10 @@ let test_boundary () =
         ])
 
 (* A pretenured object mutated to point at a nursery object: the nursery
-   referent must survive every minor collection (the pretenured object is
-   wholesale-scanned until the next full collection, covering even
-   stores whose write barrier the compiler elided), and the verifier's
-   old→young check must accept the un-remembered edge. *)
+   referent must survive every minor collection. The first minor after
+   the object's allocation scans it, covering any store whose write
+   barrier the compiler elided; every later store into it runs its
+   barrier, so the verifier's old→young check finds the edge remembered. *)
 let mutation_src =
   {|MODULE Mut;
 TYPE Node = RECORD v: INTEGER; next: Ref END; Ref = REF Node;
@@ -219,6 +243,146 @@ let test_pretenured_mutation () =
           check Alcotest.int (label ^ ": icount unchanged") base.C.instructions
             r.C.instructions)
         [ false; true ])
+
+(* Pool-all places every site, so [a] and each node linked to it are
+   pool objects; the test drives the nursery itself from the allocation
+   hook, at a gc-point of the running program. *)
+let pool_old_src =
+  {|MODULE PoolOld;
+TYPE Node = RECORD v: INTEGER; next: Ref END; Ref = REF Node;
+VAR a: Ref; i, sum: INTEGER;
+BEGIN
+  a := NEW(Ref);
+  a.v := 7;
+  sum := 0;
+  FOR i := 1 TO 50 DO
+    a.next := NEW(Ref);
+    a.next.v := i;
+    sum := sum + a.next.v
+  END;
+  PutInt(a.v); PutText(" "); PutInt(sum); PutLn()
+END PoolOld.|}
+
+(* A pool object scanned by a minor is old: the minor exempts only the
+   pool part allocated since the previous one. A nursery pointer stored
+   into it without a barrier must fail the verifier's old→young check;
+   the same store with its barrier must pass, and the remembered slot
+   must keep the referent alive across the next minor. *)
+let test_scanned_pool_object () =
+  verified (fun () ->
+      let img = compile ~heap:4096 pool_old_src in
+      let st = placed_machine ~nursery:400 img (pool_all_codes img) in
+      let g = Option.get st.Vm.Interp.gen in
+      let mem = st.Vm.Interp.mem in
+      let verdict () =
+        match Gc.Verify.check st ~phase:"test" ~frames:(Gc.Stackwalk.walk st) () with
+        | _ -> []
+        | exception Vm.Vm_error.Error (Vm.Vm_error.Verify_failed { violations; _ }) ->
+            violations
+      in
+      let unbarriered = ref [ "not run" ] and barriered = ref [ "not run" ] in
+      let survivor = ref (-1) in
+      let p_old = ref false and n_young = ref false in
+      st.Vm.Interp.on_alloc <-
+        Some
+          (fun _ _ ->
+            if st.Vm.Interp.alloc_count = 10 then begin
+              Gc.Nursery.minor st g;
+              (* [a], allocated first, is now a scanned pool object. *)
+              let p = Vm.Mem.get mem (List.hd img.Vm.Image.global_roots) in
+              let tdid = Vm.Mem.get mem p in
+              let words, next_off =
+                match img.Vm.Image.layouts.(tdid) with
+                | Rt.Typedesc.Lfixed { words; offsets } -> (words, offsets.(0))
+                | Rt.Typedesc.Lopen _ -> Alcotest.fail "Node has a fixed layout"
+              in
+              let v_off =
+                List.find (fun o -> o <> next_off)
+                  (List.init (words - Rt.Typedesc.fixed_header_words) (fun i ->
+                       i + Rt.Typedesc.fixed_header_words))
+              in
+              p_old := p < g.Vm.Interp.old_alloc;
+              let n = Vm.Interp.rt_alloc st tdid ~length:0 in
+              n_young := n >= g.Vm.Interp.nursery_base;
+              Vm.Mem.set mem (n + v_off) 4242;
+              let slot = p + next_off in
+              Vm.Mem.set mem slot n;
+              unbarriered := verdict ();
+              Vm.Interp.barrier_hit st slot;
+              barriered := verdict ();
+              Gc.Nursery.minor st g;
+              let n' = Vm.Mem.get mem slot in
+              if n' < g.Vm.Interp.old_alloc then survivor := Vm.Mem.get mem (n' + v_off)
+            end);
+      Vm.Interp.run st;
+      check Alcotest.bool "the pool object was old" true !p_old;
+      check Alcotest.bool "the referent was in the nursery" true !n_young;
+      check Alcotest.bool "an unbarriered old→young store is reported" true
+        (List.exists (fun v -> find_sub v "holds nursery pointer" <> None) !unbarriered);
+      check Alcotest.(list string) "the same store with its barrier passes" [] !barriered;
+      check Alcotest.int "the remembered referent survives the next minor" 4242 !survivor;
+      check Alcotest.string "program output" "7 1275\n" (Vm.Interp.output st))
+
+(* The store the young high-water mark exists for: [c.item := it] goes
+   into a cell fresh from its allocation, so its barrier is elided, and it
+   stores a nursery pointer. Placing only the cell site (pool or
+   pretenure) puts that unbarriered old→young edge in the old generation;
+   the next minor must scan the cell or the item dangles. *)
+let spine_src =
+  {|MODULE Spine;
+TYPE ItemRec = RECORD v: INTEGER END; Item = REF ItemRec;
+     Cell = RECORD item: Item; next: List END; List = REF Cell;
+VAR list, c: List; it: Item; i, sum: INTEGER;
+BEGIN
+  list := NIL;
+  FOR i := 1 TO 500 DO
+    it := NEW(Item);
+    it.v := i;
+    c := NEW(List);
+    c.item := it;
+    c.next := list;
+    list := c
+  END;
+  sum := 0;
+  c := list;
+  WHILE c # NIL DO sum := sum + c.item.v; c := c.next END;
+  PutInt(sum); PutLn()
+END Spine.|}
+
+let test_fresh_placed_cell () =
+  verified (fun () ->
+      let img = compile ~heap:8192 spine_src in
+      check Alcotest.bool "some barrier was elided" true (img.Vm.Image.barriers_elided > 0);
+      let sites = C.sites_for img in
+      let cell_line =
+        let upto = String.sub spine_src 0 (Option.get (find_sub spine_src "NEW(List)")) in
+        List.length (String.split_on_char '\n' upto)
+      in
+      List.iter
+        (fun (label, code) ->
+          let codes =
+            Array.map
+              (fun (site : Profile.site) ->
+                if site.Profile.s_line = cell_line then code else Policy.nursery_code)
+              sites
+          in
+          check Alcotest.bool (label ^ ": the cell site is placed") true
+            (Array.exists (fun c -> c = code) codes);
+          List.iter
+            (fun (nursery, threaded) ->
+              let name =
+                Printf.sprintf "%s/nursery %d/%s" label nursery
+                  (if threaded then "threaded" else "switch")
+              in
+              let base = run_with ~nursery ~threaded ~gen:true img in
+              let st = placed_machine ~nursery img codes in
+              if threaded then Vm.Threaded.run st else Vm.Interp.run st;
+              check Alcotest.bool (name ^ ": minors happened") true
+                (st.Vm.Interp.gc.Vm.Interp.minor_collections > 0);
+              check Alcotest.string (name ^ ": output") base.C.output (Vm.Interp.output st);
+              check Alcotest.int (name ^ ": icount") base.C.instructions st.Vm.Interp.icount)
+            [ (300, false); (300, true); (700, false); (700, true) ])
+        [ ("pool", Policy.pool_code); ("pretenure", Policy.pretenure_code) ])
 
 (* ------------------------------------------------------------------ *)
 (* Differential suite                                                  *)
@@ -279,6 +443,45 @@ let test_differential () =
             [ false; true ])
         [ ("destroy", destroy_small); ("destroy-ballast", destroy_ballast) ])
 
+(* Randomized differential over the nursery size: it moves every minor
+   relative to pool-chunk carving and pretenuring, and so where each young
+   high-water mark sits when a minor scans up to it. *)
+let ballast_img = lazy (compile ~heap:8192 destroy_ballast)
+let ballast_derived = lazy (derived_policy (Lazy.force ballast_img))
+
+let test_random_nursery =
+  let configs = [ "pool-all"; "pretenure-all"; "derived" ] in
+  QCheck.Test.make ~count:12 ~name:"any nursery size, placement and engine: byte-identical"
+    QCheck.(
+      triple (int_range 300 2000) (oneofl ~print:Fun.id configs) (bool |> set_print string_of_bool))
+    (fun (nursery, cfg, threaded) ->
+      let img = Lazy.force ballast_img in
+      let policy =
+        match cfg with
+        | "pool-all" -> Policy.uniform Policy.Pool (C.sites_for img)
+        | "pretenure-all" -> Policy.uniform Policy.Pretenure (C.sites_for img)
+        | _ -> Lazy.force ballast_derived
+      in
+      verified (fun () ->
+          let base = run_with ~nursery ~threaded ~gen:true img in
+          let r = run_with ~policy ~nursery ~threaded ~gen:true img in
+          base.C.output = r.C.output && base.C.instructions = r.C.instructions))
+
+(* Pool-all under the fault layer's allocation storm: a collection forced
+   at every 7th allocation, placed ones included, so minors land between
+   almost any two pool allocations. *)
+let test_pool_storm () =
+  verified (fun () ->
+      let img = Lazy.force ballast_img in
+      let base = run_with ~threaded:false ~gen:true img in
+      let st = placed_machine ~nursery:512 img (pool_all_codes img) in
+      Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 7 });
+      Vm.Interp.run st;
+      check Alcotest.bool "the storm ran minors" true
+        (st.Vm.Interp.gc.Vm.Interp.minor_collections > 0);
+      check Alcotest.string "output" base.C.output (Vm.Interp.output st);
+      check Alcotest.int "icount" base.C.instructions st.Vm.Interp.icount)
+
 (* ------------------------------------------------------------------ *)
 (* Adaptive convergence                                                *)
 (* ------------------------------------------------------------------ *)
@@ -328,10 +531,18 @@ let () =
           Alcotest.test_case "nursery-capacity boundary" `Quick (fresh test_boundary);
           Alcotest.test_case "pretenured object points at nursery" `Quick
             (fresh test_pretenured_mutation);
+          Alcotest.test_case "scanned pool object needs its barrier" `Quick
+            (fresh test_scanned_pool_object);
+          Alcotest.test_case "fresh placed object holds a nursery pointer" `Quick
+            (fresh test_fresh_placed_cell);
         ] );
       ( "differential",
-        [ Alcotest.test_case "all configs byte-identical" `Slow (fresh test_differential) ]
-      );
+        [
+          Alcotest.test_case "all configs byte-identical" `Slow (fresh test_differential);
+          QCheck_alcotest.to_alcotest test_random_nursery;
+          Alcotest.test_case "pool-all under an allocation storm" `Quick
+            (fresh test_pool_storm);
+        ] );
       ( "adaptive",
         [
           Alcotest.test_case "converges on the offline policy" `Quick
