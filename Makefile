@@ -1,8 +1,9 @@
-# Developer entry points. `make check` is what CI runs: full build, the
-# test run, an observability smoke test that executes a collecting
-# workload with tracing on and validates the emitted Chrome trace JSON
-# (parses, spans balanced, all four gc pause phases present), and a
-# fault-injection smoke sweep over mutated gc-table streams.
+# Developer entry points. `make check` is what CI runs: full build, a
+# guard on the build profile, the test run, an observability smoke test
+# that executes a collecting workload with tracing on and validates the
+# emitted Chrome trace JSON (parses, spans balanced, all four gc pause
+# phases present), and a fault-injection smoke sweep over mutated
+# gc-table streams.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
@@ -10,7 +11,7 @@ FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
-.PHONY: all build test test-verified test-gen test-switch test-workers \
+.PHONY: all build check-build test test-verified test-gen test-switch test-workers \
 	test-pressure test-incremental smoke fault profile check bench \
 	bench-perf bench-gen bench-mutator bench-pauses bench-copy \
 	bench-pressure bench-pgo bench-pause-budget clean
@@ -19,6 +20,26 @@ all: build
 
 build:
 	$(DUNE) build
+
+# The workspace selects the release profile: no module is built with
+# -opaque, so small cross-module functions (Vm.Mem's accessors among them)
+# inline, while the dev profile's lint set still fails the build on any
+# warning. Fails if either stops being true: Vm.Mem's unsafe_get no longer
+# exported inlinable (-opaque is back), or the printed flags lost the lint
+# set.
+MEM_CMX := _build/default/lib/vm/.vm.objs/native/vm__Mem.cmx
+LINT_WARNINGS := @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+
+check-build: build
+	@ocamlobjinfo $(MEM_CMX) | grep -q 'unsafe_get.*(inline)' || { \
+	  echo "check-build: $(MEM_CMX) does not export unsafe_get inlinable (built with -opaque?)"; \
+	  exit 1; }
+	@flags="$$($(DUNE) printenv .)"; \
+	  echo "$$flags" | grep -q -- '-strict-sequence' \
+	  && echo "$$flags" | grep -qF -- '$(LINT_WARNINGS)' || { \
+	  echo "check-build: the build flags lost the lint set (-strict-sequence, -w $(LINT_WARNINGS))"; \
+	  exit 1; }
+	@echo "check-build: ok"
 
 test: build
 	$(DUNE) runtest
@@ -92,7 +113,7 @@ profile: build
 	  $(PROFILE_OUT:.json=.gen.json) --census-every 8 examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.gen.json)
 
-check: build test smoke fault profile
+check: build check-build test smoke fault profile
 	@echo "check: ok"
 
 bench: build

@@ -171,7 +171,12 @@ let func (f : Ir.func) : bool =
       List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.term_succs blk.Ir.term))
     f.Ir.blocks;
   (* Forward must-analysis to a fixpoint: [None] is the optimistic "not yet
-     computed" top, ignored by the meet until the block has been visited. *)
+     computed" top, ignored by the meet until the block has been visited.
+     A non-entry block none of whose predecessors has an out yet is skipped
+     rather than given [empty_state]: that is bottom, and raising it on a
+     later visit makes the iteration non-monotone, which need not converge.
+     A block never reached keeps [ins = empty_state], so nothing is elided
+     in it. *)
   let outs : state option array = Array.make n None in
   let ins = Array.make n empty_state in
   let changed = ref true in
@@ -179,7 +184,7 @@ let func (f : Ir.func) : bool =
     changed := false;
     for b = 0 to n - 1 do
       let in_set =
-        if b = 0 then empty_state
+        if b = 0 then Some empty_state
         else
           List.fold_left
             (fun acc p ->
@@ -188,15 +193,17 @@ let func (f : Ir.func) : bool =
               | Some s, None -> Some s
               | Some s, Some a -> Some (state_meet a s))
             None preds.(b)
-          |> Option.value ~default:empty_state
       in
-      ins.(b) <- in_set;
-      let out = List.fold_left (transfer f) in_set f.Ir.blocks.(b).Ir.instrs in
-      match outs.(b) with
-      | Some o when state_equal o out -> ()
-      | _ ->
-          outs.(b) <- Some out;
-          changed := true
+      match in_set with
+      | None -> ()
+      | Some in_set -> (
+          ins.(b) <- in_set;
+          let out = List.fold_left (transfer f) in_set f.Ir.blocks.(b).Ir.instrs in
+          match outs.(b) with
+          | Some o when state_equal o out -> ()
+          | _ ->
+              outs.(b) <- Some out;
+              changed := true)
     done
   done;
   (* Rewrite pass: replay the transfer through each block and relabel the

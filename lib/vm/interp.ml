@@ -275,13 +275,20 @@ let fp t = t.regs.(Machine.Reg.fp)
 let set_sp t v = t.regs.(Machine.Reg.sp) <- v
 let set_fp t v = t.regs.(Machine.Reg.fp) <- v
 
-let read t a =
-  if a < 0 || a >= Mem.length t.mem then Vm_error.fail "memory read out of range: %d" a;
-  Mem.unsafe_get t.mem a
+(* The memory primitives of both engines: an explicit range test, then the
+   unchecked access. They inline into every caller, the threaded engine's
+   compiled closures included, so the failure paths are separate functions
+   that keep the inlined bodies small. *)
 
-let write t a v =
-  if a < 8 || a >= Mem.length t.mem then Vm_error.fail "memory write out of range: %d" a;
-  Mem.unsafe_set t.mem a v
+let oob_read a = Vm_error.fail "memory read out of range: %d" a
+let oob_write a = Vm_error.fail "memory write out of range: %d" a
+let stack_overflow () = Vm_error.fail "stack overflow"
+
+let[@inline always] read t a =
+  if a < 0 || a >= Mem.length t.mem then oob_read a else Mem.unsafe_get t.mem a
+
+let[@inline always] write t a v =
+  if a < 8 || a >= Mem.length t.mem then oob_write a else Mem.unsafe_set t.mem a v
 
 let eval t (o : I.operand) : int =
   match o with
@@ -329,9 +336,12 @@ let apply_aop (op : I.aop) a b =
   | I.Abso -> abs a
   | I.Setcc r -> if I.relop_eval r a b then 1 else 0
 
-let push t v =
+(* Overflow check, sp update, then the (upper-bound checked) store — in
+   that order, so a faulting push leaves the same machine state in both
+   engines. *)
+let[@inline always] push t v =
   let nsp = sp t - 1 in
-  if nsp < t.image.Image.stack_base then Vm_error.fail "stack overflow";
+  if nsp < t.image.Image.stack_base then stack_overflow ();
   set_sp t nsp;
   write t nsp v
 
@@ -850,7 +860,7 @@ let exec_rt t (rc : Mir.Ir.rt_call) =
            append pass — the bounds-checked [read] used to run once per
            character. *)
         if len < 0 || p + 2 + len > Mem.length t.mem then
-          Vm_error.fail "memory read out of range: %d" (p + 2 + len);
+          oob_read (p + 2 + len);
         let mem = t.mem in
         for a = p + 2 to p + 2 + len - 1 do
           Buffer.add_char t.out (Char.chr (Mem.unsafe_get mem a land 0xff))
@@ -993,7 +1003,7 @@ let step t =
       push t (fp t);
       set_fp t (sp t);
       let f = fp t in
-      if f - frame_size < t.image.Image.stack_base then Vm_error.fail "stack overflow";
+      if f - frame_size < t.image.Image.stack_base then stack_overflow ();
       (* Block fill of the frame, then the save slots; the old word-by-word
          zero loop and the [List.iteri] closure both cost on every call. *)
       Mem.fill t.mem (f - frame_size) frame_size 0;

@@ -10,11 +10,15 @@
     any host-GC coordination.
 
     The hot accessors ([unsafe_get]/[unsafe_set]) compile to single loads
-    and stores; callers that need the VM's bounds discipline (the
-    interpreters' [read]/[write]) perform their own explicit range test —
-    with the VM's error message — and then use the unsafe accessor, the
-    same structure the [int array] code had. The checked [get]/[set] are
-    the cold-path/cool-path accessors for collector and verifier code. *)
+    and stores in their callers only when this module is built without
+    [-opaque], as the workspace's release profile builds it. Under dune's
+    dev profile ([--profile dev]) every module is opaque, and each access
+    from another module becomes a call through [caml_apply]. Callers that
+    need the VM's bounds discipline ([Interp.read]/[write], which both
+    engines use) perform their own explicit range test — with the VM's
+    error message — and then use the unsafe accessor, the same structure
+    the [int array] code had. The checked [get]/[set] are the
+    cold-path/cool-path accessors for collector and verifier code. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

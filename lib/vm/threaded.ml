@@ -58,38 +58,8 @@ let c_fuse_kind =
     for reporting tools. *)
 let fuse_kind_names = List.map F.pair_name F.all_pairs
 
-(* ------------------------------------------------------------------ *)
-(* Inline memory primitives                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Without flambda, [Interp.read]/[write]/[push] are out-of-line calls from
-   every compiled closure. These local equivalents keep the cold failure
-   paths out of line (so the hot bodies stay under the inlining threshold)
-   and use unchecked accesses behind the explicit range test — the same
-   test [Interp.read]/[write] perform, with the same error messages. *)
-
-let oob_read a = Vm_error.fail "memory read out of range: %d" a
-let oob_write a = Vm_error.fail "memory write out of range: %d" a
-let stack_overflow () = Vm_error.fail "stack overflow"
-
-let[@inline always] mread t a =
-  if a < 0 || a >= Mem.length t.mem then oob_read a else Mem.unsafe_get t.mem a
-
-let[@inline always] mwrite t a v =
-  if a < 8 || a >= Mem.length t.mem then oob_write a
-  else Mem.unsafe_set t.mem a v
-
 let sp_r = Machine.Reg.sp
 let fp_r = Machine.Reg.fp
-
-(* Exactly [Interp.push]: overflow check, sp update, then the (upper-bound
-   checked) store — in that order, so a faulting push leaves the same
-   machine state as the reference engine. *)
-let[@inline always] mpush t v =
-  let nsp = t.regs.(sp_r) - 1 in
-  if nsp < t.image.Image.stack_base then stack_overflow ();
-  t.regs.(sp_r) <- nsp;
-  mwrite t nsp v
 
 (* ------------------------------------------------------------------ *)
 (* Operand compilation                                                 *)
@@ -102,25 +72,25 @@ let compile_eval (o : I.operand) : Interp.t -> int =
   match o with
   | I.Reg r -> fun t -> t.regs.(r)
   | I.Imm n -> fun _ -> n
-  | I.Mem (r, d) -> fun t -> mread t (t.regs.(r) + d)
-  | I.Mem2 (r1, r2, d) -> fun t -> mread t (t.regs.(r1) + t.regs.(r2) + d)
-  | I.Defer (r, d1, d2) -> fun t -> mread t (mread t (t.regs.(r) + d1) + d2)
-  | I.Abs a -> fun t -> mread t a
+  | I.Mem (r, d) -> fun t -> read t (t.regs.(r) + d)
+  | I.Mem2 (r1, r2, d) -> fun t -> read t (t.regs.(r1) + t.regs.(r2) + d)
+  | I.Defer (r, d1, d2) -> fun t -> read t (read t (t.regs.(r) + d1) + d2)
+  | I.Abs a -> fun t -> read t a
 
 let compile_store (o : I.operand) : Interp.t -> int -> unit =
   match o with
   | I.Reg r -> fun t v -> t.regs.(r) <- v
   | I.Imm _ -> fun _ _ -> Vm_error.fail "store to immediate"
-  | I.Mem (r, d) -> fun t v -> mwrite t (t.regs.(r) + d) v
-  | I.Mem2 (r1, r2, d) -> fun t v -> mwrite t (t.regs.(r1) + t.regs.(r2) + d) v
-  | I.Defer (r, d1, d2) -> fun t v -> mwrite t (mread t (t.regs.(r) + d1) + d2) v
-  | I.Abs a -> fun t v -> mwrite t a v
+  | I.Mem (r, d) -> fun t v -> write t (t.regs.(r) + d) v
+  | I.Mem2 (r1, r2, d) -> fun t v -> write t (t.regs.(r1) + t.regs.(r2) + d) v
+  | I.Defer (r, d1, d2) -> fun t v -> write t (read t (t.regs.(r) + d1) + d2) v
+  | I.Abs a -> fun t v -> write t a v
 
 let compile_addr (o : I.operand) : Interp.t -> int =
   match o with
   | I.Mem (r, d) -> fun t -> t.regs.(r) + d
   | I.Mem2 (r1, r2, d) -> fun t -> t.regs.(r1) + t.regs.(r2) + d
-  | I.Defer (r, d1, d2) -> fun t -> mread t (t.regs.(r) + d1) + d2
+  | I.Defer (r, d1, d2) -> fun t -> read t (t.regs.(r) + d1) + d2
   | I.Abs a -> fun _ -> a
   | I.Reg _ | I.Imm _ ->
       fun _ -> Vm_error.fail "effective address of a non-memory operand"
@@ -283,17 +253,17 @@ let compile_one (img : Image.t) ~pc (insn : I.t) : op =
   | I.Mov (I.Reg d, I.Mem (r, o)) ->
       fun t ->
         t.icount <- t.icount + 1;
-        t.regs.(d) <- mread t (t.regs.(r) + o);
+        t.regs.(d) <- read t (t.regs.(r) + o);
         t.pc <- next
   | I.Mov (I.Mem (r, o), I.Reg s) ->
       fun t ->
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r) + o) t.regs.(s);
+        write t (t.regs.(r) + o) t.regs.(s);
         t.pc <- next
   | I.Mov (I.Mem (r, o), I.Imm n) ->
       fun t ->
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r) + o) n;
+        write t (t.regs.(r) + o) n;
         t.pc <- next
   | I.Mov (d, s) ->
       let fs = compile_eval s in
@@ -368,25 +338,25 @@ let compile_one (img : Image.t) ~pc (insn : I.t) : op =
   | I.Push (I.Reg r) ->
       fun t ->
         t.icount <- t.icount + 1;
-        mpush t t.regs.(r);
+        push t t.regs.(r);
         t.pc <- next
   | I.Push (I.Imm n) ->
       fun t ->
         t.icount <- t.icount + 1;
-        mpush t n;
+        push t n;
         t.pc <- next
   | I.Push o ->
       let fv = compile_eval o in
       fun t ->
         t.icount <- t.icount + 1;
-        mpush t (fv t);
+        push t (fv t);
         t.pc <- next
   | I.Call (I.Cproc fid) ->
       let entry = img.Image.procs.(fid).Image.pi_entry in
       let ra = pc + 1 in
       fun t ->
         t.icount <- t.icount + 1;
-        mpush t ra;
+        push t ra;
         t.pc <- entry
   | I.Call (I.Crt rc) ->
       (* [t.pc = pc] here (dispatch invariant), which is exactly what the
@@ -399,7 +369,7 @@ let compile_one (img : Image.t) ~pc (insn : I.t) : op =
       let stack_base = img.Image.stack_base in
       fun t ->
         t.icount <- t.icount + 1;
-        mpush t t.regs.(fp_r);
+        push t t.regs.(fp_r);
         t.regs.(fp_r) <- t.regs.(sp_r);
         let f = t.regs.(fp_r) in
         if f - frame_size < stack_base then stack_overflow ();
@@ -418,16 +388,16 @@ let compile_one (img : Image.t) ~pc (insn : I.t) : op =
         let f = t.regs.(fp_r) in
         for i = 0 to Array.length saves - 1 do
           let r, off = Array.unsafe_get saves i in
-          t.regs.(r) <- mread t (f + off)
+          t.regs.(r) <- read t (f + off)
         done;
         t.regs.(sp_r) <- f;
-        t.regs.(fp_r) <- mread t f;
+        t.regs.(fp_r) <- read t f;
         t.regs.(sp_r) <- t.regs.(sp_r) + 1;
         t.pc <- next
   | I.Ret n ->
       fun t ->
         t.icount <- t.icount + 1;
-        let ra = mread t t.regs.(sp_r) in
+        let ra = read t t.regs.(sp_r) in
         t.regs.(sp_r) <- t.regs.(sp_r) + 1 + n;
         if ra = sentinel_ret then t.halted <- true else t.pc <- ra
   | I.Wbar o ->
@@ -475,42 +445,42 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) = m then tg else next2)
       | I.Rne ->
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) <> m then tg else next2)
       | I.Rlt ->
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) < m then tg else next2)
       | I.Rle ->
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) <= m then tg else next2)
       | I.Rgt ->
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) > m then tg else next2)
       | I.Rge ->
           fun t ->
             fused_execs := !fused_execs + 1;
             t.icount <- t.icount + 1;
-            t.regs.(d) <- mread t (t.regs.(r) + o);
+            t.regs.(d) <- read t (t.regs.(r) + o);
             t.icount <- t.icount + 1;
             t.pc <- (if t.regs.(c) >= m then tg else next2))
   (* load ; branch-on-registers *)
@@ -519,7 +489,7 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        t.regs.(d) <- mread t (t.regs.(r) + o);
+        t.regs.(d) <- read t (t.regs.(r) + o);
         t.icount <- t.icount + 1;
         t.pc <- (if cmp t.regs.(c1) t.regs.(c2) then tg else next2)
   (* load ; store *)
@@ -527,37 +497,37 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        t.regs.(d) <- mread t (t.regs.(r) + o);
+        t.regs.(d) <- read t (t.regs.(r) + o);
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r2) + o2) t.regs.(s);
+        write t (t.regs.(r2) + o2) t.regs.(s);
         t.pc <- next2
   (* load ; load *)
   | I.Mov (I.Reg d, I.Mem (r, o)), I.Mov (I.Reg d2, I.Mem (r2, o2)) ->
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        t.regs.(d) <- mread t (t.regs.(r) + o);
+        t.regs.(d) <- read t (t.regs.(r) + o);
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        t.regs.(d2) <- mread t (t.regs.(r2) + o2);
+        t.regs.(d2) <- read t (t.regs.(r2) + o2);
         t.pc <- next2
   (* store ; load *)
   | I.Mov (I.Mem (r, o), I.Reg s), I.Mov (I.Reg d, I.Mem (r2, o2)) ->
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r) + o) t.regs.(s);
+        write t (t.regs.(r) + o) t.regs.(s);
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        t.regs.(d) <- mread t (t.regs.(r2) + o2);
+        t.regs.(d) <- read t (t.regs.(r2) + o2);
         t.pc <- next2
   (* store ; jump — the loop-bottom idiom *)
   | I.Mov (I.Mem (r, o), I.Reg s), I.Jmp tg ->
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r) + o) t.regs.(s);
+        write t (t.regs.(r) + o) t.regs.(s);
         t.icount <- t.icount + 1;
         t.pc <- tg
   (* register move ; jump *)
@@ -577,17 +547,17 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
         t.regs.(d) <- t.regs.(ra) + bimm;
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        mwrite t (t.regs.(r) + o) t.regs.(s);
+        write t (t.regs.(r) + o) t.regs.(s);
         t.pc <- next2
   (* push ; push — argument setup *)
   | I.Push (I.Reg r1), I.Push (I.Reg r2) ->
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mpush t t.regs.(r1);
+        push t t.regs.(r1);
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        mpush t t.regs.(r2);
+        push t t.regs.(r2);
         t.pc <- next2
   (* push ; call — the last argument and the transfer. The call is a
      gc-point, so the exact call pc is stored before it executes. *)
@@ -597,10 +567,10 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mpush t t.regs.(r1);
+        push t t.regs.(r1);
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        mpush t ra;
+        push t ra;
         t.pc <- entry
   | I.Push (I.Imm n), I.Call (I.Cproc fid) ->
       let entry = img.Image.procs.(fid).Image.pi_entry in
@@ -608,16 +578,16 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mpush t n;
+        push t n;
         t.pc <- p1;
         t.icount <- t.icount + 1;
-        mpush t ra;
+        push t ra;
         t.pc <- entry
   | I.Push (I.Reg r1), I.Call (I.Crt rc) ->
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mpush t t.regs.(r1);
+        push t t.regs.(r1);
         t.pc <- p1;
         t.icount <- t.icount + 1;
         exec_rt t rc;
@@ -626,7 +596,7 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
       fun t ->
         fused_execs := !fused_execs + 1;
         t.icount <- t.icount + 1;
-        mpush t n;
+        push t n;
         t.pc <- p1;
         t.icount <- t.icount + 1;
         exec_rt t rc;

@@ -380,6 +380,55 @@ let test_benchmarks_agree_all_passes () =
       ("ambig", Programs.Ambig_src.src, 800);
     ]
 
+(* A reduction of a program test_random generated: at O0, a join block
+   visited before any of its predecessors used to get the bottom state, and
+   raising it on a later visit kept barrier_elim's fixpoint from converging,
+   so the compile never finished. *)
+let barrier_elim_hang_src =
+  "MODULE Rnd;\n\
+   TYPE Node = RECORD v: INTEGER; n: List END; List = REF Node;\n\
+   Arr = REF ARRAY OF INTEGER;\n\
+   VAR g0, g1, g2, g3: INTEGER; head: List; arr: Arr;\n\
+   PROCEDURE PushList(v: INTEGER);\n\
+   VAR c: List;\n\
+   BEGIN c := NEW(List); c.v := v; c.n := head; head := c END PushList;\n\
+   PROCEDURE SumList(): INTEGER;\n\
+   VAR s: INTEGER; l: List;\n\
+   BEGIN s := 0; l := head;\n\
+   WHILE l # NIL DO s := s + l.v; l := l.n END; RETURN s END SumList;\n\
+   PROCEDURE H0(x: INTEGER): INTEGER;\n\
+   BEGIN\n\
+   \  IF g2 > 0 THEN\n\
+   \  END;\n\
+   \  IF 9 > 0 THEN\n\
+   \  END\n\
+   END H0;\n\
+   PROCEDURE H1(x: INTEGER): INTEGER;\n\
+   BEGIN\n\
+   END H1;\n\
+   PROCEDURE H2(x: INTEGER): INTEGER;\n\
+   BEGIN\n\
+   \  FOR iv := 1 TO 4 BY 3 DO\n\
+   \  END\n\
+   END H2;\n\
+   BEGIN\n\
+   \  arr := NEW(Arr, 8);\n\
+   \  FOR iv := 1 TO 3 BY 3 DO\n\
+   \    IF (6 - g1) > 0 THEN\n\
+   \    END\n\
+   \  END;\n\
+   END Rnd.\n"
+
+let test_barrier_elim_converges () =
+  List.iter
+    (fun optimize ->
+      let options = { Driver.Compile.default_options with optimize; barrier_elim = true } in
+      let r = Driver.Compile.run_source ~options barrier_elim_hang_src in
+      check Alcotest.string
+        (Printf.sprintf "output at O%d" (Bool.to_int optimize))
+        "" r.Driver.Compile.output)
+    [ false; true ]
+
 let () =
   Alcotest.run "opt"
     [
@@ -406,5 +455,10 @@ let () =
           Alcotest.test_case "noalloc reduces gc-points" `Quick
             test_noalloc_reduces_gcpoints;
           Alcotest.test_case "loop gc-points" `Quick test_loop_gcpoints;
+        ] );
+      ( "barrier-elim",
+        [
+          Alcotest.test_case "fixpoint converges on join blocks" `Quick
+            test_barrier_elim_converges;
         ] );
     ]
