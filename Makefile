@@ -24,15 +24,21 @@ build:
 # The workspace selects the release profile: no module is built with
 # -opaque, so small cross-module functions (Vm.Mem's accessors among them)
 # inline, while the dev profile's lint set still fails the build on any
-# warning. Fails if either stops being true: Vm.Mem's unsafe_get no longer
-# exported inlinable (-opaque is back), or the printed flags lost the lint
-# set.
+# warning. Fails if any of these stops being true: Vm.Mem's unsafe_get no
+# longer exported inlinable (-opaque is back), Gc.Cheney's forward no
+# longer exported inlinable (its from-space range test would become a
+# call in Nursery's remembered-set and root loops), or the printed flags
+# lost the lint set.
 MEM_CMX := _build/default/lib/vm/.vm.objs/native/vm__Mem.cmx
+CHENEY_CMX := _build/default/lib/gc/.gc.objs/native/gc__Cheney.cmx
 LINT_WARNINGS := @1..3@5..28@30..39@43@46..47@49..57@61..62-40
 
 check-build: build
 	@ocamlobjinfo $(MEM_CMX) | grep -q 'unsafe_get.*(inline)' || { \
 	  echo "check-build: $(MEM_CMX) does not export unsafe_get inlinable (built with -opaque?)"; \
+	  exit 1; }
+	@ocamlobjinfo $(CHENEY_CMX) | grep -q 'Cheney\.forward_[0-9]*.*(inline)' || { \
+	  echo "check-build: $(CHENEY_CMX) does not export forward inlinable"; \
 	  exit 1; }
 	@flags="$$($(DUNE) printenv .)"; \
 	  echo "$$flags" | grep -q -- '-strict-sequence' \

@@ -11,16 +11,12 @@
     not a plausible type descriptor (a corrupt heap — the verifier's
     department, not ours). *)
 let object_size (st : Vm.Interp.t) addr =
-  let layouts = st.Vm.Interp.image.Vm.Image.layouts in
+  let sizes = st.Vm.Interp.image.Vm.Image.layouts.Rt.Typedesc.sizes in
   let tdid = st.Vm.Interp.mem.{addr} in
-  if tdid < 0 || tdid >= Array.length layouts then None
+  if tdid < 0 || tdid >= Array.length sizes then None
   else
-    match layouts.(tdid) with
-    | Rt.Typedesc.Lfixed { words; _ } -> Some (tdid, words)
-    | Rt.Typedesc.Lopen { elt_size; _ } ->
-        let len = st.Vm.Interp.mem.{addr + 1} in
-        if len < 0 then None
-        else Some (tdid, Rt.Typedesc.open_header_words + (len * elt_size))
+    let length = if sizes.(tdid) > 0 then 0 else st.Vm.Interp.mem.{addr + 1} in
+    if length < 0 then None else Some (tdid, Rt.Typedesc.words sizes.(tdid) ~length)
 
 (** Take one census of the machine's live regions — flat mode walks
     [from_base, alloc); generational mode walks the old generation and the

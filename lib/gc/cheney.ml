@@ -47,104 +47,173 @@ let c_worker_timeouts = T.Metrics.counter "gc_pressure.worker_timeouts"
    same forwarding and scanning machinery serves both a full collection
    (source = from-space, destination = to-space) and a minor one (source =
    the nursery, destination = the old-generation frontier within the same
-   semispace — see {!Nursery}). *)
+   semispace — see {!Nursery}). It caches what the evacuation loop reads
+   per object: the store, the image's flat layout table and the profiler.
+   The store is the one thing that can change under it — a parallel round
+   that times out quarantines the store ({!scan_parallel}) and refreshes
+   [mem]. Evacuated objects are counted in [copied]; the collector adds
+   the count to the machine's counters once per collection. *)
 type copier = {
   st : Vm.Interp.t;
+  mutable mem : Vm.Mem.t; (* [st.mem] *)
+  sizes : int array; (* the image's layout table *)
+  offsets : int array array;
+  prof : Profile.t option;
   src_lo : int; (* objects in [src_lo, src_hi) are evacuated *)
   src_hi : int;
   dst_lo : int; (* evacuation region bounds *)
   dst_hi : int;
   mutable to_alloc : int;
+  mutable copied : int; (* objects evacuated *)
 }
 
-let in_from c v = v >= c.src_lo && v < c.src_hi
+(* Both regions are checked against the store once, here: every object
+   is then checked against its regions ([checked_size]), so the copy and
+   scan loops below index the store unchecked. *)
+let make_copier (st : Vm.Interp.t) ~src_lo ~src_hi ~dst_lo ~dst_hi =
+  let mem = st.Vm.Interp.mem in
+  let inside lo hi = 0 <= lo && lo <= hi && hi <= Vm.Mem.length mem in
+  if not (inside src_lo src_hi && inside dst_lo dst_hi) then
+    Vm.Vm_error.fail "gc: copy regions [%d, %d) -> [%d, %d) leave the %d-word store" src_lo
+      src_hi dst_lo dst_hi (Vm.Mem.length mem);
+  let l = st.Vm.Interp.image.Vm.Image.layouts in
+  {
+    st;
+    mem;
+    sizes = l.Rt.Typedesc.sizes;
+    offsets = l.Rt.Typedesc.offsets;
+    prof = st.Vm.Interp.prof;
+    src_lo;
+    src_hi;
+    dst_lo;
+    dst_hi;
+    to_alloc = dst_lo;
+    copied = 0;
+  }
+
+let bad_root ?(loc = "from-space word") c v reason =
+  Vm.Vm_error.(
+    error (Bad_root { loc = Printf.sprintf "%s %d" loc v; value = Vm.Mem.get c.mem v; reason }))
+
+(* Size of the object at [v] whose header is [header], checked against
+   what a corrupt or untidy pointer can claim: the header must be a type
+   descriptor, an open array's length must not be negative, and the
+   object must end by [hi] (for an open array, a length past [hi] is
+   tested first, so the size product cannot overflow unnoticed). *)
+let checked_size ?loc c v header ~hi ~region =
+  if header < 0 || header >= Array.length c.sizes then
+    bad_root ?loc c v (Printf.sprintf "header %d is not a type descriptor (untidy root?)" header);
+  let entry = Array.unsafe_get c.sizes header in
+  let length = if entry > 0 then 0 else Vm.Mem.get c.mem (v + 1) in
+  if length < 0 then bad_root ?loc c v (Printf.sprintf "open array has negative length %d" length);
+  let size = Rt.Typedesc.words entry ~length in
+  if size > hi - v || (entry < 0 && length > hi - v) then
+    bad_root ?loc c v (Printf.sprintf "object of %d words overruns %s" size region);
+  size
+
+(* Forward's four checks: a size checked against the source region, and
+   room for it in the destination. *)
+let evacuation_size c v header =
+  let size = checked_size c v header ~hi:c.src_hi ~region:"its source region" in
+  if size > c.dst_hi - c.to_alloc then
+    bad_root c v (Printf.sprintf "object of %d words overruns its destination region" size);
+  size
+
+let[@inline] in_from c v = v >= c.src_lo && v < c.src_hi
 
 (* A header inside [dst_lo, to_alloc) is a forwarding pointer: forwarding
-   pointers are the only header-position values that can land there, and
-   the test is tighter than the old whole-semispace check. *)
-let in_to c v = v >= c.dst_lo && v < c.to_alloc
+   pointers are the only header-position values that can land there. *)
+let[@inline] forwarded c header = header >= c.dst_lo && header < c.to_alloc
+
+(* Evacuate the from-space object at [v], or return its forwarding
+   pointer. Inlined into the Cheney loop ([scan_object]); every other
+   caller goes through the out-of-line [evacuate_call]. *)
+let[@inline] evacuate c v =
+  let mem = c.mem in
+  let header = Vm.Mem.unsafe_get mem v in
+  if forwarded c header then header
+  else begin
+    (* A fixed-size object that fits both regions passes all four checks
+       here; anything else takes [evacuation_size]'s full path. *)
+    let entry =
+      if header >= 0 && header < Array.length c.sizes then Array.unsafe_get c.sizes header
+      else 0
+    in
+    let dst = c.to_alloc in
+    let size =
+      if entry > 0 && entry <= c.src_hi - v && entry <= c.dst_hi - dst then entry
+      else evacuation_size c v header
+    in
+    (* Both ranges were just checked against regions inside the store. *)
+    Vm.Mem.unsafe_set mem dst header;
+    if size < 32 then
+      for i = 1 to size - 1 do
+        Vm.Mem.unsafe_set mem (dst + i) (Vm.Mem.unsafe_get mem (v + i))
+      done
+    else Vm.Mem.blit mem ~src:v ~dst ~len:size;
+    c.to_alloc <- dst + size;
+    Vm.Mem.unsafe_set mem v dst (* forwarding pointer *);
+    c.copied <- c.copied + 1;
+    (match c.prof with Some p -> Profile.on_copy p ~src:v ~dst ~words:size | None -> ());
+    dst
+  end
+
+let evacuate_call c v = evacuate c v
 
 (** Forward a tidy pointer: copy its object to to-space if not already
     copied; pointers outside from-space (NIL, globals, static text, stack
-    addresses) are left alone. *)
-let bad_root c v reason =
-  Vm.Vm_error.(
-    error
-      (Bad_root
-         {
-           loc = Printf.sprintf "from-space word %d" v;
-           value = Vm.Mem.get c.st.Vm.Interp.mem v;
-           reason;
-         }))
+    addresses) are left alone. The range test inlines into every caller;
+    the evacuation stays out of line. *)
+let[@inline] forward c v = if in_from c v then evacuate_call c v else v
 
-let forward c v =
-  if not (in_from c v) then v
+(* Scan one to-space object through the layout table, forwarding each
+   field with [evacuate] inlined. Its header passed [evacuate]'s checks on
+   the way in, so nothing is checked again. *)
+let[@inline] scan_object c addr =
+  let mem = c.mem in
+  let d = Vm.Mem.unsafe_get mem addr in
+  let entry = Array.unsafe_get c.sizes d and offsets = Array.unsafe_get c.offsets d in
+  let nofs = Array.length offsets in
+  if entry > 0 then begin
+    for k = 0 to nofs - 1 do
+      let a = addr + Array.unsafe_get offsets k in
+      let v = Vm.Mem.unsafe_get mem a in
+      if in_from c v then Vm.Mem.unsafe_set mem a (evacuate c v)
+    done;
+    addr + entry
+  end
   else begin
-    let header = Vm.Mem.get c.st.Vm.Interp.mem v in
-    if in_to c header then header (* already forwarded *)
-    else begin
-      let layouts = c.st.Vm.Interp.image.Vm.Image.layouts in
-      if header < 0 || header >= Array.length layouts then
-        bad_root c v
-          (Printf.sprintf "header %d is not a type descriptor (untidy root?)" header);
-      let size =
-        match layouts.(header) with
-        | Rt.Typedesc.Lfixed { words; _ } -> words
-        | Rt.Typedesc.Lopen { elt_size; _ } ->
-            let length = Vm.Mem.get c.st.Vm.Interp.mem (v + 1) in
-            if length < 0 then
-              bad_root c v (Printf.sprintf "open array has negative length %d" length);
-            Rt.Typedesc.open_header_words + (length * elt_size)
-      in
-      (* Size checks before the blit: a fake "object" (an integer that
-         happens to land on a plausible header) can claim any extent, and
-         the blit would either throw a bare Invalid_argument or, worse,
-         copy half the heap. *)
-      if v + size > c.src_hi then
-        bad_root c v (Printf.sprintf "object of %d words overruns its source region" size);
-      if c.to_alloc + size > c.dst_hi then
-        bad_root c v (Printf.sprintf "object of %d words overruns its destination region" size);
-      let dst = c.to_alloc in
-      Vm.Mem.blit c.st.Vm.Interp.mem ~src:v ~dst ~len:size;
-      c.to_alloc <- dst + size;
-      Vm.Mem.set c.st.Vm.Interp.mem v dst (* forwarding pointer *);
-      c.st.Vm.Interp.gc.Vm.Interp.objects_copied <-
-        c.st.Vm.Interp.gc.Vm.Interp.objects_copied + 1;
-      T.Metrics.incr c_objects;
-      (match c.st.Vm.Interp.prof with
-      | Some p -> Profile.on_copy p ~src:v ~dst ~words:size
-      | None -> ());
-      dst
-    end
+    let length = Vm.Mem.unsafe_get mem (addr + 1) in
+    if nofs > 0 then
+      for i = 0 to length - 1 do
+        let base = addr + Rt.Typedesc.open_header_words - (i * entry) in
+        for k = 0 to nofs - 1 do
+          let a = base + Array.unsafe_get offsets k in
+          let v = Vm.Mem.unsafe_get mem a in
+          if in_from c v then Vm.Mem.unsafe_set mem a (evacuate c v)
+        done
+      done;
+    addr + Rt.Typedesc.words entry ~length
   end
 
-(* Scan one to-space object through its precomputed layout: the offset
-   arrays are built once at image-load time, so the loop performs zero
-   list (or any other) allocation per object — where it used to build a
-   fresh offset list for every live object of every collection. *)
-let scan_object c addr =
-  let mem = c.st.Vm.Interp.mem in
-  match c.st.Vm.Interp.image.Vm.Image.layouts.(Vm.Mem.unsafe_get mem addr) with
-  | Rt.Typedesc.Lfixed { words; offsets } ->
-      for k = 0 to Array.length offsets - 1 do
-        let a = addr + Array.unsafe_get offsets k in
-        Vm.Mem.unsafe_set mem a (forward c (Vm.Mem.unsafe_get mem a))
-      done;
-      addr + words
-  | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-      let length = Vm.Mem.unsafe_get mem (addr + 1) in
-      let nofs = Array.length elt_offsets in
-      if nofs > 0 then begin
-        let base = ref (addr + Rt.Typedesc.open_header_words) in
-        for _i = 1 to length do
-          for k = 0 to nofs - 1 do
-            let a = !base + Array.unsafe_get elt_offsets k in
-            Vm.Mem.unsafe_set mem a (forward c (Vm.Mem.unsafe_get mem a))
-          done;
-          base := !base + elt_size
-        done
-      end;
-      addr + Rt.Typedesc.open_header_words + (length * elt_size)
+(** The Cheney loop: scan the destination region from [lo] until the scan
+    pointer catches up with [to_alloc]. *)
+let scan_from c lo =
+  let scan = ref lo in
+  while !scan < c.to_alloc do
+    scan := scan_object c !scan
+  done
+
+(** Scan an object a minor collection visits in place — pooled,
+    pretenured or big, ending by [hi] — and return its end. Its header
+    never passed through [evacuate], so it is checked here first: a
+    corrupt header is a [Bad_root], not an out-of-bounds scan or a scan
+    pointer that moves backwards. *)
+let scan_placed c addr ~hi =
+  ignore
+    (checked_size ~loc:"placed object at word" c addr (Vm.Mem.get c.mem addr)
+       ~hi:(min hi c.dst_lo) ~region:"the old generation");
+  scan_object c addr
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scan                                                       *)
@@ -200,13 +269,6 @@ let scan_object c addr =
    serial because the pool refuses dispatch until the straggler retires.
    Either way the result is byte-identical to the serial collector. *)
 
-(* Size of an already-copied object, from its (valid) header. *)
-let object_words layouts mem addr =
-  match layouts.(Vm.Mem.unsafe_get mem addr) with
-  | Rt.Typedesc.Lfixed { words; _ } -> words
-  | Rt.Typedesc.Lopen { elt_size; _ } ->
-      Rt.Typedesc.open_header_words + (Vm.Mem.unsafe_get mem (addr + 1) * elt_size)
-
 (* Minimal growable int buffer (frontiers, phase buffers, copy records). *)
 type ibuf = { mutable ib : int array; mutable in_ : int }
 
@@ -222,16 +284,15 @@ let[@inline] ibuf_push b v =
   b.in_ <- b.in_ + 1
 
 let scan_parallel c ~workers =
-  let layouts = c.st.Vm.Interp.image.Vm.Image.layouts in
+  let image = c.st.Vm.Interp.image in
   let threshold = Gc_pool.par_threshold () in
   let deadline = Gc_pool.deadline_ns () in
   let cur = ref (ibuf_make 1024) and nxt = ref (ibuf_make 1024) in
   (* Round 0's frontier: whatever the root pass already evacuated. *)
   let seed = ref c.dst_lo in
-  let mem0 = c.st.Vm.Interp.mem in
   while !seed < c.to_alloc do
     ibuf_push !cur !seed;
-    seed := !seed + object_words layouts mem0 !seed
+    seed := !seed + Vm.Image.object_words image c.mem !seed
   done;
   let bufs = ref [||] and buf_lens = ref [||] in
   let copies = ibuf_make 4096 in
@@ -256,6 +317,7 @@ let scan_parallel c ~workers =
         T.Metrics.incr c_worker_timeouts;
         degraded := true;
         Vm.Interp.quarantine_store c.st;
+        c.mem <- c.st.Vm.Interp.mem;
         T.Log.warn_once
           "gc: worker missed the round deadline in phase %s; store quarantined, collection degraded to serial"
           phase
@@ -278,16 +340,15 @@ let scan_parallel c ~workers =
       for i = 0 to n - 1 do
         ignore (scan_object c frontier.ib.(i))
       done;
-      let mem = c.st.Vm.Interp.mem in
       let a = ref lo in
       while !a < c.to_alloc do
         ibuf_push !nxt !a;
-        a := !a + object_words layouts mem !a
+        a := !a + Vm.Image.object_words image c.mem !a
       done
     in
     if n < threshold || !degraded then serial_round ()
     else begin
-      let mem = c.st.Vm.Interp.mem in
+      let mem = c.mem in
       let r = !round in
       let chunk = max 32 (n / (workers * 4)) in
       let nchunks = (n + chunk - 1) / chunk in
@@ -322,24 +383,7 @@ let scan_parallel c ~workers =
               let local = ibuf_make 256 in
               let hi = min n ((k + 1) * chunk) in
               for i = k * chunk to hi - 1 do
-                let addr = frontier.ib.(i) in
-                match layouts.(Vm.Mem.unsafe_get mem addr) with
-                | Rt.Typedesc.Lfixed { offsets; _ } ->
-                    for j = 0 to Array.length offsets - 1 do
-                      visit local (addr + Array.unsafe_get offsets j)
-                    done
-                | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-                    let nofs = Array.length elt_offsets in
-                    if nofs > 0 then begin
-                      let length = Vm.Mem.unsafe_get mem (addr + 1) in
-                      let base = ref (addr + Rt.Typedesc.open_header_words) in
-                      for _i = 1 to length do
-                        for j = 0 to nofs - 1 do
-                          visit local (!base + Array.unsafe_get elt_offsets j)
-                        done;
-                        base := !base + elt_size
-                      done
-                    end
+                Vm.Image.iter_ptr_fields image mem frontier.ib.(i) (visit local)
               done;
               bufs.(k) <- local.ib;
               buf_lens.(k) <- local.in_;
@@ -362,29 +406,9 @@ let scan_parallel c ~workers =
           let a = b.(!i) and v = b.(!i + 1) in
           i := !i + 2;
           let header = Vm.Mem.unsafe_get mem v in
-          if in_to c header then Vm.Mem.unsafe_set mem a header
+          if forwarded c header then Vm.Mem.unsafe_set mem a header
           else begin
-            if header < 0 || header >= Array.length layouts then
-              bad_root c v
-                (Printf.sprintf "header %d is not a type descriptor (untidy root?)"
-                   header);
-            let size =
-              match layouts.(header) with
-              | Rt.Typedesc.Lfixed { words; _ } -> words
-              | Rt.Typedesc.Lopen { elt_size; _ } ->
-                  let length = Vm.Mem.get mem (v + 1) in
-                  if length < 0 then
-                    bad_root c v
-                      (Printf.sprintf "open array has negative length %d" length);
-                  Rt.Typedesc.open_header_words + (length * elt_size)
-            in
-            if v + size > c.src_hi then
-              bad_root c v
-                (Printf.sprintf "object of %d words overruns its source region" size);
-            if c.to_alloc + size > c.dst_hi then
-              bad_root c v
-                (Printf.sprintf "object of %d words overruns its destination region"
-                   size);
+            let size = evacuation_size c v header in
             let dst = c.to_alloc in
             c.to_alloc <- dst + size;
             Vm.Mem.unsafe_set mem v dst (* forwarding pointer *);
@@ -394,10 +418,8 @@ let scan_parallel c ~workers =
             ibuf_push copies size;
             ibuf_push copies header;
             ibuf_push !nxt dst;
-            c.st.Vm.Interp.gc.Vm.Interp.objects_copied <-
-              c.st.Vm.Interp.gc.Vm.Interp.objects_copied + 1;
-            T.Metrics.incr c_objects;
-            match c.st.Vm.Interp.prof with
+            c.copied <- c.copied + 1;
+            match c.prof with
             | Some p -> Profile.on_copy p ~src:v ~dst ~words:size
             | None -> ()
           end
@@ -441,7 +463,7 @@ let scan_parallel c ~workers =
                store: each phase-C write is a pure function of phase B's
                committed records, so the redo is idempotent whether the
                abandoned workers finished none, some or all of it. *)
-            let mem = c.st.Vm.Interp.mem in
+            let mem = c.mem in
             for i = 0 to ncopies - 1 do
               let src = carr.(4 * i)
               and dst = carr.((4 * i) + 1)
@@ -481,7 +503,6 @@ let collect (st : Vm.Interp.t) ~needed =
   (match st.Vm.Interp.prof with
   | Some p -> Profile.begin_collection p ~minor:false
   | None -> ());
-  let objects0 = gcs.Vm.Interp.objects_copied in
   T.Trace.begin_span ~cat:"gc"
     ~args:[ ("collection", T.Json.Int gcs.Vm.Interp.collections) ]
     "gc.collect";
@@ -515,14 +536,9 @@ let collect (st : Vm.Interp.t) ~needed =
      the classic semispace alternation exactly. *)
   Vm.Interp.place_to_space st st.Vm.Interp.from_words;
   let c =
-    {
-      st;
-      src_lo = st.Vm.Interp.from_base;
-      src_hi = st.Vm.Interp.from_base + st.Vm.Interp.from_words;
-      dst_lo = st.Vm.Interp.to_base;
-      dst_hi = st.Vm.Interp.to_base + st.Vm.Interp.to_words;
-      to_alloc = st.Vm.Interp.to_base;
-    }
+    make_copier st ~src_lo:st.Vm.Interp.from_base
+      ~src_hi:(st.Vm.Interp.from_base + st.Vm.Interp.from_words)
+      ~dst_lo:st.Vm.Interp.to_base ~dst_hi:(st.Vm.Interp.to_base + st.Vm.Interp.to_words)
   in
   (* Global roots. *)
   List.iter
@@ -539,13 +555,9 @@ let collect (st : Vm.Interp.t) ~needed =
      parallel rounds otherwise — same layout, outputs and errors either
      way (see {!scan_parallel}). *)
   let workers = Gc_pool.workers () in
-  if workers <= 1 then begin
-    let scan = ref c.dst_lo in
-    while !scan < c.to_alloc do
-      scan := scan_object c !scan
-    done
-  end
-  else scan_parallel c ~workers;
+  if workers <= 1 then scan_from c c.dst_lo else scan_parallel c ~workers;
+  gcs.Vm.Interp.objects_copied <- gcs.Vm.Interp.objects_copied + c.copied;
+  T.Metrics.incr ~by:c.copied c_objects;
   let t_copy1 = now_ns () in
   T.Trace.end_span ();
   (* --- re-derive and flip --- *)
@@ -591,7 +603,7 @@ let collect (st : Vm.Interp.t) ~needed =
     T.Metrics.observe_ns h_roots (sub t_roots1 t_roots0);
     T.Metrics.observe_ns h_rederive (sub t_red1 t_red0);
     T.Metrics.observe h_words (float_of_int words);
-    T.Metrics.observe h_objects (float_of_int (gcs.Vm.Interp.objects_copied - objects0));
+    T.Metrics.observe h_objects (float_of_int c.copied);
     T.Metrics.observe h_frames (float_of_int (List.length frames));
     T.Metrics.incr c_major;
     T.Metrics.observe_ns h_major_pause (sub t_end t_start);

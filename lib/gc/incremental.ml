@@ -72,34 +72,27 @@ let h_pause = T.Metrics.histogram "gc.pause_ns"
 
 (* Scan one (marked) object: shade every pointer field. Returns the
    object's size in words — the unit of work accounting. Mirrors the
-   Cheney scan loop over the precomputed layouts. *)
+   Cheney scan loop over the flat layout table. *)
 let scan_object (st : VI.t) (inc : VI.inc_state) a =
   let mem = st.VI.mem in
-  let layouts = st.VI.image.Vm.Image.layouts in
-  match layouts.(mem.{a}) with
-  | Rt.Typedesc.Lfixed { words; offsets } ->
-      for i = 0 to Array.length offsets - 1 do
-        VI.inc_shade st inc mem.{a + Array.unsafe_get offsets i}
+  let l = st.VI.image.Vm.Image.layouts in
+  let d = mem.{a} in
+  let size = l.Rt.Typedesc.sizes.(d) and offsets = l.Rt.Typedesc.offsets.(d) in
+  if size > 0 then begin
+    for i = 0 to Array.length offsets - 1 do
+      VI.inc_shade st inc mem.{a + Array.unsafe_get offsets i}
+    done;
+    size
+  end
+  else begin
+    let len = mem.{a + 1} in
+    if Array.length offsets > 0 then
+      for i = 0 to len - 1 do
+        let base = a + Rt.Typedesc.open_header_words - (i * size) in
+        Array.iter (fun o -> VI.inc_shade st inc mem.{base + o}) offsets
       done;
-      words
-  | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-      let len = mem.{a + 1} in
-      let size = Rt.Typedesc.open_header_words + (len * elt_size) in
-      if Array.length elt_offsets > 0 then
-        for i = 0 to len - 1 do
-          let base = a + Rt.Typedesc.open_header_words + (i * elt_size) in
-          Array.iter (fun o -> VI.inc_shade st inc mem.{base + o}) elt_offsets
-        done;
-      size
-
-(* Header-driven size of the object at [a] (headers are trusted here; the
-   verifier is the integrity oracle). *)
-let object_words (st : VI.t) a =
-  let mem = st.VI.mem in
-  match st.VI.image.Vm.Image.layouts.(mem.{a}) with
-  | Rt.Typedesc.Lfixed { words; _ } -> words
-  | Rt.Typedesc.Lopen { elt_size; _ } ->
-      Rt.Typedesc.open_header_words + (mem.{a + 1} * elt_size)
+    Rt.Typedesc.words size ~length:len
+  end
 
 (* Mark-stack overflow recovery: a linear pass over the heap re-scanning
    every marked object. Any marked→unmarked edge is re-shaded (and may
@@ -119,7 +112,7 @@ let rescan (st : VI.t) (inc : VI.inc_state) =
       incr work
     end
     else begin
-      let size = object_words st !a in
+      let size = Vm.Image.object_words st.VI.image mem !a in
       if Support.Bitset.mem inc.VI.inc_marks (!a - st.VI.from_base) then
         work := !work + scan_object st inc !a
       else incr work;
@@ -272,7 +265,7 @@ let sweep_chunk (st : VI.t) (inc : VI.inc_state) ~quota =
       work := !work + 1
     end
     else begin
-      let size = object_words st a in
+      let size = Vm.Image.object_words st.VI.image mem a in
       if Support.Bitset.mem inc.VI.inc_marks (a - st.VI.from_base) then
         close_run st inc a
       else begin

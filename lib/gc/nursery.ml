@@ -33,6 +33,7 @@ let now_ns = T.Control.now_ns
 let c_collections = T.Metrics.counter "gc.collections"
 let c_minor = T.Metrics.counter "gc.minor_collections"
 let c_copy_words = T.Metrics.counter "gc.copy_words"
+let c_objects = T.Metrics.counter "gc.objects_forwarded"
 let h_pause = T.Metrics.histogram "gc.pause_ns"
 let h_stackwalk = T.Metrics.histogram "gc.stackwalk_ns"
 let h_underive = T.Metrics.histogram "gc.underive_ns"
@@ -70,7 +71,6 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
   (match st.Vm.Interp.prof with
   | Some p -> Profile.begin_collection p ~minor:true
   | None -> ());
-  let objects0 = gcs.Vm.Interp.objects_copied in
   T.Trace.begin_span ~cat:"gc"
     ~args:[ ("collection", T.Json.Int gcs.Vm.Interp.collections) ]
     "gc.minor";
@@ -92,14 +92,8 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
   (* --- copy phase: nursery → old frontier, no flip. --- *)
   T.Trace.begin_span ~cat:"gc" "gc.copy";
   let c =
-    {
-      Cheney.st;
-      src_lo = g.Vm.Interp.nursery_base;
-      src_hi = g.Vm.Interp.nursery_alloc;
-      dst_lo = g.Vm.Interp.old_alloc;
-      dst_hi = g.Vm.Interp.nursery_base;
-      to_alloc = g.Vm.Interp.old_alloc;
-    }
+    Cheney.make_copier st ~src_lo:g.Vm.Interp.nursery_base ~src_hi:g.Vm.Interp.nursery_alloc
+      ~dst_lo:g.Vm.Interp.old_alloc ~dst_hi:g.Vm.Interp.nursery_base
   in
   let mem = st.Vm.Interp.mem in
   (* Global roots. *)
@@ -120,20 +114,19 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
      later store into it runs its barrier, so each is scanned once. *)
   Remset.iter (fun a -> Vm.Mem.set mem a (Cheney.forward c (Vm.Mem.get mem a))) g;
   List.iter
-    (fun addr -> ignore (Cheney.scan_object c addr))
+    (fun addr -> ignore (Cheney.scan_placed c addr ~hi:c.Cheney.dst_lo))
     g.Vm.Interp.big_objects;
   List.iter
     (fun (lo, hi) ->
       let a = ref lo in
       while !a < hi do
-        a := Cheney.scan_object c !a
+        a := Cheney.scan_placed c !a ~hi
       done)
     (Vm.Interp.pool_young_ranges st);
   (* Cheney scan of the promotion region. *)
-  let scan = ref c.Cheney.dst_lo in
-  while !scan < c.Cheney.to_alloc do
-    scan := Cheney.scan_object c !scan
-  done;
+  Cheney.scan_from c c.Cheney.dst_lo;
+  gcs.Vm.Interp.objects_copied <- gcs.Vm.Interp.objects_copied + c.Cheney.copied;
+  T.Metrics.incr ~by:c.Cheney.copied c_objects;
   (* Reopen the nursery: it is empty, so no old→young reference remains,
      the remembered set is stale and nothing placed so far is young. *)
   let remset_roots = Remset.length g in
@@ -169,7 +162,7 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
     T.Metrics.observe_ns h_roots (sub t_roots1 t_roots0);
     T.Metrics.observe_ns h_rederive (sub t_end t_copy1);
     T.Metrics.observe h_words (float_of_int words);
-    T.Metrics.observe h_objects (float_of_int (gcs.Vm.Interp.objects_copied - objects0));
+    T.Metrics.observe h_objects (float_of_int c.Cheney.copied);
     T.Metrics.observe h_frames (float_of_int (List.length frames));
     T.Metrics.observe_ns h_minor_pause (sub t_end t_start);
     T.Metrics.observe h_minor_words (float_of_int words);

@@ -129,7 +129,7 @@ let check_target c ~what v =
 let walk_region c lo hi =
   let st = c.st in
   let mem = st.Vm.Interp.mem in
-  let layouts = st.Vm.Interp.image.Vm.Image.layouts in
+  let sizes = st.Vm.Interp.image.Vm.Image.layouts.Rt.Typedesc.sizes in
   let addr = ref lo in
   try
     while !addr < hi do
@@ -146,22 +146,17 @@ let walk_region c lo hi =
         addr := !addr + size
       end
       else begin
-        if header < 0 || header >= Array.length layouts then begin
+        if header < 0 || header >= Array.length sizes then begin
           violate c "object at %d has header %d, not a type descriptor (0..%d)" !addr header
-            (Array.length layouts - 1);
+            (Array.length sizes - 1);
           raise Exit
         end;
-        let size =
-          match layouts.(header) with
-          | Rt.Typedesc.Lfixed { words; _ } -> words
-          | Rt.Typedesc.Lopen { elt_size; _ } ->
-              let length = mem.{!addr + 1} in
-              if length < 0 then begin
-                violate c "open array at %d has negative length %d" !addr length;
-                raise Exit
-              end;
-              Rt.Typedesc.open_header_words + (length * elt_size)
-        in
+        let length = if sizes.(header) > 0 then 0 else mem.{!addr + 1} in
+        if length < 0 then begin
+          violate c "open array at %d has negative length %d" !addr length;
+          raise Exit
+        end;
+        let size = Rt.Typedesc.words sizes.(header) ~length in
         if size <= 0 || !addr + size > hi then begin
           violate c "object at %d (size %d words) overruns the live region end %d" !addr size hi;
           raise Exit
@@ -254,25 +249,11 @@ let field_checkable c addr =
 let check_heap_fields c =
   if c.walk_ok then begin
     let mem = c.st.Vm.Interp.mem in
-    let layouts = c.st.Vm.Interp.image.Vm.Image.layouts in
     Hashtbl.iter
       (fun addr _size ->
         if field_checkable c addr then
-        match layouts.(mem.{addr}) with
-        | Rt.Typedesc.Lfixed { offsets; _ } ->
-            Array.iter
-              (fun o -> check_target c ~what:(Printf.sprintf "heap word %d" (addr + o)) mem.{addr + o})
-              offsets
-        | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-            if Array.length elt_offsets > 0 then begin
-              let length = mem.{addr + 1} in
-              for i = 0 to length - 1 do
-                let base = addr + Rt.Typedesc.open_header_words + (i * elt_size) in
-                Array.iter
-                  (fun o -> check_target c ~what:(Printf.sprintf "heap word %d" (base + o)) mem.{base + o})
-                  elt_offsets
-              done
-            end)
+          Vm.Image.iter_ptr_fields c.st.Vm.Interp.image mem addr (fun a ->
+              check_target c ~what:(Printf.sprintf "heap word %d" a) mem.{a}))
       c.starts
   end
 
@@ -294,7 +275,6 @@ let check_tricolor c =
          && c.walk_ok ->
       let st = c.st in
       let mem = st.Vm.Interp.mem in
-      let layouts = st.Vm.Interp.image.Vm.Image.layouts in
       let base = st.Vm.Interp.from_base in
       let marked a = Support.Bitset.mem inc.Vm.Interp.inc_marks (a - base) in
       let gray = Hashtbl.create 64 in
@@ -312,17 +292,7 @@ let check_tricolor c =
       Hashtbl.iter
         (fun addr _size ->
           if marked addr && not (Hashtbl.mem gray addr) then
-            match layouts.(mem.{addr}) with
-            | Rt.Typedesc.Lfixed { offsets; _ } ->
-                Array.iter (fun o -> check_edge addr (addr + o)) offsets
-            | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-                if Array.length elt_offsets > 0 then begin
-                  let length = mem.{addr + 1} in
-                  for i = 0 to length - 1 do
-                    let b = addr + Rt.Typedesc.open_header_words + (i * elt_size) in
-                    Array.iter (fun o -> check_edge addr (b + o)) elt_offsets
-                  done
-                end)
+            Vm.Image.iter_ptr_fields st.Vm.Interp.image mem addr (check_edge addr))
         c.starts
   | _ -> ()
 
@@ -339,7 +309,6 @@ let check_old_young c =
   | Some g ->
       if c.walk_ok then begin
         let mem = c.st.Vm.Interp.mem in
-        let layouts = c.st.Vm.Interp.image.Vm.Image.layouts in
         let big = Hashtbl.create 16 in
         List.iter (fun a -> Hashtbl.replace big a ()) g.Vm.Interp.big_objects;
         (* Young pool ranges are disjoint; sorted by [lo], the only range
@@ -373,17 +342,7 @@ let check_old_young c =
         Hashtbl.iter
           (fun addr _size ->
             if addr < g.Vm.Interp.old_alloc then
-              match layouts.(mem.{addr}) with
-              | Rt.Typedesc.Lfixed { offsets; _ } ->
-                  Array.iter (fun o -> check_slot addr (addr + o)) offsets
-              | Rt.Typedesc.Lopen { elt_size; elt_offsets } ->
-                  if Array.length elt_offsets > 0 then begin
-                    let length = mem.{addr + 1} in
-                    for i = 0 to length - 1 do
-                      let base = addr + Rt.Typedesc.open_header_words + (i * elt_size) in
-                      Array.iter (fun o -> check_slot addr (base + o)) elt_offsets
-                    done
-                  end)
+              Vm.Image.iter_ptr_fields c.st.Vm.Interp.image mem addr (check_slot addr))
           c.starts
       end
 

@@ -42,39 +42,41 @@ let object_ptr_offsets t ~length =
                List.map (fun o -> open_header_words + (i * elt_size) + o) elt_ptr_offsets))
 
 (* ------------------------------------------------------------------ *)
-(* Precomputed layouts (collector hot path)                            *)
+(* Flat layout table (collector hot path)                              *)
 (* ------------------------------------------------------------------ *)
 
-(** A descriptor flattened for the collector: [object_ptr_offsets] builds
-    fresh offset lists — per live object, per collection — which is pure
-    allocation on the Cheney scan's hot path. A [layout] precomputes the
-    same information once (at image-load time) into int arrays that can be
-    iterated in place.
+(** The descriptors flattened for the collectors, built once per image and
+    indexed by descriptor id: [object_ptr_offsets] builds fresh offset
+    lists — per live object, per collection — which is pure allocation on
+    the Cheney scan's hot path, and a variant per descriptor costs a
+    dispatch per object.
 
-    - [Lfixed]: [offsets] are object-relative (header included), [words]
-      is the total object size;
-    - [Lopen]: [elt_offsets] are element-relative; the scanner walks
-      elements by [elt_size] stride starting at [open_header_words]. *)
-type layout =
-  | Lfixed of { words : int; offsets : int array }
-  | Lopen of { elt_size : int; elt_offsets : int array }
+    - [sizes.(d)] is the total object size in words (header included) for
+      a fixed descriptor, or minus the element size for an open array, so
+      a positive entry means fixed;
+    - [offsets.(d)] holds the pointer offsets: object-relative (header
+      included) for a fixed descriptor, element-relative for an open array,
+      whose elements start at [open_header_words] with stride [-sizes.(d)]. *)
+type layouts = { sizes : int array; offsets : int array array }
 
-let layout (t : t) : layout =
-  match t with
-  | Fixed { size; ptr_offsets } ->
-      Lfixed
-        {
-          words = fixed_header_words + size;
-          offsets = Array.of_list (List.map (fun o -> o + fixed_header_words) ptr_offsets);
-        }
-  | Open { elt_size; elt_ptr_offsets } ->
-      Lopen { elt_size; elt_offsets = Array.of_list elt_ptr_offsets }
+let layouts (ts : t array) =
+  {
+    sizes =
+      Array.map
+        (function Fixed { size; _ } -> fixed_header_words + size | Open { elt_size; _ } -> -elt_size)
+        ts;
+    offsets =
+      Array.map
+        (function
+          | Fixed { ptr_offsets; _ } ->
+              Array.of_list (List.map (fun o -> o + fixed_header_words) ptr_offsets)
+          | Open { elt_ptr_offsets; _ } -> Array.of_list elt_ptr_offsets)
+        ts;
+  }
 
-(** Same as {!object_words}, reading a precomputed layout. *)
-let layout_words (l : layout) ~length =
-  match l with
-  | Lfixed { words; _ } -> words
-  | Lopen { elt_size; _ } -> open_header_words + (length * elt_size)
+(** Same as {!object_words}, from a [sizes] entry; [length] matters only
+    for an open array (non-positive entry). *)
+let[@inline] words size ~length = if size > 0 then size else open_header_words - (length * size)
 
 (* ------------------------------------------------------------------ *)
 (* Interning table built at compile time                               *)

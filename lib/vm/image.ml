@@ -44,7 +44,7 @@ type t = {
   text_addrs : int array;
   static_init : (int * int) list; (* (address, value) installed at reset *)
   tdescs : Rt.Typedesc.t array;
-  layouts : Rt.Typedesc.layout array; (* precomputed, same index as tdescs *)
+  layouts : Rt.Typedesc.layouts; (* flat layout table, indexed like tdescs *)
   text_tdesc : int; (* descriptor id for TEXT payloads *)
   heap_base : int;
   semi_words : int;
@@ -236,7 +236,7 @@ let build ?(opts = default_build_options) (prog : Mir.Ir.program) : t =
     text_addrs;
     static_init = List.rev !static_init;
     tdescs;
-    layouts = Array.map Rt.Typedesc.layout tdescs;
+    layouts = Rt.Typedesc.layouts tdescs;
     text_tdesc;
     heap_base;
     semi_words = semi;
@@ -264,6 +264,23 @@ let init_mem (t : t) : Mem.t =
   let mem = Mem.create t.total_words in
   List.iter (fun (a, v) -> Mem.set mem a v) t.static_init;
   mem
+
+(** Size in words of the object at [a], from its (trusted) header. *)
+let[@inline] object_words t mem a =
+  let size = t.layouts.Rt.Typedesc.sizes.(Mem.get mem a) in
+  if size > 0 then size else Rt.Typedesc.words size ~length:(Mem.get mem (a + 1))
+
+(** [f] applied to the address of every pointer field of the object at [a]
+    (header trusted). *)
+let iter_ptr_fields t mem a f =
+  let d = Mem.get mem a in
+  let size = t.layouts.Rt.Typedesc.sizes.(d) and offsets = t.layouts.Rt.Typedesc.offsets.(d) in
+  if size > 0 then Array.iter (fun o -> f (a + o)) offsets
+  else if Array.length offsets > 0 then
+    for i = 0 to Mem.get mem (a + 1) - 1 do
+      let base = a + Rt.Typedesc.open_header_words - (i * size) in
+      Array.iter (fun o -> f (base + o)) offsets
+    done
 
 (** fid of the procedure containing a code index — a single array load
     against the per-instruction annotation built at image time (the old

@@ -795,20 +795,14 @@ let rt_alloc t ?(site = -1) tdid ~length =
      genuinely dead, and the fresh object is born after any flip at this
      gc-point (beyond the captured sweep limit). *)
   (match t.inc_slice with Some f -> f t | None -> ());
-  let lay = t.image.Image.layouts.(tdid) in
-  let size = Rt.Typedesc.layout_words lay ~length in
+  let entry = t.image.Image.layouts.Rt.Typedesc.sizes.(tdid) in
+  let size = Rt.Typedesc.words entry ~length in
   let a = allocate_placed t site size in
   (* Zero the data words only; the header word(s) are written directly. *)
-  (match lay with
-  | Rt.Typedesc.Lopen _ ->
-      let h = Rt.Typedesc.open_header_words in
-      Mem.fill t.mem (a + h) (size - h) 0;
-      Mem.set t.mem a tdid;
-      Mem.set t.mem (a + 1) length
-  | Rt.Typedesc.Lfixed _ ->
-      let h = Rt.Typedesc.fixed_header_words in
-      Mem.fill t.mem (a + h) (size - h) 0;
-      Mem.set t.mem a tdid);
+  let h = if entry > 0 then Rt.Typedesc.fixed_header_words else Rt.Typedesc.open_header_words in
+  Mem.fill t.mem (a + h) (size - h) 0;
+  Mem.set t.mem a tdid;
+  if entry <= 0 then Mem.set t.mem (a + 1) length;
   t.alloc_count <- t.alloc_count + 1;
   t.alloc_words <- t.alloc_words + size;
   Telemetry.Metrics.incr c_allocs;

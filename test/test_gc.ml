@@ -357,10 +357,10 @@ let test_table_scheme_configurations () =
    machinery — the production default of 512 objects would leave heaps
    this size entirely on the serial fast path and the sweep would test
    nothing. *)
-let with_copy_workers n f =
+let with_copy_workers ?(threshold = 2) n f =
   let w0 = !Gc.Gc_pool.forced_workers and t0 = !Gc.Gc_pool.forced_threshold in
   Gc.Gc_pool.set_workers n;
-  Gc.Gc_pool.set_par_threshold 2;
+  Gc.Gc_pool.set_par_threshold threshold;
   Fun.protect
     ~finally:(fun () ->
       Gc.Gc_pool.forced_workers := w0;
@@ -493,6 +493,165 @@ let prop_single_evacuation =
               && Vm.Mem.equal a.sn_mem b.sn_mem
           | _ -> false))
 
+(* The bad-root cases corrupt the heap on purpose; an ambient
+   MM_VERIFY_PRE/MM_VERIFY_HEAP would report that corruption first. *)
+let without_verifier f =
+  let pre0 = Gc.Verify.pre_enabled () and post0 = Gc.Verify.post_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Gc.Verify.set_pre pre0;
+      Gc.Verify.set_post post0)
+    (fun () ->
+      Gc.Verify.set_pre false;
+      Gc.Verify.set_post false;
+      f ())
+
+(* Forward's four bad roots, each reached through a pointer field of a
+   live object so the same corruption is met by the serial scan and, with
+   two workers and a threshold of one, by phase B of the parallel round.
+   The fake object sits inside a live INTEGER array's elements: those
+   words are copied as data, so any header and length can be planted
+   there, and the array itself is copied before the scan reaches the
+   fake, so the destination has less room left than the source. *)
+let badroot_src =
+  "MODULE BadRoot;\n\
+   TYPE Node = RECORD v: INTEGER; n: L END; L = REF Node; A = REF ARRAY OF INTEGER;\n\
+   VAR keep: L; arr: A;\n\
+   PROCEDURE Churn(n: INTEGER);\n\
+   VAR t: L; i: INTEGER;\n\
+   BEGIN FOR i := 1 TO n DO t := NEW(L); t.v := i END END Churn;\n\
+   BEGIN keep := NEW(L); arr := NEW(A, 50); Churn(1000) END BadRoot.\n"
+
+let test_forward_bad_roots () =
+  let img =
+    Driver.Compile.compile
+      ~options:{ Driver.Compile.default_options with heap_words = 400 }
+      badroot_src
+  in
+  let sizes = img.Vm.Image.layouts.Rt.Typedesc.sizes in
+  (* [plant mem ~src_hi v] writes the fake object at [v] and returns the
+     error forward must raise for it. *)
+  let cases =
+    [
+      ( "non-descriptor header",
+        fun mem ~src_hi:_ v ->
+          Vm.Mem.set mem v 9999;
+          (9999, "header 9999 is not a type descriptor (untidy root?)") );
+      ( "negative open length",
+        fun mem ~src_hi:_ v ->
+          let open_d = Vm.Mem.get mem (v - 2) in
+          Vm.Mem.set mem v open_d;
+          Vm.Mem.set mem (v + 1) (-3);
+          (open_d, "open array has negative length -3") );
+      ( "source overrun",
+        fun mem ~src_hi v ->
+          let open_d = Vm.Mem.get mem (v - 2) in
+          Vm.Mem.set mem v open_d;
+          Vm.Mem.set mem (v + 1) (src_hi - v);
+          ( open_d,
+            Printf.sprintf "object of %d words overruns its source region" (src_hi - v + 2) ) );
+      ( "destination overrun",
+        fun mem ~src_hi v ->
+          let open_d = Vm.Mem.get mem (v - 2) in
+          Vm.Mem.set mem v open_d;
+          Vm.Mem.set mem (v + 1) (src_hi - v - 2);
+          ( open_d,
+            Printf.sprintf "object of %d words overruns its destination region" (src_hi - v)
+          ) );
+    ]
+  in
+  without_verifier (fun () ->
+      List.iter
+        (fun (what, plant) ->
+          List.iter
+            (fun workers ->
+              let label = Printf.sprintf "%s, %d worker(s)" what workers in
+              let st = Vm.Interp.create img in
+              Gc.Cheney.install st;
+              let expected = ref None in
+              st.Vm.Interp.collector <-
+                Some
+                  (fun s ~needed ->
+                    let mem = s.Vm.Interp.mem in
+                    let roots = List.map (Vm.Mem.get mem) img.Vm.Image.global_roots in
+                    let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
+                    let keep = List.find (fun o -> o <> arr) roots in
+                    let fake = arr + Rt.Typedesc.open_header_words in
+                    let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.from_words in
+                    let value, reason = plant mem ~src_hi fake in
+                    let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
+                    Vm.Mem.set mem (keep + next) fake;
+                    expected :=
+                      Some
+                        (Vm.Vm_error.Bad_root
+                           { loc = Printf.sprintf "from-space word %d" fake; value; reason });
+                    Gc.Cheney.collect s ~needed);
+              match
+                with_copy_workers ~threshold:1 workers (fun () -> Vm.Interp.run st)
+              with
+              | () -> Alcotest.failf "%s: the run finished without a bad root" label
+              | exception Vm.Vm_error.Error e ->
+                  check Alcotest.string label
+                    (Vm.Vm_error.to_string (Option.get !expected))
+                    (Vm.Vm_error.to_string e);
+                  check Alcotest.bool (label ^ ": exact error value") true
+                    (Some e = !expected))
+            [ 1; 2 ])
+        cases)
+
+(* A minor collection scans the objects placed in the old generation in
+   place; their headers never passed forward's checks, so a corrupt one
+   must be a bad root too — not an out-of-bounds scan, and for an open
+   array with a negative length, not a scan pointer that moves backwards.
+   The big INTEGER array is placed in the old generation, and the first
+   minor after its allocation scans it. *)
+let placed_src =
+  "MODULE Placed;\n\
+   TYPE Node = RECORD v: INTEGER; n: L END; L = REF Node; A = REF ARRAY OF INTEGER;\n\
+   VAR big: A; keep: L;\n\
+   PROCEDURE Churn(n: INTEGER);\n\
+   VAR t: L; i: INTEGER;\n\
+   BEGIN FOR i := 1 TO n DO t := NEW(L); t.v := i END END Churn;\n\
+   BEGIN big := NEW(A, 400); keep := NEW(L); Churn(1000) END Placed.\n"
+
+let test_placed_bad_headers () =
+  let img =
+    Driver.Compile.compile
+      ~options:{ Driver.Compile.default_options with heap_words = 2000 }
+      placed_src
+  in
+  without_verifier (fun () ->
+      List.iter
+        (fun (what, header, length, reason) ->
+          let st = Vm.Interp.create img in
+          Gc.Nursery.install ~nursery_words:300 st;
+          let g = Option.get st.Vm.Interp.gen in
+          let collect = Option.get st.Vm.Interp.collector in
+          let big = ref (-1) in
+          st.Vm.Interp.collector <-
+            Some
+              (fun s ~needed ->
+                (match g.Vm.Interp.big_objects with
+                | [ a ] ->
+                    big := a;
+                    if header >= 0 then Vm.Mem.set s.Vm.Interp.mem a header;
+                    Vm.Mem.set s.Vm.Interp.mem (a + 1) length
+                | _ -> Alcotest.failf "%s: expected one young big object" what);
+                collect s ~needed);
+          match Vm.Interp.run st with
+          | () -> Alcotest.failf "%s: the run finished without a bad root" what
+          | exception Vm.Vm_error.Error e ->
+              let value = if header >= 0 then header else Vm.Mem.get st.Vm.Interp.mem !big in
+              check Alcotest.string what
+                (Vm.Vm_error.to_string
+                   (Vm.Vm_error.Bad_root
+                      { loc = Printf.sprintf "placed object at word %d" !big; value; reason }))
+                (Vm.Vm_error.to_string e))
+        [
+          ("non-descriptor header", 9999, 400, "header 9999 is not a type descriptor (untidy root?)");
+          ("negative open length", -1, -5, "open array has negative length -5");
+        ])
+
 let () =
   Alcotest.run "gc"
     [
@@ -520,11 +679,14 @@ let () =
           Alcotest.test_case "forced loop gc-points" `Quick test_forced_gc_checks;
           Alcotest.test_case "noalloc analysis safe" `Quick test_noalloc_configuration_safe;
           Alcotest.test_case "all table schemes" `Quick test_table_scheme_configurations;
+          Alcotest.test_case "placed objects' bad headers" `Quick test_placed_bad_headers;
         ] );
       ( "parallel",
         [
           Alcotest.test_case "worker sweep {1,2,4} x {flat,gen}" `Quick
             test_worker_sweep;
           QCheck_alcotest.to_alcotest prop_single_evacuation;
+          Alcotest.test_case "forward's bad roots, serial and phase B" `Quick
+            test_forward_bad_roots;
         ] );
     ]

@@ -291,11 +291,9 @@ let test_scanned_pool_object () =
               (* [a], allocated first, is now a scanned pool object. *)
               let p = Vm.Mem.get mem (List.hd img.Vm.Image.global_roots) in
               let tdid = Vm.Mem.get mem p in
-              let words, next_off =
-                match img.Vm.Image.layouts.(tdid) with
-                | Rt.Typedesc.Lfixed { words; offsets } -> (words, offsets.(0))
-                | Rt.Typedesc.Lopen _ -> Alcotest.fail "Node has a fixed layout"
-              in
+              let words = img.Vm.Image.layouts.Rt.Typedesc.sizes.(tdid) in
+              if words <= 0 then Alcotest.fail "Node has a fixed layout";
+              let next_off = img.Vm.Image.layouts.Rt.Typedesc.offsets.(tdid).(0) in
               let v_off =
                 List.find (fun o -> o <> next_off)
                   (List.init (words - Rt.Typedesc.fixed_header_words) (fun i ->

@@ -163,6 +163,58 @@ let qcheck_census =
       (fresh (fun () -> census_checks ~heap ~iterations)) ();
       true)
 
+(* The copier counts the objects it evacuates and adds the count once per
+   collection. After every collection that ends with a full one, the
+   count it reported — the [gc.objects_copied] sample and the increment
+   of the machine's [objects_copied] — must equal the objects an
+   independent linear parse of the survivors finds. The attached profiler
+   sees every evacuation through [Profile.on_copy], so its per-site
+   survival counts must add up to the same totals. *)
+let test_copy_counts_match_census () =
+  List.iter
+    (fun gen ->
+      let mode = if gen then "gen" else "flat" in
+      let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
+      let p = C.profile_for img in
+      let st = Vm.Interp.create img in
+      st.Vm.Interp.prof <- Some p;
+      if gen then Gc.Nursery.install st else Gc.Cheney.install st;
+      let collect = Option.get st.Vm.Interp.collector in
+      let samples name = T.Metrics.samples (Option.get (T.Metrics.find_histogram name)) in
+      let fulls = ref 0 and full_objects = ref 0 and minor_objects = ref 0 in
+      st.Vm.Interp.collector <-
+        Some
+          (fun s ~needed ->
+            let objects0 = s.Vm.Interp.gc.Vm.Interp.objects_copied in
+            let n0 = Array.length (samples "gc.objects_copied") in
+            collect s ~needed;
+            let objects = samples "gc.objects_copied" and minor = samples "gc.is_minor" in
+            let n = Array.length objects in
+            let added = ref 0 in
+            for i = n0 to n - 1 do
+              let k = int_of_float objects.(i) in
+              added := !added + k;
+              if minor.(i) = 1.0 then minor_objects := !minor_objects + k
+              else full_objects := !full_objects + k
+            done;
+            check Alcotest.int (mode ^ ": samples add up to the counter's increment")
+              (s.Vm.Interp.gc.Vm.Interp.objects_copied - objects0) !added;
+            if n > n0 && minor.(n - 1) = 0.0 then begin
+              incr fulls;
+              Gc.Census.take s p;
+              let c = List.hd p.Profile.censuses in
+              check Alcotest.int (mode ^ ": objects copied by the full collection = census")
+                c.Profile.c_objects (int_of_float objects.(n - 1))
+            end);
+      Vm.Interp.run st;
+      check Alcotest.bool (mode ^ ": full collections happened") true (!fulls > 0);
+      let total f = Array.fold_left (fun acc st -> acc + f st) 0 p.Profile.stats in
+      check Alcotest.int (mode ^ ": full survivals seen by on_copy") !full_objects
+        (total (fun st -> st.Profile.st_full_survivals));
+      check Alcotest.int (mode ^ ": minor survivals seen by on_copy") !minor_objects
+        (total (fun st -> st.Profile.st_minor_survivals)))
+    [ false; true ]
+
 let test_profiler_transparent () =
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
   let bare = C.run img in
@@ -206,6 +258,8 @@ let () =
           Alcotest.test_case "census matches verifier" `Quick
             (fresh test_census_matches_verifier);
           QCheck_alcotest.to_alcotest qcheck_census;
+          Alcotest.test_case "objects copied match the census" `Quick
+            (fresh test_copy_counts_match_census);
         ] );
       ( "transparency",
         [
