@@ -86,9 +86,17 @@ let allocate (f : Ir.func) (liv : Mir.Liveness.t) : t =
       (function Ir.Otemp t -> extend t pterm | Ir.Oimm _ -> ())
       (Ir.term_uses blk.Ir.term)
   done;
-  let user_calls = List.sort compare !user_call_positions in
+  let user_calls = Array.of_list !user_call_positions in
+  Array.sort compare user_calls;
+  (* Whether some call position p has istart <= p < iend: binary search
+     for the first p >= istart. *)
   let crosses_user_call iv =
-    List.exists (fun p -> iv.istart <= p && iv.iend > p) user_calls
+    let lo = ref 0 and hi = ref (Array.length user_calls) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if user_calls.(mid) < iv.istart then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length user_calls && user_calls.(!lo) < iv.iend
   in
   (* Sort live intervals by start. *)
   let live_ivs =

@@ -176,7 +176,6 @@ let rec close_bases st (d : Mir.Deriv.t) (temps : Bitset.t) (locals : Bitset.t) 
 
 let record_gcpoint st ~block ~instr_idx ~(args : Ir.operand list) ~call_item =
   let live_t, live_l = Mir.Liveness.live_at_gcpoint st.liv block instr_idx in
-  let live_t = Bitset.copy live_t and live_l = Bitset.copy live_l in
   (* The bases of derivations passed as outgoing arguments live through the
      call (dead-base rule at call-by-reference, paper §3-4). *)
   List.iter
@@ -277,9 +276,9 @@ type fold =
   | Fold_mem2_store of Ir.temp * Ir.temp * int * Ir.operand * wbar_action
     (* r1, r2, disp, value, barrier decision of the folded store *)
 
-let try_fold st i1 i2 =
+let try_fold st ~gc_restrict i1 i2 =
   let ok_intermediate t =
-    st.counts.(t) = 1 && ((not st.opts.gc_restrict) || not st.is_base.(t))
+    st.counts.(t) = 1 && ((not gc_restrict) || not st.is_base.(t))
   in
   match (i1, i2) with
   | Ir.Ld_local (ta, l, 0), Ir.Load (t, Ir.Otemp ta', o)
@@ -504,7 +503,9 @@ let func ~(prog : Ir.program) (opts : options)
       let i = ref 0 in
       while !i < n do
         let folded =
-          if !i + 1 < n then try_fold st instrs.(!i) instrs.(!i + 1) else None
+          if !i + 1 < n then
+            try_fold st ~gc_restrict:st.opts.gc_restrict instrs.(!i) instrs.(!i + 1)
+          else None
         in
         (match folded with
         | Some (Fold_defer_load (t, l, d1, d2)) ->
@@ -569,8 +570,7 @@ let func ~(prog : Ir.program) (opts : options)
         | None ->
             (* Count folds blocked purely by gc restrictions (§6.2). *)
             (if st.opts.gc_restrict && !i + 1 < n then
-               let unrestricted = { st with opts = { st.opts with gc_restrict = false } } in
-               match try_fold unrestricted instrs.(!i) instrs.(!i + 1) with
+               match try_fold st ~gc_restrict:false instrs.(!i) instrs.(!i + 1) with
                | Some _ -> st.folds_suppressed <- st.folds_suppressed + 1
                | None -> ());
             select_instr st ~block:b ~instr_idx:!i instrs.(!i);

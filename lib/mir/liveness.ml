@@ -1,12 +1,12 @@
 open Support
 
 type t = {
-  f : Ir.func;
+  instrs : Ir.instr array array;
   temp_in : Bitset.t array;
   temp_out : Bitset.t array;
   local_in : Bitset.t array;
   local_out : Bitset.t array;
-  always_locals : Bitset.t;
+  live_after : (Bitset.t * Bitset.t) array array;
 }
 
 let deriv_bases_into (d : Deriv.t) temps locals =
@@ -28,7 +28,7 @@ let close_uses (f : Ir.func) temps locals =
         match Ir.temp_kind f t with
         | Ir.Kderived d -> deriv_bases_into d temps locals
         | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ())
-      temps;
+      (Bitset.copy temps);
     Bitset.iter
       (fun l ->
         match f.Ir.locals.(l).Ir.l_slot with
@@ -37,11 +37,42 @@ let close_uses (f : Ir.func) temps locals =
             Bitset.set locals a.Ir.path_local;
             List.iter (fun (_, d) -> deriv_bases_into d temps locals) a.Ir.cases
         | Ir.Sscalar | Ir.Sptr | Ir.Saddr | Ir.Saggregate _ -> ())
-      locals;
+      (Bitset.copy locals);
     if Bitset.count temps <> tc || Bitset.count locals <> lc then changed := true
   done
 
-let instr_transfer f instr temps locals =
+(* [(member, temps, locals)]: the [close_uses] closure of each derived temp,
+   and of each derived or ambiguous local, computed once per function. A
+   union of closed sets is closed, so unioning in the closure of every
+   derived member of a set gives its least closed superset, the same set
+   [close_uses] iterates to, in one pass. *)
+type closures = (int * Bitset.t * Bitset.t) array * (int * Bitset.t * Bitset.t) array
+
+let closures (f : Ir.func) : closures =
+  let nt = f.Ir.ntemps and nl = Array.length f.Ir.locals in
+  let closures_of n ~derived ~temp =
+    List.init n Fun.id |> List.filter derived
+    |> List.map (fun m ->
+           let temps = Bitset.create nt and locals = Bitset.create nl in
+           Bitset.set (if temp then temps else locals) m;
+           close_uses f temps locals;
+           (m, temps, locals))
+    |> Array.of_list
+  in
+  ( closures_of nt ~temp:true ~derived:(fun t ->
+        match Ir.temp_kind f t with Ir.Kderived _ -> true | _ -> false),
+    closures_of nl ~temp:false ~derived:(fun l ->
+        match f.Ir.locals.(l).Ir.l_slot with Ir.Sderived _ | Ir.Sambig _ -> true | _ -> false) )
+
+let close ((of_temps, of_locals) : closures) temps locals =
+  let add (_, ct, cl) =
+    Bitset.union_into ~dst:temps ct;
+    Bitset.union_into ~dst:locals cl
+  in
+  Array.iter (fun ((t, _, _) as c) -> if Bitset.mem temps t then add c) of_temps;
+  Array.iter (fun ((l, _, _) as c) -> if Bitset.mem locals l then add c) of_locals
+
+let instr_transfer f cl instr temps locals =
   (* Backward: kill defs, then gen uses, then close. *)
   (match Ir.instr_def instr with Some d -> Bitset.clear temps d | None -> ());
   (match instr with
@@ -51,18 +82,28 @@ let instr_transfer f instr temps locals =
     (function Ir.Otemp t -> Bitset.set temps t | Ir.Oimm _ -> ())
     (Ir.instr_uses instr);
   List.iter (fun l -> Bitset.set locals l) (Ir.instr_local_reads instr);
-  close_uses f temps locals
+  close cl temps locals
 
-let term_transfer f term temps locals =
+let term_transfer cl term temps locals =
   List.iter
     (function Ir.Otemp t -> Bitset.set temps t | Ir.Oimm _ -> ())
     (Ir.term_uses term);
-  close_uses f temps locals
+  close cl temps locals
+
+(* Walk block [b] backward: [temps]/[locals] hold its live-out on entry and
+   its live-in on return; [after i] sees them live after instruction [i]. *)
+let walk_block f cl instrs b temps locals ~after =
+  term_transfer cl f.Ir.blocks.(b).Ir.term temps locals;
+  for i = Array.length instrs.(b) - 1 downto 0 do
+    after i;
+    instr_transfer f cl instrs.(b).(i) temps locals
+  done
 
 let compute (f : Ir.func) : t =
   let nb = Array.length f.Ir.blocks in
   let nt = f.Ir.ntemps in
   let nl = Array.length f.Ir.locals in
+  let cl = closures f in
   let always = Bitset.create nl in
   Array.iteri
     (fun l (info : Ir.local_info) ->
@@ -74,68 +115,70 @@ let compute (f : Ir.func) : t =
       in
       if info.Ir.l_addr_taken || aggregate then Bitset.set always l)
     f.Ir.locals;
+  let instrs = Array.map (fun (blk : Ir.block) -> Array.of_list blk.Ir.instrs) f.Ir.blocks in
   let temp_in = Array.init nb (fun _ -> Bitset.create nt) in
   let temp_out = Array.init nb (fun _ -> Bitset.create nt) in
   let local_in = Array.init nb (fun _ -> Bitset.create nl) in
   let local_out = Array.init nb (fun _ -> Bitset.create nl) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let blk = f.Ir.blocks.(b) in
-      let t_out = Bitset.create nt and l_out = Bitset.create nl in
+  (* Worklist fixpoint, seeded with every block in reverse order. The
+     transfer is monotone and every set starts empty, so in- and out-sets
+     only grow: an out-set accumulates its successors' in-sets in place, and
+     a block whose in-set grew requeues its predecessors. *)
+  let preds = Cfg.predecessors f in
+  let queue = Queue.create () and queued = Array.make nb true in
+  for b = nb - 1 downto 0 do
+    Queue.add b queue
+  done;
+  let t = Bitset.create nt and l = Bitset.create nl in
+  while not (Queue.is_empty queue) do
+    let b = Queue.pop queue in
+    queued.(b) <- false;
+    List.iter
+      (fun s ->
+        Bitset.union_into ~dst:temp_out.(b) temp_in.(s);
+        Bitset.union_into ~dst:local_out.(b) local_in.(s))
+      (Ir.term_succs f.Ir.blocks.(b).Ir.term);
+    Bitset.reset t;
+    Bitset.reset l;
+    Bitset.union_into ~dst:t temp_out.(b);
+    Bitset.union_into ~dst:l local_out.(b);
+    walk_block f cl instrs b t l ~after:ignore;
+    if not (Bitset.equal t temp_in.(b) && Bitset.equal l local_in.(b)) then begin
+      Bitset.union_into ~dst:temp_in.(b) t;
+      Bitset.union_into ~dst:local_in.(b) l;
       List.iter
-        (fun s ->
-          Bitset.union_into ~dst:t_out temp_in.(s);
-          Bitset.union_into ~dst:l_out local_in.(s))
-        (Ir.term_succs blk.Ir.term);
-      let t = Bitset.copy t_out and l = Bitset.copy l_out in
-      term_transfer f blk.Ir.term t l;
-      List.iter (fun i -> instr_transfer f i t l) (List.rev blk.Ir.instrs);
-      if
-        (not (Bitset.equal t temp_in.(b)))
-        || (not (Bitset.equal l local_in.(b)))
-        || (not (Bitset.equal t_out temp_out.(b)))
-        || not (Bitset.equal l_out local_out.(b))
-      then begin
-        changed := true;
-        temp_in.(b) <- t;
-        local_in.(b) <- l;
-        temp_out.(b) <- t_out;
-        local_out.(b) <- l_out
-      end
-    done
+        (fun p ->
+          if not queued.(p) then begin
+            queued.(p) <- true;
+            Queue.add p queue
+          end)
+        preds.(b)
+    end
   done;
   (* Fold the always-live locals in. *)
   Array.iter (fun s -> Bitset.union_into ~dst:s always) local_in;
   Array.iter (fun s -> Bitset.union_into ~dst:s always) local_out;
-  { f; temp_in; temp_out; local_in; local_out; always_locals = always }
+  let live_after =
+    Array.mapi
+      (fun b block_instrs ->
+        let temps = Bitset.copy temp_out.(b) and locals = Bitset.copy local_out.(b) in
+        let per = Array.make (Array.length block_instrs) (temps, locals) in
+        walk_block f cl instrs b temps locals ~after:(fun i ->
+            Bitset.union_into ~dst:locals always;
+            per.(i) <- (Bitset.copy temps, Bitset.copy locals));
+        per)
+      instrs
+  in
+  { instrs; temp_in; temp_out; local_in; local_out; live_after }
 
 let block_live_out t b = (t.temp_out.(b), t.local_out.(b))
 let block_live_in t b = (t.temp_in.(b), t.local_in.(b))
-
-let per_instr_live_out t b =
-  let blk = t.f.Ir.blocks.(b) in
-  let instrs = Array.of_list blk.Ir.instrs in
-  let n = Array.length instrs in
-  let result = Array.make n (Bitset.create 0, Bitset.create 0) in
-  let temps = Bitset.copy t.temp_out.(b) in
-  let locals = Bitset.copy t.local_out.(b) in
-  term_transfer t.f blk.Ir.term temps locals;
-  (* live-out of instr n-1 is live-in of the terminator. *)
-  for i = n - 1 downto 0 do
-    Bitset.union_into ~dst:locals t.always_locals;
-    result.(i) <- (Bitset.copy temps, Bitset.copy locals);
-    instr_transfer t.f instrs.(i) temps locals
-  done;
-  result
+let per_instr_live_out t b = t.live_after.(b)
 
 let live_at_gcpoint t b i =
-  let per = per_instr_live_out t b in
+  let per = t.live_after.(b) in
   if i < 0 || i >= Array.length per then invalid_arg "Liveness.live_at_gcpoint";
   let temps, locals = per.(i) in
-  let blk = t.f.Ir.blocks.(b) in
-  let instr = List.nth blk.Ir.instrs i in
   let temps = Bitset.copy temps in
-  (match Ir.instr_def instr with Some d -> Bitset.clear temps d | None -> ());
-  (temps, locals)
+  (match Ir.instr_def t.instrs.(b).(i) with Some d -> Bitset.clear temps d | None -> ());
+  (temps, Bitset.copy locals)

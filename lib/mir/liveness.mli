@@ -10,6 +10,8 @@
 type t
 
 val compute : Ir.func -> t
+(** Block live sets by a worklist fixpoint, then every block's
+    per-instruction live sets, computed once and kept on [t]. *)
 
 val block_live_out : t -> int -> Support.Bitset.t * Support.Bitset.t
 (** [(temps, locals)] live at the end of a block. *)
@@ -20,14 +22,17 @@ val block_live_in : t -> int -> Support.Bitset.t * Support.Bitset.t
 val per_instr_live_out : t -> int -> (Support.Bitset.t * Support.Bitset.t) array
 (** For block [b] with instructions [i0..in-1], element [i] is the pair of
     live sets immediately {e after} instruction [i] (before the next one).
-    Computed on demand; arrays are fresh. *)
+    The array and its sets are the ones cached on [t], shared by every
+    caller: read them, never mutate them. The same holds for the sets
+    {!block_live_in} and {!block_live_out} return. *)
 
 val live_at_gcpoint :
   t -> int -> int -> Support.Bitset.t * Support.Bitset.t
 (** [live_at_gcpoint t b i] is the live (temps, locals) during the call at
     instruction [i] of block [b]: live-out of the call minus the call's own
-    result temp. *)
+    result temp. Both sets are fresh copies the caller may mutate. *)
 
 val close_uses : Ir.func -> Support.Bitset.t -> Support.Bitset.t -> unit
 (** In-place transitive closure of the dead-base rule over a (temps, locals)
-    pair of live sets. *)
+    pair of live sets, iterated until nothing changes. {!compute} applies it
+    once per derived member, to get that member's closure. *)

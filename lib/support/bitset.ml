@@ -29,23 +29,38 @@ let reset t = Array.fill t.words 0 (Array.length t.words) 0
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* SWAR popcount of a word; words use only bits 0..61, so every mask fits
+   a non-negative OCaml int and no byte sum carries. *)
 let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w lsr 1) (acc + (w land 1)) in
-  go w 0
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  ((w * 0x0101_0101_0101_0101) lsr 56) land 0x7f
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let equal a b = a.width = b.width && a.words = b.words
+let equal a b =
+  a.width = b.width
+  &&
+  let rec go i = i < 0 || (a.words.(i) = b.words.(i) && go (i - 1)) in
+  go (Array.length a.words - 1)
 
 let copy t = { t with words = Array.copy t.words }
 
 let union_into ~dst src =
   if dst.width <> src.width then invalid_arg "Bitset.union_into: width mismatch";
-  Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
+  for i = 0 to Array.length src.words - 1 do
+    dst.words.(i) <- dst.words.(i) lor src.words.(i)
+  done
 
 let iter f t =
-  for i = 0 to t.width - 1 do
-    if mem t i then f i
+  for wi = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(wi) and i = ref (wi * bits_per_word) in
+    while !w <> 0 do
+      if !w land 1 <> 0 then f !i;
+      w := !w lsr 1;
+      incr i
+    done
   done
 
 let fold f t init =

@@ -29,9 +29,14 @@ val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets every bit of [src] in [dst]; widths must match. *)
 
 val iter : (int -> unit) -> t -> unit
-(** [iter f t] applies [f] to each set bit index, ascending. *)
+(** [iter f t] applies [f] to each set bit index, ascending, skipping
+    all-zero words. [f] must not mutate [t]: each word is read once, before
+    its bits are visited, so whether a bit [f] sets or clears is seen is
+    unspecified. Iterate over a {!copy} to mutate the set while walking it. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f t init] folds [f] over the set bits in ascending order; the
+    same rule as {!iter}: [f] must not mutate [t]. *)
 
 val to_bytes : t -> Bytes.t
 (** Pack into ⌈n/8⌉ bytes, bit [i] at byte [i/8], position [i mod 8] (LSB first). *)

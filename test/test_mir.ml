@@ -231,6 +231,106 @@ let test_liveness_kill () =
   let live_t, _ = Mir.Liveness.live_at_gcpoint liv 0 2 in
   check Alcotest.bool "dead scalar not live" false (Support.Bitset.mem live_t 0)
 
+let test_dead_base_rule_locals () =
+  (* A derived local and an ambiguous local are read after a call; their
+     bases (a local, a temp, and the ambiguous local's path variable) have
+     no later use of their own and are live at the call only by the rule. *)
+  let local name slot =
+    { Ir.l_name = name; l_size = 1; l_slot = slot; l_user = true; l_addr_taken = false; l_stores = 0 }
+  in
+  let on b = { Mir.Deriv.plus = [ b ]; minus = [] } in
+  let f : Ir.func =
+    {
+      Ir.fid = 0;
+      fname = "h";
+      params = [];
+      nparams = 0;
+      ret = false;
+      ret_ptr = false;
+      locals =
+        [|
+          local "p" Ir.Sptr;
+          local "q" Ir.Sptr;
+          local "path" Ir.Sscalar;
+          local "d" (Ir.Sderived (on (Mir.Deriv.Blocal 0)));
+          local "a"
+            (Ir.Sambig
+               {
+                 Ir.path_local = 2;
+                 cases = [ (0, on (Mir.Deriv.Blocal 1)); (1, on (Mir.Deriv.Btemp 0)) ];
+               });
+        |];
+      blocks =
+        [|
+          {
+            Ir.instrs =
+              [
+                Ir.Ld_local (0, 0, 0);
+                Ir.Call (None, Ir.Crt Ir.Rt_gc_check, []);
+                Ir.Ld_local (1, 3, 0);
+                Ir.Ld_local (2, 4, 0);
+              ];
+            term = Ir.Ret None;
+          };
+        |];
+      temp_kinds = [| Ir.Kptr; Ir.Kscalar; Ir.Kscalar |];
+      ntemps = 3;
+    }
+  in
+  let liv = Mir.Liveness.compute f in
+  let live_t, live_l = Mir.Liveness.live_at_gcpoint liv 0 1 in
+  let members b = List.rev (Support.Bitset.fold List.cons b []) in
+  check Alcotest.(list int) "temps live at the call" [ 0 ] (members live_t);
+  check Alcotest.(list int) "locals live at the call" [ 0; 1; 2; 3; 4 ] (members live_l);
+  check Alcotest.(option string) "agrees with the oracle" None (Liveness_oracle.disagreement f)
+
+(* The worklist analysis with precomputed closures gives exactly the sets
+   of the round-robin reference, on every function the compiler sees for
+   the corpus, unoptimized and optimized. *)
+let test_liveness_matches_oracle () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun optimize ->
+          let options = { Driver.Compile.default_options with optimize } in
+          Array.iter
+            (fun f ->
+              Option.iter
+                (Alcotest.failf "%s at O%d: %s" name (Bool.to_int optimize))
+                (Liveness_oracle.disagreement f))
+            (Driver.Compile.to_mir ~options src).Ir.funcs)
+        [ false; true ])
+    Corpus.programs
+
+(* The closure walks sets it grows: a chain of derived temps whose bases
+   have higher indices needs one more pass per link. *)
+let test_close_uses_chain () =
+  let f : Ir.func =
+    {
+      Ir.fid = 0;
+      fname = "h";
+      params = [];
+      nparams = 0;
+      ret = false;
+      ret_ptr = false;
+      locals = [||];
+      blocks = [| { Ir.instrs = []; term = Ir.Ret None } |];
+      temp_kinds =
+        [|
+          Ir.Kderived { Mir.Deriv.plus = [ Mir.Deriv.Btemp 1 ]; minus = [] };
+          Ir.Kderived { Mir.Deriv.plus = [ Mir.Deriv.Btemp 2 ]; minus = [] };
+          Ir.Kderived { Mir.Deriv.plus = [ Mir.Deriv.Btemp 3 ]; minus = [] };
+          Ir.Kptr;
+        |];
+      ntemps = 4;
+    }
+  in
+  let temps = Support.Bitset.create 4 and locals = Support.Bitset.create 0 in
+  Support.Bitset.set temps 0;
+  Mir.Liveness.close_uses f temps locals;
+  check Alcotest.(list int) "every base of the chain" [ 0; 1; 2; 3 ]
+    (List.rev (Support.Bitset.fold List.cons temps []))
+
 (* ------------------------------------------------------------------ *)
 (* CFG utilities                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +414,10 @@ let () =
         [
           Alcotest.test_case "dead-base rule" `Quick test_dead_base_rule;
           Alcotest.test_case "kill" `Quick test_liveness_kill;
+          Alcotest.test_case "dead-base rule through locals" `Quick test_dead_base_rule_locals;
+          Alcotest.test_case "close_uses follows a chain" `Quick test_close_uses_chain;
+          Alcotest.test_case "matches the round-robin oracle" `Quick
+            test_liveness_matches_oracle;
         ] );
       ( "cfg",
         [

@@ -325,6 +325,22 @@ let prop_collections_strike =
         || r.Driver.Compile.gc.Vm.Interp.resizes > 0
       else true)
 
+let prop_liveness_oracle =
+  QCheck.Test.make ~name:"liveness matches the round-robin oracle" ~count:60
+    (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
+    (fun p ->
+      let src = to_m3l p in
+      List.for_all
+        (fun optimize ->
+          let options = { Driver.Compile.default_options with optimize } in
+          Array.for_all
+            (fun f ->
+              match Liveness_oracle.disagreement f with
+              | None -> true
+              | Some d -> QCheck.Test.fail_reportf "O%d: %s" (Bool.to_int optimize) d)
+            (Driver.Compile.to_mir ~options src).Mir.Ir.funcs)
+        [ false; true ])
+
 let () =
   Alcotest.run "random"
     [
@@ -332,5 +348,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_collections_strike;
+          QCheck_alcotest.to_alcotest prop_liveness_oracle;
         ] );
     ]

@@ -162,6 +162,64 @@ let prop_bitset_union =
       Bitset.fold (fun i acc -> acc && Bitset.mem u i) a true
       && Bitset.fold (fun i acc -> acc && Bitset.mem u i) b true)
 
+(* Widths at the 62-bit word edges, plus a few others. *)
+let arb_bitset =
+  QCheck.(
+    pair (oneofl [ 1; 61; 62; 63; 124; 125; 200 ]) (list (int_bound 250))
+    |> map (fun (width, xs) ->
+           let b = Bitset.create width in
+           List.iter (fun i -> Bitset.set b (i mod width)) xs;
+           b))
+
+let members_naive b = List.filter (Bitset.mem b) (List.init (Bitset.length b) Fun.id)
+
+let prop_bitset_walks =
+  QCheck.Test.make ~name:"iter, fold and count agree with a per-bit scan" ~count:500
+    arb_bitset (fun b ->
+      let naive = members_naive b in
+      let seen = ref [] in
+      Bitset.iter (fun i -> seen := i :: !seen) b;
+      List.rev !seen = naive
+      && Bitset.fold List.cons b [] = List.rev naive
+      && Bitset.count b = List.length naive)
+
+let prop_bitset_equal =
+  QCheck.Test.make ~name:"equal agrees with a per-bit comparison" ~count:500
+    QCheck.(pair arb_bitset (list_of_size Gen.(int_bound 2) (int_bound 250)))
+    (fun (a, toggles) ->
+      let b = Bitset.copy a in
+      let width = Bitset.length a in
+      List.iter
+        (fun i ->
+          let i = i mod width in
+          if Bitset.mem b i then Bitset.clear b i else Bitset.set b i)
+        toggles;
+      Bitset.equal a b = (members_naive a = members_naive b)
+      && (not (Bitset.equal a (Bitset.create (width + 1))))
+      && Bitset.equal b b)
+
+(* [iter]'s [f] must not mutate the set it walks: each word is read once,
+   before its bits are visited, so a bit set in that word during the walk
+   is missed (a per-bit walk would have seen it). Walk a copy to mutate. *)
+let test_bitset_iter_mutation () =
+  let b = Bitset.create 10 in
+  Bitset.set b 0;
+  let seen = ref [] in
+  Bitset.iter
+    (fun i ->
+      seen := i :: !seen;
+      if i = 0 then Bitset.set b 5)
+    b;
+  check Alcotest.(list int) "a bit set during the walk is not visited" [ 0 ] !seen;
+  let seen = ref [] in
+  Bitset.iter
+    (fun i ->
+      seen := i :: !seen;
+      Bitset.clear b i)
+    (Bitset.copy b);
+  check Alcotest.(list int) "walking a copy visits every bit" [ 0; 5 ] (List.rev !seen);
+  check Alcotest.bool "and the original is emptied" true (Bitset.is_empty b)
+
 (* ------------------------------------------------------------------ *)
 (* Growarr, Prng                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -215,6 +273,9 @@ let () =
           Alcotest.test_case "bytes roundtrip" `Quick test_bitset_bytes_roundtrip;
           QCheck_alcotest.to_alcotest prop_bitset_roundtrip;
           QCheck_alcotest.to_alcotest prop_bitset_union;
+          QCheck_alcotest.to_alcotest prop_bitset_walks;
+          QCheck_alcotest.to_alcotest prop_bitset_equal;
+          Alcotest.test_case "iter: f must not mutate" `Quick test_bitset_iter_mutation;
         ] );
       ( "misc",
         [
