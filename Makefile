@@ -107,9 +107,13 @@ fault: build
 	  --out $(FAULT_OUT:.json=.nocross.json)
 
 # Profiling smoke test: a collecting run with the allocation-site profiler
-# and periodic heap censuses on, in both collector modes, validating the
-# emitted profile document (schema, site resolution, survival rates in
-# range, bucket counts summing to pause counts) and rendering it.
+# and periodic heap censuses on, in both copying collector modes, and a
+# profiled run under each non-moving collector (address reuse credits the
+# previous occupant's death), validating the emitted profile documents
+# (schema, site resolution, survival rates in range, no site with more
+# deaths than allocations, bucket counts summing to pause counts) and
+# rendering them. A census request under a non-moving collector, which
+# never ends a copying collection, must be refused.
 profile: build
 	$(DUNE) exec bin/mmrun.exe -- --heap 2000 --profile $(PROFILE_OUT) \
 	  --census-every 8 examples/sample.m3l > /dev/null
@@ -118,6 +122,20 @@ profile: build
 	$(DUNE) exec bin/mmrun.exe -- --gen --heap 4000 --profile \
 	  $(PROFILE_OUT:.json=.gen.json) --census-every 8 examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.gen.json)
+	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.gen.json) > /dev/null
+	$(DUNE) exec bin/mmrun.exe -- --incremental --heap 4000 --profile \
+	  $(PROFILE_OUT:.json=.inc.json) examples/sample.m3l > /dev/null
+	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.inc.json)
+	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.inc.json) > /dev/null
+	$(DUNE) exec bin/mmrun.exe -- --collector conservative --heap 4000 --profile \
+	  $(PROFILE_OUT:.json=.cons.json) examples/sample.m3l > /dev/null
+	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.cons.json)
+	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.cons.json) > /dev/null
+	@for c in "--incremental" "--collector conservative"; do \
+	  if $(DUNE) exec bin/mmrun.exe -- $$c --census-every 8 --profile \
+	    $(PROFILE_OUT:.json=.refused.json) examples/sample.m3l > /dev/null 2>&1; then \
+	    echo "profile: mmrun accepted --census-every with $$c"; exit 1; fi; \
+	done
 
 check: build check-build test smoke fault profile
 	@echo "check: ok"

@@ -250,73 +250,90 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
            "--gc-workers > 1 has no effect with the incremental collector: \
             slices run serially on the mutator; ignoring the worker pool"
      | _ -> ());
-  if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
-  try
-    let image = Driver.Compile.compile ~options (read_file file) in
-    (* Attach a profiler only when asked: with --profile off the machine
-       carries no profiler and the run is byte-identical to pre-profiling
-       behavior. *)
-    let prof =
-      match profile with
-      | None -> None
-      | Some _ ->
-          let p = Driver.Compile.profile_for image in
-          Profile.set_census_every p census_every;
-          Some p
-    in
-    let pol = Option.map Driver.Compile.policy_of_file policy in
-    let t0 = T.Control.now_ns () in
-    let r =
-      Driver.Compile.run ~collector ?nursery_words:nursery
-        ?pause_budget_us:pause_budget ?profile:prof ~fuel
-        ?heap_grow:(if heap_grow then Some true else None)
-        ?heap_max_words:heap_max ?policy:pol
-        ?adaptive:(if pretenure_adaptive >= 1 then Some pretenure_adaptive else None)
-        image
-    in
-    let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
-    print_string r.Driver.Compile.output;
-    (match trace with
-    | Some path -> T.Trace.write_chrome_file path
-    | None -> ());
-    (match (profile, prof) with
-    | Some path, Some p ->
-        let oc = open_out path in
-        output_string oc (T.Json.to_string (Profile.to_json p));
-        output_char oc '\n';
-        close_out oc
-    | _ -> ());
-    if gc_stats then begin
-      print_engine_stats ~engine:r.Driver.Compile.engine ~elapsed_ns ();
-      print_gc_stats ?placement:r.Driver.Compile.placement ()
-    end;
-    if metrics then prerr_string (T.Metrics.to_text ());
-    `Ok ()
-  with
-  | M3l.M3l_error.Lex_error (loc, m) ->
-      `Error (false, Printf.sprintf "%s: lexical error: %s" (M3l.Srcloc.to_string loc) m)
-  | M3l.M3l_error.Parse_error (loc, m) ->
-      `Error (false, Printf.sprintf "%s: parse error: %s" (M3l.Srcloc.to_string loc) m)
-  | M3l.M3l_error.Type_error (loc, m) ->
-      `Error (false, Printf.sprintf "%s: type error: %s" (M3l.Srcloc.to_string loc) m)
-  (* Runtime failures exit directly with the documented per-class codes
-     (see Vm_error.exit_code; guest-program traps use 3), so harnesses
-     assert on the exit status instead of string-matching stderr.
-     Compile-time and CLI errors keep cmdliner's own codes. *)
-  | Vm.Interp.Guest_error m ->
-      Printf.eprintf "mmrun: runtime error: %s\n%!" m;
-      exit 3
-  | Vm.Vm_error.Error e ->
-      Printf.eprintf "mmrun: vm error: %s\n%!" (Vm.Vm_error.to_string e);
-      exit (Vm.Vm_error.exit_code e)
-  | Gcmaps.Decode.Table_corrupt { fid; offset; pos; reason } ->
-      Printf.eprintf
-        "mmrun: corrupt gc table (proc %d, code offset %d, stream byte %d): %s\n%!"
-        fid offset pos reason;
-      exit (Vm.Vm_error.exit_code (Vm.Vm_error.Corrupt_table { fid; offset; reason }))
-  | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
-  | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
-  | Sys_error m -> `Error (false, m)
+  (* A census is taken where a copying collection ends; the non-moving
+     collectors never get there, so the flag would silently do nothing. *)
+  let non_moving =
+    match collector with
+    | Driver.Compile.Incremental -> Some "--incremental"
+    | Driver.Compile.Conservative -> Some "--collector conservative"
+    | _ -> None
+  in
+  match non_moving with
+  | Some flag when census_every > 0 ->
+      `Error
+        ( false,
+          Printf.sprintf
+            "--census-every and %s cannot be combined: censuses are taken at \
+             the end of a copying collection, which this collector never runs"
+            flag )
+  | _ ->
+    if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
+    try
+      let image = Driver.Compile.compile ~options (read_file file) in
+      (* Attach a profiler only when asked: with --profile off the machine
+         carries no profiler and the run is byte-identical to pre-profiling
+         behavior. *)
+      let prof =
+        match profile with
+        | None -> None
+        | Some _ ->
+            let p = Driver.Compile.profile_for image in
+            Profile.set_census_every p census_every;
+            Some p
+      in
+      let pol = Option.map Driver.Compile.policy_of_file policy in
+      let t0 = T.Control.now_ns () in
+      let r =
+        Driver.Compile.run ~collector ?nursery_words:nursery
+          ?pause_budget_us:pause_budget ?profile:prof ~fuel
+          ?heap_grow:(if heap_grow then Some true else None)
+          ?heap_max_words:heap_max ?policy:pol
+          ?adaptive:(if pretenure_adaptive >= 1 then Some pretenure_adaptive else None)
+          image
+      in
+      let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
+      print_string r.Driver.Compile.output;
+      (match trace with
+      | Some path -> T.Trace.write_chrome_file path
+      | None -> ());
+      (match (profile, prof) with
+      | Some path, Some p ->
+          let oc = open_out path in
+          output_string oc (T.Json.to_string (Profile.to_json p));
+          output_char oc '\n';
+          close_out oc
+      | _ -> ());
+      if gc_stats then begin
+        print_engine_stats ~engine:r.Driver.Compile.engine ~elapsed_ns ();
+        print_gc_stats ?placement:r.Driver.Compile.placement ()
+      end;
+      if metrics then prerr_string (T.Metrics.to_text ());
+      `Ok ()
+    with
+    | M3l.M3l_error.Lex_error (loc, m) ->
+        `Error (false, Printf.sprintf "%s: lexical error: %s" (M3l.Srcloc.to_string loc) m)
+    | M3l.M3l_error.Parse_error (loc, m) ->
+        `Error (false, Printf.sprintf "%s: parse error: %s" (M3l.Srcloc.to_string loc) m)
+    | M3l.M3l_error.Type_error (loc, m) ->
+        `Error (false, Printf.sprintf "%s: type error: %s" (M3l.Srcloc.to_string loc) m)
+    (* Runtime failures exit directly with the documented per-class codes
+       (see Vm_error.exit_code; guest-program traps use 3), so harnesses
+       assert on the exit status instead of string-matching stderr.
+       Compile-time and CLI errors keep cmdliner's own codes. *)
+    | Vm.Interp.Guest_error m ->
+        Printf.eprintf "mmrun: runtime error: %s\n%!" m;
+        exit 3
+    | Vm.Vm_error.Error e ->
+        Printf.eprintf "mmrun: vm error: %s\n%!" (Vm.Vm_error.to_string e);
+        exit (Vm.Vm_error.exit_code e)
+    | Gcmaps.Decode.Table_corrupt { fid; offset; pos; reason } ->
+        Printf.eprintf
+          "mmrun: corrupt gc table (proc %d, code offset %d, stream byte %d): %s\n%!"
+          fid offset pos reason;
+        exit (Vm.Vm_error.exit_code (Vm.Vm_error.Corrupt_table { fid; offset; reason }))
+    | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
+    | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
+    | Sys_error m -> `Error (false, m)
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 let optimize = Arg.(value & flag & info [ "O"; "optimize" ] ~doc:"Run the optimizer.")
@@ -493,7 +510,8 @@ let census_every =
         ~doc:
           "With --profile: take a heap census (live objects and words by type \
            descriptor and by allocation site) after every Nth collection. 0 \
-           disables censuses.")
+           disables censuses. An error with --incremental or --collector \
+           conservative, which never end a copying collection.")
 let fuel =
   Arg.(value & opt int 1_000_000_000 & info [ "fuel" ] ~doc:"Instruction budget.")
 

@@ -102,8 +102,10 @@ let sites_for (image : Vm.Image.t) : Profile.site array =
       })
     image.Vm.Image.alloc_sites
 
-(** A fresh profiler for an image. Attach it via [run ~profile]. *)
-let profile_for (image : Vm.Image.t) : Profile.t = Profile.create (sites_for image)
+(** A fresh profiler for an image, its side array sized to the image's
+    memory map. Attach it via [run ~profile]. *)
+let profile_for (image : Vm.Image.t) : Profile.t =
+  Profile.create ~words:image.Vm.Image.total_words (sites_for image)
 
 (** Parse an [mm-policy] file. @raise Policy.Policy_error on schema
     mismatch, [Sys_error] on I/O failure. *)

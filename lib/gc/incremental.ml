@@ -355,16 +355,7 @@ let slice (st : VI.t) (inc : VI.inc_state) ~start =
   if dt_i > inc.VI.inc_max_slice_ns then inc.VI.inc_max_slice_ns <- dt_i;
   if inc.VI.inc_budget_ns > 0 && dt_i > inc.VI.inc_budget_ns then begin
     inc.VI.inc_overruns <- inc.VI.inc_overruns + 1;
-    T.Metrics.incr c_overruns;
-    if Sys.getenv_opt "MM_INC_DEBUG" <> None then
-      Printf.eprintf
-        "[inc] overrun: dt=%dns start=%b w0=%d w=%d quota=%d phase=%s gray=%d\n%!"
-        dt_i start w0 w quota
-        (match inc.VI.inc_phase with
-        | VI.Inc_idle -> "idle"
-        | VI.Inc_marking -> "marking"
-        | VI.Inc_sweeping -> "sweeping")
-        inc.VI.inc_gray_len
+    T.Metrics.incr c_overruns
   end;
   (* Tri-color and heap invariants at every slice boundary when the
      verifier is armed (the cost is the harness's, not the pause's). *)

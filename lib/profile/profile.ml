@@ -9,9 +9,10 @@
     Cheney [forward] routine is re-keyed from its old address to its new one
     ({!on_copy}), and whatever is still keyed inside the evacuated source
     range when the collection finishes died there ({!end_collection}). The
-    side table is keyed by heap address — exact, because the runtime hands
-    us every allocation and every copy, and addresses are unique within a
-    space at any instant.
+    side table is an [int array] indexed by heap address — exact, because
+    the runtime hands us every allocation and every copy, and addresses
+    are unique within a space at any instant. Every event costs a constant
+    and allocates nothing; a collection's sweep costs the evacuated range.
 
     Nothing here is gated on the telemetry master switch: a profiler is
     either attached to the machine (every event recorded) or absent (every
@@ -55,7 +56,7 @@ type census = {
 type t = {
   sites : site array; (* index = site id *)
   stats : site_stats array; (* parallel to [sites] *)
-  live : (int, int * int) Hashtbl.t; (* heap addr -> (site id, words) *)
+  mutable live : int array; (* heap addr -> packed (site, words); 0 = none *)
   mutable census_every : int; (* 0 = censuses off *)
   mutable collections : int; (* collections observed end-to-end *)
   mutable minor_collections : int;
@@ -76,11 +77,27 @@ let fresh_stats () =
     st_dead_words = 0;
   }
 
-let create (sites : site array) : t =
+(* A side-array entry packs the object's size above its site id plus one:
+   [(words lsl site_bits) lor (site + 1)]. Every object has a header word,
+   so an entry is never 0, and 0 marks an address holding no keyed object.
+   An allocation outside the site table keys as site -1. *)
+let site_bits = 24
+let site_mask = (1 lsl site_bits) - 1
+let[@inline] entry_site e = (e land site_mask) - 1
+
+(** A profiler for [sites] whose side array covers heap addresses
+    [0, words) up front (the image's extent); an address beyond it grows
+    the array, which happens only when the adaptive heap grows the store.
+    Raises [Invalid_argument] when the site ids do not fit an entry. *)
+let create ~words (sites : site array) : t =
+  if Array.length sites > site_mask then
+    invalid_arg
+      (Printf.sprintf "Profile.create: %d sites, at most %d fit the side array"
+         (Array.length sites) site_mask);
   {
     sites;
     stats = Array.init (Array.length sites) (fun _ -> fresh_stats ());
-    live = Hashtbl.create 4096;
+    live = Array.make words 0;
     census_every = 0;
     collections = 0;
     minor_collections = 0;
@@ -93,23 +110,34 @@ let set_census_every t n = t.census_every <- max 0 n
 
 let in_range t site = site >= 0 && site < Array.length t.stats
 
-let credit_dead t site words =
-  if in_range t site then begin
+(* Credit the object of side-array entry [e] (nonzero) as dead. *)
+let credit_dead t e =
+  let site = entry_site e in
+  if site >= 0 then begin
     let st = t.stats.(site) in
     st.st_dead_objects <- st.st_dead_objects + 1;
-    st.st_dead_words <- st.st_dead_words + words
+    st.st_dead_words <- st.st_dead_words + (e lsr site_bits)
   end
 
+(* Widen the side array to cover [addr]: the store outgrew the image's
+   extent under the adaptive heap. Doubling keeps the copies amortized. *)
+let[@inline never] grow t addr =
+  let n = Array.length t.live in
+  let live = Array.make (max (addr + 1) (2 * n)) 0 in
+  Array.blit t.live 0 live 0 n;
+  t.live <- live
+
 (** Record an allocation of [words] words at heap address [addr] from
-    static site [site]. A stale binding at the same address means the
+    static site [site]. A stale entry at the same address means the
     previous occupant was reclaimed without a copy-out (the non-moving
-    conservative collector recycles addresses through its free list); it
-    is credited as dead before being replaced. *)
-let on_alloc t ~site ~addr ~words =
-  (match Hashtbl.find_opt t.live addr with
-  | Some (old_site, old_words) -> credit_dead t old_site old_words
-  | None -> ());
-  Hashtbl.replace t.live addr (site, words);
+    collectors recycle addresses through their free lists); it is credited
+    as dead before being replaced. Kept out of line, like {!on_copy}, so
+    the callers' hot loops stay as they are. *)
+let[@inline never] on_alloc t ~site ~addr ~words =
+  if addr >= Array.length t.live then grow t addr;
+  let old = t.live.(addr) in
+  if old <> 0 then credit_dead t old;
+  t.live.(addr) <- (words lsl site_bits) lor if in_range t site then site + 1 else 0;
   if in_range t site then begin
     let st = t.stats.(site) in
     st.st_allocs <- st.st_allocs + 1;
@@ -118,40 +146,42 @@ let on_alloc t ~site ~addr ~words =
 
 let begin_collection t ~minor = t.cur_minor <- minor
 
-(** An object was evacuated from [src] to [dst]: re-key its side-table
+(** An object was evacuated from [src] to [dst]: move its side-array
     entry and credit the survival to its site. Objects the profiler never
     saw allocated (none, in practice) pass through unattributed. *)
-let on_copy t ~src ~dst ~words =
-  match Hashtbl.find_opt t.live src with
-  | None -> ()
-  | Some (site, _) ->
-      Hashtbl.remove t.live src;
-      Hashtbl.replace t.live dst (site, words);
-      if in_range t site then begin
-        let st = t.stats.(site) in
-        if t.cur_minor then begin
-          st.st_minor_survivals <- st.st_minor_survivals + 1;
-          st.st_minor_words <- st.st_minor_words + words
-        end
-        else begin
-          st.st_full_survivals <- st.st_full_survivals + 1;
-          st.st_full_words <- st.st_full_words + words
-        end
+let[@inline never] on_copy t ~src ~dst ~words =
+  let e = if src < Array.length t.live then t.live.(src) else 0 in
+  if e <> 0 then begin
+    t.live.(src) <- 0;
+    if dst >= Array.length t.live then grow t dst;
+    t.live.(dst) <- (words lsl site_bits) lor (e land site_mask);
+    let site = entry_site e in
+    if site >= 0 then begin
+      let st = t.stats.(site) in
+      if t.cur_minor then begin
+        st.st_minor_survivals <- st.st_minor_survivals + 1;
+        st.st_minor_words <- st.st_minor_words + words
       end
+      else begin
+        st.st_full_survivals <- st.st_full_survivals + 1;
+        st.st_full_words <- st.st_full_words + words
+      end
+    end
+  end
 
 (** The collection is over and [src_lo, src_hi) was evacuated: everything
-    still keyed there was not forwarded, i.e. it died. Sweep those entries
-    into the per-site death counts. *)
+    still keyed there was not forwarded, i.e. it died. Sweep that range of
+    the side array into the per-site death counts — a minor collection
+    pays for its nursery, not for the whole keyed heap. *)
 let end_collection t ~src_lo ~src_hi =
-  let dead = ref [] in
-  Hashtbl.iter
-    (fun addr entry -> if addr >= src_lo && addr < src_hi then dead := (addr, entry) :: !dead)
-    t.live;
-  List.iter
-    (fun (addr, (site, words)) ->
-      Hashtbl.remove t.live addr;
-      credit_dead t site words)
-    !dead;
+  let live = t.live in
+  for a = max 0 src_lo to min src_hi (Array.length live) - 1 do
+    let e = Array.unsafe_get live a in
+    if e <> 0 then begin
+      credit_dead t e;
+      Array.unsafe_set live a 0
+    end
+  done;
   t.collections <- t.collections + 1;
   if t.cur_minor then t.minor_collections <- t.minor_collections + 1
   else t.full_collections <- t.full_collections + 1
@@ -161,7 +191,19 @@ let census_due t = t.census_every > 0 && t.collections mod t.census_every = 0
 
 (** Site id of a live heap object, [-1] if the profiler never saw it. *)
 let site_of_addr t addr =
-  match Hashtbl.find_opt t.live addr with Some (site, _) -> site | None -> -1
+  if addr >= 0 && addr < Array.length t.live then entry_site t.live.(addr) else -1
+
+(** Per site, the objects still keyed: allocated or copied and not yet
+    credited dead. Each allocation is one of these or one death, so
+    [allocs = dead_objects + keyed] site by site. *)
+let keyed_objects t =
+  let n = Array.make (Array.length t.stats) 0 in
+  Array.iter
+    (fun e ->
+      let site = entry_site e in
+      if site >= 0 then n.(site) <- n.(site) + 1)
+    t.live;
+  n
 
 let record_census t c = t.censuses <- c :: t.censuses
 

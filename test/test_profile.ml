@@ -2,8 +2,11 @@
    collectors attribute identical per-site counts, survival accounting is
    deterministic, the destroy-with-ballast benchmark ranks the long-lived
    ballast site's survival rate above every short-lived tree site, the
-   heap census agrees with the verifier's independent live-heap parse, and
-   attaching a profiler does not perturb execution. *)
+   heap census agrees with the verifier's independent live-heap parse,
+   attaching a profiler does not perturb execution under any collector,
+   and the address-indexed side array matches a keyed-table model
+   ([Profile_model]) event by event, reproduces pinned profile digests and
+   conserves every allocation as a death or a keyed survivor. *)
 
 module T = Telemetry
 module C = Driver.Compile
@@ -22,9 +25,11 @@ let destroy_small =
 let compile_opts ~optimize ~heap = { C.default_options with optimize; heap_words = heap }
 
 (* Run [img] with a fresh profiler under an explicit engine and collector
-   (bypassing the driver's MM_GEN / MM_THREADED environment switches so the
-   matrix below is exactly what it says); returns the profiler. *)
-let run_profiled ?(census_every = 0) ~threaded ~gen img =
+   (bypassing the driver's MM_GEN / MM_GC_INCREMENTAL / MM_THREADED
+   environment switches so the matrix below is exactly what it says; the
+   incremental collector gets no pause budget, so its pacing is the
+   deterministic work quota); returns the profiler. *)
+let run_profiled ?(census_every = 0) ?nursery_words ~threaded ~collector img =
   let p = C.profile_for img in
   Profile.set_census_every p census_every;
   let was = Vm.Threaded.enabled () in
@@ -34,9 +39,22 @@ let run_profiled ?(census_every = 0) ~threaded ~gen img =
       Vm.Threaded.set_enabled threaded;
       let st = Vm.Interp.create img in
       st.Vm.Interp.prof <- Some p;
-      if gen then Gc.Nursery.install st else Gc.Cheney.install st;
+      (match collector with
+      | C.Precise -> Gc.Cheney.install st
+      | C.Generational -> Gc.Nursery.install ?nursery_words st
+      | C.Incremental -> ignore (Gc.Incremental.install ~pause_budget_us:0 st)
+      | C.Conservative -> ignore (Gc.Conservative.install st)
+      | C.No_gc -> ());
       if threaded then Vm.Threaded.run st else Vm.Interp.run st);
   p
+
+let collectors =
+  [
+    ("precise", C.Precise);
+    ("generational", C.Generational);
+    ("incremental", C.Incremental);
+    ("conservative", C.Conservative);
+  ]
 
 (* The full per-site record, as a comparable value. *)
 let stats_list (p : Profile.t) =
@@ -70,8 +88,9 @@ let test_engine_agreement () =
               (if optimize then "opt" else "unopt")
               (if gen then "gen" else "flat")
           in
-          let a = run_profiled ~threaded:false ~gen img in
-          let b = run_profiled ~threaded:true ~gen img in
+          let collector = if gen then C.Generational else C.Precise in
+          let a = run_profiled ~threaded:false ~collector img in
+          let b = run_profiled ~threaded:true ~collector img in
           check Alcotest.bool (label ^ ": collections happened") true
             (a.Profile.collections >= 1);
           check Alcotest.int
@@ -86,8 +105,8 @@ let test_engine_agreement () =
 
 let test_survival_deterministic () =
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
-  let a = run_profiled ~threaded:false ~gen:true img in
-  let b = run_profiled ~threaded:false ~gen:true img in
+  let a = run_profiled ~threaded:false ~collector:C.Generational img in
+  let b = run_profiled ~threaded:false ~collector:C.Generational img in
   check Alcotest.bool "minor collections happened" true (a.Profile.minor_collections >= 1);
   check Alcotest.int "repeat run: same collection count" a.Profile.collections
     b.Profile.collections;
@@ -103,7 +122,7 @@ let test_ballast_ordering () =
       ~iterations:40
   in
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:6000) src in
-  let p = run_profiled ~threaded:false ~gen:false img in
+  let p = run_profiled ~threaded:false ~collector:C.Precise img in
   check Alcotest.bool "collections happened" true (p.Profile.collections >= 1);
   let ballast_rate =
     match rates_of p "MkBallast" with
@@ -126,7 +145,7 @@ let census_checks ~heap ~iterations =
   let p =
     Fun.protect
       ~finally:(fun () -> Gc.Verify.set_post was)
-      (fun () -> run_profiled ~census_every:1 ~threaded:false ~gen:false img)
+      (fun () -> run_profiled ~census_every:1 ~threaded:false ~collector:C.Precise img)
   in
   if p.Profile.collections = 0 then Alcotest.fail "no collections, census never taken";
   let c =
@@ -215,31 +234,204 @@ let test_copy_counts_match_census () =
         (total (fun st -> st.Profile.st_minor_survivals)))
     [ false; true ]
 
+(* Attaching a profiler changes nothing the program or the collector
+   does, under every collector: the non-moving ones reach the profiler
+   only through [on_alloc], whose stale-occupant credit is the path their
+   address reuse takes. *)
 let test_profiler_transparent () =
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
-  let bare = C.run img in
-  let p = C.profile_for img in
-  let profiled = C.run ~profile:p img in
-  check Alcotest.string "output identical" bare.C.output profiled.C.output;
-  check Alcotest.int "instruction count identical" bare.C.instructions
-    profiled.C.instructions;
-  check Alcotest.int "allocation count identical" bare.C.allocations profiled.C.allocations;
-  check Alcotest.int "collection count identical" bare.C.collections profiled.C.collections;
-  (* The profiler's totals are exactly the machine's own counters. *)
-  let total f = Array.fold_left (fun acc s -> acc + f s) 0 p.Profile.stats in
-  check Alcotest.int "per-site allocs sum to the machine total" profiled.C.allocations
-    (total (fun s -> s.Profile.st_allocs));
-  check Alcotest.int "per-site words sum to the machine total" profiled.C.alloc_words
-    (total (fun s -> s.Profile.st_alloc_words));
-  (* And the emitted document is well-formed JSON carrying every site. *)
-  let doc = T.Json.parse (T.Json.to_string (Profile.to_json p)) in
-  check Alcotest.bool "schema present" true
-    (T.Json.member "schema" doc = Some (T.Json.Str "mm-profile"));
-  match Option.bind (T.Json.member "sites" doc) T.Json.to_list with
-  | Some sites ->
-      check Alcotest.int "one JSON entry per static site"
-        (Array.length p.Profile.sites) (List.length sites)
-  | None -> Alcotest.fail "no sites array in emitted profile"
+  List.iter
+    (fun (name, collector) ->
+      let bare = C.run ~collector img in
+      let p = C.profile_for img in
+      let profiled = C.run ~collector ~profile:p img in
+      let label what = name ^ ": " ^ what in
+      check Alcotest.string (label "output identical") bare.C.output profiled.C.output;
+      check Alcotest.int (label "instruction count identical") bare.C.instructions
+        profiled.C.instructions;
+      check Alcotest.int (label "allocation count identical") bare.C.allocations
+        profiled.C.allocations;
+      check Alcotest.int (label "collection count identical") bare.C.collections
+        profiled.C.collections;
+      (* The profiler's totals are exactly the machine's own counters. *)
+      let total f = Array.fold_left (fun acc s -> acc + f s) 0 p.Profile.stats in
+      check Alcotest.int (label "per-site allocs sum to the machine total")
+        profiled.C.allocations
+        (total (fun s -> s.Profile.st_allocs));
+      check Alcotest.int (label "per-site words sum to the machine total")
+        profiled.C.alloc_words
+        (total (fun s -> s.Profile.st_alloc_words));
+      (* And the emitted document is well-formed JSON carrying every site. *)
+      let doc = T.Json.parse (T.Json.to_string (Profile.to_json p)) in
+      check Alcotest.bool (label "schema present") true
+        (T.Json.member "schema" doc = Some (T.Json.Str "mm-profile"));
+      match Option.bind (T.Json.member "sites" doc) T.Json.to_list with
+      | Some sites ->
+          check Alcotest.int (label "one JSON entry per static site")
+            (Array.length p.Profile.sites) (List.length sites)
+      | None -> Alcotest.fail (label "no sites array in emitted profile"))
+    collectors
+
+(* --- the side array against its reference ----------------------------- *)
+
+(* The gen-pgo benchmark's training program (seed literal unsubstituted)
+   and the small destroy, each with its heap and nursery. *)
+let digest_programs =
+  [
+    ( "gen-pgo",
+      Programs.Destroy_src.make_ballast ~ballast:15_000 ~branch:4 ~depth:5 ~replace_depth:2
+        ~iterations:400,
+      100_000,
+      Some 4000 );
+    ("destroy", destroy_small, 1500, None);
+  ]
+
+(* Every program under every collector, censuses every 3 collections: the
+   profiles the digest and conservation checks read. *)
+let digest_runs =
+  lazy
+    (List.concat_map
+       (fun (prog, src, heap, nursery_words) ->
+         let img = C.compile ~options:(compile_opts ~optimize:true ~heap) src in
+         List.map
+           (fun (name, collector) ->
+             ( prog ^ "/" ^ name,
+               run_profiled ~census_every:3 ?nursery_words ~threaded:false ~collector img ))
+           collectors)
+       digest_programs)
+
+(* The profile document without its timing objects, plus the placement
+   decisions derived from it. *)
+let profile_digest p =
+  let doc =
+    match Profile.to_json p with
+    | T.Json.Obj kvs ->
+        T.Json.Obj (List.filter (fun (k, _) -> k <> "pauses" && k <> "copy") kvs)
+    | j -> j
+  in
+  let codes = Policy.decision_codes_from_stats p in
+  Digest.to_hex
+    (Digest.string
+       (T.Json.to_string doc ^ "\n"
+       ^ String.concat "," (Array.to_list (Array.map string_of_int codes))))
+
+(* Recorded from the hash-table profiler the side array replaced: sites,
+   collection counts, censuses and derived decisions are unchanged. *)
+let pinned_digests =
+  [
+    ("gen-pgo/precise", "981b7e21a5aa6582d6e4ef50843fcf3e");
+    ("gen-pgo/generational", "0304303281f8eeca2110f84b15d751d3");
+    ("gen-pgo/incremental", "e6bf80716a0ebc2f832b67754d8fe508");
+    ("gen-pgo/conservative", "facc8bc60a51df7cb13533399b831c8e");
+    ("destroy/precise", "372d5189ed112cd8ab3cded09829f2e7");
+    ("destroy/generational", "bde9cb53b54e012eb7aa0cf5a7a677fb");
+    ("destroy/incremental", "23ca6afa8f70a7eb63c39f29ca7f0b2f");
+    ("destroy/conservative", "3912506cce59a34b74b507f484609e0d");
+  ]
+
+let test_pinned_digests () =
+  List.iter
+    (fun (config, p) ->
+      check Alcotest.string (config ^ ": profile digest") (List.assoc config pinned_digests)
+        (profile_digest p))
+    (Lazy.force digest_runs)
+
+(* An object dies at most once and is otherwise still keyed, so per site
+   the allocations split exactly into deaths and keyed survivors. *)
+let test_conservation () =
+  List.iter
+    (fun (config, p) ->
+      let keyed = Profile.keyed_objects p in
+      Array.iteri
+        (fun i (st : Profile.site_stats) ->
+          check Alcotest.int
+            (Printf.sprintf "%s: site %d: allocs = dead + keyed" config i)
+            st.Profile.st_allocs
+            (st.Profile.st_dead_objects + keyed.(i)))
+        p.Profile.stats)
+    (Lazy.force digest_runs)
+
+type event =
+  | Alloc of { site : int; addr : int; words : int }
+  | Copy of { src : int; dst : int; words : int }
+  | Begin of bool (* minor? *)
+  | End of { lo : int; hi : int }
+
+let event_to_string = function
+  | Alloc { site; addr; words } -> Printf.sprintf "alloc(site %d @%d %dw)" site addr words
+  | Copy { src; dst; words } -> Printf.sprintf "copy(%d -> %d %dw)" src dst words
+  | Begin minor -> if minor then "begin minor" else "begin full"
+  | End { lo; hi } -> Printf.sprintf "end [%d,%d)" lo hi
+
+(* Addresses range over four times the array's initial extent, so
+   allocations land both fresh and on keyed addresses, copies read keyed
+   and unkeyed sources, and every event can reach past the array's end. *)
+let model_nsites = 4
+let model_words = 16
+let model_span = 4 * model_words
+
+let gen_event =
+  let open QCheck.Gen in
+  let addr = int_bound (model_span - 1) and words = int_range 1 40 in
+  frequency
+    [
+      ( 4,
+        map3
+          (fun site addr words -> Alloc { site; addr; words })
+          (int_range (-1) (model_nsites - 1))
+          addr words );
+      (3, map3 (fun src dst words -> Copy { src; dst; words }) addr addr words);
+      (1, map (fun minor -> Begin minor) bool);
+      (1, map2 (fun lo len -> End { lo; hi = lo + len }) addr (int_bound (model_span / 2)));
+    ]
+
+let qcheck_model =
+  QCheck.Test.make ~name:"side array agrees with the keyed-table model" ~count:300
+    QCheck.(
+      make ~print:(Print.list event_to_string) Gen.(list_size (int_range 1 200) gen_event))
+    (fun events ->
+      let sites =
+        Array.init model_nsites (fun i ->
+            {
+              Profile.s_id = i;
+              s_proc = "P";
+              s_line = i + 1;
+              s_col = 1;
+              s_tdesc = 0;
+              s_open = false;
+            })
+      in
+      let p = Profile.create ~words:model_words sites in
+      let m = Profile_model.create model_nsites in
+      List.iter
+        (fun ev ->
+          (match ev with
+          | Alloc { site; addr; words } ->
+              Profile.on_alloc p ~site ~addr ~words;
+              Profile_model.on_alloc m ~site ~addr ~words
+          | Copy { src; dst; words } ->
+              Profile.on_copy p ~src ~dst ~words;
+              Profile_model.on_copy m ~src ~dst ~words
+          | Begin minor ->
+              Profile.begin_collection p ~minor;
+              Profile_model.begin_collection m ~minor
+          | End { lo; hi } ->
+              Profile.end_collection p ~src_lo:lo ~src_hi:hi;
+              Profile_model.end_collection m ~src_lo:lo ~src_hi:hi);
+          let fail what = QCheck.Test.fail_reportf "after %s: %s" (event_to_string ev) what in
+          if p.Profile.stats <> m.Profile_model.stats then fail "per-site stats differ";
+          if Profile.keyed_objects p <> Profile_model.keyed_objects m then
+            fail "keyed objects differ";
+          if
+            p.Profile.collections <> m.Profile_model.collections
+            || p.Profile.minor_collections <> m.Profile_model.minor_collections
+          then fail "collection counts differ";
+          for a = 0 to model_span + 1 do
+            if Profile.site_of_addr p a <> Profile_model.site_of_addr m a then
+              fail (Printf.sprintf "site_of_addr %d differs" a)
+          done)
+        events;
+      true)
 
 let () =
   Alcotest.run "profile"
@@ -265,5 +457,12 @@ let () =
         [
           Alcotest.test_case "profiler does not perturb the run" `Quick
             (fresh test_profiler_transparent);
+        ] );
+      ( "side array",
+        [
+          QCheck_alcotest.to_alcotest qcheck_model;
+          Alcotest.test_case "pinned profile digests" `Quick (fresh test_pinned_digests);
+          Alcotest.test_case "conservation under every collector" `Quick
+            (fresh test_conservation);
         ] );
     ]

@@ -8,7 +8,8 @@
 
    With --profile it instead validates an mmrun --profile document: schema
    name and version, every site id resolving to a source location, survival
-   rates in [0,1], each pause histogram's bucket counts summing to its pause
+   rates in [0,1], no site crediting more deaths (objects or words) than it
+   allocated, each pause histogram's bucket counts summing to its pause
    count, and census site references resolving to the site table.
 
      validate_trace --profile p.json
@@ -44,9 +45,22 @@ let validate_profile path doc =
       (match (J.member "proc" s, J.member "line" s) with
       | Some (J.Str proc), Some (J.Int line) when proc <> "" && line >= 1 -> ()
       | _ -> fail "%s: site %d: missing or empty source location" path i);
-      match num (J.member "survival_rate" s) with
+      (match num (J.member "survival_rate" s) with
       | Some r when r >= 0.0 && r <= 1.0 -> ()
-      | _ -> fail "%s: site %d: survival_rate outside [0,1]" path i)
+      | _ -> fail "%s: site %d: survival_rate outside [0,1]" path i);
+      (* An object dies at most once: more deaths than allocations means a
+         death was credited twice. *)
+      let int key =
+        match J.member key s with
+        | Some (J.Int n) -> n
+        | _ -> fail "%s: site %d: no integer %s" path i key
+      in
+      if int "dead_objects" > int "allocs" then
+        fail "%s: site %d: dead_objects %d exceed allocs %d" path i (int "dead_objects")
+          (int "allocs");
+      if int "dead_words" > int "alloc_words" then
+        fail "%s: site %d: dead_words %d exceed alloc_words %d" path i (int "dead_words")
+          (int "alloc_words"))
     sites;
   let pause_hists = ref 0 in
   (match J.member "pauses" doc with
