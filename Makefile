@@ -11,9 +11,9 @@ FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
-.PHONY: all build check-build test test-verified test-gen test-switch test-workers \
+.PHONY: all build check-build test test-verified test-gen test-switch \
 	test-pressure test-incremental smoke fault profile check bench \
-	bench-perf bench-gen bench-mutator bench-pauses bench-copy \
+	bench-perf bench-gen bench-mutator bench-pauses \
 	bench-pressure bench-pgo bench-pause-budget clean
 
 all: build
@@ -67,15 +67,6 @@ test-gen: build
 # the plain fetch/match/step loop the semantics are defined against.
 test-switch: build
 	MM_THREADED=0 $(DUNE) runtest --force
-
-# And with the parallel copy phase on: MM_GC_WORKERS=4 routes every full
-# collection's scan through the worker pool, MM_GC_PAR_THRESHOLD=2 forces
-# even the tiny test heaps through the three-phase parallel rounds, and
-# the heap verifier re-checks every heap the parallel copy produces.
-# Worker count is a pure runtime switch, so the entire suite must pass
-# unchanged.
-test-workers: build
-	MM_GC_WORKERS=4 MM_GC_PAR_THRESHOLD=2 MM_VERIFY_HEAP=1 $(DUNE) runtest --force
 
 # And under memory pressure: MM_HEAP_GROW=1 arms adaptive semispace
 # resizing on every moving-collector entry point (tests that pick their
@@ -160,13 +151,6 @@ bench-mutator: build
 # and takl, plus the ballast survival-profile run; writes BENCH_5.json.
 bench-pauses: build
 	$(DUNE) exec bench/main.exe -- pauses
-
-# Parallel full-collection copy bandwidth: destroy + INTEGER-array ballast
-# swept over semispace sizes (1M..100M words) x gc workers {1,2,4},
-# asserting byte-identical outputs and collection counts across worker
-# counts; writes BENCH_6.json. BENCH_COPY_SIZES overrides the sweep.
-bench-copy: build
-	$(DUNE) exec bench/main.exe -- copy
 
 # Adaptive growth vs a big fixed heap on destroy + INTEGER-array ballast
 # (plus an allocation-storm run), asserting output/icount/collections

@@ -1300,203 +1300,6 @@ let pauses () =
   printf "wrote %s\n" out_path
 
 (* ------------------------------------------------------------------ *)
-(* COPY: parallel full-collection copy bandwidth (BENCH_6.json)        *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel-copy trajectory target: destroy plus a large live
-   population of open INTEGER arrays (anchored through one pointer array,
-   so the whole population is a single wide copy frontier), swept over
-   semispace sizes and worker counts {1,2,4}. Each configuration runs the
-   identical image; the bench asserts output, collection count, and copy
-   totals byte-identical across worker counts (worker count is a pure
-   runtime switch), and reports copy bandwidth (Mwords/s over the
-   collector's own gc.copy_ns stopwatch), speedups vs serial, and pause
-   medians. Emits BENCH_6.json.
-
-   Environment knobs (used by the CI bench-smoke step):
-     BENCH_COPY_SIZES  comma-separated semispace words
-                       (default "1000000,10000000,50000000,100000000")
-     BENCH_COPY_OUT    output JSON path (default BENCH_6.json) *)
-
-type copy_run = {
-  cr_workers : int;
-  cr_wall : float;
-  cr_out : string;
-  cr_collections : int;
-  cr_words : int;
-  cr_objects : int;
-  cr_copy_ns : int64;
-  cr_pause_p50 : float;
-  cr_pause_max : float;
-}
-
-let copy_bench () =
-  hr ();
-  let sizes =
-    Option.value ~default:"1000000,10000000,50000000,100000000"
-      (Sys.getenv_opt "BENCH_COPY_SIZES")
-    |> String.split_on_char ','
-    |> List.filter_map int_of_string_opt
-  in
-  let out_path =
-    Option.value ~default:"BENCH_6.json" (Sys.getenv_opt "BENCH_COPY_OUT")
-  in
-  let worker_counts = [ 1; 2; 4 ] in
-  let cpus = Domain.recommended_domain_count () in
-  printf "COPY: parallel full-collection copy bandwidth (destroy + INTEGER-array\n";
-  printf "ballast; %d cpu(s) visible to the runtime)\n\n" cpus;
-  let w0 = !Gc.Gc_pool.forced_workers in
-  let max_total = ref 0 in
-  let per_size =
-    List.map
-      (fun semi ->
-        (* ~60% of the semispace as live array ballast; enough tree churn
-           for at least two full collections over the remaining headroom. *)
-        let intchunk = 4096 in
-        let chunks = max 1 (6 * semi / 10 / (intchunk + 6)) in
-        (* Each replacement allocates ~370 words of short-lived subtree;
-           ~0.9 semispaces of churn over ~0.37 semispaces of headroom gives
-           two to three full collections per run. *)
-        let iterations = max 50 (semi / 400) in
-        let src =
-          Programs.Destroy_src.make_intballast ~intballast:chunks ~intchunk
-            ~branch:4 ~depth:5 ~replace_depth:2 ~iterations
-        in
-        let img = compile ~optimize:true ~heap:semi src in
-        max_total := max !max_total img.Vm.Image.total_words;
-        printf "semispace %d words (%d chunks x %d words, %d replacements):\n" semi
-          chunks intchunk iterations;
-        let runs =
-          List.map
-            (fun w ->
-              Gc.Gc_pool.set_workers w;
-              let result = ref None in
-              with_telemetry (fun () ->
-                  let st = Vm.Interp.create img in
-                  Gc.Cheney.install st;
-                  let t0 = Unix.gettimeofday () in
-                  Vm.Interp.run st;
-                  let wall = Unix.gettimeofday () -. t0 in
-                  let gc = st.Vm.Interp.gc in
-                  let pct p =
-                    match T.Metrics.find_histogram "gc.pause_ns" with
-                    | Some h when h.T.Metrics.h_count > 0 ->
-                        if p >= 1.0 then h.T.Metrics.h_max
-                        else T.Metrics.percentile h p
-                    | _ -> 0.0
-                  in
-                  result :=
-                    Some
-                      {
-                        cr_workers = w;
-                        cr_wall = wall;
-                        cr_out = Vm.Interp.output st;
-                        cr_collections = gc.Vm.Interp.collections;
-                        cr_words = gc.Vm.Interp.words_copied;
-                        cr_objects = gc.Vm.Interp.objects_copied;
-                        cr_copy_ns = gc.Vm.Interp.copy_ns;
-                        cr_pause_p50 = pct 0.50;
-                        cr_pause_max = pct 1.0;
-                      });
-              Option.get !result)
-            worker_counts
-        in
-        let serial = List.hd runs in
-        if serial.cr_collections = 0 then
-          failwith "copy bench: no full collection struck — sizing bug";
-        List.iter
-          (fun r ->
-            (* The hard acceptance gate: worker count must be observably a
-               pure runtime switch. *)
-            if r.cr_out <> serial.cr_out then
-              failwith
-                (Printf.sprintf "copy bench: output diverges at %d workers"
-                   r.cr_workers);
-            if r.cr_collections <> serial.cr_collections then
-              failwith
-                (Printf.sprintf "copy bench: collections diverge at %d workers"
-                   r.cr_workers);
-            if r.cr_words <> serial.cr_words || r.cr_objects <> serial.cr_objects
-            then
-              failwith
-                (Printf.sprintf "copy bench: copy totals diverge at %d workers"
-                   r.cr_workers))
-          runs;
-        let bw r =
-          let ns = Int64.to_float r.cr_copy_ns in
-          if ns > 0.0 then float_of_int r.cr_words /. (ns /. 1e3) else 0.0
-        in
-        List.iter
-          (fun r ->
-            printf
-              "  %d worker(s): %8.1f Mwords/s copy (%d collections, %d words, \
-               %.0f us p50 pause, %.2f s wall)\n"
-              r.cr_workers (bw r) r.cr_collections r.cr_words
-              (r.cr_pause_p50 /. 1e3) r.cr_wall)
-          runs;
-        let speedup w =
-          match List.find_opt (fun r -> r.cr_workers = w) runs with
-          | Some r when bw serial > 0.0 -> bw r /. bw serial
-          | _ -> 0.0
-        in
-        printf "  speedup vs serial: x2 %.2f, x4 %.2f\n\n" (speedup 2) (speedup 4);
-        T.Json.Obj
-          [
-            ("semi_words", T.Json.Int semi);
-            ("total_heap_words", T.Json.Int img.Vm.Image.total_words);
-            ("ballast_chunks", T.Json.Int chunks);
-            ("chunk_words", T.Json.Int intchunk);
-            ("iterations", T.Json.Int iterations);
-            ("outputs_match", T.Json.Bool true);
-            ("collections_match", T.Json.Bool true);
-            ("speedup_2", T.Json.Float (speedup 2));
-            ("speedup_4", T.Json.Float (speedup 4));
-            ( "runs",
-              T.Json.List
-                (List.map
-                   (fun r ->
-                     T.Json.Obj
-                       [
-                         ("workers", T.Json.Int r.cr_workers);
-                         ("wall_s", T.Json.Float r.cr_wall);
-                         ("collections", T.Json.Int r.cr_collections);
-                         ("words_copied", T.Json.Int r.cr_words);
-                         ("objects_copied", T.Json.Int r.cr_objects);
-                         ("copy_ns", T.Json.Float (Int64.to_float r.cr_copy_ns));
-                         ("mwords_per_s", T.Json.Float (bw r));
-                         ("pause_p50_ns", T.Json.Float r.cr_pause_p50);
-                         ("pause_max_ns", T.Json.Float r.cr_pause_max);
-                       ])
-                   runs) );
-          ])
-      sizes
-  in
-  Gc.Gc_pool.forced_workers := w0;
-  let doc =
-    T.Json.Obj
-      [
-        ("bench", T.Json.Str "parallel_copy_bandwidth");
-        ( "params",
-          T.Json.Obj
-            [
-              ("worker_counts", T.Json.List (List.map (fun w -> T.Json.Int w) worker_counts));
-              ("optimize", T.Json.Bool true);
-              ("cpus_visible", T.Json.Int cpus);
-              ( "clock_granularity_ns",
-                T.Json.Int (Int64.to_int (T.Control.granularity_ns ())) );
-            ] );
-        ("max_semi_words", T.Json.Int (List.fold_left max 0 sizes));
-        ("max_total_heap_words", T.Json.Int !max_total);
-        ("sizes", T.Json.List per_size);
-      ]
-  in
-  let oc = open_out out_path in
-  output_string oc (T.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  printf "wrote %s\n" out_path
-
-(* ------------------------------------------------------------------ *)
 (* PRESSURE: adaptive growth vs a big fixed heap (BENCH_7.json)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -2152,7 +1955,6 @@ let () =
           | "mutator" -> mutator ()
           | "pauses" -> pauses ()
           | "pause-budget" -> pause_budget_bench ()
-          | "copy" -> copy_bench ()
           | "pressure" -> pressure_bench ()
           | "pgo" -> pgo ()
           | "baseline" -> baseline ()

@@ -158,16 +158,15 @@ let print_gc_stats ?placement () =
     (T.Metrics.counter_value "vm.allocations")
     (T.Metrics.counter_value "vm.alloc_words");
   Printf.eprintf "words copied : %.0f\n" (hist_sum "gc.words_copied");
-  (* Copy bandwidth across the whole run, serial or parallel: the
-     gc.copy_words counter and the exact sum of the per-collection copy
-     phase times. *)
+  (* Copy bandwidth across the whole run: the gc.copy_words counter and
+     the exact sum of the per-collection copy phase times. *)
   let copy_words = T.Metrics.counter_value "gc.copy_words" in
   let copy_ns = hist_sum "gc.copy_ns" in
   if copy_ns > 0.0 then
     Printf.eprintf
-      "copy bandwdth: %.1f Mwords/s (%d words in %.0f us copy time, %d workers)\n"
+      "copy bandwdth: %.1f Mwords/s (%d words in %.0f us copy time)\n"
       (float_of_int copy_words /. (copy_ns /. 1e3))
-      copy_words (copy_ns /. 1e3) (Gc.Gc_pool.workers ());
+      copy_words (copy_ns /. 1e3);
   Printf.eprintf "frames traced: %d\n" (T.Metrics.counter_value "gc.frames_traced");
   Printf.eprintf "derived vals : %d un-derived, %d re-derived\n"
     (T.Metrics.counter_value "derived.underived")
@@ -188,25 +187,20 @@ let print_gc_stats ?placement () =
   let resizes = T.Metrics.counter_value "gc_pressure.resizes" in
   let retries = T.Metrics.counter_value "gc_pressure.retries" in
   let emergency = T.Metrics.counter_value "gc_pressure.emergency_full" in
-  let replays = T.Metrics.counter_value "gc_pressure.serial_replays" in
-  if resizes + retries + emergency + replays > 0 then
+  if resizes + retries + emergency > 0 then
     Printf.eprintf
       "gc pressure  : %d resizes (%d words grown, %d shrinks), %d retry \
-       collections, %d emergency full, %d serial replays (%d worker faults, %d \
-       timeouts)\n"
+       collections, %d emergency full\n"
       resizes
       (T.Metrics.counter_value "gc_pressure.grow_words")
       (T.Metrics.counter_value "gc_pressure.shrinks")
-      retries emergency replays
-      (T.Metrics.counter_value "gc_pressure.worker_faults")
-      (T.Metrics.counter_value "gc_pressure.worker_timeouts")
+      retries emergency
 
 let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collector
-    gen incremental pause_budget nursery gc_workers no_barrier_elim no_threaded
+    gen incremental pause_budget nursery no_barrier_elim no_threaded
     gc_stats trace metrics no_decode_cache verify_heap verify_pre profile
     census_every policy pretenure_adaptive fuel =
   if no_decode_cache then Gcmaps.Decode_cache.set_enabled false;
-  (match gc_workers with Some n -> Gc.Gc_pool.set_workers n | None -> ());
   if no_threaded then Vm.Threaded.set_enabled false;
   if verify_heap then Gc.Verify.set_post true;
   if verify_pre then Gc.Verify.set_pre true;
@@ -239,17 +233,6 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
     | "none" -> Driver.Compile.No_gc
     | other -> failwith ("unknown collector " ^ other)
   in
-  (* The parallel copy pool drives the moving collectors' copy phase; the
-     incremental collector marks in place on slices that are serial by
-     design, so extra workers would silently do nothing. Warn instead. *)
-  (if collector = Driver.Compile.Incremental || Gc.Incremental.env_enabled ()
-   then
-     match gc_workers with
-     | Some n when n > 1 ->
-         T.Log.warn_once
-           "--gc-workers > 1 has no effect with the incremental collector: \
-            slices run serially on the mutator; ignoring the worker pool"
-     | _ -> ());
   (* A census is taken where a copying collection ends; the non-moving
      collectors never get there, so the flag would silently do nothing. *)
   let non_moving =
@@ -413,16 +396,6 @@ let nursery =
         ~doc:
           "Nursery size in words for generational mode (default: a quarter \
            semispace, floored at 300 words).")
-let gc_workers =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-workers" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the full-collection copy phase. 1 (the default) \
-           is the exact serial collector; any other count produces the same \
-           heap layout, outputs and errors — the level-synchronized parallel \
-           scan reproduces the serial copy order. Also set by MM_GC_WORKERS.")
 let no_barrier_elim =
   Arg.(
     value & flag
@@ -523,7 +496,7 @@ let cmd =
       ret
         (const run $ file $ optimize $ checks $ no_gc_restrict $ heap $ heap_grow
        $ heap_max $ stack $ collector $ gen $ incremental $ pause_budget $ nursery
-       $ gc_workers $ no_barrier_elim $ no_threaded $ gc_stats $ trace $ metrics
+       $ no_barrier_elim $ no_threaded $ gc_stats $ trace $ metrics
        $ no_decode_cache $ verify_heap $ verify_pre $ profile $ census_every
        $ policy $ pretenure_adaptive $ fuel))
 

@@ -149,9 +149,6 @@ type outcome =
   | Rejected_run (* typed Corrupt_table / Bad_root / other Vm_error mid-run *)
   | Verifier_flagged (* the heap verifier reported violations *)
   | Benign (* ran to completion with the reference output *)
-  | Recovered (* reference output AND the collector degraded at least one
-                 parallel round to the serial replay — the runtime-fault
-                 modes' success class *)
   | Diverged (* ran to completion with different output — silent mis-decode *)
   | Hung (* exceeded the fuel budget *)
   | Crashed of string (* any untyped exception: the bug class this layer removes *)
@@ -161,7 +158,6 @@ let outcome_name = function
   | Rejected_run -> "rejected_run"
   | Verifier_flagged -> "verifier_flagged"
   | Benign -> "benign"
-  | Recovered -> "recovered"
   | Diverged -> "diverged"
   | Hung -> "hung"
   | Crashed _ -> "crashed"
@@ -316,162 +312,74 @@ let sweep_all ?(cross_check = true) ?(targets = default_targets) ~seed ~iteratio
 let total_failures sweeps = List.fold_left (fun a s -> a + List.length s.failures) 0 sweeps
 
 (* ------------------------------------------------------------------ *)
-(* Runtime fault modes: worker raises/stalls, allocation storms        *)
+(* Runtime fault mode: allocation storms                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Where the table-corruption sweeps attack the encoded data, these modes
-   attack the running collector itself: a worker domain that raises in a
-   chosen parallel round, a worker that stalls past the round watchdog
-   deadline, and a forced collection every Nth allocation (an
-   allocation-failure storm). The containment claim under test: every
-   such fault degrades to the byte-identical serial replay — reference
-   output, reference final heap image, verifier clean. *)
+(* Where the table-corruption sweeps attack the encoded data, this mode
+   attacks the running collector itself: a forced collection every Nth
+   allocation (an allocation-failure storm). The claim under test: the
+   extra collections change the collection count but nothing observable —
+   reference output, verifier clean. *)
 
-exception Injected_fault
+type runtime_mode = Alloc_storm of { every : int } (* force a collection every Nth alloc *)
 
-type runtime_mode =
-  | Worker_raise of { round : int } (* a worker raises in parallel round N *)
-  | Worker_stall of { round : int; ms : int } (* ... stalls for [ms] there *)
-  | Alloc_storm of { every : int } (* force a collection every Nth alloc *)
+let runtime_mode_name (Alloc_storm { every }) = Printf.sprintf "alloc-storm(every=%d)" every
 
-let runtime_mode_name = function
-  | Worker_raise { round } -> Printf.sprintf "worker-raise@r%d" round
-  | Worker_stall { round; ms } -> Printf.sprintf "worker-stall@r%d(%dms)" round ms
-  | Alloc_storm { every } -> Printf.sprintf "alloc-storm(every=%d)" every
+(* Arm [mode] against a machine about to run: a storm is a property of
+   the machine. *)
+let arm_runtime (st : Vm.Interp.t) (Alloc_storm { every }) =
+  st.Vm.Interp.alloc_pressure_every <- every
 
-(* Arm [mode] against a machine about to run. The worker faults go
-   through the collector's per-(phase, round, worker) hook: worker 0 is
-   the dispatching mutator thread, so it is never stalled (the watchdog
-   runs on it) and never raised (so the fault always lands in a pool
-   domain). A storm is a property of the machine. *)
-let arm_runtime (st : Vm.Interp.t) = function
-  | Worker_raise { round } ->
-      Gc.Gc_pool.fault_hook :=
-        Some
-          (fun ~phase:_ ~round:r ~worker ->
-            if r = round && worker > 0 then raise Injected_fault)
-  | Worker_stall { round; ms } ->
-      Gc.Gc_pool.fault_hook :=
-        Some
-          (fun ~phase:_ ~round:r ~worker ->
-            if r = round && worker > 0 then Unix.sleepf (float_of_int ms /. 1e3))
-  | Alloc_storm { every } -> st.Vm.Interp.alloc_pressure_every <- every
-
-let disarm_hook () = Gc.Gc_pool.fault_hook := None
-
-(* Reference run with a counting hook: how many parallel rounds does the
-   deepest collection reach? (Counted on worker 0, so no cross-domain
-   writes.) Also yields the reference output and final heap image. *)
-let count_rounds img ~fuel =
-  let seen = ref (-1) in
-  Gc.Gc_pool.fault_hook :=
-    Some (fun ~phase:_ ~round ~worker -> if worker = 0 && round > !seen then seen := round);
-  let st = Vm.Interp.create img in
-  Gc.Cheney.install st;
-  Vm.Interp.run ~fuel st;
-  disarm_hook ();
-  (!seen + 1, Vm.Interp.output st, Vm.Mem.copy st.Vm.Interp.mem)
-
-let run_runtime_case ~reference ~ref_mem ~fuel img mode : outcome =
+let run_runtime_case ~reference ~fuel img mode : outcome =
   let st = Vm.Interp.create img in
   Gc.Cheney.install st;
   arm_runtime st mode;
-  let finish () = disarm_hook () in
   match Vm.Interp.run ~fuel st with
-  | () ->
-      finish ();
-      let out_ok = Vm.Interp.output st = reference in
-      let heap_ok =
-        (* Worker faults must leave the final heap byte-identical to the
-           fault-free run (the serial replay reproduces the layout; a
-           quarantined store is an identical copy). An allocation storm
-           legitimately collects extra times, so only output is compared. *)
-        match ref_mem with
-        | Some m -> Vm.Mem.equal st.Vm.Interp.mem m
-        | None -> true
-      in
-      if not (out_ok && heap_ok) then Diverged
-      else if st.Vm.Interp.gc.Vm.Interp.serial_replays > 0 then Recovered
-      else Benign
+  | () -> if Vm.Interp.output st = reference then Benign else Diverged
   | exception Vm.Vm_error.Error e -> (
-      finish ();
       match e with
       | Vm.Vm_error.Verify_failed _ -> Verifier_flagged
       | Vm.Vm_error.Out_of_fuel _ -> Hung
       | _ -> Rejected_run)
-  | exception Vm.Interp.Guest_error _ ->
-      finish ();
-      Rejected_run
-  | exception e ->
-      finish ();
-      Crashed (Printexc.to_string e)
+  | exception Vm.Interp.Guest_error _ -> Rejected_run
+  | exception e -> Crashed (Printexc.to_string e)
 
-(** Worker-fault-at-every-round sweep over one target, with the
-    post-collection verifier armed: a raise in every parallel round a
-    fault-free run performs, a stall past the watchdog in each of those
-    rounds, and an allocation storm. Expected outcomes are [Recovered]
-    (or [Benign] where a mode never triggers); crash/hang/diverge and
-    verifier flags are failures. *)
-let runtime_sweep ?(workers = 4) ?(stall_ms = 60) ?(deadline_ms = 15)
-    ?(storm_every = 7) (target : target) : sweep =
+(** Allocation-storm sweep over one target, a forced collection every
+    7th allocation with the post-collection verifier armed. The expected
+    outcome is [Benign]; crash, hang, divergence and verifier flags are
+    failures. *)
+let runtime_sweep (target : target) : sweep =
   let options =
     { Driver.Compile.default_options with heap_words = target.t_heap }
   in
   let img = Driver.Compile.compile ~options target.t_source in
-  let w0 = !Gc.Gc_pool.forced_workers
-  and t0 = !Gc.Gc_pool.forced_threshold
-  and d0 = !Gc.Gc_pool.forced_deadline_ms in
-  Gc.Gc_pool.set_workers workers;
-  Gc.Gc_pool.set_par_threshold 2;
-  Gc.Gc_pool.set_deadline_ms deadline_ms;
-  Fun.protect
-    ~finally:(fun () ->
-      disarm_hook ();
-      ignore (Gc.Gc_pool.quiesce ~timeout_s:10.0);
-      Gc.Gc_pool.forced_workers := w0;
-      Gc.Gc_pool.forced_threshold := t0;
-      Gc.Gc_pool.forced_deadline_ms := d0)
-  @@ fun () ->
   with_verifier @@ fun () ->
   let fuel = 200_000_000 in
-  let rounds, reference, ref_mem = count_rounds img ~fuel in
-  let cases =
-    List.init rounds (fun r -> Worker_raise { round = r })
-    @ List.init rounds (fun r -> Worker_stall { round = r; ms = stall_ms })
-    @ [ Alloc_storm { every = storm_every } ]
+  let reference =
+    let st = Vm.Interp.create img in
+    Gc.Cheney.install st;
+    Vm.Interp.run ~fuel st;
+    Vm.Interp.output st
   in
-  let counts = Hashtbl.create 8 in
-  let bump o = Hashtbl.replace counts o (1 + try Hashtbl.find counts o with Not_found -> 0) in
-  let failures = ref [] in
-  List.iter
-    (fun mode ->
-      let ref_mem =
-        match mode with Alloc_storm _ -> None | _ -> Some ref_mem
-      in
-      let outcome = run_runtime_case ~reference ~ref_mem ~fuel img mode in
-      (* A stalled worker outlives its round by design; wait for it to
-         retire so the next case starts on a healthy pool. *)
-      (match mode with
-      | Worker_stall _ -> ignore (Gc.Gc_pool.quiesce ~timeout_s:10.0)
-      | _ -> ());
-      bump (outcome_name outcome);
-      match outcome with
-      | Crashed _ | Hung | Diverged | Verifier_flagged ->
-          failures := { mutation = runtime_mode_name mode; outcome } :: !failures
-      | _ -> ())
-    cases;
+  let mode = Alloc_storm { every = 7 } in
+  let outcome = run_runtime_case ~reference ~fuel img mode in
+  let failures =
+    match outcome with
+    | Crashed _ | Hung | Diverged | Verifier_flagged ->
+        [ { mutation = runtime_mode_name mode; outcome } ]
+    | _ -> []
+  in
   {
     program = target.t_name;
-    config = Printf.sprintf "runtime(workers=%d)" workers;
-    iterations = List.length cases;
-    counts = Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [];
-    failures = List.rev !failures;
+    config = "runtime";
+    iterations = 1;
+    counts = [ (outcome_name outcome, 1) ];
+    failures;
   }
 
-(** The runtime-fault matrix over the default targets. *)
-let runtime_sweep_all ?workers ?stall_ms ?deadline_ms ?storm_every
-    ?(targets = default_targets) () : sweep list =
-  List.map (runtime_sweep ?workers ?stall_ms ?deadline_ms ?storm_every) targets
+(** The allocation-storm sweep over the default targets. *)
+let runtime_sweep_all ?(targets = default_targets) () : sweep list =
+  List.map runtime_sweep targets
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-collector interleaving faults                           *)

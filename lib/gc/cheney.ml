@@ -38,24 +38,18 @@ let h_major_pause = T.Metrics.histogram "gc.major_pause_ns"
 let h_major_words = T.Metrics.histogram "gc.major_words"
 let h_is_minor = T.Metrics.histogram "gc.is_minor"
 
-(* Fault-containment accounting (the Gc_pressure telemetry group). *)
-let c_serial_replays = T.Metrics.counter "gc_pressure.serial_replays"
-let c_worker_faults = T.Metrics.counter "gc_pressure.worker_faults"
-let c_worker_timeouts = T.Metrics.counter "gc_pressure.worker_timeouts"
-
 (* The copier is parametric in its source and destination regions so the
    same forwarding and scanning machinery serves both a full collection
    (source = from-space, destination = to-space) and a minor one (source =
    the nursery, destination = the old-generation frontier within the same
    semispace — see {!Nursery}). It caches what the evacuation loop reads
    per object: the store, the image's flat layout table and the profiler.
-   The store is the one thing that can change under it — a parallel round
-   that times out quarantines the store ({!scan_parallel}) and refreshes
-   [mem]. Evacuated objects are counted in [copied]; the collector adds
-   the count to the machine's counters once per collection. *)
+   Nothing replaces the store during a collection, so [mem] is fixed.
+   Evacuated objects are counted in [copied]; the collector adds the
+   count to the machine's counters once per collection. *)
 type copier = {
   st : Vm.Interp.t;
-  mutable mem : Vm.Mem.t; (* [st.mem] *)
+  mem : Vm.Mem.t; (* [st.mem] *)
   sizes : int array; (* the image's layout table *)
   offsets : int array array;
   prof : Profile.t option;
@@ -215,271 +209,6 @@ let scan_placed c addr ~hi =
        ~hi:(min hi c.dst_lo) ~region:"the old generation");
   scan_object c addr
 
-(* ------------------------------------------------------------------ *)
-(* Parallel scan                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The scan frontier is processed in level-synchronized rounds: round k
-   scans exactly the objects evacuated by round k-1 (round 0 scans the
-   objects the root pass evacuated). Because the serial Cheney queue is
-   FIFO, every level occupies a contiguous to-space range and the serial
-   scan finishes level k before touching level k+1 — so a round-based scan
-   that assigns destination addresses in the serial discovery order
-   (frontier order × field order) reproduces the serial to-space layout
-   word for word, for any worker count. Each wide round runs three phases:
-
-     A (parallel) — workers claim fixed chunks of the frontier off an
-       atomic cursor and classify every pointer field: targets already
-       forwarded before this round are patched immediately (their
-       destination is already fixed, so the write is deterministic and
-       owned by this chunk); the rest are recorded as (field, target)
-       pairs in per-chunk buffers.
-     B (serial) — the recorded pairs are replayed in chunk × entry order:
-       duplicates (targets forwarded earlier in this round) get the
-       existing forwarding pointer; fresh targets are validated with
-       exactly {!forward}'s checks and error messages, assigned the next
-       bump address, and their original header is stashed — installing the
-       forwarding pointer overwrites it before phase C copies the body.
-       This is the only phase that moves [to_alloc], so the layout matches
-       the serial collector's exactly.
-     C (parallel) — workers blit the recorded bodies into to-space and
-       write the stashed headers; the destination ranges are disjoint by
-       construction, and no body word overlaps a phase-B write (the only
-       from-space words B writes are headers, which C does not read).
-
-   Rounds narrower than {!Gc_pool.par_threshold} (e.g. every round of a
-   linked-list heap) run the fused serial scan instead — no dispatch, no
-   buffers — so parallelism only engages where it can pay. All
-   cross-domain visibility is through {!Gc_pool.run_guarded}'s mutex
-   handshake.
-
-   Fault containment: the parallel phases are dispatched guarded. If a
-   worker raises, or misses the per-round watchdog deadline, the round is
-   abandoned and replayed serially — which is sound because a failed
-   phase A has only performed idempotent same-value patches of fields
-   whose targets were forwarded in earlier rounds (phase B, the only
-   mover of [to_alloc], has not run), and a failed phase C rewrites are
-   redone in full (every C write is a deterministic function of phase B's
-   committed records). On a timeout the stalled worker is still live and
-   may keep writing, so the store is first {e quarantined}
-   ({!Vm.Interp.quarantine_store}: the store is replaced by an identical
-   copy, so the straggler's late writes land in an unreachable buffer —
-   and any writes it made before the copy are same-value, so either
-   snapshot order is the same heap), and the rest of the collection stays
-   serial because the pool refuses dispatch until the straggler retires.
-   Either way the result is byte-identical to the serial collector. *)
-
-(* Minimal growable int buffer (frontiers, phase buffers, copy records). *)
-type ibuf = { mutable ib : int array; mutable in_ : int }
-
-let ibuf_make cap = { ib = Array.make cap 0; in_ = 0 }
-
-let[@inline] ibuf_push b v =
-  if b.in_ = Array.length b.ib then begin
-    let bigger = Array.make (2 * Array.length b.ib) 0 in
-    Array.blit b.ib 0 bigger 0 b.in_;
-    b.ib <- bigger
-  end;
-  b.ib.(b.in_) <- v;
-  b.in_ <- b.in_ + 1
-
-let scan_parallel c ~workers =
-  let image = c.st.Vm.Interp.image in
-  let threshold = Gc_pool.par_threshold () in
-  let deadline = Gc_pool.deadline_ns () in
-  let cur = ref (ibuf_make 1024) and nxt = ref (ibuf_make 1024) in
-  (* Round 0's frontier: whatever the root pass already evacuated. *)
-  let seed = ref c.dst_lo in
-  while !seed < c.to_alloc do
-    ibuf_push !cur !seed;
-    seed := !seed + Vm.Image.object_words image c.mem !seed
-  done;
-  let bufs = ref [||] and buf_lens = ref [||] in
-  let copies = ibuf_make 4096 in
-  let round = ref (-1) in
-  let degraded = ref false in
-  (* A guarded phase failed: count it, warn once, and on a timeout
-     quarantine the store (the straggler may still be writing into the
-     old one) and keep the rest of this collection serial — the pool
-     refuses dispatch until the straggler retires anyway. *)
-  let note_degrade status phase =
-    c.st.Vm.Interp.gc.Vm.Interp.serial_replays <-
-      c.st.Vm.Interp.gc.Vm.Interp.serial_replays + 1;
-    T.Metrics.incr c_serial_replays;
-    match status with
-    | Gc_pool.Fault e ->
-        T.Metrics.incr c_worker_faults;
-        T.Log.warn_once
-          "gc: worker fault in parallel phase %s (%s); round replayed serially"
-          phase (Printexc.to_string e)
-    | _ ->
-        (* Timeout *)
-        T.Metrics.incr c_worker_timeouts;
-        degraded := true;
-        Vm.Interp.quarantine_store c.st;
-        c.mem <- c.st.Vm.Interp.mem;
-        T.Log.warn_once
-          "gc: worker missed the round deadline in phase %s; store quarantined, collection degraded to serial"
-          phase
-  in
-  while !cur.in_ > 0 do
-    incr round;
-    let frontier = !cur in
-    let n = frontier.in_ in
-    !nxt.in_ <- 0;
-    (* Fused serial scan of this round's frontier, then a walk of the
-       region it evacuated to build the next frontier. Runs narrow
-       rounds, degraded (post-timeout) collections, and the replay of a
-       round whose phase A was abandoned: replay is sound because an
-       abandoned phase A has only patched fields whose targets were
-       forwarded in earlier rounds — idempotent, and [scan_object] skips
-       them (they no longer point into from-space) — while phase B, the
-       only mover of [to_alloc], never ran. *)
-    let serial_round () =
-      let lo = c.to_alloc in
-      for i = 0 to n - 1 do
-        ignore (scan_object c frontier.ib.(i))
-      done;
-      let a = ref lo in
-      while !a < c.to_alloc do
-        ibuf_push !nxt !a;
-        a := !a + Vm.Image.object_words image c.mem !a
-      done
-    in
-    if n < threshold || !degraded then serial_round ()
-    else begin
-      let mem = c.mem in
-      let r = !round in
-      let chunk = max 32 (n / (workers * 4)) in
-      let nchunks = (n + chunk - 1) / chunk in
-      if Array.length !bufs < nchunks then begin
-        bufs := Array.make nchunks [||];
-        buf_lens := Array.make nchunks 0
-      end;
-      let bufs = !bufs and buf_lens = !buf_lens in
-      let alloc0 = c.to_alloc in
-      let src_lo = c.src_lo and src_hi = c.src_hi and dst_lo = c.dst_lo in
-      (* --- phase A: classify fields, chunk-parallel (guarded). --- *)
-      let cursor = Atomic.make 0 in
-      let status_a =
-        Gc_pool.run_guarded ~workers ~deadline_ns:deadline (fun w ->
-          (match !Gc_pool.fault_hook with
-          | Some h -> h ~phase:"A" ~round:r ~worker:w
-          | None -> ());
-          let visit local a =
-            let v = Vm.Mem.unsafe_get mem a in
-            if v >= src_lo && v < src_hi then begin
-              let h = Vm.Mem.unsafe_get mem v in
-              if h >= dst_lo && h < alloc0 then Vm.Mem.unsafe_set mem a h
-              else begin
-                ibuf_push local a;
-                ibuf_push local v
-              end
-            end
-          in
-          let rec claim () =
-            let k = Atomic.fetch_and_add cursor 1 in
-            if k < nchunks then begin
-              let local = ibuf_make 256 in
-              let hi = min n ((k + 1) * chunk) in
-              for i = k * chunk to hi - 1 do
-                Vm.Image.iter_ptr_fields image mem frontier.ib.(i) (visit local)
-              done;
-              bufs.(k) <- local.ib;
-              buf_lens.(k) <- local.in_;
-              claim ()
-            end
-          in
-          claim ())
-      in
-      match status_a with
-      | Gc_pool.Fault _ | Gc_pool.Timeout ->
-          note_degrade status_a "A";
-          serial_round ()
-      | Gc_pool.Done ->
-      (* --- phase B: forward in serial discovery order. --- *)
-      copies.in_ <- 0;
-      for k = 0 to nchunks - 1 do
-        let b = bufs.(k) and bn = buf_lens.(k) in
-        let i = ref 0 in
-        while !i < bn do
-          let a = b.(!i) and v = b.(!i + 1) in
-          i := !i + 2;
-          let header = Vm.Mem.unsafe_get mem v in
-          if forwarded c header then Vm.Mem.unsafe_set mem a header
-          else begin
-            let size = evacuation_size c v header in
-            let dst = c.to_alloc in
-            c.to_alloc <- dst + size;
-            Vm.Mem.unsafe_set mem v dst (* forwarding pointer *);
-            Vm.Mem.unsafe_set mem a dst;
-            ibuf_push copies v;
-            ibuf_push copies dst;
-            ibuf_push copies size;
-            ibuf_push copies header;
-            ibuf_push !nxt dst;
-            c.copied <- c.copied + 1;
-            match c.prof with
-            | Some p -> Profile.on_copy p ~src:v ~dst ~words:size
-            | None -> ()
-          end
-        done
-      done;
-      (* --- phase C: copy the bodies, chunk-parallel (guarded). --- *)
-      let ncopies = copies.in_ / 4 in
-      if ncopies > 0 then begin
-        let carr = copies.ib in
-        let cchunk = max 8 (ncopies / (workers * 4)) in
-        let ncchunks = (ncopies + cchunk - 1) / cchunk in
-        let ccursor = Atomic.make 0 in
-        let status_c =
-          Gc_pool.run_guarded ~workers ~deadline_ns:deadline (fun w ->
-              (match !Gc_pool.fault_hook with
-              | Some h -> h ~phase:"C" ~round:r ~worker:w
-              | None -> ());
-              let rec claim () =
-                let k = Atomic.fetch_and_add ccursor 1 in
-                if k < ncchunks then begin
-                  let hi = min ncopies ((k + 1) * cchunk) in
-                  for i = k * cchunk to hi - 1 do
-                    let src = carr.(4 * i)
-                    and dst = carr.((4 * i) + 1)
-                    and size = carr.((4 * i) + 2)
-                    and header = carr.((4 * i) + 3) in
-                    Vm.Mem.unsafe_set mem dst header;
-                    if size > 1 then
-                      Vm.Mem.blit mem ~src:(src + 1) ~dst:(dst + 1) ~len:(size - 1)
-                  done;
-                  claim ()
-                end
-              in
-              claim ())
-        in
-        match status_c with
-        | Gc_pool.Done -> ()
-        | s ->
-            note_degrade s "C";
-            (* Redo every copy serially on the (possibly quarantined)
-               store: each phase-C write is a pure function of phase B's
-               committed records, so the redo is idempotent whether the
-               abandoned workers finished none, some or all of it. *)
-            let mem = c.mem in
-            for i = 0 to ncopies - 1 do
-              let src = carr.(4 * i)
-              and dst = carr.((4 * i) + 1)
-              and size = carr.((4 * i) + 2)
-              and header = carr.((4 * i) + 3) in
-              Vm.Mem.unsafe_set mem dst header;
-              if size > 1 then
-                Vm.Mem.blit mem ~src:(src + 1) ~dst:(dst + 1) ~len:(size - 1)
-            done
-      end
-    end;
-    let tmp = !cur in
-    cur := !nxt;
-    nxt := tmp
-  done
-
 (* Forward the tidy roots of one frame: stack-pointer table entries and
    register-pointer table entries (through the reconstruction map). *)
 let forward_frame_roots c (fr : Stackwalk.frame) =
@@ -551,11 +280,7 @@ let collect (st : Vm.Interp.t) ~needed =
   List.iter (forward_frame_roots c) frames;
   let t_roots1 = now_ns () in
   T.Trace.end_span ();
-  (* Cheney scan: the exact serial loop at 1 worker, the level-synchronized
-     parallel rounds otherwise — same layout, outputs and errors either
-     way (see {!scan_parallel}). *)
-  let workers = Gc_pool.workers () in
-  if workers <= 1 then scan_from c c.dst_lo else scan_parallel c ~workers;
+  scan_from c c.dst_lo;
   gcs.Vm.Interp.objects_copied <- gcs.Vm.Interp.objects_copied + c.copied;
   T.Metrics.incr ~by:c.copied c_objects;
   let t_copy1 = now_ns () in

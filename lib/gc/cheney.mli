@@ -19,7 +19,7 @@
     lie inside the store. *)
 type copier = private {
   st : Vm.Interp.t;
-  mutable mem : Vm.Mem.t; (* [st.mem], refreshed if a parallel round quarantines it *)
+  mem : Vm.Mem.t; (* [st.mem]; nothing replaces the store mid-collection *)
   sizes : int array; (* the image's flat layout table *)
   offsets : int array array;
   prof : Profile.t option;

@@ -13,9 +13,9 @@
     [on_alloc] hook to know object boundaries, standing in for the
     allocator metadata a real conservative collector keeps. *)
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 module T = Telemetry
+
+let now_ns = T.Control.now_ns
 
 let c_collections = T.Metrics.counter "gc.collections"
 let h_pause = T.Metrics.histogram "gc.pause_ns"

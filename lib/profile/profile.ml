@@ -315,9 +315,8 @@ let to_json t : J.t =
             ("minor", hist_json "gc.minor_pause_ns");
             ("full", hist_json "gc.major_pause_ns");
           ] );
-      (* Copy-phase totals (serial and parallel paths both feed them): the
-         gc.copy_words counter, the exact gc.copy_ns histogram sum, and the
-         bandwidth they imply. *)
+      (* Copy-phase totals: the gc.copy_words counter, the exact
+         gc.copy_ns histogram sum, and the bandwidth they imply. *)
       ( "copy",
         let words = Telemetry.Metrics.counter_value "gc.copy_words" in
         let ns =

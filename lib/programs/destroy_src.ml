@@ -15,8 +15,7 @@ let gen ~intballast ~intchunk ~ballast ~branch ~depth ~replace_depth ~iterations
      [intballast] (likewise spliced only when nonzero) anchors a list of
      [intballast] open INTEGER arrays of [intchunk] words each: a long-lived
      population with almost no pointer fields, so a full collection spends
-     its time block-copying array bodies rather than chasing edges — the
-     blit-dominated heap the parallel-copy bandwidth bench needs. *)
+     its time block-copying array bodies rather than chasing edges. *)
   let ballast_type =
     if ballast = 0 then ""
     else
@@ -43,9 +42,7 @@ let gen ~intballast ~intchunk ~ballast ~branch ~depth ~replace_depth ~iterations
   in
   let intballast_var = if intballast = 0 then "" else "\n  iballast: IntTab;" in
   (* Anchored through one pointer array, not a list: the copying scan
-     discovers every chunk from a single object, so a level-synchronized
-     parallel copy sees the whole population as one wide frontier instead
-     of a pointer chain it must walk a link at a time. *)
+     discovers every chunk from a single object. *)
   let intballast_proc =
     if intballast = 0 then ""
     else
@@ -162,7 +159,7 @@ let make_ballast ~ballast ~branch ~depth ~replace_depth ~iterations =
   gen ~intballast:0 ~intchunk:0 ~ballast ~branch ~depth ~replace_depth ~iterations
 
 (** [make] plus [intballast] live open INTEGER arrays of [intchunk] words
-    each — the blit-dominated long-lived heap for the parallel-copy bench. *)
+    each — a blit-dominated long-lived heap, as the pressure bench uses. *)
 let make_intballast ~intballast ~intchunk ~branch ~depth ~replace_depth ~iterations =
   gen ~intballast ~intchunk ~ballast:0 ~branch ~depth ~replace_depth ~iterations
 

@@ -21,8 +21,8 @@ let with_enabled f =
   Fun.protect ~finally:(fun () -> enabled := prev) f
 
 (** Monotonic clock in nanoseconds ([CLOCK_MONOTONIC] via bechamel's
-    noalloc C stub). The previous [Unix.gettimeofday]-derived source
-    bottomed out at microsecond granularity rounded through a float, which
+    noalloc C stub). The previous source, the Unix wall clock, bottomed
+    out at microsecond granularity rounded through a float, which
     quantized short GC pauses to multiples of hundreds of nanoseconds and
     reported minima of 0. All collectors and timers read this one clock so
     the numbers stay directly comparable. *)

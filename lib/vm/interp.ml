@@ -45,7 +45,6 @@ type gc_stats = {
   mutable minor_collections : int; (* generational mode only *)
   mutable resizes : int; (* adaptive-heap grow/shrink events *)
   mutable emergency_full : int; (* full collections forced by promotion failure *)
-  mutable serial_replays : int; (* parallel rounds abandoned and replayed serially *)
 }
 
 (** Generational-mode heap state (installed by [Gc.Nursery]). The current
@@ -266,7 +265,6 @@ let create (image : Image.t) : t =
         minor_collections = 0;
         resizes = 0;
         emergency_full = 0;
-        serial_replays = 0;
       };
   }
 
@@ -389,12 +387,6 @@ let retarget_semi t words =
   store_need t (t.from_base + words);
   place_to_space t words;
   compact_store t
-
-(** Replace the store with a fresh identical copy. Containment device for
-    a timed-out collector worker (see {!Gc.Gc_pool}): the stalled domain
-    still holds the old store and may scribble late same-value writes into
-    it; after the swap those writes land in an unreachable buffer. *)
-let quarantine_store t = t.mem <- Mem.realloc t.mem (Mem.length t.mem)
 
 let grow_high_pct = 65 (* grow when live > 65% of a semispace post-collection *)
 let shrink_low_pct = 20 (* shrink when live < 20% (and above the initial size) *)

@@ -1,13 +1,10 @@
 (** The flat word store backing the UVM memory.
 
-    The machine's memory used to be a plain OCaml [int array]; at the heap
-    sizes the parallel collector targets (hundreds of megawords) that puts
-    gigabytes on the host runtime's heap, where the host GC scans and the
-    allocator fragments it. A [Bigarray.Array1] of native ints is flat,
-    off the host heap entirely (the host GC never walks it), and shared
-    freely across domains — exactly what the parallel Cheney copy needs:
-    collector worker domains blit disjoint regions of one store without
-    any host-GC coordination.
+    The machine's memory used to be a plain OCaml [int array]; at large
+    heap sizes (hundreds of megawords) that puts gigabytes on the host
+    runtime's heap, where the host GC scans and the allocator fragments
+    it. A [Bigarray.Array1] of native ints is flat and off the host heap
+    entirely: the host GC never walks it.
 
     The hot accessors ([unsafe_get]/[unsafe_set]) compile to single loads
     and stores in their callers only when this module is built without

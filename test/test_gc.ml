@@ -347,152 +347,6 @@ let test_table_scheme_configurations () =
       check Alcotest.bool (name ^ " collected") true (r.Driver.Compile.collections > 0))
     Gcmaps.Table_stats.configs
 
-(* ------------------------------------------------------------------ *)
-(* Parallel copy: worker-count independence                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Pin the copy-phase worker count and round threshold for [f], restoring
-   both afterwards. The threshold drops to 2 so the small test heaps
-   actually route their frontier rounds through the three-phase parallel
-   machinery — the production default of 512 objects would leave heaps
-   this size entirely on the serial fast path and the sweep would test
-   nothing. *)
-let with_copy_workers ?(threshold = 2) n f =
-  let w0 = !Gc.Gc_pool.forced_workers and t0 = !Gc.Gc_pool.forced_threshold in
-  Gc.Gc_pool.set_workers n;
-  Gc.Gc_pool.set_par_threshold threshold;
-  Fun.protect
-    ~finally:(fun () ->
-      Gc.Gc_pool.forced_workers := w0;
-      Gc.Gc_pool.forced_threshold := t0)
-    f
-
-type snapshot = {
-  sn_output : string;
-  sn_collections : int;
-  sn_words : int;
-  sn_objects : int;
-  sn_mem : Vm.Mem.t;
-  sn_regs : int array;
-}
-
-let snapshot ~gen ~workers img =
-  with_copy_workers workers (fun () ->
-      let st = Vm.Interp.create img in
-      if gen then Gc.Nursery.install st else Gc.Cheney.install st;
-      Vm.Interp.run st;
-      {
-        sn_output = Vm.Interp.output st;
-        sn_collections = st.Vm.Interp.gc.Vm.Interp.collections;
-        sn_words = st.Vm.Interp.gc.Vm.Interp.words_copied;
-        sn_objects = st.Vm.Interp.gc.Vm.Interp.objects_copied;
-        sn_mem = Vm.Mem.copy st.Vm.Interp.mem;
-        sn_regs = Array.copy st.Vm.Interp.regs;
-      })
-
-let same_snapshot what (a : snapshot) (b : snapshot) =
-  check Alcotest.string (what ^ ": output") a.sn_output b.sn_output;
-  check Alcotest.int (what ^ ": collections") a.sn_collections b.sn_collections;
-  check Alcotest.int (what ^ ": words copied") a.sn_words b.sn_words;
-  check Alcotest.int (what ^ ": objects copied") a.sn_objects b.sn_objects;
-  check Alcotest.bool (what ^ ": final registers") true (a.sn_regs = b.sn_regs);
-  check Alcotest.bool (what ^ ": final heap image") true
-    (Vm.Mem.equal a.sn_mem b.sn_mem)
-
-let test_worker_sweep () =
-  (* {1,2,4} workers x {flat, gen} over collection-heavy scenarios: every
-     observable — output, collection count, copy totals, final registers
-     and the final heap image, word for word — must match the serial
-     collector exactly, with the post-collection verifier armed for every
-     run. *)
-  let post0 = Gc.Verify.post_enabled () in
-  Gc.Verify.set_post true;
-  Fun.protect
-    ~finally:(fun () -> Gc.Verify.set_post post0)
-    (fun () ->
-      List.iter
-        (fun (name, src, heap) ->
-          let img =
-            Driver.Compile.compile
-              ~options:{ Driver.Compile.default_options with heap_words = heap }
-              src
-          in
-          List.iter
-            (fun gen ->
-              let mode = if gen then "gen" else "flat" in
-              let serial = snapshot ~gen ~workers:1 img in
-              check Alcotest.bool
-                (Printf.sprintf "%s/%s: serial baseline collected" name mode)
-                true (serial.sn_collections > 0);
-              List.iter
-                (fun w ->
-                  let par = snapshot ~gen ~workers:w img in
-                  same_snapshot
-                    (Printf.sprintf "%s/%s workers=%d" name mode w)
-                    serial par)
-                [ 2; 4 ])
-            [ false; true ])
-        [
-          ("churn", churn_src, 400);
-          ("deep", deep_src, 700);
-          ( "destroy",
-            Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2
-              ~iterations:120,
-            4000 );
-        ])
-
-(* Single evacuation, as a property: if some object were copied twice (a
-   race between claimants), either two to-space copies exist — words and
-   object counts diverge from the serial collector — or a from-space
-   pointer survives and the armed verifier trips. Equality of every
-   observable with workers=1 therefore certifies exactly-once evacuation
-   on top of determinism. *)
-let prop_single_evacuation =
-  let gen =
-    QCheck.Gen.(
-      let* branch = int_range 2 3 in
-      let* depth = int_range 2 4 in
-      let* replace_depth = int_range 1 depth in
-      let* iterations = int_range 5 30 in
-      let* heap = int_range 2500 8000 in
-      let* gen_mode = bool in
-      return (branch, depth, replace_depth, iterations, heap, gen_mode))
-  in
-  QCheck.Test.make
-    ~name:"parallel copy evacuates each object exactly once" ~count:20
-    (QCheck.make
-       ~print:(fun (b, d, r, i, h, g) ->
-         Printf.sprintf "destroy b=%d d=%d r=%d i=%d h=%d gen=%b" b d r i h g)
-       gen)
-    (fun (branch, depth, replace_depth, iterations, heap, gen_mode) ->
-      let src = Programs.Destroy_src.make ~branch ~depth ~replace_depth ~iterations in
-      let img =
-        Driver.Compile.compile
-          ~options:{ Driver.Compile.default_options with heap_words = heap }
-          src
-      in
-      let post0 = Gc.Verify.post_enabled () in
-      Gc.Verify.set_post true;
-      Fun.protect
-        ~finally:(fun () -> Gc.Verify.set_post post0)
-        (fun () ->
-          (* Exhaustion on an aggressive parameterization is legitimate,
-             but then every worker count must exhaust identically. *)
-          let snap workers =
-            try Some (snapshot ~gen:gen_mode ~workers img)
-            with Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _) -> None
-          in
-          match (snap 1, snap 4) with
-          | None, None -> true
-          | Some a, Some b ->
-              a.sn_output = b.sn_output
-              && a.sn_collections = b.sn_collections
-              && a.sn_words = b.sn_words
-              && a.sn_objects = b.sn_objects
-              && a.sn_regs = b.sn_regs
-              && Vm.Mem.equal a.sn_mem b.sn_mem
-          | _ -> false))
-
 (* The bad-root cases corrupt the heap on purpose; an ambient
    MM_VERIFY_PRE/MM_VERIFY_HEAP would report that corruption first. *)
 let without_verifier f =
@@ -507,9 +361,8 @@ let without_verifier f =
       f ())
 
 (* Forward's four bad roots, each reached through a pointer field of a
-   live object so the same corruption is met by the serial scan and, with
-   two workers and a threshold of one, by phase B of the parallel round.
-   The fake object sits inside a live INTEGER array's elements: those
+   live object, so the corruption is met by the Cheney scan. The fake
+   object sits inside a live INTEGER array's elements: those
    words are copied as data, so any header and length can be planted
    there, and the array itself is copied before the scan reaches the
    fake, so the destination has less room left than the source. *)
@@ -563,40 +416,34 @@ let test_forward_bad_roots () =
   without_verifier (fun () ->
       List.iter
         (fun (what, plant) ->
-          List.iter
-            (fun workers ->
-              let label = Printf.sprintf "%s, %d worker(s)" what workers in
-              let st = Vm.Interp.create img in
-              Gc.Cheney.install st;
-              let expected = ref None in
-              st.Vm.Interp.collector <-
-                Some
-                  (fun s ~needed ->
-                    let mem = s.Vm.Interp.mem in
-                    let roots = List.map (Vm.Mem.get mem) img.Vm.Image.global_roots in
-                    let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
-                    let keep = List.find (fun o -> o <> arr) roots in
-                    let fake = arr + Rt.Typedesc.open_header_words in
-                    let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.from_words in
-                    let value, reason = plant mem ~src_hi fake in
-                    let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
-                    Vm.Mem.set mem (keep + next) fake;
-                    expected :=
-                      Some
-                        (Vm.Vm_error.Bad_root
-                           { loc = Printf.sprintf "from-space word %d" fake; value; reason });
-                    Gc.Cheney.collect s ~needed);
-              match
-                with_copy_workers ~threshold:1 workers (fun () -> Vm.Interp.run st)
-              with
-              | () -> Alcotest.failf "%s: the run finished without a bad root" label
-              | exception Vm.Vm_error.Error e ->
-                  check Alcotest.string label
-                    (Vm.Vm_error.to_string (Option.get !expected))
-                    (Vm.Vm_error.to_string e);
-                  check Alcotest.bool (label ^ ": exact error value") true
-                    (Some e = !expected))
-            [ 1; 2 ])
+          let st = Vm.Interp.create img in
+          Gc.Cheney.install st;
+          let expected = ref None in
+          st.Vm.Interp.collector <-
+            Some
+              (fun s ~needed ->
+                let mem = s.Vm.Interp.mem in
+                let roots = List.map (Vm.Mem.get mem) img.Vm.Image.global_roots in
+                let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
+                let keep = List.find (fun o -> o <> arr) roots in
+                let fake = arr + Rt.Typedesc.open_header_words in
+                let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.from_words in
+                let value, reason = plant mem ~src_hi fake in
+                let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
+                Vm.Mem.set mem (keep + next) fake;
+                expected :=
+                  Some
+                    (Vm.Vm_error.Bad_root
+                       { loc = Printf.sprintf "from-space word %d" fake; value; reason });
+                Gc.Cheney.collect s ~needed);
+          match Vm.Interp.run st with
+          | () -> Alcotest.failf "%s: the run finished without a bad root" what
+          | exception Vm.Vm_error.Error e ->
+              check Alcotest.string what
+                (Vm.Vm_error.to_string (Option.get !expected))
+                (Vm.Vm_error.to_string e);
+              check Alcotest.bool (what ^ ": exact error value") true
+                (Some e = !expected))
         cases)
 
 (* A minor collection scans the objects placed in the old generation in
@@ -680,13 +527,6 @@ let () =
           Alcotest.test_case "noalloc analysis safe" `Quick test_noalloc_configuration_safe;
           Alcotest.test_case "all table schemes" `Quick test_table_scheme_configurations;
           Alcotest.test_case "placed objects' bad headers" `Quick test_placed_bad_headers;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "worker sweep {1,2,4} x {flat,gen}" `Quick
-            test_worker_sweep;
-          QCheck_alcotest.to_alcotest prop_single_evacuation;
-          Alcotest.test_case "forward's bad roots, serial and phase B" `Quick
-            test_forward_bad_roots;
+          Alcotest.test_case "forward's bad roots" `Quick test_forward_bad_roots;
         ] );
     ]

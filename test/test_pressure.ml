@@ -1,8 +1,8 @@
 (* Memory-pressure regression suite: adaptive heap growth must be
    observationally invisible (output, icount, final heap image) across
-   collectors, execution engines and gc worker counts; injected worker
-   faults must be contained by the serial round replay; and each runtime
-   failure class must keep its distinct typed exit code. *)
+   collectors and execution engines; allocation storms must change
+   nothing observable; and each runtime failure class must keep its
+   distinct typed exit code. *)
 
 module D = Driver.Compile
 module I = Vm.Interp
@@ -80,16 +80,6 @@ let run_cell ?(storm = 0) ~gen ~threaded ~heap ~grow src : cell =
     mem = st.I.mem;
   }
 
-let with_pool ~workers f =
-  let w0 = !Gc.Gc_pool.forced_workers and t0 = !Gc.Gc_pool.forced_threshold in
-  Gc.Gc_pool.set_workers workers;
-  Gc.Gc_pool.set_par_threshold 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Gc.Gc_pool.forced_workers := w0;
-      Gc.Gc_pool.forced_threshold := t0)
-    f
-
 let with_post_verifier f =
   let post0 = Gc.Verify.post_enabled () in
   Gc.Verify.set_post true;
@@ -97,11 +87,11 @@ let with_post_verifier f =
 
 (* ------------------------------------------------------------------ *)
 (* The growth-equivalence property: {tiny heap + growth} × {flat, gen}
-   × {switch, threaded} × workers {1, 4} all agree with the big
-   fixed-heap reference on output and icount; flat cells additionally
-   agree on the collection count (eager pre-collection growth reproduces
-   the big heap's collection points exactly) and on the byte-identical
-   final store across engines and worker counts.                        *)
+   × {switch, threaded} all agree with the big fixed-heap reference on
+   output and icount; flat cells additionally agree on the collection
+   count (eager pre-collection growth reproduces the big heap's
+   collection points exactly), and every mode's final store is
+   byte-identical across engines.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let check_matrix src =
@@ -110,26 +100,18 @@ let check_matrix src =
       let cells =
         List.concat_map
           (fun gen ->
-            List.concat_map
+            List.map
               (fun threaded ->
-                List.map
-                  (fun workers ->
-                    let c =
-                      with_pool ~workers (fun () ->
-                          run_cell ~gen ~threaded ~heap:tiny_heap ~grow:true src)
-                    in
-                    ((gen, threaded, workers), c))
-                  [ 1; 4 ])
+                ((gen, threaded), run_cell ~gen ~threaded ~heap:tiny_heap ~grow:true src))
               [ false; true ])
           [ false; true ]
       in
       List.iter
-        (fun ((gen, threaded, workers), c) ->
+        (fun ((gen, threaded), c) ->
           let tag =
-            Printf.sprintf "%s/%s/w%d"
+            Printf.sprintf "%s/%s"
               (if gen then "gen" else "flat")
               (if threaded then "threaded" else "switch")
-              workers
           in
           if c.out <> reference.out then
             Alcotest.failf "%s: output diverged under growth" tag;
@@ -140,21 +122,18 @@ let check_matrix src =
             Alcotest.failf "%s: collections %d <> reference %d (eager growth)"
               tag c.collections reference.collections)
         cells;
-      (* Engines and worker counts must not leave a trace in the store:
-         within a collector mode every cell's final image is one byte
-         pattern. *)
+      (* Engines must not leave a trace in the store: within a collector
+         mode every cell's final image is one byte pattern. *)
       List.iter
         (fun gen ->
-          match List.filter (fun ((g, _, _), _) -> g = gen) cells with
-        | ((_, base) :: rest : ((bool * bool * int) * cell) list) ->
+          match List.filter (fun ((g, _), _) -> g = gen) cells with
+          | ((_, base) :: rest : ((bool * bool) * cell) list) ->
               List.iter
-                (fun ((_, t, w), c) ->
+                (fun ((_, t), c) ->
                   if not (Vm.Mem.equal base.mem c.mem) then
-                    Alcotest.failf
-                      "%s/%s/w%d: final store differs within mode"
+                    Alcotest.failf "%s/%s: final store differs within mode"
                       (if gen then "gen" else "flat")
-                      (if t then "threaded" else "switch")
-                      w)
+                      (if t then "threaded" else "switch"))
                 rest
           | [] -> ())
         [ false; true ];
@@ -275,24 +254,21 @@ let test_exit_codes () =
     (List.length (List.sort_uniq compare codes))
 
 (* ------------------------------------------------------------------ *)
-(* Fault-contained parallel collection: a worker raise or stall in every
-   parallel round, with the post-verifier armed, never crashes, hangs,
-   diverges or corrupts — and the serial replay is actually exercised.   *)
+(* The runtime fault sweep: an allocation storm on every faultgen
+   target, with the post-verifier armed, never crashes, hangs, diverges
+   or trips the verifier, and every case is benign.                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_runtime_fault_sweep () =
-  (* The tree-shaped target: its scan frontier goes wide (≥ the parallel
-     threshold), so raises and stalls actually land in dispatched rounds.
-     List-shaped heaps never leave the fused serial path — nothing to
-     fault. *)
-  let target = List.nth F.default_targets 2 in
-  let s = with_post_verifier (fun () -> F.runtime_sweep ~workers:4 target) in
-  Alcotest.(check int) "crashed" 0 (F.count s "crashed");
-  Alcotest.(check int) "hung" 0 (F.count s "hung");
-  Alcotest.(check int) "diverged" 0 (F.count s "diverged");
-  Alcotest.(check int) "verifier_flagged" 0 (F.count s "verifier_flagged");
-  Alcotest.(check bool) "serial replay exercised" true
-    (F.count s "recovered" > 0)
+  List.iter
+    (fun s ->
+      let count name = F.count s name in
+      Alcotest.(check int) (s.F.program ^ " crashed") 0 (count "crashed");
+      Alcotest.(check int) (s.F.program ^ " hung") 0 (count "hung");
+      Alcotest.(check int) (s.F.program ^ " diverged") 0 (count "diverged");
+      Alcotest.(check int) (s.F.program ^ " verifier_flagged") 0 (count "verifier_flagged");
+      Alcotest.(check int) (s.F.program ^ " benign") s.F.iterations (count "benign"))
+    (with_post_verifier (fun () -> F.runtime_sweep_all ()))
 
 let () =
   Alcotest.run "pressure"
@@ -311,6 +287,6 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "worker faults recover" `Slow test_runtime_fault_sweep;
+          Alcotest.test_case "runtime fault sweep" `Quick test_runtime_fault_sweep;
         ] );
     ]

@@ -98,27 +98,14 @@ let test_benchmark_matrix () =
     (!total_collections > 20)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel copy x engines                                             *)
+(* Engines x {flat, gen} against a repeated switch run                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Pin the copy-phase worker count and round threshold for [f], restoring
-   both; threshold 2 forces the small test heaps through the parallel
-   round machinery (the 512-object default would leave them serial). *)
-let with_copy_workers n f =
-  let w0 = !Gc.Gc_pool.forced_workers and t0 = !Gc.Gc_pool.forced_threshold in
-  Gc.Gc_pool.set_workers n;
-  Gc.Gc_pool.set_par_threshold 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Gc.Gc_pool.forced_workers := w0;
-      Gc.Gc_pool.forced_threshold := t0)
-    f
-
-let test_worker_engine_sweep () =
-  (* {1,2,4} workers x {flat, gen} x {switch, threaded}: every run must
-     reproduce the serial switch-engine observables exactly — the copy
-     phase's worker count is invisible to both engines. Post verifier
-     armed throughout. *)
+let test_engine_sweep () =
+  (* {flat, gen} x {switch, threaded}: a fresh run on either engine must
+     reproduce the first switch-engine run's observables exactly, so the
+     collector is deterministic from run to run as well as across
+     engines. Post verifier armed throughout. *)
   let img =
     compile ~optimize:true ~heap:4000
       (Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:120)
@@ -131,31 +118,24 @@ let test_worker_engine_sweep () =
       List.iter
         (fun gen ->
           let mode = if gen then "gen" else "flat" in
-          let base = with_copy_workers 1 (fun () -> observe ~threaded:false ~gen img) in
+          let base = observe ~threaded:false ~gen img in
           check Alcotest.bool (mode ^ ": baseline collected") true
             (base.collections > 0);
           List.iter
-            (fun w ->
-              List.iter
-                (fun threaded ->
-                  let what =
-                    Printf.sprintf "%s workers=%d %s" mode w
-                      (if threaded then "threaded" else "switch")
-                  in
-                  let r = with_copy_workers w (fun () -> observe ~threaded ~gen img) in
-                  check Alcotest.string (what ^ ": output") base.output r.output;
-                  check Alcotest.int (what ^ ": icount") base.icount r.icount;
-                  check Alcotest.int (what ^ ": collections") base.collections
-                    r.collections;
-                  check Alcotest.int (what ^ ": allocations") base.allocs r.allocs;
-                  check Alcotest.int (what ^ ": alloc words") base.alloc_words
-                    r.alloc_words;
-                  check Alcotest.bool (what ^ ": final registers") true
-                    (base.regs = r.regs);
-                  check Alcotest.bool (what ^ ": final heap image") true
-                    (Vm.Mem.equal base.mem r.mem))
-                [ false; true ])
-            [ 1; 2; 4 ])
+            (fun threaded ->
+              let what =
+                Printf.sprintf "%s %s" mode (if threaded then "threaded" else "switch")
+              in
+              let r = observe ~threaded ~gen img in
+              check Alcotest.string (what ^ ": output") base.output r.output;
+              check Alcotest.int (what ^ ": icount") base.icount r.icount;
+              check Alcotest.int (what ^ ": collections") base.collections r.collections;
+              check Alcotest.int (what ^ ": allocations") base.allocs r.allocs;
+              check Alcotest.int (what ^ ": alloc words") base.alloc_words r.alloc_words;
+              check Alcotest.bool (what ^ ": final registers") true (base.regs = r.regs);
+              check Alcotest.bool (what ^ ": final heap image") true
+                (Vm.Mem.equal base.mem r.mem))
+            [ false; true ])
         [ false; true ])
 
 (* ------------------------------------------------------------------ *)
@@ -319,8 +299,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "benchmark matrix" `Quick test_benchmark_matrix;
-          Alcotest.test_case "worker sweep x engines" `Quick
-            test_worker_engine_sweep;
+          Alcotest.test_case "engine sweep x {flat,gen}" `Quick test_engine_sweep;
           QCheck_alcotest.to_alcotest prop_random_params;
         ] );
       ( "engine",

@@ -3,21 +3,20 @@
      faultgen                         # default: 60 mutations/config, cross-check on
      faultgen --iters 50 --seed 7
      faultgen --no-cross-check        # let corrupt tables reach the collector
-     faultgen --no-runtime            # skip the runtime (worker/storm) sweep
+     faultgen --no-runtime            # skip the runtime (allocation-storm) sweep
      faultgen --out report.json      # machine-readable report (CI artifact)
 
-   Two sweeps share the outcome classification table:
+   Three sweeps share the outcome classification table:
 
    - Table mutations: the encoded gc-table streams of the benchmark
      programs are mutated (bit flips, byte rewrites, truncations, varint
      padding, byte swaps) across every scheme × packing config and each
      run is classified.
-   - Runtime faults: the running collector itself is attacked — a worker
-     raise in every parallel round, a stall past the round watchdog in
-     every round, and an allocation-failure storm — with the
-     post-collection verifier armed. The expected outcome is "recovered"
-     (the serial round replay contained the fault with byte-identical
-     results) or "benign" (the fault never triggered).
+   - Runtime faults (skip with --no-runtime): the running collector is
+     driven through an allocation-failure storm, a forced collection
+     every 7th allocation, with the post-collection verifier armed. The
+     expected outcome is "benign": the reference output, verifier
+     clean.
    - Incremental interleaving faults (skip with --no-incremental): the
      incremental collector's slice schedule is perturbed — a slice at
      every gc-point, a barrier storm, a starved mark stack, a 50 us
