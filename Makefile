@@ -2,8 +2,8 @@
 # guard on the build profile, the test run, an observability smoke test
 # that executes a collecting workload with tracing on and validates the
 # emitted Chrome trace JSON (parses, spans balanced, all four gc pause
-# phases present), and a fault-injection smoke sweep over mutated
-# gc-table streams.
+# phases present), a fault-injection smoke sweep over mutated gc-table
+# streams, the profiling smoke test, and the A3 collector comparison.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
@@ -12,7 +12,7 @@ FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
 .PHONY: all build check-build test test-verified test-gen test-switch \
-	test-pressure test-incremental smoke fault profile check bench \
+	test-pressure test-incremental smoke fault profile baseline check bench \
 	bench-perf bench-gen bench-mutator bench-pauses \
 	bench-pressure bench-pgo bench-pause-budget clean
 
@@ -128,7 +128,13 @@ profile: build
 	    echo "profile: mmrun accepted --census-every with $$c"; exit 1; fi; \
 	done
 
-check: build check-build test smoke fault profile
+# Ablation A3 (paper §7): precise compacting vs the conservative baseline
+# on destroy, typereg and ambig. Fails if the two collectors' program
+# outputs differ (the subcommand exits 1 after printing OUTPUT MISMATCH).
+baseline: build
+	$(DUNE) exec bench/main.exe -- baseline
+
+check: build check-build test smoke fault profile baseline
 	@echo "check: ok"
 
 bench: build

@@ -2,7 +2,8 @@
 
    The same fragmentation-inducing workload — allocate big and small
    objects interleaved, drop the big ones — run under the table-driven
-   compacting collector and under the conservative non-moving baseline.
+   compacting collector and under the conservative non-moving baseline
+   (the incremental collector's mark-sweep core with ambiguous roots).
    The precise collector ends with a contiguous heap; the conservative one
    ends with a free list full of holes.
 
@@ -54,9 +55,9 @@ let () =
   (* Conservative, non-moving. *)
   let img2 = Driver.Compile.compile ~options source in
   let st2 = Vm.Interp.create img2 in
-  let _ = Gc.Conservative.install st2 in
+  let _ = Gc.Incremental.install_conservative st2 in
   Vm.Interp.run st2;
-  let blocks, total, largest = Gc.Conservative.free_list_stats st2 in
+  let blocks, total, largest = Vm.Interp.free_list_stats st2 in
   Printf.printf "conservative : %s" (Vm.Interp.output st2);
   Printf.printf "  collections=%d, free list: %d blocks, %d words free, largest %d\n"
     st2.Vm.Interp.gc.Vm.Interp.collections blocks total largest;

@@ -228,7 +228,7 @@ let run ?(collector = Precise) ?nursery_words ?pause_budget_us ?profile
       else Gc.Cheney.install st
   | Generational -> Gc.Nursery.install ?nursery_words st
   | Incremental -> ignore (Gc.Incremental.install ?pause_budget_us st)
-  | Conservative -> ignore (Gc.Conservative.install st)
+  | Conservative -> ignore (Gc.Incremental.install_conservative st)
   | No_gc -> ());
   (* Engine choice is a pure runtime switch over the same machine state:
      the threaded pre-translated dispatch by default, the reference switch

@@ -34,8 +34,8 @@ let take (st : Vm.Interp.t) (p : Profile.t) =
     let a = ref lo in
     let ok = ref true in
     while !ok && !a < hi do
-      (* Incremental mode leaves filler blocks (negative headers) in the
-         live range; they hold no objects and are stepped over. *)
+      (* The mark-sweep core leaves filler blocks (negative headers) in
+         the live range; they hold no objects and are stepped over. *)
       let header = st.Vm.Interp.mem.{!a} in
       if header < 0 && st.Vm.Interp.inc <> None then a := !a - header
       else

@@ -1,4 +1,6 @@
-(** Incremental tri-color mark-sweep collection with a hard pause budget.
+(** The non-moving mark-sweep core: incremental tri-color collection with
+    a hard pause budget, and — the same core with ambiguous roots — the
+    conservative baseline of the paper's §7.
 
     Every collector mode before this one is stop-the-world: the pause
     distributions of BENCH_5 grow linearly with live data, because a full
@@ -31,8 +33,7 @@
     the base objects must be retained, and their tidy base pointers are
     in the very tables the slices already walk. Freed objects become
     {e filler} blocks (header [-size]) so the linear heap parse stays
-    total, and a first-fit free list (shared with the conservative
-    collector's machinery in [Vm.Interp]) recycles them.
+    total, and a first-fit free list in [Vm.Interp] recycles them.
 
     {2 Scheduling}
 
@@ -43,7 +44,16 @@
     be a pure function of the allocation stream — or runs until the owed
     work is done or the wall-clock budget ([--pause-budget-us]) expires
     in time mode. Allocation failure forces a stop-the-world finish of
-    the in-flight cycle (counted, and visible under [--gc-stats]). *)
+    the in-flight cycle (counted, and visible under [--gc-stats]).
+
+    {2 Ambiguous roots (the conservative baseline, DESIGN.md §13)}
+
+    [install_conservative] runs the same mark, sweep and free list with
+    ambiguous roots (every word of the registers, the stack and the
+    global area) and an ambiguous field scan (every word of an object).
+    A word pins the object containing it, found through an object-start
+    bitmap built by one heap parse per collection. It collects only on
+    allocation failure, stop-the-world: nothing is paced or barriered. *)
 
 module T = Telemetry
 module VI = Vm.Interp
@@ -65,6 +75,8 @@ let c_budget_us = T.Metrics.counter "gc.budget_us"
 let h_slice = T.Metrics.histogram "gc.slice_ns"
 let h_flip = T.Metrics.histogram "gc.flip_ns"
 let h_pause = T.Metrics.histogram "gc.pause_ns"
+let h_marked = T.Metrics.histogram "gc.marked_objects"
+let h_swept = T.Metrics.histogram "gc.swept_objects"
 
 (* ------------------------------------------------------------------ *)
 (* Marking                                                             *)
@@ -94,6 +106,63 @@ let scan_object (st : VI.t) (inc : VI.inc_state) a =
     Rt.Typedesc.words size ~length:len
   end
 
+(* A per-collection bitset, all clear and one bit per from-space word.
+   It is cleared in place, not reallocated — an O(heap/62) Array.fill
+   with no allocation, so the first (budgeted) slice of a cycle never
+   triggers an OCaml-GC pause of its own. The width only changes if the
+   guest heap was resized between cycles. *)
+let cleared (st : VI.t) b =
+  if Support.Bitset.length b <> st.VI.from_words then Support.Bitset.create st.VI.from_words
+  else (Support.Bitset.reset b; b)
+
+(* Record every object start in [inc_starts]: one linear parse of
+   [from_base, alloc), stepping over fillers. *)
+let find_starts (st : VI.t) (inc : VI.inc_state) =
+  inc.VI.inc_starts <- cleared st inc.VI.inc_starts;
+  let mem = st.VI.mem in
+  let a = ref st.VI.from_base in
+  while !a < st.VI.alloc do
+    let h = mem.{!a} in
+    if h < 0 then a := !a - h
+    else begin
+      Support.Bitset.set inc.VI.inc_starts (!a - st.VI.from_base);
+      a := !a + Vm.Image.object_words st.VI.image mem !a
+    end
+  done
+
+(** The object an ambiguous word [v] may address, by the starts that
+    [find_starts] recorded: the nearest object start at or below [v], if
+    [v] lies inside that object, so an interior pointer pins its object;
+    [-1] otherwise. *)
+let object_containing (st : VI.t) (inc : VI.inc_state) v =
+  if v >= st.VI.from_base && v < st.VI.alloc then begin
+    let i = Support.Bitset.prev_set inc.VI.inc_starts (v - st.VI.from_base) in
+    if i < 0 then -1
+    else
+      let a = st.VI.from_base + i in
+      if v < a + Vm.Image.object_words st.VI.image st.VI.mem a then a else -1
+  end
+  else -1
+
+let shade_ambiguous (st : VI.t) (inc : VI.inc_state) v =
+  let a = object_containing st inc v in
+  if a >= 0 then VI.inc_shade st inc a
+
+(* Boehm-style field scan: every word of the object, header included, is
+   a potential pointer. *)
+let scan_ambiguous (st : VI.t) (inc : VI.inc_state) a =
+  let mem = st.VI.mem in
+  let size = Vm.Image.object_words st.VI.image mem a in
+  for i = a to a + size - 1 do
+    shade_ambiguous st inc mem.{i}
+  done;
+  size
+
+(* The field scanner is a per-object choice; the exact one stays a direct
+   call, so its per-field loop pays nothing for the other. *)
+let[@inline] scan (st : VI.t) (inc : VI.inc_state) a =
+  if inc.VI.inc_ambiguous then scan_ambiguous st inc a else scan_object st inc a
+
 (* Mark-stack overflow recovery: a linear pass over the heap re-scanning
    every marked object. Any marked→unmarked edge is re-shaded (and may
    re-spill, in which case the drain loop runs another pass). Terminates
@@ -114,7 +183,7 @@ let rescan (st : VI.t) (inc : VI.inc_state) =
     else begin
       let size = Vm.Image.object_words st.VI.image mem !a in
       if Support.Bitset.mem inc.VI.inc_marks (!a - st.VI.from_base) then
-        work := !work + scan_object st inc !a
+        work := !work + scan st inc !a
       else incr work;
       a := !a + size
     end
@@ -149,6 +218,36 @@ let shade_roots (st : VI.t) (inc : VI.inc_state) frames =
     frames;
   !n
 
+(* Ambiguous roots: every word of the general registers, of the stack
+   from sp up, and of the global area. The static area ends at the stack
+   (the map is statics, stack, heap): scanning up to [heap_base] would
+   treat dead stack slots below sp as global roots and pin garbage.
+   Returns the number of words visited. *)
+let shade_ambiguous_roots (st : VI.t) (inc : VI.inc_state) =
+  let img = st.VI.image and mem = st.VI.mem in
+  for r = 0 to Machine.Reg.ngeneral - 1 do
+    shade_ambiguous st inc st.VI.regs.(r)
+  done;
+  let sp = VI.sp st in
+  for a = sp to img.Vm.Image.stack_top - 1 do
+    shade_ambiguous st inc mem.{a}
+  done;
+  for a = img.Vm.Image.globals_base to img.Vm.Image.stack_base - 1 do
+    shade_ambiguous st inc mem.{a}
+  done;
+  Machine.Reg.ngeneral + (img.Vm.Image.stack_top - sp)
+  + (img.Vm.Image.stack_base - img.Vm.Image.globals_base)
+
+(* The root provider: the exact tables over a stack walk, or every word
+   that might hold a pointer. Only the exact walk counts traced frames. *)
+let shade_all_roots (st : VI.t) (inc : VI.inc_state) =
+  if inc.VI.inc_ambiguous then shade_ambiguous_roots st inc
+  else begin
+    let frames = Stackwalk.walk st in
+    st.VI.gc.VI.frames_traced <- st.VI.gc.VI.frames_traced + List.length frames;
+    shade_roots st inc frames
+  end
+
 (* Drain the work list completely, including spill-recovery passes. *)
 let drain (st : VI.t) (inc : VI.inc_state) =
   let work = ref 0 in
@@ -156,7 +255,7 @@ let drain (st : VI.t) (inc : VI.inc_state) =
   while !continue_ do
     if inc.VI.inc_gray_len > 0 then begin
       inc.VI.inc_gray_len <- inc.VI.inc_gray_len - 1;
-      work := !work + scan_object st inc inc.VI.inc_gray.(inc.VI.inc_gray_len)
+      work := !work + scan st inc inc.VI.inc_gray.(inc.VI.inc_gray_len)
     end
     else if inc.VI.inc_spilled then begin
       inc.VI.inc_spilled <- false;
@@ -173,22 +272,15 @@ let drain (st : VI.t) (inc : VI.inc_state) =
 let start_cycle (st : VI.t) (inc : VI.inc_state) =
   st.VI.gc.VI.collections <- st.VI.gc.VI.collections + 1;
   T.Metrics.incr c_collections;
-  (* Fresh mark bits: the whole heap turns white. The bitset is cleared
-     in place, not reallocated — an O(heap/62) Array.fill with no
-     allocation, so the first (budgeted) slice of a cycle never triggers
-     an OCaml-GC pause of its own. The width only changes if the guest
-     heap was resized between cycles. *)
-  if Support.Bitset.length inc.VI.inc_marks <> st.VI.from_words then
-    inc.VI.inc_marks <- Support.Bitset.create st.VI.from_words
-  else Support.Bitset.reset inc.VI.inc_marks;
+  (* Fresh mark bits: the whole heap turns white. *)
+  inc.VI.inc_marks <- cleared st inc.VI.inc_marks;
   inc.VI.inc_gray_len <- 0;
   inc.VI.inc_spilled <- false;
   inc.VI.inc_work_base <- st.VI.alloc_words;
   inc.VI.inc_work_done <- 0;
   inc.VI.inc_phase <- VI.Inc_marking;
-  let frames = Stackwalk.walk st in
-  st.VI.gc.VI.frames_traced <- st.VI.gc.VI.frames_traced + List.length frames;
-  shade_roots st inc frames
+  if inc.VI.inc_ambiguous then find_starts st inc;
+  shade_all_roots st inc
 
 (* The final stop-the-world flip: rescan every root (an incremental-
    update collector must — the mutator may have kept the only pointer to
@@ -198,12 +290,10 @@ let start_cycle (st : VI.t) (inc : VI.inc_state) =
    garbage. *)
 let flip (st : VI.t) (inc : VI.inc_state) =
   let t0 = now_ns () in
-  let frames = Stackwalk.walk st in
-  st.VI.gc.VI.frames_traced <- st.VI.gc.VI.frames_traced + List.length frames;
   (* Explicit sequencing: the roots must be shaded BEFORE the final drain
      ([+] evaluates right-to-left in OCaml — the one-expression form ran
      the drain first and left the re-shaded roots unscanned). *)
-  let w_roots = shade_roots st inc frames in
+  let w_roots = shade_all_roots st inc in
   let w = w_roots + drain st inc in
   assert (inc.VI.inc_gray_len = 0 && not inc.VI.inc_spilled);
   inc.VI.inc_sweep_limit <- st.VI.alloc;
@@ -233,16 +323,26 @@ let close_run (st : VI.t) (inc : VI.inc_state) hi =
   end
 
 let finish_sweep (st : VI.t) (inc : VI.inc_state) =
-  (* If the final run reaches the frontier (and nothing was bump-
-     allocated past the flip), retreat the frontier instead of listing
-     the block: bump room is better than a free-list block (no fit
-     search, no split), and the retreat is a deterministic function of
-     the same sweep state. *)
-  (if inc.VI.inc_run_lo >= 0 && st.VI.alloc = inc.VI.inc_sweep_limit then begin
-     st.VI.alloc <- inc.VI.inc_run_lo;
-     inc.VI.inc_run_lo <- -1
-   end);
-  close_run st inc inc.VI.inc_sweep_limit;
+  if inc.VI.inc_ambiguous then begin
+    (* The conservative baseline lists every block, the frontier run
+       included, in ascending address order: its allocation addresses,
+       and through them what its ambiguous words happen to pin, are
+       pinned by the A3 and profile tests. *)
+    close_run st inc inc.VI.inc_sweep_limit;
+    st.VI.free_list <- List.rev st.VI.free_list
+  end
+  else begin
+    (* If the final run reaches the frontier (and nothing was bump-
+       allocated past the flip), retreat the frontier instead of listing
+       the block: bump room is better than a free-list block (no fit
+       search, no split), and the retreat is a deterministic function of
+       the same sweep state. *)
+    if inc.VI.inc_run_lo >= 0 && st.VI.alloc = inc.VI.inc_sweep_limit then begin
+      st.VI.alloc <- inc.VI.inc_run_lo;
+      inc.VI.inc_run_lo <- -1
+    end;
+    close_run st inc inc.VI.inc_sweep_limit
+  end;
   inc.VI.inc_phase <- VI.Inc_idle;
   inc.VI.inc_cycles <- inc.VI.inc_cycles + 1;
   inc.VI.inc_cycle_start_words <- st.VI.alloc_words
@@ -288,6 +388,8 @@ let sweep_chunk (st : VI.t) (inc : VI.inc_state) ~quota =
    documented slack is one granule plus one object scan. *)
 let mark_granule = 8
 
+(* Only slices run work, and only the incremental collector slices, so
+   the marking loop calls the exact scanner directly. *)
 let run_work (st : VI.t) (inc : VI.inc_state) ~quota ~deadline =
   let work = ref 0 in
   let timed_out = ref false in
@@ -328,6 +430,15 @@ let owed (st : VI.t) (inc : VI.inc_state) =
   (inc.VI.inc_ratio * (st.VI.alloc_words - inc.VI.inc_work_base))
   - inc.VI.inc_work_done
 
+(* Close a pause that began at [t0]: every slice and stop-the-world
+   collection counts into [gc.total_gc_ns] and the shared pause
+   histogram. Returns the pause length. *)
+let end_pause (st : VI.t) t0 =
+  let dt = Int64.sub (now_ns ()) t0 in
+  st.VI.gc.VI.total_gc_ns <- Int64.add st.VI.gc.VI.total_gc_ns dt;
+  T.Metrics.observe_ns h_pause dt;
+  dt
+
 let verify_boundary (st : VI.t) ~phase =
   if Verify.post_enabled () then
     ignore (Verify.check st ~phase ~frames:(Stackwalk.walk st) ())
@@ -348,9 +459,8 @@ let slice (st : VI.t) (inc : VI.inc_state) ~start =
   in
   let w = run_work st inc ~quota:(max 0 (quota - w0)) ~deadline in
   inc.VI.inc_work_done <- inc.VI.inc_work_done + w0 + w;
-  let dt = Int64.sub (now_ns ()) t0 in
+  let dt = end_pause st t0 in
   T.Metrics.observe_ns h_slice dt;
-  T.Metrics.observe_ns h_pause dt;
   let dt_i = Int64.to_int dt in
   if dt_i > inc.VI.inc_max_slice_ns then inc.VI.inc_max_slice_ns <- dt_i;
   if inc.VI.inc_budget_ns > 0 && dt_i > inc.VI.inc_budget_ns then begin
@@ -383,6 +493,14 @@ let poll (st : VI.t) =
 (* Forced (stop-the-world) finish                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A whole cycle at once: start, flip, full sweep. *)
+let stop_the_world (st : VI.t) (inc : VI.inc_state) =
+  ignore (start_cycle st inc);
+  ignore (flip st inc);
+  while inc.VI.inc_phase = VI.Inc_sweeping do
+    ignore (sweep_chunk st inc ~quota:max_int)
+  done
+
 (** The installed [collector] entry point: allocation failed (or a forced
     collection was requested), so a complete mark+sweep cycle runs
     stop-the-world. Any in-flight incremental cycle is {e abandoned}, not
@@ -402,12 +520,31 @@ let collect (st : VI.t) ~needed:_ =
       let t0 = now_ns () in
       inc.VI.inc_forced <- inc.VI.inc_forced + 1;
       T.Metrics.incr c_forced;
-      ignore (start_cycle st inc);
-      ignore (flip st inc);
-      while inc.VI.inc_phase = VI.Inc_sweeping do
-        ignore (sweep_chunk st inc ~quota:max_int)
-      done;
-      T.Metrics.observe_ns h_pause (Int64.sub (now_ns ()) t0);
+      stop_the_world st inc;
+      ignore (end_pause st t0);
+      verify_boundary st ~phase:"post"
+
+(** The conservative baseline's [collector] entry point: a whole cycle,
+    stop-the-world, under its own trace span. It is the only way the
+    baseline ever collects, so it is not a forced finish. *)
+let collect_conservative (st : VI.t) ~needed:_ =
+  match st.VI.inc with
+  | None -> ()
+  | Some inc ->
+      let t0 = now_ns () in
+      let m0 = inc.VI.inc_marked_objects and s0 = inc.VI.inc_swept_objects in
+      T.Trace.begin_span ~cat:"gc"
+        ~args:[ ("collection", T.Json.Int (st.VI.gc.VI.collections + 1)) ]
+        "gc.collect.conservative";
+      stop_the_world st inc;
+      ignore (end_pause st t0);
+      let marked = inc.VI.inc_marked_objects - m0
+      and swept = inc.VI.inc_swept_objects - s0 in
+      T.Trace.end_span
+        ~args:[ ("marked", T.Json.Int marked); ("swept", T.Json.Int swept) ]
+        ();
+      T.Metrics.observe h_marked (float_of_int marked);
+      T.Metrics.observe h_swept (float_of_int swept);
       verify_boundary st ~phase:"post"
 
 (* ------------------------------------------------------------------ *)
@@ -444,6 +581,45 @@ let default_slice_work = 2048
    gates cycle frequency. *)
 let default_ratio = 16
 
+(* Default mark-stack capacity: never spills on sane heaps (an object is
+   at least 2 words). *)
+let default_gray_cap (st : VI.t) = min ((st.VI.from_words / 2) + 16) 65536
+
+let new_state (st : VI.t) ~ambiguous ~cap ~ratio ~trigger ~slice_work ~budget_us
+    ~slice_storm ~barrier_storm : VI.inc_state =
+  {
+    VI.inc_phase = VI.Inc_idle;
+    inc_ambiguous = ambiguous;
+    inc_marks = Support.Bitset.create st.VI.from_words;
+    inc_starts = Support.Bitset.create (if ambiguous then st.VI.from_words else 0);
+    inc_gray = Array.make (max 4 cap) 0;
+    inc_gray_len = 0;
+    inc_spilled = false;
+    inc_sweep_cursor = st.VI.from_base;
+    inc_sweep_limit = st.VI.from_base;
+    inc_run_lo = -1;
+    inc_ratio = ratio;
+    inc_trigger_words = trigger;
+    inc_slice_work = slice_work;
+    inc_budget_ns = budget_us * 1000;
+    inc_cycle_start_words = 0;
+    inc_work_base = 0;
+    inc_work_done = 0;
+    inc_slice_storm = slice_storm;
+    inc_barrier_storm = barrier_storm;
+    inc_cycles = 0;
+    inc_slices = 0;
+    inc_overruns = 0;
+    inc_forced = 0;
+    inc_max_slice_ns = 0;
+    inc_rescans = 0;
+    inc_barrier_execs = 0;
+    inc_spills = 0;
+    inc_marked_objects = 0;
+    inc_swept_objects = 0;
+    inc_swept_words = 0;
+  }
+
 let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
     ?slice_storm ?barrier_storm (st : VI.t) : VI.inc_state =
   let pick opt env_name default =
@@ -462,54 +638,33 @@ let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
     pick trigger_words "MM_INC_TRIGGER_WORDS" (max 512 (st.VI.from_words / 4))
   in
   let cap =
-    (* Default mark-stack capacity never spills on sane heaps (an object
-       is at least 2 words); MM_INC_MARKSTACK shrinks it to exercise the
-       spill recovery (fault injection). *)
-    pick gray_cap "MM_INC_MARKSTACK" (min ((st.VI.from_words / 2) + 16) 65536)
+    (* MM_INC_MARKSTACK shrinks the mark stack to exercise the spill
+       recovery (fault injection). *)
+    pick gray_cap "MM_INC_MARKSTACK" (default_gray_cap st)
   in
+  let flag opt env_name = match opt with Some b -> b | None -> env_truthy env_name in
   let inc =
-    {
-      VI.inc_phase = VI.Inc_idle;
-      inc_marks = Support.Bitset.create st.VI.from_words;
-      inc_gray = Array.make (max 4 cap) 0;
-      inc_gray_len = 0;
-      inc_spilled = false;
-      inc_sweep_cursor = st.VI.from_base;
-      inc_sweep_limit = st.VI.from_base;
-      inc_run_lo = -1;
-      inc_ratio = ratio;
-      inc_trigger_words = trigger;
-      inc_slice_work = slice_work;
-      inc_budget_ns = budget_us * 1000;
-      inc_cycle_start_words = 0;
-      inc_work_base = 0;
-      inc_work_done = 0;
-      inc_slice_storm =
-        (match slice_storm with
-        | Some b -> b
-        | None -> env_truthy "MM_INC_SLICE_STORM");
-      inc_barrier_storm =
-        (match barrier_storm with
-        | Some b -> b
-        | None -> env_truthy "MM_INC_BARRIER_STORM");
-      inc_cycles = 0;
-      inc_slices = 0;
-      inc_overruns = 0;
-      inc_forced = 0;
-      inc_max_slice_ns = 0;
-      inc_rescans = 0;
-      inc_barrier_execs = 0;
-      inc_spills = 0;
-      inc_marked_objects = 0;
-      inc_swept_objects = 0;
-      inc_swept_words = 0;
-    }
+    new_state st ~ambiguous:false ~cap ~ratio ~trigger ~slice_work ~budget_us
+      ~slice_storm:(flag slice_storm "MM_INC_SLICE_STORM")
+      ~barrier_storm:(flag barrier_storm "MM_INC_BARRIER_STORM")
   in
   st.VI.inc <- Some inc;
-  st.VI.heap_fillers <- true;
   st.VI.inc_slice <- Some poll;
   st.VI.collector <- Some collect;
   if budget_us > 0 then T.Metrics.incr ~by:budget_us c_budget_us;
+  inc
+
+(** Install the conservative baseline: the same core with ambiguous roots
+    and fields. No slice poll is installed, so it collects only on
+    allocation failure. *)
+let install_conservative (st : VI.t) : VI.inc_state =
+  let inc =
+    new_state st ~ambiguous:true ~cap:(default_gray_cap st) ~ratio:default_ratio
+      ~trigger:max_int ~slice_work:default_slice_work ~budget_us:0
+      ~slice_storm:false ~barrier_storm:false
+  in
+  st.VI.inc <- Some inc;
+  st.VI.collector <- Some collect_conservative;
   inc
 
 (* ------------------------------------------------------------------ *)

@@ -134,8 +134,9 @@ let walk_region c lo hi =
   try
     while !addr < hi do
       let header = mem.{!addr} in
-      (* Incremental mode frees in place: a negative header [-size] is a
-         filler (free block), parsed but not an object. *)
+      (* The mark-sweep core (incremental or conservative) frees in
+         place: a negative header [-size] is a filler (free block),
+         parsed but not an object. *)
       if header < 0 && st.Vm.Interp.inc <> None then begin
         let size = -header in
         if !addr + size > hi then begin

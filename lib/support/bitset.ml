@@ -27,6 +27,25 @@ let mem t i =
 
 let reset t = Array.fill t.words 0 (Array.length t.words) 0
 
+(* Index of the highest set bit of a non-zero word, by binary search. *)
+let msb w =
+  let rec go w n s =
+    if s = 0 then n else if w lsr s <> 0 then go (w lsr s) (n + s) (s / 2) else go w n (s / 2)
+  in
+  go w 0 32
+
+let prev_set t i =
+  check t i;
+  let wi = ref (i / bits_per_word) in
+  (* Bits 0..(i mod 62) of the first word; at bit 61 the shift yields
+     [min_int], and [min_int - 1] is every bit 0..61. *)
+  let w = ref (t.words.(!wi) land ((1 lsl ((i mod bits_per_word) + 1)) - 1)) in
+  while !w = 0 && !wi > 0 do
+    decr wi;
+    w := t.words.(!wi)
+  done;
+  if !w = 0 then -1 else (!wi * bits_per_word) + msb !w
+
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (* SWAR popcount of a word; words use only bits 0..61, so every mask fits

@@ -19,6 +19,11 @@ val mem : t -> int -> bool
     (budgeted) slice of every cycle. *)
 val reset : t -> unit
 
+val prev_set : t -> int -> int
+(** [prev_set t i] is the greatest set index [<= i], or [-1] if bits
+    [0..i] are all clear: an object-start bitmap resolves an ambiguous
+    (possibly interior) heap word to the object that may contain it. *)
+
 val is_empty : t -> bool
 val count : t -> int
 

@@ -118,11 +118,13 @@ type placement = {
 
 type inc_phase = Inc_idle | Inc_marking | Inc_sweeping
 
-(** Mutator-facing state of the incremental collector. Like {!gen_state}
-    this lives here (below the gc library) so the write barrier and the
-    allocation fast paths can reach it without an indirection; the slice
-    engine itself — marking, sweeping, the flip — is [Gc.Incremental],
-    installed through [collector] and the [inc_slice] hook.
+(** Mutator-facing state of the non-moving mark-sweep core: the
+    incremental collector, and (with [inc_ambiguous] set) the
+    conservative baseline. Like {!gen_state} this lives here (below the
+    gc library) so the write barrier and the allocation fast paths can
+    reach it without an indirection; the engine itself — marking,
+    sweeping, the flip — is [Gc.Incremental], installed through
+    [collector] and, when incremental, the [inc_slice] hook.
 
     Colors: an object is {e white} when its mark bit is clear, {e gray}
     when marked and still on the work list, {e black} when marked and
@@ -135,7 +137,12 @@ type inc_phase = Inc_idle | Inc_marking | Inc_sweeping
     registers or stack slots. *)
 type inc_state = {
   mutable inc_phase : inc_phase;
+  inc_ambiguous : bool;
+    (* the conservative baseline: roots and object words are ambiguous,
+       and collections are only ever stop-the-world *)
   mutable inc_marks : Support.Bitset.t; (* index: header addr - from_base *)
+  mutable inc_starts : Support.Bitset.t;
+    (* object starts, from one heap parse per ambiguous collection *)
   inc_gray : int array; (* fixed-capacity mark stack; overflow spills *)
   mutable inc_gray_len : int;
   mutable inc_spilled : bool; (* an overflowed push was dropped: some
@@ -196,23 +203,20 @@ type t = {
   mutable alloc_pressure_every : int;
     (* fault injection: force the allocation slow path (collect/grow)
        every Nth allocation; 0 = off *)
-  mutable free_list : (int * int) list; (* (addr, size) — used by the
-                                           non-moving conservative collector *)
+  mutable free_list : (int * int) list;
+    (* (addr, size) first-fit blocks of the non-moving mark-sweep core;
+       every block carries a filler header (-size), so the heap parses *)
   mutable collector : (t -> needed:int -> unit) option;
   mutable gen : gen_state option; (* Some iff running generationally *)
-  mutable inc : inc_state option; (* Some iff running incrementally *)
+  mutable inc : inc_state option; (* Some iff a mark-sweep core runs *)
   mutable inc_slice : (t -> unit) option;
     (* gc-point slice poll, installed by Gc.Incremental; called at every
        allocation and Rt_gc_check so both execution engines observe the
        same pre-emption points (the paper's §5.3 loop-backedge gc-points) *)
-  mutable heap_fillers : bool;
-    (* free blocks carry a filler header (-size) so linear heap parses
-       stay total; on iff the incremental collector is installed *)
   mutable placement : placement option; (* profile-guided placement, if any *)
   mutable adaptive_after : int;
     (* derive a placement in-run from the attached profiler once this many
        minor collections have completed; 0 = off *)
-  mutable on_alloc : (int -> int -> unit) option; (* (address, size) hook *)
   mutable prof : Profile.t option; (* allocation-site profiler, if attached *)
   mutable gc_check_forces : bool; (* Rt_gc_check triggers a collection *)
   mutable icount : int;
@@ -244,10 +248,8 @@ let create (image : Image.t) : t =
     gen = None;
     inc = None;
     inc_slice = None;
-    heap_fillers = false;
     placement = None;
     adaptive_after = 0;
-    on_alloc = None;
     prof = None;
     gc_check_forces = false;
     icount = 0;
@@ -580,18 +582,18 @@ let ensure_space t needed =
     end
   end
 
-(* First-fit from the free list (installed by the non-moving conservative
-   collector); the remainder of a larger block is returned to the list. *)
+(* First-fit from the free list (filled by the non-moving mark-sweep
+   core); the remainder of a larger block is returned to the list. *)
 let take_free_list t size =
   let rec go acc = function
     | [] -> None
     | (a, sz) :: rest when sz >= size ->
         let rest =
           if sz > size then begin
-            (* Under the incremental collector the unconsumed remainder
-               gets a filler header immediately, so the linear heap parse
-               (sweep cursor, verifier) stays total at every gc-point. *)
-            if t.heap_fillers then Mem.set t.mem (a + size) (-(sz - size));
+            (* The unconsumed remainder gets a filler header immediately,
+               so the linear heap parse (sweep cursor, object-start
+               bitmap, verifier) stays total at every gc-point. *)
+            Mem.set t.mem (a + size) (-(sz - size));
             (a + size, sz - size) :: rest
           end
           else rest
@@ -623,6 +625,14 @@ let allocate_flat t size =
 
 let allocate t size =
   match t.gen with Some g -> allocate_gen t g size | None -> allocate_flat t size
+
+(** [(blocks, total free words, largest block)] of the free list: the
+    fragmentation a non-moving collector leaves and a compacting one never
+    has. *)
+let free_list_stats t =
+  List.fold_left
+    (fun (n, total, largest) (_, s) -> (n + 1, total + s, max largest s))
+    (0, 0, 0) t.free_list
 
 (* --- profile-guided placement --------------------------------------- *)
 
@@ -799,7 +809,6 @@ let rt_alloc t ?(site = -1) tdid ~length =
   t.alloc_words <- t.alloc_words + size;
   Telemetry.Metrics.incr c_allocs;
   Telemetry.Metrics.incr ~by:size c_alloc_words;
-  (match t.on_alloc with Some f -> f a size | None -> ());
   (match t.prof with
   | Some p -> Profile.on_alloc p ~site ~addr:a ~words:size
   | None -> ());

@@ -243,12 +243,103 @@ let test_conservative_fragmentation_visible () =
       churn_src
   in
   let st = Vm.Interp.create img in
-  let _c = Gc.Conservative.install st in
+  let _inc = Gc.Incremental.install_conservative st in
   Vm.Interp.run st;
   check Alcotest.bool "conservative collected" true
     (st.Vm.Interp.gc.Vm.Interp.collections > 0);
-  let nblocks, total, largest = Gc.Conservative.free_list_stats st in
+  let nblocks, total, largest = Vm.Interp.free_list_stats st in
   check Alcotest.bool "free list exists" true (nblocks > 0 && total > 0 && largest > 0)
+
+(* A3 ([bench/main.exe baseline]), pinned: for each program, the
+   conservative baseline's output, collections, objects marked over all
+   collections, words held by objects at exit, and free-list blocks and
+   largest block at exit. Recorded from the hash-table collector the
+   mark-sweep core replaced; a change to what ambiguous words pin, or to
+   where the free list places objects, moves them. *)
+let test_a3_pinned () =
+  List.iter
+    (fun (name, src, heap, expected) ->
+      let img =
+        Driver.Compile.compile
+          ~options:{ Driver.Compile.default_options with optimize = true; heap_words = heap }
+          src
+      in
+      let st = Vm.Interp.create img in
+      let inc = Gc.Incremental.install_conservative st in
+      Vm.Interp.run st;
+      let blocks, free, largest = Vm.Interp.free_list_stats st in
+      check Alcotest.string name expected
+        (Printf.sprintf "%S gcs=%d marked=%d retained=%d blocks=%d largest=%d"
+           (Vm.Interp.output st) st.Vm.Interp.gc.Vm.Interp.collections
+           inc.Vm.Interp.inc_marked_objects
+           (st.Vm.Interp.alloc - st.Vm.Interp.from_base - free)
+           blocks largest))
+    [
+      ( "destroy",
+        Programs.Destroy_src.make ~branch:4 ~depth:5 ~replace_depth:2 ~iterations:400,
+        24000,
+        {|"destroy: nodes=1365 checksum=1200\n" gcs=8 marked=14384 retained=18333 blocks=2 largest=4572|}
+      );
+      ( "typereg",
+        Programs.Typereg_src.src,
+        6000,
+        {|"typereg: registered=68 hits=182 probes>0=1\n" gcs=2 marked=1123 retained=3684 blocks=54 largest=1247|}
+      );
+      ( "ambig",
+        Programs.Ambig_src.src,
+        800,
+        {|"ambig: s=6360\n" gcs=1 marked=3 retained=712 blocks=1 largest=87|} );
+    ]
+
+(* The object-start bitmap against the sorted-array lookup it replaced,
+   over random parsed heaps: objects of every descriptor of an image
+   (data words random, heap addresses included), fillers between them,
+   and every word from below the heap to beyond the frontier. *)
+let prop_object_lookup =
+  let img = Driver.Compile.compile Programs.Typereg_src.src in
+  let sizes = img.Vm.Image.layouts.Rt.Typedesc.sizes in
+  QCheck.Test.make ~name:"object-start bitmap finds the oracle's object" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_bound 40) (triple bool small_nat small_nat))
+        (list small_int))
+    (fun (pieces, noise) ->
+      let st = Vm.Interp.create img in
+      let inc = Gc.Incremental.install_conservative st in
+      let mem = st.Vm.Interp.mem and base = st.Vm.Interp.from_base in
+      let noise = Array.of_list (0 :: noise) in
+      let a = ref base and objects = ref [] in
+      List.iteri
+        (fun k (obj, x, y) ->
+          let words =
+            if obj then Rt.Typedesc.words sizes.(x mod Array.length sizes) ~length:(y mod 12)
+            else 1 + (y mod 30)
+          in
+          if !a + words <= base + st.Vm.Interp.from_words then begin
+            for i = !a to !a + words - 1 do
+              (* Data words: small noise, or addresses in and around the heap. *)
+              let n = noise.((i + k) mod Array.length noise) in
+              Vm.Mem.set mem i (if n land 1 = 0 then n else base + (n mod 200) - 5)
+            done;
+            if obj then begin
+              let d = x mod Array.length sizes in
+              Vm.Mem.set mem !a d;
+              if sizes.(d) <= 0 then Vm.Mem.set mem (!a + 1) (y mod 12);
+              objects := (!a, words) :: !objects
+            end
+            else Vm.Mem.set mem !a (-words);
+            a := !a + words
+          end)
+        pieces;
+      st.Vm.Interp.alloc <- !a;
+      Gc.Incremental.find_starts st inc;
+      let oracle = Find_object_oracle.of_objects !objects in
+      List.for_all
+        (fun v ->
+          let got = Gc.Incremental.object_containing st inc v in
+          let want = Find_object_oracle.find_object oracle v in
+          (if got < 0 then None else Some got) = want)
+        (List.init (!a - base + 20) (fun i -> base - 10 + i) @ [ 0; -1; max_int; min_int ]))
 
 let test_trace_only_is_identity () =
   (* The "null collection" used for the paper's timing methodology must not
@@ -522,6 +613,8 @@ let () =
             test_conservative_retains_reachable;
           Alcotest.test_case "conservative fragmentation" `Quick
             test_conservative_fragmentation_visible;
+          Alcotest.test_case "A3 pinned" `Quick test_a3_pinned;
+          QCheck_alcotest.to_alcotest prop_object_lookup;
           Alcotest.test_case "null trace is identity" `Quick test_trace_only_is_identity;
           Alcotest.test_case "forced loop gc-points" `Quick test_forced_gc_checks;
           Alcotest.test_case "noalloc analysis safe" `Quick test_noalloc_configuration_safe;

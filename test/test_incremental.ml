@@ -249,6 +249,25 @@ let test_fault_sweep () =
     sweeps
 
 (* ------------------------------------------------------------------ *)
+(* Gc time accounting                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every pause of the mark-sweep core counts into [gc.total_gc_ns]: the
+   incremental collector's slices and the conservative baseline's
+   stop-the-world collections. The baseline walks no frames. *)
+let test_gc_time () =
+  let src = churn_src ~iters:5000 ~period:32 in
+  let options = { D.default_options with heap_words = 2048 } in
+  List.iter
+    (fun (name, collector) ->
+      let r = D.run_source ~options ~collector ~fuel src in
+      Alcotest.(check bool) (name ^ ": collected") true (r.D.collections > 0);
+      Alcotest.(check bool) (name ^ ": gc time counted") true (r.D.gc.I.total_gc_ns > 0L);
+      if collector = D.Conservative then
+        Alcotest.(check int) (name ^ ": no frames walked") 0 r.D.gc.I.frames_traced)
+    [ ("incremental", D.Incremental); ("conservative", D.Conservative) ]
+
+(* ------------------------------------------------------------------ *)
 (* Mode precedence                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -281,6 +300,7 @@ let () =
         [
           Alcotest.test_case "differential matrix" `Quick test_matrix;
           Alcotest.test_case "pause budget smoke" `Quick test_budget;
+          Alcotest.test_case "gc time accounted" `Quick test_gc_time;
           QCheck_alcotest.to_alcotest prop_interleaving;
         ] );
       ( "faults",

@@ -245,8 +245,8 @@ let test_pretenured_mutation () =
         [ false; true ])
 
 (* Pool-all places every site, so [a] and each node linked to it are
-   pool objects; the test drives the nursery itself from the allocation
-   hook, at a gc-point of the running program. *)
+   pool objects; the test steps the program to a gc-point and drives the
+   nursery itself there. *)
 let pool_old_src =
   {|MODULE PoolOld;
 TYPE Node = RECORD v: INTEGER; next: Ref END; Ref = REF Node;
@@ -283,36 +283,51 @@ let test_scanned_pool_object () =
       let unbarriered = ref [ "not run" ] and barriered = ref [ "not run" ] in
       let survivor = ref (-1) in
       let p_old = ref false and n_young = ref false in
-      st.Vm.Interp.on_alloc <-
-        Some
-          (fun _ _ ->
-            if st.Vm.Interp.alloc_count = 10 then begin
-              Gc.Nursery.minor st g;
-              (* [a], allocated first, is now a scanned pool object. *)
-              let p = Vm.Mem.get mem (List.hd img.Vm.Image.global_roots) in
-              let tdid = Vm.Mem.get mem p in
-              let words = img.Vm.Image.layouts.Rt.Typedesc.sizes.(tdid) in
-              if words <= 0 then Alcotest.fail "Node has a fixed layout";
-              let next_off = img.Vm.Image.layouts.Rt.Typedesc.offsets.(tdid).(0) in
-              let v_off =
-                List.find (fun o -> o <> next_off)
-                  (List.init (words - Rt.Typedesc.fixed_header_words) (fun i ->
-                       i + Rt.Typedesc.fixed_header_words))
-              in
-              p_old := p < g.Vm.Interp.old_alloc;
-              let n = Vm.Interp.rt_alloc st tdid ~length:0 in
-              n_young := n >= g.Vm.Interp.nursery_base;
-              Vm.Mem.set mem (n + v_off) 4242;
-              let slot = p + next_off in
-              Vm.Mem.set mem slot n;
-              unbarriered := verdict ();
-              Vm.Interp.barrier_hit st slot;
-              barriered := verdict ();
-              Gc.Nursery.minor st g;
-              let n' = Vm.Mem.get mem slot in
-              if n' < g.Vm.Interp.old_alloc then survivor := Vm.Mem.get mem (n' + v_off)
-            end);
-      Vm.Interp.run st;
+      (* Drive the switch interpreter to the gc-point of the allocation
+         that follows the 10th: a call's pc is a gc-point, so the stack
+         walks of the minors and the verifier see exact tables there. *)
+      let at_alloc () =
+        match img.Vm.Image.code.(st.Vm.Interp.pc) with
+        | Machine.Insn.Call
+            (Machine.Insn.Crt (Mir.Ir.Rt_alloc _ | Mir.Ir.Rt_alloc_open _)) ->
+            true
+        | _ -> false
+      in
+      Vm.Interp.reset st;
+      while
+        (not st.Vm.Interp.halted)
+        && not (st.Vm.Interp.alloc_count = 10 && at_alloc ())
+      do
+        Vm.Interp.step st
+      done;
+      if st.Vm.Interp.halted then Alcotest.fail "fewer than 11 allocations";
+      Gc.Nursery.minor st g;
+      (* [a], allocated first, is now a scanned pool object. *)
+      let p = Vm.Mem.get mem (List.hd img.Vm.Image.global_roots) in
+      let tdid = Vm.Mem.get mem p in
+      let words = img.Vm.Image.layouts.Rt.Typedesc.sizes.(tdid) in
+      if words <= 0 then Alcotest.fail "Node has a fixed layout";
+      let next_off = img.Vm.Image.layouts.Rt.Typedesc.offsets.(tdid).(0) in
+      let v_off =
+        List.find (fun o -> o <> next_off)
+          (List.init (words - Rt.Typedesc.fixed_header_words) (fun i ->
+               i + Rt.Typedesc.fixed_header_words))
+      in
+      p_old := p < g.Vm.Interp.old_alloc;
+      let n = Vm.Interp.rt_alloc st tdid ~length:0 in
+      n_young := n >= g.Vm.Interp.nursery_base;
+      Vm.Mem.set mem (n + v_off) 4242;
+      let slot = p + next_off in
+      Vm.Mem.set mem slot n;
+      unbarriered := verdict ();
+      Vm.Interp.barrier_hit st slot;
+      barriered := verdict ();
+      Gc.Nursery.minor st g;
+      let n' = Vm.Mem.get mem slot in
+      if n' < g.Vm.Interp.old_alloc then survivor := Vm.Mem.get mem (n' + v_off);
+      while not st.Vm.Interp.halted do
+        Vm.Interp.step st
+      done;
       check Alcotest.bool "the pool object was old" true !p_old;
       check Alcotest.bool "the referent was in the nursery" true !n_young;
       check Alcotest.bool "an unbarriered old→young store is reported" true

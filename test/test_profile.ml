@@ -43,7 +43,7 @@ let run_profiled ?(census_every = 0) ?nursery_words ~threaded ~collector img =
       | C.Precise -> Gc.Cheney.install st
       | C.Generational -> Gc.Nursery.install ?nursery_words st
       | C.Incremental -> ignore (Gc.Incremental.install ~pause_budget_us:0 st)
-      | C.Conservative -> ignore (Gc.Conservative.install st)
+      | C.Conservative -> ignore (Gc.Incremental.install_conservative st)
       | C.No_gc -> ());
       if threaded then Vm.Threaded.run st else Vm.Interp.run st);
   p

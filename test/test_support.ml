@@ -198,6 +198,25 @@ let prop_bitset_equal =
       && (not (Bitset.equal a (Bitset.create (width + 1))))
       && Bitset.equal b b)
 
+(* [prev_set] against a naive downward scan at every index: widths at
+   and around the 62-bit word edges, and sets from empty through sparse
+   (long runs of zero words to skip) to dense. *)
+let prop_bitset_prev_set =
+  QCheck.Test.make ~name:"prev_set agrees with a downward scan" ~count:500
+    QCheck.(
+      triple
+        (oneof [ oneofl [ 1; 61; 62; 63; 123; 124; 125; 186; 187 ]; int_range 1 400 ])
+        (int_bound 2) (list (int_bound 1000)))
+    (fun (width, density, xs) ->
+      let b = Bitset.create width in
+      let xs = match density with 0 -> [] | 1 -> List.filteri (fun i _ -> i < 3) xs | _ -> xs in
+      List.iter (fun i -> Bitset.set b (i mod width)) xs;
+      let rec naive i = if i < 0 || Bitset.mem b i then i else naive (i - 1) in
+      List.for_all (fun i -> Bitset.prev_set b i = naive i) (List.init width Fun.id)
+      && (match Bitset.prev_set b width with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+
 (* [iter]'s [f] must not mutate the set it walks: each word is read once,
    before its bits are visited, so a bit set in that word during the walk
    is missed (a per-bit walk would have seen it). Walk a copy to mutate. *)
@@ -275,6 +294,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_union;
           QCheck_alcotest.to_alcotest prop_bitset_walks;
           QCheck_alcotest.to_alcotest prop_bitset_equal;
+          QCheck_alcotest.to_alcotest prop_bitset_prev_set;
           Alcotest.test_case "iter: f must not mutate" `Quick test_bitset_iter_mutation;
         ] );
       ( "misc",
