@@ -8,15 +8,17 @@ type state = {
 let loc st : Srcloc.t = { line = st.line; col = st.pos - st.bol + 1 }
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* The scans below index the source after a bounds test, so they allocate
+   nothing. [next] returns NUL past the end of input; it is only ever
+   compared with punctuation, so a NUL in the source cannot be mistaken. *)
+let next st =
+  if st.pos + 1 < String.length st.src then String.unsafe_get st.src (st.pos + 1) else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  if st.pos < String.length st.src && String.unsafe_get st.src st.pos = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -24,35 +26,35 @@ let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
 let rec skip_comment st depth start_loc =
-  match (peek st, peek2 st) with
-  | None, _ -> M3l_error.lex_error start_loc "unterminated comment"
-  | Some '*', Some ')' ->
-      advance st;
-      advance st;
+  if st.pos >= String.length st.src then M3l_error.lex_error start_loc "unterminated comment";
+  match (String.unsafe_get st.src st.pos, next st) with
+  | '*', ')' ->
+      st.pos <- st.pos + 2;
       if depth > 1 then skip_comment st (depth - 1) start_loc
-  | Some '(', Some '*' ->
-      advance st;
-      advance st;
+  | '(', '*' ->
+      st.pos <- st.pos + 2;
       skip_comment st (depth + 1) start_loc
-  | Some _, _ ->
+  | _ ->
       advance st;
       skip_comment st depth start_loc
 
-let lex_ident st =
+(* Scan [st.src] from [st.pos] while [p] holds; returns the start. *)
+let scan st p =
   let start = st.pos in
-  while match peek st with Some c -> is_alnum c | None -> false do
-    advance st
+  while st.pos < String.length st.src && p (String.unsafe_get st.src st.pos) do
+    st.pos <- st.pos + 1
   done;
+  start
+
+let keywords = Hashtbl.of_seq (List.to_seq Token.keyword_table)
+
+let lex_ident st =
+  let start = scan st is_alnum in
   let s = String.sub st.src start (st.pos - start) in
-  match List.assoc_opt s Token.keyword_table with
-  | Some kw -> kw
-  | None -> Token.IDENT s
+  match Hashtbl.find_opt keywords s with Some kw -> kw | None -> Token.IDENT s
 
 let lex_int st =
-  let start = st.pos in
-  while match peek st with Some c -> is_digit c | None -> false do
-    advance st
-  done;
+  let start = scan st is_digit in
   Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
 
 let escape_char l = function
@@ -116,56 +118,55 @@ let tokenize src =
   let toks = ref [] in
   let emit tok l = toks := (tok, l) :: !toks in
   let rec go () =
-    match peek st with
-    | None -> emit Token.EOF (loc st)
-    | Some (' ' | '\t' | '\r' | '\n') ->
-        advance st;
-        go ()
-    | Some '(' when peek2 st = Some '*' ->
-        let l = loc st in
-        advance st;
-        advance st;
-        skip_comment st 1 l;
-        go ()
-    | Some c ->
-        let l = loc st in
-        (if is_alpha c then emit (lex_ident st) l
-         else if is_digit c then emit (lex_int st) l
-         else if c = '\'' then emit (lex_char st) l
-         else if c = '"' then emit (lex_string st) l
-         else
-           let simple tok =
-             advance st;
-             emit tok l
-           in
-           let two tok =
-             advance st;
-             advance st;
-             emit tok l
-           in
-           match (c, peek2 st) with
-           | ':', Some '=' -> two Token.ASSIGN
-           | ':', _ -> simple Token.COLON
-           | '.', Some '.' -> two Token.DOTDOT
-           | '.', _ -> simple Token.DOT
-           | '<', Some '=' -> two Token.LE
-           | '<', _ -> simple Token.LT
-           | '>', Some '=' -> two Token.GE
-           | '>', _ -> simple Token.GT
-           | ';', _ -> simple Token.SEMI
-           | ',', _ -> simple Token.COMMA
-           | '(', _ -> simple Token.LPAREN
-           | ')', _ -> simple Token.RPAREN
-           | '[', _ -> simple Token.LBRACKET
-           | ']', _ -> simple Token.RBRACKET
-           | '^', _ -> simple Token.CARET
-           | '=', _ -> simple Token.EQ
-           | '#', _ -> simple Token.NEQ
-           | '+', _ -> simple Token.PLUS
-           | '-', _ -> simple Token.MINUS
-           | '*', _ -> simple Token.STAR
-           | _ -> M3l_error.lex_error l "unexpected character %C" c);
-        go ()
+    if st.pos >= String.length src then emit Token.EOF (loc st)
+    else
+      match String.unsafe_get src st.pos with
+      | ' ' | '\t' | '\r' | '\n' ->
+          advance st;
+          go ()
+      | '(' when next st = '*' ->
+          let l = loc st in
+          st.pos <- st.pos + 2;
+          skip_comment st 1 l;
+          go ()
+      | c ->
+          let l = loc st in
+          (if is_alpha c then emit (lex_ident st) l
+           else if is_digit c then emit (lex_int st) l
+           else if c = '\'' then emit (lex_char st) l
+           else if c = '"' then emit (lex_string st) l
+           else
+             let simple tok =
+               st.pos <- st.pos + 1;
+               emit tok l
+             in
+             let two tok =
+               st.pos <- st.pos + 2;
+               emit tok l
+             in
+             match (c, next st) with
+             | ':', '=' -> two Token.ASSIGN
+             | ':', _ -> simple Token.COLON
+             | '.', '.' -> two Token.DOTDOT
+             | '.', _ -> simple Token.DOT
+             | '<', '=' -> two Token.LE
+             | '<', _ -> simple Token.LT
+             | '>', '=' -> two Token.GE
+             | '>', _ -> simple Token.GT
+             | ';', _ -> simple Token.SEMI
+             | ',', _ -> simple Token.COMMA
+             | '(', _ -> simple Token.LPAREN
+             | ')', _ -> simple Token.RPAREN
+             | '[', _ -> simple Token.LBRACKET
+             | ']', _ -> simple Token.RBRACKET
+             | '^', _ -> simple Token.CARET
+             | '=', _ -> simple Token.EQ
+             | '#', _ -> simple Token.NEQ
+             | '+', _ -> simple Token.PLUS
+             | '-', _ -> simple Token.MINUS
+             | '*', _ -> simple Token.STAR
+             | _ -> M3l_error.lex_error l "unexpected character %C" c);
+          go ()
   in
   go ();
   List.rev !toks

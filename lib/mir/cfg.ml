@@ -27,14 +27,12 @@ let reverse_postorder (f : Ir.func) : int array =
   dfs 0;
   Array.of_list !order
 
-(** Immediate dominators (Cooper–Harvey–Kennedy); unreachable blocks map to
-    themselves and should be ignored by clients. *)
-let dominators (f : Ir.func) : int array =
+(* Immediate dominators (Cooper–Harvey–Kennedy) over [preds]. *)
+let dominators_of (f : Ir.func) (preds : int list array) : int array =
   let nb = Array.length f.Ir.blocks in
   let rpo = reverse_postorder f in
   let rpo_num = Array.make nb (-1) in
   Array.iteri (fun i b -> rpo_num.(b) <- i) rpo;
-  let preds = predecessors f in
   let idom = Array.make nb (-1) in
   idom.(0) <- 0;
   let rec intersect a b =
@@ -70,9 +68,7 @@ let dominates idom a b =
 (** A natural loop: header plus body block set (including the header). *)
 type loop = { header : int; body : Iset.t }
 
-let natural_loops (f : Ir.func) : loop list =
-  let idom = dominators f in
-  let preds = predecessors f in
+let loops_of (f : Ir.func) ~(preds : int list array) ~(idom : int array) : loop list =
   let loops = Hashtbl.create 8 in
   (* back edge: b -> h where h dominates b *)
   Array.iteri
@@ -103,6 +99,71 @@ let natural_loops (f : Ir.func) : loop list =
         (Ir.term_succs blk.Ir.term))
     f.Ir.blocks;
   Hashtbl.fold (fun header body acc -> { header; body } :: acc) loops []
+
+(* ------------------------------------------------------------------ *)
+(* Shared loop analysis                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** Immediate dominators and natural loops, shared by the loop passes and
+    recomputed only when the CFG has changed since the last query. The CFG
+    is a function of every block's terminator, and terminators are
+    immutable, so a snapshot of their physical identities tells whether the
+    cached results are what {!dominators} and {!natural_loops} return. *)
+type analysis = {
+  mutable terms : Ir.term array; (* snapshot: each block's terminator *)
+  mutable idom : int array;
+  mutable loops : loop list;
+  mutable computed : int; (* queries that recomputed *)
+  mutable reused : int; (* queries answered from the snapshot *)
+}
+
+let analysis () = { terms = [||]; idom = [||]; loops = []; computed = 0; reused = 0 }
+
+let refresh (a : analysis) (f : Ir.func) =
+  let blocks = f.Ir.blocks in
+  if
+    Array.length blocks = Array.length a.terms
+    && Array.for_all2 (fun (b : Ir.block) t -> b.Ir.term == t) blocks a.terms
+  then a.reused <- a.reused + 1
+  else begin
+    let preds = predecessors f in
+    let idom = dominators_of f preds in
+    a.terms <- Array.map (fun (b : Ir.block) -> b.Ir.term) blocks;
+    a.idom <- idom;
+    a.loops <- loops_of f ~preds ~idom;
+    a.computed <- a.computed + 1
+  end
+
+(** [natural_loops f], from the snapshot when the CFG is unchanged. *)
+let loops (a : analysis) (f : Ir.func) : loop list =
+  refresh a f;
+  a.loops
+
+(** [dominators f], from the snapshot when the CFG is unchanged. The array
+    is shared: callers must not write to it. *)
+let idom (a : analysis) (f : Ir.func) : int array =
+  refresh a f;
+  a.idom
+
+(** Immediate dominators; the entry maps to itself and unreachable blocks
+    to -1. *)
+let dominators (f : Ir.func) : int array = idom (analysis ()) f
+
+let natural_loops (f : Ir.func) : loop list = loops (analysis ()) f
+
+(** The loop passes' shared walk: visit each loop whose header is not the
+    entry block, once per header, re-reading the loops after every visit
+    since a visit may change the CFG. True if any visit returned true. *)
+let visit_loops (a : analysis) (f : Ir.func) (visit : loop -> bool) : bool =
+  let fresh processed l = l.header <> 0 && not (Iset.mem l.header processed) in
+  let rec go processed changed =
+    match List.find_opt (fresh processed) (loops a f) with
+    | None -> changed
+    | Some l ->
+        let c = visit l in
+        go (Iset.add l.header processed) (c || changed)
+  in
+  go Iset.empty false
 
 (* ------------------------------------------------------------------ *)
 (* Block surgery                                                       *)

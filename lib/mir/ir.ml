@@ -213,25 +213,12 @@ let term_succs = function
   | Cjmp (_, _, _, t, e) -> [ t; e ]
   | Ret _ | Unreachable -> []
 
-let operand_temps ops =
-  List.filter_map (function Otemp t -> Some t | Oimm _ -> None) ops
-
 (** Locals read (as slots) by an instruction; [Lda_local] counts as an
     address-taken reference, returned separately. *)
 let instr_local_reads = function
   | Ld_local (_, l, _) -> [ l ]
   | Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | Ld_global _ | St_local _ | St_global _
   | Lda_local _ | Lda_global _ | Lda_text _ | Load _ | Store _ | Store_nb _ | Call _ -> []
-
-let instr_local_writes = function
-  | St_local (l, _, _) -> [ l ]
-  | Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | Ld_local _ | Ld_global _ | St_global _
-  | Lda_local _ | Lda_global _ | Lda_text _ | Load _ | Store _ | Store_nb _ | Call _ -> []
-
-let is_call = function Call _ -> true
-  | Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | Ld_local _ | Ld_global _ | St_local _
-  | St_global _ | Lda_local _ | Lda_global _ | Lda_text _ | Load _ | Store _ | Store_nb _ ->
-      false
 
 (** Does this call instruction constitute a gc-point?  All calls to user
     procedures do (unless the optional never-allocates analysis proves
@@ -241,10 +228,6 @@ let call_is_gcpoint ?(noalloc_funcs = fun (_ : int) -> false) callee =
   match callee with
   | Cuser fid -> not (noalloc_funcs fid)
   | Crt rc -> rt_allocates rc
-
-let local_is_stable f l =
-  let info = f.locals.(l) in
-  info.l_stores <= (if l < f.nparams then 0 else 1)
 
 (** Rewrite the operands an instruction reads (definitions untouched). *)
 let map_instr_uses (g : operand -> operand) (i : instr) : instr =
@@ -262,9 +245,15 @@ let map_instr_uses (g : operand -> operand) (i : instr) : instr =
   | Store_nb (a, o, v) -> Store_nb (g a, o, g v)
   | Call (d, c, args) -> Call (d, c, List.map g args)
 
+(** Rewrite the operands a terminator reads; an unchanged terminator is
+    returned as is, so a {!Cfg.analysis} snapshot outlives the rewrite. *)
 let map_term_uses (g : operand -> operand) (t : term) : term =
   match t with
   | Jmp _ | Unreachable -> t
-  | Cjmp (r, a, b, tl, fl) -> Cjmp (r, g a, g b, tl, fl)
-  | Ret (Some o) -> Ret (Some (g o))
+  | Cjmp (r, a, b, tl, fl) ->
+      let a' = g a and b' = g b in
+      if a' == a && b' == b then t else Cjmp (r, a', b', tl, fl)
+  | Ret (Some o) ->
+      let o' = g o in
+      if o' == o then t else Ret (Some o')
   | Ret None -> t

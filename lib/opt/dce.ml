@@ -21,19 +21,25 @@ let has_side_effects (i : Ir.instr) =
       false
 
 let run (_prog : Ir.program) (f : Ir.func) : bool =
-  (* Seed: temps read by side-effecting instructions and terminators. *)
-  let needed = ref Iset.empty in
-  let note (o : Ir.operand) =
-    match o with Ir.Otemp t -> needed := Iset.add t !needed | Ir.Oimm _ -> ()
+  (* A worklist over temps: [needed] is the set, [defs.(t)] the instructions
+     defining [t], whose uses become needed when [t] does. *)
+  let needed = Array.make f.Ir.ntemps false in
+  let defs = Array.make f.Ir.ntemps [] in
+  let work = ref [] in
+  let need t =
+    if not needed.(t) then begin
+      needed.(t) <- true;
+      work := t :: !work
+    end
   in
+  let note (o : Ir.operand) = match o with Ir.Otemp t -> need t | Ir.Oimm _ -> () in
   let note_deriv (d : Mir.Deriv.t) =
     List.iter
-      (function
-        | Mir.Deriv.Btemp t -> needed := Iset.add t !needed
-        | Mir.Deriv.Blocal _ -> ())
+      (function Mir.Deriv.Btemp t -> need t | Mir.Deriv.Blocal _ -> ())
       (Mir.Deriv.bases d)
   in
-  (* Bases of derived slots are needed as long as the slot may be live —
+  (* Seed: temps read by side-effecting instructions and terminators, and
+     the bases of derived slots, needed as long as the slot may be live —
      conservatively, always. *)
   Array.iter
     (fun (li : Ir.local_info) ->
@@ -45,47 +51,35 @@ let run (_prog : Ir.program) (f : Ir.func) : bool =
   Array.iter
     (fun (blk : Ir.block) ->
       List.iter
-        (fun i -> if has_side_effects i then List.iter note (Ir.instr_uses i))
+        (fun i ->
+          if has_side_effects i then List.iter note (Ir.instr_uses i);
+          match Ir.instr_def i with Some d -> defs.(d) <- i :: defs.(d) | None -> ())
         blk.Ir.instrs;
       List.iter note (Ir.term_uses blk.Ir.term))
     f.Ir.blocks;
-  (* Fixpoint: a needed temp's defining instructions' uses are needed, and
+  (* Closure: a needed temp's defining instructions' uses are needed, and
      the bases of a needed derived temp are needed. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let before = Iset.cardinal !needed in
-    Array.iter
-      (fun (blk : Ir.block) ->
-        List.iter
-          (fun i ->
-            match Ir.instr_def i with
-            | Some d when Iset.mem d !needed -> List.iter note (Ir.instr_uses i)
-            | _ -> ())
-          blk.Ir.instrs)
-      f.Ir.blocks;
-    Iset.iter
-      (fun t ->
-        match Ir.temp_kind f t with
+  let rec drain () =
+    match !work with
+    | [] -> ()
+    | t :: rest ->
+        work := rest;
+        List.iter (fun i -> List.iter note (Ir.instr_uses i)) defs.(t);
+        (match Ir.temp_kind f t with
         | Ir.Kderived d -> note_deriv d
-        | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ())
-      !needed;
-    if Iset.cardinal !needed <> before then changed := true
-  done;
+        | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ());
+        drain ()
+  in
+  drain ();
+  let keep i =
+    has_side_effects i || match Ir.instr_def i with Some d -> needed.(d) | None -> true
+  in
   let removed = ref false in
   Array.iter
     (fun (blk : Ir.block) ->
-      let keep i =
-        has_side_effects i
-        ||
-        match Ir.instr_def i with
-        | Some d -> Iset.mem d !needed
-        | None -> true
-      in
-      let filtered = List.filter keep blk.Ir.instrs in
-      if List.length filtered <> List.length blk.Ir.instrs then begin
+      if not (List.for_all keep blk.Ir.instrs) then begin
         removed := true;
-        blk.Ir.instrs <- filtered
+        blk.Ir.instrs <- List.filter keep blk.Ir.instrs
       end)
     f.Ir.blocks;
   !removed

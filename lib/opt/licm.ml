@@ -112,22 +112,5 @@ let hoist_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
   done;
   !changed
 
-let run (_prog : Ir.program) (f : Ir.func) : bool =
-  let changed = ref false in
-  let processed = ref Iset.empty in
-  let rec go () =
-    let loops = Mir.Cfg.natural_loops f in
-    match
-      List.find_opt
-        (fun (l : Mir.Cfg.loop) ->
-          l.Mir.Cfg.header <> 0 && not (Iset.mem l.Mir.Cfg.header !processed))
-        loops
-    with
-    | None -> ()
-    | Some l ->
-        processed := Iset.add l.Mir.Cfg.header !processed;
-        if hoist_loop f l then changed := true;
-        go ()
-  in
-  go ();
-  !changed
+let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+  Mir.Cfg.visit_loops cfg f (hoist_loop f)

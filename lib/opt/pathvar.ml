@@ -383,24 +383,6 @@ let apply (f : Ir.func) (l : Mir.Cfg.loop) (c : candidate) : bool =
                 f.Ir.blocks.(c.cond_block).Ir.term <- Ir.Jmp c.arm_a;
                 true))
 
-let run (_prog : Ir.program) (f : Ir.func) : bool =
-  let changed = ref false in
-  let processed = ref Iset.empty in
-  let rec go () =
-    let loops = Mir.Cfg.natural_loops f in
-    match
-      List.find_opt
-        (fun (l : Mir.Cfg.loop) ->
-          l.Mir.Cfg.header <> 0 && not (Iset.mem l.Mir.Cfg.header !processed))
-        loops
-    with
-    | None -> ()
-    | Some l ->
-        processed := Iset.add l.Mir.Cfg.header !processed;
-        (match find_candidate f l with
-        | Some c -> if apply f l c then changed := true
-        | None -> ());
-        go ()
-  in
-  go ();
-  !changed
+let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+  Mir.Cfg.visit_loops cfg f (fun l ->
+      match find_candidate f l with Some c -> apply f l c | None -> false)

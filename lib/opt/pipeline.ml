@@ -30,29 +30,38 @@ let all_on =
     dce = true;
   }
 
+let c_loop_analyses = Telemetry.Metrics.counter "opt.loop_analyses"
+let c_loop_reuses = Telemetry.Metrics.counter "opt.loop_analysis_reuses"
+
+(** Optimize one function. [cfg], its loop analysis, is shared by pathvar,
+    strength and licm. Every pass runs as [wrap name cfg pass]; tests wrap
+    passes to check state at each pass boundary. *)
+let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.func) =
+  let cfg = Mir.Cfg.analysis () in
+  let budget = ref 6 in
+  let changed = ref true in
+  while !changed && !budget > 0 do
+    changed := false;
+    (* Each pass is timed individually so `mmc --timings` breaks the
+       optimizer down per pass across all fixed-point iterations. *)
+    let step cond name pass =
+      if cond && Telemetry.Timer.time ~cat:"opt" name (fun () -> wrap name cfg pass) then
+        changed := true
+    in
+    step opts.copyprop "opt.copyprop" (fun () -> Copyprop.run prog f);
+    step opts.constfold "opt.constfold" (fun () -> Constfold.run prog f);
+    step opts.pathvar "opt.pathvar" (fun () -> Pathvar.run cfg f);
+    step opts.cse "opt.cse" (fun () -> Cse.run prog f);
+    step opts.virtual_origin "opt.virtual_origin" (fun () -> Virtual_origin.run prog f);
+    step opts.strength "opt.strength" (fun () -> Strength.run cfg f);
+    step opts.licm "opt.licm" (fun () -> Licm.run cfg f);
+    step opts.dce "opt.dce" (fun () -> Dce.run prog f);
+    decr budget
+  done;
+  Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.computed c_loop_analyses;
+  Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.reused c_loop_reuses;
+  ignore (Telemetry.Timer.time ~cat:"opt" "opt.cleanup" (fun () -> Cleanup.run prog f))
+
 let optimize ?(opts = all_on) (prog : Mir.Ir.program) : unit =
   Telemetry.Trace.span ~cat:"compile" "opt.pipeline" (fun () ->
-      Array.iter
-        (fun f ->
-          let budget = ref 6 in
-          let changed = ref true in
-          while !changed && !budget > 0 do
-            changed := false;
-            (* Each pass is timed individually so `mmc --timings` breaks the
-               optimizer down per pass across all fixed-point iterations. *)
-            let step cond name pass =
-              if cond && Telemetry.Timer.time ~cat:"opt" name (fun () -> pass prog f)
-              then changed := true
-            in
-            step opts.copyprop "opt.copyprop" Copyprop.run;
-            step opts.constfold "opt.constfold" Constfold.run;
-            step opts.pathvar "opt.pathvar" Pathvar.run;
-            step opts.cse "opt.cse" Cse.run;
-            step opts.virtual_origin "opt.virtual_origin" Virtual_origin.run;
-            step opts.strength "opt.strength" Strength.run;
-            step opts.licm "opt.licm" Licm.run;
-            step opts.dce "opt.dce" Dce.run;
-            decr budget
-          done;
-          ignore (Telemetry.Timer.time ~cat:"opt" "opt.cleanup" (fun () -> Cleanup.run prog f)))
-        prog.Mir.Ir.funcs)
+      Array.iter (func ~opts prog) prog.Mir.Ir.funcs)

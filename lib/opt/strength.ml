@@ -72,14 +72,13 @@ let decompose_offset (defs, count) ~in_body (off : Ir.operand) : (int * int * in
           match sub_lo off with Some (iv, lo) -> Some (iv, lo, 1) | None -> None))
   | _ -> None
 
-let reduce_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
+let reduce_loop (cfg : Mir.Cfg.analysis) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
   let body = l.Mir.Cfg.body in
   let in_body b = Iset.mem b body in
   let defs, count = build_defs f in
   (* Locals stored in the loop, with their single-store description. *)
   let store_sites = Hashtbl.create 8 in
   let store_counts = Hashtbl.create 8 in
-  let has_call = ref false in
   Iset.iter
     (fun b ->
       List.iter
@@ -92,7 +91,6 @@ let reduce_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
           | Ir.St_local (lo, _, _) ->
               Hashtbl.replace store_counts lo
                 (2 + Option.value ~default:0 (Hashtbl.find_opt store_counts lo))
-          | Ir.Call _ -> has_call := true
           | _ -> ())
         f.Ir.blocks.(b).Ir.instrs)
     body;
@@ -117,7 +115,7 @@ let reduce_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
      preheader), or a single in-loop load of a slot never stored in the
      loop and safe from modification through its address (re-loaded fresh
      in the preheader). *)
-  let idom = Mir.Cfg.dominators f in
+  let idom = Mir.Cfg.idom cfg f in
   let base_info (o : Ir.operand) : (Mir.Deriv.t * [ `Temp of int | `Slot of int ]) option =
     match o with
     | Ir.Oimm _ -> None
@@ -253,22 +251,5 @@ let reduce_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
     true
   end
 
-let run (_prog : Ir.program) (f : Ir.func) : bool =
-  let changed = ref false in
-  let processed = ref Iset.empty in
-  let rec go () =
-    let loops = Mir.Cfg.natural_loops f in
-    match
-      List.find_opt
-        (fun (l : Mir.Cfg.loop) ->
-          l.Mir.Cfg.header <> 0 && not (Iset.mem l.Mir.Cfg.header !processed))
-        loops
-    with
-    | None -> ()
-    | Some l ->
-        processed := Iset.add l.Mir.Cfg.header !processed;
-        if reduce_loop f l then changed := true;
-        go ()
-  in
-  go ();
-  !changed
+let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+  Mir.Cfg.visit_loops cfg f (reduce_loop cfg f)

@@ -243,6 +243,44 @@ let test_tc_duplicates () =
   rejects
     "MODULE T; PROCEDURE F(); BEGIN END F; PROCEDURE F(); BEGIN END F; BEGIN END T."
 
+(* The lexer against its predecessor, kept as Lexer_oracle: the same tokens
+   and locations, or the same error at the same location. *)
+let lex_outcome tokenize src =
+  match tokenize src with
+  | toks -> Ok toks
+  | exception M3l.M3l_error.Lex_error (l, m) -> Error (Some l, m)
+  | exception Failure m -> Error (None, m) (* an integer literal out of range *)
+
+let agrees_with_oracle src =
+  lex_outcome M3l.Lexer.tokenize src = lex_outcome Lexer_oracle.tokenize src
+
+let test_lex_oracle_corpus () =
+  List.iter
+    (fun (name, src) -> check Alcotest.bool name true (agrees_with_oracle src))
+    (("nested comment", "MODULE M; (* a (* nested *) comment *) BEGIN END M.")
+    :: Corpus.programs)
+
+(* Random strings over the M3L alphabet, built from fragments that open and
+   close comments, strings and character literals, escapes (valid or not),
+   keywords, oversized integers, NUL bytes and characters outside the
+   language. *)
+let gen_lex_source =
+  let open QCheck.Gen in
+  let fragments =
+    [ "(*"; "*)"; "("; "*"; ")"; "'"; "\""; "\\"; "\\n"; "\\q"; "\\0"; "'a'"; "'\\''";
+      "\"s\\\"t\""; "MODULE"; "END"; "WHILE"; "Module"; "x_1"; "99999999999999999999";
+      "42"; ":="; ".."; "<="; ">="; "#"; "^"; "\000"; "\n"; "\r\n"; "\t"; " "; "@"; "{"; "\255" ]
+  in
+  let alphabet = "abzAZ_09:=.<>;,()[]^#+-*'\"\\ \t\r\n\000@{~" in
+  let char = map (String.make 1) (oneofl (List.init (String.length alphabet) (String.get alphabet))) in
+  let piece = frequency [ (3, oneofl fragments); (2, char) ] in
+  map (String.concat "") (list_size (int_range 0 30) piece)
+
+let prop_lex_oracle =
+  QCheck.Test.make ~name:"lexer matches the oracle on random strings" ~count:2000
+    (QCheck.make ~print:String.escaped gen_lex_source)
+    agrees_with_oracle
+
 let () =
   Alcotest.run "frontend"
     [
@@ -254,6 +292,8 @@ let () =
           Alcotest.test_case "literals" `Quick test_lex_literals;
           Alcotest.test_case "comments" `Quick test_lex_comments;
           Alcotest.test_case "positions" `Quick test_lex_positions;
+          Alcotest.test_case "matches the oracle on the corpus" `Quick test_lex_oracle_corpus;
+          QCheck_alcotest.to_alcotest prop_lex_oracle;
         ] );
       ( "parser",
         [

@@ -386,6 +386,34 @@ let test_preheader () =
           (Ir.term_succs blk.Ir.term))
     main.Ir.blocks
 
+(* The shared analysis answers from its snapshot until a terminator or the
+   block count changes, and then agrees with a fresh computation. *)
+let test_analysis_snapshot () =
+  let p =
+    lower
+      "MODULE T; VAR i: INTEGER; BEGIN i := 0; WHILE i < 5 DO i := i + 1 END END T."
+  in
+  let main = p.Ir.funcs.(p.Ir.main_fid) in
+  let a = Mir.Cfg.analysis () in
+  let agrees () =
+    let repr = Opt_oracle.loops_repr in
+    check Alcotest.bool "loops" true
+      (repr (Mir.Cfg.loops a main) = repr (Mir.Cfg.natural_loops main));
+    check Alcotest.(array int) "idom" (Mir.Cfg.dominators main) (Mir.Cfg.idom a main)
+  in
+  agrees ();
+  check Alcotest.(pair int int) "computed once, then reused" (1, 1)
+    (a.Mir.Cfg.computed, a.Mir.Cfg.reused);
+  ignore (Mir.Cfg.insert_preheader main (List.hd (Mir.Cfg.loops a main)));
+  agrees ();
+  check Alcotest.int "a new block recomputes" 2 a.Mir.Cfg.computed;
+  (* Retarget the preheader's jump straight back to itself: same block
+     count, one new terminator. *)
+  let ph = Array.length main.Ir.blocks - 1 in
+  main.Ir.blocks.(ph).Ir.term <- Ir.Jmp ph;
+  agrees ();
+  check Alcotest.int "a new terminator recomputes" 3 a.Mir.Cfg.computed
+
 let test_deriv_algebra () =
   let open Mir.Deriv in
   let a = of_base (Btemp 1) in
@@ -424,6 +452,7 @@ let () =
           Alcotest.test_case "natural loops" `Quick test_natural_loops;
           Alcotest.test_case "dominators" `Quick test_dominators;
           Alcotest.test_case "preheader" `Quick test_preheader;
+          Alcotest.test_case "analysis snapshot" `Quick test_analysis_snapshot;
           Alcotest.test_case "derivation algebra" `Quick test_deriv_algebra;
         ] );
     ]

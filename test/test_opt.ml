@@ -102,6 +102,17 @@ let test_dce_removes () =
   let after = count_instrs (mir_with { no_opts with dce = true; copyprop = true } src) in
   check Alcotest.bool "dce shrinks code" true (after <= before)
 
+let prog_of (f : Ir.func) : Ir.program =
+  {
+    Ir.pname = "t";
+    globals = [||];
+    texts = [||];
+    tdescs = [||];
+    funcs = [| f |];
+    main_fid = 0;
+    alloc_sites = [||];
+  }
+
 let test_dce_keeps_bases () =
   (* The load of a base pointer must survive DCE while a derived value
      needs it, even if the load's result has no direct remaining use. *)
@@ -142,24 +153,63 @@ let test_dce_keeps_bases () =
       ntemps = 2;
     }
   in
-  let prog : Ir.program =
-    {
-      Ir.pname = "t";
-      globals = [||];
-      texts = [||];
-      tdescs = [||];
-      funcs = [| f |];
-      main_fid = 0;
-      alloc_sites = [||];
-    }
-  in
-  ignore (Opt.Dce.run prog f);
+  ignore (Opt.Dce.run (prog_of f) f);
   let still_there =
     List.exists
       (fun i -> match i with Ir.Ld_local (0, 0, 0) -> true | _ -> false)
       f.Ir.blocks.(0).Ir.instrs
   in
   check Alcotest.bool "base load survives DCE" true still_there
+
+(* The rules the corpus never decides: a derived temp whose base is not an
+   operand of its definition, a derived slot's temp base, a trapping DIV
+   whose result is dead, and a temp with two definitions. Everything here
+   is needed, and the old fixpoint agrees. *)
+let test_dce_rules () =
+  let slot name l_slot =
+    { Ir.l_name = name; l_size = 1; l_slot; l_user = true; l_addr_taken = false; l_stores = 1 }
+  in
+  let derived_of t = Ir.Kderived { Mir.Deriv.plus = [ Mir.Deriv.Btemp t ]; minus = [] } in
+  let instrs =
+    [
+      Ir.Ld_local (0, 0, 0) (* base of t1, by t1's kind only *);
+      Ir.Ld_local (1, 1, 0);
+      Ir.Store (Ir.Otemp 1, 0, Ir.Oimm 9);
+      Ir.Ld_local (2, 0, 0) (* base of slot 2, by the slot's kind only *);
+      Ir.Mov (3, Ir.Oimm 0);
+      Ir.Bin (Ir.Div, 4, Ir.Oimm 7, Ir.Otemp 3) (* traps; result dead *);
+      Ir.Mov (6, Ir.Oimm 1);
+      Ir.Mov (7, Ir.Oimm 2);
+      Ir.Mov (5, Ir.Otemp 6);
+      Ir.Mov (5, Ir.Otemp 7);
+      Ir.St_local (0, 0, Ir.Otemp 5);
+    ]
+  in
+  let f : Ir.func =
+    {
+      Ir.fid = 0;
+      fname = "rules";
+      params = [];
+      nparams = 0;
+      ret = false;
+      ret_ptr = false;
+      locals =
+        [|
+          slot "p" Ir.Sptr;
+          slot "q" Ir.Sptr;
+          slot "d" (Ir.Sderived { Mir.Deriv.plus = [ Mir.Deriv.Btemp 2 ]; minus = [] });
+        |];
+      blocks = [| { Ir.instrs; term = Ir.Ret None } |];
+      temp_kinds =
+        [| Ir.Kptr; derived_of 0; Ir.Kptr; Ir.Kscalar; Ir.Kscalar; Ir.Kscalar; Ir.Kscalar; Ir.Kscalar |];
+      ntemps = 8;
+    }
+  in
+  let g = Opt_oracle.copy f in
+  let removed = Opt.Dce.run (prog_of f) f in
+  check Alcotest.bool "nothing removed" false removed;
+  check Alcotest.bool "the old fixpoint agrees" false (Opt_oracle.dce g);
+  check Alcotest.int "every instruction kept" (List.length instrs) (List.length f.Ir.blocks.(0).Ir.instrs)
 
 let test_strength_fires () =
   let src =
@@ -429,6 +479,38 @@ let test_barrier_elim_converges () =
         "" r.Driver.Compile.output)
     [ false; true ]
 
+(* Pass by pass at O1 over the corpus: the worklist DCE removes what the old
+   fixpoint removes, and the shared loop analysis is never stale. *)
+let test_oracles_corpus () =
+  List.iter
+    (fun (name, src) ->
+      match Opt_oracle.check_source src with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %s" name d)
+    Corpus.programs
+
+(* The loop passes share one analysis per function, so most queries reuse it. *)
+let test_analysis_reused () =
+  let computed = ref 0 and reused = ref 0 in
+  List.iter
+    (fun (_, src) ->
+      let prog = Mir.Lower.program ~checks:true (M3l.Typecheck.check_source src) in
+      Array.iter
+        (fun f ->
+          let seen = ref None in
+          Opt.Pipeline.func ~wrap:(fun _ cfg pass -> seen := Some cfg; pass ()) prog f;
+          Option.iter
+            (fun (a : Mir.Cfg.analysis) ->
+              computed := !computed + a.Mir.Cfg.computed;
+              reused := !reused + a.Mir.Cfg.reused)
+            !seen)
+        prog.Ir.funcs)
+    Corpus.programs;
+  check Alcotest.bool
+    (Printf.sprintf "%d reused, %d computed" !reused !computed)
+    true
+    (!computed > 0 && !reused > 2 * !computed)
+
 let () =
   Alcotest.run "opt"
     [
@@ -444,10 +526,13 @@ let () =
           Alcotest.test_case "constfold folds" `Quick test_constfold_folds;
           Alcotest.test_case "dce removes dead code" `Quick test_dce_removes;
           Alcotest.test_case "dce keeps derivation bases" `Quick test_dce_keeps_bases;
+          Alcotest.test_case "dce rules the corpus never decides" `Quick test_dce_rules;
           Alcotest.test_case "strength reduction fires" `Quick test_strength_fires;
           Alcotest.test_case "virtual origin fires" `Quick test_virtual_origin_fires;
           Alcotest.test_case "licm hoists" `Quick test_licm_hoists;
           Alcotest.test_case "pathvar fires on ambig" `Quick test_pathvar_fires;
+          Alcotest.test_case "oracles agree on the corpus" `Quick test_oracles_corpus;
+          Alcotest.test_case "loop analysis is reused" `Quick test_analysis_reused;
         ] );
       ( "gc-points",
         [

@@ -341,6 +341,14 @@ let prop_liveness_oracle =
             (Driver.Compile.to_mir ~options src).Mir.Ir.funcs)
         [ false; true ])
 
+let prop_opt_oracle =
+  QCheck.Test.make ~name:"optimizer matches its oracles at O1" ~count:60
+    (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
+    (fun p ->
+      match Opt_oracle.check_source (to_m3l p) with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s" d)
+
 let () =
   Alcotest.run "random"
     [
@@ -349,5 +357,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_collections_strike;
           QCheck_alcotest.to_alcotest prop_liveness_oracle;
+          QCheck_alcotest.to_alcotest prop_opt_oracle;
         ] );
     ]

@@ -197,6 +197,74 @@ let test_fuel_tolerance () =
     [ 1; 2; 100; 101; 1000; 100_000_000 ]
 
 (* ------------------------------------------------------------------ *)
+(* Faults observe exact state                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* DESIGN.md §8: a fault leaves the same pc, icount and registers under
+   both engines. Each program faults one way, at O0 and O1: a NIL store
+   with checks off (the VM's write guard), DIV by zero, a stack overflow
+   from unbounded recursion, and a bounds trap. *)
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_fault_state () =
+  let fault ~threaded img =
+    let st = Vm.Interp.create img in
+    Gc.Cheney.install st;
+    let outcome =
+      match if threaded then Vm.Threaded.run st else Vm.Interp.run st with
+      | () -> "completed"
+      | exception Vm.Vm_error.Error e -> "vm error: " ^ Vm.Vm_error.to_string e
+      | exception Vm.Interp.Guest_error m -> "trap: " ^ m
+    in
+    (outcome, st.Vm.Interp.pc, st.Vm.Interp.icount, Array.copy st.Vm.Interp.regs)
+  in
+  let cases =
+    [
+      ( "NIL store, checks off",
+        false,
+        "memory write out of range",
+        "MODULE T; TYPE R = REF RECORD a, b: INTEGER END; VAR p: R; i: INTEGER;\n\
+         BEGIN p := NEW(R); FOR i := 1 TO 3 DO p^.a := i END; p := NIL; p^.b := 5 END T.\n" );
+      ( "DIV by zero",
+        true,
+        "division by zero",
+        "MODULE T; VAR a, b, i: INTEGER;\n\
+         BEGIN a := 7; b := 3; FOR i := 1 TO 3 DO b := b - 1; a := a + 7 DIV b END;\n\
+         PutInt(a) END T.\n" );
+      ( "stack overflow",
+        true,
+        "stack overflow",
+        "MODULE T;\n\
+         PROCEDURE F(n: INTEGER): INTEGER; BEGIN RETURN F(n + 1) + 1 END F;\n\
+         BEGIN PutInt(F(0)) END T.\n" );
+      ( "bounds trap",
+        true,
+        "index out of range",
+        "MODULE T; VAR a: ARRAY [0..3] OF INTEGER; i: INTEGER;\n\
+         BEGIN FOR i := 0 TO 9 DO a[i] := i END END T.\n" );
+    ]
+  in
+  List.iter
+    (fun (name, checks, expect, src) ->
+      List.iter
+        (fun optimize ->
+          let what = Printf.sprintf "%s, O%d" name (Bool.to_int optimize) in
+          let img = C.compile ~options:{ C.default_options with optimize; checks } src in
+          let so, spc, sic, sregs = fault ~threaded:false img in
+          let tout, tpc, tic, tregs = fault ~threaded:true img in
+          check Alcotest.bool (what ^ ": faults as expected (" ^ so ^ ")") true
+            (contains ~needle:expect so);
+          check Alcotest.string (what ^ ": fault") so tout;
+          check Alcotest.int (what ^ ": pc") spc tpc;
+          check Alcotest.int (what ^ ": icount") sic tic;
+          check Alcotest.(array int) (what ^ ": registers") sregs tregs)
+        [ false; true ])
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* Fusion legality (unit)                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,6 +374,7 @@ let () =
         [
           Alcotest.test_case "runtime switch" `Quick test_engine_switch;
           Alcotest.test_case "fuel tolerance" `Quick test_fuel_tolerance;
+          Alcotest.test_case "faults observe exact state" `Quick test_fault_state;
           Alcotest.test_case "fusion legality" `Quick test_fusion_legality;
         ] );
     ]
