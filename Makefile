@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is what CI runs: full build, a
-# guard on the build profile, the test run, an observability smoke test
+# guard on the build profile, a guard that only the config module reads
+# MM_* variables, the test run, an observability smoke test
 # that executes a collecting workload with tracing on and validates the
 # emitted Chrome trace JSON (parses, spans balanced, all four gc pause
 # phases present), a fault-injection smoke sweep over mutated gc-table
@@ -11,7 +12,7 @@ FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
-.PHONY: all build check-build test test-verified test-gen test-switch \
+.PHONY: all build check-build check-env test test-verified test-gen test-switch \
 	test-pressure test-incremental smoke fault profile baseline check bench \
 	bench-perf bench-gen bench-mutator bench-pauses \
 	bench-pressure bench-pgo bench-pause-budget clean
@@ -46,6 +47,26 @@ check-build: build
 	  echo "check-build: the build flags lost the lint set (-strict-sequence, -w $(LINT_WARNINGS))"; \
 	  exit 1; }
 	@echo "check-build: ok"
+
+# Configuration is resolved in one place: no .ml file under these
+# directories but the config module calls getenv/putenv (or reads the
+# environment) where it names an MM_* variable, and the config module
+# names exactly six.
+CONFIG_ML := lib/support/runtime_config.ml
+ENV_DIRS := lib bin bench test tools
+
+check-env:
+	@fail=0; \
+	for f in $$(grep -rlE 'getenv|putenv|Unix\.environment' --include='*.ml' $(ENV_DIRS)); do \
+	  if [ "$$f" != "$(CONFIG_ML)" ] && grep -qE '"MM_[A-Z_]*' "$$f"; then \
+	    echo "check-env: $$f reads or sets an MM_* variable; only $(CONFIG_ML) may"; fail=1; \
+	  fi; \
+	done; \
+	n=$$(grep -oE '"MM_[A-Z_]+"' $(CONFIG_ML) | sort -u | wc -l); \
+	if [ "$$n" -ne 6 ]; then \
+	  echo "check-env: $(CONFIG_ML) names $$n MM_* variables, not 6"; fail=1; \
+	fi; \
+	[ $$fail -eq 0 ] && echo "check-env: ok"
 
 test: build
 	$(DUNE) runtest
@@ -134,7 +155,7 @@ profile: build
 baseline: build
 	$(DUNE) exec bench/main.exe -- baseline
 
-check: build check-build test smoke fault profile baseline
+check: build check-build check-env test smoke fault profile baseline
 	@echo "check: ok"
 
 bench: build

@@ -215,108 +215,94 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
       stack_words = stack;
     }
   in
-  let collector =
-    match collector with
-    | "precise" ->
-        if incremental && gen then begin
-          T.Log.warn_once
-            "--gen and --incremental both given: the incremental collector \
-             wins; drop --incremental for generational mode";
-          Driver.Compile.Incremental
-        end
-        else if incremental then Driver.Compile.Incremental
-        else if gen then Driver.Compile.Generational
-        else Driver.Compile.Precise
-    | "generational" | "gen" -> Driver.Compile.Generational
-    | "incremental" | "inc" -> Driver.Compile.Incremental
-    | "conservative" -> Driver.Compile.Conservative
-    | "none" -> Driver.Compile.No_gc
-    | other -> failwith ("unknown collector " ^ other)
-  in
-  (* A census is taken where a copying collection ends; the non-moving
-     collectors never get there, so the flag would silently do nothing. *)
-  let non_moving =
-    match collector with
-    | Driver.Compile.Incremental -> Some "--incremental"
-    | Driver.Compile.Conservative -> Some "--collector conservative"
-    | _ -> None
-  in
-  match non_moving with
-  | Some flag when census_every > 0 ->
-      `Error
-        ( false,
-          Printf.sprintf
-            "--census-every and %s cannot be combined: censuses are taken at \
-             the end of a copying collection, which this collector never runs"
-            flag )
-  | _ ->
-    if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
-    try
-      let image = Driver.Compile.compile ~options (read_file file) in
-      (* Attach a profiler only when asked: with --profile off the machine
-         carries no profiler and the run is byte-identical to pre-profiling
-         behavior. *)
-      let prof =
-        match profile with
-        | None -> None
-        | Some _ ->
-            let p = Driver.Compile.profile_for image in
-            Profile.set_census_every p census_every;
-            Some p
-      in
-      let pol = Option.map Driver.Compile.policy_of_file policy in
-      let t0 = T.Control.now_ns () in
-      let r =
-        Driver.Compile.run ~collector ?nursery_words:nursery
-          ?pause_budget_us:pause_budget ?profile:prof ~fuel
-          ?heap_grow:(if heap_grow then Some true else None)
-          ?heap_max_words:heap_max ?policy:pol
-          ?adaptive:(if pretenure_adaptive >= 1 then Some pretenure_adaptive else None)
-          image
-      in
-      let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
-      print_string r.Driver.Compile.output;
-      (match trace with
-      | Some path -> T.Trace.write_chrome_file path
-      | None -> ());
-      (match (profile, prof) with
-      | Some path, Some p ->
-          let oc = open_out path in
-          output_string oc (T.Json.to_string (Profile.to_json p));
-          output_char oc '\n';
-          close_out oc
-      | _ -> ());
-      if gc_stats then begin
-        print_engine_stats ~engine:r.Driver.Compile.engine ~elapsed_ns ();
-        print_gc_stats ?placement:r.Driver.Compile.placement ()
-      end;
-      if metrics then prerr_string (T.Metrics.to_text ());
-      `Ok ()
-    with
-    | M3l.M3l_error.Lex_error (loc, m) ->
-        `Error (false, Printf.sprintf "%s: lexical error: %s" (M3l.Srcloc.to_string loc) m)
-    | M3l.M3l_error.Parse_error (loc, m) ->
-        `Error (false, Printf.sprintf "%s: parse error: %s" (M3l.Srcloc.to_string loc) m)
-    | M3l.M3l_error.Type_error (loc, m) ->
-        `Error (false, Printf.sprintf "%s: type error: %s" (M3l.Srcloc.to_string loc) m)
-    (* Runtime failures exit directly with the documented per-class codes
-       (see Vm_error.exit_code; guest-program traps use 3), so harnesses
-       assert on the exit status instead of string-matching stderr.
-       Compile-time and CLI errors keep cmdliner's own codes. *)
-    | Vm.Interp.Guest_error m ->
-        Printf.eprintf "mmrun: runtime error: %s\n%!" m;
-        exit 3
-    | Vm.Vm_error.Error e ->
-        Printf.eprintf "mmrun: vm error: %s\n%!" (Vm.Vm_error.to_string e);
-        exit (Vm.Vm_error.exit_code e)
-    | Gcmaps.Decode.Table_corrupt { fid; offset; pos; reason } ->
-        Printf.eprintf
-          "mmrun: corrupt gc table (proc %d, code offset %d, stream byte %d): %s\n%!"
-          fid offset pos reason;
-        exit (Vm.Vm_error.exit_code (Vm.Vm_error.Corrupt_table { fid; offset; reason }))
-    | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
-    | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
-    | Sys_error m -> `Error (false, m)
+  if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
+  try
+    (* The flags resolve over the environment as [run]'s arguments do,
+       each under its own name, so a refusal names both settings. *)
+    let module RC = Support.Runtime_config in
+    let flag given name c = if given then [ (name, c) ] else [] in
+    let collector =
+      RC.resolve (RC.env ())
+        ~collectors:
+          (("--collector " ^ Driver.Compile.collector_name collector, collector)
+          :: flag gen "--gen" RC.Generational
+          @ flag incremental "--incremental" RC.Incremental)
+        ?grow:(if heap_grow then Some "--heap-grow" else Option.map (fun _ -> "--heap-max") heap_max)
+        ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
+        ~bounds:
+          [ ("--nursery", nursery, 1); ("--heap-max", heap_max, 1);
+            ("--pause-budget-us", pause_budget, 0); ("--census-every", Some census_every, 0);
+            ("--pretenure-adaptive", Some pretenure_adaptive, 0) ]
+    in
+    let image = Driver.Compile.compile ~options (read_file file) in
+    (* Attach a profiler only when asked: with --profile off the machine
+       carries no profiler and the run is byte-identical to pre-profiling
+       behavior. *)
+    let prof =
+      match profile with
+      | None -> None
+      | Some _ ->
+          let p = Driver.Compile.profile_for image in
+          Profile.set_census_every p census_every;
+          Some p
+    in
+    let pol = Option.map Driver.Compile.policy_of_file policy in
+    let t0 = T.Control.now_ns () in
+    let r =
+      Driver.Compile.run ~collector ?nursery_words:nursery
+        ?pause_budget_us:pause_budget ?profile:prof ~fuel
+        ?heap_grow:(if heap_grow then Some true else None)
+        ?heap_max_words:heap_max ?policy:pol
+        ?adaptive:(if pretenure_adaptive >= 1 then Some pretenure_adaptive else None)
+        image
+    in
+    let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
+    print_string r.Driver.Compile.output;
+    (match trace with
+    | Some path -> T.Trace.write_chrome_file path
+    | None -> ());
+    (match (profile, prof) with
+    | Some path, Some p ->
+        let oc = open_out path in
+        output_string oc (T.Json.to_string (Profile.to_json p));
+        output_char oc '\n';
+        close_out oc
+    | _ -> ());
+    if gc_stats then begin
+      print_engine_stats ~engine:r.Driver.Compile.engine ~elapsed_ns ();
+      print_gc_stats ?placement:r.Driver.Compile.placement ()
+    end;
+    if metrics then prerr_string (T.Metrics.to_text ());
+    `Ok ()
+  with
+  | M3l.M3l_error.Lex_error (loc, m) ->
+      `Error (false, Printf.sprintf "%s: lexical error: %s" (M3l.Srcloc.to_string loc) m)
+  | M3l.M3l_error.Parse_error (loc, m) ->
+      `Error (false, Printf.sprintf "%s: parse error: %s" (M3l.Srcloc.to_string loc) m)
+  | M3l.M3l_error.Type_error (loc, m) ->
+      `Error (false, Printf.sprintf "%s: type error: %s" (M3l.Srcloc.to_string loc) m)
+  (* Configuration and runtime failures exit directly with the documented
+     per-class codes (16 for a configuration error; see Vm_error.exit_code;
+     guest-program traps use 3), so harnesses assert on the exit status
+     instead of string-matching stderr. Compile-time and CLI errors keep
+     cmdliner's own codes. *)
+  | Support.Runtime_config.Config_error e ->
+      Printf.eprintf "mmrun: configuration error: %s\n%!" (Support.Runtime_config.message e);
+      exit Support.Runtime_config.exit_code
+  | Vm.Interp.Guest_error m ->
+      Printf.eprintf "mmrun: runtime error: %s\n%!" m;
+      exit 3
+  | Vm.Vm_error.Error e ->
+      Printf.eprintf "mmrun: vm error: %s\n%!" (Vm.Vm_error.to_string e);
+      exit (Vm.Vm_error.exit_code e)
+  | Gcmaps.Decode.Table_corrupt { fid; offset; pos; reason } ->
+      Printf.eprintf
+        "mmrun: corrupt gc table (proc %d, code offset %d, stream byte %d): %s\n%!"
+        fid offset pos reason;
+      exit (Vm.Vm_error.exit_code (Vm.Vm_error.Corrupt_table { fid; offset; reason }))
+  | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
+  | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
+  | Sys_error m -> `Error (false, m)
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 let optimize = Arg.(value & flag & info [ "O"; "optimize" ] ~doc:"Run the optimizer.")
@@ -337,8 +323,9 @@ let heap_grow =
            shrink them when mostly empty) instead of failing with \
            heap-exhausted, up to --heap-max. The heap is the last region of \
            the memory map, so resizing moves no address: a grown run is \
-           byte-identical to one started with the larger heap. Also enabled \
-           by MM_HEAP_GROW=1 or by setting MM_HEAP_MAX.")
+           byte-identical to one started with the larger heap. An error \
+           (exit 16) with a non-moving collector. MM_HEAP_GROW=1 enables it \
+           wherever the collector moves.")
 let heap_max =
   Arg.(
     value
@@ -346,15 +333,15 @@ let heap_max =
     & info [ "heap-max" ] ~docv:"WORDS"
         ~doc:
           "Hard cap in words per semispace for --heap-grow (default 4194304; \
-           also MM_HEAP_MAX, which implies --heap-grow). Allocation fails \
+           implies --heap-grow). Allocation fails \
            with the typed heap-exhausted error (exit code 13) only at the \
            cap.")
 let stack = Arg.(value & opt int 16384 & info [ "stack" ] ~doc:"Stack words.")
 let collector =
   Arg.(
     value
-    & opt string "precise"
-    & info [ "collector" ] ~doc:"precise | generational | conservative | none.")
+    & opt (enum Driver.Compile.collector_names) Driver.Compile.Precise
+    & info [ "collector" ] ~doc:"precise | generational | incremental | conservative | none.")
 let gen =
   Arg.(
     value & flag
@@ -386,8 +373,7 @@ let pause_budget =
            so the documented slack is one scan granule) and remaining work \
            carries to the next gc-point; overruns are counted and shown by \
            --gc-stats. Without it, slices are paced by a deterministic work \
-           quota (the default: identical heap images across engines). Also \
-           set by MM_PAUSE_BUDGET_US.")
+           quota (the default: identical heap images across engines).")
 let nursery =
   Arg.(
     value
@@ -465,8 +451,7 @@ let policy =
            marks pretenure or pool allocate directly in the old generation, \
            bypassing the nursery. Matching is by stable (proc, line, col, \
            type) key, so a policy survives recompilation. Pure runtime \
-           switch — gc tables and program output are byte-identical. Also \
-           set by MM_POLICY.")
+           switch — gc tables and program output are byte-identical.")
 let pretenure_adaptive =
   Arg.(
     value & opt int 0
@@ -483,8 +468,8 @@ let census_every =
         ~doc:
           "With --profile: take a heap census (live objects and words by type \
            descriptor and by allocation site) after every Nth collection. 0 \
-           disables censuses. An error with --incremental or --collector \
-           conservative, which never end a copying collection.")
+           disables censuses. An error (exit 16) with a non-moving \
+           collector, which never ends a copying collection.")
 let fuel =
   Arg.(value & opt int 1_000_000_000 & info [ "fuel" ] ~doc:"Instruction budget.")
 

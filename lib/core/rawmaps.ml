@@ -34,16 +34,6 @@ type proc_maps = {
   pm_gcpoints : gcpoint list; (* sorted by gp_offset *)
 }
 
-let empty_gcpoint ~index ~offset =
-  {
-    gp_index = index;
-    gp_offset = offset;
-    stack_ptrs = [];
-    reg_ptrs = [];
-    derivs = [];
-    variants = [];
-  }
-
 let gcpoint_is_empty g = g.stack_ptrs = [] && g.reg_ptrs = [] && g.derivs = [] && g.variants = []
 
 (** Order derivation entries so that every derived value comes before any of

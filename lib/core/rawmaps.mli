@@ -35,7 +35,6 @@ type proc_maps = {
   pm_gcpoints : gcpoint list; (* sorted by gp_offset *)
 }
 
-val empty_gcpoint : index:int -> offset:int -> gcpoint
 val gcpoint_is_empty : gcpoint -> bool
 
 val order_derivs : deriv_entry list -> deriv_entry list

@@ -70,7 +70,17 @@ let image_of_mir ?(options = default_options) (prog : Mir.Ir.program) : Vm.Image
 let compile ?(options = default_options) (source : string) : Vm.Image.t =
   image_of_mir ~options (to_mir ~options source)
 
-type collector = Precise | Generational | Incremental | Conservative | No_gc
+module Config = Support.Runtime_config
+
+type collector = Config.collector = Precise | Generational | Incremental | Conservative | No_gc
+
+(** [--collector]'s names, aliases included. *)
+let collector_names =
+  [ ("precise", Precise); ("generational", Generational); ("gen", Generational);
+    ("incremental", Incremental); ("inc", Incremental); ("conservative", Conservative);
+    ("none", No_gc) ]
+
+let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
 
 type run_result = {
   output : string;
@@ -116,78 +126,53 @@ let policy_of_file path : Policy.t =
   close_in ic;
   Policy.of_json (Telemetry.Json.parse s)
 
-(* Adaptive-heap switches shared by every entry point. [MM_HEAP_GROW]
-   enables growth, [MM_HEAP_MAX] sets the semispace cap in words (growth
-   is implied when a cap is given), [MM_ALLOC_STORM] forces a collection
-   every Nth allocation (fault-injection pressure). *)
-let env_truthy name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let env_pos_int name =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
 (** Default semispace cap when growth is on but no cap was given: plenty
     for every workload in the repo, small enough to stay a sane bound. *)
 let default_heap_max_words = 4_194_304
 
-(** Arm the adaptive-resize policy on a fresh interpreter state.
-    [heap_grow]/[heap_max_words] come from flags; the environment
-    switches act when the flags are absent. Only the moving collectors
-    resize: the conservative and incremental collectors' free-list blocks
-    and the no-gc configuration have no post-collection safe point to
-    resize at. *)
-let arm_heap_policy ?heap_grow ?heap_max_words ~(collector : collector) st =
-  let env_max = env_pos_int "MM_HEAP_MAX" in
+(** The collector {!run} installs for these arguments: they are resolved
+    over the environment's config by {!Support.Runtime_config.resolve}.
+    @raise Support.Runtime_config.Config_error *)
+let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words () =
+  Config.resolve (Config.env ())
+    ~collectors:[ ("~collector:" ^ collector_name collector, collector) ]
+    ?grow:
+      (match (heap_grow, heap_max_words) with
+      | Some true, _ -> Some "~heap_grow:true"
+      | None, Some _ -> Some "~heap_max_words"
+      | _ -> None)
+    ~bounds:
+      [ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0);
+        ("~heap_max_words", heap_max_words, 1) ]
+
+(** Resolve as {!resolve} does and install the result on a fresh machine:
+    arm adaptive growth when the collector moves (the conservative and
+    incremental collectors' free-list blocks and the no-gc configuration
+    have no post-collection safe point to resize at), then the collector.
+    [heap_grow] wins over [MM_HEAP_GROW]; a cap implies growth. Every
+    entry point that runs an image installs through here. Returns the
+    collector installed. @raise Support.Runtime_config.Config_error *)
+let install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words st =
+  let collector = resolve ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words () in
   let grow =
-    match heap_grow with
-    | Some b -> b
-    | None -> env_truthy "MM_HEAP_GROW" || heap_max_words <> None || env_max <> None
+    match heap_grow with Some b -> b | None -> (Config.env ()).heap_grow || heap_max_words <> None
   in
-  let moving = match collector with Precise | Generational -> true | _ -> false in
-  if grow && moving then begin
-    let cap =
-      match heap_max_words with
-      | Some w -> w
-      | None -> ( match env_max with Some w -> w | None -> default_heap_max_words)
-    in
+  if grow && Config.moving collector then begin
+    let cap = Option.value heap_max_words ~default:default_heap_max_words in
     st.Vm.Interp.heap_resize <- true;
     st.Vm.Interp.heap_max_words <- max cap st.Vm.Interp.from_words;
     st.Vm.Interp.heap_min_words <- st.Vm.Interp.from_words
   end;
-  match env_pos_int "MM_ALLOC_STORM" with
-  | Some n -> st.Vm.Interp.alloc_pressure_every <- n
-  | None -> ()
+  (match collector with
+  | Precise -> Gc.Cheney.install st
+  | Generational -> Gc.Nursery.install ?nursery_words st
+  | Incremental -> ignore (Gc.Incremental.install ?pause_budget_us st)
+  | Conservative -> ignore (Gc.Incremental.install_conservative st)
+  | No_gc -> ());
+  collector
 
-let run ?(collector = Precise) ?nursery_words ?pause_budget_us ?profile
-    ?(fuel = 200_000_000) ?heap_grow ?heap_max_words ?policy ?adaptive
-    (image : Vm.Image.t) : run_result =
-  (* Environment mode switches are resolved up front so the heap policy
-     (which keys on whether the collector moves) sees the effective mode.
-     MM_GC_INCREMENTAL, like MM_GEN, flips every precise-collector entry
-     point; if both are set the incremental mode wins (it subsumes the
-     pause-latency motivation for the nursery). *)
-  let collector =
-    match collector with
-    | Precise when Gc.Incremental.env_enabled () ->
-        if Gc.Nursery.env_enabled () then
-          Telemetry.Log.warn_once
-            "MM_GEN and MM_GC_INCREMENTAL are both set: the incremental \
-             collector wins; unset MM_GC_INCREMENTAL for generational mode";
-        Incremental
-    | c -> c
-  in
-  (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
-     live pointers in forms the tables cannot describe; collecting while it
-     runs can corrupt the heap. Warn whenever such output is executed under
-     a collector. *)
-  if (not image.Vm.Image.gc_safe) && collector <> No_gc then
-    Telemetry.Log.warn_once
-      "executing --no-gc-restrict output with a collector installed: code is \
-       not gc-safe by construction; a collection may corrupt the heap";
+let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000) ?heap_grow
+    ?heap_max_words ?policy ?adaptive (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
   (* Adaptive pretenuring derives its decisions from live lifetime stats,
      so it needs a profiler attached even when the caller asked for none. *)
@@ -197,14 +182,8 @@ let run ?(collector = Precise) ?nursery_words ?pause_budget_us ?profile
     | p, _ -> p
   in
   st.Vm.Interp.prof <- profile;
-  (* Placement policy: an explicit [?policy] wins; otherwise MM_POLICY
-     names an mm-policy file to load. A loaded policy is mapped onto this
-     image's site table by stable (proc, line, col, tdesc) key. *)
-  let policy =
-    match policy with
-    | Some _ as p -> p
-    | None -> Option.map policy_of_file (Sys.getenv_opt "MM_POLICY")
-  in
+  (* A placement policy is mapped onto this image's site table by stable
+     (proc, line, col, tdesc) key. *)
   (match policy with
   | Some p ->
       let codes, _matched = Policy.decisions_for p (sites_for image) in
@@ -213,23 +192,15 @@ let run ?(collector = Precise) ?nursery_words ?pause_budget_us ?profile
       match adaptive with
       | Some n when n >= 1 -> st.Vm.Interp.adaptive_after <- n
       | _ -> ()));
-  arm_heap_policy ?heap_grow ?heap_max_words ~collector st;
-  let nursery_words =
-    match nursery_words with
-    | Some _ as w -> w
-    | None -> Gc.Nursery.env_nursery_words ()
-  in
-  (match collector with
-  | Precise ->
-      (* MM_GEN flips every precise-collector entry point — the whole test
-         suite, the benches, the CLIs — into generational mode without new
-         plumbing, on the very same image. *)
-      if Gc.Nursery.env_enabled () then Gc.Nursery.install ?nursery_words st
-      else Gc.Cheney.install st
-  | Generational -> Gc.Nursery.install ?nursery_words st
-  | Incremental -> ignore (Gc.Incremental.install ?pause_budget_us st)
-  | Conservative -> ignore (Gc.Incremental.install_conservative st)
-  | No_gc -> ());
+  let collector = install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words st in
+  (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
+     live pointers in forms the tables cannot describe; collecting while it
+     runs can corrupt the heap. Warn whenever such output is executed under
+     a collector. *)
+  if (not image.Vm.Image.gc_safe) && collector <> No_gc then
+    Telemetry.Log.warn_once
+      "executing --no-gc-restrict output with a collector installed: code is \
+       not gc-safe by construction; a collection may corrupt the heap";
   (* Engine choice is a pure runtime switch over the same machine state:
      the threaded pre-translated dispatch by default, the reference switch
      interpreter under --no-threaded / MM_THREADED=0. *)

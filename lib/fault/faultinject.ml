@@ -184,12 +184,14 @@ let count sweep name = try List.assoc name sweep.counts with Not_found -> 0
 let with_tables (img : Vm.Image.t) (tables : E.program_tables) : Vm.Image.t =
   { img with Vm.Image.tables; decode_cache = Gcmaps.Decode_cache.create tables }
 
-let run_mutated ~(reference : string) ~fuel (img : Vm.Image.t) : outcome =
+let run_mutated ?collector ~(reference : string) ~fuel (img : Vm.Image.t) : outcome =
   let st = Vm.Interp.create img in
-  (* Honor MM_GEN like every precise-collector entry point: the CI gen job
-     re-runs the whole sweep with the nursery collector (and its
-     old→young verifier check) decoding the mutated tables. *)
-  if Gc.Nursery.env_enabled () then Gc.Nursery.install st else Gc.Cheney.install st;
+  (* The collector is resolved and installed as for the reference run, so
+     MM_GEN and MM_GC_INCREMENTAL re-run the whole sweep with their
+     collector (and its verifier checks) decoding the mutated tables. The
+     heap stays fixed: growth would only postpone what a corrupt table
+     does to the collector. *)
+  ignore (Driver.Compile.install ?collector ~heap_grow:false st);
   match Vm.Interp.run ~fuel st with
   | () -> if Vm.Interp.output st = reference then Benign else Diverged
   | exception Vm.Vm_error.Error e -> (
@@ -243,7 +245,7 @@ let with_verifier f =
 (** Run [iterations] random mutations of [target] compiled under
     [config]. The image is compiled once; each iteration mutates a copy
     of its tables. *)
-let sweep_target ?(cross_check = true) ~seed ~iterations (target : target)
+let sweep_target ?(cross_check = true) ?collector ~seed ~iterations (target : target)
     ((cfg_name, scheme, opts) : string * E.scheme * E.options) : sweep =
   let options =
     {
@@ -254,7 +256,7 @@ let sweep_target ?(cross_check = true) ~seed ~iterations (target : target)
     }
   in
   let img = Driver.Compile.compile ~options target.t_source in
-  let reference = Driver.Compile.run ~collector:Driver.Compile.Precise img in
+  let reference = Driver.Compile.run ?collector img in
   (* Generous but bounded budget: a hang is a decode loop, not a slow
      program. *)
   let fuel = (4 * reference.Driver.Compile.instructions) + 1_000_000 in
@@ -272,12 +274,12 @@ let sweep_target ?(cross_check = true) ~seed ~iterations (target : target)
               if cross_check then
                 match D.validate_tables ~against:img.Vm.Image.rawmaps tables with
                 | () ->
-                    run_mutated ~reference:reference.Driver.Compile.output ~fuel
+                    run_mutated ?collector ~reference:reference.Driver.Compile.output ~fuel
                       (with_tables img tables)
                 | exception D.Table_corrupt _ -> Rejected_load
                 | exception e -> Crashed (Printexc.to_string e)
               else
-                run_mutated ~reference:reference.Driver.Compile.output ~fuel
+                run_mutated ?collector ~reference:reference.Driver.Compile.output ~fuel
                   (with_tables img tables)
             in
             bump (outcome_name outcome);

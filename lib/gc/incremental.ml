@@ -551,23 +551,6 @@ let collect_conservative (st : VI.t) ~needed:_ =
 (* Configuration and installation                                      *)
 (* ------------------------------------------------------------------ *)
 
-let env_truthy name =
-  match Sys.getenv_opt name with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let env_pos_int name =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n >= 1 -> Some n
-  | _ -> None
-
-(** [MM_GC_INCREMENTAL] flips every precise-collector entry point into
-    incremental mode, exactly as [MM_GEN] does for generational mode. *)
-let env_enabled () = env_truthy "MM_GC_INCREMENTAL"
-
-(** Pause budget from [MM_PAUSE_BUDGET_US], if set. *)
-let env_budget_us () = env_pos_int "MM_PAUSE_BUDGET_US"
-
 let default_slice_work = 2048
 
 (* Work ratio: GC work units retired per word allocated while a cycle is
@@ -585,7 +568,7 @@ let default_ratio = 16
    at least 2 words). *)
 let default_gray_cap (st : VI.t) = min ((st.VI.from_words / 2) + 16) 65536
 
-let new_state (st : VI.t) ~ambiguous ~cap ~ratio ~trigger ~slice_work ~budget_us
+let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
     ~slice_storm ~barrier_storm : VI.inc_state =
   {
     VI.inc_phase = VI.Inc_idle;
@@ -598,7 +581,7 @@ let new_state (st : VI.t) ~ambiguous ~cap ~ratio ~trigger ~slice_work ~budget_us
     inc_sweep_cursor = st.VI.from_base;
     inc_sweep_limit = st.VI.from_base;
     inc_run_lo = -1;
-    inc_ratio = ratio;
+    inc_ratio = default_ratio;
     inc_trigger_words = trigger;
     inc_slice_work = slice_work;
     inc_budget_ns = budget_us * 1000;
@@ -620,38 +603,18 @@ let new_state (st : VI.t) ~ambiguous ~cap ~ratio ~trigger ~slice_work ~budget_us
     inc_swept_words = 0;
   }
 
-let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
-    ?slice_storm ?barrier_storm (st : VI.t) : VI.inc_state =
-  let pick opt env_name default =
-    match opt with
-    | Some v -> v
-    | None -> ( match env_pos_int env_name with Some v -> v | None -> default)
-  in
-  let budget_us =
-    match pause_budget_us with
-    | Some u -> u
-    | None -> ( match env_budget_us () with Some u -> u | None -> 0)
-  in
-  let slice_work = pick slice_work "MM_SLICE_WORK" default_slice_work in
-  let ratio = pick work_ratio "MM_INC_RATIO" default_ratio in
-  let trigger =
-    pick trigger_words "MM_INC_TRIGGER_WORDS" (max 512 (st.VI.from_words / 4))
-  in
-  let cap =
-    (* MM_INC_MARKSTACK shrinks the mark stack to exercise the spill
-       recovery (fault injection). *)
-    pick gray_cap "MM_INC_MARKSTACK" (default_gray_cap st)
-  in
-  let flag opt env_name = match opt with Some b -> b | None -> env_truthy env_name in
+let install ?(pause_budget_us = 0) ?(slice_work = default_slice_work) ?trigger_words
+    ?gray_cap ?(slice_storm = false) ?(barrier_storm = false) (st : VI.t) : VI.inc_state =
+  let trigger = Option.value trigger_words ~default:(max 512 (st.VI.from_words / 4)) in
+  let cap = Option.value gray_cap ~default:(default_gray_cap st) in
   let inc =
-    new_state st ~ambiguous:false ~cap ~ratio ~trigger ~slice_work ~budget_us
-      ~slice_storm:(flag slice_storm "MM_INC_SLICE_STORM")
-      ~barrier_storm:(flag barrier_storm "MM_INC_BARRIER_STORM")
+    new_state st ~ambiguous:false ~cap ~trigger ~slice_work
+      ~budget_us:pause_budget_us ~slice_storm ~barrier_storm
   in
   st.VI.inc <- Some inc;
   st.VI.inc_slice <- Some poll;
   st.VI.collector <- Some collect;
-  if budget_us > 0 then T.Metrics.incr ~by:budget_us c_budget_us;
+  if pause_budget_us > 0 then T.Metrics.incr ~by:pause_budget_us c_budget_us;
   inc
 
 (** Install the conservative baseline: the same core with ambiguous roots
@@ -659,9 +622,8 @@ let install ?pause_budget_us ?slice_work ?work_ratio ?trigger_words ?gray_cap
     allocation failure. *)
 let install_conservative (st : VI.t) : VI.inc_state =
   let inc =
-    new_state st ~ambiguous:true ~cap:(default_gray_cap st) ~ratio:default_ratio
-      ~trigger:max_int ~slice_work:default_slice_work ~budget_us:0
-      ~slice_storm:false ~barrier_storm:false
+    new_state st ~ambiguous:true ~cap:(default_gray_cap st) ~trigger:max_int
+      ~slice_work:default_slice_work ~budget_us:0 ~slice_storm:false ~barrier_storm:false
   in
   st.VI.inc <- Some inc;
   st.VI.collector <- Some collect_conservative;

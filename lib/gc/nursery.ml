@@ -229,13 +229,3 @@ let install ?nursery_words (st : Vm.Interp.t) =
   in
   ignore (Vm.Interp.gen_init st ~nursery_words:words);
   st.Vm.Interp.collector <- Some collect
-
-(* Environment switches, so any existing entry point (tests, benches, the
-   CLIs) can be flipped into generational mode without new plumbing. *)
-let env_enabled () =
-  match Sys.getenv_opt "MM_GEN" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let env_nursery_words () =
-  Option.bind (Sys.getenv_opt "MM_NURSERY_WORDS") int_of_string_opt

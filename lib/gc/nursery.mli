@@ -22,9 +22,3 @@ val collect : Vm.Interp.t -> needed:int -> unit
 val install : ?nursery_words:int -> Vm.Interp.t -> unit
 (** Put the machine in generational mode: initialize the nursery split
     and install {!collect} as the collector. *)
-
-val env_enabled : unit -> bool
-(** True when [MM_GEN] requests generational mode. *)
-
-val env_nursery_words : unit -> int option
-(** Nursery size override from [MM_NURSERY_WORDS]. *)

@@ -15,12 +15,11 @@
 
 val set_post : bool -> unit
 (** Enable/disable the after-collection pass ([mmrun --verify-heap]).
-    Initial value: set iff the [MM_VERIFY_HEAP] environment variable is a
-    non-empty, non-["0"] string. *)
+    Until set, the value of [MM_VERIFY_HEAP] ({!Support.Runtime_config}). *)
 
 val set_pre : bool -> unit
 (** Enable/disable the before-collection pass ([mmrun --verify-pre]).
-    Initial value: from [MM_VERIFY_PRE], as {!set_post}. *)
+    Until set, the value of [MM_VERIFY_PRE]. *)
 
 val post_enabled : unit -> bool
 val pre_enabled : unit -> bool

@@ -74,18 +74,3 @@ type compilation_unit = {
   decls : decl list;
   main : stmt list; (* module body *)
 }
-
-let loc_of_expr = function
-  | Int_lit (_, l)
-  | Char_lit (_, l)
-  | Str_lit (_, l)
-  | Bool_lit (_, l)
-  | Nil_lit l
-  | Var (_, l)
-  | Field (_, _, l)
-  | Index (_, _, l)
-  | Deref (_, l)
-  | Binop (_, _, _, l)
-  | Unop (_, _, l)
-  | Call_expr (_, _, l)
-  | New_expr (_, _, l) -> l

@@ -103,7 +103,3 @@ let pp_func prog fmt (f : func) =
   Format.fprintf fmt "}@."
 
 let func_to_string prog f = Format.asprintf "%a" (pp_func prog) f
-
-let pp_program fmt prog =
-  Format.fprintf fmt "program %s (main=%s)@." prog.pname prog.funcs.(prog.main_fid).fname;
-  Array.iter (fun f -> pp_func prog fmt f) prog.funcs

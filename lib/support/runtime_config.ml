@@ -1,0 +1,120 @@
+(** The runtime configuration: the only code that reads an [MM_*]
+    environment variable, and the one function that resolves a collector
+    request over what it read.
+
+    Six variables remain. Each is a suite-wide default that the
+    Makefile's test matrix and CI export for a whole test run:
+    - [MM_GEN] / [MM_GC_INCREMENTAL]: the default precise collector
+      becomes the generational / incremental one;
+    - [MM_HEAP_GROW]: adaptive heap growth, wherever the collector moves;
+    - [MM_THREADED]: the threaded engine (on unless set off);
+    - [MM_VERIFY_HEAP] / [MM_VERIFY_PRE]: the heap verifier after /
+      before every collection.
+
+    One parser reads every value: [1|true|yes|on] is on,
+    [0|false|no|off] is off, and an empty value is the same as an unset
+    one. Anything else, and any contradictory request, is a
+    {!Config_error}; nothing is dropped or decided by a hidden
+    precedence. *)
+
+type t = {
+  gen : bool;
+  incremental : bool;
+  heap_grow : bool;
+  threaded : bool;
+  verify_heap : bool;
+  verify_pre : bool;
+}
+
+type error =
+  | Bad_value of { setting : string; value : string; expected : string }
+  | Conflict of { first : string; second : string; reason : string }
+
+exception Config_error of error
+
+let message = function
+  | Bad_value { setting; value; expected } ->
+      Printf.sprintf "%s: bad value %S (expected %s)" setting value expected
+  | Conflict { first; second; reason } ->
+      Printf.sprintf "%s and %s cannot be combined: %s" first second reason
+
+(** The process exit status for a configuration error, next to the
+    runtime failure classes' 10–15. *)
+let exit_code = 16
+
+let fail e = raise (Config_error e)
+
+let switch lookup name ~default =
+  match lookup name with
+  | None | Some "" -> default
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | Some ("0" | "false" | "no" | "off") -> false
+  | Some value -> fail (Bad_value { setting = name; value; expected = "1|true|yes|on or 0|false|no|off" })
+
+(** Parse the six variables through [lookup] (tests pass an association
+    list's [List.assoc_opt]). @raise Config_error on a bad value, or when
+    both collector modes are set. *)
+let of_lookup lookup =
+  let off name = switch lookup name ~default:false in
+  let gen = off "MM_GEN" in
+  let incremental = off "MM_GC_INCREMENTAL" in
+  let heap_grow = off "MM_HEAP_GROW" in
+  let threaded = switch lookup "MM_THREADED" ~default:true in
+  let verify_heap = off "MM_VERIFY_HEAP" in
+  let verify_pre = off "MM_VERIFY_PRE" in
+  if gen && incremental then
+    fail
+      (Conflict
+         { first = "MM_GEN"; second = "MM_GC_INCREMENTAL"; reason = "each replaces the default collector" });
+  { gen; incremental; heap_grow; threaded; verify_heap; verify_pre }
+
+let parsed = lazy (of_lookup Sys.getenv_opt)
+
+(** The process environment, parsed once. @raise Config_error as
+    {!of_lookup}, at every call. *)
+let env () = Lazy.force parsed
+
+type collector = Precise | Generational | Incremental | Conservative | No_gc
+
+(** Only the copying collectors move objects, so only they resize the
+    heap and end a copying collection where a census is taken. *)
+let moving = function Precise | Generational -> true | Incremental | Conservative | No_gc -> false
+
+(** Resolve a request over [config] into the collector to install. Each
+    part of the request carries the name it was given under, so an error
+    names both settings:
+    - [collectors]: explicit collector choices. [Precise] is the default,
+      which [MM_GEN] or [MM_GC_INCREMENTAL] replaces; any other choice
+      stands, and two different ones conflict.
+    - [grow], [census]: an explicit heap-growth or census request, which a
+      non-moving collector refuses. ([MM_HEAP_GROW] is no request: it
+      applies only where the collector moves.)
+    - [bounds]: [(setting, value, least)]; a given value below [least]
+      is out of range.
+    @raise Config_error *)
+let resolve ?(collectors = []) ?grow ?census ?(bounds = []) config =
+  List.iter
+    (function
+      | setting, Some v, least when v < least ->
+          let expected = Printf.sprintf "at least %d" least in
+          fail (Bad_value { setting; value = string_of_int v; expected })
+      | _ -> ())
+    bounds;
+  let source, collector =
+    match List.filter (fun (_, c) -> c <> Precise) collectors with
+    | (first, c) :: rest -> (
+        match List.find_opt (fun (_, c') -> c' <> c) rest with
+        | Some (second, _) -> fail (Conflict { first; second; reason = "each selects a different collector" })
+        | None -> (first, c))
+    | [] when config.gen -> ("MM_GEN", Generational)
+    | [] when config.incremental -> ("MM_GC_INCREMENTAL", Incremental)
+    | [] -> ("the precise collector", Precise)
+  in
+  let refuse request reason =
+    Option.iter (fun second -> fail (Conflict { first = source; second; reason })) request
+  in
+  if not (moving collector) then begin
+    refuse grow "a non-moving collector cannot resize its heap";
+    refuse census "censuses are taken where a copying collection ends, which this collector never runs"
+  end;
+  collector

@@ -14,12 +14,6 @@ let on () = !enabled
 let enable () = enabled := true
 let disable () = enabled := false
 
-(** Run [f] with telemetry enabled, restoring the previous state. *)
-let with_enabled f =
-  let prev = !enabled in
-  enabled := true;
-  Fun.protect ~finally:(fun () -> enabled := prev) f
-
 (** Monotonic clock in nanoseconds ([CLOCK_MONOTONIC] via bechamel's
     noalloc C stub). The previous source, the Unix wall clock, bottomed
     out at microsecond granularity rounded through a float, which

@@ -719,10 +719,7 @@ let run ?fuel (t : Interp.t) =
    environment, [set_enabled] from code ([mmrun --no-threaded]). *)
 let forced : bool option ref = ref None
 
-let env_disabled () =
-  match Sys.getenv_opt "MM_THREADED" with
-  | Some ("0" | "false" | "no" | "off") -> true
-  | _ -> false
+let enabled () =
+  match !forced with Some b -> b | None -> (Support.Runtime_config.env ()).threaded
 
-let enabled () = match !forced with Some b -> b | None -> not (env_disabled ())
 let set_enabled b = forced := Some b

@@ -330,6 +330,23 @@ let test_sweep_uncrosschecked () =
       check Alcotest.int (Printf.sprintf "%s/%s hangs" s.program s.config) 0 (F.count s "hung"))
     sweeps
 
+(* The mutated images run under the collector the reference run uses:
+   one target under the incremental collector, whose mark-sweep core and
+   tri-color verifier check decode the mutated tables. *)
+let test_sweep_incremental () =
+  let target = List.hd F.default_targets in
+  List.iter
+    (fun cross_check ->
+      let s =
+        F.sweep_target ~cross_check ~collector:Driver.Compile.Incremental ~seed:0xfa59
+          ~iterations:12 target (List.hd F.all_configs)
+      in
+      let what = Printf.sprintf "%s/%s cross_check=%b" s.F.program s.F.config cross_check in
+      check Alcotest.int (what ^ " crashes") 0 (F.count s "crashed");
+      check Alcotest.int (what ^ " hangs") 0 (F.count s "hung");
+      check Alcotest.int (what ^ " failures") 0 (List.length s.F.failures))
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -353,5 +370,6 @@ let () =
         [
           Alcotest.test_case "cross-checked: nothing survives" `Slow test_sweep_cross_checked;
           Alcotest.test_case "uncross-checked: no crash, no hang" `Slow test_sweep_uncrosschecked;
+          Alcotest.test_case "incremental collector: no crash, no hang" `Slow test_sweep_incremental;
         ] );
     ]

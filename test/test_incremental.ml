@@ -268,30 +268,28 @@ let test_gc_time () =
     [ ("incremental", D.Incremental); ("conservative", D.Conservative) ]
 
 (* ------------------------------------------------------------------ *)
-(* Mode precedence                                                     *)
+(* Mode resolution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* MM_GC_INCREMENTAL beats MM_GEN on the shared precise entry point: the
-   run must behave as pure incremental (no minor collections) and still
-   produce the reference output. *)
-let test_env_precedence () =
-  let src = churn_src ~iters:5000 ~period:32 in
-  let options = { D.default_options with heap_words = 8192 } in
-  let reference = D.run_source ~options ~collector:D.Precise ~fuel src in
-  Unix.putenv "MM_GC_INCREMENTAL" "1";
-  Unix.putenv "MM_GEN" "1";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "MM_GC_INCREMENTAL" "";
-      Unix.putenv "MM_GEN" "")
-    (fun () ->
-      Alcotest.(check bool) "env flag" true (Gc.Incremental.env_enabled ());
-      let r = D.run_source ~options ~collector:D.Precise ~fuel src in
-      Alcotest.(check string) "output" reference.D.output r.D.output;
-      Alcotest.(check int) "icount" reference.D.instructions r.D.instructions;
-      Alcotest.(check int) "no minor collections (incremental won)" 0
-        r.D.gc.I.minor_collections;
-      Alcotest.(check bool) "collected" true (r.D.collections > 0))
+(* Each environment mode alone replaces the default collector with its
+   own; both together are a typed configuration error naming both, not a
+   hidden precedence. The environment is an association list, not the
+   process's. *)
+let test_env_modes () =
+  let module RC = Support.Runtime_config in
+  let config vars = RC.of_lookup (fun name -> List.assoc_opt name vars) in
+  let resolved vars = RC.resolve ~collectors:[ ("default", RC.Precise) ] (config vars) in
+  Alcotest.(check bool) "neither" true (resolved [] = RC.Precise);
+  Alcotest.(check bool) "MM_GEN" true (resolved [ ("MM_GEN", "1") ] = RC.Generational);
+  Alcotest.(check bool) "MM_GC_INCREMENTAL" true
+    (resolved [ ("MM_GC_INCREMENTAL", "1") ] = RC.Incremental);
+  match config [ ("MM_GEN", "1"); ("MM_GC_INCREMENTAL", "1") ] with
+  | _ -> Alcotest.fail "both modes must be refused"
+  | exception RC.Config_error (RC.Conflict { first; second; _ } as e) ->
+      Alcotest.(check (pair string string))
+        "names both" ("MM_GEN", "MM_GC_INCREMENTAL") (first, second);
+      Alcotest.(check bool) "message names both" true
+        (String.starts_with ~prefix:"MM_GEN and MM_GC_INCREMENTAL" (RC.message e))
 
 let () =
   Alcotest.run "incremental"
@@ -306,6 +304,6 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "interleaving sweep clean" `Quick test_fault_sweep;
-          Alcotest.test_case "env precedence" `Quick test_env_precedence;
         ] );
+      ("config", [ Alcotest.test_case "env modes resolve" `Quick test_env_modes ]);
     ]

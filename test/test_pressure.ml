@@ -230,6 +230,28 @@ let test_capped_oom () =
   expect_heap_exhausted "capped growth" (fun () ->
       run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src)
 
+(* An explicit growth request under a non-moving collector is a typed
+   configuration error naming both arguments, raised before anything
+   runs; so is an out-of-range size. *)
+let test_growth_refused () =
+  let src = churn_src ~iters:10 ~period:4 in
+  let refused what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Support.Runtime_config.Config_error (Conflict { first; second; _ }) ->
+        Alcotest.(check (pair string string)) what expected (first, second)
+    | exception Support.Runtime_config.Config_error (Bad_value { setting; _ }) ->
+        Alcotest.(check string) what (fst expected) setting
+  in
+  refused "incremental + growth" ("~collector:incremental", "~heap_grow:true") (fun () ->
+      D.run_source ~collector:D.Incremental ~heap_grow:true src);
+  refused "conservative + cap" ("~collector:conservative", "~heap_max_words") (fun () ->
+      D.run_source ~collector:D.Conservative ~heap_max_words:big_heap src);
+  refused "empty nursery" ("~nursery_words", "") (fun () ->
+      D.run_source ~collector:D.Generational ~nursery_words:0 src);
+  (* Growth explicitly off is no request. *)
+  ignore (D.run_source ~collector:D.Incremental ~heap_grow:false src)
+
 (* ------------------------------------------------------------------ *)
 (* Exit-code mapping: one distinct code per failure class.              *)
 (* ------------------------------------------------------------------ *)
@@ -247,7 +269,8 @@ let test_exit_codes () =
         Out_of_fuel { instructions = 0 };
       ]
   in
-  Alcotest.(check (list int)) "typed exit codes" [ 10; 11; 12; 13; 14; 15 ] codes;
+  let codes = codes @ [ Support.Runtime_config.exit_code ] in
+  Alcotest.(check (list int)) "typed exit codes" [ 10; 11; 12; 13; 14; 15; 16 ] codes;
   (* All distinct, and clear of 0 (success), 3 (guest trap) and the
      cmdliner range. *)
   Alcotest.(check int) "distinct" (List.length codes)
@@ -283,6 +306,7 @@ let () =
         [
           Alcotest.test_case "typed exhaustion and recovery" `Quick test_typed_oom;
           Alcotest.test_case "exhaustion at the cap" `Quick test_capped_oom;
+          Alcotest.test_case "growth refused without a moving collector" `Quick test_growth_refused;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
       ( "faults",

@@ -270,6 +270,113 @@ let test_prng_bounds () =
   Alcotest.check_raises "bad bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int p 0))
 
+(* ------------------------------------------------------------------ *)
+(* Runtime config: one parser, typed refusals                          *)
+(* ------------------------------------------------------------------ *)
+
+module RC = Runtime_config
+
+let config vars = RC.of_lookup (fun name -> List.assoc_opt name vars)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let refusal what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception RC.Config_error e -> e
+
+(* Every variable through the one parser: the same spellings mean on and
+   off for all six, empty is unset, anything else names the variable. *)
+let test_config_values () =
+  let fields =
+    [
+      ("MM_GEN", (fun c -> c.RC.gen), false);
+      ("MM_GC_INCREMENTAL", (fun c -> c.RC.incremental), false);
+      ("MM_HEAP_GROW", (fun c -> c.RC.heap_grow), false);
+      ("MM_THREADED", (fun c -> c.RC.threaded), true);
+      ("MM_VERIFY_HEAP", (fun c -> c.RC.verify_heap), false);
+      ("MM_VERIFY_PRE", (fun c -> c.RC.verify_pre), false);
+    ]
+  in
+  List.iter
+    (fun (name, field, default) ->
+      List.iter
+        (fun (value, expected) ->
+          let what = Printf.sprintf "%s=%S" name value in
+          match expected with
+          | Some b -> check Alcotest.bool what b (field (config [ (name, value) ]))
+          | None -> (
+              match refusal what (fun () -> config [ (name, value) ]) with
+              | RC.Bad_value { setting; value = v; _ } ->
+                  check Alcotest.(pair string string) what (name, value) (setting, v)
+              | RC.Conflict _ -> Alcotest.failf "%s: not a bad value" what))
+        [
+          ("1", Some true); ("true", Some true); ("yes", Some true); ("on", Some true);
+          ("0", Some false); ("false", Some false); ("no", Some false); ("off", Some false);
+          ("", Some default); ("maybe", None); ("2", None); ("TRUE", None); (" 1", None);
+        ];
+      check Alcotest.bool (name ^ " unset") default (field (config [])))
+    fields
+
+(* The refusals mmrun reports with exit 16, each built as mmrun builds
+   its request (every setting under its flag's name), plus the
+   environment's own. *)
+let test_config_refusals () =
+  let resolve ?(env = []) ?(collectors = []) ?grow ?census ?(bounds = []) () =
+    RC.resolve ~collectors ?grow ?census ~bounds (config env)
+  in
+  let conflict what expected f =
+    match refusal what f with
+    | RC.Conflict { first; second; _ } as e ->
+        check Alcotest.(pair string string) what expected (first, second);
+        let msg = RC.message e in
+        check Alcotest.bool (what ^ ": message names both") true
+          (contains msg first && contains msg second)
+    | RC.Bad_value _ -> Alcotest.failf "%s: not a conflict" what
+  in
+  conflict "--gen --incremental" ("--gen", "--incremental") (fun () ->
+      resolve ~collectors:[ ("--gen", RC.Generational); ("--incremental", RC.Incremental) ] ());
+  conflict "--collector incremental --heap-grow" ("--collector incremental", "--heap-grow")
+    (fun () -> resolve ~collectors:[ ("--collector incremental", RC.Incremental) ] ~grow:"--heap-grow" ());
+  conflict "--census-every 8 --incremental" ("--incremental", "--census-every 8") (fun () ->
+      resolve ~collectors:[ ("--incremental", RC.Incremental) ] ~census:"--census-every 8" ());
+  conflict "MM_GEN=1 MM_GC_INCREMENTAL=1" ("MM_GEN", "MM_GC_INCREMENTAL") (fun () ->
+      resolve ~env:[ ("MM_GEN", "1"); ("MM_GC_INCREMENTAL", "1") ] ());
+  conflict "MM_GC_INCREMENTAL=1 --heap-grow" ("MM_GC_INCREMENTAL", "--heap-grow") (fun () ->
+      resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~grow:"--heap-grow" ());
+  conflict "--collector conservative --census-every 1" ("--collector conservative", "--census-every 1")
+    (fun () ->
+      resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~census:"--census-every 1" ());
+  (match
+     refusal "--nursery 0 --gen" (fun () ->
+         resolve ~collectors:[ ("--gen", RC.Generational) ] ~bounds:[ ("--nursery", Some 0, 1) ] ())
+   with
+  | RC.Bad_value { setting; value; _ } ->
+      check Alcotest.(pair string string) "--nursery 0" ("--nursery", "0") (setting, value)
+  | RC.Conflict _ -> Alcotest.fail "--nursery 0: not a bad value");
+  (match refusal "--pause-budget-us -5" (fun () -> resolve ~bounds:[ ("--pause-budget-us", Some (-5), 0) ] ()) with
+  | RC.Bad_value { setting; _ } -> check Alcotest.string "--pause-budget-us -5" "--pause-budget-us" setting
+  | RC.Conflict _ -> Alcotest.fail "--pause-budget-us -5: not a bad value");
+  (match refusal "MM_VERIFY_HEAP=maybe" (fun () -> resolve ~env:[ ("MM_VERIFY_HEAP", "maybe") ] ()) with
+  | RC.Bad_value { setting; _ } -> check Alcotest.string "MM_VERIFY_HEAP=maybe" "MM_VERIFY_HEAP" setting
+  | RC.Conflict _ -> Alcotest.fail "MM_VERIFY_HEAP=maybe: not a bad value");
+  (* Accepted: an explicit choice stands over an environment mode, the
+     same choice twice is no conflict, MM_HEAP_GROW is a default and not a
+     request, and growth or a census under a moving collector. *)
+  let accepted what expected c = check Alcotest.bool what true (c = expected) in
+  accepted "--gen under MM_GC_INCREMENTAL" RC.Generational
+    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:[ ("--gen", RC.Generational) ] ());
+  accepted "--collector generational --gen" RC.Generational
+    (resolve ~collectors:[ ("--collector generational", RC.Generational); ("--gen", RC.Generational) ] ());
+  accepted "MM_GC_INCREMENTAL=1 MM_HEAP_GROW=1" RC.Incremental
+    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1"); ("MM_HEAP_GROW", "1") ] ());
+  accepted "MM_GEN=1 --heap-grow --census-every 8" RC.Generational
+    (resolve ~env:[ ("MM_GEN", "1") ] ~grow:"--heap-grow" ~census:"--census-every 8"
+       ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ())
+
 let () =
   Alcotest.run "support"
     [
@@ -302,5 +409,10 @@ let () =
           Alcotest.test_case "growarr" `Quick test_growarr;
           Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "one parser for every variable" `Quick test_config_values;
+          Alcotest.test_case "contradictions are typed errors" `Quick test_config_refusals;
         ] );
     ]

@@ -243,31 +243,27 @@ let test_timer () =
        (T.Trace.recorded ()))
 
 (* ------------------------------------------------------------------ *)
-(* Driver-level: a collecting run reports all four pause phases         *)
+(* End to end: a collecting run reports all four pause phases          *)
 (* ------------------------------------------------------------------ *)
 
 let test_end_to_end_gc_phases () =
   (* Optimized ambig under heap pressure: collections with live derived
      values, so every phase of the pause does real work. This test is
-     about the moving collector's four pause phases, so it pins the
-     stop-the-world compactor even when MM_GC_INCREMENTAL is exported
-     (the incremental collector's phase structure — slices and flips —
-     has its own accounting, checked in test_incremental). *)
-  let inc0 = Option.value ~default:"" (Sys.getenv_opt "MM_GC_INCREMENTAL") in
-  Unix.putenv "MM_GC_INCREMENTAL" "";
-  Fun.protect ~finally:(fun () -> Unix.putenv "MM_GC_INCREMENTAL" inc0)
-  @@ fun () ->
+     about the moving collector's four pause phases, so it installs the
+     stop-the-world compactor itself, whatever collector mode the
+     environment selects (the incremental collector's phase structure —
+     slices and flips — has its own accounting, checked in
+     test_incremental). Nothing arms growth: the small heap must collect. *)
   let options =
     { Driver.Compile.default_options with optimize = true; heap_words = 300 }
   in
-  let r =
-    Driver.Compile.run_source ~options
-      ~heap_grow:false (* the small heap must collect, not grow *)
-      Programs.Ambig_src.src
-  in
-  check Alcotest.bool "at least one collection" true (r.Driver.Compile.collections >= 1);
+  let st = Vm.Interp.create (Driver.Compile.compile ~options Programs.Ambig_src.src) in
+  Gc.Cheney.install st;
+  Vm.Interp.run st;
+  let collections = st.Vm.Interp.gc.Vm.Interp.collections in
+  check Alcotest.bool "at least one collection" true (collections >= 1);
   let n = T.Metrics.counter_value "gc.collections" in
-  check Alcotest.int "metrics agree with run result" r.Driver.Compile.collections n;
+  check Alcotest.int "metrics agree with run result" collections n;
   List.iter
     (fun phase ->
       let h = T.Metrics.histogram phase in
