@@ -2,8 +2,8 @@
 # guard on the build profile, a guard that only the config module reads
 # MM_* variables, the test run, an observability smoke test
 # that executes a collecting workload with tracing on and validates the
-# emitted Chrome trace JSON (parses, spans balanced, all four gc pause
-# phases present), a fault-injection smoke sweep over mutated gc-table
+# emitted Chrome trace JSON (parses, spans balanced, every gc pause
+# phase present), a fault-injection smoke sweep over mutated gc-table
 # streams, the profiling smoke test, and the A3 collector comparison.
 
 DUNE ?= dune
@@ -13,9 +13,7 @@ FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
 .PHONY: all build check-build check-env test test-verified test-gen test-switch \
-	test-pressure test-incremental smoke fault profile baseline check bench \
-	bench-perf bench-gen bench-mutator bench-pauses \
-	bench-pressure bench-pgo bench-pause-budget clean
+	test-pressure test-incremental smoke fault profile baseline check bench clean
 
 all: build
 
@@ -108,7 +106,7 @@ smoke: build
 	$(DUNE) exec bin/mmrun.exe -- --heap 256 --trace $(TRACE_OUT) --metrics \
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(TRACE_OUT) \
-	  gc.collect gc.stackwalk gc.underive gc.copy gc.rederive
+	  gc.collect gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
 
 # Fault-injection sweep: mutated table streams must never crash, hang or
 # silently diverge — both with the load-time cross-check (the shipping
@@ -158,45 +156,10 @@ baseline: build
 check: build check-build check-env test smoke fault profile baseline
 	@echo "check: ok"
 
+# The paper's tables and figures. Performance numbers (wall time, per-layer
+# breakdowns) come from benchmark/mmbench.exe, not from here.
 bench: build
 	$(DUNE) exec bench/main.exe
-
-# The gc hot-path before/after (decode cache off vs on); writes BENCH_2.json.
-bench-perf: build
-	$(DUNE) exec bench/main.exe -- perf
-
-# Generational vs full compaction on destroy and takl; writes BENCH_3.json.
-bench-gen: build
-	$(DUNE) exec bench/main.exe -- gen
-
-# Threaded-code engine vs switch interpreter mutator throughput;
-# writes BENCH_4.json.
-bench-mutator: build
-	$(DUNE) exec bench/main.exe -- mutator
-
-# Pause-time distributions (p50/p90/p99/max) per collector mode on destroy
-# and takl, plus the ballast survival-profile run; writes BENCH_5.json.
-bench-pauses: build
-	$(DUNE) exec bench/main.exe -- pauses
-
-# Adaptive growth vs a big fixed heap on destroy + INTEGER-array ballast
-# (plus an allocation-storm run), asserting output/icount/collections
-# byte-identical under growth; writes BENCH_7.json.
-bench-pressure: build
-	$(DUNE) exec bench/main.exe -- pressure
-
-# Closed PGO loop on destroy-ballast: profiled gen run -> derived policy
-# -> policy and adaptive re-runs, asserting byte-identical output/icount
-# and a >=30% cut in minor promotion; writes BENCH_8.json.
-bench-pgo: build
-	$(DUNE) exec bench/main.exe -- pgo
-
-# Incremental slicing vs stop-the-world pause distributions on
-# destroy-ballast and takl at pause budgets {100us, 500us, 2ms},
-# asserting byte-identical output/icount across every mode and reporting
-# the max-pause cut vs stw-flat; writes BENCH_9.json.
-bench-pause-budget: build
-	$(DUNE) exec bench/main.exe -- pause-budget
 
 clean:
 	$(DUNE) clean

@@ -348,14 +348,4 @@ let collect (st : Vm.Interp.t) ~needed =
   | Some snap -> ignore (Verify.check st ~phase:"post" ~frames ~derived:snap ())
   | None -> ()
 
-(** A "null collection": locate the tables, walk the stack, adjust and
-    immediately re-derive, moving nothing. Used to reproduce the paper's
-    differencing methodology for the stack-trace timing (§6.3). *)
-let trace_only (st : Vm.Interp.t) =
-  let frames = Stackwalk.walk st in
-  st.Vm.Interp.gc.Vm.Interp.frames_traced <-
-    st.Vm.Interp.gc.Vm.Interp.frames_traced + List.length frames;
-  let adjusted = Derived_update.adjust_all st frames in
-  Derived_update.rederive_all st adjusted
-
 let install (st : Vm.Interp.t) = st.Vm.Interp.collector <- Some collect

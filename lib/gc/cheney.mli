@@ -70,12 +70,6 @@ val collect : Vm.Interp.t -> needed:int -> unit
     @raise Vm.Vm_error.Error on a corrupt root (e.g. an untidy pointer in a
     tidy table entry — an invariant check that the tests rely on). *)
 
-val trace_only : Vm.Interp.t -> unit
-(** A "null collection": locate the tables, walk the stack, adjust and
-    immediately re-derive, moving nothing. Used to reproduce the paper's
-    §6.3 differencing methodology; must leave the machine state unchanged
-    (asserted by the test suite). *)
-
 val install : Vm.Interp.t -> unit
 
 val now_ns : unit -> int64

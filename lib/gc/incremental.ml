@@ -69,7 +69,6 @@ let c_collections = T.Metrics.counter "gc.collections"
 let c_slices = T.Metrics.counter "gc.slices"
 let c_overruns = T.Metrics.counter "gc.slice_overruns"
 let c_forced = T.Metrics.counter "gc.forced_finish"
-let c_spills = T.Metrics.counter "gc.mark_spills"
 let c_rescans = T.Metrics.counter "gc.mark_rescans"
 let c_budget_us = T.Metrics.counter "gc.budget_us"
 let h_slice = T.Metrics.histogram "gc.slice_ns"

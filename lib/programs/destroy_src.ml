@@ -5,17 +5,12 @@
     collection frequently. The PRNG is a deterministic LCG written in the
     benchmark itself so runs are reproducible. *)
 
-let gen ~intballast ~intchunk ~ballast ~branch ~depth ~replace_depth ~iterations =
+let gen ~ballast ~branch ~depth ~replace_depth ~iterations =
   (* The ballast splices are empty strings at [ballast = 0], so the default
      source is byte-identical to what this generator always produced. With
      ballast, a linked list allocated from its own distinct site is anchored
      in a global for the whole run — a long-lived population whose survival
-     rate an allocation profile must rank above the short-lived tree sites.
-
-     [intballast] (likewise spliced only when nonzero) anchors a list of
-     [intballast] open INTEGER arrays of [intchunk] words each: a long-lived
-     population with almost no pointer fields, so a full collection spends
-     its time block-copying array bodies rather than chasing edges. *)
+     rate an allocation profile must rank above the short-lived tree sites. *)
   let ballast_type =
     if ballast = 0 then ""
     else
@@ -33,28 +28,6 @@ let gen ~intballast ~intchunk ~ballast ~branch ~depth ~replace_depth ~iterations
   in
   let ballast_init =
     if ballast = 0 then "" else Printf.sprintf "\n  anchor := MkBallast(%d);" ballast
-  in
-  let intballast_type =
-    if intballast = 0 then ""
-    else
-      "\n  Ints = REF ARRAY OF INTEGER;\n\
-      \  IntTab = REF ARRAY OF Ints;"
-  in
-  let intballast_var = if intballast = 0 then "" else "\n  iballast: IntTab;" in
-  (* Anchored through one pointer array, not a list: the copying scan
-     discovers every chunk from a single object. *)
-  let intballast_proc =
-    if intballast = 0 then ""
-    else
-      "\n\nPROCEDURE MkInts(chunks: INTEGER; words: INTEGER): IntTab;\n\
-       VAR t: IntTab; a: Ints; i: INTEGER;\n\
-       BEGIN\n  t := NEW(IntTab, chunks);\n  FOR i := 0 TO chunks - 1 DO\n\
-      \    a := NEW(Ints, words);\n    a[0] := i;\n    t[i] := a\n  END;\n\
-      \  RETURN t\nEND MkInts;"
-  in
-  let intballast_init =
-    if intballast = 0 then ""
-    else Printf.sprintf "\n  iballast := MkInts(%d, %d);" intballast intchunk
   in
   Printf.sprintf
     {|
@@ -142,26 +115,19 @@ BEGIN
   PutLn()
 END Destroy.
 |}
-    (ballast_type ^ intballast_type)
-    (ballast_var ^ intballast_var)
+    ballast_type ballast_var
     branch (branch - 1) replace_depth branch depth replace_depth branch
-    (ballast_proc ^ intballast_proc)
-    (ballast_init ^ intballast_init)
+    ballast_proc ballast_init
     depth iterations
 
 let make ~branch ~depth ~replace_depth ~iterations =
-  gen ~intballast:0 ~intchunk:0 ~ballast:0 ~branch ~depth ~replace_depth ~iterations
+  gen ~ballast:0 ~branch ~depth ~replace_depth ~iterations
 
 (** [make] plus a global linked list of [ballast] nodes allocated at its own
     static site before the tree work starts and kept live to the end — the
     long-lived population for lifetime-profile experiments. *)
 let make_ballast ~ballast ~branch ~depth ~replace_depth ~iterations =
-  gen ~intballast:0 ~intchunk:0 ~ballast ~branch ~depth ~replace_depth ~iterations
+  gen ~ballast ~branch ~depth ~replace_depth ~iterations
 
-(** [make] plus [intballast] live open INTEGER arrays of [intchunk] words
-    each — a blit-dominated long-lived heap, as the pressure bench uses. *)
-let make_intballast ~intballast ~intchunk ~branch ~depth ~replace_depth ~iterations =
-  gen ~intballast ~intchunk ~ballast:0 ~branch ~depth ~replace_depth ~iterations
-
-(** The configuration used by the test suite and the §6.3 timing bench. *)
+(** The configuration used by the test suite and the paper's tables. *)
 let src = make ~branch:3 ~depth:6 ~replace_depth:3 ~iterations:60

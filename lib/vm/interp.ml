@@ -20,6 +20,7 @@ let c_alloc_words = Telemetry.Metrics.counter "vm.alloc_words"
 let c_instructions = Telemetry.Metrics.counter "vm.instructions"
 let c_barriers = Telemetry.Metrics.counter "gc.barrier_execs"
 let c_remset_inserts = Telemetry.Metrics.counter "gc.remset_inserts"
+let c_mark_spills = Telemetry.Metrics.counter "gc.mark_spills"
 
 (* Profile-guided placement accounting (read by mmrun --gc-stats). *)
 let c_pretenured_words = Telemetry.Metrics.counter "gc.pretenured_words"
@@ -1046,6 +1047,7 @@ let run_with ~loop ?(fuel = max_int) t =
     | Some g -> (g.barrier_execs, g.remset_inserts)
     | None -> (0, 0)
   in
+  let spills0 = match t.inc with Some inc -> inc.inc_spills | None -> 0 in
   Telemetry.Trace.begin_span ~cat:"vm" "vm.run";
   Fun.protect
     ~finally:(fun () ->
@@ -1054,6 +1056,12 @@ let run_with ~loop ?(fuel = max_int) t =
       | Some g ->
           Telemetry.Metrics.incr ~by:(g.barrier_execs - bar0) c_barriers;
           Telemetry.Metrics.incr ~by:(g.remset_inserts - rs0) c_remset_inserts
+      | None -> ());
+      (* Mark-stack spills are counted here, not on the push path; the
+         barrier pushes between pauses, so a per-pause count would miss
+         the spills after a run's last pause. *)
+      (match t.inc with
+      | Some inc -> Telemetry.Metrics.incr ~by:(inc.inc_spills - spills0) c_mark_spills
       | None -> ());
       Telemetry.Trace.end_span
         ~args:[ ("instructions", Telemetry.Json.Int (t.icount - icount0)) ]

@@ -341,45 +341,6 @@ let prop_object_lookup =
           (if got < 0 then None else Some got) = want)
         (List.init (!a - base + 20) (fun i -> base - 10 + i) @ [ 0; -1; max_int; min_int ]))
 
-let test_trace_only_is_identity () =
-  (* The "null collection" used for the paper's timing methodology must not
-     change the machine state. *)
-  let img =
-    Driver.Compile.compile
-      ~options:{ Driver.Compile.default_options with heap_words = 65536 }
-      churn_src
-  in
-  let st = Vm.Interp.create img in
-  st.Vm.Interp.collector <-
-    Some
-      (fun s ~needed:_ ->
-        let before_regs = Array.copy s.Vm.Interp.regs in
-        let before_mem = Vm.Mem.copy s.Vm.Interp.mem in
-        Gc.Cheney.trace_only s;
-        if s.Vm.Interp.regs <> before_regs then failwith "trace_only changed registers";
-        if not (Vm.Mem.equal s.Vm.Interp.mem before_mem) then
-          failwith "trace_only changed memory");
-  st.Vm.Interp.gc_check_forces <- true;
-  (* Run with a program that calls no gc_check: install pressure instead by
-     shrinking the heap via a fresh image. *)
-  let img2 =
-    Driver.Compile.compile
-      ~options:{ Driver.Compile.default_options with heap_words = 400 }
-      churn_src
-  in
-  let st2 = Vm.Interp.create img2 in
-  st2.Vm.Interp.collector <-
-    Some
-      (fun s ~needed ->
-        let before_regs = Array.copy s.Vm.Interp.regs in
-        Gc.Cheney.trace_only s;
-        if s.Vm.Interp.regs <> before_regs then failwith "trace_only changed registers";
-        Gc.Cheney.collect s ~needed);
-  Vm.Interp.run st2;
-  check Alcotest.bool "ran with interposed null traces" true
-    (st2.Vm.Interp.gc.Vm.Interp.collections > 0);
-  ignore st
-
 let test_forced_gc_checks () =
   (* loop gc-points + forced checks: collections at loop headers (threads
      story of §5.3) must preserve behaviour. *)
@@ -615,7 +576,6 @@ let () =
             test_conservative_fragmentation_visible;
           Alcotest.test_case "A3 pinned" `Quick test_a3_pinned;
           QCheck_alcotest.to_alcotest prop_object_lookup;
-          Alcotest.test_case "null trace is identity" `Quick test_trace_only_is_identity;
           Alcotest.test_case "forced loop gc-points" `Quick test_forced_gc_checks;
           Alcotest.test_case "noalloc analysis safe" `Quick test_noalloc_configuration_safe;
           Alcotest.test_case "all table schemes" `Quick test_table_scheme_configurations;

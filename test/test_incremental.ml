@@ -105,12 +105,17 @@ let with_post_verifier f =
 (* Differential matrix                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Two inputs: list churn, and destroy with a long-lived ballast list
+   (the shape of the pause-latency workload, scaled down). *)
 let test_matrix () =
   with_post_verifier @@ fun () ->
-  let src = churn_src ~iters:20000 ~period:64 in
+  let destroy_ballast =
+    Programs.Destroy_src.make_ballast ~ballast:1000 ~branch:3 ~depth:5 ~replace_depth:2
+      ~iterations:300
+  in
   List.iter
-    (fun optimize ->
-      let tag b = Printf.sprintf "%s/O%d" (if b then "threaded" else "switch")
+    (fun (name, src, optimize) ->
+      let tag b = Printf.sprintf "%s %s/O%d" name (if b then "threaded" else "switch")
           (if optimize then 1 else 0)
       in
       let reference = run_cell ~mode:Stw ~threaded:false ~optimize ~heap:16384 src in
@@ -137,14 +142,17 @@ let test_matrix () =
       match cells with
       | [ (_, a); (_, b) ] ->
           if not (Vm.Mem.equal a.mem b.mem) then
-            Alcotest.failf "O%d: final heap images differ across engines"
+            Alcotest.failf "%s O%d: final heap images differ across engines" name
               (if optimize then 1 else 0);
           if a.collections <> b.collections then
-            Alcotest.failf "O%d: collection counts differ across engines (%d vs %d)"
+            Alcotest.failf "%s O%d: collection counts differ across engines (%d vs %d)"
+              name
               (if optimize then 1 else 0)
               a.collections b.collections
       | _ -> assert false)
-    [ false; true ]
+    (List.concat_map
+       (fun (name, src) -> [ (name, src, false); (name, src, true) ])
+       [ ("churn", churn_src ~iters:20000 ~period:64); ("destroy-ballast", destroy_ballast) ])
 
 (* ------------------------------------------------------------------ *)
 (* Budget smoke                                                        *)
@@ -171,11 +179,36 @@ let test_budget () =
   let s = Option.get c.stats in
   Alcotest.(check bool) "took slices" true (s.Gc.Incremental.slices > 0);
   Alcotest.(check int) "budget recorded" 200 s.Gc.Incremental.budget_us;
-  (* Lenient wall-clock sanity bound, not the real budget claim (that is
-     BENCH_9's job on a quiet machine): a 200 us budget must not produce
-     a 50 ms slice on any machine CI runs on. *)
+  (* Lenient wall-clock sanity bound, not the real budget claim (mmbench's
+     inc-budget workload reports the pauses): a 200 us budget must not
+     produce a 50 ms slice on any machine CI runs on. *)
   if s.Gc.Incremental.max_slice_ns > 50_000_000 then
     Alcotest.failf "200us-budget slice took %d ns" s.Gc.Incremental.max_slice_ns
+
+(* ------------------------------------------------------------------ *)
+(* Mark-stack spills reach the metric                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A two-entry mark stack spills on the fault sweep's destroy-small
+   target, barrier pushes included; the metric that `mmrun --gc-stats`
+   prints must read the collector's own count. *)
+let test_spills_counted () =
+  let module T = Telemetry in
+  let img =
+    D.compile
+      ~options:{ D.default_options with heap_words = 1200 }
+      (Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:80)
+  in
+  T.Metrics.reset ();
+  T.Control.enable ();
+  Fun.protect ~finally:T.Control.disable @@ fun () ->
+  let st = I.create img in
+  ignore (Gc.Incremental.install ~gray_cap:2 st);
+  I.run ~fuel st;
+  let s = Option.get (Gc.Incremental.stats st) in
+  Alcotest.(check bool) "spilled" true (s.Gc.Incremental.spills > 0);
+  Alcotest.(check int) "gc.mark_spills" s.Gc.Incremental.spills
+    (T.Metrics.counter_value "gc.mark_spills")
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: random programs x random slice schedules == STW             *)
@@ -298,6 +331,7 @@ let () =
         [
           Alcotest.test_case "differential matrix" `Quick test_matrix;
           Alcotest.test_case "pause budget smoke" `Quick test_budget;
+          Alcotest.test_case "mark-stack spills counted" `Quick test_spills_counted;
           Alcotest.test_case "gc time accounted" `Quick test_gc_time;
           QCheck_alcotest.to_alcotest prop_interleaving;
         ] );

@@ -149,7 +149,14 @@ let test_growth_matrix () =
     run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src
   in
   Alcotest.(check bool) "growth exercised" true (tiny.resizes > 0);
-  Alcotest.(check bool) "reference collected" true (reference.collections > 0)
+  Alcotest.(check bool) "reference collected" true (reference.collections > 0);
+  (* One more input, with open arrays among the survivors: destroy's
+     tree, whose live set outgrows the tiny heap several times over. *)
+  let reference =
+    check_matrix
+      (Programs.Destroy_src.make ~branch:3 ~depth:6 ~replace_depth:3 ~iterations:200)
+  in
+  Alcotest.(check bool) "destroy reference collected" true (reference.collections > 0)
 
 let prop_growth_matrix =
   QCheck.Test.make ~name:"growth invisible across random churn parameters"
