@@ -1,13 +1,15 @@
 # Developer entry points. `make check` is what CI runs: full build, a
 # guard on the build profile, a guard that only the config module reads
 # MM_* variables, the test run, an observability smoke test
-# that executes a collecting workload with tracing on and validates the
-# emitted Chrome trace JSON (parses, spans balanced, every gc pause
+# that executes a collecting workload with tracing on, flat and
+# generational, and validates the emitted Chrome trace JSON (parses,
+# spans balanced, both kinds of copying collection and every gc pause
 # phase present), a fault-injection smoke sweep over mutated gc-table
 # streams, the profiling smoke test, and the A3 collector comparison.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
+GEN_TRACE_OUT := _build/smoke.gen.trace.json
 FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
@@ -88,9 +90,9 @@ test-switch: build
 	MM_THREADED=0 $(DUNE) runtest --force
 
 # And under memory pressure: MM_HEAP_GROW=1 arms adaptive semispace
-# resizing on every moving-collector entry point (tests that pick their
-# own heap sizes now also exercise the grow/shrink/retry ladder), with
-# the heap verifier re-checking every post-resize heap.
+# growth on every moving-collector entry point (tests that pick their
+# own heap sizes now also exercise eager and post-collection growth up
+# to the cap), with the heap verifier re-checking every post-growth heap.
 test-pressure: build
 	MM_HEAP_GROW=1 MM_VERIFY_HEAP=1 $(DUNE) runtest --force
 
@@ -107,6 +109,10 @@ smoke: build
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(TRACE_OUT) \
 	  gc.collect gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
+	$(DUNE) exec bin/mmrun.exe -- --gen --heap 8000 --trace $(GEN_TRACE_OUT) \
+	  examples/sample.m3l > /dev/null
+	$(DUNE) exec tools/validate_trace.exe -- $(GEN_TRACE_OUT) \
+	  gc.minor gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
 
 # Fault-injection sweep: mutated table streams must never crash, hang or
 # silently diverge — both with the load-time cross-check (the shipping

@@ -185,21 +185,16 @@ let print_gc_stats ?placement () =
     ((hist_sum "gc.underive_ns" +. hist_sum "gc.rederive_ns") /. 1e3);
   (* Memory-pressure accounting, printed only when something happened. *)
   let resizes = T.Metrics.counter_value "gc_pressure.resizes" in
-  let retries = T.Metrics.counter_value "gc_pressure.retries" in
   let emergency = T.Metrics.counter_value "gc_pressure.emergency_full" in
-  if resizes + retries + emergency > 0 then
-    Printf.eprintf
-      "gc pressure  : %d resizes (%d words grown, %d shrinks), %d retry \
-       collections, %d emergency full\n"
-      resizes
+  if resizes + emergency > 0 then
+    Printf.eprintf "gc pressure  : %d resizes (%d words grown), %d emergency full\n" resizes
       (T.Metrics.counter_value "gc_pressure.grow_words")
-      (T.Metrics.counter_value "gc_pressure.shrinks")
-      retries emergency
+      emergency
 
 let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collector
     gen incremental pause_budget nursery no_barrier_elim no_threaded
     gc_stats trace metrics no_decode_cache verify_heap verify_pre profile
-    census_every policy pretenure_adaptive fuel =
+    census_every policy fuel =
   if no_decode_cache then Gcmaps.Decode_cache.set_enabled false;
   if no_threaded then Vm.Threaded.set_enabled false;
   if verify_heap then Gc.Verify.set_post true;
@@ -231,8 +226,7 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
         ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
         ~bounds:
           [ ("--nursery", nursery, 1); ("--heap-max", heap_max, 1);
-            ("--pause-budget-us", pause_budget, 0); ("--census-every", Some census_every, 0);
-            ("--pretenure-adaptive", Some pretenure_adaptive, 0) ]
+            ("--pause-budget-us", pause_budget, 0); ("--census-every", Some census_every, 0) ]
     in
     let image = Driver.Compile.compile ~options (read_file file) in
     (* Attach a profiler only when asked: with --profile off the machine
@@ -252,9 +246,7 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
       Driver.Compile.run ~collector ?nursery_words:nursery
         ?pause_budget_us:pause_budget ?profile:prof ~fuel
         ?heap_grow:(if heap_grow then Some true else None)
-        ?heap_max_words:heap_max ?policy:pol
-        ?adaptive:(if pretenure_adaptive >= 1 then Some pretenure_adaptive else None)
-        image
+        ?heap_max_words:heap_max ?policy:pol image
     in
     let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
     print_string r.Driver.Compile.output;
@@ -319,9 +311,8 @@ let heap_grow =
     value & flag
     & info [ "heap-grow" ]
         ~doc:
-          "Adaptive heap: grow the semispaces under memory pressure (and \
-           shrink them when mostly empty) instead of failing with \
-           heap-exhausted, up to --heap-max. The heap is the last region of \
+          "Adaptive heap: grow the semispaces under memory pressure instead \
+           of failing with heap-exhausted, up to --heap-max. The heap is the last region of \
            the memory map, so resizing moves no address: a grown run is \
            byte-identical to one started with the larger heap. An error \
            (exit 16) with a non-moving collector. MM_HEAP_GROW=1 enables it \
@@ -452,15 +443,6 @@ let policy =
            bypassing the nursery. Matching is by stable (proc, line, col, \
            type) key, so a policy survives recompilation. Pure runtime \
            switch — gc tables and program output are byte-identical.")
-let pretenure_adaptive =
-  Arg.(
-    value & opt int 0
-    & info [ "pretenure-adaptive" ] ~docv:"N"
-        ~doc:
-          "Derive the placement policy in-run: profile site lifetimes for the \
-           first N minor collections, then classify every site with the same \
-           thresholds policygen uses and switch placement on. 0 disables. \
-           Generational mode only; ignored when --policy is given.")
 let census_every =
   Arg.(
     value & opt int 0
@@ -483,6 +465,6 @@ let cmd =
        $ heap_max $ stack $ collector $ gen $ incremental $ pause_budget $ nursery
        $ no_barrier_elim $ no_threaded $ gc_stats $ trace $ metrics
        $ no_decode_cache $ verify_heap $ verify_pre $ profile $ census_every
-       $ policy $ pretenure_adaptive $ fuel))
+       $ policy $ fuel))
 
 let () = exit (Cmd.eval cmd)

@@ -160,8 +160,7 @@ let install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_word
   if grow && Config.moving collector then begin
     let cap = Option.value heap_max_words ~default:default_heap_max_words in
     st.Vm.Interp.heap_resize <- true;
-    st.Vm.Interp.heap_max_words <- max cap st.Vm.Interp.from_words;
-    st.Vm.Interp.heap_min_words <- st.Vm.Interp.from_words
+    st.Vm.Interp.heap_max_words <- max cap st.Vm.Interp.from_words
   end;
   (match collector with
   | Precise -> Gc.Cheney.install st
@@ -172,15 +171,8 @@ let install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_word
   collector
 
 let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000) ?heap_grow
-    ?heap_max_words ?policy ?adaptive (image : Vm.Image.t) : run_result =
+    ?heap_max_words ?policy (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
-  (* Adaptive pretenuring derives its decisions from live lifetime stats,
-     so it needs a profiler attached even when the caller asked for none. *)
-  let profile =
-    match (profile, adaptive) with
-    | None, Some _ -> Some (profile_for image)
-    | p, _ -> p
-  in
   st.Vm.Interp.prof <- profile;
   (* A placement policy is mapped onto this image's site table by stable
      (proc, line, col, tdesc) key. *)
@@ -188,10 +180,7 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
   | Some p ->
       let codes, _matched = Policy.decisions_for p (sites_for image) in
       Vm.Interp.set_placement st ~source:"file" codes
-  | None -> (
-      match adaptive with
-      | Some n when n >= 1 -> st.Vm.Interp.adaptive_after <- n
-      | _ -> ()));
+  | None -> ());
   let collector = install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words st in
   (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
      live pointers in forms the tables cannot describe; collecting while it
@@ -219,6 +208,6 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
 
 (** Compile and run in one step (tests and examples). *)
 let run_source ?(options = default_options) ?collector ?nursery_words ?pause_budget_us
-    ?profile ?fuel ?heap_grow ?heap_max_words ?policy ?adaptive source =
+    ?profile ?fuel ?heap_grow ?heap_max_words ?policy source =
   run ?collector ?nursery_words ?pause_budget_us ?profile ?fuel ?heap_grow
-    ?heap_max_words ?policy ?adaptive (compile ~options source)
+    ?heap_max_words ?policy (compile ~options source)

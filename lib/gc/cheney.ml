@@ -1,4 +1,5 @@
-(** The precise, fully compacting semispace collector.
+(** The precise, fully compacting semispace collector, and the phase
+    driver every copying collection runs.
 
     Every live object moves on every collection — the strongest exercise of
     the tables: tidy pointers in globals, stack slots and registers are
@@ -7,13 +8,14 @@
     rule guarantees any object reachable through a derived value is also
     reachable through one of its bases.
 
-    Each collection is reported to the telemetry layer as a [gc.collect]
-    span with four nested phase spans — [gc.stackwalk], [gc.underive],
+    A full collection ({!collect}) and a minor one ({!Nursery.minor}) are
+    two instances of one pipeline, {!run}, that differ only in their
+    regions, their extra roots and how they reopen the heap. Each is
+    reported to the telemetry layer as a [gc.collect] or [gc.minor] span
+    with four nested phase spans — [gc.stackwalk], [gc.underive],
     [gc.copy] (with a further [gc.forward_roots] sub-span) and
-    [gc.rederive] — plus per-collection histogram observations, so
-    [mmrun --trace]/[--gc-stats] and the bench harness all read one source
-    of numbers. With telemetry disabled only the legacy [gc_stats] fields
-    are touched, exactly as before. *)
+    [gc.rederive] — whose histograms sum to the pause. With telemetry
+    disabled only the machine's [gc_stats] fields are updated. *)
 
 module RM = Gcmaps.Rawmaps
 module T = Telemetry
@@ -37,6 +39,9 @@ let h_frames = T.Metrics.histogram "gc.frames"
 let h_major_pause = T.Metrics.histogram "gc.major_pause_ns"
 let h_major_words = T.Metrics.histogram "gc.major_words"
 let h_is_minor = T.Metrics.histogram "gc.is_minor"
+let c_minor = T.Metrics.counter "gc.minor_collections"
+let h_minor_pause = T.Metrics.histogram "gc.minor_pause_ns"
+let h_minor_words = T.Metrics.histogram "gc.minor_words"
 
 (* The copier is parametric in its source and destination regions so the
    same forwarding and scanning machinery serves both a full collection
@@ -224,55 +229,55 @@ let forward_frame_roots c (fr : Stackwalk.frame) =
       Stackwalk.write c.st fr l (forward c v))
     fr.Stackwalk.fr_gcpoint.RM.reg_ptrs
 
-let collect (st : Vm.Interp.t) ~needed =
+(** The phase pipeline of every copying collection, full or minor. The
+    kind supplies its [regions] (the copier, built at the start of the
+    copy phase), its [extra_roots] beyond the globals and the frames, and
+    its [reopen] step once the destination is scanned. The four phase
+    windows tile the pause: stack walk from its start, then un-derive
+    (with the optional pre-pass), copy (with the snapshot for the
+    post-pass and the kind's reopen), and re-derive to its end. The
+    forward-roots window inside the copy covers only the table-driven
+    stack and register roots. *)
+let run (st : Vm.Interp.t) ~minor ~regions ~extra_roots ~reopen =
   let t_start = now_ns () in
   let gcs = st.Vm.Interp.gc in
   gcs.Vm.Interp.collections <- gcs.Vm.Interp.collections + 1;
   T.Metrics.incr c_collections;
-  (match st.Vm.Interp.prof with
-  | Some p -> Profile.begin_collection p ~minor:false
-  | None -> ());
+  if minor then begin
+    gcs.Vm.Interp.minor_collections <- gcs.Vm.Interp.minor_collections + 1;
+    T.Metrics.incr c_minor
+  end;
+  (match st.Vm.Interp.prof with Some p -> Profile.begin_collection p ~minor | None -> ());
   T.Trace.begin_span ~cat:"gc"
     ~args:[ ("collection", T.Json.Int gcs.Vm.Interp.collections) ]
-    "gc.collect";
+    (if minor then "gc.minor" else "gc.collect");
   (* --- stack tracing: locate tables, walk frames. --- *)
   T.Trace.begin_span ~cat:"gc" "gc.stackwalk";
-  let t_trace0 = now_ns () in
   let frames = Stackwalk.walk st in
-  gcs.Vm.Interp.frames_traced <- gcs.Vm.Interp.frames_traced + List.length frames;
-  let t_walk1 = now_ns () in
-  T.Trace.end_span ~args:[ ("frames", T.Json.Int (List.length frames)) ] ();
+  let nframes = List.length frames in
+  gcs.Vm.Interp.frames_traced <- gcs.Vm.Interp.frames_traced + nframes;
+  let t_walk = now_ns () in
+  T.Trace.end_span ~args:[ ("frames", T.Json.Int nframes) ] ();
+  (* --- un-derive: recover E for every live derived value. --- *)
+  T.Trace.begin_span ~cat:"gc" "gc.underive";
   (* Optional pre-pass: check the heap and the roots the tables just
      produced before anything is moved, so a violation is attributed to
      the mutator (or the tables), not to this collection. *)
-  if Verify.pre_enabled () then ignore (Verify.check st ~phase:"pre" ~frames ());
-  (* --- un-derive: recover E for every live derived value. --- *)
-  T.Trace.begin_span ~cat:"gc" "gc.underive";
+  let phase name = if minor then "minor-" ^ name else name in
+  if Verify.pre_enabled () then ignore (Verify.check st ~phase:(phase "pre") ~frames ());
   let adjusted = Derived_update.adjust_all st frames in
-  let t_trace1 = now_ns () in
+  let t_underive = now_ns () in
   T.Trace.end_span ();
+  (* --- copy: globals, frame roots, the kind's roots, scan, reopen. --- *)
+  T.Trace.begin_span ~cat:"gc" "gc.copy";
   (* Targets hold exactly E between un-derive and copy: snapshot it so the
      post-pass can re-check the §3 invariant over the moved values. *)
   let derived_snap =
     if Verify.post_enabled () then Some (Verify.snapshot_derived st adjusted) else None
   in
-  (* --- copy phase --- *)
-  T.Trace.begin_span ~cat:"gc" "gc.copy";
-  (* (Re)establish a to-space at least as large as from-space before
-     anything moves: with [from_words >= used >= live] the copy can never
-     overrun its destination, whatever resizing has happened since the
-     last collection. For the fixed-size configuration this reproduces
-     the classic semispace alternation exactly. *)
-  Vm.Interp.place_to_space st st.Vm.Interp.from_words;
-  let c =
-    make_copier st ~src_lo:st.Vm.Interp.from_base
-      ~src_hi:(st.Vm.Interp.from_base + st.Vm.Interp.from_words)
-      ~dst_lo:st.Vm.Interp.to_base ~dst_hi:(st.Vm.Interp.to_base + st.Vm.Interp.to_words)
-  in
-  (* Global roots. *)
+  let c = regions () in
   List.iter
-    (fun a ->
-      Vm.Mem.set st.Vm.Interp.mem a (forward c (Vm.Mem.get st.Vm.Interp.mem a)))
+    (fun a -> Vm.Mem.set c.mem a (forward c (Vm.Mem.get c.mem a)))
     st.Vm.Interp.image.Vm.Image.global_roots;
   (* Stack and register roots (trace time, per the paper's accounting). *)
   T.Trace.begin_span ~cat:"gc" "gc.forward_roots";
@@ -280,72 +285,94 @@ let collect (st : Vm.Interp.t) ~needed =
   List.iter (forward_frame_roots c) frames;
   let t_roots1 = now_ns () in
   T.Trace.end_span ();
+  extra_roots c;
   scan_from c c.dst_lo;
   gcs.Vm.Interp.objects_copied <- gcs.Vm.Interp.objects_copied + c.copied;
   T.Metrics.incr ~by:c.copied c_objects;
-  let t_copy1 = now_ns () in
+  reopen c;
+  let t_copy = now_ns () in
   T.Trace.end_span ();
-  (* --- re-derive and flip --- *)
+  (* --- re-derive from the moved bases. --- *)
   T.Trace.begin_span ~cat:"gc" "gc.rederive";
-  let t_red0 = now_ns () in
   Derived_update.rederive_all st adjusted;
-  let t_red1 = now_ns () in
   T.Trace.end_span ();
-  let old_from = st.Vm.Interp.from_base
-  and old_fw = st.Vm.Interp.from_words in
-  st.Vm.Interp.from_base <- st.Vm.Interp.to_base;
-  st.Vm.Interp.from_words <- st.Vm.Interp.to_words;
-  st.Vm.Interp.to_base <- old_from;
-  st.Vm.Interp.to_words <- old_fw;
-  st.Vm.Interp.alloc <- c.to_alloc;
-  (* Post-collection safe point: the only place the semispace target size
-     changes under the adaptive policy (no-op unless --heap-grow). Before
-     [gen_reset_after_full] so the generational reset sees the final
-     store geometry. *)
-  Vm.Interp.resize_after_collection st ~needed;
-  (* In generational mode the survivors become the new (empty-nursery) old
-     generation and the remembered set is void; reset before the post-pass
-     so the verifier sees a consistent generational view. *)
-  Vm.Interp.gen_reset_after_full st;
-  let words = c.to_alloc - st.Vm.Interp.from_base in
+  let words = c.to_alloc - c.dst_lo in
   gcs.Vm.Interp.words_copied <- gcs.Vm.Interp.words_copied + words;
   T.Metrics.incr ~by:words c_copy_words;
+  T.Trace.end_span
+    ~args:[ ((if minor then "words_promoted" else "words_copied"), T.Json.Int words) ]
+    ();
   let t_end = now_ns () in
-  T.Trace.end_span ~args:[ ("words_copied", T.Json.Int words) ] ();
   let open Int64 in
-  gcs.Vm.Interp.copy_ns <- add gcs.Vm.Interp.copy_ns (sub t_copy1 t_trace1);
-  gcs.Vm.Interp.total_gc_ns <- add gcs.Vm.Interp.total_gc_ns (sub t_end t_start);
+  let pause = sub t_end t_start and copy = sub t_copy t_underive in
+  gcs.Vm.Interp.copy_ns <- add gcs.Vm.Interp.copy_ns copy;
+  gcs.Vm.Interp.total_gc_ns <- add gcs.Vm.Interp.total_gc_ns pause;
   gcs.Vm.Interp.trace_ns <-
     add gcs.Vm.Interp.trace_ns
-      (add
-         (add (sub t_trace1 t_trace0) (sub t_roots1 t_roots0))
-         (sub t_red1 t_red0));
+      (add (add (sub t_underive t_start) (sub t_roots1 t_roots0)) (sub t_end t_copy));
   if T.Control.on () then begin
-    T.Metrics.observe_ns h_pause (sub t_end t_start);
-    T.Metrics.observe_ns h_stackwalk (sub t_walk1 t_trace0);
-    T.Metrics.observe_ns h_underive (sub t_trace1 t_walk1);
-    T.Metrics.observe_ns h_copy (sub t_copy1 t_trace1);
+    T.Metrics.observe_ns h_pause pause;
+    T.Metrics.observe_ns h_stackwalk (sub t_walk t_start);
+    T.Metrics.observe_ns h_underive (sub t_underive t_walk);
+    T.Metrics.observe_ns h_copy copy;
     T.Metrics.observe_ns h_roots (sub t_roots1 t_roots0);
-    T.Metrics.observe_ns h_rederive (sub t_red1 t_red0);
+    T.Metrics.observe_ns h_rederive (sub t_end t_copy);
     T.Metrics.observe h_words (float_of_int words);
     T.Metrics.observe h_objects (float_of_int c.copied);
-    T.Metrics.observe h_frames (float_of_int (List.length frames));
-    T.Metrics.incr c_major;
-    T.Metrics.observe_ns h_major_pause (sub t_end t_start);
-    T.Metrics.observe h_major_words (float_of_int words);
-    T.Metrics.observe h_is_minor 0.0
+    T.Metrics.observe h_frames (float_of_int nframes);
+    if minor then begin
+      T.Metrics.observe_ns h_minor_pause pause;
+      T.Metrics.observe h_minor_words (float_of_int words)
+    end
+    else begin
+      T.Metrics.incr c_major;
+      T.Metrics.observe_ns h_major_pause pause;
+      T.Metrics.observe h_major_words (float_of_int words)
+    end;
+    T.Metrics.observe h_is_minor (if minor then 1.0 else 0.0)
   end;
-  (* Lifetime accounting: whatever is still keyed in the evacuated
-     from-space was not forwarded, i.e. it died in this collection. *)
+  (* Lifetime accounting: whatever is still keyed in the evacuated source
+     region was not forwarded, i.e. it died in this collection. *)
   (match st.Vm.Interp.prof with
   | Some p ->
       Profile.end_collection p ~src_lo:c.src_lo ~src_hi:c.src_hi;
       if Profile.census_due p then Census.take st p
   | None -> ());
-  (* Post-pass, after the flip so it sees exactly the heap the mutator is
-     about to resume on. *)
+  (* Post-pass, after the reopen so it sees exactly the heap the mutator
+     is about to resume on. *)
   match derived_snap with
-  | Some snap -> ignore (Verify.check st ~phase:"post" ~frames ~derived:snap ())
+  | Some snap -> ignore (Verify.check st ~phase:(phase "post") ~frames ~derived:snap ())
   | None -> ()
+
+(** A full collection: from-space into a to-space at least as large,
+    then the flip. *)
+let collect (st : Vm.Interp.t) ~needed =
+  run st ~minor:false
+    ~regions:(fun () ->
+      (* (Re)establish a to-space at least as large as from-space before
+         anything moves: with [from_words >= used >= live] the copy can
+         never overrun its destination, whatever growth has happened
+         since the last collection. For the fixed-size configuration this
+         reproduces the classic semispace alternation exactly. *)
+      Vm.Interp.place_to_space st st.Vm.Interp.from_words;
+      make_copier st ~src_lo:st.Vm.Interp.from_base
+        ~src_hi:(st.Vm.Interp.from_base + st.Vm.Interp.from_words)
+        ~dst_lo:st.Vm.Interp.to_base ~dst_hi:(st.Vm.Interp.to_base + st.Vm.Interp.to_words))
+    ~extra_roots:ignore
+    ~reopen:(fun c ->
+      let old_from = st.Vm.Interp.from_base and old_fw = st.Vm.Interp.from_words in
+      st.Vm.Interp.from_base <- st.Vm.Interp.to_base;
+      st.Vm.Interp.from_words <- st.Vm.Interp.to_words;
+      st.Vm.Interp.to_base <- old_from;
+      st.Vm.Interp.to_words <- old_fw;
+      st.Vm.Interp.alloc <- c.to_alloc;
+      (* Post-collection safe point: the only place the semispace target
+         size changes after a collection (no-op unless --heap-grow).
+         Before [gen_reset_after_full] so the generational reset sees the
+         final store geometry. *)
+      Vm.Interp.resize_after_collection st ~needed;
+      (* In generational mode the survivors become the new (empty-nursery)
+         old generation and the remembered set is void. *)
+      Vm.Interp.gen_reset_after_full st)
 
 let install (st : Vm.Interp.t) = st.Vm.Interp.collector <- Some collect

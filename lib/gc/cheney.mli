@@ -1,4 +1,5 @@
-(** The precise, fully compacting semispace collector.
+(** The precise, fully compacting semispace collector, and the phase
+    driver ({!run}) that it and {!Nursery.minor} share.
 
     Every live object moves on every collection — the strongest exercise of
     the compiler-emitted tables: tidy pointers in globals, stack slots and
@@ -8,11 +9,12 @@
     reachable through one of its bases).
 
     Timing instrumentation fills the interpreter's {!Vm.Interp.gc_stats}:
-    [trace_ns] covers exactly the work the paper calls "stack tracing" —
-    locating and decoding tables, walking frames, adjusting and re-deriving
-    derived values, and updating stack/register roots. *)
+    [trace_ns] covers the work the paper calls "stack tracing" — the
+    stack-walk, un-derive and re-derive windows (locating and decoding
+    tables, walking frames, adjusting and re-deriving derived values) and
+    the updating of stack/register roots; [copy_ns] is the copy window. *)
 
-(** Region-parametric copying machinery, shared with {!Nursery}: a full
+(** Region-parametric copying machinery, run by {!run} for both kinds: a full
     collection evacuates from-space into to-space, a minor collection
     evacuates the nursery onto the old-generation frontier of the same
     semispace. Built by {!make_copier} only, so its regions are known to
@@ -46,12 +48,6 @@ val forward : copier -> int -> int
     open array's length is negative, or the object overruns the source
     or the destination region. *)
 
-val scan_from : copier -> int -> unit
-(** The Cheney loop: forward every pointer field of each destination-region
-    object from the given address until the scan pointer catches up with
-    [to_alloc]. The headers there are trusted: {!forward} checked them on
-    the way in. *)
-
 val scan_placed : copier -> int -> hi:int -> int
 (** Forward every pointer field of an object a minor collection scans in
     place (pooled, pretenured or big), which must end by [hi] and below
@@ -60,17 +56,28 @@ val scan_placed : copier -> int -> hi:int -> int
     @raise Vm.Vm_error.Error with a [Bad_root] if it is not a valid
     object. *)
 
-val forward_frame_roots : copier -> Stackwalk.frame -> unit
-(** Forward the tidy stack-slot and register roots of one frame through
-    the gc-point tables. *)
+val run :
+  Vm.Interp.t ->
+  minor:bool ->
+  regions:(unit -> copier) ->
+  extra_roots:(copier -> unit) ->
+  reopen:(copier -> unit) ->
+  unit
+(** One copying collection: walk the stack, un-derive, copy (build the
+    copier with [regions], forward the globals and the frames' tidy roots,
+    then [extra_roots], scan the destination, [reopen]), re-derive. Each
+    phase's time goes to one of the four histograms [gc.stackwalk_ns],
+    [gc.underive_ns], [gc.copy_ns] and [gc.rederive_ns], which tile the
+    pause [gc.pause_ns]. [minor] selects the names a minor collection
+    reports under ([gc.minor], [minor-pre]/[minor-post],
+    [words_promoted]) and its counters. *)
 
 val collect : Vm.Interp.t -> needed:int -> unit
-(** Run one collection: walk, adjust, copy, re-derive, flip. Installed as
+(** Run one full collection through {!run}: its regions are from-space
+    and a fresh to-space, and it reopens by flipping the semispaces and
+    applying the post-collection growth policy. Installed as
     the interpreter's collector by {!install}.
     @raise Vm.Vm_error.Error on a corrupt root (e.g. an untidy pointer in a
     tidy table entry — an invariant check that the tests rely on). *)
 
 val install : Vm.Interp.t -> unit
-
-val now_ns : unit -> int64
-(** Monotonic-enough wall clock used for the gc timers. *)

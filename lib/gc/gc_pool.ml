@@ -1,6 +1,6 @@
 (** What is left of the collector worker pool.
 
-    The copy is serial ({!Cheney.scan_from}); DESIGN.md §10 says why. This
+    The copy is serial ({!Cheney.run}); DESIGN.md §10 says why. This
     one function exists only for [benchmark/hooks.ml], which pins the copy
     worker count of every benchmark execution through it. *)
 

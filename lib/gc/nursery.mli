@@ -11,7 +11,7 @@ val default_nursery_words : int -> int
     floored at 300 words and capped at the whole semispace). *)
 
 val minor : Vm.Interp.t -> Vm.Interp.gen_state -> unit
-(** One minor collection. The caller must have verified promotion
+(** One minor collection, through {!Cheney.run}. The caller must have verified promotion
     headroom: old-generation free space at least the nursery's used
     words. Prefer {!collect}. *)
 

@@ -92,7 +92,7 @@ let violate c fmt =
 
 (* The heap region is everything from [heap_base] to the end of the
    current store: the heap is the last region of the memory map, and the
-   adaptive policy may have grown or shrunk the store since startup, so
+   adaptive policy may have grown the store since startup, so
    the bound is read from the live store, not the image. *)
 let heap_lo (st : Vm.Interp.t) = st.Vm.Interp.image.Vm.Image.heap_base
 let heap_hi (st : Vm.Interp.t) = Vm.Mem.length st.Vm.Interp.mem

@@ -68,11 +68,9 @@ type t = { thresholds : thresholds; entries : entry list }
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** The classifier itself, shared verbatim by the offline path (a parsed
-    [mm-profile] document) and the online adaptive path (a live
-    {!Profile.t} side table) — one function, so the adaptive mode
-    converges on exactly the decisions a prior profiled run would have
-    produced from the same counts. *)
+(** The classifier itself, shared verbatim by a parsed [mm-profile]
+    document and a live {!Profile.t} side table — one function, so both
+    give exactly the same decisions from the same counts. *)
 let classify th ~allocs ~survived_words ~dead_words =
   let samples = survived_words + dead_words in
   if samples < max 1 th.min_sample_words then Nursery
@@ -99,8 +97,8 @@ let entry_of_counts th ~proc ~line ~col ~tdesc ~open_ ~allocs ~survived_words
     e_allocs = allocs;
   }
 
-(** Derive a policy from a live profiler side table (the online adaptive
-    path). *)
+(** Derive a policy from a live profiler side table (a training run in
+    the same process, as the gen-pgo benchmark takes). *)
 let derive_from_stats ?(thresholds = default_thresholds) (p : Profile.t) : t =
   let entries =
     List.init (Array.length p.Profile.sites) (fun i ->
@@ -286,22 +284,6 @@ let decisions_for (t : t) (sites : Profile.site array) : int array * int =
       sites
   in
   (codes, !matched)
-
-(** Decision codes straight from a live profiler side table, indexed by
-    site id — the online adaptive path, which needs no key matching since
-    the ids are this run's own. Classification is {!classify}, the same
-    function the offline pipeline runs, so the adaptive mode converges on
-    the decisions a prior profiled run would have produced from the same
-    counts. *)
-let decision_codes_from_stats ?(thresholds = default_thresholds) (p : Profile.t) :
-    int array =
-  Array.map
-    (fun (st : Profile.site_stats) ->
-      decision_code
-        (classify thresholds ~allocs:st.Profile.st_allocs
-           ~survived_words:(st.Profile.st_minor_words + st.Profile.st_full_words)
-           ~dead_words:st.Profile.st_dead_words))
-    p.Profile.stats
 
 (** A synthetic policy placing every given site with [decision] — the
     pretenure-all / pool-all configurations the differential tests sweep. *)

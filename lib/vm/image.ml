@@ -15,7 +15,7 @@
     is for the store to be extended in place ({!Mem.realloc}) with every
     existing address — globals, stack, live objects — unchanged. The
     [semi_words]/[heap_base] fields describe the {e initial} geometry;
-    the live geometry (which may have grown or shrunk) lives on the
+    the live geometry (which may have grown) lives on the
     interpreter state ({!Interp.t.from_words} etc.). *)
 
 module I = Machine.Insn

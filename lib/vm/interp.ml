@@ -31,8 +31,6 @@ let c_pool_sites = Telemetry.Metrics.counter "gc.pool_sites"
 (* The Gc_pressure telemetry group: adaptive-heap events. *)
 let c_resizes = Telemetry.Metrics.counter "gc_pressure.resizes"
 let c_grow_words = Telemetry.Metrics.counter "gc_pressure.grow_words"
-let c_shrinks = Telemetry.Metrics.counter "gc_pressure.shrinks"
-let c_retries = Telemetry.Metrics.counter "gc_pressure.retries"
 let h_headroom = Telemetry.Metrics.histogram "gc_pressure.headroom_ratio"
 
 type gc_stats = {
@@ -44,7 +42,7 @@ type gc_stats = {
   mutable frames_traced : int;
   mutable objects_copied : int;
   mutable minor_collections : int; (* generational mode only *)
-  mutable resizes : int; (* adaptive-heap grow/shrink events *)
+  mutable resizes : int; (* adaptive-heap growth events *)
   mutable emergency_full : int; (* full collections forced by promotion failure *)
 }
 
@@ -102,13 +100,13 @@ type pool_state = {
 }
 
 (** Profile-guided placement, installed by the driver (from an [mm-policy]
-    file) or derived in-run by the adaptive mode. The decision array is
+    file, or by a benchmark from its training run). The decision array is
     consulted on the allocation fast path — one bounds-checked load per
     allocation, no allocation of its own. *)
 type placement = {
   pc_decisions : int array; (* site id -> 0 nursery / 1 pretenure / 2 pool *)
   pc_pools : pool_state array; (* parallel to [pc_decisions] *)
-  pc_source : string; (* "file" | "adaptive" *)
+  pc_source : string; (* where the decisions came from, e.g. "file" *)
   mutable pc_pretenured_objects : int;
   mutable pc_pretenured_words : int;
   mutable pc_pool_objects : int;
@@ -200,7 +198,6 @@ type t = {
      pre-resize behavior). [heap_max_words] caps one semispace. *)
   mutable heap_resize : bool;
   mutable heap_max_words : int;
-  mutable heap_min_words : int;
   mutable alloc_pressure_every : int;
     (* fault injection: force the allocation slow path (collect/grow)
        every Nth allocation; 0 = off *)
@@ -215,9 +212,6 @@ type t = {
        allocation and Rt_gc_check so both execution engines observe the
        same pre-emption points (the paper's §5.3 loop-backedge gc-points) *)
   mutable placement : placement option; (* profile-guided placement, if any *)
-  mutable adaptive_after : int;
-    (* derive a placement in-run from the attached profiler once this many
-       minor collections have completed; 0 = off *)
   mutable prof : Profile.t option; (* allocation-site profiler, if attached *)
   mutable gc_check_forces : bool; (* Rt_gc_check triggers a collection *)
   mutable icount : int;
@@ -242,7 +236,6 @@ let create (image : Image.t) : t =
     alloc = image.Image.heap_base;
     heap_resize = false;
     heap_max_words = image.Image.semi_words;
-    heap_min_words = image.Image.semi_words;
     alloc_pressure_every = 0;
     free_list = [];
     collector = None;
@@ -250,7 +243,6 @@ let create (image : Image.t) : t =
     inc = None;
     inc_slice = None;
     placement = None;
-    adaptive_after = 0;
     prof = None;
     gc_check_forces = false;
     icount = 0;
@@ -372,27 +364,19 @@ let place_to_space t words =
   t.to_words <- words;
   store_need t (t.to_base + words)
 
-(* Drop a disproportionately large dead tail of the store (after a
-   shrink): the heap regions are the last thing in the store, so cutting
-   past their ends loses nothing. *)
-let compact_store t =
-  let hi = max (t.from_base + t.from_words) (t.to_base + t.to_words) in
-  let len = Mem.length t.mem in
-  if len - hi >= max 4096 (len / 4) then t.mem <- Mem.realloc t.mem hi
-
-(** Retarget both logical semispaces to [words] words. From-space data
-    stays exactly where it is — growing extends it in place over dead
-    store (or fresh zeroed store), shrinking only lowers the allocation
-    limit (the caller guarantees [alloc - from_base <= words]) — and
-    to-space is re-placed to fit. *)
-let retarget_semi t words =
+(** Grow both logical semispaces to [words] words, counted as one
+    resize. From-space data stays exactly where it is — it extends in
+    place over dead store (or fresh zeroed store) — and to-space is
+    re-placed to fit. *)
+let grow_semi t words =
+  t.gc.resizes <- t.gc.resizes + 1;
+  Telemetry.Metrics.incr c_resizes;
+  Telemetry.Metrics.incr ~by:(words - t.from_words) c_grow_words;
   t.from_words <- words;
   store_need t (t.from_base + words);
-  place_to_space t words;
-  compact_store t
+  place_to_space t words
 
 let grow_high_pct = 65 (* grow when live > 65% of a semispace post-collection *)
-let shrink_low_pct = 20 (* shrink when live < 20% (and above the initial size) *)
 
 (** The post-collection resize policy, run at the safe point right after
     the flip (from-space = the survivors, to-space dead). [needed] is the
@@ -410,19 +394,11 @@ let resize_after_collection t ~needed =
     let target =
       if must > fw || live * 100 > grow_high_pct * fw then
         min cap (max (2 * fw) (must + (must / 2)))
-      else if live * 100 < shrink_low_pct * fw && fw > t.heap_min_words then
-        max t.heap_min_words (max (4 * live) must)
       else fw
     in
     (* Even at the cap, fit the request whenever the cap allows it. *)
     let target = if must > target && must <= cap then must else target in
-    if target <> fw then begin
-      t.gc.resizes <- t.gc.resizes + 1;
-      Telemetry.Metrics.incr c_resizes;
-      if target > fw then Telemetry.Metrics.incr ~by:(target - fw) c_grow_words
-      else Telemetry.Metrics.incr c_shrinks;
-      retarget_semi t target
-    end;
+    if target > fw then grow_semi t target;
     (* Soft watermark: warn once when the live set closes on the cap. *)
     if live * 100 >= 80 * cap then
       Telemetry.Log.warn_once
@@ -551,36 +527,21 @@ let allocate_gen t (g : gen_state) size =
     a
   end
 
-(* The escalation ladder of the flat-heap slow path:
+(* The flat-heap slow path:
    1. below the cap, extend from-space in place — no collection, no data
       movement, and (because allocation proceeds at unchanged addresses)
       a run started on a small heap stays byte-identical to one started
       on a cap-sized fixed heap, collections included;
    2. at the cap, collect (the collector's own post-flip policy may still
-      grow/shrink within the cap using [needed]);
-   3. if the collection left the request unmet and cap room appeared,
-      collect once more (counted as a retry);
-   4. the caller raises typed [Heap_exhausted] — only ever at the cap. *)
+      grow within the cap using [needed]);
+   3. the caller raises typed [Heap_exhausted] — only ever at the cap. *)
 let ensure_space t needed =
   if heap_free t < needed then begin
-    if t.heap_resize && t.from_words < t.heap_max_words then begin
-      let live = t.alloc - t.from_base in
-      let target =
-        min t.heap_max_words (max (2 * t.from_words) (live + needed))
-      in
-      t.gc.resizes <- t.gc.resizes + 1;
-      Telemetry.Metrics.incr c_resizes;
-      Telemetry.Metrics.incr ~by:(target - t.from_words) c_grow_words;
-      retarget_semi t target
-    end;
-    if heap_free t < needed then begin
-      (match t.collector with Some collect -> collect t ~needed | None -> ());
-      if heap_free t < needed && t.heap_resize && t.from_words < t.heap_max_words
-      then begin
-        Telemetry.Metrics.incr c_retries;
-        match t.collector with Some collect -> collect t ~needed | None -> ()
-      end
-    end
+    if t.heap_resize && t.from_words < t.heap_max_words then
+      grow_semi t
+        (min t.heap_max_words (max (2 * t.from_words) (t.alloc - t.from_base + needed)));
+    if heap_free t < needed then
+      match t.collector with Some collect -> collect t ~needed | None -> ()
   end
 
 (* First-fit from the free list (filled by the non-moving mark-sweep

@@ -1,8 +1,8 @@
 (* Profile-guided placement tests.
 
    Placement is a pure runtime switch: every configuration — no policy,
-   pretenure-all, pool-all, a policy derived from a real profile, and the
-   in-run adaptive mode — must produce byte-identical output and
+   pretenure-all, pool-all and a policy derived from a real profile —
+   must produce byte-identical output and
    instruction counts on both engines and both precise collectors, under
    the post-collection heap verifier. A profile-derived policy must also
    never increase the total words the collectors copy (that is the whole
@@ -55,7 +55,7 @@ let pool_all_codes img =
   fst (Policy.decisions_for (Policy.uniform Policy.Pool (C.sites_for img)) (C.sites_for img))
 
 (* Run [img] under an explicit engine, bypassing MM_THREADED. *)
-let run_with ?policy ?adaptive ?profile ?(nursery = 512) ~threaded ~gen img =
+let run_with ?policy ?profile ?(nursery = 512) ~threaded ~gen img =
   let was = Vm.Threaded.enabled () in
   Fun.protect
     ~finally:(fun () -> Vm.Threaded.set_enabled was)
@@ -63,7 +63,7 @@ let run_with ?policy ?adaptive ?profile ?(nursery = 512) ~threaded ~gen img =
       Vm.Threaded.set_enabled threaded;
       C.run
         ~collector:(if gen then C.Generational else C.Precise)
-        ~nursery_words:nursery ?policy ?adaptive ?profile img)
+        ~nursery_words:nursery ?policy ?profile img)
 
 (* ------------------------------------------------------------------ *)
 (* mm-policy JSON round-trip                                           *)
@@ -450,8 +450,7 @@ let test_differential () =
                       (label "derived" ^ ": no more words copied than baseline")
                       true
                       (d.C.gc.Vm.Interp.words_copied
-                      <= base.C.gc.Vm.Interp.words_copied);
-                  same "adaptive" (run_with ~adaptive:8 ~threaded ~gen img))
+                      <= base.C.gc.Vm.Interp.words_copied))
                 [ false; true ])
             [ false; true ])
         [ ("destroy", destroy_small); ("destroy-ballast", destroy_ballast) ])
@@ -495,41 +494,6 @@ let test_pool_storm () =
       check Alcotest.string "output" base.C.output (Vm.Interp.output st);
       check Alcotest.int "icount" base.C.instructions st.Vm.Interp.icount)
 
-(* ------------------------------------------------------------------ *)
-(* Adaptive convergence                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The in-run adaptive mode and the offline profile→policygen pipeline
-   share one classifier, so on a workload whose per-site lifetime ratios
-   are stable (ballast: 100% survival; tree churn: far below the rate
-   floor) the adaptive decisions must equal the decisions a policy
-   derived from a full profiled run maps back onto the same image. *)
-let test_adaptive_convergence () =
-  verified (fun () ->
-      let img = compile ~heap:8192 destroy_ballast in
-      let p = C.profile_for img in
-      ignore (run_with ~profile:p ~threaded:false ~gen:true img);
-      let offline = Policy.decision_codes_from_stats p in
-      let via_file, matched =
-        Policy.decisions_for (Policy.derive_from_stats p) (C.sites_for img)
-      in
-      check Alcotest.int "file policy matches every site" (Array.length offline) matched;
-      check
-        Alcotest.(list int)
-        "stats path and file path agree" (Array.to_list offline)
-        (Array.to_list via_file);
-      let r = run_with ~adaptive:8 ~threaded:false ~gen:true img in
-      match r.C.placement with
-      | None -> Alcotest.fail "adaptive run produced no placement"
-      | Some (src, codes) ->
-          check Alcotest.string "placement source" "adaptive" src;
-          check
-            Alcotest.(list int)
-            "adaptive decisions converge on the offline policy"
-            (Array.to_list offline) (Array.to_list codes);
-          check Alcotest.bool "adaptive actually placed something" true
-            (Array.exists (fun c -> c <> Policy.nursery_code) codes))
-
 let () =
   Alcotest.run "policy"
     [
@@ -555,10 +519,5 @@ let () =
           QCheck_alcotest.to_alcotest test_random_nursery;
           Alcotest.test_case "pool-all under an allocation storm" `Quick
             (fresh test_pool_storm);
-        ] );
-      ( "adaptive",
-        [
-          Alcotest.test_case "converges on the offline policy" `Quick
-            (fresh test_adaptive_convergence);
         ] );
     ]

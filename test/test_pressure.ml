@@ -62,8 +62,7 @@ let run_cell ?(storm = 0) ~gen ~threaded ~heap ~grow src : cell =
   let st = I.create img in
   if grow then begin
     st.I.heap_resize <- true;
-    st.I.heap_max_words <- big_heap;
-    st.I.heap_min_words <- st.I.from_words
+    st.I.heap_max_words <- big_heap
   end;
   if storm > 0 then st.I.alloc_pressure_every <- storm;
   if gen then Gc.Nursery.install st else Gc.Cheney.install st;

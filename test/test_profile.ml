@@ -309,7 +309,7 @@ let profile_digest p =
         T.Json.Obj (List.filter (fun (k, _) -> k <> "pauses" && k <> "copy") kvs)
     | j -> j
   in
-  let codes = Policy.decision_codes_from_stats p in
+  let codes = fst (Policy.decisions_for (Policy.derive_from_stats p) p.Profile.sites) in
   Digest.to_hex
     (Digest.string
        (T.Json.to_string doc ^ "\n"

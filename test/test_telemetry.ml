@@ -246,47 +246,82 @@ let test_timer () =
 (* End to end: a collecting run reports all four pause phases          *)
 (* ------------------------------------------------------------------ *)
 
+(* The names of the spans directly inside each span called [parent], in
+   order, one list per occurrence. *)
+let children_of parent events =
+  let found, _ =
+    List.fold_left
+      (fun (found, stack) (ev : T.Trace.event) ->
+        match (ev.T.Trace.ph, stack) with
+        | T.Trace.B, _ ->
+            (match stack with (_, kids) :: _ -> kids := ev.T.Trace.name :: !kids | [] -> ());
+            (found, (ev.T.Trace.name, ref []) :: stack)
+        | T.Trace.E, (name, kids) :: rest ->
+            ((if name = parent then List.rev !kids :: found else found), rest)
+        | _ -> (found, stack))
+      ([], []) events
+  in
+  List.rev found
+
 let test_end_to_end_gc_phases () =
-  (* Optimized ambig under heap pressure: collections with live derived
-     values, so every phase of the pause does real work. This test is
-     about the moving collector's four pause phases, so it installs the
-     stop-the-world compactor itself, whatever collector mode the
-     environment selects (the incremental collector's phase structure —
-     slices and flips — has its own accounting, checked in
+  (* Optimized ambig in generational mode, with a nursery of half the
+     300-word semispace: the first minor promotes the two arrays, after
+     which the old generation lacks the headroom for another, so the run
+     takes both kinds of collection, with live derived values.
+     This test is about the copying collections' four pause phases, so it
+     installs the generational collector itself, whatever collector mode
+     the environment selects (the incremental collector's phase structure
+     — slices and flips — has its own accounting, checked in
      test_incremental). Nothing arms growth: the small heap must collect. *)
   let options =
     { Driver.Compile.default_options with optimize = true; heap_words = 300 }
   in
   let st = Vm.Interp.create (Driver.Compile.compile ~options Programs.Ambig_src.src) in
-  Gc.Cheney.install st;
+  Gc.Nursery.install ~nursery_words:150 st;
   Vm.Interp.run st;
-  let collections = st.Vm.Interp.gc.Vm.Interp.collections in
-  check Alcotest.bool "at least one collection" true (collections >= 1);
+  let gcs = st.Vm.Interp.gc in
+  let collections = gcs.Vm.Interp.collections and minors = gcs.Vm.Interp.minor_collections in
+  check Alcotest.bool "minor collections" true (minors >= 1);
+  check Alcotest.bool "full collections" true (collections - minors >= 1);
   let n = T.Metrics.counter_value "gc.collections" in
   check Alcotest.int "metrics agree with run result" collections n;
-  List.iter
-    (fun phase ->
-      let h = T.Metrics.histogram phase in
+  let samples phase =
+    let h = T.Metrics.histogram phase in
+    check Alcotest.int (phase ^ " observed once per collection") n h.T.Metrics.h_count;
+    T.Metrics.samples h
+  in
+  let pause = samples "gc.pause_ns" in
+  let phases =
+    List.map samples [ "gc.stackwalk_ns"; "gc.underive_ns"; "gc.copy_ns"; "gc.rederive_ns" ]
+  in
+  (* The four phase windows tile each pause: integer-ns samples, so the
+     sum is exact. *)
+  Array.iteri
+    (fun i p ->
       check Alcotest.int
-        (phase ^ " observed once per collection")
-        n h.T.Metrics.h_count)
-    [ "gc.pause_ns"; "gc.stackwalk_ns"; "gc.underive_ns"; "gc.copy_ns"; "gc.rederive_ns" ];
+        (Printf.sprintf "collection %d: phases sum to the pause" (i + 1))
+        (int_of_float p)
+        (List.fold_left (fun acc h -> acc + int_of_float h.(i)) 0 phases))
+    pause;
   let under = T.Metrics.counter_value "derived.underived" in
   let reder = T.Metrics.counter_value "derived.rederived" in
   check Alcotest.bool "derived values were live at some gc" true (under > 0);
   check Alcotest.int "un-derive count equals re-derive count" under reder;
-  (* The trace contains the four phases properly nested inside gc.collect. *)
-  ignore (check_balance (T.Trace.recorded ()));
-  let begins =
-    List.filter_map
-      (fun (ev : T.Trace.event) ->
-        if ev.T.Trace.ph = T.Trace.B then Some ev.T.Trace.name else None)
-      (T.Trace.recorded ())
-  in
+  (* The trace nests the same four phases, in order, inside every
+     gc.collect and every gc.minor span. *)
+  let events = T.Trace.recorded () in
+  ignore (check_balance events);
   List.iter
-    (fun phase ->
-      check Alcotest.bool ("trace has " ^ phase) true (List.mem phase begins))
-    [ "gc.collect"; "gc.stackwalk"; "gc.underive"; "gc.copy"; "gc.rederive" ];
+    (fun (kind, count) ->
+      let spans = children_of kind events in
+      check Alcotest.int (kind ^ " spans") count (List.length spans);
+      List.iter
+        (check
+           Alcotest.(list string)
+           (kind ^ " nests the four phases")
+           [ "gc.stackwalk"; "gc.underive"; "gc.copy"; "gc.rederive" ])
+        spans)
+    [ ("gc.collect", collections - minors); ("gc.minor", minors) ];
   (* And the export of that real trace parses back. *)
   let j = T.Json.parse (T.Trace.to_chrome_string ()) in
   check Alcotest.bool "export parses" true (T.Json.member "traceEvents" j <> None)
