@@ -4,12 +4,14 @@
 # that executes a collecting workload with tracing on, flat and
 # generational, and validates the emitted Chrome trace JSON (parses,
 # spans balanced, both kinds of copying collection and every gc pause
-# phase present), a fault-injection smoke sweep over mutated gc-table
+# phase present), the same workload compiled at O1 (laid-out code) run
+# under the heap verifier, a fault-injection smoke sweep over mutated gc-table
 # streams, the profiling smoke test, and the A3 collector comparison.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
 GEN_TRACE_OUT := _build/smoke.gen.trace.json
+OPT_TRACE_OUT := _build/smoke.opt.trace.json
 FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
@@ -113,6 +115,10 @@ smoke: build
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(GEN_TRACE_OUT) \
 	  gc.minor gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
+	$(DUNE) exec bin/mmrun.exe -- -O --verify-heap --heap 256 --trace $(OPT_TRACE_OUT) \
+	  examples/sample.m3l > /dev/null
+	$(DUNE) exec tools/validate_trace.exe -- $(OPT_TRACE_OUT) \
+	  opt.layout gc.collect gc.verify gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
 
 # Fault-injection sweep: mutated table streams must never crash, hang or
 # silently diverge — both with the load-time cross-check (the shipping

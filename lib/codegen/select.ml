@@ -32,17 +32,6 @@ type out_func = {
 (* Analysis helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Use counts per temp (to find single-use intermediates). *)
-let use_counts (f : Ir.func) =
-  let counts = Array.make f.Ir.ntemps 0 in
-  let use = function Ir.Otemp t -> counts.(t) <- counts.(t) + 1 | Ir.Oimm _ -> () in
-  Array.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun i -> List.iter use (Ir.instr_uses i)) b.Ir.instrs;
-      List.iter use (Ir.term_uses b.Ir.term))
-    f.Ir.blocks;
-  counts
-
 (* Temps that serve as derivation bases (of temps or derived slots). *)
 let base_temps (f : Ir.func) =
   let is_base = Array.make f.Ir.ntemps false in
@@ -428,22 +417,11 @@ let select_term st ~next_block (t : Ir.term) : unit =
   | Ir.Cjmp (r, a, b, tl, fl) ->
       let sa = operand_src st ~scratch:Machine.Reg.scratch0 a in
       let sb = operand_src st ~scratch:Machine.Reg.scratch1 b in
-      let mr = I.relop_of_ir r in
-      if tl = next_block then begin
+      if tl = next_block then
         (* invert: branch to fl when NOT r *)
-        let inv =
-          match mr with
-          | I.Req -> I.Rne
-          | I.Rne -> I.Req
-          | I.Rlt -> I.Rge
-          | I.Rle -> I.Rgt
-          | I.Rgt -> I.Rle
-          | I.Rge -> I.Rlt
-        in
-        emit st (I.Cbr (inv, sa, sb, fl))
-      end
+        emit st (I.Cbr (I.relop_of_ir (Ir.negate_relop r), sa, sb, fl))
       else begin
-        emit st (I.Cbr (mr, sa, sb, tl));
+        emit st (I.Cbr (I.relop_of_ir r, sa, sb, tl));
         if fl <> next_block then emit st (I.Jmp fl)
       end
   | Ir.Ret o ->
@@ -476,7 +454,7 @@ let func ~(prog : Ir.program) (opts : options)
       liv;
       ra;
       fr;
-      counts = use_counts f;
+      counts = Ir.use_counts f;
       is_base = base_temps f;
       items = Growarr.create ~dummy:(I.Trap "dummy");
       block_pos = Array.make (Array.length f.Ir.blocks) 0;

@@ -176,11 +176,7 @@ let add_block (f : Ir.func) ~(instrs : Ir.instr list) ~(term : Ir.term) : int =
   nb
 
 let retarget_term (t : Ir.term) ~from ~dest : Ir.term =
-  match t with
-  | Ir.Jmp l -> Ir.Jmp (if l = from then dest else l)
-  | Ir.Cjmp (r, a, b, tl, fl) ->
-      Ir.Cjmp (r, a, b, (if tl = from then dest else tl), if fl = from then dest else fl)
-  | Ir.Ret _ | Ir.Unreachable -> t
+  Ir.map_term_targets (fun l -> if l = from then dest else l) t
 
 (** Insert a preheader for a loop: a fresh empty block through which every
     edge into the header from outside the loop is redirected. Returns its

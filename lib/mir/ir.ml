@@ -208,6 +208,15 @@ let term_uses = function
   | Ret (Some o) -> [ o ]
   | Ret None -> []
 
+(** The relation that holds exactly when [r] does not. *)
+let negate_relop = function
+  | Req -> Rne
+  | Rne -> Req
+  | Rlt -> Rge
+  | Rle -> Rgt
+  | Rgt -> Rle
+  | Rge -> Rlt
+
 let term_succs = function
   | Jmp l -> [ l ]
   | Cjmp (_, _, _, t, e) -> [ t; e ]
@@ -244,6 +253,46 @@ let map_instr_uses (g : operand -> operand) (i : instr) : instr =
   | Store (a, o, v) -> Store (g a, o, g v)
   | Store_nb (a, o, v) -> Store_nb (g a, o, g v)
   | Call (d, c, args) -> Call (d, c, List.map g args)
+
+(** Rename the temp an instruction defines (operands untouched). *)
+let map_instr_def (g : temp -> temp) (i : instr) : instr =
+  match i with
+  | Mov (d, s) -> Mov (g d, s)
+  | Bin (op, d, a, b) -> Bin (op, g d, a, b)
+  | Neg (d, s) -> Neg (g d, s)
+  | Abs (d, s) -> Abs (g d, s)
+  | Setrel (r, d, a, b) -> Setrel (r, g d, a, b)
+  | Ld_local (d, l, o) -> Ld_local (g d, l, o)
+  | Ld_global (d, gl, o) -> Ld_global (g d, gl, o)
+  | Lda_local (d, l, o) -> Lda_local (g d, l, o)
+  | Lda_global (d, gl, o) -> Lda_global (g d, gl, o)
+  | Lda_text (d, x) -> Lda_text (g d, x)
+  | Load (d, a, o) -> Load (g d, a, o)
+  | Call (Some d, c, args) -> Call (Some (g d), c, args)
+  | St_local _ | St_global _ | Store _ | Store_nb _ | Call (None, _, _) -> i
+
+(** Rewrite the labels a terminator jumps to; an unchanged terminator is
+    returned as is, like {!map_term_uses}. *)
+let map_term_targets (g : label -> label) (t : term) : term =
+  match t with
+  | Jmp l ->
+      let l' = g l in
+      if l' = l then t else Jmp l'
+  | Cjmp (r, a, b, tl, fl) ->
+      let tl' = g tl and fl' = g fl in
+      if tl' = tl && fl' = fl then t else Cjmp (r, a, b, tl', fl')
+  | Ret _ | Unreachable -> t
+
+(** How many times each temp is read, over every block. *)
+let use_counts (f : func) : int array =
+  let counts = Array.make f.ntemps 0 in
+  let use = function Otemp t -> counts.(t) <- counts.(t) + 1 | Oimm _ -> () in
+  Array.iter
+    (fun b ->
+      List.iter (fun i -> List.iter use (instr_uses i)) b.instrs;
+      List.iter use (term_uses b.term))
+    f.blocks;
+  counts
 
 (** Rewrite the operands a terminator reads; an unchanged terminator is
     returned as is, so a {!Cfg.analysis} snapshot outlives the rewrite. *)

@@ -5,7 +5,8 @@
     Pass order, per function, iterated to a local fixed point:
     copy propagation → constant folding → CSE → virtual array origin →
     strength reduction → LICM (with path variables for hoisted ambiguous
-    derivations) → dead code elimination. *)
+    derivations) → dead code elimination. {!Layout} then runs once, on the
+    fixed point. *)
 
 type options = {
   copyprop : bool;
@@ -16,6 +17,7 @@ type options = {
   strength : bool;
   licm : bool;
   dce : bool;
+  layout : bool;
 }
 
 let all_on =
@@ -28,14 +30,15 @@ let all_on =
     strength = true;
     licm = true;
     dce = true;
+    layout = true;
   }
 
 let c_loop_analyses = Telemetry.Metrics.counter "opt.loop_analyses"
 let c_loop_reuses = Telemetry.Metrics.counter "opt.loop_analysis_reuses"
 
 (** Optimize one function. [cfg], its loop analysis, is shared by pathvar,
-    strength and licm. Every pass runs as [wrap name cfg pass]; tests wrap
-    passes to check state at each pass boundary. *)
+    strength, licm and layout. Every pass runs as [wrap name cfg pass];
+    tests wrap passes to check state at each pass boundary. *)
 let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.func) =
   let cfg = Mir.Cfg.analysis () in
   let budget = ref 6 in
@@ -58,9 +61,12 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
     step opts.dce "opt.dce" (fun () -> Dce.run prog f);
     decr budget
   done;
+  if opts.layout then
+    ignore
+      (Telemetry.Timer.time ~cat:"opt" "opt.layout" (fun () ->
+           wrap "opt.layout" cfg (fun () -> Layout.run cfg f)));
   Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.computed c_loop_analyses;
-  Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.reused c_loop_reuses;
-  ignore (Telemetry.Timer.time ~cat:"opt" "opt.cleanup" (fun () -> Cleanup.run prog f))
+  Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.reused c_loop_reuses
 
 let optimize ?(opts = all_on) (prog : Mir.Ir.program) : unit =
   Telemetry.Trace.span ~cat:"compile" "opt.pipeline" (fun () ->

@@ -420,8 +420,8 @@ let compile_one (img : Image.t) ~pc (insn : I.t) : op =
 
 (** Compile the legal fused pair at [(pc, pc+1)] into one closure. The
     hottest dynamic shapes (measured on the benchmark programs: load+branch
-    from the list walk, load/store chains, store+jump at loop bottoms,
-    add+store, push sequences, push+call) are hand-inlined so the whole
+    from the list walk, load/store chains, add+store, push sequences,
+    push+call) are hand-inlined so the whole
     pair is a single closure body; everything else chains the two
     standalone closures [a] and [b], still saving a dispatch.
 
@@ -522,22 +522,6 @@ let compile_pair (img : Image.t) ~pc (ai : I.t) (bi : I.t) (a : op) (b : op)
         t.icount <- t.icount + 1;
         t.regs.(d) <- read t (t.regs.(r2) + o2);
         t.pc <- next2
-  (* store ; jump — the loop-bottom idiom *)
-  | I.Mov (I.Mem (r, o), I.Reg s), I.Jmp tg ->
-      fun t ->
-        fused_execs := !fused_execs + 1;
-        t.icount <- t.icount + 1;
-        write t (t.regs.(r) + o) t.regs.(s);
-        t.icount <- t.icount + 1;
-        t.pc <- tg
-  (* register move ; jump *)
-  | I.Mov (I.Reg d, I.Reg s), I.Jmp tg ->
-      fun t ->
-        fused_execs := !fused_execs + 1;
-        t.icount <- t.icount + 1;
-        t.regs.(d) <- t.regs.(s);
-        t.icount <- t.icount + 1;
-        t.pc <- tg
   (* add-immediate ; store — the increment-and-write-back idiom *)
   | I.Arith (I.Add, I.Reg d, I.Reg ra, I.Imm bimm), I.Mov (I.Mem (r, o), I.Reg s)
     ->

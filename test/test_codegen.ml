@@ -336,50 +336,50 @@ let pinned_digests =
     ("typereg", false, Delta_main, false, "0ebf31bea12da49f53314986c1d15739");
     ("typereg", false, Full_info, true, "7b6f17f7c3077f334a636efeb2e3620c");
     ("typereg", false, Full_info, false, "8d4fa32f0e4eb6bca51ad770c2a5789a");
-    ("typereg", true, Delta_main, true, "bc843e8fe69a82824bc4096b97680596");
-    ("typereg", true, Delta_main, false, "3b65bfa147fe1742b62ad8f6a6cfc2c7");
-    ("typereg", true, Full_info, true, "f2c792c98421a2a6d47def0bf39eaa6a");
-    ("typereg", true, Full_info, false, "e2cab3fb1108b59e79b13fb955c1380a");
+    ("typereg", true, Delta_main, true, "7fa234249aaafea19be83ca72cef125a");
+    ("typereg", true, Delta_main, false, "c0b30bb8a7e5524520112c6e2cecbe85");
+    ("typereg", true, Full_info, true, "a3bb5cba259953f8edfe88403ef356c8");
+    ("typereg", true, Full_info, false, "ae33ff3701ef646adb42fab82a8f04e9");
     ("FieldList", false, Delta_main, true, "9ecf0c57cb0afac8bd00e708820cc094");
     ("FieldList", false, Delta_main, false, "245a02eeca4b0cb3f761d449a61a2820");
     ("FieldList", false, Full_info, true, "9c9e9331813ff030b58675cfc39cb905");
     ("FieldList", false, Full_info, false, "0eccef8893623c5f664d9fde20d93ea4");
-    ("FieldList", true, Delta_main, true, "833ac650c650cc54bf573dfca7d810f1");
-    ("FieldList", true, Delta_main, false, "9da3187242e4db1cbbc2bea9e80b3cb5");
-    ("FieldList", true, Full_info, true, "8e837479d3e5f286928f73b2b39bbf9f");
-    ("FieldList", true, Full_info, false, "866b67acf71acbed7fef46b59fc07d10");
+    ("FieldList", true, Delta_main, true, "eedf93ca7a1a1ae0469179fec45129b6");
+    ("FieldList", true, Delta_main, false, "53a56e6edb3b7fd2963df9cffcef8ba3");
+    ("FieldList", true, Full_info, true, "f4a1b43580805f35e16a0d493279b33b");
+    ("FieldList", true, Full_info, false, "3ed3297c1ea9dc6302da8617534b3e83");
     ("takl", false, Delta_main, true, "f4c0576def00f0929ae822fc92ea2c1a");
     ("takl", false, Delta_main, false, "d07cb674d559a329c1001b8e2c77520b");
     ("takl", false, Full_info, true, "9526b2f1291af2e2e9ec1655a79ea3b0");
     ("takl", false, Full_info, false, "24f1a92967dd2cf846f5dbebe148ef4b");
-    ("takl", true, Delta_main, true, "c316a53f62d3314a93b05489ad1ea388");
-    ("takl", true, Delta_main, false, "db0b6cbdcbbf61e1ce392da1ff985e55");
-    ("takl", true, Full_info, true, "2b8af816a20b6eb9a23bea23927ee575");
-    ("takl", true, Full_info, false, "28ba1d2a1d9bca89c0cf350e3e225a19");
+    ("takl", true, Delta_main, true, "ac79557ab6cb0f41895a614d745a2f37");
+    ("takl", true, Delta_main, false, "fd923edd8f8cd54acf2db302dbb44a90");
+    ("takl", true, Full_info, true, "f87933366976962262444fe8de3803af");
+    ("takl", true, Full_info, false, "8e04ba898c9676de4ae27ca427fc60a3");
     ("destroy", false, Delta_main, true, "1451565a5ae11da9fce9f1ac3dfce509");
     ("destroy", false, Delta_main, false, "f60a9253a9ba2653a05395e83f6eac51");
     ("destroy", false, Full_info, true, "630adcd7ce20b8ec2a971f7e8222dbdb");
     ("destroy", false, Full_info, false, "f30bfaf92711df765b8979a2a2ea4c86");
-    ("destroy", true, Delta_main, true, "2aedcfc07842e8650e931f35da3e657f");
-    ("destroy", true, Delta_main, false, "65bc061e8ee945d7d52c96ea20b0308f");
-    ("destroy", true, Full_info, true, "58d41c07a412a6ebaaf6c36d053c529d");
-    ("destroy", true, Full_info, false, "ca1e895c2b78dd6ff15d155af0027971");
+    ("destroy", true, Delta_main, true, "de99e74fe02fa1f12cb424ebe7e3fb74");
+    ("destroy", true, Delta_main, false, "86deb69ef87127db576982aba03567a8");
+    ("destroy", true, Full_info, true, "0c085ad00dd29edd1df75b7355c0f7fe");
+    ("destroy", true, Full_info, false, "182c35b0e9ec6da1ea01cddfe19ead8f");
     ("ambig", false, Delta_main, true, "a7d55c8bcdb49380cc09553a2870ff04");
     ("ambig", false, Delta_main, false, "02ff1320416804e7e9be33263a854d5d");
     ("ambig", false, Full_info, true, "dbaaa9cfa7014391cf629501081a882e");
     ("ambig", false, Full_info, false, "8a86f8b0087b06e2838c33451fb6c3de");
-    ("ambig", true, Delta_main, true, "7bcf3e47fa16987a9a71fc6a8e0dc6b0");
-    ("ambig", true, Delta_main, false, "ce8076314c6c27b45463c235238a5a86");
-    ("ambig", true, Full_info, true, "3e4ed5690c0a51e6b8c0d60921662564");
-    ("ambig", true, Full_info, false, "e007ca142be3ecb36009b91b61d43fd1");
+    ("ambig", true, Delta_main, true, "3f5610d6fd3e249593a40b3e33a5fce2");
+    ("ambig", true, Delta_main, false, "b512ca0661b6b3964722acb75caee976");
+    ("ambig", true, Full_info, true, "3a7236c624fb387c80fafbff1f4c1c75");
+    ("ambig", true, Full_info, false, "e5cf79725db9b66d4706f3053912dd1c");
     ("indirect", false, Delta_main, true, "56a4fc802873ddc8cc67ab5a74b14d54");
     ("indirect", false, Delta_main, false, "4a0b92905d3fbbaa46bad2310955b890");
     ("indirect", false, Full_info, true, "58d2074f5e6327a1df7d17d79c00b9ee");
     ("indirect", false, Full_info, false, "88435d37086aa4fa8855b602c2eb6a22");
-    ("indirect", true, Delta_main, true, "54fc08a59ac11b7deabb24e5a2ba3948");
-    ("indirect", true, Delta_main, false, "8b5138f1fbc1f406b020ad059fcdc637");
-    ("indirect", true, Full_info, true, "e61ce1a1ff8a5ba5313117f1e5ce5fef");
-    ("indirect", true, Full_info, false, "d5470e76688d7512dc3ed3c4c42534d8");
+    ("indirect", true, Delta_main, true, "28bb5d2618c5ae942ea87d7b06937290");
+    ("indirect", true, Delta_main, false, "6e2f1351ebfd9c504089ee97ce42dbac");
+    ("indirect", true, Full_info, true, "2b0d93a43ebd8759af5c07c06e441bfb");
+    ("indirect", true, Full_info, false, "b0273165559d58a3d4a7cbe46cf6cd94");
   ]
 
 let test_pinned_digests () =

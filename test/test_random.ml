@@ -361,6 +361,14 @@ let prop_opt_oracle =
       | None -> true
       | Some d -> QCheck.Test.fail_reportf "%s" d)
 
+let prop_layout =
+  QCheck.Test.make ~name:"layout keeps every gc-point's roots" ~count:60
+    (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
+    (fun p ->
+      match Layout_check.check_source (to_m3l p) with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "%s" d)
+
 let () =
   Alcotest.run "random"
     [
@@ -370,5 +378,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_collections_strike;
           QCheck_alcotest.to_alcotest prop_liveness_oracle;
           QCheck_alcotest.to_alcotest prop_opt_oracle;
+          QCheck_alcotest.to_alcotest prop_layout;
         ] );
     ]

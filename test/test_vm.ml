@@ -203,6 +203,19 @@ let test_reset_clears_output () =
   check Alcotest.string "output does not accumulate across reset" "7"
     (Vm.Interp.output st)
 
+(* The store only grows: an extension keeps every word and zeroes the
+   rest, and a shrink is refused. *)
+let test_mem_realloc () =
+  let m = Vm.Mem.create 4 in
+  Vm.Mem.set m 3 42;
+  let g = Vm.Mem.realloc m 6 in
+  check Alcotest.(list int) "prefix kept, extension zeroed" [ 0; 0; 0; 42; 0; 0 ]
+    (List.init (Vm.Mem.length g) (Vm.Mem.get g));
+  check Alcotest.int "same length" 4 (Vm.Mem.length (Vm.Mem.realloc m 4));
+  match Vm.Mem.realloc g 5 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a shrinking realloc was accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Instruction encoding model                                          *)
 (* ------------------------------------------------------------------ *)
@@ -261,6 +274,7 @@ let () =
           Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "reset clears output" `Quick test_reset_clears_output;
+          Alcotest.test_case "store only grows" `Quick test_mem_realloc;
         ] );
       ( "encoding",
         [
