@@ -17,7 +17,7 @@ FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
 .PHONY: all build check-build check-env test test-verified test-gen test-switch \
-	test-pressure test-incremental smoke fault profile baseline check bench clean
+	test-incremental smoke fault profile baseline check bench clean
 
 all: build
 
@@ -53,7 +53,7 @@ check-build: build
 # Configuration is resolved in one place: no .ml file under these
 # directories but the config module calls getenv/putenv (or reads the
 # environment) where it names an MM_* variable, and the config module
-# names exactly six.
+# names exactly five.
 CONFIG_ML := lib/support/runtime_config.ml
 ENV_DIRS := lib bin bench test tools
 
@@ -65,8 +65,8 @@ check-env:
 	  fi; \
 	done; \
 	n=$$(grep -oE '"MM_[A-Z_]+"' $(CONFIG_ML) | sort -u | wc -l); \
-	if [ "$$n" -ne 6 ]; then \
-	  echo "check-env: $(CONFIG_ML) names $$n MM_* variables, not 6"; fail=1; \
+	if [ "$$n" -ne 5 ]; then \
+	  echo "check-env: $(CONFIG_ML) names $$n MM_* variables, not 5"; fail=1; \
 	fi; \
 	[ $$fail -eq 0 ] && echo "check-env: ok"
 
@@ -90,13 +90,6 @@ test-gen: build
 # the plain fetch/match/step loop the semantics are defined against.
 test-switch: build
 	MM_THREADED=0 $(DUNE) runtest --force
-
-# And under memory pressure: MM_HEAP_GROW=1 arms adaptive semispace
-# growth on every moving-collector entry point (tests that pick their
-# own heap sizes now also exercise eager and post-collection growth up
-# to the cap), with the heap verifier re-checking every post-growth heap.
-test-pressure: build
-	MM_HEAP_GROW=1 MM_VERIFY_HEAP=1 $(DUNE) runtest --force
 
 # And in incremental mode: MM_GC_INCREMENTAL=1 flips every precise-
 # collector entry point onto the tri-color sliced mark-sweep collector

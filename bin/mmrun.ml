@@ -184,14 +184,10 @@ let print_gc_stats ?placement () =
     (hist_sum "gc.stackwalk_ns" /. 1e3)
     ((hist_sum "gc.underive_ns" +. hist_sum "gc.rederive_ns") /. 1e3);
   (* Memory-pressure accounting, printed only when something happened. *)
-  let resizes = T.Metrics.counter_value "gc_pressure.resizes" in
   let emergency = T.Metrics.counter_value "gc_pressure.emergency_full" in
-  if resizes + emergency > 0 then
-    Printf.eprintf "gc pressure  : %d resizes (%d words grown), %d emergency full\n" resizes
-      (T.Metrics.counter_value "gc_pressure.grow_words")
-      emergency
+  if emergency > 0 then Printf.eprintf "gc pressure  : %d emergency full\n" emergency
 
-let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collector
+let run file optimize checks no_gc_restrict heap stack collector
     gen incremental pause_budget nursery no_barrier_elim no_threaded
     gc_stats trace metrics no_decode_cache verify_heap verify_pre profile
     census_every policy fuel =
@@ -222,11 +218,10 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
           (("--collector " ^ Driver.Compile.collector_name collector, collector)
           :: flag gen "--gen" RC.Generational
           @ flag incremental "--incremental" RC.Incremental)
-        ?grow:(if heap_grow then Some "--heap-grow" else Option.map (fun _ -> "--heap-max") heap_max)
         ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
         ~bounds:
-          [ ("--nursery", nursery, 1); ("--heap-max", heap_max, 1);
-            ("--pause-budget-us", pause_budget, 0); ("--census-every", Some census_every, 0) ]
+          [ ("--nursery", nursery, 1); ("--pause-budget-us", pause_budget, 0);
+            ("--census-every", Some census_every, 0) ]
     in
     let image = Driver.Compile.compile ~options (read_file file) in
     (* Attach a profiler only when asked: with --profile off the machine
@@ -244,9 +239,7 @@ let run file optimize checks no_gc_restrict heap heap_grow heap_max stack collec
     let t0 = T.Control.now_ns () in
     let r =
       Driver.Compile.run ~collector ?nursery_words:nursery
-        ?pause_budget_us:pause_budget ?profile:prof ~fuel
-        ?heap_grow:(if heap_grow then Some true else None)
-        ?heap_max_words:heap_max ?policy:pol image
+        ?pause_budget_us:pause_budget ?profile:prof ~fuel ?policy:pol image
     in
     let elapsed_ns = Int64.sub (T.Control.now_ns ()) t0 in
     print_string r.Driver.Compile.output;
@@ -306,27 +299,6 @@ let no_gc_restrict =
         ~doc:"Run code compiled without gc restrictions (unsafe; warns).")
 let heap =
   Arg.(value & opt int 65536 & info [ "heap" ] ~doc:"Words per semispace.")
-let heap_grow =
-  Arg.(
-    value & flag
-    & info [ "heap-grow" ]
-        ~doc:
-          "Adaptive heap: grow the semispaces under memory pressure instead \
-           of failing with heap-exhausted, up to --heap-max. The heap is the last region of \
-           the memory map, so resizing moves no address: a grown run is \
-           byte-identical to one started with the larger heap. An error \
-           (exit 16) with a non-moving collector. MM_HEAP_GROW=1 enables it \
-           wherever the collector moves.")
-let heap_max =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "heap-max" ] ~docv:"WORDS"
-        ~doc:
-          "Hard cap in words per semispace for --heap-grow (default 4194304; \
-           implies --heap-grow). Allocation fails \
-           with the typed heap-exhausted error (exit code 13) only at the \
-           cap.")
 let stack = Arg.(value & opt int 16384 & info [ "stack" ] ~doc:"Stack words.")
 let collector =
   Arg.(
@@ -461,10 +433,9 @@ let cmd =
     (Cmd.info "mmrun" ~doc)
     Term.(
       ret
-        (const run $ file $ optimize $ checks $ no_gc_restrict $ heap $ heap_grow
-       $ heap_max $ stack $ collector $ gen $ incremental $ pause_budget $ nursery
-       $ no_barrier_elim $ no_threaded $ gc_stats $ trace $ metrics
-       $ no_decode_cache $ verify_heap $ verify_pre $ profile $ census_every
-       $ policy $ fuel))
+        (const run $ file $ optimize $ checks $ no_gc_restrict $ heap $ stack $ collector
+       $ gen $ incremental $ pause_budget $ nursery $ no_barrier_elim $ no_threaded
+       $ gc_stats $ trace $ metrics $ no_decode_cache $ verify_heap $ verify_pre $ profile
+       $ census_every $ policy $ fuel))
 
 let () = exit (Cmd.eval cmd)

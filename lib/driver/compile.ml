@@ -126,42 +126,19 @@ let policy_of_file path : Policy.t =
   close_in ic;
   Policy.of_json (Telemetry.Json.parse s)
 
-(** Default semispace cap when growth is on but no cap was given: plenty
-    for every workload in the repo, small enough to stay a sane bound. *)
-let default_heap_max_words = 4_194_304
-
 (** The collector {!run} installs for these arguments: they are resolved
     over the environment's config by {!Support.Runtime_config.resolve}.
     @raise Support.Runtime_config.Config_error *)
-let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words () =
+let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us () =
   Config.resolve (Config.env ())
     ~collectors:[ ("~collector:" ^ collector_name collector, collector) ]
-    ?grow:
-      (match (heap_grow, heap_max_words) with
-      | Some true, _ -> Some "~heap_grow:true"
-      | None, Some _ -> Some "~heap_max_words"
-      | _ -> None)
-    ~bounds:
-      [ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0);
-        ("~heap_max_words", heap_max_words, 1) ]
+    ~bounds:[ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0) ]
 
-(** Resolve as {!resolve} does and install the result on a fresh machine:
-    arm adaptive growth when the collector moves (the conservative and
-    incremental collectors' free-list blocks and the no-gc configuration
-    have no post-collection safe point to resize at), then the collector.
-    [heap_grow] wins over [MM_HEAP_GROW]; a cap implies growth. Every
-    entry point that runs an image installs through here. Returns the
-    collector installed. @raise Support.Runtime_config.Config_error *)
-let install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words st =
-  let collector = resolve ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words () in
-  let grow =
-    match heap_grow with Some b -> b | None -> (Config.env ()).heap_grow || heap_max_words <> None
-  in
-  if grow && Config.moving collector then begin
-    let cap = Option.value heap_max_words ~default:default_heap_max_words in
-    st.Vm.Interp.heap_resize <- true;
-    st.Vm.Interp.heap_max_words <- max cap st.Vm.Interp.from_words
-  end;
+(** Resolve as {!resolve} does and install the result on a fresh machine.
+    Every entry point that runs an image installs through here. Returns
+    the collector installed. @raise Support.Runtime_config.Config_error *)
+let install ?collector ?nursery_words ?pause_budget_us st =
+  let collector = resolve ?collector ?nursery_words ?pause_budget_us () in
   (match collector with
   | Precise -> Gc.Cheney.install st
   | Generational -> Gc.Nursery.install ?nursery_words st
@@ -170,8 +147,8 @@ let install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_word
   | No_gc -> ());
   collector
 
-let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000) ?heap_grow
-    ?heap_max_words ?policy (image : Vm.Image.t) : run_result =
+let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000) ?policy
+    (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
   st.Vm.Interp.prof <- profile;
   (* A placement policy is mapped onto this image's site table by stable
@@ -181,7 +158,7 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
       let codes, _matched = Policy.decisions_for p (sites_for image) in
       Vm.Interp.set_placement st ~source:"file" codes
   | None -> ());
-  let collector = install ?collector ?nursery_words ?pause_budget_us ?heap_grow ?heap_max_words st in
+  let collector = install ?collector ?nursery_words ?pause_budget_us st in
   (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
      live pointers in forms the tables cannot describe; collecting while it
      runs can corrupt the heap. Warn whenever such output is executed under
@@ -208,6 +185,6 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
 
 (** Compile and run in one step (tests and examples). *)
 let run_source ?(options = default_options) ?collector ?nursery_words ?pause_budget_us
-    ?profile ?fuel ?heap_grow ?heap_max_words ?policy source =
-  run ?collector ?nursery_words ?pause_budget_us ?profile ?fuel ?heap_grow
-    ?heap_max_words ?policy (compile ~options source)
+    ?profile ?fuel ?policy source =
+  run ?collector ?nursery_words ?pause_budget_us ?profile ?fuel ?policy
+    (compile ~options source)

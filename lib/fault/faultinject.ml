@@ -188,10 +188,8 @@ let run_mutated ?collector ~(reference : string) ~fuel (img : Vm.Image.t) : outc
   let st = Vm.Interp.create img in
   (* The collector is resolved and installed as for the reference run, so
      MM_GEN and MM_GC_INCREMENTAL re-run the whole sweep with their
-     collector (and its verifier checks) decoding the mutated tables. The
-     heap stays fixed: growth would only postpone what a corrupt table
-     does to the collector. *)
-  ignore (Driver.Compile.install ?collector ~heap_grow:false st);
+     collector (and its verifier checks) decoding the mutated tables. *)
+  ignore (Driver.Compile.install ?collector st);
   match Vm.Interp.run ~fuel st with
   | () -> if Vm.Interp.output st = reference then Benign else Diverged
   | exception Vm.Vm_error.Error e -> (

@@ -49,7 +49,6 @@ let h_minor_words = T.Metrics.histogram "gc.minor_words"
    the nursery, destination = the old-generation frontier within the same
    semispace — see {!Nursery}). It caches what the evacuation loop reads
    per object: the store, the image's flat layout table and the profiler.
-   Nothing replaces the store during a collection, so [mem] is fixed.
    Evacuated objects are counted in [copied]; the collector adds the
    count to the machine's counters once per collection. *)
 type copier = {
@@ -344,33 +343,20 @@ let run (st : Vm.Interp.t) ~minor ~regions ~extra_roots ~reopen =
   | Some snap -> ignore (Verify.check st ~phase:(phase "post") ~frames ~derived:snap ())
   | None -> ()
 
-(** A full collection: from-space into a to-space at least as large,
-    then the flip. *)
-let collect (st : Vm.Interp.t) ~needed =
+(** A full collection: from-space into to-space, then the flip. *)
+let collect (st : Vm.Interp.t) ~needed:_ =
+  let semi = st.Vm.Interp.semi_words in
   run st ~minor:false
     ~regions:(fun () ->
-      (* (Re)establish a to-space at least as large as from-space before
-         anything moves: with [from_words >= used >= live] the copy can
-         never overrun its destination, whatever growth has happened
-         since the last collection. For the fixed-size configuration this
-         reproduces the classic semispace alternation exactly. *)
-      Vm.Interp.place_to_space st st.Vm.Interp.from_words;
       make_copier st ~src_lo:st.Vm.Interp.from_base
-        ~src_hi:(st.Vm.Interp.from_base + st.Vm.Interp.from_words)
-        ~dst_lo:st.Vm.Interp.to_base ~dst_hi:(st.Vm.Interp.to_base + st.Vm.Interp.to_words))
+        ~src_hi:(st.Vm.Interp.from_base + semi)
+        ~dst_lo:st.Vm.Interp.to_base ~dst_hi:(st.Vm.Interp.to_base + semi))
     ~extra_roots:ignore
     ~reopen:(fun c ->
-      let old_from = st.Vm.Interp.from_base and old_fw = st.Vm.Interp.from_words in
+      let old_from = st.Vm.Interp.from_base in
       st.Vm.Interp.from_base <- st.Vm.Interp.to_base;
-      st.Vm.Interp.from_words <- st.Vm.Interp.to_words;
       st.Vm.Interp.to_base <- old_from;
-      st.Vm.Interp.to_words <- old_fw;
       st.Vm.Interp.alloc <- c.to_alloc;
-      (* Post-collection safe point: the only place the semispace target
-         size changes after a collection (no-op unless --heap-grow).
-         Before [gen_reset_after_full] so the generational reset sees the
-         final store geometry. *)
-      Vm.Interp.resize_after_collection st ~needed;
       (* In generational mode the survivors become the new (empty-nursery)
          old generation and the remembered set is void. *)
       Vm.Interp.gen_reset_after_full st)

@@ -74,8 +74,7 @@ val run :
 
 val collect : Vm.Interp.t -> needed:int -> unit
 (** Run one full collection through {!run}: its regions are from-space
-    and a fresh to-space, and it reopens by flipping the semispaces and
-    applying the post-collection growth policy. Installed as
+    and to-space, and it reopens by flipping the semispaces. Installed as
     the interpreter's collector by {!install}.
     @raise Vm.Vm_error.Error on a corrupt root (e.g. an untidy pointer in a
     tidy table entry — an invariant check that the tests rely on). *)

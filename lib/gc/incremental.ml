@@ -105,19 +105,10 @@ let scan_object (st : VI.t) (inc : VI.inc_state) a =
     Rt.Typedesc.words size ~length:len
   end
 
-(* A per-collection bitset, all clear and one bit per from-space word.
-   It is cleared in place, not reallocated — an O(heap/62) Array.fill
-   with no allocation, so the first (budgeted) slice of a cycle never
-   triggers an OCaml-GC pause of its own. The width only changes if the
-   guest heap was resized between cycles. *)
-let cleared (st : VI.t) b =
-  if Support.Bitset.length b <> st.VI.from_words then Support.Bitset.create st.VI.from_words
-  else (Support.Bitset.reset b; b)
-
 (* Record every object start in [inc_starts]: one linear parse of
    [from_base, alloc), stepping over fillers. *)
 let find_starts (st : VI.t) (inc : VI.inc_state) =
-  inc.VI.inc_starts <- cleared st inc.VI.inc_starts;
+  Support.Bitset.reset inc.VI.inc_starts;
   let mem = st.VI.mem in
   let a = ref st.VI.from_base in
   while !a < st.VI.alloc do
@@ -271,8 +262,11 @@ let drain (st : VI.t) (inc : VI.inc_state) =
 let start_cycle (st : VI.t) (inc : VI.inc_state) =
   st.VI.gc.VI.collections <- st.VI.gc.VI.collections + 1;
   T.Metrics.incr c_collections;
-  (* Fresh mark bits: the whole heap turns white. *)
-  inc.VI.inc_marks <- cleared st inc.VI.inc_marks;
+  (* Fresh mark bits: the whole heap turns white. The bitset is cleared
+     in place, not reallocated — an O(heap/62) Array.fill with no
+     allocation, so the first (budgeted) slice of a cycle never triggers
+     an OCaml-GC pause of its own. *)
+  Support.Bitset.reset inc.VI.inc_marks;
   inc.VI.inc_gray_len <- 0;
   inc.VI.inc_spilled <- false;
   inc.VI.inc_work_base <- st.VI.alloc_words;
@@ -565,15 +559,15 @@ let default_ratio = 16
 
 (* Default mark-stack capacity: never spills on sane heaps (an object is
    at least 2 words). *)
-let default_gray_cap (st : VI.t) = min ((st.VI.from_words / 2) + 16) 65536
+let default_gray_cap (st : VI.t) = min ((st.VI.semi_words / 2) + 16) 65536
 
 let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
     ~slice_storm ~barrier_storm : VI.inc_state =
   {
     VI.inc_phase = VI.Inc_idle;
     inc_ambiguous = ambiguous;
-    inc_marks = Support.Bitset.create st.VI.from_words;
-    inc_starts = Support.Bitset.create (if ambiguous then st.VI.from_words else 0);
+    inc_marks = Support.Bitset.create st.VI.semi_words;
+    inc_starts = Support.Bitset.create (if ambiguous then st.VI.semi_words else 0);
     inc_gray = Array.make (max 4 cap) 0;
     inc_gray_len = 0;
     inc_spilled = false;
@@ -604,7 +598,7 @@ let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
 
 let install ?(pause_budget_us = 0) ?(slice_work = default_slice_work) ?trigger_words
     ?gray_cap ?(slice_storm = false) ?(barrier_storm = false) (st : VI.t) : VI.inc_state =
-  let trigger = Option.value trigger_words ~default:(max 512 (st.VI.from_words / 4)) in
+  let trigger = Option.value trigger_words ~default:(max 512 (st.VI.semi_words / 4)) in
   let cap = Option.value gray_cap ~default:(default_gray_cap st) in
   let inc =
     new_state st ~ambiguous:false ~cap ~trigger ~slice_work

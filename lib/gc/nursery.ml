@@ -100,7 +100,7 @@ let collect (st : Vm.Interp.t) ~needed =
       end
 
 let install ?nursery_words (st : Vm.Interp.t) =
-  let semi = st.Vm.Interp.from_words in
+  let semi = st.Vm.Interp.semi_words in
   let words =
     match nursery_words with Some w -> w | None -> default_nursery_words semi
   in

@@ -90,10 +90,8 @@ let violate c fmt =
 (* Heap walk                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The heap region is everything from [heap_base] to the end of the
-   current store: the heap is the last region of the memory map, and the
-   adaptive policy may have grown the store since startup, so
-   the bound is read from the live store, not the image. *)
+(* The heap region is the two semispaces, the last region of the memory
+   map: everything from [heap_base] to the end of the store. *)
 let heap_lo (st : Vm.Interp.t) = st.Vm.Interp.image.Vm.Image.heap_base
 let heap_hi (st : Vm.Interp.t) = Vm.Mem.length st.Vm.Interp.mem
 
@@ -174,32 +172,23 @@ let walk_region c lo hi =
 let walk_heap c =
   let st = c.st in
   let lo = st.Vm.Interp.from_base in
-  let fw = st.Vm.Interp.from_words in
-  let tb = st.Vm.Interp.to_base and tw = st.Vm.Interp.to_words in
-  (* Geometry sanity under the adaptive policy: both spaces must lie
-     inside the heap region of the current store, and must not overlap —
-     the tracked fields replace the fixed two-semispace layout check. *)
-  if lo < heap_lo st || fw < 0 || lo + fw > heap_hi st then begin
-    violate c "from-space [%d, %d) outside the heap region [%d, %d)" lo (lo + fw)
-      (heap_lo st) (heap_hi st);
-    c.walk_ok <- false
-  end
-  else if tb < heap_lo st || tw < 0 || tb + tw > heap_hi st then begin
-    violate c "to-space [%d, %d) outside the heap region [%d, %d)" tb (tb + tw)
-      (heap_lo st) (heap_hi st);
-    c.walk_ok <- false
-  end
-  else if tb < lo + fw && lo < tb + tw then begin
-    violate c "to-space [%d, %d) overlaps from-space [%d, %d)" tb (tb + tw) lo (lo + fw);
+  let semi = st.Vm.Interp.semi_words in
+  let tb = st.Vm.Interp.to_base and hb = heap_lo st in
+  (* Geometry: from-space and to-space are the image's two fixed
+     semispaces, [heap_base, heap_base + semi) and the half above it, in
+     either order. *)
+  if not ((lo = hb && tb = hb + semi) || (lo = hb + semi && tb = hb)) then begin
+    violate c "semispaces misplaced: from-space at %d and to-space at %d, not {%d, %d}" lo tb
+      hb (hb + semi);
     c.walk_ok <- false
   end
   else
     match st.Vm.Interp.gen with
     | None ->
         let hi = st.Vm.Interp.alloc in
-        if hi < lo || hi > lo + fw then begin
+        if hi < lo || hi > lo + semi then begin
           violate c "allocation frontier %d outside the current from-space [%d, %d]" hi lo
-            (lo + fw);
+            (lo + semi);
           c.walk_ok <- false
         end
         else walk_region c lo hi
@@ -207,11 +196,11 @@ let walk_heap c =
         (* Two live regions: old generation, then the nursery. *)
         let old_hi = g.Vm.Interp.old_alloc in
         let nb = g.Vm.Interp.nursery_base and na = g.Vm.Interp.nursery_alloc in
-        if old_hi < lo || old_hi > nb || nb > na || na > lo + fw then begin
+        if old_hi < lo || old_hi > nb || nb > na || na > lo + semi then begin
           violate c
             "generational frontiers out of order: from_base %d <= old_alloc %d <= \
              nursery_base %d <= nursery_alloc %d <= %d violated"
-            lo old_hi nb na (lo + fw);
+            lo old_hi nb na (lo + semi);
           c.walk_ok <- false
         end
         else begin

@@ -56,7 +56,7 @@ type census = {
 type t = {
   sites : site array; (* index = site id *)
   stats : site_stats array; (* parallel to [sites] *)
-  mutable live : int array; (* heap addr -> packed (site, words); 0 = none *)
+  live : int array; (* heap addr -> packed (site, words); 0 = none *)
   mutable census_every : int; (* 0 = censuses off *)
   mutable collections : int; (* collections observed end-to-end *)
   mutable minor_collections : int;
@@ -85,10 +85,9 @@ let site_bits = 24
 let site_mask = (1 lsl site_bits) - 1
 let[@inline] entry_site e = (e land site_mask) - 1
 
-(** A profiler for [sites] whose side array covers heap addresses
-    [0, words) up front (the image's extent); an address beyond it grows
-    the array, which happens only when the adaptive heap grows the store.
-    Raises [Invalid_argument] when the site ids do not fit an entry. *)
+(** A profiler for [sites] whose side array covers addresses [0, words)
+    (the image's extent, which the fixed semispaces never leave). Raises
+    [Invalid_argument] when the site ids do not fit an entry. *)
 let create ~words (sites : site array) : t =
   if Array.length sites > site_mask then
     invalid_arg
@@ -119,14 +118,6 @@ let credit_dead t e =
     st.st_dead_words <- st.st_dead_words + (e lsr site_bits)
   end
 
-(* Widen the side array to cover [addr]: the store outgrew the image's
-   extent under the adaptive heap. Doubling keeps the copies amortized. *)
-let[@inline never] grow t addr =
-  let n = Array.length t.live in
-  let live = Array.make (max (addr + 1) (2 * n)) 0 in
-  Array.blit t.live 0 live 0 n;
-  t.live <- live
-
 (** Record an allocation of [words] words at heap address [addr] from
     static site [site]. A stale entry at the same address means the
     previous occupant was reclaimed without a copy-out (the non-moving
@@ -134,7 +125,6 @@ let[@inline never] grow t addr =
     as dead before being replaced. Kept out of line, like {!on_copy}, so
     the callers' hot loops stay as they are. *)
 let[@inline never] on_alloc t ~site ~addr ~words =
-  if addr >= Array.length t.live then grow t addr;
   let old = t.live.(addr) in
   if old <> 0 then credit_dead t old;
   t.live.(addr) <- (words lsl site_bits) lor if in_range t site then site + 1 else 0;
@@ -150,10 +140,9 @@ let begin_collection t ~minor = t.cur_minor <- minor
     entry and credit the survival to its site. Objects the profiler never
     saw allocated (none, in practice) pass through unattributed. *)
 let[@inline never] on_copy t ~src ~dst ~words =
-  let e = if src < Array.length t.live then t.live.(src) else 0 in
+  let e = t.live.(src) in
   if e <> 0 then begin
     t.live.(src) <- 0;
-    if dst >= Array.length t.live then grow t dst;
     t.live.(dst) <- (words lsl site_bits) lor (e land site_mask);
     let site = entry_site e in
     if site >= 0 then begin

@@ -2,11 +2,10 @@
     environment variable, and the one function that resolves a collector
     request over what it read.
 
-    Six variables remain. Each is a suite-wide default that the
+    Five variables remain. Each is a suite-wide default that the
     Makefile's test matrix and CI export for a whole test run:
     - [MM_GEN] / [MM_GC_INCREMENTAL]: the default precise collector
       becomes the generational / incremental one;
-    - [MM_HEAP_GROW]: adaptive heap growth, wherever the collector moves;
     - [MM_THREADED]: the threaded engine (on unless set off);
     - [MM_VERIFY_HEAP] / [MM_VERIFY_PRE]: the heap verifier after /
       before every collection.
@@ -20,7 +19,6 @@
 type t = {
   gen : bool;
   incremental : bool;
-  heap_grow : bool;
   threaded : bool;
   verify_heap : bool;
   verify_pre : bool;
@@ -51,14 +49,13 @@ let switch lookup name ~default =
   | Some ("0" | "false" | "no" | "off") -> false
   | Some value -> fail (Bad_value { setting = name; value; expected = "1|true|yes|on or 0|false|no|off" })
 
-(** Parse the six variables through [lookup] (tests pass an association
+(** Parse the five variables through [lookup] (tests pass an association
     list's [List.assoc_opt]). @raise Config_error on a bad value, or when
     both collector modes are set. *)
 let of_lookup lookup =
   let off name = switch lookup name ~default:false in
   let gen = off "MM_GEN" in
   let incremental = off "MM_GC_INCREMENTAL" in
-  let heap_grow = off "MM_HEAP_GROW" in
   let threaded = switch lookup "MM_THREADED" ~default:true in
   let verify_heap = off "MM_VERIFY_HEAP" in
   let verify_pre = off "MM_VERIFY_PRE" in
@@ -66,7 +63,7 @@ let of_lookup lookup =
     fail
       (Conflict
          { first = "MM_GEN"; second = "MM_GC_INCREMENTAL"; reason = "each replaces the default collector" });
-  { gen; incremental; heap_grow; threaded; verify_heap; verify_pre }
+  { gen; incremental; threaded; verify_heap; verify_pre }
 
 let parsed = lazy (of_lookup Sys.getenv_opt)
 
@@ -76,8 +73,8 @@ let env () = Lazy.force parsed
 
 type collector = Precise | Generational | Incremental | Conservative | No_gc
 
-(** Only the copying collectors move objects, so only they resize the
-    heap and end a copying collection where a census is taken. *)
+(** Only the copying collectors move objects, so only they end a copying
+    collection, where a census is taken. *)
 let moving = function Precise | Generational -> true | Incremental | Conservative | No_gc -> false
 
 (** Resolve a request over [config] into the collector to install. Each
@@ -86,13 +83,12 @@ let moving = function Precise | Generational -> true | Incremental | Conservativ
     - [collectors]: explicit collector choices. [Precise] is the default,
       which [MM_GEN] or [MM_GC_INCREMENTAL] replaces; any other choice
       stands, and two different ones conflict.
-    - [grow], [census]: an explicit heap-growth or census request, which a
-      non-moving collector refuses. ([MM_HEAP_GROW] is no request: it
-      applies only where the collector moves.)
+    - [census]: an explicit census request, which a non-moving collector
+      refuses.
     - [bounds]: [(setting, value, least)]; a given value below [least]
       is out of range.
     @raise Config_error *)
-let resolve ?(collectors = []) ?grow ?census ?(bounds = []) config =
+let resolve ?(collectors = []) ?census ?(bounds = []) config =
   List.iter
     (function
       | setting, Some v, least when v < least ->
@@ -110,11 +106,10 @@ let resolve ?(collectors = []) ?grow ?census ?(bounds = []) config =
     | [] when config.incremental -> ("MM_GC_INCREMENTAL", Incremental)
     | [] -> ("the precise collector", Precise)
   in
-  let refuse request reason =
-    Option.iter (fun second -> fail (Conflict { first = source; second; reason })) request
-  in
-  if not (moving collector) then begin
-    refuse grow "a non-moving collector cannot resize its heap";
-    refuse census "censuses are taken where a copying collection ends, which this collector never runs"
-  end;
+  if not (moving collector) then
+    Option.iter
+      (fun second ->
+        let reason = "censuses are taken where a copying collection ends, which this collector never runs" in
+        fail (Conflict { first = source; second; reason }))
+      census;
   collector

@@ -10,13 +10,8 @@
       heap_base+semi..      semispace 1
     v}
 
-    The heap is deliberately the {e last} region: untagged heap pointers
-    can never be rebased, so the only way the heap can grow at run time
-    is for the store to be extended in place ({!Mem.realloc}) with every
-    existing address — globals, stack, live objects — unchanged. The
-    [semi_words]/[heap_base] fields describe the {e initial} geometry;
-    the live geometry (which may have grown) lives on the
-    interpreter state ({!Interp.t.from_words} etc.). *)
+    The two semispaces are fixed for the whole run: the collector flips
+    between them and never resizes them. *)
 
 module I = Machine.Insn
 module RM = Gcmaps.Rawmaps
@@ -217,8 +212,7 @@ let build ?(opts = default_build_options) (prog : Mir.Ir.program) : t =
         code_fid.(i) <- pi.pi_fid
       done)
     procs;
-  (* 6. Memory map: statics, then the stack, then the heap last (so the
-     store can be extended without moving any existing address). *)
+  (* 6. Memory map: statics, then the stack, then the two semispaces. *)
   let stack_base = ((!cursor + 7) / 8 * 8) + 8 in
   let stack_top = stack_base + opts.stack_words in
   let heap_base = (stack_top + 7) / 8 * 8 in

@@ -28,11 +28,6 @@ let c_pool_words = Telemetry.Metrics.counter "gc.pool_words"
 let c_pretenure_sites = Telemetry.Metrics.counter "gc.pretenure_sites"
 let c_pool_sites = Telemetry.Metrics.counter "gc.pool_sites"
 
-(* The Gc_pressure telemetry group: adaptive-heap events. *)
-let c_resizes = Telemetry.Metrics.counter "gc_pressure.resizes"
-let c_grow_words = Telemetry.Metrics.counter "gc_pressure.grow_words"
-let h_headroom = Telemetry.Metrics.histogram "gc_pressure.headroom_ratio"
-
 type gc_stats = {
   mutable collections : int;
   mutable words_copied : int;
@@ -42,7 +37,6 @@ type gc_stats = {
   mutable frames_traced : int;
   mutable objects_copied : int;
   mutable minor_collections : int; (* generational mode only *)
-  mutable resizes : int; (* adaptive-heap growth events *)
   mutable emergency_full : int; (* full collections forced by promotion failure *)
 }
 
@@ -58,8 +52,7 @@ type gen_state = {
   mutable old_alloc : int; (* old-generation frontier *)
   mutable nursery_base : int;
   mutable nursery_alloc : int; (* nursery bump pointer *)
-  mutable dirty : Bytes.t; (* per-heap-word dedup map, index = addr - heap_base;
-                              replaced when the heap grows past its span *)
+  dirty : Bytes.t; (* per-heap-word dedup map, index = addr - heap_base *)
   mutable remset : int array; (* recorded old-gen slot addresses *)
   mutable remset_len : int;
   mutable big_objects : int list;
@@ -139,8 +132,8 @@ type inc_state = {
   inc_ambiguous : bool;
     (* the conservative baseline: roots and object words are ambiguous,
        and collections are only ever stop-the-world *)
-  mutable inc_marks : Support.Bitset.t; (* index: header addr - from_base *)
-  mutable inc_starts : Support.Bitset.t;
+  inc_marks : Support.Bitset.t; (* index: header addr - from_base *)
+  inc_starts : Support.Bitset.t;
     (* object starts, from one heap parse per ambiguous collection *)
   inc_gray : int array; (* fixed-capacity mark stack; overflow spills *)
   mutable inc_gray_len : int;
@@ -180,26 +173,21 @@ type inc_state = {
 
 type t = {
   image : Image.t;
-  mutable mem : Mem.t; (* replaced (longer, same prefix) when the heap grows *)
+  mem : Mem.t;
   regs : int array;
   mutable pc : int;
   mutable halted : bool;
   out : Buffer.t;
-  (* Heap state (flipped by the collector). The semispace geometry is
-     tracked here, not derived from the image: [image.semi_words] is only
-     the initial size, and the two spaces may differ transiently while a
-     resize is in flight between collections. *)
+  (* Heap state (flipped by the collector): two fixed semispaces of
+     [semi_words] words at [image.heap_base] and [heap_base + semi_words].
+     The size is copied out of the image so [heap_free] reads it with one
+     load on the allocation path. *)
   mutable from_base : int;
-  mutable from_words : int;
   mutable to_base : int;
-  mutable to_words : int;
+  semi_words : int;
   mutable alloc : int;
-  (* Adaptive-heap policy (off by default: fixed semispaces, exactly the
-     pre-resize behavior). [heap_max_words] caps one semispace. *)
-  mutable heap_resize : bool;
-  mutable heap_max_words : int;
   mutable alloc_pressure_every : int;
-    (* fault injection: force the allocation slow path (collect/grow)
+    (* fault injection: force the allocation slow path (a collection)
        every Nth allocation; 0 = off *)
   mutable free_list : (int * int) list;
     (* (addr, size) first-fit blocks of the non-moving mark-sweep core;
@@ -230,12 +218,9 @@ let create (image : Image.t) : t =
     halted = false;
     out = Buffer.create 256;
     from_base = image.Image.heap_base;
-    from_words = image.Image.semi_words;
     to_base = image.Image.heap_base + image.Image.semi_words;
-    to_words = image.Image.semi_words;
+    semi_words = image.Image.semi_words;
     alloc = image.Image.heap_base;
-    heap_resize = false;
-    heap_max_words = image.Image.semi_words;
     alloc_pressure_every = 0;
     free_list = [];
     collector = None;
@@ -258,7 +243,6 @@ let create (image : Image.t) : t =
         frames_traced = 0;
         objects_copied = 0;
         minor_collections = 0;
-        resizes = 0;
         emergency_full = 0;
       };
   }
@@ -342,72 +326,11 @@ let[@inline always] push t v =
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let heap_free t = t.from_base + t.from_words - t.alloc
-
-(* --- adaptive semispace geometry ----------------------------------- *)
-
-(* The store only ever needs to cover the heap regions: the heap is the
-   last region of the memory map, so extending the store preserves every
-   address (see {!Image} and {!Mem.realloc}). *)
-let store_need t hi = if hi > Mem.length t.mem then t.mem <- Mem.realloc t.mem hi
-
-(** Place an (empty) to-space of [words] words deterministically: below
-    from-space when the gap above [heap_base] fits it, directly above
-    from-space otherwise. With equal fixed sizes this reproduces the
-    classic semispace alternation exactly; after a resize it finds the
-    first legal placement. to-space holds no live data between
-    collections, so re-placing it is always sound. *)
-let place_to_space t words =
-  let hb = t.image.Image.heap_base in
-  if t.from_base - hb >= words then t.to_base <- hb
-  else t.to_base <- t.from_base + t.from_words;
-  t.to_words <- words;
-  store_need t (t.to_base + words)
-
-(** Grow both logical semispaces to [words] words, counted as one
-    resize. From-space data stays exactly where it is — it extends in
-    place over dead store (or fresh zeroed store) — and to-space is
-    re-placed to fit. *)
-let grow_semi t words =
-  t.gc.resizes <- t.gc.resizes + 1;
-  Telemetry.Metrics.incr c_resizes;
-  Telemetry.Metrics.incr ~by:(words - t.from_words) c_grow_words;
-  t.from_words <- words;
-  store_need t (t.from_base + words);
-  place_to_space t words
-
-let grow_high_pct = 65 (* grow when live > 65% of a semispace post-collection *)
-
-(** The post-collection resize policy, run at the safe point right after
-    the flip (from-space = the survivors, to-space dead). [needed] is the
-    allocation request that triggered the collection, threaded through so
-    the new size always fits it when the cap allows it at all. *)
-let resize_after_collection t ~needed =
-  if t.heap_resize then begin
-    let live = t.alloc - t.from_base in
-    let fw = t.from_words in
-    let cap = t.heap_max_words in
-    if fw > 0 then
-      Telemetry.Metrics.observe h_headroom
-        (float_of_int (fw - live) /. float_of_int fw);
-    let must = live + needed in
-    let target =
-      if must > fw || live * 100 > grow_high_pct * fw then
-        min cap (max (2 * fw) (must + (must / 2)))
-      else fw
-    in
-    (* Even at the cap, fit the request whenever the cap allows it. *)
-    let target = if must > target && must <= cap then must else target in
-    if target > fw then grow_semi t target;
-    (* Soft watermark: warn once when the live set closes on the cap. *)
-    if live * 100 >= 80 * cap then
-      Telemetry.Log.warn_once
-        "heap pressure: live set within 20%% of the --heap-max cap (%d words)" cap
-  end
+let heap_free t = t.from_base + t.semi_words - t.alloc
 
 (* --- generational mode -------------------------------------------- *)
 
-let gen_nursery_limit t = t.from_base + t.from_words
+let gen_nursery_limit t = t.from_base + t.semi_words
 let gen_nursery_free t (g : gen_state) = gen_nursery_limit t - g.nursery_alloc
 
 (** Install generational heap state: the nursery takes the top
@@ -415,7 +338,7 @@ let gen_nursery_free t (g : gen_state) = gen_nursery_limit t - g.nursery_alloc
     generation is whatever already sits at the bottom — empty on a fresh
     machine. *)
 let gen_init t ~nursery_words =
-  let semi = t.from_words in
+  let semi = t.semi_words in
   let cap = min semi (max 1 nursery_words) in
   let base = max t.alloc (t.from_base + semi - cap) in
   let g =
@@ -449,16 +372,9 @@ let gen_reset_after_full t =
       g.nursery_base <- base;
       g.nursery_alloc <- base;
       let hb = t.image.Image.heap_base in
-      let span = Mem.length t.mem - hb in
-      if Bytes.length g.dirty < span then
-        (* The heap grew past the dirty map's span: a fresh all-clean map
-           is correct, since every recorded slot referred to the old
-           from-space and the remembered set is being voided anyway. *)
-        g.dirty <- Bytes.make span '\000'
-      else
-        for i = 0 to g.remset_len - 1 do
-          Bytes.set g.dirty (g.remset.(i) - hb) '\000'
-        done;
+      for i = 0 to g.remset_len - 1 do
+        Bytes.set g.dirty (g.remset.(i) - hb) '\000'
+      done;
       g.remset_len <- 0;
       g.big_objects <- [];
       (* The compaction dissolved every pool chunk (pool objects moved like
@@ -527,22 +443,11 @@ let allocate_gen t (g : gen_state) size =
     a
   end
 
-(* The flat-heap slow path:
-   1. below the cap, extend from-space in place — no collection, no data
-      movement, and (because allocation proceeds at unchanged addresses)
-      a run started on a small heap stays byte-identical to one started
-      on a cap-sized fixed heap, collections included;
-   2. at the cap, collect (the collector's own post-flip policy may still
-      grow within the cap using [needed]);
-   3. the caller raises typed [Heap_exhausted] — only ever at the cap. *)
+(* The flat-heap slow path: collect when from-space cannot fit the
+   request; if it still cannot, the caller raises typed [Heap_exhausted]. *)
 let ensure_space t needed =
-  if heap_free t < needed then begin
-    if t.heap_resize && t.from_words < t.heap_max_words then
-      grow_semi t
-        (min t.heap_max_words (max (2 * t.from_words) (t.alloc - t.from_base + needed)));
-    if heap_free t < needed then
-      match t.collector with Some collect -> collect t ~needed | None -> ()
-  end
+  if heap_free t < needed then
+    match t.collector with Some collect -> collect t ~needed | None -> ()
 
 (* First-fit from the free list (filled by the non-moving mark-sweep
    core); the remainder of a larger block is returned to the list. *)
@@ -685,7 +590,7 @@ let alloc_pool t (g : gen_state) (pl : placement) (ps : pool_state) size =
    says. *)
 let allocate_placed t site size =
   (* Allocation-failure storm (fault injection): force the slow path —
-     a full trip through collect/grow — every Nth allocation, placed ones
+     a collection — every Nth allocation, placed ones
      included. Purely deterministic, so storm runs are reproducible. *)
   if
     t.alloc_pressure_every > 0

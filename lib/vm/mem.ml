@@ -62,22 +62,6 @@ let blit (m : t) ~src ~dst ~len =
       done
   else Bigarray.Array1.(blit (sub m src len) (sub m dst len))
 
-(** A fresh store of [words] words holding this store's contents as a
-    prefix, the extension zeroed. This is the whole resize mechanism of
-    the adaptive heap, which only grows: because the heap is the {e last}
-    region of the memory map, replacing the store with a longer copy
-    preserves every existing word address — statics, stack and live heap
-    data all keep their numeric addresses, so no pointer anywhere needs
-    rebasing.
-    @raise Invalid_argument if [words] is smaller than the store. *)
-let realloc (m : t) words : t =
-  let n = length m in
-  if words < n then invalid_arg "Mem.realloc: the store only grows";
-  let d = Bigarray.Array1.create Bigarray.int Bigarray.c_layout words in
-  Bigarray.Array1.(blit m (sub d 0 n));
-  Bigarray.Array1.(fill (sub d n (words - n)) 0);
-  d
-
 (** A fresh store holding the same words (test snapshots). *)
 let copy (m : t) : t =
   let d = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (length m) in

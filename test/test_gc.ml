@@ -11,10 +11,7 @@ let run ?(collector = Driver.Compile.Precise) ?(optimize = false) ?(checks = tru
   let options =
     { Driver.Compile.default_options with optimize; checks; heap_words = heap }
   in
-  (* heap_grow pinned off: these scenarios assert that their deliberately
-     small heaps really collect, which an ambient MM_HEAP_GROW=1 (the
-     pressure CI sweep) would sidestep by growing instead. *)
-  Driver.Compile.run_source ~options ~collector ~heap_grow:false src
+  Driver.Compile.run_source ~options ~collector src
 
 (* Run a program under a matrix of configurations; all outputs must agree
    with the big-heap precise run, and the small heaps must actually
@@ -203,11 +200,43 @@ let test_compaction () =
       (fun s ~needed ->
         orig s ~needed;
         if s.Vm.Interp.alloc < s.Vm.Interp.from_base then ok := false;
-        if s.Vm.Interp.alloc > s.Vm.Interp.from_base + s.Vm.Interp.from_words then
+        if s.Vm.Interp.alloc > s.Vm.Interp.from_base + s.Vm.Interp.semi_words then
           ok := false);
   Vm.Interp.run st;
   check Alcotest.bool "collected" true (st.Vm.Interp.gc.Vm.Interp.collections > 0);
   check Alcotest.bool "allocation pointer stays inside the new space" true !ok
+
+(* The verifier's geometry check: from-space and to-space must be the
+   image's two semispaces. A machine that has collected passes; to-space
+   moved onto from-space, or from-space moved off the two-semispace grid,
+   is reported. *)
+let test_verify_geometry () =
+  let img =
+    Driver.Compile.compile
+      ~options:{ Driver.Compile.default_options with heap_words = 400 }
+      churn_src
+  in
+  let st = Vm.Interp.create img in
+  Gc.Cheney.install st;
+  Vm.Interp.run st;
+  check Alcotest.bool "collected" true (st.Vm.Interp.gc.Vm.Interp.collections > 0);
+  let verify () = Gc.Verify.check st ~phase:"post" ~frames:[] () in
+  check Alcotest.(list string) "unmodified machine" [] (verify ()).Gc.Verify.violations;
+  let reported what =
+    match verify () with
+    | _ -> Alcotest.failf "%s: not reported" what
+    | exception Vm.Vm_error.Error (Vm.Vm_error.Verify_failed { violations; _ }) ->
+        check Alcotest.bool what true
+          (List.exists (String.starts_with ~prefix:"semispaces misplaced") violations)
+  in
+  let from_base = st.Vm.Interp.from_base and to_base = st.Vm.Interp.to_base in
+  st.Vm.Interp.to_base <- from_base;
+  reported "to-space on from-space";
+  st.Vm.Interp.to_base <- to_base;
+  st.Vm.Interp.from_base <- from_base + 8;
+  reported "from-space off the grid";
+  st.Vm.Interp.from_base <- from_base;
+  check Alcotest.(list string) "restored machine" [] (verify ()).Gc.Verify.violations
 
 let test_live_shrinks_garbage () =
   (* The words copied per collection are bounded by the survivors, far less
@@ -315,7 +344,7 @@ let prop_object_lookup =
             if obj then Rt.Typedesc.words sizes.(x mod Array.length sizes) ~length:(y mod 12)
             else 1 + (y mod 30)
           in
-          if !a + words <= base + st.Vm.Interp.from_words then begin
+          if !a + words <= base + st.Vm.Interp.semi_words then begin
             for i = !a to !a + words - 1 do
               (* Data words: small noise, or addresses in and around the heap. *)
               let n = noise.((i + k) mod Array.length noise) in
@@ -394,7 +423,7 @@ let test_table_scheme_configurations () =
           table_opts = opts;
         }
       in
-      let r = Driver.Compile.run_source ~options ~heap_grow:false churn_src in
+      let r = Driver.Compile.run_source ~options churn_src in
       check Alcotest.string name reference.Driver.Compile.output r.Driver.Compile.output;
       check Alcotest.bool (name ^ " collected") true (r.Driver.Compile.collections > 0))
     Gcmaps.Table_stats.configs
@@ -479,7 +508,7 @@ let test_forward_bad_roots () =
                 let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
                 let keep = List.find (fun o -> o <> arr) roots in
                 let fake = arr + Rt.Typedesc.open_header_words in
-                let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.from_words in
+                let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.semi_words in
                 let value, reason = plant mem ~src_hi fake in
                 let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
                 Vm.Mem.set mem (keep + next) fake;
@@ -581,5 +610,6 @@ let () =
           Alcotest.test_case "all table schemes" `Quick test_table_scheme_configurations;
           Alcotest.test_case "placed objects' bad headers" `Quick test_placed_bad_headers;
           Alcotest.test_case "forward's bad roots" `Quick test_forward_bad_roots;
+          Alcotest.test_case "verifier checks the semispace geometry" `Quick test_verify_geometry;
         ] );
     ]

@@ -1,8 +1,8 @@
-(* Memory-pressure regression suite: adaptive heap growth must be
-   observationally invisible (output, icount, final heap image) across
-   collectors and execution engines; allocation storms must change
-   nothing observable; and each runtime failure class must keep its
-   distinct typed exit code. *)
+(* Memory-pressure regression suite: on fixed semispaces, a churning
+   program's output, icount and final heap image must not depend on the
+   execution engine, and its output and icount not on the collector;
+   allocation storms must change nothing observable; and each runtime
+   failure class must keep its distinct typed exit code. *)
 
 module D = Driver.Compile
 module I = Vm.Interp
@@ -52,18 +52,13 @@ type cell = {
   out : string;
   icount : int;
   collections : int;
-  resizes : int;
   mem : Vm.Mem.t;
 }
 
-let run_cell ?(storm = 0) ~gen ~threaded ~heap ~grow src : cell =
+let run_cell ?(storm = 0) ~gen ~threaded ~heap src : cell =
   let options = { D.default_options with heap_words = heap } in
   let img = D.compile ~options src in
   let st = I.create img in
-  if grow then begin
-    st.I.heap_resize <- true;
-    st.I.heap_max_words <- big_heap
-  end;
   if storm > 0 then st.I.alloc_pressure_every <- storm;
   if gen then Gc.Nursery.install st else Gc.Cheney.install st;
   let e0 = Vm.Threaded.enabled () in
@@ -71,13 +66,7 @@ let run_cell ?(storm = 0) ~gen ~threaded ~heap ~grow src : cell =
   Fun.protect
     ~finally:(fun () -> Vm.Threaded.set_enabled e0)
     (fun () -> if threaded then Vm.Threaded.run ~fuel st else I.run ~fuel st);
-  {
-    out = I.output st;
-    icount = st.I.icount;
-    collections = st.I.gc.I.collections;
-    resizes = st.I.gc.I.resizes;
-    mem = st.I.mem;
-  }
+  { out = I.output st; icount = st.I.icount; collections = st.I.gc.I.collections; mem = st.I.mem }
 
 let with_post_verifier f =
   let post0 = Gc.Verify.post_enabled () in
@@ -85,23 +74,20 @@ let with_post_verifier f =
   Fun.protect ~finally:(fun () -> Gc.Verify.set_post post0) f
 
 (* ------------------------------------------------------------------ *)
-(* The growth-equivalence property: {tiny heap + growth} × {flat, gen}
-   × {switch, threaded} all agree with the big fixed-heap reference on
-   output and icount; flat cells additionally agree on the collection
-   count (eager pre-collection growth reproduces the big heap's
-   collection points exactly), and every mode's final store is
-   byte-identical across engines.                                       *)
+(* The mode × engine matrix: {flat, gen} × {switch, threaded} on a
+   fixed [heap]-word semispace all agree with the big-heap reference on
+   output and icount, and every mode's final store is byte-identical
+   across engines.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let check_matrix src =
+let check_matrix ~heap src =
   with_post_verifier (fun () ->
-      let reference = run_cell ~gen:false ~threaded:false ~heap:big_heap ~grow:false src in
+      let reference = run_cell ~gen:false ~threaded:false ~heap:big_heap src in
       let cells =
         List.concat_map
           (fun gen ->
             List.map
-              (fun threaded ->
-                ((gen, threaded), run_cell ~gen ~threaded ~heap:tiny_heap ~grow:true src))
+              (fun threaded -> ((gen, threaded), run_cell ~gen ~threaded ~heap src))
               [ false; true ])
           [ false; true ]
       in
@@ -113,13 +99,10 @@ let check_matrix src =
               (if threaded then "threaded" else "switch")
           in
           if c.out <> reference.out then
-            Alcotest.failf "%s: output diverged under growth" tag;
+            Alcotest.failf "%s: output diverged from the big heap's" tag;
           if c.icount <> reference.icount then
             Alcotest.failf "%s: icount %d <> reference %d" tag c.icount
-              reference.icount;
-          if (not gen) && c.collections <> reference.collections then
-            Alcotest.failf "%s: collections %d <> reference %d (eager growth)"
-              tag c.collections reference.collections)
+              reference.icount)
         cells;
       (* Engines must not leave a trace in the store: within a collector
          mode every cell's final image is one byte pattern. *)
@@ -136,51 +119,46 @@ let check_matrix src =
                 rest
           | [] -> ())
         [ false; true ];
-      reference)
+      (reference, List.map snd cells))
 
-let test_growth_matrix () =
+let test_churn_matrix () =
   (* ~24k allocated words: even the big reference heap collects, and the
-     tiny cells must grow through several resizes to keep up. *)
-  let src = churn_src ~iters:6000 ~period:11 in
-  let reference = check_matrix src in
-  (* The tiny cells really grew (the property is not vacuous). *)
-  let tiny =
-    run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src
-  in
-  Alcotest.(check bool) "growth exercised" true (tiny.resizes > 0);
+     tiny cells collect many times over. *)
+  let reference, cells = check_matrix ~heap:tiny_heap (churn_src ~iters:6000 ~period:11) in
   Alcotest.(check bool) "reference collected" true (reference.collections > 0);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "tiny heap collected" true (c.collections > reference.collections))
+    cells;
   (* One more input, with open arrays among the survivors: destroy's
-     tree, whose live set outgrows the tiny heap several times over. *)
-  let reference =
-    check_matrix
+     tree, whose live set exhausts generational heaps below 8,192 words. *)
+  let reference, _ =
+    check_matrix ~heap:(big_heap / 2)
       (Programs.Destroy_src.make ~branch:3 ~depth:6 ~replace_depth:3 ~iterations:200)
   in
   Alcotest.(check bool) "destroy reference collected" true (reference.collections > 0)
 
-let prop_growth_matrix =
-  QCheck.Test.make ~name:"growth invisible across random churn parameters"
-    ~count:8
+let prop_churn_matrix =
+  QCheck.Test.make ~name:"modes and engines agree on random churn" ~count:8
     (QCheck.make
        ~print:(fun (i, p) -> Printf.sprintf "iters=%d period=%d" i p)
        QCheck.Gen.(pair (int_range 80 500) (int_range 3 17)))
     (fun (iters, period) ->
-      ignore (check_matrix (churn_src ~iters ~period));
+      ignore (check_matrix ~heap:tiny_heap (churn_src ~iters ~period));
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Allocation storms: forcing the collect/grow slow path every Nth
-   allocation changes collection counts but never observable behavior.  *)
+(* Allocation storms: forcing a collection every Nth allocation changes
+   collection counts but never observable behavior.                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_alloc_storm () =
   let src = churn_src ~iters:700 ~period:9 in
   with_post_verifier (fun () ->
-      let calm = run_cell ~gen:false ~threaded:false ~heap:big_heap ~grow:false src in
+      let calm = run_cell ~gen:false ~threaded:false ~heap:big_heap src in
       List.iter
         (fun gen ->
-          let stormy =
-            run_cell ~storm:7 ~gen ~threaded:false ~heap:tiny_heap ~grow:true src
-          in
+          let stormy = run_cell ~storm:7 ~gen ~threaded:false ~heap:tiny_heap src in
           Alcotest.(check string)
             (if gen then "gen storm output" else "flat storm output")
             calm.out stormy.out;
@@ -190,12 +168,12 @@ let test_alloc_storm () =
         [ false; true ])
 
 (* ------------------------------------------------------------------ *)
-(* Typed OOM: a fixed tiny heap exhausts; the same heap with growth
-   completes; growth capped below the live set still exhausts — and the
-   failure is the typed [Heap_exhausted], exit code 13.                 *)
+(* Typed OOM: a fixed tiny heap exhausts with the typed
+   [Heap_exhausted], exit code 13; a big fixed heap runs the same
+   program to completion.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Keeps every node live: growth can only delay — not avoid — the cap. *)
+(* Keeps every node live, so no collection can make room. *)
 let hoard_src ~iters =
   Printf.sprintf
     "MODULE Hoard;\n\
@@ -212,51 +190,26 @@ let hoard_src ~iters =
      END Hoard.\n"
     iters
 
-let expect_heap_exhausted name f =
-  match f () with
-  | (_ : cell) -> Alcotest.failf "%s: expected Heap_exhausted" name
-  | exception Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _ as e) ->
-      Alcotest.(check int) (name ^ " exit code") 13 (Vm.Vm_error.exit_code e)
-
 let test_typed_oom () =
   let src = hoard_src ~iters:4000 in
-  expect_heap_exhausted "fixed tiny heap" (fun () ->
-      run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:false src);
-  (* With growth the same program completes, identically to a big heap. *)
-  let grown = run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src in
-  let fixed = run_cell ~gen:false ~threaded:false ~heap:big_heap ~grow:false src in
-  Alcotest.(check string) "grown output" fixed.out grown.out;
-  Alcotest.(check int) "grown icount" fixed.icount grown.icount;
-  Alcotest.(check bool) "grown resizes" true (grown.resizes > 0)
+  List.iter
+    (fun gen ->
+      let name = if gen then "gen tiny heap" else "flat tiny heap" in
+      match run_cell ~gen ~threaded:false ~heap:tiny_heap src with
+      | _ -> Alcotest.failf "%s: expected Heap_exhausted" name
+      | exception Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _ as e) ->
+          Alcotest.(check int) (name ^ " exit code") 13 (Vm.Vm_error.exit_code e))
+    [ false; true ];
+  let big = run_cell ~gen:false ~threaded:false ~heap:big_heap src in
+  Alcotest.(check string) "big heap output" "8002000\n" big.out
 
-let test_capped_oom () =
-  (* A live set that cannot fit below the cap exhausts with the typed
-     error even though growth is armed. *)
-  let src = hoard_src ~iters:20000 in
-  expect_heap_exhausted "capped growth" (fun () ->
-      run_cell ~gen:false ~threaded:false ~heap:tiny_heap ~grow:true src)
-
-(* An explicit growth request under a non-moving collector is a typed
-   configuration error naming both arguments, raised before anything
-   runs; so is an out-of-range size. *)
-let test_growth_refused () =
-  let src = churn_src ~iters:10 ~period:4 in
-  let refused what expected f =
-    match f () with
-    | _ -> Alcotest.failf "%s: accepted" what
-    | exception Support.Runtime_config.Config_error (Conflict { first; second; _ }) ->
-        Alcotest.(check (pair string string)) what expected (first, second)
-    | exception Support.Runtime_config.Config_error (Bad_value { setting; _ }) ->
-        Alcotest.(check string) what (fst expected) setting
-  in
-  refused "incremental + growth" ("~collector:incremental", "~heap_grow:true") (fun () ->
-      D.run_source ~collector:D.Incremental ~heap_grow:true src);
-  refused "conservative + cap" ("~collector:conservative", "~heap_max_words") (fun () ->
-      D.run_source ~collector:D.Conservative ~heap_max_words:big_heap src);
-  refused "empty nursery" ("~nursery_words", "") (fun () ->
-      D.run_source ~collector:D.Generational ~nursery_words:0 src);
-  (* Growth explicitly off is no request. *)
-  ignore (D.run_source ~collector:D.Incremental ~heap_grow:false src)
+(* An empty nursery is a typed configuration error, raised before
+   anything runs. *)
+let test_empty_nursery_refused () =
+  match D.run_source ~collector:D.Generational ~nursery_words:0 (churn_src ~iters:10 ~period:4) with
+  | _ -> Alcotest.fail "an empty nursery was accepted"
+  | exception Support.Runtime_config.Config_error (Bad_value { setting; _ }) ->
+      Alcotest.(check string) "setting" "~nursery_words" setting
 
 (* ------------------------------------------------------------------ *)
 (* Exit-code mapping: one distinct code per failure class.              *)
@@ -304,15 +257,14 @@ let () =
     [
       ( "growth",
         [
-          Alcotest.test_case "matrix on churn" `Quick test_growth_matrix;
-          QCheck_alcotest.to_alcotest prop_growth_matrix;
+          Alcotest.test_case "matrix on churn" `Quick test_churn_matrix;
+          QCheck_alcotest.to_alcotest prop_churn_matrix;
           Alcotest.test_case "alloc storm" `Quick test_alloc_storm;
         ] );
       ( "oom",
         [
           Alcotest.test_case "typed exhaustion and recovery" `Quick test_typed_oom;
-          Alcotest.test_case "exhaustion at the cap" `Quick test_capped_oom;
-          Alcotest.test_case "growth refused without a moving collector" `Quick test_growth_refused;
+          Alcotest.test_case "empty nursery refused" `Quick test_empty_nursery_refused;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
         ] );
       ( "faults",

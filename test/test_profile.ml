@@ -363,12 +363,11 @@ let event_to_string = function
   | Begin minor -> if minor then "begin minor" else "begin full"
   | End { lo; hi } -> Printf.sprintf "end [%d,%d)" lo hi
 
-(* Addresses range over four times the array's initial extent, so
-   allocations land both fresh and on keyed addresses, copies read keyed
-   and unkeyed sources, and every event can reach past the array's end. *)
+(* Addresses range over a small side array's whole extent, so
+   allocations land both fresh and on keyed addresses, and copies read
+   keyed and unkeyed sources. *)
 let model_nsites = 4
-let model_words = 16
-let model_span = 4 * model_words
+let model_span = 64
 
 let gen_event =
   let open QCheck.Gen in
@@ -401,7 +400,7 @@ let qcheck_model =
               s_open = false;
             })
       in
-      let p = Profile.create ~words:model_words sites in
+      let p = Profile.create ~words:model_span sites in
       let m = Profile_model.create model_nsites in
       List.iter
         (fun ev ->

@@ -9,9 +9,7 @@ let run ?(collector = Driver.Compile.Precise) ?(optimize = false) ?(checks = tru
   let options =
     { Driver.Compile.default_options with optimize; checks; heap_words = heap }
   in
-  (* heap_grow pinned off: the collections-happen assertions depend on the
-     small heaps actually collecting (not growing under MM_HEAP_GROW=1). *)
-  Driver.Compile.run_source ~options ~collector ~heap_grow:false src
+  Driver.Compile.run_source ~options ~collector src
 
 let benchmarks =
   [
@@ -123,50 +121,49 @@ let test_size_ordering () =
     benchmarks
 
 let test_gc_restrict_effects () =
-  (* §6.2: turning gc restrictions off may only shrink the code (folds into
-     deferred operands), and behaviour when no collection strikes is
-     unchanged. *)
+  (* §6.2, at O0 and at O1: turning gc restrictions off may only shrink
+     the code (folds into deferred operands), and behaviour when no
+     collection strikes is unchanged. *)
   List.iter
-    (fun (name, src, big, _) ->
-      let restricted =
-        Driver.Compile.compile
-          ~options:{ Driver.Compile.default_options with heap_words = big }
-          src
-      in
+    (fun optimize ->
+      let level = if optimize then " O1" else " O0" in
+      List.iter
+        (fun (name, src, big, _) ->
+          let name = name ^ level in
+          let options = { Driver.Compile.default_options with optimize; heap_words = big } in
+          let restricted = Driver.Compile.compile ~options src in
+          let unrestricted =
+            Driver.Compile.compile ~options:{ options with gc_restrict = false } src
+          in
+          check Alcotest.bool (name ^ " unrestricted not larger") true
+            (unrestricted.Vm.Image.code_bytes <= restricted.Vm.Image.code_bytes);
+          (* Every fold available without restrictions is either also
+             applied under restrictions (safe) or counted as suppressed. *)
+          check Alcotest.bool
+            (name ^ " suppression accounting")
+            true
+            (restricted.Vm.Image.folds_suppressed
+             >= unrestricted.Vm.Image.folds_applied - restricted.Vm.Image.folds_applied);
+          let r1 = Driver.Compile.run restricted in
+          let r2 = Driver.Compile.run unrestricted in
+          check Alcotest.string (name ^ " same output gc-free") r1.Driver.Compile.output
+            r2.Driver.Compile.output)
+        benchmarks;
+      (* The indirect-reference micro-benchmark, compiled without checks
+         (the guards otherwise split the foldable pairs), must show the
+         paper's effect: restrictions suppress folds and cost code bytes. *)
+      let base = { Driver.Compile.default_options with optimize; checks = false } in
+      let restricted = Driver.Compile.compile ~options:base Programs.Indirect_src.src in
       let unrestricted =
         Driver.Compile.compile
-          ~options:
-            { Driver.Compile.default_options with heap_words = big; gc_restrict = false }
-          src
+          ~options:{ base with gc_restrict = false }
+          Programs.Indirect_src.src
       in
-      check Alcotest.bool (name ^ " unrestricted not larger") true
-        (unrestricted.Vm.Image.code_bytes <= restricted.Vm.Image.code_bytes);
-      (* Every fold available without restrictions is either also applied
-         under restrictions (safe) or counted as suppressed. *)
-      check Alcotest.bool
-        (name ^ " suppression accounting")
-        true
-        (restricted.Vm.Image.folds_suppressed
-         >= unrestricted.Vm.Image.folds_applied - restricted.Vm.Image.folds_applied);
-      let r1 = Driver.Compile.run restricted in
-      let r2 = Driver.Compile.run unrestricted in
-      check Alcotest.string (name ^ " same output gc-free") r1.Driver.Compile.output
-        r2.Driver.Compile.output)
-    benchmarks;
-  (* The indirect-reference micro-benchmark, compiled without checks (the
-     guards otherwise split the foldable pairs), must show the paper's
-     effect: restrictions suppress folds and cost code bytes. *)
-  let base = { Driver.Compile.default_options with checks = false } in
-  let restricted = Driver.Compile.compile ~options:base Programs.Indirect_src.src in
-  let unrestricted =
-    Driver.Compile.compile
-      ~options:{ base with gc_restrict = false }
-      Programs.Indirect_src.src
-  in
-  check Alcotest.bool "indirect: folds suppressed under restrictions" true
-    (restricted.Vm.Image.folds_suppressed > 0);
-  check Alcotest.bool "indirect: restrictions cost code bytes" true
-    (restricted.Vm.Image.code_bytes > unrestricted.Vm.Image.code_bytes)
+      check Alcotest.bool ("indirect" ^ level ^ ": folds suppressed under restrictions") true
+        (restricted.Vm.Image.folds_suppressed > 0);
+      check Alcotest.bool ("indirect" ^ level ^ ": restrictions cost code bytes") true
+        (restricted.Vm.Image.code_bytes > unrestricted.Vm.Image.code_bytes))
+    [ false; true ]
 
 (* Structural invariants of the emitted tables, over every benchmark:
    these are the properties the collector's correctness rests on. *)

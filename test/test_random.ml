@@ -234,63 +234,54 @@ let to_m3l (p : prog) : string =
 (* The differential property                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Heap sizing is no longer fitted per program: the moving-collector
-   configurations start from a tiny [small_heap]-word semispace with
-   adaptive growth armed (capped at [grow_cap], the reference heap size),
-   so collections strike at arbitrary gc-points early in the run and the
-   heap then grows to whatever the program needs. The property demands
-   output equality with the big fixed-heap reference from every
-   configuration — growth must be observationally invisible. A program
-   that exhausts even the cap raises [Heap_exhausted], which fails the
-   property. (The suite used to double a fixed heap per seed until every
-   configuration completed; adaptive resizing makes that loop obsolete.) *)
+(* Heap sizing is deterministic per generated program: starting from the
+   smallest heap that makes collections strike at arbitrary gc-points
+   ([small_heap]), one heap doubles until every configuration completes,
+   and the property then demands output equality from every one of them.
+   Only [Heap_exhausted] climbs a step; any other exception fails the
+   property, and so does a program that exhausts even [fit_cap] words.
+   The reference rows keep the big fixed heap. *)
 let small_heap = 600
-let grow_cap = 65536
+let fit_cap = 65536
 
-(* A non-moving collector cannot grow, and an explicit growth request
-   under one is a configuration error. So each row's collector is
-   resolved as the driver resolves it (the environment may switch the
-   precise default to the incremental collector), and a growing row that
-   resolves to a non-moving collector runs at the fixed reference heap,
-   as the conservative row does. *)
-let moving collector = Support.Runtime_config.moving (Driver.Compile.resolve ~collector ())
-
-let run_cfg src (optimize, checks, heap, collector, barrier_elim, grow) =
-  let heap, grow = if grow && not (moving collector) then (grow_cap, false) else (heap, grow) in
+let run_cfg src h (optimize, checks, small, collector, barrier_elim) =
   let options =
     {
       Driver.Compile.default_options with
       optimize;
       checks;
-      heap_words = heap;
+      heap_words = (if small then h else fit_cap);
       barrier_elim;
     }
   in
-  let heap_grow = if grow then Some true else None in
-  let heap_max_words = if grow then Some grow_cap else None in
-  (Driver.Compile.run_source ~options ~collector ~fuel:20_000_000 ?heap_grow
-     ?heap_max_words src)
-    .Driver.Compile.output
+  Driver.Compile.run_source ~options ~collector ~fuel:20_000_000 src
 
-(* The configuration matrix. The first entry is the reference (big fixed
-   heap, unoptimized, precise). The conservative collector is non-moving
-   and cannot resize, so it keeps a big fixed heap. *)
+(* [Some (h, f h)] for the first heap [h] of the ladder on which [f] does
+   not exhaust; [None] if it exhausts even at [fit_cap]. *)
+let rec fit f h =
+  match f h with
+  | r -> Some (h, r)
+  | exception Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _) ->
+      if h >= fit_cap then None else fit f (min fit_cap (2 * h))
+
+(* The configuration matrix; [true] in the third place runs the row at
+   the fitted small heap. The first entry is the reference (big heap,
+   unoptimized, precise). The conservative collector keeps the big heap. *)
 let configs =
-  let h = small_heap in
   [
-    (false, true, 65536, Driver.Compile.Precise, true, false);
-    (true, true, 65536, Driver.Compile.Precise, true, false);
-    (false, true, h, Driver.Compile.Precise, true, true);
-    (true, true, h, Driver.Compile.Precise, true, true);
-    (false, false, h, Driver.Compile.Precise, true, true);
-    (true, false, h, Driver.Compile.Precise, true, true);
-    (false, true, 65536, Driver.Compile.Conservative, true, false);
+    (false, true, false, Driver.Compile.Precise, true);
+    (true, true, false, Driver.Compile.Precise, true);
+    (false, true, true, Driver.Compile.Precise, true);
+    (true, true, true, Driver.Compile.Precise, true);
+    (false, false, true, Driver.Compile.Precise, true);
+    (true, false, true, Driver.Compile.Precise, true);
+    (false, true, false, Driver.Compile.Conservative, true);
     (* generational × {barrier elimination on, off} *)
-    (false, true, 65536, Driver.Compile.Generational, true, false);
-    (false, true, h, Driver.Compile.Generational, true, true);
-    (true, true, h, Driver.Compile.Generational, true, true);
-    (false, true, h, Driver.Compile.Generational, false, true);
-    (true, true, h, Driver.Compile.Generational, false, true);
+    (false, true, false, Driver.Compile.Generational, true);
+    (false, true, true, Driver.Compile.Generational, true);
+    (true, true, true, Driver.Compile.Generational, true);
+    (false, true, true, Driver.Compile.Generational, false);
+    (true, true, true, Driver.Compile.Generational, false);
   ]
 
 let prop_differential =
@@ -309,33 +300,26 @@ let prop_differential =
       Fun.protect
         ~finally:(fun () -> Gc.Verify.set_post post0)
         (fun () ->
-          match List.map (run_cfg src) configs with
-          | reference :: rest -> List.for_all (fun out -> out = reference) rest
-          | [] -> false))
+          let outputs h =
+            List.map (fun cfg -> (run_cfg src h cfg).Driver.Compile.output) configs
+          in
+          match fit outputs small_heap with
+          | Some (_, reference :: rest) -> List.for_all (fun out -> out = reference) rest
+          | Some (_, []) -> false
+          | None -> QCheck.Test.fail_reportf "a configuration exhausted even a %d-word heap" fit_cap))
 
 let prop_collections_strike =
-  (* Sanity: the tiny starting heap really does put the resize machinery
-     under pressure on allocating programs (otherwise the property above
+  (* Sanity: the fitted small heap really does put the collector under
+     pressure on allocating programs (otherwise the property above
      degenerates into big-heap-only coverage). Whenever a program
-     allocates more words than the starting semispace holds, the grown
-     run must have either collected or resized. *)
-  QCheck.Test.make ~name:"small heaps collect or grow on list-heavy programs"
+     allocates more words than the heap it completed on holds, it must
+     have collected. *)
+  QCheck.Test.make ~name:"small heaps collect on list-heavy programs"
     ~count:30 (QCheck.make gen_prog) (fun p ->
-      (* Vacuous when the environment makes the default non-moving. *)
-      (not (moving Driver.Compile.Precise))
-      ||
       let src = to_m3l p in
-      let options =
-        { Driver.Compile.default_options with heap_words = small_heap }
-      in
-      let r =
-        Driver.Compile.run_source ~options ~fuel:20_000_000 ~heap_grow:true
-          ~heap_max_words:grow_cap src
-      in
-      if r.Driver.Compile.alloc_words > small_heap then
-        r.Driver.Compile.collections > 0
-        || r.Driver.Compile.gc.Vm.Interp.resizes > 0
-      else true)
+      match fit (fun h -> run_cfg src h (false, true, true, Driver.Compile.Precise, true)) small_heap with
+      | Some (h, r) -> r.Driver.Compile.alloc_words <= h || r.Driver.Compile.collections > 0
+      | None -> QCheck.Test.fail_reportf "exhausted even a %d-word heap" fit_cap)
 
 let prop_liveness_oracle =
   QCheck.Test.make ~name:"liveness matches the round-robin oracle" ~count:60

@@ -289,13 +289,12 @@ let refusal what f =
   | exception RC.Config_error e -> e
 
 (* Every variable through the one parser: the same spellings mean on and
-   off for all six, empty is unset, anything else names the variable. *)
+   off for all five, empty is unset, anything else names the variable. *)
 let test_config_values () =
   let fields =
     [
       ("MM_GEN", (fun c -> c.RC.gen), false);
       ("MM_GC_INCREMENTAL", (fun c -> c.RC.incremental), false);
-      ("MM_HEAP_GROW", (fun c -> c.RC.heap_grow), false);
       ("MM_THREADED", (fun c -> c.RC.threaded), true);
       ("MM_VERIFY_HEAP", (fun c -> c.RC.verify_heap), false);
       ("MM_VERIFY_PRE", (fun c -> c.RC.verify_pre), false);
@@ -325,8 +324,8 @@ let test_config_values () =
    its request (every setting under its flag's name), plus the
    environment's own. *)
 let test_config_refusals () =
-  let resolve ?(env = []) ?(collectors = []) ?grow ?census ?(bounds = []) () =
-    RC.resolve ~collectors ?grow ?census ~bounds (config env)
+  let resolve ?(env = []) ?(collectors = []) ?census ?(bounds = []) () =
+    RC.resolve ~collectors ?census ~bounds (config env)
   in
   let conflict what expected f =
     match refusal what f with
@@ -339,14 +338,10 @@ let test_config_refusals () =
   in
   conflict "--gen --incremental" ("--gen", "--incremental") (fun () ->
       resolve ~collectors:[ ("--gen", RC.Generational); ("--incremental", RC.Incremental) ] ());
-  conflict "--collector incremental --heap-grow" ("--collector incremental", "--heap-grow")
-    (fun () -> resolve ~collectors:[ ("--collector incremental", RC.Incremental) ] ~grow:"--heap-grow" ());
   conflict "--census-every 8 --incremental" ("--incremental", "--census-every 8") (fun () ->
       resolve ~collectors:[ ("--incremental", RC.Incremental) ] ~census:"--census-every 8" ());
   conflict "MM_GEN=1 MM_GC_INCREMENTAL=1" ("MM_GEN", "MM_GC_INCREMENTAL") (fun () ->
       resolve ~env:[ ("MM_GEN", "1"); ("MM_GC_INCREMENTAL", "1") ] ());
-  conflict "MM_GC_INCREMENTAL=1 --heap-grow" ("MM_GC_INCREMENTAL", "--heap-grow") (fun () ->
-      resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~grow:"--heap-grow" ());
   conflict "--collector conservative --census-every 1" ("--collector conservative", "--census-every 1")
     (fun () ->
       resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~census:"--census-every 1" ());
@@ -364,17 +359,15 @@ let test_config_refusals () =
   | RC.Bad_value { setting; _ } -> check Alcotest.string "MM_VERIFY_HEAP=maybe" "MM_VERIFY_HEAP" setting
   | RC.Conflict _ -> Alcotest.fail "MM_VERIFY_HEAP=maybe: not a bad value");
   (* Accepted: an explicit choice stands over an environment mode, the
-     same choice twice is no conflict, MM_HEAP_GROW is a default and not a
-     request, and growth or a census under a moving collector. *)
+     same choice twice is no conflict, and a census under a moving
+     collector. *)
   let accepted what expected c = check Alcotest.bool what true (c = expected) in
   accepted "--gen under MM_GC_INCREMENTAL" RC.Generational
     (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:[ ("--gen", RC.Generational) ] ());
   accepted "--collector generational --gen" RC.Generational
     (resolve ~collectors:[ ("--collector generational", RC.Generational); ("--gen", RC.Generational) ] ());
-  accepted "MM_GC_INCREMENTAL=1 MM_HEAP_GROW=1" RC.Incremental
-    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1"); ("MM_HEAP_GROW", "1") ] ());
-  accepted "MM_GEN=1 --heap-grow --census-every 8" RC.Generational
-    (resolve ~env:[ ("MM_GEN", "1") ] ~grow:"--heap-grow" ~census:"--census-every 8"
+  accepted "MM_GEN=1 --census-every 8" RC.Generational
+    (resolve ~env:[ ("MM_GEN", "1") ] ~census:"--census-every 8"
        ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ())
 
 let () =

@@ -177,7 +177,6 @@ let test_heap_exhaustion () =
   match
     Driver.Compile.run_source
       ~options:{ Driver.Compile.default_options with heap_words = 100 }
-      ~heap_grow:false (* exhaustion is the point; don't let MM_HEAP_GROW save it *)
       src
   with
   | exception Vm.Vm_error.Error e ->
@@ -202,19 +201,6 @@ let test_reset_clears_output () =
   Vm.Interp.run st;
   check Alcotest.string "output does not accumulate across reset" "7"
     (Vm.Interp.output st)
-
-(* The store only grows: an extension keeps every word and zeroes the
-   rest, and a shrink is refused. *)
-let test_mem_realloc () =
-  let m = Vm.Mem.create 4 in
-  Vm.Mem.set m 3 42;
-  let g = Vm.Mem.realloc m 6 in
-  check Alcotest.(list int) "prefix kept, extension zeroed" [ 0; 0; 0; 42; 0; 0 ]
-    (List.init (Vm.Mem.length g) (Vm.Mem.get g));
-  check Alcotest.int "same length" 4 (Vm.Mem.length (Vm.Mem.realloc m 4));
-  match Vm.Mem.realloc g 5 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a shrinking realloc was accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Instruction encoding model                                          *)
@@ -241,8 +227,8 @@ let test_image_layout () =
       (wrap "VAR g: INTEGER; t: TEXT; BEGIN g := 1; t := \"ab\" END")
   in
   let open Vm.Image in
-  (* Heap last, so the store can be extended in place without moving any
-     existing address (statics and stack keep their positions). *)
+  (* Heap last: the heap verifier takes the heap region to run from
+     [heap_base] to the end of the store. *)
   check Alcotest.bool "globals below stack below heap" true
     (img.globals_base < img.stack_base && img.stack_base < img.heap_base);
   check Alcotest.bool "stack + two semispaces" true
@@ -274,7 +260,6 @@ let () =
           Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion;
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "reset clears output" `Quick test_reset_clears_output;
-          Alcotest.test_case "store only grows" `Quick test_mem_realloc;
         ] );
       ( "encoding",
         [
