@@ -137,15 +137,12 @@ let print_gc_stats ?placement () =
       (T.Metrics.counter_value "gc.remset_inserts");
     (* Profile-guided placement: which sites bypassed the nursery and how
        many words they kept out of the minor copy loop. *)
-    Printf.eprintf
-      "placement    : %s — %d pretenure sites (%d words), %d pool sites (%d words)\n"
+    Printf.eprintf "placement    : %s — %d pretenure sites (%d words)\n"
       (match placement with
       | Some (src, _) -> "policy from " ^ src
       | None -> "none")
       (T.Metrics.counter_value "gc.pretenure_sites")
       (T.Metrics.counter_value "gc.pretenured_words")
-      (T.Metrics.counter_value "gc.pool_sites")
-      (T.Metrics.counter_value "gc.pool_words")
   end;
   let elim_seen = T.Metrics.counter_value "barrier_elim.stores_seen" in
   if elim_seen > 0 then
@@ -212,13 +209,18 @@ let run file optimize checks no_gc_restrict heap stack collector
        each under its own name, so a refusal names both settings. *)
     let module RC = Support.Runtime_config in
     let flag given name c = if given then [ (name, c) ] else [] in
+    let setting name v show c = Option.fold ~none:[] ~some:(fun v -> [ (name ^ " " ^ show v, c) ]) v in
     let collector =
       RC.resolve (RC.env ())
         ~collectors:
-          (("--collector " ^ Driver.Compile.collector_name collector, collector)
+          (("--collector " ^ RC.collector_name collector, collector)
           :: flag gen "--gen" RC.Generational
           @ flag incremental "--incremental" RC.Incremental)
         ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
+        ~needs:
+          (setting "--nursery" nursery string_of_int RC.Generational
+          @ setting "--policy" policy Fun.id RC.Generational
+          @ setting "--pause-budget-us" pause_budget string_of_int RC.Incremental)
         ~bounds:
           [ ("--nursery", nursery, 1); ("--pause-budget-us", pause_budget, 0);
             ("--census-every", Some census_every, 0) ]
@@ -303,7 +305,7 @@ let stack = Arg.(value & opt int 16384 & info [ "stack" ] ~doc:"Stack words.")
 let collector =
   Arg.(
     value
-    & opt (enum Driver.Compile.collector_names) Driver.Compile.Precise
+    & opt (enum Support.Runtime_config.collector_names) Driver.Compile.Precise
     & info [ "collector" ] ~doc:"precise | generational | incremental | conservative | none.")
 let gen =
   Arg.(
@@ -336,7 +338,8 @@ let pause_budget =
            so the documented slack is one scan granule) and remaining work \
            carries to the next gc-point; overruns are counted and shown by \
            --gc-stats. Without it, slices are paced by a deterministic work \
-           quota (the default: identical heap images across engines).")
+           quota (the default: identical heap images across engines). An \
+           error (exit 16) under any other collector.")
 let nursery =
   Arg.(
     value
@@ -344,7 +347,8 @@ let nursery =
     & info [ "nursery" ] ~docv:"WORDS"
         ~doc:
           "Nursery size in words for generational mode (default: a quarter \
-           semispace, floored at 300 words).")
+           semispace, floored at 300 words). An error (exit 16) under any \
+           other collector.")
 let no_barrier_elim =
   Arg.(
     value & flag
@@ -411,8 +415,9 @@ let policy =
     & info [ "policy" ] ~docv:"FILE"
         ~doc:
           "Load an mm-policy placement file (see policygen): sites the policy \
-           marks pretenure or pool allocate directly in the old generation, \
-           bypassing the nursery. Matching is by stable (proc, line, col, \
+           marks pretenure allocate directly in the old generation, \
+           bypassing the nursery. Generational mode only (exit 16 \
+           otherwise). Matching is by stable (proc, line, col, \
            type) key, so a policy survives recompilation. Pure runtime \
            switch — gc tables and program output are byte-identical.")
 let census_every =

@@ -74,14 +74,6 @@ module Config = Support.Runtime_config
 
 type collector = Config.collector = Precise | Generational | Incremental | Conservative | No_gc
 
-(** [--collector]'s names, aliases included. *)
-let collector_names =
-  [ ("precise", Precise); ("generational", Generational); ("gen", Generational);
-    ("incremental", Incremental); ("inc", Incremental); ("conservative", Conservative);
-    ("none", No_gc) ]
-
-let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
-
 type run_result = {
   output : string;
   instructions : int;
@@ -128,17 +120,32 @@ let policy_of_file path : Policy.t =
 
 (** The collector {!run} installs for these arguments: they are resolved
     over the environment's config by {!Support.Runtime_config.resolve}.
+    [policy] says a placement policy is given.
     @raise Support.Runtime_config.Config_error *)
-let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us () =
+let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?(policy = false) () =
+  let given setting v c = if v then [ (setting, c) ] else [] in
   Config.resolve (Config.env ())
-    ~collectors:[ ("~collector:" ^ collector_name collector, collector) ]
+    ~collectors:[ ("~collector:" ^ Config.collector_name collector, collector) ]
+    ~needs:
+      (given "~nursery_words" (nursery_words <> None) Generational
+      @ given "~policy" policy Generational
+      @ given "~pause_budget_us" (pause_budget_us <> None) Incremental)
     ~bounds:[ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0) ]
 
-(** Resolve as {!resolve} does and install the result on a fresh machine.
-    Every entry point that runs an image installs through here. Returns
-    the collector installed. @raise Support.Runtime_config.Config_error *)
-let install ?collector ?nursery_words ?pause_budget_us st =
-  let collector = resolve ?collector ?nursery_words ?pause_budget_us () in
+(** Resolve as {!resolve} does and install the result on a fresh machine,
+    with [policy]'s placement mapped onto the image's site table by
+    stable (proc, line, col, tdesc) key. Every entry point that runs an
+    image installs through here. Returns the collector installed.
+    @raise Support.Runtime_config.Config_error *)
+let install ?collector ?nursery_words ?pause_budget_us ?policy st =
+  let collector =
+    resolve ?collector ?nursery_words ?pause_budget_us ~policy:(policy <> None) ()
+  in
+  Option.iter
+    (fun p ->
+      let codes, _matched = Policy.decisions_for p (sites_for st.Vm.Interp.image) in
+      Vm.Interp.set_placement st ~source:"file" codes)
+    policy;
   (match collector with
   | Precise -> Gc.Cheney.install st
   | Generational -> Gc.Nursery.install ?nursery_words st
@@ -151,14 +158,7 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
     (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
   st.Vm.Interp.prof <- profile;
-  (* A placement policy is mapped onto this image's site table by stable
-     (proc, line, col, tdesc) key. *)
-  (match policy with
-  | Some p ->
-      let codes, _matched = Policy.decisions_for p (sites_for image) in
-      Vm.Interp.set_placement st ~source:"file" codes
-  | None -> ());
-  let collector = install ?collector ?nursery_words ?pause_budget_us st in
+  let collector = install ?collector ?nursery_words ?pause_budget_us ?policy st in
   (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
      live pointers in forms the tables cannot describe; collecting while it
      runs can corrupt the heap. Warn whenever such output is executed under

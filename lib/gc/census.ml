@@ -51,18 +51,7 @@ let take (st : Vm.Interp.t) (p : Profile.t) =
   in
   (match st.Vm.Interp.gen with
   | Some g ->
-      (* Pool chunks carved from the old generation may have unfilled
-         tails; walk the old generation in segments around those gaps. *)
-      let lo = ref st.Vm.Interp.from_base in
-      let old_hi = g.Vm.Interp.old_alloc in
-      List.iter
-        (fun (glo, ghi) ->
-          if glo <= old_hi then begin
-            walk !lo (min glo old_hi);
-            lo := ghi
-          end)
-        (Vm.Interp.pool_gaps st);
-      if !lo < old_hi then walk !lo old_hi;
+      walk st.Vm.Interp.from_base g.Vm.Interp.old_alloc;
       walk g.Vm.Interp.nursery_base g.Vm.Interp.nursery_alloc
   | None -> walk st.Vm.Interp.from_base st.Vm.Interp.alloc);
   let dump tbl =

@@ -202,16 +202,15 @@ let scan_from c lo =
     scan := scan_object c !scan
   done
 
-(** Scan an object a minor collection visits in place — pooled,
-    pretenured or big, ending by [hi] — and return its end. Its header
-    never passed through [evacuate], so it is checked here first: a
-    corrupt header is a [Bad_root], not an out-of-bounds scan or a scan
-    pointer that moves backwards. *)
-let scan_placed c addr ~hi =
+(** Scan an object a minor collection visits in place — pretenured or
+    big, ending below the destination region. Its header never passed
+    through [evacuate], so it is checked here first: a corrupt header is
+    a [Bad_root], not an out-of-bounds scan. *)
+let scan_placed c addr =
   ignore
     (checked_size ~loc:"placed object at word" c addr (Vm.Mem.get c.mem addr)
-       ~hi:(min hi c.dst_lo) ~region:"the old generation");
-  scan_object c addr
+       ~hi:c.dst_lo ~region:"the old generation");
+  ignore (scan_object c addr)
 
 (* Forward the tidy roots of one frame: stack-pointer table entries and
    register-pointer table entries (through the reconstruction map). *)

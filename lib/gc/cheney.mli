@@ -48,11 +48,11 @@ val forward : copier -> int -> int
     open array's length is negative, or the object overruns the source
     or the destination region. *)
 
-val scan_placed : copier -> int -> hi:int -> int
+val scan_placed : copier -> int -> unit
 (** Forward every pointer field of an object a minor collection scans in
-    place (pooled, pretenured or big), which must end by [hi] and below
-    the destination region; returns the address one past it. Its header
-    never passed through {!forward}, so it is checked first.
+    place (pretenured or big), which must end below the destination
+    region. Its header never passed through {!forward}, so it is checked
+    first.
     @raise Vm.Vm_error.Error with a [Bad_root] if it is not a valid
     object. *)
 

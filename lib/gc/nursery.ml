@@ -12,11 +12,11 @@
     values through the un-derive/re-derive protocol of §3) plus two
     generational extras: the remembered set filled by the compiler-emitted
     [Wbar] barriers, and every object placed in the old generation since
-    the previous minor (big and pretenured objects, the young part of each
-    pool). Each placed object is scanned by one minor only: that covers
-    the stores whose barriers static elimination dropped, all of which
-    happen before the object's first gc-point, and every later store into
-    it runs its barrier, so the remembered set covers it from then on.
+    the previous minor (big and pretenured objects). Each placed object
+    is scanned by one minor only: that covers the stores whose barriers
+    static elimination dropped, all of which happen before the object's
+    first gc-point, and every later store into it runs its barrier, so
+    the remembered set covers it from then on.
 
     When the nursery cannot satisfy a request, or the old generation lacks
     promotion headroom, the ordinary full {!Cheney.collect} runs instead —
@@ -42,29 +42,20 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
         ~dst_lo:g.Vm.Interp.old_alloc ~dst_hi:g.Vm.Interp.nursery_base)
     ~extra_roots:(fun c ->
       (* Old-generation slots recorded by the write barriers, and every
-         object placed in the old generation since the last minor — big
-         and pretenured objects, and the young part of each pool. A
-         statically elided barrier may have stored a nursery pointer into
-         such an object before this gc-point; once scanned here, every
-         later store into it runs its barrier, so each is scanned once. *)
+         object placed in the old generation since the last minor (big
+         and pretenured objects). A statically elided barrier may have
+         stored a nursery pointer into such an object before this
+         gc-point; once scanned here, every later store into it runs its
+         barrier, so each is scanned once. *)
       let mem = c.Cheney.mem in
       Remset.iter (fun a -> Vm.Mem.set mem a (Cheney.forward c (Vm.Mem.get mem a))) g;
-      List.iter
-        (fun addr -> ignore (Cheney.scan_placed c addr ~hi:c.Cheney.dst_lo))
-        g.Vm.Interp.big_objects;
-      List.iter
-        (fun (lo, hi) ->
-          let a = ref lo in
-          while !a < hi do
-            a := Cheney.scan_placed c !a ~hi
-          done)
-        (Vm.Interp.pool_young_ranges st))
+      List.iter (Cheney.scan_placed c) g.Vm.Interp.big_objects)
     ~reopen:(fun c ->
       (* The nursery is empty, so no old→young reference remains, the
          remembered set is stale and nothing placed so far is young. *)
       T.Metrics.observe h_remset (float_of_int (Remset.length g));
       Remset.clear st g;
-      Vm.Interp.gen_placed_scanned st g;
+      g.Vm.Interp.big_objects <- [];
       g.Vm.Interp.old_alloc <- c.Cheney.to_alloc;
       g.Vm.Interp.nursery_alloc <- g.Vm.Interp.nursery_base;
       st.Vm.Interp.alloc <- g.Vm.Interp.old_alloc)
@@ -88,8 +79,8 @@ let collect (st : Vm.Interp.t) ~needed =
   | Some g ->
       let used = g.Vm.Interp.nursery_alloc - g.Vm.Interp.nursery_base in
       let headroom = g.Vm.Interp.nursery_base - g.Vm.Interp.old_alloc in
-      (* An old-generation request (big object, policy pretenure, pool
-         chunk) can only be helped by a full compaction: a minor promotes
+      (* An old-generation request (big object or policy pretenure) can
+         only be helped by a full compaction: a minor promotes
          into the very region that is short of room. *)
       if g.Vm.Interp.old_request || needed > g.Vm.Interp.nursery_cap then
         Cheney.collect st ~needed

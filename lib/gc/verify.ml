@@ -204,19 +204,7 @@ let walk_heap c =
           c.walk_ok <- false
         end
         else begin
-          (* Pool chunks leave object-free gaps (unfilled chunk tails)
-             inside the old generation; the linear parse must step over
-             them. The gap list is sorted and every gap lies within
-             [from_base, old_alloc). *)
-          let lo_ref = ref lo in
-          List.iter
-            (fun (glo, ghi) ->
-              if c.walk_ok && glo <= old_hi then begin
-                walk_region c !lo_ref (min glo old_hi);
-                lo_ref := ghi
-              end)
-            (Vm.Interp.pool_gaps st);
-          if c.walk_ok && !lo_ref < old_hi then walk_region c !lo_ref old_hi;
+          walk_region c lo old_hi;
           if c.walk_ok then walk_region c nb na
         end
 
@@ -291,10 +279,10 @@ let check_tricolor c =
 (* Generational invariant: every old-generation slot holding a nursery
    pointer must be covered — recorded in the remembered set by a write
    barrier, or inside an object placed in the old generation since the
-   last minor collection (a big or pretenured object, or the young part of
-   a pool), which the next minor scans once. An uncovered old→young
-   reference is exactly the bug a missing (or wrongly eliminated) barrier
-   produces: the next minor collection would leave it dangling. *)
+   last minor collection (a big or pretenured object), which the next
+   minor scans once. An uncovered old→young reference is exactly the bug
+   a missing (or wrongly eliminated) barrier produces: the next minor
+   collection would leave it dangling. *)
 let check_old_young c =
   match c.st.Vm.Interp.gen with
   | None -> ()
@@ -303,28 +291,9 @@ let check_old_young c =
         let mem = c.st.Vm.Interp.mem in
         let big = Hashtbl.create 16 in
         List.iter (fun a -> Hashtbl.replace big a ()) g.Vm.Interp.big_objects;
-        (* Young pool ranges are disjoint; sorted by [lo], the only range
-           that can hold [owner] is the last one starting at or below it. *)
-        let young = Array.of_list (Vm.Interp.pool_young_ranges c.st) in
-        Array.sort compare young;
-        let in_young_pool owner =
-          let rec go lo hi =
-            (* invariant: ranges [0, lo) start at or below [owner], ranges
-               [hi, n) start above it *)
-            if lo >= hi then lo > 0 && owner < snd young.(lo - 1)
-            else
-              let mid = (lo + hi) / 2 in
-              if fst young.(mid) <= owner then go (mid + 1) hi else go lo mid
-          in
-          go 0 (Array.length young)
-        in
         let check_slot owner a =
           let v = mem.{a} in
-          if
-            in_nursery c.st v
-            && (not (Remset.mem c.st g a))
-            && (not (Hashtbl.mem big owner))
-            && not (in_young_pool owner)
+          if in_nursery c.st v && (not (Remset.mem c.st g a)) && not (Hashtbl.mem big owner)
           then
             violate c
               "old-generation word %d holds nursery pointer %d but is neither remembered \

@@ -5,7 +5,7 @@
     its survival rate (words copied out of an evacuated region over words
     that had the chance to die there). This module is the decision half —
     the classifier that maps a site's measured rate and sample mass onto
-    one of three placements:
+    one of two placements:
 
     - {e nursery}: the default. Allocate in the nursery and let minor
       collections sort the wheat from the chaff. Every site starts here,
@@ -16,13 +16,8 @@
     - {e pretenure}: the site's objects overwhelmingly survive, so paying
       the copy to promote them one at a time is pure waste. Allocate
       directly in the old generation.
-    - {e pool}: pretenure-grade survival {e and} a high allocation count —
-      a linked structure grown cell by cell from one site. Such sites get
-      per-site bump regions carved from the old generation, so the
-      structure ends up contiguous for locality instead of interleaved
-      with every other promotion.
 
-    A policy is serialized as a versioned [mm-policy] v1 JSON document.
+    A policy is serialized as a versioned [mm-policy] v2 JSON document.
     Sites are keyed by the stable (proc, line, col, tdesc) tuple rather
     than by site id, so a policy derived from one build maps onto an image
     recompiled with different optimization flags (site {e ids} are
@@ -31,21 +26,15 @@
 
 module J = Telemetry.Json
 
-type decision = Nursery | Pretenure | Pool
+type decision = Nursery | Pretenure
 
 (** Classifier knobs. [pretenure_rate] is the survival-rate floor for
     leaving the nursery; [min_sample_words] is the confidence floor —
     a site must have seen at least this many words complete a lifetime
-    (survive or die) before its rate is trusted; [pool_min_allocs] routes
-    high-count pretenure-grade sites to pooled placement. *)
-type thresholds = {
-  pretenure_rate : float;
-  min_sample_words : int;
-  pool_min_allocs : int;
-}
+    (survive or die) before its rate is trusted. *)
+type thresholds = { pretenure_rate : float; min_sample_words : int }
 
-let default_thresholds =
-  { pretenure_rate = 0.8; min_sample_words = 64; pool_min_allocs = 32 }
+let default_thresholds = { pretenure_rate = 0.8; min_sample_words = 64 }
 
 (** One classified site. The measured rate and sample mass ride along for
     human inspection and for tooling that re-filters a policy; only the
@@ -71,14 +60,12 @@ type t = { thresholds : thresholds; entries : entry list }
 (** The classifier itself, shared verbatim by a parsed [mm-profile]
     document and a live {!Profile.t} side table — one function, so both
     give exactly the same decisions from the same counts. *)
-let classify th ~allocs ~survived_words ~dead_words =
+let classify th ~survived_words ~dead_words =
   let samples = survived_words + dead_words in
   if samples < max 1 th.min_sample_words then Nursery
   else
     let rate = float_of_int survived_words /. float_of_int samples in
-    if rate < th.pretenure_rate then Nursery
-    else if allocs >= th.pool_min_allocs then Pool
-    else Pretenure
+    if rate < th.pretenure_rate then Nursery else Pretenure
 
 let entry_of_counts th ~proc ~line ~col ~tdesc ~open_ ~allocs ~survived_words
     ~dead_words =
@@ -89,7 +76,7 @@ let entry_of_counts th ~proc ~line ~col ~tdesc ~open_ ~allocs ~survived_words
     e_col = col;
     e_tdesc = tdesc;
     e_open = open_;
-    e_decision = classify th ~allocs ~survived_words ~dead_words;
+    e_decision = classify th ~survived_words ~dead_words;
     e_rate =
       (if samples = 0 then 0.0
        else float_of_int survived_words /. float_of_int samples);
@@ -160,17 +147,16 @@ let derive_from_profile ?(thresholds = default_thresholds) (doc : J.t) : t =
 (* ------------------------------------------------------------------ *)
 
 let schema_name = "mm-policy"
-let schema_version = 1
 
-let decision_to_string = function
-  | Nursery -> "nursery"
-  | Pretenure -> "pretenure"
-  | Pool -> "pool"
+(* Version 2 dropped the [pool] decision and its threshold; a v1 document
+   may name [pool], so it is refused rather than half-read. *)
+let schema_version = 2
+
+let decision_to_string = function Nursery -> "nursery" | Pretenure -> "pretenure"
 
 let decision_of_string = function
   | "nursery" -> Nursery
   | "pretenure" -> Pretenure
-  | "pool" -> Pool
   | s -> fail "unknown placement decision %S" s
 
 let entry_json (e : entry) : J.t =
@@ -197,12 +183,11 @@ let to_json (t : t) : J.t =
           [
             ("pretenure_rate", J.Float t.thresholds.pretenure_rate);
             ("min_sample_words", J.Int t.thresholds.min_sample_words);
-            ("pool_min_allocs", J.Int t.thresholds.pool_min_allocs);
           ] );
       ("sites", J.List (List.map entry_json t.entries));
     ]
 
-(** Parse an [mm-policy] v1 document.
+(** Parse an [mm-policy] v2 document.
     @raise Policy_error on schema or version mismatch. *)
 let of_json (doc : J.t) : t =
   (match J.member "schema" doc with
@@ -219,7 +204,6 @@ let of_json (doc : J.t) : t =
         {
           pretenure_rate = j_float "pretenure_rate" th;
           min_sample_words = j_int "min_sample_words" th;
-          pool_min_allocs = j_int "pool_min_allocs" th;
         }
     | None -> default_thresholds
   in
@@ -252,12 +236,8 @@ let of_json (doc : J.t) : t =
    the allocation fast path; see Vm.Interp). *)
 let nursery_code = 0
 let pretenure_code = 1
-let pool_code = 2
 
-let decision_code = function
-  | Nursery -> nursery_code
-  | Pretenure -> pretenure_code
-  | Pool -> pool_code
+let decision_code = function Nursery -> nursery_code | Pretenure -> pretenure_code
 
 (** Map a policy onto an image's static site table: a decision-code array
     indexed by site id. Sites are matched by the stable
@@ -286,7 +266,7 @@ let decisions_for (t : t) (sites : Profile.site array) : int array * int =
   (codes, !matched)
 
 (** A synthetic policy placing every given site with [decision] — the
-    pretenure-all / pool-all configurations the differential tests sweep. *)
+    pretenure-all configuration the differential tests sweep. *)
 let uniform decision (sites : Profile.site array) : t =
   {
     thresholds = default_thresholds;

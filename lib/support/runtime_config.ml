@@ -77,6 +77,14 @@ type collector = Precise | Generational | Incremental | Conservative | No_gc
     collection, where a census is taken. *)
 let moving = function Precise | Generational -> true | Incremental | Conservative | No_gc -> false
 
+(** [--collector]'s names, aliases included. *)
+let collector_names =
+  [ ("precise", Precise); ("generational", Generational); ("gen", Generational);
+    ("incremental", Incremental); ("inc", Incremental); ("conservative", Conservative);
+    ("none", No_gc) ]
+
+let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
+
 (** Resolve a request over [config] into the collector to install. Each
     part of the request carries the name it was given under, so an error
     names both settings:
@@ -85,10 +93,14 @@ let moving = function Precise | Generational -> true | Incremental | Conservativ
       stands, and two different ones conflict.
     - [census]: an explicit census request, which a non-moving collector
       refuses.
+    - [needs]: [(setting, c)] for each given setting that only collector
+      [c] reads (a nursery size or a policy, generational; a pause
+      budget, incremental). Under any other collector it would be
+      silently dropped, so it is refused.
     - [bounds]: [(setting, value, least)]; a given value below [least]
       is out of range.
     @raise Config_error *)
-let resolve ?(collectors = []) ?census ?(bounds = []) config =
+let resolve ?(collectors = []) ?census ?(needs = []) ?(bounds = []) config =
   List.iter
     (function
       | setting, Some v, least when v < least ->
@@ -112,4 +124,10 @@ let resolve ?(collectors = []) ?census ?(bounds = []) config =
         let reason = "censuses are taken where a copying collection ends, which this collector never runs" in
         fail (Conflict { first = source; second; reason }))
       census;
+  List.iter
+    (fun (second, c) ->
+      if c <> collector then
+        let reason = Printf.sprintf "only the %s collector reads it" (collector_name c) in
+        fail (Conflict { first = source; second; reason }))
+    needs;
   collector

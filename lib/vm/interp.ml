@@ -24,9 +24,7 @@ let c_mark_spills = Telemetry.Metrics.counter "gc.mark_spills"
 
 (* Profile-guided placement accounting (read by mmrun --gc-stats). *)
 let c_pretenured_words = Telemetry.Metrics.counter "gc.pretenured_words"
-let c_pool_words = Telemetry.Metrics.counter "gc.pool_words"
 let c_pretenure_sites = Telemetry.Metrics.counter "gc.pretenure_sites"
-let c_pool_sites = Telemetry.Metrics.counter "gc.pool_sites"
 
 type gc_stats = {
   mutable collections : int;
@@ -64,32 +62,10 @@ type gen_state = {
   mutable barrier_execs : int;
   mutable remset_inserts : int;
   mutable old_request : bool;
-    (* an old-generation allocation (policy pretenure, pool chunk, big
-       object) is asking the collector for headroom: a minor collection
-       promotes {e into} the old generation, so only a full collection can
-       help — the collector routes on this flag *)
-}
-
-(** Per-site pool state: a bump region (chunk) carved out of the old
-    generation, so a linked structure grown from one allocation site ends
-    up contiguous. When a chunk fills, its unfilled tail is abandoned as a
-    {e gap} (skipped by the linear heap walkers; see {!pool_gaps}) and a
-    fresh chunk is carved. A full collection compacts pool objects like
-    any other old-generation survivors, dissolving chunks and gaps alike
-    ({!gen_reset_after_full} resets every pool). *)
-type pool_state = {
-  mutable pl_chunk : int; (* current chunk base address; -1 = none *)
-  mutable pl_alloc : int; (* bump pointer inside the current chunk *)
-  mutable pl_limit : int; (* current chunk limit *)
-  mutable pl_closed : (int * int * int) list;
-      (* retired chunks as (lo, filled_hi, limit): objects fill
-         [lo, filled_hi), the tail [filled_hi, limit) is a gap *)
-  mutable pl_scanned : int;
-      (* young high-water mark: [pl_scanned, pl_alloc) of the current
-         chunk was allocated since the last minor collection *)
-  mutable pl_young : (int * int) list;
-      (* filled parts of retired chunks allocated since the last minor
-         collection, as [lo, hi) *)
+    (* an old-generation allocation (policy pretenure or big object) is
+       asking the collector for headroom: a minor collection promotes
+       {e into} the old generation, so only a full collection can help —
+       the collector routes on this flag *)
 }
 
 (** Profile-guided placement, installed by the driver (from an [mm-policy]
@@ -97,13 +73,8 @@ type pool_state = {
     consulted on the allocation fast path — one bounds-checked load per
     allocation, no allocation of its own. *)
 type placement = {
-  pc_decisions : int array; (* site id -> 0 nursery / 1 pretenure / 2 pool *)
-  pc_pools : pool_state array; (* parallel to [pc_decisions] *)
+  pc_decisions : int array; (* site id -> 0 nursery / 1 pretenure *)
   pc_source : string; (* where the decisions came from, e.g. "file" *)
-  mutable pc_pretenured_objects : int;
-  mutable pc_pretenured_words : int;
-  mutable pc_pool_objects : int;
-  mutable pc_pool_words : int;
 }
 
 (* --- incremental (tri-color mark-sweep) collector state -------------- *)
@@ -376,28 +347,13 @@ let gen_reset_after_full t =
         Bytes.set g.dirty (g.remset.(i) - hb) '\000'
       done;
       g.remset_len <- 0;
-      g.big_objects <- [];
-      (* The compaction dissolved every pool chunk (pool objects moved like
-         any other survivors), so the pools restart empty — the next pool
-         allocation carves a fresh chunk from the new old generation. *)
-      (match t.placement with
-      | Some pl ->
-          Array.iter
-            (fun ps ->
-              ps.pl_chunk <- -1;
-              ps.pl_alloc <- 0;
-              ps.pl_limit <- 0;
-              ps.pl_closed <- [];
-              ps.pl_scanned <- 0;
-              ps.pl_young <- [])
-            pl.pc_pools
-      | None -> ())
+      g.big_objects <- []
 
 (** Allocate [size] words directly on the old-generation frontier — the
-    shared slow path of big-object pretenuring, policy pretenuring and
-    pool-chunk carving. A minor collection promotes {e into} the old
-    generation and so can never create headroom here; [old_request] routes
-    the installed collector straight to a full collection. *)
+    slow path of big objects and policy-pretenured ones. A minor
+    collection promotes {e into} the old generation and so can never
+    create headroom here; [old_request] routes the installed collector
+    straight to a full collection. *)
 let allocate_old t (g : gen_state) size =
   if g.nursery_base - g.old_alloc < size then begin
     g.old_request <- true;
@@ -424,8 +380,15 @@ let allocate_old t (g : gen_state) size =
   t.alloc <- g.old_alloc;
   a
 
-let allocate_gen t (g : gen_state) size =
-  if size <= g.nursery_cap then begin
+(* [old] asks for old-generation placement whatever the size (a
+   policy-pretenured object); an object that can never fit the nursery
+   goes there anyway. Either way it lands on the old-generation frontier
+   and on [big_objects], for the next minor collection to scan once —
+   which keeps static barrier elimination sound for it (an elided
+   barrier's store happens between the object's allocation and the next
+   gc-point, while it is on the list). *)
+let allocate_gen t (g : gen_state) ~old size =
+  if size <= g.nursery_cap && not old then begin
     if gen_nursery_free t g < size then
       (match t.collector with Some collect -> collect t ~needed:size | None -> ());
     if gen_nursery_free t g < size then
@@ -435,9 +398,6 @@ let allocate_gen t (g : gen_state) size =
     a
   end
   else begin
-    (* Pretenure: the object can never fit the nursery, so it goes straight
-       to the old generation and onto [big_objects], for the next minor
-       collection to scan once. *)
     let a = allocate_old t g size in
     g.big_objects <- a :: g.big_objects;
     a
@@ -491,7 +451,7 @@ let allocate_flat t size =
           a)
 
 let allocate t size =
-  match t.gen with Some g -> allocate_gen t g size | None -> allocate_flat t size
+  match t.gen with Some g -> allocate_gen t g ~old:false size | None -> allocate_flat t size
 
 (** [(blocks, total free words, largest block)] of the free list: the
     fragmentation a non-moving collector leaves and a compacting one never
@@ -503,8 +463,8 @@ let free_list_stats t =
 
 (* --- profile-guided placement --------------------------------------- *)
 
-(** Install a per-site placement (decision codes: 0 nursery, 1 pretenure,
-    2 pool). Purely a runtime switch: the image, its gc tables and the
+(** Install a per-site placement (decision codes: 0 nursery, 1 pretenure).
+    Purely a runtime switch: the image, its gc tables and the
     instruction stream are untouched, so program output and instruction
     counts are byte-identical with or without a placement. *)
 let set_placement t ~source (decisions : int array) =
@@ -512,76 +472,13 @@ let set_placement t ~source (decisions : int array) =
     Array.fold_left (fun n d -> if d = code then n + 1 else n) 0 decisions
   in
   Telemetry.Metrics.incr ~by:(count 1) c_pretenure_sites;
-  Telemetry.Metrics.incr ~by:(count 2) c_pool_sites;
-  t.placement <-
-    Some
-      {
-        pc_decisions = decisions;
-        pc_pools =
-          Array.map
-            (fun _ ->
-              {
-                pl_chunk = -1;
-                pl_alloc = 0;
-                pl_limit = 0;
-                pl_closed = [];
-                pl_scanned = 0;
-                pl_young = [];
-              })
-            decisions;
-        pc_source = source;
-        pc_pretenured_objects = 0;
-        pc_pretenured_words = 0;
-        pc_pool_objects = 0;
-        pc_pool_words = 0;
-      }
+  t.placement <- Some { pc_decisions = decisions; pc_source = source }
 
 (** Source and decision array of the installed placement, if any. *)
 let placement_info t =
   match t.placement with
   | None -> None
   | Some pl -> Some (pl.pc_source, pl.pc_decisions)
-
-(* A pretenured object is exactly a policy-chosen big object: old
-   generation placement plus [big_objects] registration, so the next minor
-   collection scans its fields — which keeps static barrier elimination
-   sound for it (an elided barrier's store happens between the object's
-   allocation and the next gc-point, while it is on the list). *)
-let alloc_pretenured t (g : gen_state) (pl : placement) size =
-  let a = allocate_old t g size in
-  g.big_objects <- a :: g.big_objects;
-  pl.pc_pretenured_objects <- pl.pc_pretenured_objects + 1;
-  pl.pc_pretenured_words <- pl.pc_pretenured_words + size;
-  Telemetry.Metrics.incr ~by:size c_pretenured_words;
-  a
-
-let pool_chunk_words = 256
-
-let alloc_pool t (g : gen_state) (pl : placement) (ps : pool_state) size =
-  if ps.pl_chunk < 0 || ps.pl_alloc + size > ps.pl_limit then begin
-    (* Retire the current chunk — its unfilled tail becomes a gap until
-       the next full collection — and carve a new one. The carve may run
-       a full collection, which resets every pool through
-       [gen_reset_after_full]; the fields are only written afterwards. *)
-    if ps.pl_chunk >= 0 then begin
-      ps.pl_closed <- (ps.pl_chunk, ps.pl_alloc, ps.pl_limit) :: ps.pl_closed;
-      if ps.pl_alloc > ps.pl_scanned then
-        ps.pl_young <- (ps.pl_scanned, ps.pl_alloc) :: ps.pl_young
-    end;
-    let words = max pool_chunk_words size in
-    let a = allocate_old t g words in
-    Mem.fill t.mem a words 0;
-    ps.pl_chunk <- a;
-    ps.pl_alloc <- a;
-    ps.pl_limit <- a + words;
-    ps.pl_scanned <- a
-  end;
-  let a = ps.pl_alloc in
-  ps.pl_alloc <- a + size;
-  pl.pc_pool_objects <- pl.pc_pool_objects + 1;
-  pl.pc_pool_words <- pl.pc_pool_words + size;
-  Telemetry.Metrics.incr ~by:size c_pool_words;
-  a
 
 (* The placement consult on the allocation path: one array load when a
    placement is installed, nothing otherwise. Placement is meaningful only
@@ -598,61 +495,14 @@ let allocate_placed t site size =
   then (match t.collector with Some c -> c t ~needed:size | None -> ());
   match (t.gen, t.placement) with
   | Some g, Some pl
-    when site >= 0 && site < Array.length pl.pc_decisions && size <= g.nursery_cap
-    -> (
-      match Array.unsafe_get pl.pc_decisions site with
-      | 1 -> alloc_pretenured t g pl size
-      | 2 -> alloc_pool t g pl pl.pc_pools.(site) size
-      | _ -> allocate t size)
+    when site >= 0
+         && site < Array.length pl.pc_decisions
+         && size <= g.nursery_cap
+         && Array.unsafe_get pl.pc_decisions site = 1 ->
+      let a = allocate_gen t g ~old:true size in
+      Telemetry.Metrics.incr ~by:size c_pretenured_words;
+      a
   | _ -> allocate t size
-
-(** Unfilled pool-chunk tails as [gap_lo, gap_hi) ranges, ascending. They
-    lie inside the old generation but hold no objects; the linear heap
-    walkers (the verifier's region parse, the census) must skip them. *)
-let pool_gaps t =
-  match t.placement with
-  | None -> []
-  | Some pl ->
-      let acc = ref [] in
-      Array.iter
-        (fun ps ->
-          if ps.pl_chunk >= 0 && ps.pl_alloc < ps.pl_limit then
-            acc := (ps.pl_alloc, ps.pl_limit) :: !acc;
-          List.iter
-            (fun (_, hi, limit) -> if hi < limit then acc := (hi, limit) :: !acc)
-            ps.pl_closed)
-        pl.pc_pools;
-      List.sort compare !acc
-
-(** Young pool ranges: dense runs of pool objects allocated since the
-    last minor collection. The next minor scans them once (exactly like
-    [big_objects]), so elided write barriers stay sound for pool-resident
-    objects and their nursery referents survive; older pool objects are
-    covered by the remembered set like any other old object. *)
-let pool_young_ranges t =
-  match t.placement with
-  | None -> []
-  | Some pl ->
-      Array.fold_left
-        (fun acc ps ->
-          let acc = List.rev_append ps.pl_young acc in
-          if ps.pl_alloc > ps.pl_scanned then
-            (ps.pl_scanned, ps.pl_alloc) :: acc
-          else acc)
-        [] pl.pc_pools
-
-(** Advance the young high-water marks after a minor collection scanned
-    every young placed object: nothing placed so far is young any more. *)
-let gen_placed_scanned t (g : gen_state) =
-  g.big_objects <- [];
-  match t.placement with
-  | None -> ()
-  | Some pl ->
-      Array.iter
-        (fun ps ->
-          ps.pl_scanned <- ps.pl_alloc;
-          ps.pl_young <- [])
-        pl.pc_pools
 
 let rt_alloc t ?(site = -1) tdid ~length =
   (* Incremental slice poll, strictly {e before} the new object exists:

@@ -1,12 +1,12 @@
 (* Profile-guided placement tests.
 
    Placement is a pure runtime switch: every configuration — no policy,
-   pretenure-all, pool-all and a policy derived from a real profile —
-   must produce byte-identical output and
-   instruction counts on both engines and both precise collectors, under
-   the post-collection heap verifier. A profile-derived policy must also
-   never increase the total words the collectors copy (that is the whole
-   point). The boundary units pin the nursery-capacity cutoff between the
+   pretenure-all and a policy derived from a real profile — must produce
+   byte-identical output and instruction counts on both engines under
+   the generational collector and the post-collection heap verifier, and
+   the flat collector must refuse a policy. A profile-derived policy must
+   also never increase the total words the collectors copy (that is the
+   whole point). The boundary units pin the nursery-capacity cutoff between the
    placed path and the big-object path, and the mutation units pin the
    old→young edges a placed object can hold: one created by a store
    whose barrier was elided, which the first minor after the object's
@@ -51,19 +51,20 @@ let placed_machine ~nursery img codes =
   Gc.Nursery.install ~nursery_words:nursery st;
   st
 
-let pool_all_codes img =
-  fst (Policy.decisions_for (Policy.uniform Policy.Pool (C.sites_for img)) (C.sites_for img))
+let pretenure_all_codes img =
+  fst
+    (Policy.decisions_for (Policy.uniform Policy.Pretenure (C.sites_for img)) (C.sites_for img))
 
-(* Run [img] under an explicit engine, bypassing MM_THREADED. *)
+(* Run [img] under an explicit engine, bypassing MM_THREADED. A nursery
+   size and a policy are generational settings, passed only with [~gen]. *)
 let run_with ?policy ?profile ?(nursery = 512) ~threaded ~gen img =
   let was = Vm.Threaded.enabled () in
   Fun.protect
     ~finally:(fun () -> Vm.Threaded.set_enabled was)
     (fun () ->
       Vm.Threaded.set_enabled threaded;
-      C.run
-        ~collector:(if gen then C.Generational else C.Precise)
-        ~nursery_words:nursery ?policy ?profile img)
+      if gen then C.run ~collector:C.Generational ~nursery_words:nursery ?policy ?profile img
+      else C.run ~collector:C.Precise ?profile img)
 
 (* ------------------------------------------------------------------ *)
 (* mm-policy JSON round-trip                                           *)
@@ -78,7 +79,7 @@ let gen_policy =
     int_range 0 80 >>= fun col ->
     int_range 0 50 >>= fun tdesc ->
     bool >>= fun open_ ->
-    oneofl [ Policy.Nursery; Policy.Pretenure; Policy.Pool ] >>= fun d ->
+    oneofl [ Policy.Nursery; Policy.Pretenure ] >>= fun d ->
     float_range 0.0 1.0 >>= fun rate ->
     int_range 0 100_000 >>= fun samples ->
     int_range 0 100_000 >>= fun allocs ->
@@ -97,14 +98,9 @@ let gen_policy =
   in
   float_range 0.0 1.0 >>= fun pr ->
   int_range 0 1000 >>= fun msw ->
-  int_range 0 1000 >>= fun pma ->
   list_size (int_range 0 20) entry >>= fun entries ->
   return
-    {
-      Policy.thresholds =
-        { Policy.pretenure_rate = pr; min_sample_words = msw; pool_min_allocs = pma };
-      entries;
-    }
+    { Policy.thresholds = { Policy.pretenure_rate = pr; min_sample_words = msw }; entries }
 
 let test_roundtrip =
   QCheck.Test.make ~count:200 ~name:"mm-policy JSON round-trip"
@@ -123,10 +119,16 @@ let test_bad_documents () =
   check Alcotest.bool "wrong version rejected" true
     (rejects {|{"schema":"mm-policy","version":99,"sites":[]}|});
   check Alcotest.bool "missing sites rejected" true
-    (rejects {|{"schema":"mm-policy","version":1}|});
+    (rejects {|{"schema":"mm-policy","version":2}|});
   check Alcotest.bool "bad decision rejected" true
     (rejects
-       {|{"schema":"mm-policy","version":1,"sites":[{"proc":"P","line":1,"col":1,"tdesc":0,"decision":"eden"}]}|})
+       {|{"schema":"mm-policy","version":2,"sites":[{"proc":"P","line":1,"col":1,"tdesc":0,"decision":"eden"}]}|});
+  (* Version 1 could name the pooled placement that version 2 dropped. *)
+  check Alcotest.bool "v1 document rejected" true
+    (rejects {|{"schema":"mm-policy","version":1,"sites":[]}|});
+  check Alcotest.bool "pool decision rejected" true
+    (rejects
+       {|{"schema":"mm-policy","version":2,"sites":[{"proc":"P","line":1,"col":1,"tdesc":0,"decision":"pool"}]}|})
 
 (* ------------------------------------------------------------------ *)
 (* Classifier                                                          *)
@@ -134,15 +136,19 @@ let test_bad_documents () =
 
 let test_classify () =
   let th = Policy.default_thresholds in
-  let c = Policy.classify th in
+  let c ~allocs ~survived_words ~dead_words =
+    (Policy.entry_of_counts th ~proc:"P" ~line:1 ~col:1 ~tdesc:0 ~open_:false ~allocs
+       ~survived_words ~dead_words)
+      .Policy.e_decision
+  in
   check Alcotest.bool "under-sampled site stays in the nursery" true
     (c ~allocs:1000 ~survived_words:63 ~dead_words:0 = Policy.Nursery);
   check Alcotest.bool "low survival stays in the nursery" true
     (c ~allocs:1000 ~survived_words:50 ~dead_words:950 = Policy.Nursery);
   check Alcotest.bool "high survival, few allocs pretenures" true
     (c ~allocs:10 ~survived_words:900 ~dead_words:100 = Policy.Pretenure);
-  check Alcotest.bool "high survival, many allocs pools" true
-    (c ~allocs:1000 ~survived_words:900 ~dead_words:100 = Policy.Pool);
+  check Alcotest.bool "high survival, many allocs pretenures" true
+    (c ~allocs:1000 ~survived_words:900 ~dead_words:100 = Policy.Pretenure);
   check Alcotest.bool "exactly at the rate floor leaves the nursery" true
     (c ~allocs:10 ~survived_words:80 ~dead_words:20 = Policy.Pretenure)
 
@@ -244,11 +250,11 @@ let test_pretenured_mutation () =
             r.C.instructions)
         [ false; true ])
 
-(* Pool-all places every site, so [a] and each node linked to it are
-   pool objects; the test steps the program to a gc-point and drives the
-   nursery itself there. *)
-let pool_old_src =
-  {|MODULE PoolOld;
+(* Pretenure-all places every site, so [a] and each node linked to it
+   are pretenured; the test steps the program to a gc-point and drives
+   the nursery itself there. *)
+let placed_old_src =
+  {|MODULE PlacedOld;
 TYPE Node = RECORD v: INTEGER; next: Ref END; Ref = REF Node;
 VAR a: Ref; i, sum: INTEGER;
 BEGIN
@@ -261,17 +267,17 @@ BEGIN
     sum := sum + a.next.v
   END;
   PutInt(a.v); PutText(" "); PutInt(sum); PutLn()
-END PoolOld.|}
+END PlacedOld.|}
 
-(* A pool object scanned by a minor is old: the minor exempts only the
-   pool part allocated since the previous one. A nursery pointer stored
+(* A pretenured object scanned by a minor is old: the minor exempts only
+   the objects placed since the previous one. A nursery pointer stored
    into it without a barrier must fail the verifier's old→young check;
    the same store with its barrier must pass, and the remembered slot
    must keep the referent alive across the next minor. *)
-let test_scanned_pool_object () =
+let test_scanned_pretenured_object () =
   verified (fun () ->
-      let img = compile ~heap:4096 pool_old_src in
-      let st = placed_machine ~nursery:400 img (pool_all_codes img) in
+      let img = compile ~heap:4096 placed_old_src in
+      let st = placed_machine ~nursery:400 img (pretenure_all_codes img) in
       let g = Option.get st.Vm.Interp.gen in
       let mem = st.Vm.Interp.mem in
       let verdict () =
@@ -302,7 +308,7 @@ let test_scanned_pool_object () =
       done;
       if st.Vm.Interp.halted then Alcotest.fail "fewer than 11 allocations";
       Gc.Nursery.minor st g;
-      (* [a], allocated first, is now a scanned pool object. *)
+      (* [a], allocated first, is now a scanned pretenured object. *)
       let p = Vm.Mem.get mem (List.hd img.Vm.Image.global_roots) in
       let tdid = Vm.Mem.get mem p in
       let words = img.Vm.Image.layouts.Rt.Typedesc.sizes.(tdid) in
@@ -328,7 +334,7 @@ let test_scanned_pool_object () =
       while not st.Vm.Interp.halted do
         Vm.Interp.step st
       done;
-      check Alcotest.bool "the pool object was old" true !p_old;
+      check Alcotest.bool "the pretenured object was old" true !p_old;
       check Alcotest.bool "the referent was in the nursery" true !n_young;
       check Alcotest.bool "an unbarriered old→young store is reported" true
         (List.exists (fun v -> find_sub v "holds nursery pointer" <> None) !unbarriered);
@@ -336,11 +342,11 @@ let test_scanned_pool_object () =
       check Alcotest.int "the remembered referent survives the next minor" 4242 !survivor;
       check Alcotest.string "program output" "7 1275\n" (Vm.Interp.output st))
 
-(* The store the young high-water mark exists for: [c.item := it] goes
-   into a cell fresh from its allocation, so its barrier is elided, and it
-   stores a nursery pointer. Placing only the cell site (pool or
-   pretenure) puts that unbarriered old→young edge in the old generation;
-   the next minor must scan the cell or the item dangles. *)
+(* The store [big_objects] exists for: [c.item := it] goes into a cell
+   fresh from its allocation, so its barrier is elided, and it stores a
+   nursery pointer. Pretenuring only the cell site puts that unbarriered
+   old→young edge in the old generation; the next minor must scan the
+   cell or the item dangles. *)
 let spine_src =
   {|MODULE Spine;
 TYPE ItemRec = RECORD v: INTEGER END; Item = REF ItemRec;
@@ -371,31 +377,28 @@ let test_fresh_placed_cell () =
         let upto = String.sub spine_src 0 (Option.get (find_sub spine_src "NEW(List)")) in
         List.length (String.split_on_char '\n' upto)
       in
+      let codes =
+        Array.map
+          (fun (site : Profile.site) ->
+            if site.Profile.s_line = cell_line then Policy.pretenure_code
+            else Policy.nursery_code)
+          sites
+      in
+      check Alcotest.bool "the cell site is placed" true
+        (Array.exists (fun c -> c = Policy.pretenure_code) codes);
       List.iter
-        (fun (label, code) ->
-          let codes =
-            Array.map
-              (fun (site : Profile.site) ->
-                if site.Profile.s_line = cell_line then code else Policy.nursery_code)
-              sites
+        (fun (nursery, threaded) ->
+          let name =
+            Printf.sprintf "nursery %d/%s" nursery (if threaded then "threaded" else "switch")
           in
-          check Alcotest.bool (label ^ ": the cell site is placed") true
-            (Array.exists (fun c -> c = code) codes);
-          List.iter
-            (fun (nursery, threaded) ->
-              let name =
-                Printf.sprintf "%s/nursery %d/%s" label nursery
-                  (if threaded then "threaded" else "switch")
-              in
-              let base = run_with ~nursery ~threaded ~gen:true img in
-              let st = placed_machine ~nursery img codes in
-              if threaded then Vm.Threaded.run st else Vm.Interp.run st;
-              check Alcotest.bool (name ^ ": minors happened") true
-                (st.Vm.Interp.gc.Vm.Interp.minor_collections > 0);
-              check Alcotest.string (name ^ ": output") base.C.output (Vm.Interp.output st);
-              check Alcotest.int (name ^ ": icount") base.C.instructions st.Vm.Interp.icount)
-            [ (300, false); (300, true); (700, false); (700, true) ])
-        [ ("pool", Policy.pool_code); ("pretenure", Policy.pretenure_code) ])
+          let base = run_with ~nursery ~threaded ~gen:true img in
+          let st = placed_machine ~nursery img codes in
+          if threaded then Vm.Threaded.run st else Vm.Interp.run st;
+          check Alcotest.bool (name ^ ": minors happened") true
+            (st.Vm.Interp.gc.Vm.Interp.minor_collections > 0);
+          check Alcotest.string (name ^ ": output") base.C.output (Vm.Interp.output st);
+          check Alcotest.int (name ^ ": icount") base.C.instructions st.Vm.Interp.icount)
+        [ (300, false); (300, true); (700, false); (700, true) ])
 
 (* ------------------------------------------------------------------ *)
 (* Differential suite                                                  *)
@@ -415,54 +418,55 @@ let derived_policy img =
   ignore (run_with ~profile:p ~threaded:false ~gen:true img);
   Policy.derive_from_stats p
 
+(* Flat mode has no nursery to place around, so a policy there is a
+   configuration error naming it — unless MM_GEN makes the default
+   collector the generational one, which reads the policy. *)
+let flat_with_policy what img policy =
+  let defaults_to_gen = C.resolve () = C.Generational in
+  match C.run ~collector:C.Precise ~policy img with
+  | exception
+      Support.Runtime_config.Config_error
+        (Support.Runtime_config.Conflict { second = "~policy"; _ }) ->
+      check Alcotest.bool (what ^ ": refused") false defaults_to_gen
+  | _ -> check Alcotest.bool (what ^ ": runs only under MM_GEN") true defaults_to_gen
+
 let test_differential () =
   verified (fun () ->
       List.iter
         (fun (name, src) ->
           let img = compile ~heap:8192 src in
           let derived = derived_policy img in
-          let uniform d = Policy.uniform d (C.sites_for img) in
+          let pretenure_all = Policy.uniform Policy.Pretenure (C.sites_for img) in
           List.iter
             (fun threaded ->
-              List.iter
-                (fun gen ->
-                  let label cfg =
-                    Printf.sprintf "%s/%s/%s/%s" name
-                      (if threaded then "threaded" else "switch")
-                      (if gen then "gen" else "flat")
-                      cfg
-                  in
-                  let base = run_with ~threaded ~gen img in
-                  let same cfg (r : C.run_result) =
-                    check Alcotest.string (label cfg ^ ": output") base.C.output
-                      r.C.output;
-                    check Alcotest.int (label cfg ^ ": icount") base.C.instructions
-                      r.C.instructions
-                  in
-                  same "pretenure-all"
-                    (run_with ~policy:(uniform Policy.Pretenure) ~threaded ~gen img);
-                  same "pool-all"
-                    (run_with ~policy:(uniform Policy.Pool) ~threaded ~gen img);
-                  let d = run_with ~policy:derived ~threaded ~gen img in
-                  same "derived" d;
-                  if gen then
-                    check Alcotest.bool
-                      (label "derived" ^ ": no more words copied than baseline")
-                      true
-                      (d.C.gc.Vm.Interp.words_copied
-                      <= base.C.gc.Vm.Interp.words_copied))
-                [ false; true ])
-            [ false; true ])
+              let label cfg =
+                Printf.sprintf "%s/%s/%s" name (if threaded then "threaded" else "switch") cfg
+              in
+              let base = run_with ~threaded ~gen:true img in
+              let same cfg (r : C.run_result) =
+                check Alcotest.string (label cfg ^ ": output") base.C.output r.C.output;
+                check Alcotest.int (label cfg ^ ": icount") base.C.instructions r.C.instructions
+              in
+              same "pretenure-all" (run_with ~policy:pretenure_all ~threaded ~gen:true img);
+              let d = run_with ~policy:derived ~threaded ~gen:true img in
+              same "derived" d;
+              check Alcotest.bool
+                (label "derived" ^ ": no more words copied than baseline")
+                true
+                (d.C.gc.Vm.Interp.words_copied <= base.C.gc.Vm.Interp.words_copied))
+            [ false; true ];
+          flat_with_policy (name ^ "/flat/pretenure-all") img pretenure_all;
+          flat_with_policy (name ^ "/flat/derived") img derived)
         [ ("destroy", destroy_small); ("destroy-ballast", destroy_ballast) ])
 
 (* Randomized differential over the nursery size: it moves every minor
-   relative to pool-chunk carving and pretenuring, and so where each young
-   high-water mark sits when a minor scans up to it. *)
+   relative to the pretenured allocations, and so which placed objects
+   each minor finds young. *)
 let ballast_img = lazy (compile ~heap:8192 destroy_ballast)
 let ballast_derived = lazy (derived_policy (Lazy.force ballast_img))
 
 let test_random_nursery =
-  let configs = [ "pool-all"; "pretenure-all"; "derived" ] in
+  let configs = [ "pretenure-all"; "derived" ] in
   QCheck.Test.make ~count:12 ~name:"any nursery size, placement and engine: byte-identical"
     QCheck.(
       triple (int_range 300 2000) (oneofl ~print:Fun.id configs) (bool |> set_print string_of_bool))
@@ -470,7 +474,6 @@ let test_random_nursery =
       let img = Lazy.force ballast_img in
       let policy =
         match cfg with
-        | "pool-all" -> Policy.uniform Policy.Pool (C.sites_for img)
         | "pretenure-all" -> Policy.uniform Policy.Pretenure (C.sites_for img)
         | _ -> Lazy.force ballast_derived
       in
@@ -479,14 +482,14 @@ let test_random_nursery =
           let r = run_with ~policy ~nursery ~threaded ~gen:true img in
           base.C.output = r.C.output && base.C.instructions = r.C.instructions))
 
-(* Pool-all under the fault layer's allocation storm: a collection forced
-   at every 7th allocation, placed ones included, so minors land between
-   almost any two pool allocations. *)
-let test_pool_storm () =
+(* Pretenure-all under the fault layer's allocation storm: a collection
+   forced at every 7th allocation, placed ones included, so minors land
+   between almost any two pretenured allocations. *)
+let test_pretenure_storm () =
   verified (fun () ->
       let img = Lazy.force ballast_img in
       let base = run_with ~threaded:false ~gen:true img in
-      let st = placed_machine ~nursery:512 img (pool_all_codes img) in
+      let st = placed_machine ~nursery:512 img (pretenure_all_codes img) in
       Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 7 });
       Vm.Interp.run st;
       check Alcotest.bool "the storm ran minors" true
@@ -508,8 +511,8 @@ let () =
           Alcotest.test_case "nursery-capacity boundary" `Quick (fresh test_boundary);
           Alcotest.test_case "pretenured object points at nursery" `Quick
             (fresh test_pretenured_mutation);
-          Alcotest.test_case "scanned pool object needs its barrier" `Quick
-            (fresh test_scanned_pool_object);
+          Alcotest.test_case "scanned pretenured object needs its barrier" `Quick
+            (fresh test_scanned_pretenured_object);
           Alcotest.test_case "fresh placed object holds a nursery pointer" `Quick
             (fresh test_fresh_placed_cell);
         ] );
@@ -517,7 +520,7 @@ let () =
         [
           Alcotest.test_case "all configs byte-identical" `Slow (fresh test_differential);
           QCheck_alcotest.to_alcotest test_random_nursery;
-          Alcotest.test_case "pool-all under an allocation storm" `Quick
-            (fresh test_pool_storm);
+          Alcotest.test_case "pretenure-all in an allocation storm" `Quick
+            (fresh test_pretenure_storm);
         ] );
     ]

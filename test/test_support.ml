@@ -324,8 +324,8 @@ let test_config_values () =
    its request (every setting under its flag's name), plus the
    environment's own. *)
 let test_config_refusals () =
-  let resolve ?(env = []) ?(collectors = []) ?census ?(bounds = []) () =
-    RC.resolve ~collectors ?census ~bounds (config env)
+  let resolve ?(env = []) ?(collectors = []) ?census ?(needs = []) ?(bounds = []) () =
+    RC.resolve ~collectors ?census ~needs ~bounds (config env)
   in
   let conflict what expected f =
     match refusal what f with
@@ -345,6 +345,28 @@ let test_config_refusals () =
   conflict "--collector conservative --census-every 1" ("--collector conservative", "--census-every 1")
     (fun () ->
       resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~census:"--census-every 1" ());
+  (* A setting that only one collector reads, given to another, would be
+     dropped silently. mmrun always names its --collector (default
+     precise), which an environment mode replaces. *)
+  let precise = [ ("--collector precise", RC.Precise) ] in
+  let nursery = ("--nursery 64", RC.Generational) in
+  let policy = ("--policy P.json", RC.Generational) in
+  let budget n = (Printf.sprintf "--pause-budget-us %d" n, RC.Incremental) in
+  conflict "--nursery 64" ("the precise collector", "--nursery 64") (fun () ->
+      resolve ~collectors:precise ~needs:[ nursery ] ());
+  conflict "--pause-budget-us 50" ("the precise collector", "--pause-budget-us 50") (fun () ->
+      resolve ~collectors:precise ~needs:[ budget 50 ] ());
+  conflict "--incremental --nursery 64" ("--incremental", "--nursery 64") (fun () ->
+      resolve ~collectors:(("--incremental", RC.Incremental) :: precise) ~needs:[ nursery ] ());
+  conflict "--policy P.json without --gen" ("the precise collector", "--policy P.json")
+    (fun () -> resolve ~collectors:precise ~needs:[ policy ] ());
+  conflict "--gen --pause-budget-us 500" ("--gen", "--pause-budget-us 500") (fun () ->
+      resolve ~collectors:(("--gen", RC.Generational) :: precise) ~needs:[ budget 500 ] ());
+  conflict "--collector conservative --pause-budget-us 50"
+    ("--collector conservative", "--pause-budget-us 50") (fun () ->
+      resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~needs:[ budget 50 ] ());
+  conflict "MM_GC_INCREMENTAL=1 --policy P.json" ("MM_GC_INCREMENTAL", "--policy P.json")
+    (fun () -> resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:precise ~needs:[ policy ] ());
   (match
      refusal "--nursery 0 --gen" (fun () ->
          resolve ~collectors:[ ("--gen", RC.Generational) ] ~bounds:[ ("--nursery", Some 0, 1) ] ())
@@ -368,7 +390,16 @@ let test_config_refusals () =
     (resolve ~collectors:[ ("--collector generational", RC.Generational); ("--gen", RC.Generational) ] ());
   accepted "MM_GEN=1 --census-every 8" RC.Generational
     (resolve ~env:[ ("MM_GEN", "1") ] ~census:"--census-every 8"
-       ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ())
+       ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ());
+  accepted "MM_GEN=1 makes --nursery 64 valid" RC.Generational
+    (resolve ~env:[ ("MM_GEN", "1") ] ~collectors:precise ~needs:[ nursery ] ());
+  accepted "--gen --nursery 512 --policy P.json" RC.Generational
+    (resolve ~collectors:(("--gen", RC.Generational) :: precise)
+       ~needs:[ ("--nursery 512", RC.Generational); policy ] ());
+  accepted "--incremental --pause-budget-us 500" RC.Incremental
+    (resolve ~collectors:(("--incremental", RC.Incremental) :: precise) ~needs:[ budget 500 ] ());
+  accepted "MM_GC_INCREMENTAL=1 --pause-budget-us 500" RC.Incremental
+    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:precise ~needs:[ budget 500 ] ())
 
 let () =
   Alcotest.run "support"

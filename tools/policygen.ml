@@ -1,12 +1,11 @@
 (* policygen — derive an mm-policy placement file from an mmrun --profile
    document: classify every allocation site by its measured survival rate
-   and sample mass into nursery / pretenure / pool placement, and print
-   the versioned mm-policy v1 JSON that mmrun --policy consumes.
+   and sample mass into nursery or pretenure placement, and print the
+   versioned mm-policy v2 JSON that mmrun --policy consumes.
 
      policygen profile.json > policy.json
      policygen -o policy.json profile.json
-     policygen --pretenure-rate 0.9 --min-sample-words 128 \
-               --pool-min-allocs 64 profile.json
+     policygen --pretenure-rate 0.9 --min-sample-words 128 profile.json
 
    The thresholds are the same knobs Policy.default_thresholds bakes in;
    the flags exist so a closed PGO loop can be tuned without recompiling.
@@ -18,8 +17,7 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("policygen: " ^ m); exit
 
 let usage () =
   prerr_endline
-    "usage: policygen [-o FILE] [--pretenure-rate R] [--min-sample-words N]\n\
-    \                 [--pool-min-allocs N] PROFILE.json";
+    "usage: policygen [-o FILE] [--pretenure-rate R] [--min-sample-words N] PROFILE.json";
   exit 2
 
 let () =
@@ -49,10 +47,6 @@ let () =
         int_arg "--min-sample-words" v (fun n ->
             th := { !th with Policy.min_sample_words = n });
         parse rest
-    | "--pool-min-allocs" :: v :: rest ->
-        int_arg "--pool-min-allocs" v (fun n ->
-            th := { !th with Policy.pool_min_allocs = n });
-        parse rest
     | [ p ] when !path = None -> path := Some p
     | _ -> usage ()
   in
@@ -74,9 +68,9 @@ let () =
   let n_of d =
     List.length (List.filter (fun e -> e.Policy.e_decision = d) policy.Policy.entries)
   in
-  Printf.eprintf "policygen: %d sites — %d pretenure, %d pool, %d nursery\n"
+  Printf.eprintf "policygen: %d sites — %d pretenure, %d nursery\n"
     (List.length policy.Policy.entries)
-    (n_of Policy.Pretenure) (n_of Policy.Pool) (n_of Policy.Nursery);
+    (n_of Policy.Pretenure) (n_of Policy.Nursery);
   let text = J.to_string (Policy.to_json policy) ^ "\n" in
   match !out with
   | None -> print_string text
