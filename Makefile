@@ -5,8 +5,11 @@
 # generational, and validates the emitted Chrome trace JSON (parses,
 # spans balanced, both kinds of copying collection and every gc pause
 # phase present), the same workload compiled at O1 (laid-out code) run
-# under the heap verifier, a fault-injection smoke sweep over mutated gc-table
-# streams, the profiling smoke test, and the A3 collector comparison.
+# under the heap verifier, two refused configurations (a census without
+# --profile, gc-unsafe code under a collector; each must exit 16) and the
+# accepted one (gc-unsafe code with no collector), a fault-injection smoke
+# sweep over mutated gc-table streams, the profiling smoke test, and the
+# A3 collector comparison.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
@@ -112,6 +115,13 @@ smoke: build
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(OPT_TRACE_OUT) \
 	  opt.layout gc.collect gc.verify gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
+	@for args in "--census-every 8" "--no-gc-restrict"; do \
+	  $(DUNE) exec bin/mmrun.exe -- $$args examples/sample.m3l > /dev/null 2>&1; rc=$$?; \
+	  if [ $$rc -ne 16 ]; then \
+	    echo "smoke: mmrun $$args exited $$rc, not 16 (configuration error)"; exit 1; fi; \
+	done
+	$(DUNE) exec bin/mmrun.exe -- --no-gc-restrict --collector none --heap 400000 \
+	  examples/sample.m3l > /dev/null
 
 # Fault-injection sweep: mutated table streams must never crash, hang or
 # silently diverge — both with the load-time cross-check (the shipping

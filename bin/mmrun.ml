@@ -217,6 +217,8 @@ let run file optimize checks no_gc_restrict heap stack collector
           :: flag gen "--gen" RC.Generational
           @ flag incremental "--incremental" RC.Incremental)
         ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
+        ?profile:(Option.map (fun path -> "--profile " ^ path) profile)
+        ?gc_unsafe:(if no_gc_restrict then Some "--no-gc-restrict" else None)
         ~needs:
           (setting "--nursery" nursery string_of_int RC.Generational
           @ setting "--policy" policy Fun.id RC.Generational
@@ -298,7 +300,10 @@ let no_gc_restrict =
   Arg.(
     value & flag
     & info [ "no-gc-restrict" ]
-        ~doc:"Run code compiled without gc restrictions (unsafe; warns).")
+        ~doc:
+          "Run code compiled without gc restrictions (§6.2). Such code is not \
+           gc-safe, so it runs only under --collector none; with any \
+           collector it is an error (exit 16).")
 let heap =
   Arg.(value & opt int 65536 & info [ "heap" ] ~doc:"Words per semispace.")
 let stack = Arg.(value & opt int 16384 & info [ "stack" ] ~doc:"Stack words.")
@@ -427,8 +432,8 @@ let census_every =
         ~doc:
           "With --profile: take a heap census (live objects and words by type \
            descriptor and by allocation site) after every Nth collection. 0 \
-           disables censuses. An error (exit 16) with a non-moving \
-           collector, which never ends a copying collection.")
+           disables censuses. An error (exit 16) without --profile, and with \
+           a non-moving collector, which never ends a copying collection.")
 let fuel =
   Arg.(value & opt int 1_000_000_000 & info [ "fuel" ] ~doc:"Instruction budget.")
 

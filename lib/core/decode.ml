@@ -357,21 +357,6 @@ let find (t : Encode.program_tables) ~fid ~code_offset :
   Telemetry.Metrics.incr ~by:r.pos c_find_bytes;
   result
 
-(** Locate the procedure containing an absolute code byte offset. *)
-let proc_of_offset (t : Encode.program_tables) ~code_offset : int =
-  let n = Array.length t.Encode.code_starts in
-  let rec bsearch lo hi =
-    (* invariant: code_starts.(lo) <= code_offset; answer in [lo, hi) *)
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.Encode.code_starts.(mid) <= code_offset then bsearch mid hi else bsearch lo mid
-  in
-  if n = 0 || code_offset < t.Encode.code_starts.(0) then
-    corrupt ~fid:(-1) ~offset:code_offset ~pos:(-1)
-      "code offset %d precedes every procedure" code_offset
-  else bsearch 0 n
-
 (* ------------------------------------------------------------------ *)
 (* Whole-image validation                                              *)
 (* ------------------------------------------------------------------ *)

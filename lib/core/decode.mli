@@ -1,10 +1,10 @@
 (** Decoding of gc tables at collection time.
 
     The collector maps a return address (a code byte offset) to its
-    gc-point tables by locating the enclosing procedure
-    ({!proc_of_offset}) and scanning that procedure's table stream,
-    accumulating the inter-gc-point distances — the paper's pc→table
-    mapping (§5.2). "Identical to previous" descriptors are resolved
+    gc-point tables by locating the enclosing procedure (the image's
+    per-instruction procedure index) and scanning that procedure's
+    table stream, accumulating the inter-gc-point distances — the
+    paper's pc→table mapping (§5.2). "Identical to previous" descriptors are resolved
     during the scan.
 
     Decoding is {e total}: every read is bounds-checked, every count,
@@ -48,10 +48,6 @@ val find :
     scan of the procedure's stream — the decode cost the paper measures.
     @raise Table_corrupt if the offset is not a gc-point of that procedure
     or the stream is malformed. *)
-
-val proc_of_offset : Encode.program_tables -> code_offset:int -> int
-(** Procedure containing an absolute code byte offset (binary search).
-    @raise Table_corrupt for offsets before the first procedure. *)
 
 val validate_proc :
   ?against:Rawmaps.proc_maps ->

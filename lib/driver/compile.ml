@@ -120,11 +120,14 @@ let policy_of_file path : Policy.t =
 
 (** The collector {!run} installs for these arguments: they are resolved
     over the environment's config by {!Support.Runtime_config.resolve}.
-    [policy] says a placement policy is given.
+    [policy] says a placement policy is given; [gc_safe = false], that
+    the image was built without gc restrictions, which only [No_gc] runs.
     @raise Support.Runtime_config.Config_error *)
-let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?(policy = false) () =
+let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?(policy = false)
+    ?(gc_safe = true) () =
   let given setting v c = if v then [ (setting, c) ] else [] in
   Config.resolve (Config.env ())
+    ?gc_unsafe:(if gc_safe then None else Some "an image built with gc_restrict = false")
     ~collectors:[ ("~collector:" ^ Config.collector_name collector, collector) ]
     ~needs:
       (given "~nursery_words" (nursery_words <> None) Generational
@@ -139,7 +142,8 @@ let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?(policy = fa
     @raise Support.Runtime_config.Config_error *)
 let install ?collector ?nursery_words ?pause_budget_us ?policy st =
   let collector =
-    resolve ?collector ?nursery_words ?pause_budget_us ~policy:(policy <> None) ()
+    resolve ?collector ?nursery_words ?pause_budget_us ~policy:(policy <> None)
+      ~gc_safe:st.Vm.Interp.image.Vm.Image.gc_safe ()
   in
   Option.iter
     (fun p ->
@@ -158,15 +162,7 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
     (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
   st.Vm.Interp.prof <- profile;
-  let collector = install ?collector ?nursery_words ?pause_budget_us ?policy st in
-  (* Fidelity note (§6.2): an image built with --no-gc-restrict may keep
-     live pointers in forms the tables cannot describe; collecting while it
-     runs can corrupt the heap. Warn whenever such output is executed under
-     a collector. *)
-  if (not image.Vm.Image.gc_safe) && collector <> No_gc then
-    Telemetry.Log.warn_once
-      "executing --no-gc-restrict output with a collector installed: code is \
-       not gc-safe by construction; a collection may corrupt the heap";
+  ignore (install ?collector ?nursery_words ?pause_budget_us ?policy st);
   (* Engine choice is a pure runtime switch over the same machine state:
      the threaded pre-translated dispatch by default, the reference switch
      interpreter under --no-threaded / MM_THREADED=0. *)

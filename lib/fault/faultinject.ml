@@ -312,23 +312,62 @@ let sweep_all ?(cross_check = true) ?(targets = default_targets) ~seed ~iteratio
 let total_failures sweeps = List.fold_left (fun a s -> a + List.length s.failures) 0 sweeps
 
 (* ------------------------------------------------------------------ *)
-(* Runtime fault mode: allocation storms                               *)
+(* Runtime fault modes: collection storms                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Where the table-corruption sweeps attack the encoded data, this mode
-   attacks the running collector itself: a forced collection every Nth
-   allocation (an allocation-failure storm). The claim under test: the
-   extra collections change the collection count but nothing observable —
-   reference output, verifier clean. *)
+(* Where the table-corruption sweeps attack the encoded data, these modes
+   attack the running collector itself, through the seam every machine
+   already has: the gc-point poll ([Vm.Interp.inc_slice]), which both
+   engines call at every allocation and every loop check with [pc] on
+   the call. The paper's tables make a collection legal at any gc-point,
+   so a storm wraps the poll and forces collections there. The claim
+   under test: the extra collections change the collection count but
+   nothing observable — reference output, verifier clean. *)
 
-type runtime_mode = Alloc_storm of { every : int } (* force a collection every Nth alloc *)
+type runtime_mode =
+  | Alloc_storm of { every : int } (* a collection at every Nth allocation *)
+  | Loop_storm (* a collection at every loop gc-point (§5.3) *)
 
-let runtime_mode_name (Alloc_storm { every }) = Printf.sprintf "alloc-storm(every=%d)" every
+let runtime_mode_name = function
+  | Alloc_storm { every } -> Printf.sprintf "alloc-storm(every=%d)" every
+  | Loop_storm -> "loop-storm"
 
-(* Arm [mode] against a machine about to run: a storm is a property of
-   the machine. *)
-let arm_runtime (st : Vm.Interp.t) (Alloc_storm { every }) =
-  st.Vm.Interp.alloc_pressure_every <- every
+(** The gc-point a poll is called at, read from the instruction at [pc]:
+    an allocation, with the words it asks for (its arguments are still
+    pushed), or a loop check. *)
+type gc_point = Alloc of int | Loop_check
+
+let gc_point (st : Vm.Interp.t) =
+  let arg i = Vm.Interp.read st (Vm.Interp.sp st + i) in
+  let words ~length =
+    let img = st.Vm.Interp.image in
+    Rt.Typedesc.words img.Vm.Image.layouts.Rt.Typedesc.sizes.(arg 0) ~length
+  in
+  match st.Vm.Interp.image.Vm.Image.code.(st.Vm.Interp.pc) with
+  | Machine.Insn.Call (Machine.Insn.Crt (Mir.Ir.Rt_alloc _)) -> Alloc (words ~length:0)
+  | Machine.Insn.Call (Machine.Insn.Crt (Mir.Ir.Rt_alloc_open _)) ->
+      Alloc (words ~length:(arg 1))
+  | _ -> Loop_check
+
+(** Arm [mode] against a machine about to run, after its collector is
+    installed: the storm wraps the installed poll, which still runs
+    first. An allocation storm passes the allocation's size as
+    [~needed], as the allocation's own slow path would. *)
+let arm_runtime (st : Vm.Interp.t) mode =
+  let poll = st.Vm.Interp.inc_slice in
+  let collect (st : Vm.Interp.t) ~needed =
+    match st.Vm.Interp.collector with Some c -> c st ~needed | None -> ()
+  in
+  st.Vm.Interp.inc_slice <-
+    Some
+      (fun st ->
+        (match poll with Some f -> f st | None -> ());
+        match (mode, gc_point st) with
+        | Alloc_storm { every }, Alloc size
+          when (st.Vm.Interp.alloc_count + 1) mod every = 0 ->
+            collect st ~needed:size
+        | Loop_storm, Loop_check -> collect st ~needed:0
+        | _ -> ())
 
 let run_runtime_case ~reference ~fuel img mode : outcome =
   let st = Vm.Interp.create img in
@@ -386,24 +425,22 @@ let runtime_sweep_all ?(targets = default_targets) () : sweep list =
 (* ------------------------------------------------------------------ *)
 
 (* The incremental collector's bug surface is the interleaving: a slice
-   at the worst gc-point, a barrier flood, a mark stack too small to hold
-   the frontier. Each mode perturbs the slice schedule as far as the
-   engine allows and asserts the STW contract anyway: reference output
-   and instruction count (slices execute no guest instructions), with the
-   heap verifier — including its tri-color check — armed at every slice
+   at the worst gc-point, a mark stack too small to hold the frontier, a
+   slice cut short by the clock. Each mode perturbs the slice schedule as
+   far as the engine allows and asserts the STW contract anyway:
+   reference output and instruction count (slices execute no guest
+   instructions), with the heap verifier — including its tri-color check — armed at every slice
    boundary. The final heap image is NOT compared: a different slice
    schedule legitimately frees and reuses blocks in a different order,
    which is exactly why output/icount are the observable contract. *)
 
 type incremental_mode =
-  | Slice_storm (* force a slice at every gc-point *)
-  | Barrier_storm (* re-gray already-marked barrier targets *)
+  | Slice_storm (* a slice at every gc-point, through the wrapped poll *)
   | Mark_spill of { cap : int } (* tiny mark stack: spill + rescan paths *)
   | Tiny_budget of { us : int } (* wall-clock-truncated slices *)
 
 let incremental_mode_name = function
   | Slice_storm -> "slice-storm"
-  | Barrier_storm -> "barrier-storm"
   | Mark_spill { cap } -> Printf.sprintf "mark-spill(cap=%d)" cap
   | Tiny_budget { us } -> Printf.sprintf "tiny-budget(%dus)" us
 
@@ -413,11 +450,8 @@ let run_incremental_case ~reference ~ref_icount ~fuel img mode : outcome =
   let pause_budget_us =
     match mode with Tiny_budget { us } -> Some us | _ -> None
   in
-  ignore
-    (Gc.Incremental.install ?gray_cap ?pause_budget_us
-       ~slice_storm:(mode = Slice_storm)
-       ~barrier_storm:(mode = Barrier_storm)
-       st);
+  ignore (Gc.Incremental.install ?gray_cap ?pause_budget_us st);
+  if mode = Slice_storm then st.Vm.Interp.inc_slice <- Some Gc.Incremental.slice;
   match Vm.Interp.run ~fuel st with
   | () ->
       if Vm.Interp.output st = reference && st.Vm.Interp.icount = ref_icount
@@ -454,7 +488,6 @@ let incremental_sweep (target : target) : sweep =
   let cases =
     [
       Slice_storm;
-      Barrier_storm;
       Mark_spill { cap = 1 };
       Mark_spill { cap = 8 };
       Tiny_budget { us = 50 };

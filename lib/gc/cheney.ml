@@ -303,11 +303,7 @@ let run (st : Vm.Interp.t) ~minor ~regions ~extra_roots ~reopen =
   let t_end = now_ns () in
   let open Int64 in
   let pause = sub t_end t_start and copy = sub t_copy t_underive in
-  gcs.Vm.Interp.copy_ns <- add gcs.Vm.Interp.copy_ns copy;
   gcs.Vm.Interp.total_gc_ns <- add gcs.Vm.Interp.total_gc_ns pause;
-  gcs.Vm.Interp.trace_ns <-
-    add gcs.Vm.Interp.trace_ns
-      (add (add (sub t_underive t_start) (sub t_roots1 t_roots0)) (sub t_end t_copy));
   if T.Control.on () then begin
     T.Metrics.observe_ns h_pause pause;
     T.Metrics.observe_ns h_stackwalk (sub t_walk t_start);

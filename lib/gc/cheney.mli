@@ -8,11 +8,12 @@
     guarantees any object reachable through a derived value is also
     reachable through one of its bases).
 
-    Timing instrumentation fills the interpreter's {!Vm.Interp.gc_stats}:
-    [trace_ns] covers the work the paper calls "stack tracing" — the
-    stack-walk, un-derive and re-derive windows (locating and decoding
-    tables, walking frames, adjusting and re-deriving derived values) and
-    the updating of stack/register roots; [copy_ns] is the copy window. *)
+    Each collection adds its pause to the interpreter's
+    {!Vm.Interp.gc_stats} ([total_gc_ns]) and splits it over the phase
+    histograms of {!run}. What the paper calls "stack tracing" is the
+    stack-walk, un-derive, root-forwarding and re-derive windows
+    (locating and decoding tables, walking frames, adjusting and
+    re-deriving derived values, updating stack/register roots). *)
 
 (** Region-parametric copying machinery, run by {!run} for both kinds: a full
     collection evacuates from-space into to-space, a minor collection

@@ -37,7 +37,7 @@
 
     {2 Scheduling}
 
-    Work is owed in proportion to allocation ([inc_ratio] units per
+    Work is owed in proportion to allocation ({!ratio} units per
     allocated word) and paid in slices at gc-points. A slice processes
     [inc_slice_work] units in deterministic mode — the differential
     suites compare final heap images across engines, so the schedule must
@@ -316,26 +316,16 @@ let close_run (st : VI.t) (inc : VI.inc_state) hi =
   end
 
 let finish_sweep (st : VI.t) (inc : VI.inc_state) =
-  if inc.VI.inc_ambiguous then begin
-    (* The conservative baseline lists every block, the frontier run
-       included, in ascending address order: its allocation addresses,
-       and through them what its ambiguous words happen to pin, are
-       pinned by the A3 and profile tests. *)
-    close_run st inc inc.VI.inc_sweep_limit;
-    st.VI.free_list <- List.rev st.VI.free_list
-  end
-  else begin
-    (* If the final run reaches the frontier (and nothing was bump-
-       allocated past the flip), retreat the frontier instead of listing
-       the block: bump room is better than a free-list block (no fit
-       search, no split), and the retreat is a deterministic function of
-       the same sweep state. *)
-    if inc.VI.inc_run_lo >= 0 && st.VI.alloc = inc.VI.inc_sweep_limit then begin
-      st.VI.alloc <- inc.VI.inc_run_lo;
-      inc.VI.inc_run_lo <- -1
-    end;
-    close_run st inc inc.VI.inc_sweep_limit
+  (* If the final run reaches the frontier (and nothing was bump-allocated
+     past the flip), retreat the frontier instead of listing the block:
+     bump room is better than a free-list block (no fit search, no
+     split), and the retreat is a deterministic function of the same
+     sweep state. *)
+  if inc.VI.inc_run_lo >= 0 && st.VI.alloc = inc.VI.inc_sweep_limit then begin
+    st.VI.alloc <- inc.VI.inc_run_lo;
+    inc.VI.inc_run_lo <- -1
   end;
+  close_run st inc inc.VI.inc_sweep_limit;
   inc.VI.inc_phase <- VI.Inc_idle;
   inc.VI.inc_cycles <- inc.VI.inc_cycles + 1;
   inc.VI.inc_cycle_start_words <- st.VI.alloc_words
@@ -418,10 +408,20 @@ let run_work (st : VI.t) (inc : VI.inc_state) ~quota ~deadline =
   done;
   !work
 
+(* Work ratio: GC work units retired per word allocated while a cycle is
+   in flight. A cycle's total work is the live mark plus a full-heap
+   sweep, so the ratio must cover (live + heap) / free-headroom with slack
+   for floating garbage retained by the insertion barrier — at 4 the
+   collector loses the race on ballast-heavy heaps (live ~ heap/3) and
+   falls back to forced STW finishes, which is exactly the pause spike
+   incremental mode exists to avoid. 16 finishes with margin across the
+   bench and fault workloads while the trigger, not the ratio, still
+   gates cycle frequency. *)
+let ratio = 16
+
 (* Work owed this cycle: proportional-to-allocation pacing. *)
 let owed (st : VI.t) (inc : VI.inc_state) =
-  (inc.VI.inc_ratio * (st.VI.alloc_words - inc.VI.inc_work_base))
-  - inc.VI.inc_work_done
+  (ratio * (st.VI.alloc_words - inc.VI.inc_work_base)) - inc.VI.inc_work_done
 
 (* Close a pause that began at [t0]: every slice and stop-the-world
    collection counts into [gc.total_gc_ns] and the shared pause
@@ -436,7 +436,7 @@ let verify_boundary (st : VI.t) ~phase =
   if Verify.post_enabled () then
     ignore (Verify.check st ~phase ~frames:(Stackwalk.walk st) ())
 
-let slice (st : VI.t) (inc : VI.inc_state) ~start =
+let run_slice (st : VI.t) (inc : VI.inc_state) ~start =
   let t0 = now_ns () in
   inc.VI.inc_slices <- inc.VI.inc_slices + 1;
   T.Metrics.incr c_slices;
@@ -473,14 +473,18 @@ let poll (st : VI.t) =
   | Some inc -> (
       match inc.VI.inc_phase with
       | VI.Inc_idle ->
-          if
-            inc.VI.inc_slice_storm
-            || st.VI.alloc_words - inc.VI.inc_cycle_start_words
-               >= inc.VI.inc_trigger_words
-          then slice st inc ~start:true
+          if st.VI.alloc_words - inc.VI.inc_cycle_start_words >= inc.VI.inc_trigger
+          then run_slice st inc ~start:true
       | VI.Inc_marking | VI.Inc_sweeping ->
-          if inc.VI.inc_slice_storm || owed st inc >= inc.VI.inc_slice_work then
-            slice st inc ~start:false)
+          if owed st inc >= inc.VI.inc_slice_work then run_slice st inc ~start:false)
+
+(** One slice now, whatever the pacing says: it starts a cycle when none
+    is in flight. Fault storms and schedule tests call it from a wrapped
+    [Vm.Interp.inc_slice], at a gc-point. *)
+let slice (st : VI.t) =
+  match st.VI.inc with
+  | None -> ()
+  | Some inc -> run_slice st inc ~start:(inc.VI.inc_phase = VI.Inc_idle)
 
 (* ------------------------------------------------------------------ *)
 (* Forced (stop-the-world) finish                                      *)
@@ -546,23 +550,11 @@ let collect_conservative (st : VI.t) ~needed:_ =
 
 let default_slice_work = 2048
 
-(* Work ratio: GC work units retired per word allocated while a cycle is
-   in flight. A cycle's total work is the live mark plus a full-heap
-   sweep, so the ratio must cover (live + heap) / free-headroom with slack
-   for floating garbage retained by the insertion barrier — at 4 the
-   collector loses the race on ballast-heavy heaps (live ~ heap/3) and
-   falls back to forced STW finishes, which is exactly the pause spike
-   incremental mode exists to avoid. 16 finishes with margin across the
-   bench and fault workloads while the trigger, not the ratio, still
-   gates cycle frequency. *)
-let default_ratio = 16
-
 (* Default mark-stack capacity: never spills on sane heaps (an object is
    at least 2 words). *)
 let default_gray_cap (st : VI.t) = min ((st.VI.semi_words / 2) + 16) 65536
 
-let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
-    ~slice_storm ~barrier_storm : VI.inc_state =
+let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us : VI.inc_state =
   {
     VI.inc_phase = VI.Inc_idle;
     inc_ambiguous = ambiguous;
@@ -574,15 +566,12 @@ let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
     inc_sweep_cursor = st.VI.from_base;
     inc_sweep_limit = st.VI.from_base;
     inc_run_lo = -1;
-    inc_ratio = default_ratio;
-    inc_trigger_words = trigger;
+    inc_trigger = trigger;
     inc_slice_work = slice_work;
     inc_budget_ns = budget_us * 1000;
     inc_cycle_start_words = 0;
     inc_work_base = 0;
     inc_work_done = 0;
-    inc_slice_storm = slice_storm;
-    inc_barrier_storm = barrier_storm;
     inc_cycles = 0;
     inc_slices = 0;
     inc_overruns = 0;
@@ -596,13 +585,18 @@ let new_state (st : VI.t) ~ambiguous ~cap ~trigger ~slice_work ~budget_us
     inc_swept_words = 0;
   }
 
-let install ?(pause_budget_us = 0) ?(slice_work = default_slice_work) ?trigger_words
-    ?gray_cap ?(slice_storm = false) ?(barrier_storm = false) (st : VI.t) : VI.inc_state =
-  let trigger = Option.value trigger_words ~default:(max 512 (st.VI.semi_words / 4)) in
+(** Install the incremental collector. [slice_work] (work units per
+    deterministic slice) and [gray_cap] (mark-stack capacity) are the two
+    test seams that a wrapped poll cannot reach: a poll decides {e when}
+    a slice runs, not how much one slice does or when the mark stack
+    spills. A cycle starts after a quarter of a semispace (at least 512
+    words) has been allocated since the last one ended. *)
+let install ?(pause_budget_us = 0) ?(slice_work = default_slice_work) ?gray_cap (st : VI.t)
+    : VI.inc_state =
+  let trigger = max 512 (st.VI.semi_words / 4) in
   let cap = Option.value gray_cap ~default:(default_gray_cap st) in
   let inc =
-    new_state st ~ambiguous:false ~cap ~trigger ~slice_work
-      ~budget_us:pause_budget_us ~slice_storm ~barrier_storm
+    new_state st ~ambiguous:false ~cap ~trigger ~slice_work ~budget_us:pause_budget_us
   in
   st.VI.inc <- Some inc;
   st.VI.inc_slice <- Some poll;
@@ -616,7 +610,7 @@ let install ?(pause_budget_us = 0) ?(slice_work = default_slice_work) ?trigger_w
 let install_conservative (st : VI.t) : VI.inc_state =
   let inc =
     new_state st ~ambiguous:true ~cap:(default_gray_cap st) ~trigger:max_int
-      ~slice_work:default_slice_work ~budget_us:0 ~slice_storm:false ~barrier_storm:false
+      ~slice_work:default_slice_work ~budget_us:0
   in
   st.VI.inc <- Some inc;
   st.VI.collector <- Some collect_conservative;

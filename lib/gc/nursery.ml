@@ -64,8 +64,6 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
    nursery's survivors, or a minor that did not recover enough) — the
    escalation rung the Gc_pressure group counts as an emergency. *)
 let emergency (st : Vm.Interp.t) ~needed =
-  st.Vm.Interp.gc.Vm.Interp.emergency_full <-
-    st.Vm.Interp.gc.Vm.Interp.emergency_full + 1;
   T.Metrics.incr c_emergency;
   Cheney.collect st ~needed
 

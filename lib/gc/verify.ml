@@ -244,9 +244,7 @@ let check_heap_fields c =
    edge is a missing or wrongly eliminated barrier; this check catches it
    at the first slice boundary instead of as a reclaimed-live-object
    corruption after the flip. Skipped while the mark stack has spilled
-   (marked-but-unscanned objects are then indistinguishable from black);
-   under barrier-storm fault injection re-grayed black objects simply
-   land in the gray set and are skipped, which only weakens the check. *)
+   (marked-but-unscanned objects are then indistinguishable from black). *)
 let check_tricolor c =
   match c.st.Vm.Interp.inc with
   | Some inc

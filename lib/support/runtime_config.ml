@@ -92,15 +92,20 @@ let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
       which [MM_GEN] or [MM_GC_INCREMENTAL] replaces; any other choice
       stands, and two different ones conflict.
     - [census]: an explicit census request, which a non-moving collector
-      refuses.
+      refuses, and which needs [profile], the setting that asks for the
+      profile document a census is written into.
     - [needs]: [(setting, c)] for each given setting that only collector
       [c] reads (a nursery size or a policy, generational; a pause
       budget, incremental). Under any other collector it would be
       silently dropped, so it is refused.
+    - [gc_unsafe]: the setting that built the image without gc
+      restrictions (§6.2). Its code may hold pointers the tables cannot
+      describe, so only a run with no collector may execute it.
     - [bounds]: [(setting, value, least)]; a given value below [least]
       is out of range.
     @raise Config_error *)
-let resolve ?(collectors = []) ?census ?(needs = []) ?(bounds = []) config =
+let resolve ?(collectors = []) ?census ?profile ?(needs = []) ?gc_unsafe ?(bounds = [])
+    config =
   List.iter
     (function
       | setting, Some v, least when v < least ->
@@ -124,6 +129,17 @@ let resolve ?(collectors = []) ?census ?(needs = []) ?(bounds = []) config =
         let reason = "censuses are taken where a copying collection ends, which this collector never runs" in
         fail (Conflict { first = source; second; reason }))
       census;
+  (match (census, profile) with
+  | Some first, None ->
+      let reason = "a census is written only into the profile document" in
+      fail (Conflict { first; second = "no --profile"; reason })
+  | _ -> ());
+  if collector <> No_gc then
+    Option.iter
+      (fun second ->
+        let reason = "its code may hold pointers the gc tables cannot describe, so a collection may corrupt the heap" in
+        fail (Conflict { first = source; second; reason }))
+      gc_unsafe;
   List.iter
     (fun (second, c) ->
       if c <> collector then

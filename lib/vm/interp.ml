@@ -30,12 +30,9 @@ type gc_stats = {
   mutable collections : int;
   mutable words_copied : int;
   mutable total_gc_ns : int64;
-  mutable trace_ns : int64; (* time spent locating/decoding/rooting stacks *)
-  mutable copy_ns : int64; (* time inside the copy phase (roots + scan) *)
   mutable frames_traced : int;
   mutable objects_copied : int;
   mutable minor_collections : int; (* generational mode only *)
-  mutable emergency_full : int; (* full collections forced by promotion failure *)
 }
 
 (** Generational-mode heap state (installed by [Gc.Nursery]). The current
@@ -87,7 +84,7 @@ type inc_phase = Inc_idle | Inc_marking | Inc_sweeping
     gc library) so the write barrier and the allocation fast paths can
     reach it without an indirection; the engine itself — marking,
     sweeping, the flip — is [Gc.Incremental], installed through
-    [collector] and, when incremental, the [inc_slice] hook.
+    [collector] and, when incremental, the [inc_slice] poll.
 
     Colors: an object is {e white} when its mark bit is clear, {e gray}
     when marked and still on the work list, {e black} when marked and
@@ -115,19 +112,16 @@ type inc_state = {
   mutable inc_sweep_limit : int; (* frontier captured at the flip *)
   mutable inc_run_lo : int; (* open free run during sweep; -1 = none *)
   (* pacing: marking/sweeping work is owed in proportion to allocation
-     ([inc_ratio] work units per allocated word), paid out in slices of
-     [inc_slice_work] units (deterministic mode) or clock-capped at
-     [inc_budget_ns] (time mode; 0 selects deterministic mode). *)
-  inc_ratio : int;
-  inc_trigger_words : int; (* start a cycle after this much allocation *)
+     (a fixed ratio of work units per allocated word, [Gc.Incremental]),
+     paid out in slices of [inc_slice_work] units (deterministic mode) or
+     clock-capped at [inc_budget_ns] (time mode; 0 selects deterministic
+     mode). *)
+  inc_trigger : int; (* start a cycle after this many words are allocated *)
   inc_slice_work : int;
   inc_budget_ns : int;
   mutable inc_cycle_start_words : int; (* alloc_words at last cycle end *)
   mutable inc_work_base : int; (* alloc_words at cycle start *)
   mutable inc_work_done : int; (* work units paid this cycle *)
-  (* fault injection *)
-  mutable inc_slice_storm : bool; (* force a slice at every gc-point *)
-  mutable inc_barrier_storm : bool; (* re-gray already-marked barrier targets *)
   (* statistics *)
   mutable inc_cycles : int;
   mutable inc_slices : int;
@@ -157,9 +151,6 @@ type t = {
   mutable to_base : int;
   semi_words : int;
   mutable alloc : int;
-  mutable alloc_pressure_every : int;
-    (* fault injection: force the allocation slow path (a collection)
-       every Nth allocation; 0 = off *)
   mutable free_list : (int * int) list;
     (* (addr, size) first-fit blocks of the non-moving mark-sweep core;
        every block carries a filler header (-size), so the heap parses *)
@@ -167,12 +158,13 @@ type t = {
   mutable gen : gen_state option; (* Some iff running generationally *)
   mutable inc : inc_state option; (* Some iff a mark-sweep core runs *)
   mutable inc_slice : (t -> unit) option;
-    (* gc-point slice poll, installed by Gc.Incremental; called at every
-       allocation and Rt_gc_check so both execution engines observe the
-       same pre-emption points (the paper's §5.3 loop-backedge gc-points) *)
+    (* the gc-point poll, called at every allocation and Rt_gc_check (the
+       paper's §5.3 loop-backedge gc-points) with [pc] on the call, so both
+       execution engines observe the same points. Gc.Incremental installs
+       its slice scheduler here; fault storms wrap it to force collections
+       and slices. *)
   mutable placement : placement option; (* profile-guided placement, if any *)
   mutable prof : Profile.t option; (* allocation-site profiler, if attached *)
-  mutable gc_check_forces : bool; (* Rt_gc_check triggers a collection *)
   mutable icount : int;
   mutable alloc_count : int;
   mutable alloc_words : int;
@@ -192,7 +184,6 @@ let create (image : Image.t) : t =
     to_base = image.Image.heap_base + image.Image.semi_words;
     semi_words = image.Image.semi_words;
     alloc = image.Image.heap_base;
-    alloc_pressure_every = 0;
     free_list = [];
     collector = None;
     gen = None;
@@ -200,7 +191,6 @@ let create (image : Image.t) : t =
     inc_slice = None;
     placement = None;
     prof = None;
-    gc_check_forces = false;
     icount = 0;
     alloc_count = 0;
     alloc_words = 0;
@@ -209,12 +199,9 @@ let create (image : Image.t) : t =
         collections = 0;
         words_copied = 0;
         total_gc_ns = 0L;
-        trace_ns = 0L;
-        copy_ns = 0L;
         frames_traced = 0;
         objects_copied = 0;
         minor_collections = 0;
-        emergency_full = 0;
       };
   }
 
@@ -486,13 +473,6 @@ let placement_info t =
    oversized objects take the existing big-object path whatever the policy
    says. *)
 let allocate_placed t site size =
-  (* Allocation-failure storm (fault injection): force the slow path —
-     a collection — every Nth allocation, placed ones
-     included. Purely deterministic, so storm runs are reproducible. *)
-  if
-    t.alloc_pressure_every > 0
-    && (t.alloc_count + 1) mod t.alloc_pressure_every = 0
-  then (match t.collector with Some c -> c t ~needed:size | None -> ());
   match (t.gen, t.placement) with
   | Some g, Some pl
     when site >= 0
@@ -556,8 +536,6 @@ let exec_rt t (rc : Mir.Ir.rt_call) =
   | Mir.Ir.Rt_alloc_open site ->
       t.regs.(Machine.Reg.ret) <- rt_alloc t ~site (arg 0) ~length:(arg 1)
   | Mir.Ir.Rt_gc_check ->
-      if t.gc_check_forces then
-        (match t.collector with Some c -> c t ~needed:0 | None -> ());
       (* Loop-backedge gc-points (§5.3) are the non-allocating pre-emption
          opportunities of the incremental collector. *)
       (match t.inc_slice with Some f -> f t | None -> ())
@@ -662,18 +640,7 @@ let barrier_hit t a =
   match t.inc with
   | Some inc when inc.inc_phase = Inc_marking ->
       inc.inc_barrier_execs <- inc.inc_barrier_execs + 1;
-      let v = read t a in
-      if
-        inc.inc_barrier_storm
-        && v >= t.from_base && v < t.alloc
-        && Support.Bitset.mem inc.inc_marks (v - t.from_base)
-      then
-        (* Barrier storm (fault injection): re-gray targets that are
-           already marked, flooding the work list with redundant entries
-           (scanning is idempotent, so this only stresses the queue and
-           its spill recovery). *)
-        inc_push inc v
-      else inc_shade t inc v
+      inc_shade t inc (read t a)
   | _ -> ()
 
 let reset t =

@@ -8,7 +8,8 @@
    engines must additionally agree on the byte-identical final heap image
    and collection count. A qcheck property then drives random programs
    under random slice schedules (work quotas, triggers, storms, starved
-   mark stacks) against the STW reference, and the fault-injection
+   mark stacks; triggers and storms through the wrapped gc-point poll)
+   against the STW reference, and the fault-injection
    interleaving sweep must come back clean. *)
 
 module D = Driver.Compile
@@ -50,27 +51,42 @@ type cell = {
   stats : Gc.Incremental.stats option;
 }
 
-type mode =
-  | Stw
-  | Inc of {
-      slice_work : int option;
-      trigger_words : int option;
-      gray_cap : int option;
-      slice_storm : bool;
-      barrier_storm : bool;
-      pause_budget_us : int option;
-    }
+type schedule = {
+  slice_work : int option;
+  gray_cap : int option;
+  pause_budget_us : int option;
+  trigger : int option; (* start a cycle after this many words instead *)
+  storm : bool; (* a slice at every gc-point *)
+}
 
-let inc_default =
-  Inc
-    {
-      slice_work = None;
-      trigger_words = None;
-      gray_cap = None;
-      slice_storm = false;
-      barrier_storm = false;
-      pause_budget_us = None;
-    }
+type mode = Stw | Inc of schedule
+
+let default_schedule =
+  { slice_work = None; gray_cap = None; pause_budget_us = None; trigger = None; storm = false }
+
+let inc_default = Inc default_schedule
+
+(* A trigger or a storm is a schedule the pacing would not pick, so it
+   goes through the wrapped gc-point poll: a storm slices at every
+   gc-point; a trigger starts each cycle after [trigger] words and
+   leaves the pacing of a cycle in flight to the installed poll. *)
+let wrap_poll (st : I.t) ~trigger ~storm =
+  match (st.I.inc_slice, st.I.inc) with
+  | Some poll, Some inc ->
+      if storm then st.I.inc_slice <- Some Gc.Incremental.slice
+      else
+        Option.iter
+          (fun trigger ->
+            st.I.inc_slice <-
+              Some
+                (fun st ->
+                  match inc.I.inc_phase with
+                  | I.Inc_idle ->
+                      if st.I.alloc_words - inc.I.inc_cycle_start_words >= trigger then
+                        Gc.Incremental.slice st
+                  | I.Inc_marking | I.Inc_sweeping -> poll st))
+          trigger
+  | _ -> ()
 
 let run_cell ~mode ~threaded ~optimize ~heap src : cell =
   let options = { D.default_options with optimize; heap_words = heap } in
@@ -78,11 +94,9 @@ let run_cell ~mode ~threaded ~optimize ~heap src : cell =
   let st = I.create img in
   (match mode with
   | Stw -> Gc.Cheney.install st
-  | Inc { slice_work; trigger_words; gray_cap; slice_storm; barrier_storm; pause_budget_us }
-    ->
-      ignore
-        (Gc.Incremental.install ?slice_work ?trigger_words ?gray_cap
-           ?pause_budget_us ~slice_storm ~barrier_storm st));
+  | Inc { slice_work; gray_cap; pause_budget_us; trigger; storm } ->
+      ignore (Gc.Incremental.install ?slice_work ?gray_cap ?pause_budget_us st);
+      wrap_poll st ~trigger ~storm);
   let e0 = Vm.Threaded.enabled () in
   Vm.Threaded.set_enabled threaded;
   Fun.protect
@@ -162,17 +176,7 @@ let test_budget () =
   with_post_verifier @@ fun () ->
   let src = churn_src ~iters:30000 ~period:256 in
   let reference = run_cell ~mode:Stw ~threaded:false ~optimize:false ~heap:16384 src in
-  let budgeted =
-    Inc
-      {
-        slice_work = None;
-        trigger_words = None;
-        gray_cap = None;
-        slice_storm = false;
-        barrier_storm = false;
-        pause_budget_us = Some 200;
-      }
-  in
+  let budgeted = Inc { default_schedule with pause_budget_us = Some 200 } in
   let c = run_cell ~mode:budgeted ~threaded:false ~optimize:false ~heap:16384 src in
   Alcotest.(check string) "output" reference.out c.out;
   Alcotest.(check int) "icount" reference.icount c.icount;
@@ -227,33 +231,29 @@ let gen_case =
     let* heap = int_range 900 8192 in
     let* slice_work = int_range 8 4096 in
     let* trigger = int_range 32 2048 in
-    let* slice_storm = bool in
-    let* barrier_storm = bool in
+    let* storm = bool in
     let* gray_cap = oneof [ return None; map (fun c -> Some c) (int_range 2 64) ] in
-    return (iters, period, heap, slice_work, trigger, slice_storm, barrier_storm, gray_cap))
+    return (iters, period, heap, slice_work, trigger, storm, gray_cap))
 
-let print_case (iters, period, heap, sw, tr, ss, bs, gc) =
-  Printf.sprintf
-    "iters=%d period=%d heap=%d slice_work=%d trigger=%d storm=%b bstorm=%b cap=%s"
-    iters period heap sw tr ss bs
+let print_case (iters, period, heap, sw, tr, ss, gc) =
+  Printf.sprintf "iters=%d period=%d heap=%d slice_work=%d trigger=%d storm=%b cap=%s" iters
+    period heap sw tr ss
     (match gc with None -> "-" | Some c -> string_of_int c)
 
 let prop_interleaving =
   QCheck.Test.make ~name:"random schedules match STW across engines" ~count:25
     (QCheck.make ~print:print_case gen_case)
-    (fun (iters, period, heap, slice_work, trigger, slice_storm, barrier_storm, gray_cap)
-       ->
+    (fun (iters, period, heap, slice_work, trigger, storm, gray_cap) ->
       with_post_verifier @@ fun () ->
       let src = churn_src ~iters ~period in
       let mode =
         Inc
           {
+            default_schedule with
             slice_work = Some slice_work;
-            trigger_words = Some trigger;
+            trigger = Some trigger;
             gray_cap;
-            slice_storm;
-            barrier_storm;
-            pause_budget_us = None;
+            storm;
           }
       in
       let reference = run_cell ~mode:Stw ~threaded:false ~optimize:false ~heap src in

@@ -484,18 +484,34 @@ let test_random_nursery =
 
 (* Pretenure-all under the fault layer's allocation storm: a collection
    forced at every 7th allocation, placed ones included, so minors land
-   between almost any two pretenured allocations. *)
+   between almost any two pretenured allocations. Both engines storm
+   alike: 430 minors and one full collection, the counts recorded when
+   the storm sat in the allocation path. *)
 let test_pretenure_storm () =
   verified (fun () ->
       let img = Lazy.force ballast_img in
       let base = run_with ~threaded:false ~gen:true img in
-      let st = placed_machine ~nursery:512 img (pretenure_all_codes img) in
-      Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 7 });
-      Vm.Interp.run st;
-      check Alcotest.bool "the storm ran minors" true
-        (st.Vm.Interp.gc.Vm.Interp.minor_collections > 0);
-      check Alcotest.string "output" base.C.output (Vm.Interp.output st);
-      check Alcotest.int "icount" base.C.instructions st.Vm.Interp.icount)
+      let stormy threaded =
+        let st = placed_machine ~nursery:512 img (pretenure_all_codes img) in
+        Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 7 });
+        let was = Vm.Threaded.enabled () in
+        Vm.Threaded.set_enabled threaded;
+        Fun.protect
+          ~finally:(fun () -> Vm.Threaded.set_enabled was)
+          (fun () -> if threaded then Vm.Threaded.run st else Vm.Interp.run st);
+        st
+      in
+      let switch = stormy false and threaded = stormy true in
+      List.iter
+        (fun (engine, st) ->
+          let gcs = st.Vm.Interp.gc in
+          check Alcotest.string (engine ^ ": output") base.C.output (Vm.Interp.output st);
+          check Alcotest.int (engine ^ ": icount") base.C.instructions st.Vm.Interp.icount;
+          check Alcotest.int (engine ^ ": collections") 431 gcs.Vm.Interp.collections;
+          check Alcotest.int (engine ^ ": minors") 430 gcs.Vm.Interp.minor_collections)
+        [ ("switch", switch); ("threaded", threaded) ];
+      check Alcotest.bool "final store across engines" true
+        (Vm.Mem.equal switch.Vm.Interp.mem threaded.Vm.Interp.mem))
 
 let () =
   Alcotest.run "policy"

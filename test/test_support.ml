@@ -324,8 +324,9 @@ let test_config_values () =
    its request (every setting under its flag's name), plus the
    environment's own. *)
 let test_config_refusals () =
-  let resolve ?(env = []) ?(collectors = []) ?census ?(needs = []) ?(bounds = []) () =
-    RC.resolve ~collectors ?census ~needs ~bounds (config env)
+  let resolve ?(env = []) ?(collectors = []) ?census ?profile ?(needs = []) ?gc_unsafe
+      ?(bounds = []) () =
+    RC.resolve ~collectors ?census ?profile ~needs ?gc_unsafe ~bounds (config env)
   in
   let conflict what expected f =
     match refusal what f with
@@ -367,6 +368,15 @@ let test_config_refusals () =
       resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~needs:[ budget 50 ] ());
   conflict "MM_GC_INCREMENTAL=1 --policy P.json" ("MM_GC_INCREMENTAL", "--policy P.json")
     (fun () -> resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:precise ~needs:[ policy ] ());
+  (* A census is written only into the profile document: asked for
+     without one, it would be dropped silently. *)
+  conflict "--census-every 8 without --profile" ("--census-every 8", "no --profile") (fun () ->
+      resolve ~collectors:precise ~census:"--census-every 8" ());
+  (* Code built without gc restrictions runs only with no collector. *)
+  conflict "--no-gc-restrict" ("the precise collector", "--no-gc-restrict") (fun () ->
+      resolve ~collectors:precise ~gc_unsafe:"--no-gc-restrict" ());
+  conflict "MM_GEN=1 --no-gc-restrict" ("MM_GEN", "--no-gc-restrict") (fun () ->
+      resolve ~env:[ ("MM_GEN", "1") ] ~collectors:precise ~gc_unsafe:"--no-gc-restrict" ());
   (match
      refusal "--nursery 0 --gen" (fun () ->
          resolve ~collectors:[ ("--gen", RC.Generational) ] ~bounds:[ ("--nursery", Some 0, 1) ] ())
@@ -388,9 +398,16 @@ let test_config_refusals () =
     (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:[ ("--gen", RC.Generational) ] ());
   accepted "--collector generational --gen" RC.Generational
     (resolve ~collectors:[ ("--collector generational", RC.Generational); ("--gen", RC.Generational) ] ());
-  accepted "MM_GEN=1 --census-every 8" RC.Generational
-    (resolve ~env:[ ("MM_GEN", "1") ] ~census:"--census-every 8"
+  accepted "MM_GEN=1 --census-every 8 --profile p.json" RC.Generational
+    (resolve ~env:[ ("MM_GEN", "1") ] ~census:"--census-every 8" ~profile:"--profile p.json"
        ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ());
+  accepted "--census-every 8 --profile p.json" RC.Precise
+    (resolve ~collectors:precise ~census:"--census-every 8" ~profile:"--profile p.json" ());
+  accepted "--collector none --no-gc-restrict" RC.No_gc
+    (resolve ~collectors:[ ("--collector none", RC.No_gc) ] ~gc_unsafe:"--no-gc-restrict" ());
+  accepted "MM_GEN=1 --collector none --no-gc-restrict" RC.No_gc
+    (resolve ~env:[ ("MM_GEN", "1") ] ~collectors:[ ("--collector none", RC.No_gc) ]
+       ~gc_unsafe:"--no-gc-restrict" ());
   accepted "MM_GEN=1 makes --nursery 64 valid" RC.Generational
     (resolve ~env:[ ("MM_GEN", "1") ] ~collectors:precise ~needs:[ nursery ] ());
   accepted "--gen --nursery 512 --policy P.json" RC.Generational

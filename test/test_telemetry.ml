@@ -13,7 +13,6 @@ let fresh f () =
   T.Metrics.reset ();
   T.Trace.clear ();
   T.Timer.clear ();
-  T.Log.reset_once ();
   T.Control.enable ();
   Fun.protect ~finally:T.Control.disable f
 
@@ -326,28 +325,22 @@ let test_end_to_end_gc_phases () =
   let j = T.Json.parse (T.Trace.to_chrome_string ()) in
   check Alcotest.bool "export parses" true (T.Json.member "traceEvents" j <> None)
 
-let test_gc_unsafe_warning () =
-  let captured = ref [] in
-  T.Log.sink := Some (fun level msg -> captured := (level, msg) :: !captured);
-  let saved = !T.Log.verbosity in
-  T.Log.verbosity := T.Log.Error (* keep stderr quiet during the test *);
-  Fun.protect
-    ~finally:(fun () ->
-      T.Log.sink := None;
-      T.Log.verbosity := saved)
-    (fun () ->
-      let options =
-        { Driver.Compile.default_options with gc_restrict = false; heap_words = 4096 }
-      in
-      let r = Driver.Compile.run_source ~options Programs.Typereg_src.src in
-      check Alcotest.bool "program still runs" true
-        (String.length r.Driver.Compile.output > 0);
-      check Alcotest.bool "warning emitted for gc-unsafe execution" true
-        (List.exists (fun (l, _) -> l = T.Log.Warn) !captured);
-      (* warn_once: a second run does not warn again. *)
-      let before = List.length !captured in
-      ignore (Driver.Compile.run_source ~options Programs.Typereg_src.src);
-      check Alcotest.int "warning deduplicated" before (List.length !captured))
+(* An image built without gc restrictions (§6.2) may hold pointers the
+   tables cannot describe: running it under a collector is a typed
+   configuration error naming the image, and it runs with no collector. *)
+let test_gc_unsafe_refused () =
+  let options = { Driver.Compile.default_options with gc_restrict = false } in
+  (match Driver.Compile.run_source ~options Programs.Typereg_src.src with
+  | _ -> Alcotest.fail "a gc-unsafe image ran under a collector"
+  | exception Support.Runtime_config.Config_error (Conflict { first; second; _ } as e) ->
+      check Alcotest.string "names the image" "an image built with gc_restrict = false" second;
+      check Alcotest.bool "message names both" true
+        (String.starts_with ~prefix:(first ^ " and " ^ second)
+           (Support.Runtime_config.message e)));
+  let r =
+    Driver.Compile.run_source ~options ~collector:Driver.Compile.No_gc Programs.Typereg_src.src
+  in
+  check Alcotest.bool "runs with no collector" true (String.length r.Driver.Compile.output > 0)
 
 let test_disabled_is_inert () =
   T.Control.disable ();
@@ -383,7 +376,7 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "gc phases" `Quick (fresh test_end_to_end_gc_phases);
-          Alcotest.test_case "gc-unsafe warning" `Quick (fresh test_gc_unsafe_warning);
+          Alcotest.test_case "gc-unsafe refused" `Quick (fresh test_gc_unsafe_refused);
           Alcotest.test_case "disabled is inert" `Quick (fresh test_disabled_is_inert);
         ] );
     ]

@@ -4,6 +4,7 @@
      faultgen --iters 50 --seed 7
      faultgen --no-cross-check        # let corrupt tables reach the collector
      faultgen --no-runtime            # skip the runtime (allocation-storm) sweep
+     faultgen --no-incremental        # skip the incremental interleaving sweep
      faultgen --out report.json      # machine-readable report (CI artifact)
 
    Three sweeps share the outcome classification table:
@@ -15,13 +16,15 @@
    - Runtime faults (skip with --no-runtime): the running collector is
      driven through an allocation-failure storm, a forced collection
      every 7th allocation, with the post-collection verifier armed. The
+     storm wraps the gc-point poll that every allocation calls. The
      expected outcome is "benign": the reference output, verifier
      clean.
    - Incremental interleaving faults (skip with --no-incremental): the
-     incremental collector's slice schedule is perturbed — a slice at
-     every gc-point, a barrier storm, a starved mark stack, a 50 us
-     wall-clock budget — and each run must still match the STW output
-     and instruction count with the tri-color verifier armed.
+     incremental collector's slice schedule is perturbed in three ways:
+     a slice at every gc-point (slice-storm, through the wrapped poll),
+     a starved mark stack of 1 or 8 entries (mark-spill), and a 50 us
+     wall-clock budget (tiny-budget). Each run must still match the STW
+     output and instruction count with the tri-color verifier armed.
 
    Exit 0 iff no case crashed the runtime, hung it, flagged the verifier,
    or (under the cross-check) silently diverged; prints the failing cases
@@ -29,7 +32,9 @@
 
 let usage =
   "usage: faultgen [--iters N] [--seed N] [--out FILE.json] [--no-cross-check] \
-   [--no-runtime] [--no-incremental]"
+   [--no-runtime] [--no-incremental]\n\
+   sweeps: table mutations; runtime alloc-storm; incremental slice-storm, \
+   mark-spill, tiny-budget"
 
 let () =
   let iters = ref 60 in
