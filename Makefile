@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is what CI runs: full build, a
-# guard on the build profile, a guard that only the config module reads
-# MM_* variables, the test run, an observability smoke test
-# that executes a collecting workload with tracing on, flat and
-# generational, and validates the emitted Chrome trace JSON (parses,
-# spans balanced, both kinds of copying collection and every gc pause
-# phase present), the same workload compiled at O1 (laid-out code) run
-# under the heap verifier, two refused configurations (a census without
-# --profile, gc-unsafe code under a collector; each must exit 16) and the
-# accepted one (gc-unsafe code with no collector), a fault-injection smoke
-# sweep over mutated gc-table streams, the profiling smoke test, and the
-# A3 collector comparison.
+# guard on the build profile, a guard that no code names an MM_*
+# variable, the test run (which runs every collector on both engines
+# with the heap verifier armed), an observability smoke test that
+# executes a collecting workload with tracing on, flat and generational,
+# and validates the emitted Chrome trace JSON (parses, spans balanced,
+# both kinds of copying collection and every gc pause phase present), the
+# same workload compiled at O1 (laid-out code) run under the heap
+# verifier, three refused configurations (a census without --profile,
+# gc-unsafe code under a collector, a set MM_* variable; each must exit
+# 16) and the accepted one (gc-unsafe code with no collector), a
+# fault-injection smoke sweep over mutated gc-table streams, the
+# profiling smoke test, and the A3 collector comparison.
 
 DUNE ?= dune
 TRACE_OUT := _build/smoke.trace.json
@@ -19,8 +20,7 @@ FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
-.PHONY: all build check-build check-env test test-verified test-gen test-switch \
-	test-incremental smoke fault profile baseline check bench clean
+.PHONY: all build check-build check-env test smoke fault profile baseline check bench clean
 
 all: build
 
@@ -53,61 +53,27 @@ check-build: build
 	  exit 1; }
 	@echo "check-build: ok"
 
-# Configuration is resolved in one place: no .ml file under these
-# directories but the config module calls getenv/putenv (or reads the
-# environment) where it names an MM_* variable, and the config module
-# names exactly five.
-CONFIG_ML := lib/support/runtime_config.ml
+# No environment variable configures a run: every test and every mmrun
+# names its collector, engine and verifier. No source under these
+# directories names an MM_* variable; mmrun refuses any that is set
+# (exit 16) by its prefix alone.
 ENV_DIRS := lib bin bench test tools
 
 check-env:
-	@fail=0; \
-	for f in $$(grep -rlE 'getenv|putenv|Unix\.environment' --include='*.ml' $(ENV_DIRS)); do \
-	  if [ "$$f" != "$(CONFIG_ML)" ] && grep -qE '"MM_[A-Z_]*' "$$f"; then \
-	    echo "check-env: $$f reads or sets an MM_* variable; only $(CONFIG_ML) may"; fail=1; \
-	  fi; \
-	done; \
-	n=$$(grep -oE '"MM_[A-Z_]+"' $(CONFIG_ML) | sort -u | wc -l); \
-	if [ "$$n" -ne 5 ]; then \
-	  echo "check-env: $(CONFIG_ML) names $$n MM_* variables, not 5"; fail=1; \
-	fi; \
-	[ $$fail -eq 0 ] && echo "check-env: ok"
+	@if grep -rnE '"MM_[A-Z0-9_]+' --include='*.ml' --include='*.mli' $(ENV_DIRS); then \
+	  echo "check-env: the lines above name an MM_* variable; configure a run by its flags"; \
+	  exit 1; fi
+	@echo "check-env: ok"
 
 test: build
 	$(DUNE) runtest
-
-# The full test run again, with the heap verifier forced on around every
-# collection (pre + post) via the environment switches.
-test-verified: build
-	MM_VERIFY_HEAP=1 MM_VERIFY_PRE=1 $(DUNE) runtest --force
-
-# And again in generational mode: MM_GEN=1 flips every precise-collector
-# entry point onto the nursery collector (same images, byte-identical
-# tables), with the heap verifier — including the old→young remembered-set
-# check — armed around every minor and full collection.
-test-gen: build
-	MM_GEN=1 MM_VERIFY_HEAP=1 $(DUNE) runtest --force
-
-# And once more on the reference switch interpreter: MM_THREADED=0 turns
-# the threaded-code engine off, so every driver-level test executes on
-# the plain fetch/match/step loop the semantics are defined against.
-test-switch: build
-	MM_THREADED=0 $(DUNE) runtest --force
-
-# And in incremental mode: MM_GC_INCREMENTAL=1 flips every precise-
-# collector entry point onto the tri-color sliced mark-sweep collector
-# (same images, same gc-point tables, no pause budget so pacing is the
-# deterministic work quota), with the heap verifier — including the
-# tri-color invariant check — armed at every slice boundary.
-test-incremental: build
-	MM_GC_INCREMENTAL=1 MM_VERIFY_HEAP=1 $(DUNE) runtest --force
 
 smoke: build
 	$(DUNE) exec bin/mmrun.exe -- --heap 256 --trace $(TRACE_OUT) --metrics \
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(TRACE_OUT) \
 	  gc.collect gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
-	$(DUNE) exec bin/mmrun.exe -- --gen --heap 8000 --trace $(GEN_TRACE_OUT) \
+	$(DUNE) exec bin/mmrun.exe -- --collector gen --heap 8000 --trace $(GEN_TRACE_OUT) \
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(GEN_TRACE_OUT) \
 	  gc.minor gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
@@ -120,6 +86,8 @@ smoke: build
 	  if [ $$rc -ne 16 ]; then \
 	    echo "smoke: mmrun $$args exited $$rc, not 16 (configuration error)"; exit 1; fi; \
 	done
+	@MM_GEN=1 $(DUNE) exec bin/mmrun.exe -- examples/sample.m3l > /dev/null 2>&1; rc=$$?; \
+	  if [ $$rc -ne 16 ]; then echo "smoke: mmrun under MM_GEN=1 exited $$rc, not 16"; exit 1; fi
 	$(DUNE) exec bin/mmrun.exe -- --no-gc-restrict --collector none --heap 400000 \
 	  examples/sample.m3l > /dev/null
 
@@ -134,29 +102,30 @@ fault: build
 # Profiling smoke test: a collecting run with the allocation-site profiler
 # and periodic heap censuses on, in both copying collector modes, and a
 # profiled run under each non-moving collector (address reuse credits the
-# previous occupant's death), validating the emitted profile documents
+# previous occupant's death), each with the heap verifier armed,
+# validating the emitted profile documents
 # (schema, site resolution, survival rates in range, no site with more
 # deaths than allocations, bucket counts summing to pause counts) and
 # rendering them. A census request under a non-moving collector, which
 # never ends a copying collection, must be refused.
 profile: build
-	$(DUNE) exec bin/mmrun.exe -- --heap 2000 --profile $(PROFILE_OUT) \
+	$(DUNE) exec bin/mmrun.exe -- --verify-heap --heap 2000 --profile $(PROFILE_OUT) \
 	  --census-every 8 examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT) > /dev/null
-	$(DUNE) exec bin/mmrun.exe -- --gen --heap 4000 --profile \
+	$(DUNE) exec bin/mmrun.exe -- --verify-heap --collector gen --heap 4000 --profile \
 	  $(PROFILE_OUT:.json=.gen.json) --census-every 8 examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.gen.json)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.gen.json) > /dev/null
-	$(DUNE) exec bin/mmrun.exe -- --incremental --heap 4000 --profile \
+	$(DUNE) exec bin/mmrun.exe -- --verify-heap --collector inc --heap 4000 --profile \
 	  $(PROFILE_OUT:.json=.inc.json) examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.inc.json)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.inc.json) > /dev/null
-	$(DUNE) exec bin/mmrun.exe -- --collector conservative --heap 4000 --profile \
+	$(DUNE) exec bin/mmrun.exe -- --verify-heap --collector conservative --heap 4000 --profile \
 	  $(PROFILE_OUT:.json=.cons.json) examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.cons.json)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.cons.json) > /dev/null
-	@for c in "--incremental" "--collector conservative"; do \
+	@for c in "--collector inc" "--collector conservative"; do \
 	  if $(DUNE) exec bin/mmrun.exe -- $$c --census-every 8 --profile \
 	    $(PROFILE_OUT:.json=.refused.json) examples/sample.m3l > /dev/null 2>&1; then \
 	    echo "profile: mmrun accepted --census-every with $$c"; exit 1; fi; \

@@ -2,6 +2,7 @@
 
      mmrun file.m3l
      mmrun -O --heap 4096 --collector conservative file.m3l
+     mmrun --collector gen --no-threaded --verify-heap file.m3l
      mmrun --gc-stats file.m3l
      mmrun --trace out.json --metrics file.m3l *)
 
@@ -184,10 +185,9 @@ let print_gc_stats ?placement () =
   let emergency = T.Metrics.counter_value "gc_pressure.emergency_full" in
   if emergency > 0 then Printf.eprintf "gc pressure  : %d emergency full\n" emergency
 
-let run file optimize checks no_gc_restrict heap stack collector
-    gen incremental pause_budget nursery no_barrier_elim no_threaded
-    gc_stats trace metrics no_decode_cache verify_heap verify_pre profile
-    census_every policy fuel =
+let run file optimize checks no_gc_restrict heap stack collector pause_budget nursery
+    no_barrier_elim no_threaded gc_stats trace metrics no_decode_cache verify_heap verify_pre
+    profile census_every policy fuel =
   if no_decode_cache then Gcmaps.Decode_cache.set_enabled false;
   if no_threaded then Vm.Threaded.set_enabled false;
   if verify_heap then Gc.Verify.set_post true;
@@ -205,17 +205,14 @@ let run file optimize checks no_gc_restrict heap stack collector
   in
   if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
   try
-    (* The flags resolve over the environment as [run]'s arguments do,
-       each under its own name, so a refusal names both settings. *)
+    (* The flags resolve as [run]'s arguments do, each under its own
+       name, so a refusal names both settings. *)
     let module RC = Support.Runtime_config in
-    let flag given name c = if given then [ (name, c) ] else [] in
+    RC.refuse_environment ();
     let setting name v show c = Option.fold ~none:[] ~some:(fun v -> [ (name ^ " " ^ show v, c) ]) v in
     let collector =
-      RC.resolve (RC.env ())
-        ~collectors:
-          (("--collector " ^ RC.collector_name collector, collector)
-          :: flag gen "--gen" RC.Generational
-          @ flag incremental "--incremental" RC.Incremental)
+      RC.resolve
+        ?collector:(Option.map (fun c -> ("--collector " ^ RC.collector_name c, c)) collector)
         ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
         ?profile:(Option.map (fun path -> "--profile " ^ path) profile)
         ?gc_unsafe:(if no_gc_restrict then Some "--no-gc-restrict" else None)
@@ -226,6 +223,7 @@ let run file optimize checks no_gc_restrict heap stack collector
         ~bounds:
           [ ("--nursery", nursery, 1); ("--pause-budget-us", pause_budget, 0);
             ("--census-every", Some census_every, 0) ]
+        ()
     in
     let image = Driver.Compile.compile ~options (read_file file) in
     (* Attach a profiler only when asked: with --profile off the machine
@@ -310,28 +308,15 @@ let stack = Arg.(value & opt int 16384 & info [ "stack" ] ~doc:"Stack words.")
 let collector =
   Arg.(
     value
-    & opt (enum Support.Runtime_config.collector_names) Driver.Compile.Precise
-    & info [ "collector" ] ~doc:"precise | generational | incremental | conservative | none.")
-let gen =
-  Arg.(
-    value & flag
-    & info [ "gen" ]
+    & opt (some (enum Support.Runtime_config.collector_names)) None
+    & info [ "collector" ] ~docv:"NAME"
         ~doc:
-          "Generational mode: nursery allocation, minor collections through the \
-           same gc-point tables plus the remembered set, full compaction as \
-           fallback. Same image, byte-identical tables. Shorthand for \
-           --collector generational; also enabled by MM_GEN=1.")
-let incremental =
-  Arg.(
-    value & flag
-    & info [ "incremental" ]
-        ~doc:
-          "Incremental mode: tri-color mark-sweep collection in bounded \
-           slices at gc-points, with the existing write barrier acting as a \
-           Dijkstra insertion barrier. Non-moving; program output and \
-           instruction counts are byte-identical to the stop-the-world \
-           collectors. Shorthand for --collector incremental; also enabled \
-           by MM_GC_INCREMENTAL=1.")
+          "The collector: precise (the default; the paper's compacting \
+           collector), generational (or gen: nursery allocation, minor \
+           collections through the same gc-point tables plus the remembered \
+           set), incremental (or inc: tri-color mark-sweep in bounded slices \
+           at gc-points, non-moving), conservative or none. Same image, \
+           byte-identical tables, output and instruction counts.")
 let pause_budget =
   Arg.(
     value
@@ -368,8 +353,7 @@ let no_threaded =
         ~doc:
           "Execute on the reference switch interpreter instead of the \
            pre-translated threaded-code engine. Same machine state, same \
-           gc tables, same output — only dispatch changes. Also disabled \
-           by MM_THREADED=0.")
+           gc tables, same output — only dispatch changes.")
 let gc_stats =
   Arg.(
     value & flag
@@ -444,7 +428,7 @@ let cmd =
     Term.(
       ret
         (const run $ file $ optimize $ checks $ no_gc_restrict $ heap $ stack $ collector
-       $ gen $ incremental $ pause_budget $ nursery $ no_barrier_elim $ no_threaded
+       $ pause_budget $ nursery $ no_barrier_elim $ no_threaded
        $ gc_stats $ trace $ metrics $ no_decode_cache $ verify_heap $ verify_pre $ profile
        $ census_every $ policy $ fuel))
 

@@ -47,8 +47,6 @@ type proc_entry = {
 type t = {
   tables : Encode.program_tables;
   slots : proc_entry option array; (* indexed by fid; per-image residency *)
-  mutable resident_bytes : int; (* estimate of materialized structure size *)
-  mutable stream_bytes : int; (* encoded stream bytes decoded into the cache *)
 }
 
 (* Master switch, global so one CLI flag reaches every cache instance. *)
@@ -57,54 +55,12 @@ let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
 
 let create (tables : Encode.program_tables) : t =
-  {
-    tables;
-    slots = Array.make (Array.length tables.Encode.procs) None;
-    resident_bytes = 0;
-    stream_bytes = 0;
-  }
+  { tables; slots = Array.make (Array.length tables.Encode.procs) None }
 
 let tables t = t.tables
-let resident_bytes t = t.resident_bytes
-let stream_bytes t = t.stream_bytes
 
 let resident_procs t =
   Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.slots
-
-(* ------------------------------------------------------------------ *)
-(* Footprint estimate                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Rough byte size of the materialized OCaml structures (boxed words =
-   8 bytes, a cons cell 3 words, a small record 1 + #fields words). Used
-   only for reporting; the residency bound itself is structural (one slot
-   per procedure). *)
-
-let word = 8
-let list_bytes per_elt l = List.fold_left (fun a x -> a + (3 * word) + per_elt x) 0 l
-let loc_bytes (_ : Loc.t) = 3 * word (* Lmem block; Lreg is immediate-ish *)
-
-let deriv_bytes (d : Rawmaps.deriv_entry) =
-  (4 * word) + list_bytes loc_bytes d.Rawmaps.plus + list_bytes loc_bytes d.Rawmaps.minus
-
-let gcpoint_bytes (g : Rawmaps.gcpoint) =
-  (7 * word)
-  + list_bytes loc_bytes g.Rawmaps.stack_ptrs
-  + list_bytes (fun _ -> 0) g.Rawmaps.reg_ptrs
-  + list_bytes deriv_bytes g.Rawmaps.derivs
-  + list_bytes
-      (fun (v : Rawmaps.variant) ->
-        (3 * word) + loc_bytes v.Rawmaps.path_loc
-        + list_bytes (fun (_, d) -> (3 * word) + deriv_bytes d) v.Rawmaps.cases)
-      g.Rawmaps.variants
-
-let entry_bytes (e : proc_entry) =
-  let n = Array.length e.ce_points in
-  (5 * word) (* entry + decoded_proc records *)
-  + (word * Array.length e.ce_dp.Decode.dp_ground)
-  + list_bytes (fun _ -> 0) e.ce_dp.Decode.dp_saves
-  + (2 * word * n) (* the two arrays *)
-  + Array.fold_left (fun a g -> a + gcpoint_bytes g) 0 e.ce_points
 
 (* ------------------------------------------------------------------ *)
 (* Fill and lookup                                                     *)
@@ -120,8 +76,6 @@ let materialize (c : t) fid : proc_entry =
   let offsets = Array.map (fun (g : Rawmaps.gcpoint) -> g.Rawmaps.gp_offset) points in
   let e = { ce_dp = dp; ce_offsets = offsets; ce_points = points } in
   c.slots.(fid) <- Some e;
-  c.resident_bytes <- c.resident_bytes + entry_bytes e;
-  c.stream_bytes <- c.stream_bytes + Bytes.length ep.Encode.ep_stream;
   M.incr ~by:(Bytes.length ep.Encode.ep_stream) c_cache_bytes;
   e
 

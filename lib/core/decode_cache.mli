@@ -33,10 +33,3 @@ val tables : t -> Encode.program_tables
 
 val resident_procs : t -> int
 (** Procedures currently materialized. *)
-
-val resident_bytes : t -> int
-(** Estimated bytes of the materialized (decoded) structures. *)
-
-val stream_bytes : t -> int
-(** Encoded stream bytes decoded into the cache so far (the one-time fill
-    cost, also accumulated in the [decode.cache_bytes] counter). *)

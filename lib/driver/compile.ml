@@ -118,32 +118,28 @@ let policy_of_file path : Policy.t =
   close_in ic;
   Policy.of_json (Telemetry.Json.parse s)
 
-(** The collector {!run} installs for these arguments: they are resolved
-    over the environment's config by {!Support.Runtime_config.resolve}.
-    [policy] says a placement policy is given; [gc_safe = false], that
-    the image was built without gc restrictions, which only [No_gc] runs.
-    @raise Support.Runtime_config.Config_error *)
-let resolve ?(collector = Precise) ?nursery_words ?pause_budget_us ?(policy = false)
-    ?(gc_safe = true) () =
-  let given setting v c = if v then [ (setting, c) ] else [] in
-  Config.resolve (Config.env ())
-    ?gc_unsafe:(if gc_safe then None else Some "an image built with gc_restrict = false")
-    ~collectors:[ ("~collector:" ^ Config.collector_name collector, collector) ]
-    ~needs:
-      (given "~nursery_words" (nursery_words <> None) Generational
-      @ given "~policy" policy Generational
-      @ given "~pause_budget_us" (pause_budget_us <> None) Incremental)
-    ~bounds:[ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0) ]
-
-(** Resolve as {!resolve} does and install the result on a fresh machine,
-    with [policy]'s placement mapped onto the image's site table by
-    stable (proc, line, col, tdesc) key. Every entry point that runs an
-    image installs through here. Returns the collector installed.
+(** Resolve the arguments with {!Support.Runtime_config.resolve} and
+    install the result on a fresh machine: [collector], the precise one
+    when none is named, with [policy]'s placement mapped onto the image's
+    site table by stable (proc, line, col, tdesc) key. An image built
+    without gc restrictions runs only under [No_gc]. Every entry point
+    that runs an image installs through here. Returns the collector
+    installed.
     @raise Support.Runtime_config.Config_error *)
 let install ?collector ?nursery_words ?pause_budget_us ?policy st =
+  let given setting v c = if v then [ (setting, c) ] else [] in
   let collector =
-    resolve ?collector ?nursery_words ?pause_budget_us ~policy:(policy <> None)
-      ~gc_safe:st.Vm.Interp.image.Vm.Image.gc_safe ()
+    Config.resolve
+      ?collector:(Option.map (fun c -> ("~collector:" ^ Config.collector_name c, c)) collector)
+      ?gc_unsafe:
+        (if st.Vm.Interp.image.Vm.Image.gc_safe then None
+         else Some "an image built with gc_restrict = false")
+      ~needs:
+        (given "~nursery_words" (nursery_words <> None) Generational
+        @ given "~policy" (policy <> None) Generational
+        @ given "~pause_budget_us" (pause_budget_us <> None) Incremental)
+      ~bounds:[ ("~nursery_words", nursery_words, 1); ("~pause_budget_us", pause_budget_us, 0) ]
+      ()
   in
   Option.iter
     (fun p ->
@@ -158,15 +154,14 @@ let install ?collector ?nursery_words ?pause_budget_us ?policy st =
   | No_gc -> ());
   collector
 
+(** Install the collector and run [image] to completion on the threaded
+    engine, or on the reference switch interpreter when [threaded] is
+    false (by default, {!Vm.Threaded.enabled}). *)
 let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000) ?policy
-    (image : Vm.Image.t) : run_result =
+    ?(threaded = Vm.Threaded.enabled ()) (image : Vm.Image.t) : run_result =
   let st = Vm.Interp.create image in
   st.Vm.Interp.prof <- profile;
   ignore (install ?collector ?nursery_words ?pause_budget_us ?policy st);
-  (* Engine choice is a pure runtime switch over the same machine state:
-     the threaded pre-translated dispatch by default, the reference switch
-     interpreter under --no-threaded / MM_THREADED=0. *)
-  let threaded = Vm.Threaded.enabled () in
   if threaded then Vm.Threaded.run ~fuel st else Vm.Interp.run ~fuel st;
   {
     output = Vm.Interp.output st;
@@ -181,6 +176,6 @@ let run ?collector ?nursery_words ?pause_budget_us ?profile ?(fuel = 200_000_000
 
 (** Compile and run in one step (tests and examples). *)
 let run_source ?(options = default_options) ?collector ?nursery_words ?pause_budget_us
-    ?profile ?fuel ?policy source =
-  run ?collector ?nursery_words ?pause_budget_us ?profile ?fuel ?policy
+    ?profile ?fuel ?policy ?threaded source =
+  run ?collector ?nursery_words ?pause_budget_us ?profile ?fuel ?policy ?threaded
     (compile ~options source)

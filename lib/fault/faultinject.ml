@@ -187,8 +187,7 @@ let with_tables (img : Vm.Image.t) (tables : E.program_tables) : Vm.Image.t =
 let run_mutated ?collector ~(reference : string) ~fuel (img : Vm.Image.t) : outcome =
   let st = Vm.Interp.create img in
   (* The collector is resolved and installed as for the reference run, so
-     MM_GEN and MM_GC_INCREMENTAL re-run the whole sweep with their
-     collector (and its verifier checks) decoding the mutated tables. *)
+     it (and its verifier checks) decodes the mutated tables. *)
   ignore (Driver.Compile.install ?collector st);
   match Vm.Interp.run ~fuel st with
   | () -> if Vm.Interp.output st = reference then Benign else Diverged
@@ -241,8 +240,9 @@ let with_verifier f =
   Fun.protect ~finally:(fun () -> Gc.Verify.set_post was) f
 
 (** Run [iterations] random mutations of [target] compiled under
-    [config]. The image is compiled once; each iteration mutates a copy
-    of its tables. *)
+    [config], on the switch interpreter under [collector] (the precise
+    one by default). The image is compiled once; each iteration mutates
+    a copy of its tables. *)
 let sweep_target ?(cross_check = true) ?collector ~seed ~iterations (target : target)
     ((cfg_name, scheme, opts) : string * E.scheme * E.options) : sweep =
   let options =
@@ -254,7 +254,7 @@ let sweep_target ?(cross_check = true) ?collector ~seed ~iterations (target : ta
     }
   in
   let img = Driver.Compile.compile ~options target.t_source in
-  let reference = Driver.Compile.run ?collector img in
+  let reference = Driver.Compile.run ?collector ~threaded:false img in
   (* Generous but bounded budget: a hang is a decode loop, not a slow
      program. *)
   let fuel = (4 * reference.Driver.Compile.instructions) + 1_000_000 in
@@ -291,23 +291,33 @@ let sweep_target ?(cross_check = true) ?collector ~seed ~iterations (target : ta
       done);
   {
     program = target.t_name;
-    config = cfg_name;
+    config =
+      Printf.sprintf "%s/%s"
+        (Driver.Compile.Config.collector_name
+           (Option.value collector ~default:Driver.Compile.Precise))
+        cfg_name;
     iterations;
     counts = Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [];
     failures = List.rev !failures;
   }
 
-(** The full matrix: every target × every scheme/packing config. *)
+(** The full matrix: every target × every scheme/packing config × the
+    precise, generational and incremental collectors. Each collector
+    meets the same mutations. *)
 let sweep_all ?(cross_check = true) ?(targets = default_targets) ~seed ~iterations_per_config ()
     : sweep list =
   List.concat_map
-    (fun t ->
-      List.mapi
-        (fun i cfg ->
-          sweep_target ~cross_check ~seed:(seed + (1000 * i) + Hashtbl.hash t.t_name)
-            ~iterations:iterations_per_config t cfg)
-        all_configs)
-    targets
+    (fun collector ->
+      List.concat_map
+        (fun t ->
+          List.mapi
+            (fun i cfg ->
+              sweep_target ~cross_check ~collector
+                ~seed:(seed + (1000 * i) + Hashtbl.hash t.t_name)
+                ~iterations:iterations_per_config t cfg)
+            all_configs)
+        targets)
+    [ Driver.Compile.Precise; Driver.Compile.Generational; Driver.Compile.Incremental ]
 
 let total_failures sweeps = List.fold_left (fun a s -> a + List.length s.failures) 0 sweeps
 

@@ -61,8 +61,8 @@ let minor (st : Vm.Interp.t) (g : Vm.Interp.gen_state) =
       st.Vm.Interp.alloc <- g.Vm.Interp.old_alloc)
 
 (* A full collection forced by promotion failure (no headroom for the
-   nursery's survivors, or a minor that did not recover enough) — the
-   escalation rung the Gc_pressure group counts as an emergency. *)
+   nursery's survivors, or a minor that did not recover enough), counted
+   in [gc_pressure.emergency_full] and printed by [mmrun --gc-stats]. *)
 let emergency (st : Vm.Interp.t) ~needed =
   T.Metrics.incr c_emergency;
   Cheney.collect st ~needed

@@ -24,9 +24,7 @@
 
     Both passes are off by default and cost one flag test per collection
     when disabled (telemetry-style). They are enabled by [mmrun
-    --verify-heap] / [--verify-pre], or by [MM_VERIFY_HEAP] /
-    [MM_VERIFY_PRE] (read by {!Support.Runtime_config}) so a whole test
-    run can be forced through verification without threading flags. *)
+    --verify-heap] / [--verify-pre], and by the tests that arm them. *)
 
 module RM = Gcmaps.Rawmaps
 module L = Gcmaps.Loc
@@ -38,15 +36,12 @@ let c_violations = Telemetry.Metrics.counter "verify.violations"
 (* Switches                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [None] until set from code: the environment's value, read on first use. *)
-let post_flag = ref None
-let pre_flag = ref None
-let set_post b = post_flag := Some b
-let set_pre b = pre_flag := Some b
-let post_enabled () =
-  match !post_flag with Some b -> b | None -> (Support.Runtime_config.env ()).verify_heap
-let pre_enabled () =
-  match !pre_flag with Some b -> b | None -> (Support.Runtime_config.env ()).verify_pre
+let post_flag = ref false
+let pre_flag = ref false
+let set_post b = post_flag := b
+let set_pre b = pre_flag := b
+let post_enabled () = !post_flag
+let pre_enabled () = !pre_flag
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)

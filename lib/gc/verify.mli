@@ -15,11 +15,11 @@
 
 val set_post : bool -> unit
 (** Enable/disable the after-collection pass ([mmrun --verify-heap]).
-    Until set, the value of [MM_VERIFY_HEAP] ({!Support.Runtime_config}). *)
+    Off until set. *)
 
 val set_pre : bool -> unit
 (** Enable/disable the before-collection pass ([mmrun --verify-pre]).
-    Until set, the value of [MM_VERIFY_PRE]. *)
+    Off until set. *)
 
 val post_enabled : unit -> bool
 val pre_enabled : unit -> bool

@@ -7,9 +7,3 @@ exception Type_error of Srcloc.t * string
 let lex_error loc fmt = Printf.ksprintf (fun s -> raise (Lex_error (loc, s))) fmt
 let parse_error loc fmt = Printf.ksprintf (fun s -> raise (Parse_error (loc, s))) fmt
 let type_error loc fmt = Printf.ksprintf (fun s -> raise (Type_error (loc, s))) fmt
-
-let describe = function
-  | Lex_error (loc, msg) -> Some (Printf.sprintf "%s: lexical error: %s" (Srcloc.to_string loc) msg)
-  | Parse_error (loc, msg) -> Some (Printf.sprintf "%s: parse error: %s" (Srcloc.to_string loc) msg)
-  | Type_error (loc, msg) -> Some (Printf.sprintf "%s: type error: %s" (Srcloc.to_string loc) msg)
-  | _ -> None

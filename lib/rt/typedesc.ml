@@ -116,11 +116,3 @@ let of_m3l_type (ty : M3l.Types.ty) : t =
         }
 
 let to_array tbl = Array.of_list (List.rev tbl.descs)
-
-let pp fmt = function
-  | Fixed { size; ptr_offsets } ->
-      Format.fprintf fmt "fixed(size=%d, ptrs=[%s])" size
-        (String.concat ";" (List.map string_of_int ptr_offsets))
-  | Open { elt_size; elt_ptr_offsets } ->
-      Format.fprintf fmt "open(elt=%d, ptrs=[%s])" elt_size
-        (String.concat ";" (List.map string_of_int elt_ptr_offsets))

@@ -1,32 +1,17 @@
-(** The runtime configuration: the only code that reads an [MM_*]
-    environment variable, and the one function that resolves a collector
-    request over what it read.
+(** The runtime configuration: the one function that resolves a
+    collector request, and the refusal of an ambient one.
 
-    Five variables remain. Each is a suite-wide default that the
-    Makefile's test matrix and CI export for a whole test run:
-    - [MM_GEN] / [MM_GC_INCREMENTAL]: the default precise collector
-      becomes the generational / incremental one;
-    - [MM_THREADED]: the threaded engine (on unless set off);
-    - [MM_VERIFY_HEAP] / [MM_VERIFY_PRE]: the heap verifier after /
-      before every collection.
-
-    One parser reads every value: [1|true|yes|on] is on,
-    [0|false|no|off] is off, and an empty value is the same as an unset
-    one. Anything else, and any contradictory request, is a
-    {!Config_error}; nothing is dropped or decided by a hidden
-    precedence. *)
-
-type t = {
-  gen : bool;
-  incremental : bool;
-  threaded : bool;
-  verify_heap : bool;
-  verify_pre : bool;
-}
+    A run is configured by what its caller names (mmrun's flags, or a
+    test's arguments); no environment variable changes the collector,
+    the engine or the verifier. A script that still exports an [MM_*]
+    variable is refused rather than silently ignored. Every contradictory
+    request is a {!Config_error}; nothing is dropped or decided by a
+    hidden precedence. *)
 
 type error =
   | Bad_value of { setting : string; value : string; expected : string }
   | Conflict of { first : string; second : string; reason : string }
+  | Environment of string list  (** the [MM_*] variables that are set *)
 
 exception Config_error of error
 
@@ -35,6 +20,11 @@ let message = function
       Printf.sprintf "%s: bad value %S (expected %s)" setting value expected
   | Conflict { first; second; reason } ->
       Printf.sprintf "%s and %s cannot be combined: %s" first second reason
+  | Environment vars ->
+      Printf.sprintf
+        "%s set: no environment variable configures a run; name the collector, engine and \
+         verifier with --collector, --no-threaded, --verify-heap and --verify-pre"
+        (String.concat ", " vars)
 
 (** The process exit status for a configuration error, next to the
     runtime failure classes' 10–15. *)
@@ -42,34 +32,13 @@ let exit_code = 16
 
 let fail e = raise (Config_error e)
 
-let switch lookup name ~default =
-  match lookup name with
-  | None | Some "" -> default
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | Some ("0" | "false" | "no" | "off") -> false
-  | Some value -> fail (Bad_value { setting = name; value; expected = "1|true|yes|on or 0|false|no|off" })
-
-(** Parse the five variables through [lookup] (tests pass an association
-    list's [List.assoc_opt]). @raise Config_error on a bad value, or when
-    both collector modes are set. *)
-let of_lookup lookup =
-  let off name = switch lookup name ~default:false in
-  let gen = off "MM_GEN" in
-  let incremental = off "MM_GC_INCREMENTAL" in
-  let threaded = switch lookup "MM_THREADED" ~default:true in
-  let verify_heap = off "MM_VERIFY_HEAP" in
-  let verify_pre = off "MM_VERIFY_PRE" in
-  if gen && incremental then
-    fail
-      (Conflict
-         { first = "MM_GEN"; second = "MM_GC_INCREMENTAL"; reason = "each replaces the default collector" });
-  { gen; incremental; threaded; verify_heap; verify_pre }
-
-let parsed = lazy (of_lookup Sys.getenv_opt)
-
-(** The process environment, parsed once. @raise Config_error as
-    {!of_lookup}, at every call. *)
-let env () = Lazy.force parsed
+(** Refuse an environment (the process's by default) that sets any
+    variable named [MM_*]. @raise Config_error *)
+let refuse_environment ?(env = Unix.environment ()) () =
+  let name kv = match String.index_opt kv '=' with Some i -> String.sub kv 0 i | None -> kv in
+  match List.filter (String.starts_with ~prefix:"MM_") (List.map name (Array.to_list env)) with
+  | [] -> ()
+  | vars -> fail (Environment vars)
 
 type collector = Precise | Generational | Incremental | Conservative | No_gc
 
@@ -85,12 +54,10 @@ let collector_names =
 
 let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
 
-(** Resolve a request over [config] into the collector to install. Each
-    part of the request carries the name it was given under, so an error
-    names both settings:
-    - [collectors]: explicit collector choices. [Precise] is the default,
-      which [MM_GEN] or [MM_GC_INCREMENTAL] replaces; any other choice
-      stands, and two different ones conflict.
+(** Resolve a request into the collector to install. Each part of the
+    request carries the name it was given under, so an error names both
+    settings:
+    - [collector]: the collector chosen; the precise one when none is.
     - [census]: an explicit census request, which a non-moving collector
       refuses, and which needs [profile], the setting that asks for the
       profile document a census is written into.
@@ -104,8 +71,8 @@ let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
     - [bounds]: [(setting, value, least)]; a given value below [least]
       is out of range.
     @raise Config_error *)
-let resolve ?(collectors = []) ?census ?profile ?(needs = []) ?gc_unsafe ?(bounds = [])
-    config =
+let resolve ?(collector = ("the precise collector", Precise)) ?census ?profile ?(needs = [])
+    ?gc_unsafe ?(bounds = []) () =
   List.iter
     (function
       | setting, Some v, least when v < least ->
@@ -113,16 +80,7 @@ let resolve ?(collectors = []) ?census ?profile ?(needs = []) ?gc_unsafe ?(bound
           fail (Bad_value { setting; value = string_of_int v; expected })
       | _ -> ())
     bounds;
-  let source, collector =
-    match List.filter (fun (_, c) -> c <> Precise) collectors with
-    | (first, c) :: rest -> (
-        match List.find_opt (fun (_, c') -> c' <> c) rest with
-        | Some (second, _) -> fail (Conflict { first; second; reason = "each selects a different collector" })
-        | None -> (first, c))
-    | [] when config.gen -> ("MM_GEN", Generational)
-    | [] when config.incremental -> ("MM_GC_INCREMENTAL", Incremental)
-    | [] -> ("the precise collector", Precise)
-  in
+  let source, collector = collector in
   if not (moving collector) then
     Option.iter
       (fun second ->

@@ -1,4 +1,4 @@
-(** Named monotonic counters, gauges and histograms.
+(** Named monotonic counters and histograms.
 
     The registry is global and handles are stable: a probe site resolves
     its handle once (e.g. in a module-level [lazy]) and the handle stays
@@ -8,7 +8,6 @@
     observations back instead of keeping a parallel log. *)
 
 type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
 
 type histogram = {
   h_name : string;
@@ -69,7 +68,7 @@ let bucket_lo i =
 (** Exclusive upper bound of a bucket (infinity for the last). *)
 let bucket_hi i = if i >= n_buckets - 1 then infinity else bucket_lo (i + 1)
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 (* Registration order is preserved for reporting. *)
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -89,15 +88,6 @@ let counter name : counter =
       let c = { c_name = name; c_value = 0 } in
       register name (Counter c);
       c
-
-let gauge name : gauge =
-  match find name with
-  | Some (Gauge g) -> g
-  | Some _ -> invalid_arg (name ^ " is registered as a non-gauge metric")
-  | None ->
-      let g = { g_name = name; g_value = 0.0 } in
-      register name (Gauge g);
-      g
 
 let histogram name : histogram =
   match find name with
@@ -129,8 +119,6 @@ let add name n =
     let c = counter name in
     c.c_value <- c.c_value + n
   end
-
-let set (g : gauge) v = if Control.on () then g.g_value <- v
 
 let observe (h : histogram) v =
   if Control.on () then begin
@@ -167,8 +155,6 @@ let value (c : counter) = c.c_value
 (** Counter value by name; 0 if never registered. *)
 let counter_value name =
   match find name with Some (Counter c) -> c.c_value | _ -> 0
-
-let gauge_value name = match find name with Some (Gauge g) -> g.g_value | _ -> 0.0
 
 let samples (h : histogram) : float array =
   Array.sub h.h_samples 0 (min h.h_count max_samples)
@@ -220,7 +206,6 @@ let reset () =
     (fun _ m ->
       match m with
       | Counter c -> c.c_value <- 0
-      | Gauge g -> g.g_value <- 0.0
       | Histogram h ->
           h.h_count <- 0;
           h.h_sum <- 0.0;
@@ -239,7 +224,6 @@ let all () : metric list =
 let summary_lines () : string list =
   let name_of = function
     | Counter c -> c.c_name
-    | Gauge g -> g.g_name
     | Histogram h -> h.h_name
   in
   all ()
@@ -247,7 +231,6 @@ let summary_lines () : string list =
   |> List.map (fun m ->
          match m with
          | Counter c -> Printf.sprintf "%-28s %d" c.c_name c.c_value
-         | Gauge g -> Printf.sprintf "%-28s %g" g.g_name g.g_value
          | Histogram h ->
              if h.h_count = 0 then Printf.sprintf "%-28s (no samples)" h.h_name
              else
@@ -269,7 +252,6 @@ let to_json () : Json.t =
     |> List.map (fun m ->
            match m with
            | Counter c -> (c.c_name, Json.Int c.c_value)
-           | Gauge g -> (g.g_name, Json.Float g.g_value)
            | Histogram h ->
                ( h.h_name,
                  Json.Obj

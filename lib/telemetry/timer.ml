@@ -49,9 +49,6 @@ let entries () : (string * int * int64) list =
       (e.t_name, e.t_count, e.t_total_ns))
     !order
 
-let total_ns name =
-  match Hashtbl.find_opt table name with Some e -> e.t_total_ns | None -> 0L
-
 let summary_lines () : string list =
   List.map
     (fun (name, n, total) ->

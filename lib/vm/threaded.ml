@@ -33,9 +33,8 @@
     divergence: a run that dies of fuel exhaustion may execute one extra
     instruction when the budget boundary splits a fused pair.
 
-    The engine is a pure runtime switch ([mmrun --no-threaded],
-    [MM_THREADED=0]); the [step]-based interpreter remains the reference
-    semantics. *)
+    The engine is a pure runtime switch ([mmrun --no-threaded]); the
+    [step]-based interpreter remains the reference semantics. *)
 
 module I = Machine.Insn
 module F = Machine.Fusion
@@ -699,11 +698,8 @@ let run ?fuel (t : Interp.t) =
 (* Runtime switch                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Default on; [MM_THREADED=0] (or false/no/off) disables from the
-   environment, [set_enabled] from code ([mmrun --no-threaded]). *)
-let forced : bool option ref = ref None
-
-let enabled () =
-  match !forced with Some b -> b | None -> (Support.Runtime_config.env ()).threaded
-
-let set_enabled b = forced := Some b
+(* The engine [Driver.Compile.run] picks when its caller names none: on
+   until [set_enabled] ([mmrun --no-threaded]) turns it off. *)
+let on = ref true
+let enabled () = !on
+let set_enabled b = on := b

@@ -127,7 +127,7 @@ let test_spill_when_pressured () =
      PutInt(s)\n\
      END T."
   in
-  let r = Driver.Compile.run_source src in
+  let r = Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:false src in
   check Alcotest.string "sum with pressure" "102" (String.trim r.Driver.Compile.output)
 
 (* ------------------------------------------------------------------ *)
@@ -159,7 +159,10 @@ let test_mem2_fold () =
   in
   check Alcotest.bool "mem2 operands used" true (mem2 >= 1);
   (* And the program still runs correctly. *)
-  let r = Driver.Compile.run_source ~options:{ Driver.Compile.default_options with checks = false } src in
+  let r =
+    Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:true
+      ~options:{ Driver.Compile.default_options with checks = false } src
+  in
   check Alcotest.string "output" "8" (String.trim r.Driver.Compile.output)
 
 let test_defer_fold_restricted_vs_not () =

@@ -204,7 +204,7 @@ let test_end_to_end_identical () =
   in
   let run enabled =
     with_cache_enabled enabled (fun () ->
-        Driver.Compile.run_source ~options ~collector:Driver.Compile.Precise src)
+        Driver.Compile.run_source ~options ~collector:Driver.Compile.Precise ~threaded:true src)
   in
   let on = run true in
   let off = run false in

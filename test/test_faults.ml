@@ -188,19 +188,18 @@ let test_find_miss_has_context () =
 (* ------------------------------------------------------------------ *)
 
 let with_verifier ~pre f =
-  let was_post = Gc.Verify.post_enabled () and was_pre = Gc.Verify.pre_enabled () in
   Gc.Verify.set_post true;
   Gc.Verify.set_pre pre;
   Fun.protect
     ~finally:(fun () ->
-      Gc.Verify.set_post was_post;
-      Gc.Verify.set_pre was_pre)
+      Gc.Verify.set_post false;
+      Gc.Verify.set_pre false)
     f
 
 (* Every benchmark × both schemes × packed/plain × opt/unopt × collector
    (full compaction / generational / generational without the static
-   barrier elimination), with heaps small enough to collect, under pre-
-   and post-verification. Any table bug, stackwalk bug, copy bug or
+   barrier elimination / incremental), each on a named engine, with heaps
+   small enough to collect, under pre- and post-verification. Any table bug, stackwalk bug, copy bug or
    unrecorded old→young reference the verifier can see raises
    Verify_failed; outputs must still match the gc-free reference. *)
 let test_verifier_matrix () =
@@ -226,7 +225,7 @@ let test_verifier_matrix () =
       List.iter
         (fun (name, src, heap) ->
           let reference =
-            Driver.Compile.run_source
+            Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:true
               ~options:{ Driver.Compile.default_options with heap_words = 65536 }
               src
           in
@@ -235,7 +234,7 @@ let test_verifier_matrix () =
               List.iter
                 (fun (optimize, checks) ->
                   List.iter
-                    (fun (ccfg, collector, barrier_elim) ->
+                    (fun (ccfg, collector, barrier_elim, threaded) ->
                       let options =
                         {
                           Driver.Compile.default_options with
@@ -247,7 +246,7 @@ let test_verifier_matrix () =
                           barrier_elim;
                         }
                       in
-                      let r = Driver.Compile.run_source ~options ~collector src in
+                      let r = Driver.Compile.run_source ~options ~collector ~threaded src in
                       check Alcotest.string
                         (Printf.sprintf "%s/%s/%s/opt=%b/checks=%b output" name cfg ccfg
                            optimize checks)
@@ -263,9 +262,10 @@ let test_verifier_matrix () =
                               0
                               (List.length rep.Gc.Verify.violations))
                     [
-                      ("flat", Driver.Compile.Precise, true);
-                      ("gen", Driver.Compile.Generational, true);
-                      ("gen-noelim", Driver.Compile.Generational, false);
+                      ("flat", Driver.Compile.Precise, true, true);
+                      ("gen", Driver.Compile.Generational, true, false);
+                      ("gen-noelim", Driver.Compile.Generational, false, true);
+                      ("inc", Driver.Compile.Incremental, true, false);
                     ])
                 (* checks=false on ambig enables the path-variable transform:
                    the one configuration whose derivation chains route through

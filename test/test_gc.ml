@@ -6,23 +6,30 @@
 
 let check = Alcotest.check
 
-let run ?(collector = Driver.Compile.Precise) ?(optimize = false) ?(checks = true)
-    ?(heap = 65536) src =
+let run ?(collector = Driver.Compile.Precise) ?(threaded = true) ?(optimize = false)
+    ?(checks = true) ?(heap = 65536) src =
   let options =
     { Driver.Compile.default_options with optimize; checks; heap_words = heap }
   in
-  Driver.Compile.run_source ~options ~collector src
+  Driver.Compile.run_source ~options ~collector ~threaded src
 
-(* Run a program under a matrix of configurations; all outputs must agree
-   with the big-heap precise run, and the small heaps must actually
+(* Run a program under a matrix of configurations, with the heap
+   verifier armed before and after every collection; all outputs must
+   agree with the big-heap precise run, and the small heaps must actually
    collect. *)
 let matrix ?(small = 400) ?(tiny = 250) name src =
   let reference = run ~heap:65536 src in
   check Alcotest.bool (name ^ ": reference runs gc-free") true
     (reference.Driver.Compile.collections = 0);
+  Gc.Verify.set_pre true;
+  Gc.Verify.set_post true;
+  Fun.protect ~finally:(fun () ->
+      Gc.Verify.set_pre false;
+      Gc.Verify.set_post false)
+  @@ fun () ->
   List.iter
-    (fun (tag, optimize, checks, heap, collector, expect_gc) ->
-      let r = run ~collector ~optimize ~checks ~heap src in
+    (fun (tag, optimize, checks, heap, collector, threaded, expect_gc) ->
+      let r = run ~collector ~threaded ~optimize ~checks ~heap src in
       check Alcotest.string
         (Printf.sprintf "%s/%s output" name tag)
         reference.Driver.Compile.output r.Driver.Compile.output;
@@ -32,14 +39,18 @@ let matrix ?(small = 400) ?(tiny = 250) name src =
           true
           (r.Driver.Compile.collections > 0))
     [
-      ("opt-big", true, true, 65536, Driver.Compile.Precise, false);
-      ("noopt-small", false, true, small, Driver.Compile.Precise, true);
-      ("opt-small", true, true, small, Driver.Compile.Precise, true);
-      ("noopt-tiny", false, true, tiny, Driver.Compile.Precise, true);
-      ("opt-tiny", true, true, tiny, Driver.Compile.Precise, true);
-      ("nochk-small", false, false, small, Driver.Compile.Precise, true);
-      ("optnochk-small", true, false, small, Driver.Compile.Precise, true);
-      ("conservative", false, true, small * 3, Driver.Compile.Conservative, false);
+      ("opt-big", true, true, 65536, Driver.Compile.Precise, true, false);
+      ("noopt-small", false, true, small, Driver.Compile.Precise, true, true);
+      ("opt-small", true, true, small, Driver.Compile.Precise, false, true);
+      ("noopt-tiny", false, true, tiny, Driver.Compile.Precise, false, true);
+      ("opt-tiny", true, true, tiny, Driver.Compile.Precise, true, true);
+      ("nochk-small", false, false, small, Driver.Compile.Precise, false, true);
+      ("optnochk-small", true, false, small, Driver.Compile.Precise, true, true);
+      ("gen-small", false, true, small, Driver.Compile.Generational, true, true);
+      ("gen-opt-tiny", true, true, tiny, Driver.Compile.Generational, false, true);
+      ("inc-small", false, true, small, Driver.Compile.Incremental, false, true);
+      ("inc-opt-small", true, true, small, Driver.Compile.Incremental, true, true);
+      ("conservative", false, true, small * 3, Driver.Compile.Conservative, true, false);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -388,11 +399,7 @@ let test_forced_gc_checks () =
     let st = Vm.Interp.create img in
     Gc.Cheney.install st;
     Fault.Faultinject.arm_runtime st Fault.Faultinject.Loop_storm;
-    let e0 = Vm.Threaded.enabled () in
-    Vm.Threaded.set_enabled threaded;
-    Fun.protect
-      ~finally:(fun () -> Vm.Threaded.set_enabled e0)
-      (fun () -> if threaded then Vm.Threaded.run st else Vm.Interp.run st);
+    if threaded then Vm.Threaded.run st else Vm.Interp.run st;
     st
   in
   let switch = run_engine false and threaded = run_engine true in
@@ -423,41 +430,28 @@ let test_noalloc_configuration_safe () =
           optimize = true;
         }
       in
-      let r = Driver.Compile.run_source ~options src in
+      let r = Driver.Compile.run_source ~options ~collector:Driver.Compile.Precise ~threaded:false src in
       check Alcotest.string "noalloc output" reference.Driver.Compile.output
         r.Driver.Compile.output)
     [ churn_src; varparam_src; alias_src ]
 
 let test_table_scheme_configurations () =
-  (* The collector must decode every table configuration identically. *)
+  (* Every collector must decode every table configuration identically. *)
   let reference = run churn_src in
   List.iter
-    (fun (name, scheme, opts) ->
-      let options =
-        {
-          Driver.Compile.default_options with
-          heap_words = 400;
-          scheme;
-          table_opts = opts;
-        }
-      in
-      let r = Driver.Compile.run_source ~options churn_src in
-      check Alcotest.string name reference.Driver.Compile.output r.Driver.Compile.output;
-      check Alcotest.bool (name ^ " collected") true (r.Driver.Compile.collections > 0))
-    Gcmaps.Table_stats.configs
-
-(* The bad-root cases corrupt the heap on purpose; an ambient
-   MM_VERIFY_PRE/MM_VERIFY_HEAP would report that corruption first. *)
-let without_verifier f =
-  let pre0 = Gc.Verify.pre_enabled () and post0 = Gc.Verify.post_enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Gc.Verify.set_pre pre0;
-      Gc.Verify.set_post post0)
-    (fun () ->
-      Gc.Verify.set_pre false;
-      Gc.Verify.set_post false;
-      f ())
+    (fun (collector, threaded) ->
+      List.iter
+        (fun (name, scheme, opts) ->
+          let options =
+            { Driver.Compile.default_options with heap_words = 400; scheme; table_opts = opts }
+          in
+          let r = Driver.Compile.run_source ~options ~collector ~threaded churn_src in
+          let name = name ^ " " ^ Driver.Compile.Config.collector_name collector in
+          check Alcotest.string name reference.Driver.Compile.output r.Driver.Compile.output;
+          check Alcotest.bool (name ^ " collected") true (r.Driver.Compile.collections > 0))
+        Gcmaps.Table_stats.configs)
+    [ (Driver.Compile.Precise, true); (Driver.Compile.Generational, false);
+      (Driver.Compile.Incremental, true) ]
 
 (* Forward's four bad roots, each reached through a pointer field of a
    live object, so the corruption is met by the Cheney scan. The fake
@@ -512,38 +506,37 @@ let test_forward_bad_roots () =
           ) );
     ]
   in
-  without_verifier (fun () ->
-      List.iter
-        (fun (what, plant) ->
-          let st = Vm.Interp.create img in
-          Gc.Cheney.install st;
-          let expected = ref None in
-          st.Vm.Interp.collector <-
-            Some
-              (fun s ~needed ->
-                let mem = s.Vm.Interp.mem in
-                let roots = List.map (Vm.Mem.get mem) img.Vm.Image.global_roots in
-                let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
-                let keep = List.find (fun o -> o <> arr) roots in
-                let fake = arr + Rt.Typedesc.open_header_words in
-                let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.semi_words in
-                let value, reason = plant mem ~src_hi fake in
-                let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
-                Vm.Mem.set mem (keep + next) fake;
-                expected :=
-                  Some
-                    (Vm.Vm_error.Bad_root
-                       { loc = Printf.sprintf "from-space word %d" fake; value; reason });
-                Gc.Cheney.collect s ~needed);
-          match Vm.Interp.run st with
-          | () -> Alcotest.failf "%s: the run finished without a bad root" what
-          | exception Vm.Vm_error.Error e ->
-              check Alcotest.string what
-                (Vm.Vm_error.to_string (Option.get !expected))
-                (Vm.Vm_error.to_string e);
-              check Alcotest.bool (what ^ ": exact error value") true
-                (Some e = !expected))
-        cases)
+  List.iter
+    (fun (what, plant) ->
+      let st = Vm.Interp.create img in
+      Gc.Cheney.install st;
+      let expected = ref None in
+      st.Vm.Interp.collector <-
+        Some
+          (fun s ~needed ->
+            let mem = s.Vm.Interp.mem in
+            let roots = List.map (Vm.Mem.get mem) img.Vm.Image.global_roots in
+            let arr = List.find (fun o -> sizes.(Vm.Mem.get mem o) <= 0) roots in
+            let keep = List.find (fun o -> o <> arr) roots in
+            let fake = arr + Rt.Typedesc.open_header_words in
+            let src_hi = s.Vm.Interp.from_base + s.Vm.Interp.semi_words in
+            let value, reason = plant mem ~src_hi fake in
+            let next = img.Vm.Image.layouts.Rt.Typedesc.offsets.(Vm.Mem.get mem keep).(0) in
+            Vm.Mem.set mem (keep + next) fake;
+            expected :=
+              Some
+                (Vm.Vm_error.Bad_root
+                   { loc = Printf.sprintf "from-space word %d" fake; value; reason });
+            Gc.Cheney.collect s ~needed);
+      match Vm.Interp.run st with
+      | () -> Alcotest.failf "%s: the run finished without a bad root" what
+      | exception Vm.Vm_error.Error e ->
+          check Alcotest.string what
+            (Vm.Vm_error.to_string (Option.get !expected))
+            (Vm.Vm_error.to_string e);
+          check Alcotest.bool (what ^ ": exact error value") true
+            (Some e = !expected))
+    cases
 
 (* A minor collection scans the objects placed in the old generation in
    place; their headers never passed forward's checks, so a corrupt one
@@ -566,37 +559,36 @@ let test_placed_bad_headers () =
       ~options:{ Driver.Compile.default_options with heap_words = 2000 }
       placed_src
   in
-  without_verifier (fun () ->
-      List.iter
-        (fun (what, header, length, reason) ->
-          let st = Vm.Interp.create img in
-          Gc.Nursery.install ~nursery_words:300 st;
-          let g = Option.get st.Vm.Interp.gen in
-          let collect = Option.get st.Vm.Interp.collector in
-          let big = ref (-1) in
-          st.Vm.Interp.collector <-
-            Some
-              (fun s ~needed ->
-                (match g.Vm.Interp.big_objects with
-                | [ a ] ->
-                    big := a;
-                    if header >= 0 then Vm.Mem.set s.Vm.Interp.mem a header;
-                    Vm.Mem.set s.Vm.Interp.mem (a + 1) length
-                | _ -> Alcotest.failf "%s: expected one young big object" what);
-                collect s ~needed);
-          match Vm.Interp.run st with
-          | () -> Alcotest.failf "%s: the run finished without a bad root" what
-          | exception Vm.Vm_error.Error e ->
-              let value = if header >= 0 then header else Vm.Mem.get st.Vm.Interp.mem !big in
-              check Alcotest.string what
-                (Vm.Vm_error.to_string
-                   (Vm.Vm_error.Bad_root
-                      { loc = Printf.sprintf "placed object at word %d" !big; value; reason }))
-                (Vm.Vm_error.to_string e))
-        [
-          ("non-descriptor header", 9999, 400, "header 9999 is not a type descriptor (untidy root?)");
-          ("negative open length", -1, -5, "open array has negative length -5");
-        ])
+  List.iter
+    (fun (what, header, length, reason) ->
+      let st = Vm.Interp.create img in
+      Gc.Nursery.install ~nursery_words:300 st;
+      let g = Option.get st.Vm.Interp.gen in
+      let collect = Option.get st.Vm.Interp.collector in
+      let big = ref (-1) in
+      st.Vm.Interp.collector <-
+        Some
+          (fun s ~needed ->
+            (match g.Vm.Interp.big_objects with
+            | [ a ] ->
+                big := a;
+                if header >= 0 then Vm.Mem.set s.Vm.Interp.mem a header;
+                Vm.Mem.set s.Vm.Interp.mem (a + 1) length
+            | _ -> Alcotest.failf "%s: expected one young big object" what);
+            collect s ~needed);
+      match Vm.Interp.run st with
+      | () -> Alcotest.failf "%s: the run finished without a bad root" what
+      | exception Vm.Vm_error.Error e ->
+          let value = if header >= 0 then header else Vm.Mem.get st.Vm.Interp.mem !big in
+          check Alcotest.string what
+            (Vm.Vm_error.to_string
+               (Vm.Vm_error.Bad_root
+                  { loc = Printf.sprintf "placed object at word %d" !big; value; reason }))
+            (Vm.Vm_error.to_string e))
+    [
+      ("non-descriptor header", 9999, 400, "header 9999 is not a type descriptor (untidy root?)");
+      ("negative open length", -1, -5, "open array has negative length -5");
+    ]
 
 let () =
   Alcotest.run "gc"

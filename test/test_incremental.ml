@@ -97,11 +97,7 @@ let run_cell ~mode ~threaded ~optimize ~heap src : cell =
   | Inc { slice_work; gray_cap; pause_budget_us; trigger; storm } ->
       ignore (Gc.Incremental.install ?slice_work ?gray_cap ?pause_budget_us st);
       wrap_poll st ~trigger ~storm);
-  let e0 = Vm.Threaded.enabled () in
-  Vm.Threaded.set_enabled threaded;
-  Fun.protect
-    ~finally:(fun () -> Vm.Threaded.set_enabled e0)
-    (fun () -> if threaded then Vm.Threaded.run ~fuel st else I.run ~fuel st);
+  if threaded then Vm.Threaded.run ~fuel st else I.run ~fuel st;
   {
     out = I.output st;
     icount = st.I.icount;
@@ -111,9 +107,8 @@ let run_cell ~mode ~threaded ~optimize ~heap src : cell =
   }
 
 let with_post_verifier f =
-  let post0 = Gc.Verify.post_enabled () in
   Gc.Verify.set_post true;
-  Fun.protect ~finally:(fun () -> Gc.Verify.set_post post0) f
+  Fun.protect ~finally:(fun () -> Gc.Verify.set_post false) f
 
 (* ------------------------------------------------------------------ *)
 (* Differential matrix                                                 *)
@@ -292,37 +287,13 @@ let test_gc_time () =
   let src = churn_src ~iters:5000 ~period:32 in
   let options = { D.default_options with heap_words = 2048 } in
   List.iter
-    (fun (name, collector) ->
-      let r = D.run_source ~options ~collector ~fuel src in
+    (fun (name, collector, threaded) ->
+      let r = D.run_source ~options ~collector ~threaded ~fuel src in
       Alcotest.(check bool) (name ^ ": collected") true (r.D.collections > 0);
       Alcotest.(check bool) (name ^ ": gc time counted") true (r.D.gc.I.total_gc_ns > 0L);
       if collector = D.Conservative then
         Alcotest.(check int) (name ^ ": no frames walked") 0 r.D.gc.I.frames_traced)
-    [ ("incremental", D.Incremental); ("conservative", D.Conservative) ]
-
-(* ------------------------------------------------------------------ *)
-(* Mode resolution                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Each environment mode alone replaces the default collector with its
-   own; both together are a typed configuration error naming both, not a
-   hidden precedence. The environment is an association list, not the
-   process's. *)
-let test_env_modes () =
-  let module RC = Support.Runtime_config in
-  let config vars = RC.of_lookup (fun name -> List.assoc_opt name vars) in
-  let resolved vars = RC.resolve ~collectors:[ ("default", RC.Precise) ] (config vars) in
-  Alcotest.(check bool) "neither" true (resolved [] = RC.Precise);
-  Alcotest.(check bool) "MM_GEN" true (resolved [ ("MM_GEN", "1") ] = RC.Generational);
-  Alcotest.(check bool) "MM_GC_INCREMENTAL" true
-    (resolved [ ("MM_GC_INCREMENTAL", "1") ] = RC.Incremental);
-  match config [ ("MM_GEN", "1"); ("MM_GC_INCREMENTAL", "1") ] with
-  | _ -> Alcotest.fail "both modes must be refused"
-  | exception RC.Config_error (RC.Conflict { first; second; _ } as e) ->
-      Alcotest.(check (pair string string))
-        "names both" ("MM_GEN", "MM_GC_INCREMENTAL") (first, second);
-      Alcotest.(check bool) "message names both" true
-        (String.starts_with ~prefix:"MM_GEN and MM_GC_INCREMENTAL" (RC.message e))
+    [ ("incremental", D.Incremental, true); ("conservative", D.Conservative, false) ]
 
 let () =
   Alcotest.run "incremental"
@@ -339,5 +310,4 @@ let () =
         [
           Alcotest.test_case "interleaving sweep clean" `Quick test_fault_sweep;
         ] );
-      ("config", [ Alcotest.test_case "env modes resolve" `Quick test_env_modes ]);
     ]

@@ -6,6 +6,10 @@ module Ir = Mir.Ir
 
 let check = Alcotest.check
 
+(* Runs name their collector and engine: the precise collector on the
+   threaded engine, except where a test says otherwise. *)
+let run_source = Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:true
+
 let run_with_opts ?(heap = 2000) ?(checks = true) opts src =
   let options =
     { Driver.Compile.default_options with optimize = false; checks; heap_words = heap }
@@ -13,7 +17,7 @@ let run_with_opts ?(heap = 2000) ?(checks = true) opts src =
   let prog = Driver.Compile.to_mir ~options src in
   Opt.Pipeline.optimize ~opts prog;
   let img = Driver.Compile.image_of_mir ~options prog in
-  (Driver.Compile.run img).Driver.Compile.output
+  (Driver.Compile.run ~collector:Driver.Compile.Precise ~threaded:true img).Driver.Compile.output
 
 let no_opts =
   {
@@ -337,7 +341,7 @@ let test_noalloc_reduces_gcpoints () =
   check Alcotest.bool "fewer gc-points with noalloc analysis" true (refined < base);
   (* Behaviour unchanged. *)
   let r =
-    Driver.Compile.run_source
+    run_source
       ~options:{ Driver.Compile.default_options with noalloc_analysis = true }
       src
   in
@@ -401,7 +405,7 @@ let test_loop_gcpoints () =
   check Alcotest.int "allocating loop needs no extra gc-point" 0 inner_checks;
   (* Behaviour is unchanged and forced checks still compute the right sum. *)
   let r =
-    Driver.Compile.run_source
+    run_source
       ~options:{ Driver.Compile.default_options with loop_gcpoints = true }
       src
   in
@@ -413,12 +417,12 @@ let test_benchmarks_agree_all_passes () =
   List.iter
     (fun (name, src, heap) ->
       let base =
-        Driver.Compile.run_source
+        Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:false
           ~options:{ Driver.Compile.default_options with heap_words = heap }
           src
       in
       let opt =
-        Driver.Compile.run_source
+        run_source
           ~options:
             { Driver.Compile.default_options with heap_words = heap; optimize = true }
           src
@@ -475,7 +479,7 @@ let test_barrier_elim_converges () =
   List.iter
     (fun optimize ->
       let options = { Driver.Compile.default_options with optimize; barrier_elim = true } in
-      let r = Driver.Compile.run_source ~options barrier_elim_hang_src in
+      let r = run_source ~options barrier_elim_hang_src in
       check Alcotest.string
         (Printf.sprintf "output at O%d" (Bool.to_int optimize))
         "" r.Driver.Compile.output)

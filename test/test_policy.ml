@@ -55,16 +55,11 @@ let pretenure_all_codes img =
   fst
     (Policy.decisions_for (Policy.uniform Policy.Pretenure (C.sites_for img)) (C.sites_for img))
 
-(* Run [img] under an explicit engine, bypassing MM_THREADED. A nursery
-   size and a policy are generational settings, passed only with [~gen]. *)
+(* Run [img] under an explicit engine. A nursery size and a policy are
+   generational settings, passed only with [~gen]. *)
 let run_with ?policy ?profile ?(nursery = 512) ~threaded ~gen img =
-  let was = Vm.Threaded.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Threaded.set_enabled was)
-    (fun () ->
-      Vm.Threaded.set_enabled threaded;
-      if gen then C.run ~collector:C.Generational ~nursery_words:nursery ?policy ?profile img
-      else C.run ~collector:C.Precise ?profile img)
+  if gen then C.run ~collector:C.Generational ~nursery_words:nursery ?policy ?profile ~threaded img
+  else C.run ~collector:C.Precise ?profile ~threaded img
 
 (* ------------------------------------------------------------------ *)
 (* mm-policy JSON round-trip                                           *)
@@ -419,16 +414,14 @@ let derived_policy img =
   Policy.derive_from_stats p
 
 (* Flat mode has no nursery to place around, so a policy there is a
-   configuration error naming it — unless MM_GEN makes the default
-   collector the generational one, which reads the policy. *)
+   configuration error naming it. *)
 let flat_with_policy what img policy =
-  let defaults_to_gen = C.resolve () = C.Generational in
-  match C.run ~collector:C.Precise ~policy img with
+  match C.run ~collector:C.Precise ~threaded:true ~policy img with
   | exception
       Support.Runtime_config.Config_error
         (Support.Runtime_config.Conflict { second = "~policy"; _ }) ->
-      check Alcotest.bool (what ^ ": refused") false defaults_to_gen
-  | _ -> check Alcotest.bool (what ^ ": runs only under MM_GEN") true defaults_to_gen
+      ()
+  | _ -> Alcotest.failf "%s: a policy ran under the precise collector" what
 
 let test_differential () =
   verified (fun () ->
@@ -494,11 +487,7 @@ let test_pretenure_storm () =
       let stormy threaded =
         let st = placed_machine ~nursery:512 img (pretenure_all_codes img) in
         Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 7 });
-        let was = Vm.Threaded.enabled () in
-        Vm.Threaded.set_enabled threaded;
-        Fun.protect
-          ~finally:(fun () -> Vm.Threaded.set_enabled was)
-          (fun () -> if threaded then Vm.Threaded.run st else Vm.Interp.run st);
+        if threaded then Vm.Threaded.run st else Vm.Interp.run st;
         st
       in
       let switch = stormy false and threaded = stormy true in

@@ -61,17 +61,12 @@ let run_cell ?(storm = 0) ~gen ~threaded ~heap src : cell =
   let st = I.create img in
   if gen then Gc.Nursery.install st else Gc.Cheney.install st;
   if storm > 0 then F.arm_runtime st (F.Alloc_storm { every = storm });
-  let e0 = Vm.Threaded.enabled () in
-  Vm.Threaded.set_enabled threaded;
-  Fun.protect
-    ~finally:(fun () -> Vm.Threaded.set_enabled e0)
-    (fun () -> if threaded then Vm.Threaded.run ~fuel st else I.run ~fuel st);
+  if threaded then Vm.Threaded.run ~fuel st else I.run ~fuel st;
   { out = I.output st; icount = st.I.icount; collections = st.I.gc.I.collections; mem = st.I.mem }
 
 let with_post_verifier f =
-  let post0 = Gc.Verify.post_enabled () in
   Gc.Verify.set_post true;
-  Fun.protect ~finally:(fun () -> Gc.Verify.set_post post0) f
+  Fun.protect ~finally:(fun () -> Gc.Verify.set_post false) f
 
 (* ------------------------------------------------------------------ *)
 (* The mode × engine matrix: {flat, gen} × {switch, threaded} on a
@@ -216,7 +211,10 @@ let test_typed_oom () =
 (* An empty nursery is a typed configuration error, raised before
    anything runs. *)
 let test_empty_nursery_refused () =
-  match D.run_source ~collector:D.Generational ~nursery_words:0 (churn_src ~iters:10 ~period:4) with
+  match
+    D.run_source ~collector:D.Generational ~threaded:true ~nursery_words:0
+      (churn_src ~iters:10 ~period:4)
+  with
   | _ -> Alcotest.fail "an empty nursery was accepted"
   | exception Support.Runtime_config.Config_error (Bad_value { setting; _ }) ->
       Alcotest.(check string) "setting" "~nursery_words" setting

@@ -25,27 +25,20 @@ let destroy_small =
 let compile_opts ~optimize ~heap = { C.default_options with optimize; heap_words = heap }
 
 (* Run [img] with a fresh profiler under an explicit engine and collector
-   (bypassing the driver's MM_GEN / MM_GC_INCREMENTAL / MM_THREADED
-   environment switches so the matrix below is exactly what it says; the
-   incremental collector gets no pause budget, so its pacing is the
+   (the incremental collector gets no pause budget, so its pacing is the
    deterministic work quota); returns the profiler. *)
 let run_profiled ?(census_every = 0) ?nursery_words ~threaded ~collector img =
   let p = C.profile_for img in
   Profile.set_census_every p census_every;
-  let was = Vm.Threaded.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Vm.Threaded.set_enabled was)
-    (fun () ->
-      Vm.Threaded.set_enabled threaded;
-      let st = Vm.Interp.create img in
-      st.Vm.Interp.prof <- Some p;
-      (match collector with
-      | C.Precise -> Gc.Cheney.install st
-      | C.Generational -> Gc.Nursery.install ?nursery_words st
-      | C.Incremental -> ignore (Gc.Incremental.install ~pause_budget_us:0 st)
-      | C.Conservative -> ignore (Gc.Incremental.install_conservative st)
-      | C.No_gc -> ());
-      if threaded then Vm.Threaded.run st else Vm.Interp.run st);
+  let st = Vm.Interp.create img in
+  st.Vm.Interp.prof <- Some p;
+  (match collector with
+  | C.Precise -> Gc.Cheney.install st
+  | C.Generational -> Gc.Nursery.install ?nursery_words st
+  | C.Incremental -> ignore (Gc.Incremental.install ~pause_budget_us:0 st)
+  | C.Conservative -> ignore (Gc.Incremental.install_conservative st)
+  | C.No_gc -> ());
+  if threaded then Vm.Threaded.run st else Vm.Interp.run st;
   p
 
 let collectors =
@@ -140,11 +133,10 @@ let test_ballast_ordering () =
 let census_checks ~heap ~iterations =
   let src = Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations in
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap) src in
-  let was = Gc.Verify.post_enabled () in
   Gc.Verify.set_post true;
   let p =
     Fun.protect
-      ~finally:(fun () -> Gc.Verify.set_post was)
+      ~finally:(fun () -> Gc.Verify.set_post false)
       (fun () -> run_profiled ~census_every:1 ~threaded:false ~collector:C.Precise img)
   in
   if p.Profile.collections = 0 then Alcotest.fail "no collections, census never taken";
@@ -242,9 +234,9 @@ let test_profiler_transparent () =
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
   List.iter
     (fun (name, collector) ->
-      let bare = C.run ~collector img in
+      let bare = C.run ~collector ~threaded:false img in
       let p = C.profile_for img in
-      let profiled = C.run ~collector ~profile:p img in
+      let profiled = C.run ~collector ~threaded:true ~profile:p img in
       let label what = name ^ ": " ^ what in
       check Alcotest.string (label "output identical") bare.C.output profiled.C.output;
       check Alcotest.int (label "instruction count identical") bare.C.instructions

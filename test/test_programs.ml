@@ -4,12 +4,12 @@
 
 let check = Alcotest.check
 
-let run ?(collector = Driver.Compile.Precise) ?(optimize = false) ?(checks = true)
-    ?(heap = 65536) src =
+let run ?(collector = Driver.Compile.Precise) ?(threaded = true) ?(optimize = false)
+    ?(checks = true) ?(heap = 65536) src =
   let options =
     { Driver.Compile.default_options with optimize; checks; heap_words = heap }
   in
-  Driver.Compile.run_source ~options ~collector src
+  Driver.Compile.run_source ~options ~collector ~threaded src
 
 let benchmarks =
   [
@@ -44,18 +44,22 @@ let test_configuration_matrix () =
     (fun (name, src, big, small) ->
       let reference = run ~heap:big src in
       List.iter
-        (fun (tag, optimize, checks, heap, collector) ->
-          let r = run ~optimize ~checks ~heap ~collector src in
+        (fun (tag, optimize, checks, heap, collector, threaded) ->
+          let r = run ~optimize ~checks ~heap ~collector ~threaded src in
           check Alcotest.string
             (Printf.sprintf "%s/%s" name tag)
             reference.Driver.Compile.output r.Driver.Compile.output)
         [
-          ("opt", true, true, big, Driver.Compile.Precise);
-          ("small", false, true, small, Driver.Compile.Precise);
-          ("opt-small", true, true, small, Driver.Compile.Precise);
-          ("nochecks", false, false, small, Driver.Compile.Precise);
-          ("opt-nochecks", true, false, small, Driver.Compile.Precise);
-          ("conservative", false, true, big, Driver.Compile.Conservative);
+          ("opt", true, true, big, Driver.Compile.Precise, false);
+          ("small", false, true, small, Driver.Compile.Precise, true);
+          ("opt-small", true, true, small, Driver.Compile.Precise, false);
+          ("nochecks", false, false, small, Driver.Compile.Precise, true);
+          ("opt-nochecks", true, false, small, Driver.Compile.Precise, false);
+          ("gen-small", false, true, small, Driver.Compile.Generational, false);
+          ("gen-opt-small", true, true, small, Driver.Compile.Generational, true);
+          ("inc-small", false, true, small, Driver.Compile.Incremental, true);
+          ("inc-opt-small", true, true, small, Driver.Compile.Incremental, false);
+          ("conservative", false, true, big, Driver.Compile.Conservative, true);
         ])
     benchmarks
 
@@ -145,8 +149,10 @@ let test_gc_restrict_effects () =
             true
             (restricted.Vm.Image.folds_suppressed
              >= unrestricted.Vm.Image.folds_applied - restricted.Vm.Image.folds_applied);
-          let r1 = Driver.Compile.run restricted in
-          let r2 = Driver.Compile.run ~collector:Driver.Compile.No_gc unrestricted in
+          let r1 = Driver.Compile.run ~collector:Driver.Compile.Precise ~threaded:true restricted in
+          let r2 =
+            Driver.Compile.run ~collector:Driver.Compile.No_gc ~threaded:false unrestricted
+          in
           check Alcotest.string (name ^ " same output gc-free") r1.Driver.Compile.output
             r2.Driver.Compile.output)
         benchmarks;

@@ -244,7 +244,7 @@ let to_m3l (p : prog) : string =
 let small_heap = 600
 let fit_cap = 65536
 
-let run_cfg src h (optimize, checks, small, collector, barrier_elim) =
+let run_cfg src h (optimize, checks, small, collector, barrier_elim, threaded) =
   let options =
     {
       Driver.Compile.default_options with
@@ -254,7 +254,7 @@ let run_cfg src h (optimize, checks, small, collector, barrier_elim) =
       barrier_elim;
     }
   in
-  Driver.Compile.run_source ~options ~collector ~fuel:20_000_000 src
+  Driver.Compile.run_source ~options ~collector ~threaded ~fuel:20_000_000 src
 
 (* [Some (h, f h)] for the first heap [h] of the ladder on which [f] does
    not exhaust; [None] if it exhausts even at [fit_cap]. *)
@@ -265,23 +265,28 @@ let rec fit f h =
       if h >= fit_cap then None else fit f (min fit_cap (2 * h))
 
 (* The configuration matrix; [true] in the third place runs the row at
-   the fitted small heap. The first entry is the reference (big heap,
-   unoptimized, precise). The conservative collector keeps the big heap. *)
+   the fitted small heap, and [true] in the last on the threaded engine.
+   The first entry is the reference (big heap, unoptimized, precise). The
+   conservative collector keeps the big heap. *)
 let configs =
   [
-    (false, true, false, Driver.Compile.Precise, true);
-    (true, true, false, Driver.Compile.Precise, true);
-    (false, true, true, Driver.Compile.Precise, true);
-    (true, true, true, Driver.Compile.Precise, true);
-    (false, false, true, Driver.Compile.Precise, true);
-    (true, false, true, Driver.Compile.Precise, true);
-    (false, true, false, Driver.Compile.Conservative, true);
+    (false, true, false, Driver.Compile.Precise, true, true);
+    (true, true, false, Driver.Compile.Precise, true, false);
+    (false, true, true, Driver.Compile.Precise, true, false);
+    (true, true, true, Driver.Compile.Precise, true, true);
+    (false, false, true, Driver.Compile.Precise, true, true);
+    (true, false, true, Driver.Compile.Precise, true, false);
+    (false, true, false, Driver.Compile.Conservative, true, true);
     (* generational × {barrier elimination on, off} *)
-    (false, true, false, Driver.Compile.Generational, true);
-    (false, true, true, Driver.Compile.Generational, true);
-    (true, true, true, Driver.Compile.Generational, true);
-    (false, true, true, Driver.Compile.Generational, false);
-    (true, true, true, Driver.Compile.Generational, false);
+    (false, true, false, Driver.Compile.Generational, true, false);
+    (false, true, true, Driver.Compile.Generational, true, true);
+    (true, true, true, Driver.Compile.Generational, true, false);
+    (false, true, true, Driver.Compile.Generational, false, false);
+    (true, true, true, Driver.Compile.Generational, false, true);
+    (* incremental: non-moving, so a fragmenting row climbs the ladder *)
+    (false, true, true, Driver.Compile.Incremental, true, true);
+    (true, true, true, Driver.Compile.Incremental, true, false);
+    (true, false, true, Driver.Compile.Incremental, true, true);
   ]
 
 let prop_differential =
@@ -289,16 +294,19 @@ let prop_differential =
     (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
     (fun p ->
       let src = to_m3l p in
-      (* The heap verifier runs after every collection of every
-         configuration below; for the generational ones that includes the
-         old→young remembered-set check — with and without the static
-         barrier elimination, so an unsound elimination fails here, not
-         just output equality. A verifier violation raises (Verify_failed
+      (* The heap verifier runs before and after every collection of
+         every configuration below; for the generational ones that
+         includes the old→young remembered-set check — with and without
+         the static barrier elimination, so an unsound elimination fails
+         here, not just output equality — and for the incremental ones
+         the tri-color check. A verifier violation raises (Verify_failed
          is not Heap_exhausted) and fails the property. *)
-      let post0 = Gc.Verify.post_enabled () in
+      Gc.Verify.set_pre true;
       Gc.Verify.set_post true;
       Fun.protect
-        ~finally:(fun () -> Gc.Verify.set_post post0)
+        ~finally:(fun () ->
+          Gc.Verify.set_pre false;
+          Gc.Verify.set_post false)
         (fun () ->
           let outputs h =
             List.map (fun cfg -> (run_cfg src h cfg).Driver.Compile.output) configs
@@ -317,7 +325,7 @@ let prop_collections_strike =
   QCheck.Test.make ~name:"small heaps collect on list-heavy programs"
     ~count:30 (QCheck.make gen_prog) (fun p ->
       let src = to_m3l p in
-      match fit (fun h -> run_cfg src h (false, true, true, Driver.Compile.Precise, true)) small_heap with
+      match fit (fun h -> run_cfg src h (false, true, true, Driver.Compile.Precise, true, true)) small_heap with
       | Some (h, r) -> r.Driver.Compile.alloc_words <= h || r.Driver.Compile.collections > 0
       | None -> QCheck.Test.fail_reportf "exhausted even a %d-word heap" fit_cap)
 

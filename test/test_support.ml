@@ -276,8 +276,6 @@ let test_prng_bounds () =
 
 module RC = Runtime_config
 
-let config vars = RC.of_lookup (fun name -> List.assoc_opt name vars)
-
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -288,45 +286,31 @@ let refusal what f =
   | _ -> Alcotest.failf "%s: accepted" what
   | exception RC.Config_error e -> e
 
-(* Every variable through the one parser: the same spellings mean on and
-   off for all five, empty is unset, anything else names the variable. *)
-let test_config_values () =
-  let fields =
-    [
-      ("MM_GEN", (fun c -> c.RC.gen), false);
-      ("MM_GC_INCREMENTAL", (fun c -> c.RC.incremental), false);
-      ("MM_THREADED", (fun c -> c.RC.threaded), true);
-      ("MM_VERIFY_HEAP", (fun c -> c.RC.verify_heap), false);
-      ("MM_VERIFY_PRE", (fun c -> c.RC.verify_pre), false);
-    ]
+(* A set MM_* variable is refused, naming every one that is set, so a
+   script that still exports one of the variables that once chose the
+   collector, the engine or the verifier fails instead of silently
+   running something else. *)
+let test_config_environment () =
+  RC.refuse_environment ~env:[| "HOME=/h"; "MMX=1"; "QCHECK_SEED=7" |] ();
+  let retired =
+    List.map (( ^ ) "MM_") [ "GEN"; "GC_INCREMENTAL"; "THREADED"; "VERIFY_HEAP"; "VERIFY_PRE" ]
   in
   List.iter
-    (fun (name, field, default) ->
-      List.iter
-        (fun (value, expected) ->
-          let what = Printf.sprintf "%s=%S" name value in
-          match expected with
-          | Some b -> check Alcotest.bool what b (field (config [ (name, value) ]))
-          | None -> (
-              match refusal what (fun () -> config [ (name, value) ]) with
-              | RC.Bad_value { setting; value = v; _ } ->
-                  check Alcotest.(pair string string) what (name, value) (setting, v)
-              | RC.Conflict _ -> Alcotest.failf "%s: not a bad value" what))
-        [
-          ("1", Some true); ("true", Some true); ("yes", Some true); ("on", Some true);
-          ("0", Some false); ("false", Some false); ("no", Some false); ("off", Some false);
-          ("", Some default); ("maybe", None); ("2", None); ("TRUE", None); (" 1", None);
-        ];
-      check Alcotest.bool (name ^ " unset") default (field (config [])))
-    fields
+    (fun var ->
+      let env = [| "PATH=/b"; var ^ "=1"; "HOME=/h"; "MM_=" |] in
+      match refusal var (fun () -> RC.refuse_environment ~env ()) with
+      | RC.Environment vars as e ->
+          check Alcotest.(list string) (var ^ ": names both") [ var; "MM_" ] vars;
+          check Alcotest.bool (var ^ ": message names them") true
+            (contains (RC.message e) (var ^ ", MM_ set"))
+      | _ -> Alcotest.failf "%s: not an environment refusal" var)
+    retired
 
 (* The refusals mmrun reports with exit 16, each built as mmrun builds
-   its request (every setting under its flag's name), plus the
-   environment's own. *)
+   its request (every setting under its flag's name). *)
 let test_config_refusals () =
-  let resolve ?(env = []) ?(collectors = []) ?census ?profile ?(needs = []) ?gc_unsafe
-      ?(bounds = []) () =
-    RC.resolve ~collectors ?census ?profile ~needs ?gc_unsafe ~bounds (config env)
+  let resolve ?collector ?census ?profile ?(needs = []) ?gc_unsafe ?(bounds = []) () =
+    RC.resolve ?collector ?census ?profile ~needs ?gc_unsafe ~bounds ()
   in
   let conflict what expected f =
     match refusal what f with
@@ -335,88 +319,67 @@ let test_config_refusals () =
         let msg = RC.message e in
         check Alcotest.bool (what ^ ": message names both") true
           (contains msg first && contains msg second)
-    | RC.Bad_value _ -> Alcotest.failf "%s: not a conflict" what
+    | _ -> Alcotest.failf "%s: not a conflict" what
   in
-  conflict "--gen --incremental" ("--gen", "--incremental") (fun () ->
-      resolve ~collectors:[ ("--gen", RC.Generational); ("--incremental", RC.Incremental) ] ());
-  conflict "--census-every 8 --incremental" ("--incremental", "--census-every 8") (fun () ->
-      resolve ~collectors:[ ("--incremental", RC.Incremental) ] ~census:"--census-every 8" ());
-  conflict "MM_GEN=1 MM_GC_INCREMENTAL=1" ("MM_GEN", "MM_GC_INCREMENTAL") (fun () ->
-      resolve ~env:[ ("MM_GEN", "1"); ("MM_GC_INCREMENTAL", "1") ] ());
+  let gen = ("--collector gen", RC.Generational) in
+  let inc = ("--collector inc", RC.Incremental) in
+  let conservative = ("--collector conservative", RC.Conservative) in
+  conflict "--census-every 8 --collector inc" ("--collector inc", "--census-every 8") (fun () ->
+      resolve ~collector:inc ~census:"--census-every 8" ());
   conflict "--collector conservative --census-every 1" ("--collector conservative", "--census-every 1")
-    (fun () ->
-      resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~census:"--census-every 1" ());
+    (fun () -> resolve ~collector:conservative ~census:"--census-every 1" ());
   (* A setting that only one collector reads, given to another, would be
-     dropped silently. mmrun always names its --collector (default
-     precise), which an environment mode replaces. *)
-  let precise = [ ("--collector precise", RC.Precise) ] in
+     dropped silently. *)
   let nursery = ("--nursery 64", RC.Generational) in
   let policy = ("--policy P.json", RC.Generational) in
   let budget n = (Printf.sprintf "--pause-budget-us %d" n, RC.Incremental) in
   conflict "--nursery 64" ("the precise collector", "--nursery 64") (fun () ->
-      resolve ~collectors:precise ~needs:[ nursery ] ());
+      resolve ~needs:[ nursery ] ());
   conflict "--pause-budget-us 50" ("the precise collector", "--pause-budget-us 50") (fun () ->
-      resolve ~collectors:precise ~needs:[ budget 50 ] ());
-  conflict "--incremental --nursery 64" ("--incremental", "--nursery 64") (fun () ->
-      resolve ~collectors:(("--incremental", RC.Incremental) :: precise) ~needs:[ nursery ] ());
-  conflict "--policy P.json without --gen" ("the precise collector", "--policy P.json")
-    (fun () -> resolve ~collectors:precise ~needs:[ policy ] ());
-  conflict "--gen --pause-budget-us 500" ("--gen", "--pause-budget-us 500") (fun () ->
-      resolve ~collectors:(("--gen", RC.Generational) :: precise) ~needs:[ budget 500 ] ());
+      resolve ~needs:[ budget 50 ] ());
+  conflict "--collector inc --nursery 64" ("--collector inc", "--nursery 64") (fun () ->
+      resolve ~collector:inc ~needs:[ nursery ] ());
+  conflict "--collector precise --policy P.json" ("--collector precise", "--policy P.json")
+    (fun () -> resolve ~collector:("--collector precise", RC.Precise) ~needs:[ policy ] ());
+  conflict "--collector gen --pause-budget-us 500" ("--collector gen", "--pause-budget-us 500")
+    (fun () -> resolve ~collector:gen ~needs:[ budget 500 ] ());
   conflict "--collector conservative --pause-budget-us 50"
     ("--collector conservative", "--pause-budget-us 50") (fun () ->
-      resolve ~collectors:[ ("--collector conservative", RC.Conservative) ] ~needs:[ budget 50 ] ());
-  conflict "MM_GC_INCREMENTAL=1 --policy P.json" ("MM_GC_INCREMENTAL", "--policy P.json")
-    (fun () -> resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:precise ~needs:[ policy ] ());
+      resolve ~collector:conservative ~needs:[ budget 50 ] ());
   (* A census is written only into the profile document: asked for
      without one, it would be dropped silently. *)
   conflict "--census-every 8 without --profile" ("--census-every 8", "no --profile") (fun () ->
-      resolve ~collectors:precise ~census:"--census-every 8" ());
+      resolve ~census:"--census-every 8" ());
   (* Code built without gc restrictions runs only with no collector. *)
   conflict "--no-gc-restrict" ("the precise collector", "--no-gc-restrict") (fun () ->
-      resolve ~collectors:precise ~gc_unsafe:"--no-gc-restrict" ());
-  conflict "MM_GEN=1 --no-gc-restrict" ("MM_GEN", "--no-gc-restrict") (fun () ->
-      resolve ~env:[ ("MM_GEN", "1") ] ~collectors:precise ~gc_unsafe:"--no-gc-restrict" ());
+      resolve ~gc_unsafe:"--no-gc-restrict" ());
+  conflict "--collector gen --no-gc-restrict" ("--collector gen", "--no-gc-restrict") (fun () ->
+      resolve ~collector:gen ~gc_unsafe:"--no-gc-restrict" ());
   (match
-     refusal "--nursery 0 --gen" (fun () ->
-         resolve ~collectors:[ ("--gen", RC.Generational) ] ~bounds:[ ("--nursery", Some 0, 1) ] ())
+     refusal "--nursery 0 --collector gen" (fun () ->
+         resolve ~collector:gen ~bounds:[ ("--nursery", Some 0, 1) ] ())
    with
   | RC.Bad_value { setting; value; _ } ->
       check Alcotest.(pair string string) "--nursery 0" ("--nursery", "0") (setting, value)
-  | RC.Conflict _ -> Alcotest.fail "--nursery 0: not a bad value");
+  | _ -> Alcotest.fail "--nursery 0: not a bad value");
   (match refusal "--pause-budget-us -5" (fun () -> resolve ~bounds:[ ("--pause-budget-us", Some (-5), 0) ] ()) with
   | RC.Bad_value { setting; _ } -> check Alcotest.string "--pause-budget-us -5" "--pause-budget-us" setting
-  | RC.Conflict _ -> Alcotest.fail "--pause-budget-us -5: not a bad value");
-  (match refusal "MM_VERIFY_HEAP=maybe" (fun () -> resolve ~env:[ ("MM_VERIFY_HEAP", "maybe") ] ()) with
-  | RC.Bad_value { setting; _ } -> check Alcotest.string "MM_VERIFY_HEAP=maybe" "MM_VERIFY_HEAP" setting
-  | RC.Conflict _ -> Alcotest.fail "MM_VERIFY_HEAP=maybe: not a bad value");
-  (* Accepted: an explicit choice stands over an environment mode, the
-     same choice twice is no conflict, and a census under a moving
-     collector. *)
+  | _ -> Alcotest.fail "--pause-budget-us -5: not a bad value");
+  (* Accepted: the default is the precise collector, and a census under
+     a moving collector. *)
   let accepted what expected c = check Alcotest.bool what true (c = expected) in
-  accepted "--gen under MM_GC_INCREMENTAL" RC.Generational
-    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:[ ("--gen", RC.Generational) ] ());
-  accepted "--collector generational --gen" RC.Generational
-    (resolve ~collectors:[ ("--collector generational", RC.Generational); ("--gen", RC.Generational) ] ());
-  accepted "MM_GEN=1 --census-every 8 --profile p.json" RC.Generational
-    (resolve ~env:[ ("MM_GEN", "1") ] ~census:"--census-every 8" ~profile:"--profile p.json"
+  accepted "no collector named" RC.Precise (resolve ());
+  accepted "--collector gen --census-every 8 --profile p.json" RC.Generational
+    (resolve ~collector:gen ~census:"--census-every 8" ~profile:"--profile p.json"
        ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ());
   accepted "--census-every 8 --profile p.json" RC.Precise
-    (resolve ~collectors:precise ~census:"--census-every 8" ~profile:"--profile p.json" ());
+    (resolve ~census:"--census-every 8" ~profile:"--profile p.json" ());
   accepted "--collector none --no-gc-restrict" RC.No_gc
-    (resolve ~collectors:[ ("--collector none", RC.No_gc) ] ~gc_unsafe:"--no-gc-restrict" ());
-  accepted "MM_GEN=1 --collector none --no-gc-restrict" RC.No_gc
-    (resolve ~env:[ ("MM_GEN", "1") ] ~collectors:[ ("--collector none", RC.No_gc) ]
-       ~gc_unsafe:"--no-gc-restrict" ());
-  accepted "MM_GEN=1 makes --nursery 64 valid" RC.Generational
-    (resolve ~env:[ ("MM_GEN", "1") ] ~collectors:precise ~needs:[ nursery ] ());
-  accepted "--gen --nursery 512 --policy P.json" RC.Generational
-    (resolve ~collectors:(("--gen", RC.Generational) :: precise)
-       ~needs:[ ("--nursery 512", RC.Generational); policy ] ());
-  accepted "--incremental --pause-budget-us 500" RC.Incremental
-    (resolve ~collectors:(("--incremental", RC.Incremental) :: precise) ~needs:[ budget 500 ] ());
-  accepted "MM_GC_INCREMENTAL=1 --pause-budget-us 500" RC.Incremental
-    (resolve ~env:[ ("MM_GC_INCREMENTAL", "1") ] ~collectors:precise ~needs:[ budget 500 ] ())
+    (resolve ~collector:("--collector none", RC.No_gc) ~gc_unsafe:"--no-gc-restrict" ());
+  accepted "--collector gen --nursery 512 --policy P.json" RC.Generational
+    (resolve ~collector:gen ~needs:[ ("--nursery 512", RC.Generational); policy ] ());
+  accepted "--collector inc --pause-budget-us 500" RC.Incremental
+    (resolve ~collector:inc ~needs:[ budget 500 ] ())
 
 let () =
   Alcotest.run "support"
@@ -453,7 +416,7 @@ let () =
         ] );
       ( "config",
         [
-          Alcotest.test_case "one parser for every variable" `Quick test_config_values;
+          Alcotest.test_case "set MM_* variables are refused" `Quick test_config_environment;
           Alcotest.test_case "contradictions are typed errors" `Quick test_config_refusals;
         ] );
     ]

@@ -40,13 +40,6 @@ let test_counters () =
   T.Metrics.incr c;
   check Alcotest.int "handle survives reset" 1 (T.Metrics.value c)
 
-let test_gauges () =
-  let g = T.Metrics.gauge "test.gauge" in
-  T.Metrics.set g 2.5;
-  check (Alcotest.float 1e-9) "gauge set" 2.5 (T.Metrics.gauge_value "test.gauge");
-  T.Metrics.set g 1.0;
-  check (Alcotest.float 1e-9) "gauge overwrites" 1.0 (T.Metrics.gauge_value "test.gauge")
-
 let test_histograms () =
   let h = T.Metrics.histogram "test.hist" in
   List.iter (fun v -> T.Metrics.observe h v) [ 4.0; 1.0; 7.0; 2.0 ];
@@ -330,7 +323,10 @@ let test_end_to_end_gc_phases () =
    configuration error naming the image, and it runs with no collector. *)
 let test_gc_unsafe_refused () =
   let options = { Driver.Compile.default_options with gc_restrict = false } in
-  (match Driver.Compile.run_source ~options Programs.Typereg_src.src with
+  (match
+     Driver.Compile.run_source ~options ~collector:Driver.Compile.Precise ~threaded:true
+       Programs.Typereg_src.src
+   with
   | _ -> Alcotest.fail "a gc-unsafe image ran under a collector"
   | exception Support.Runtime_config.Config_error (Conflict { first; second; _ } as e) ->
       check Alcotest.string "names the image" "an image built with gc_restrict = false" second;
@@ -338,7 +334,8 @@ let test_gc_unsafe_refused () =
         (String.starts_with ~prefix:(first ^ " and " ^ second)
            (Support.Runtime_config.message e)));
   let r =
-    Driver.Compile.run_source ~options ~collector:Driver.Compile.No_gc Programs.Typereg_src.src
+    Driver.Compile.run_source ~options ~collector:Driver.Compile.No_gc ~threaded:false
+      Programs.Typereg_src.src
   in
   check Alcotest.bool "runs with no collector" true (String.length r.Driver.Compile.output > 0)
 
@@ -358,7 +355,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters" `Quick (fresh test_counters);
-          Alcotest.test_case "gauges" `Quick (fresh test_gauges);
           Alcotest.test_case "histograms" `Quick (fresh test_histograms);
           Alcotest.test_case "reservoir sampling" `Quick (fresh test_reservoir);
           Alcotest.test_case "bucket percentiles" `Quick (fresh test_percentiles);

@@ -1,10 +1,13 @@
-(* Differential testing of the threaded-code execution engine against the
-   reference switch interpreter: same image, same collector, every
-   observable — output, instruction count, collection count, the final
-   heap/stack/register state — must agree exactly, with the heap verifier
-   armed after every collection. The engine matrix covers {flat, gen} ×
-   {unopt, opt} over the benchmark programs, plus qcheck-randomized
-   benchmark parameterizations and heap sizes. *)
+(* Differential testing across collectors and engines: one image run
+   under {precise, generational, incremental} x {switch, threaded}, with
+   the heap verifier armed before and after every collection. All six
+   cells must print the same output after executing the same number of
+   instructions (a collection executes no guest instructions), and each
+   collector's two engines must agree on every observable — collection
+   count, allocations, final registers and the final heap image. The
+   matrix covers the benchmark programs at O0 and O1, the toy programs
+   ({!Toys}) and the examples, plus qcheck-randomized benchmark
+   parameterizations and heap sizes. *)
 
 let check = Alcotest.check
 
@@ -20,11 +23,13 @@ type observed = {
   mem : Vm.Mem.t;
 }
 
+let collectors = [ C.Precise; C.Generational; C.Incremental ]
+
 (* Run one machine over [img] under the chosen engine and collector and
    capture everything the guest can observe (and some it cannot). *)
-let observe ~threaded ~gen (img : Vm.Image.t) : observed =
+let observe ~threaded ~collector (img : Vm.Image.t) : observed =
   let st = Vm.Interp.create img in
-  if gen then Gc.Nursery.install st else Gc.Cheney.install st;
+  ignore (C.install ~collector st);
   if threaded then Vm.Threaded.run st else Vm.Interp.run st;
   {
     output = Vm.Interp.output st;
@@ -36,66 +41,102 @@ let observe ~threaded ~gen (img : Vm.Image.t) : observed =
     mem = Vm.Mem.copy st.Vm.Interp.mem;
   }
 
-let agree ~what ~gen (img : Vm.Image.t) =
-  (* Verifier armed: any collection that corrupts the heap fails the run
-     itself, not just the comparison. *)
-  let post0 = Gc.Verify.post_enabled () in
+(* Verifier armed before and after every collection: any collection that
+   corrupts the heap fails the run itself, not just the comparison. *)
+let verified f =
+  Gc.Verify.set_pre true;
   Gc.Verify.set_post true;
   Fun.protect
-    ~finally:(fun () -> Gc.Verify.set_post post0)
-    (fun () ->
-      let s = observe ~threaded:false ~gen img in
-      let t = observe ~threaded:true ~gen img in
-      check Alcotest.string (what ^ ": output") s.output t.output;
-      check Alcotest.int (what ^ ": icount") s.icount t.icount;
-      check Alcotest.int (what ^ ": collections") s.collections t.collections;
-      check Alcotest.int (what ^ ": allocations") s.allocs t.allocs;
-      check Alcotest.int (what ^ ": alloc words") s.alloc_words t.alloc_words;
-      check Alcotest.bool (what ^ ": final registers") true (s.regs = t.regs);
-      check Alcotest.bool (what ^ ": final heap image") true (Vm.Mem.equal s.mem t.mem);
-      s.collections)
+    ~finally:(fun () ->
+      Gc.Verify.set_pre false;
+      Gc.Verify.set_post false)
+    f
+
+let same ~what (a : observed) (b : observed) =
+  check Alcotest.string (what ^ ": output") a.output b.output;
+  check Alcotest.int (what ^ ": icount") a.icount b.icount;
+  check Alcotest.int (what ^ ": collections") a.collections b.collections;
+  check Alcotest.int (what ^ ": allocations") a.allocs b.allocs;
+  check Alcotest.int (what ^ ": alloc words") a.alloc_words b.alloc_words;
+  check Alcotest.bool (what ^ ": final registers") true (a.regs = b.regs);
+  check Alcotest.bool (what ^ ": final heap image") true (Vm.Mem.equal a.mem b.mem)
+
+(* [collector]'s two engines agree on everything; the switch run's
+   observables are returned. *)
+let engines_agree ~what ~collector (img : Vm.Image.t) =
+  verified (fun () ->
+      let s = observe ~threaded:false ~collector img in
+      same ~what (observe ~threaded:true ~collector img) s;
+      s)
+
+(* The six cells of one image. Returns the collections the three
+   collectors ran. *)
+let cells_agree ?expected ~what (img : Vm.Image.t) =
+  let runs =
+    List.map
+      (fun collector ->
+        let what = Printf.sprintf "%s %s" what (C.Config.collector_name collector) in
+        (what, engines_agree ~what ~collector img))
+      collectors
+  in
+  let base = snd (List.hd runs) in
+  Option.iter (fun e -> check Alcotest.string (what ^ ": expected output") e base.output) expected;
+  List.fold_left
+    (fun total (what, r) ->
+      check Alcotest.string (what ^ ": output across collectors") base.output r.output;
+      check Alcotest.int (what ^ ": icount across collectors") base.icount r.icount;
+      total + r.collections)
+    0 runs
 
 let compile ~optimize ~heap src =
   C.compile ~options:{ C.default_options with optimize; heap_words = heap } src
 
 (* ------------------------------------------------------------------ *)
-(* The benchmark matrix: {flat, gen} x {unopt, opt} x programs          *)
+(* The matrix: collectors x engines x {O0, O1} x programs              *)
 (* ------------------------------------------------------------------ *)
 
-let test_benchmark_matrix () =
-  let progs =
-    [
-      ( "destroy",
-        Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:120,
-        4000 );
-      ("takl", Programs.Takl_src.make ~n1:10 ~n2:6 ~n3:4 ~repeats:3 ~ballast:50, 900);
-      ("typereg", Programs.Typereg_src.src, 8000);
-      ("FieldList", Programs.Fieldlist_src.src, 4000);
-    ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every program with its heap (small enough that the allocating ones
+   collect) and its expected output where one is known. The examples are
+   read from the source tree, so a new example joins the matrix. *)
+let matrix_programs () =
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".m3l")
+    |> List.map (fun f -> (f, read_file (Filename.concat "../examples" f), 4000, None))
   in
+  [
+    ( "destroy",
+      Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:120,
+      4000,
+      None );
+    ("takl", Programs.Takl_src.make ~n1:10 ~n2:6 ~n3:4 ~repeats:3 ~ballast:50, 900, None);
+    ("typereg", Programs.Typereg_src.src, 8000, None);
+    ("FieldList", Programs.Fieldlist_src.src, 4000, None);
+  ]
+  @ List.map (fun (t : Toys.t) -> (t.Toys.name, t.Toys.src, t.Toys.small, Some t.Toys.expected)) Toys.all
+  @ examples
+
+let test_benchmark_matrix () =
+  let progs = matrix_programs () in
+  check Alcotest.bool "examples found" true
+    (List.exists (fun (name, _, _, _) -> Filename.check_suffix name ".m3l") progs);
   let total_collections = ref 0 in
   List.iter
-    (fun (name, src, heap) ->
+    (fun (name, src, heap, expected) ->
       List.iter
         (fun optimize ->
           let img = compile ~optimize ~heap src in
-          List.iter
-            (fun gen ->
-              let what =
-                Printf.sprintf "%s%s %s" name
-                  (if optimize then "-opt" else "")
-                  (if gen then "gen" else "flat")
-              in
-              total_collections := !total_collections + agree ~what ~gen img)
-            [ false; true ])
+          let what = Printf.sprintf "%s O%d" name (Bool.to_int optimize) in
+          total_collections := !total_collections + cells_agree ?expected ~what img)
         [ false; true ])
     progs;
   (* The matrix is only meaningful if collections actually struck. *)
   check Alcotest.bool
-    (Printf.sprintf "matrix exercised the collectors (%d collections)"
-       !total_collections)
+    (Printf.sprintf "matrix exercised the collectors (%d collections)" !total_collections)
     true
-    (!total_collections > 20)
+    (!total_collections > 100)
 
 (* ------------------------------------------------------------------ *)
 (* Engines x {flat, gen} against a repeated switch run                 *)
@@ -110,57 +151,40 @@ let test_engine_sweep () =
     compile ~optimize:true ~heap:4000
       (Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:120)
   in
-  let post0 = Gc.Verify.post_enabled () in
-  Gc.Verify.set_post true;
-  Fun.protect
-    ~finally:(fun () -> Gc.Verify.set_post post0)
-    (fun () ->
+  verified (fun () ->
       List.iter
-        (fun gen ->
-          let mode = if gen then "gen" else "flat" in
-          let base = observe ~threaded:false ~gen img in
-          check Alcotest.bool (mode ^ ": baseline collected") true
-            (base.collections > 0);
+        (fun collector ->
+          let mode = C.Config.collector_name collector in
+          let base = observe ~threaded:false ~collector img in
+          check Alcotest.bool (mode ^ ": baseline collected") true (base.collections > 0);
           List.iter
             (fun threaded ->
-              let what =
-                Printf.sprintf "%s %s" mode (if threaded then "threaded" else "switch")
-              in
-              let r = observe ~threaded ~gen img in
-              check Alcotest.string (what ^ ": output") base.output r.output;
-              check Alcotest.int (what ^ ": icount") base.icount r.icount;
-              check Alcotest.int (what ^ ": collections") base.collections r.collections;
-              check Alcotest.int (what ^ ": allocations") base.allocs r.allocs;
-              check Alcotest.int (what ^ ": alloc words") base.alloc_words r.alloc_words;
-              check Alcotest.bool (what ^ ": final registers") true (base.regs = r.regs);
-              check Alcotest.bool (what ^ ": final heap image") true
-                (Vm.Mem.equal base.mem r.mem))
+              let what = Printf.sprintf "%s %s" mode (if threaded then "threaded" else "switch") in
+              same ~what base (observe ~threaded ~collector img))
             [ false; true ])
-        [ false; true ])
+        [ C.Precise; C.Generational ])
 
 (* ------------------------------------------------------------------ *)
 (* Engine selection plumbing                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* [run ~threaded] names the engine; without it, the run takes the
+   module switch that mmrun's --no-threaded turns off. *)
 let test_engine_switch () =
   let src = "MODULE T; BEGIN PutInt(42) END T.\n" in
-  (* The default tracks MM_THREADED (CI runs the whole suite both ways). *)
-  let dflt = if Vm.Threaded.enabled () then "threaded" else "switch" in
-  let r0 = C.run_source src in
-  check Alcotest.string "default engine honors MM_THREADED" dflt r0.C.engine;
-  let was = Vm.Threaded.enabled () in
+  let rt = C.run_source ~collector:C.Precise ~threaded:true src in
+  let rs = C.run_source ~collector:C.Precise ~threaded:false src in
+  check Alcotest.string "~threaded:true selects threaded" "threaded" rt.C.engine;
+  check Alcotest.string "~threaded:false selects switch" "switch" rs.C.engine;
+  check Alcotest.string "same output" rt.C.output rs.C.output;
+  check Alcotest.int "same icount" rt.C.instructions rs.C.instructions;
+  check Alcotest.string "default engine" "threaded" (C.run_source ~collector:C.Precise src).C.engine;
   Fun.protect
-    ~finally:(fun () -> Vm.Threaded.set_enabled was)
+    ~finally:(fun () -> Vm.Threaded.set_enabled true)
     (fun () ->
-      Vm.Threaded.set_enabled true;
-      let rt = C.run_source src in
       Vm.Threaded.set_enabled false;
-      let rs = C.run_source src in
-      check Alcotest.string "set_enabled true selects threaded" "threaded"
-        rt.C.engine;
-      check Alcotest.string "set_enabled false selects switch" "switch" rs.C.engine;
-      check Alcotest.string "same output" rt.C.output rs.C.output;
-      check Alcotest.int "same icount" rt.C.instructions rs.C.instructions)
+      check Alcotest.string "set_enabled false selects switch" "switch"
+        (C.run_source ~collector:C.Precise src).C.engine)
 
 (* ------------------------------------------------------------------ *)
 (* Fuel semantics                                                      *)
@@ -311,7 +335,7 @@ let prop_random_params =
     QCheck.Gen.(
       let* which = int_range 0 1 in
       let* optimize = bool in
-      let* gen_mode = bool in
+      let* collector = oneofl collectors in
       match which with
       | 0 ->
           let* branch = int_range 2 3 in
@@ -325,7 +349,7 @@ let prop_random_params =
               Programs.Destroy_src.make ~branch ~depth ~replace_depth ~iterations,
               heap,
               optimize,
-              gen_mode )
+              collector )
       | _ ->
           let* n1 = int_range 8 11 in
           let* n2 = int_range 5 7 in
@@ -339,23 +363,23 @@ let prop_random_params =
               Programs.Takl_src.make ~n1 ~n2 ~n3 ~repeats ~ballast,
               heap,
               optimize,
-              gen_mode ))
+              collector ))
   in
   QCheck.Test.make ~name:"threaded and switch agree on randomized benchmarks"
     ~count:25
-    (QCheck.make ~print:(fun (what, _, heap, o, g) ->
-         Printf.sprintf "%s heap=%d opt=%b gen=%b" what heap o g)
+    (QCheck.make ~print:(fun (what, _, heap, o, c) ->
+         Printf.sprintf "%s heap=%d opt=%b %s" what heap o (C.Config.collector_name c))
        gen)
-    (fun (what, src, heap, optimize, gen_mode) ->
+    (fun (what, src, heap, optimize, collector) ->
       let img = compile ~optimize ~heap src in
       (* Heap exhaustion on an aggressive parameterization is a legitimate
          outcome — but both engines must then agree on the failure, which
-         [agree] cannot express; surface it by comparing exceptions. *)
-      match agree ~what ~gen:gen_mode img with
+         [engines_agree] cannot express; surface it by comparing exceptions. *)
+      match engines_agree ~what ~collector img with
       | _ -> true
       | exception Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _) ->
           let fails threaded =
-            match observe ~threaded ~gen:gen_mode img with
+            match observe ~threaded ~collector img with
             | _ -> false
             | exception Vm.Vm_error.Error (Vm.Vm_error.Heap_exhausted _) -> true
           in

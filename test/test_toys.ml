@@ -1,240 +1,30 @@
-(* A broader set of real programs — classic small algorithms — each run
-   under the full configuration matrix (optimizer on/off, checks on/off,
-   big and tiny heaps, both collectors). These give the language and both
-   collectors wide structural coverage beyond the paper's benchmarks. *)
+(* A broader set of real programs ({!Toys}) — classic small algorithms —
+   each run under the full configuration matrix (optimizer on/off, checks
+   on/off, big and tiny heaps, precise and conservative collectors, both
+   engines). These give the language and the collectors wide structural
+   coverage beyond the paper's benchmarks; test_threaded runs the same
+   programs under the generational and incremental collectors. *)
 
-let check = Alcotest.check
-
-let run ?(collector = Driver.Compile.Precise) ?(optimize = false) ?(checks = true)
-    ?(heap = 65536) src =
-  let options =
-    { Driver.Compile.default_options with optimize; checks; heap_words = heap }
-  in
-  Driver.Compile.run_source ~options ~collector src
-
-let matrix name src expected ~small =
+let matrix (t : Toys.t) () =
+  let small = t.Toys.small in
   List.iter
-    (fun (tag, optimize, checks, heap, collector) ->
-      let r = run ~optimize ~checks ~heap ~collector src in
-      check Alcotest.string (Printf.sprintf "%s/%s" name tag) expected
+    (fun (tag, optimize, checks, heap, collector, threaded) ->
+      let options = { Driver.Compile.default_options with optimize; checks; heap_words = heap } in
+      let r = Driver.Compile.run_source ~options ~collector ~threaded t.Toys.src in
+      Alcotest.check Alcotest.string (Printf.sprintf "%s/%s" t.Toys.name tag) t.Toys.expected
         r.Driver.Compile.output)
     [
-      ("plain", false, true, 65536, Driver.Compile.Precise);
-      ("opt", true, true, 65536, Driver.Compile.Precise);
-      ("small", false, true, small, Driver.Compile.Precise);
-      ("opt-small", true, true, small, Driver.Compile.Precise);
-      ("opt-small-nochk", true, false, small, Driver.Compile.Precise);
-      ("conservative", false, true, small * 3, Driver.Compile.Conservative);
+      ("plain", false, true, 65536, Driver.Compile.Precise, true);
+      ("opt", true, true, 65536, Driver.Compile.Precise, true);
+      ("small", false, true, small, Driver.Compile.Precise, false);
+      ("opt-small", true, true, small, Driver.Compile.Precise, true);
+      ("opt-small-nochk", true, false, small, Driver.Compile.Precise, false);
+      ("conservative", false, true, small * 3, Driver.Compile.Conservative, true);
     ]
-
-(* Sieve of Eratosthenes over an open boolean array. *)
-let sieve =
-  "MODULE Sieve;\n\
-   TYPE Bits = REF ARRAY OF BOOLEAN;\n\
-   VAR isComposite: Bits; i, j, count: INTEGER;\n\
-   BEGIN\n\
-   isComposite := NEW(Bits, 50);\n\
-   count := 0;\n\
-   FOR i := 2 TO 49 DO\n\
-   \  IF NOT isComposite[i] THEN\n\
-   \    count := count + 1;\n\
-   \    j := i * i;\n\
-   \    WHILE j < 50 DO isComposite[j] := TRUE; j := j + i END\n\
-   \  END\n\
-   END;\n\
-   PutInt(count); PutLn()\n\
-   END Sieve.\n"
-
-let test_sieve () = matrix "sieve" sieve "15\n" ~small:200
-
-(* N-queens with a heap-allocated board, counting solutions. *)
-let queens =
-  "MODULE Queens;\n\
-   TYPE Board = REF ARRAY OF INTEGER;\n\
-   VAR solutions: INTEGER; board: Board;\n\
-   PROCEDURE Safe(row, col: INTEGER): BOOLEAN;\n\
-   VAR r: INTEGER;\n\
-   BEGIN\n\
-   FOR r := 0 TO row - 1 DO\n\
-   \  IF board[r] = col THEN RETURN FALSE END;\n\
-   \  IF ABS(board[r] - col) = row - r THEN RETURN FALSE END\n\
-   END;\n\
-   RETURN TRUE\n\
-   END Safe;\n\
-   PROCEDURE Place(row, n: INTEGER);\n\
-   VAR c: INTEGER;\n\
-   BEGIN\n\
-   IF row = n THEN solutions := solutions + 1; RETURN END;\n\
-   FOR c := 0 TO n - 1 DO\n\
-   \  IF Safe(row, c) THEN board[row] := c; Place(row + 1, n) END\n\
-   END\n\
-   END Place;\n\
-   BEGIN\n\
-   board := NEW(Board, 6);\n\
-   solutions := 0;\n\
-   Place(0, 6);\n\
-   PutInt(solutions); PutLn()\n\
-   END Queens.\n"
-
-let test_queens () = matrix "queens" queens "4\n" ~small:150
-
-(* Binary search tree: insert a shuffled sequence, verify the in-order
-   traversal is sorted and complete; allocation-heavy. *)
-let bst =
-  "MODULE Bst;\n\
-   TYPE NodeRec = RECORD key: INTEGER; left, right: Tree END;\n\
-   Tree = REF NodeRec;\n\
-   VAR root: Tree; i, prev, ok, count: INTEGER;\n\
-   PROCEDURE Insert(t: Tree; key: INTEGER): Tree;\n\
-   VAR n: Tree;\n\
-   BEGIN\n\
-   IF t = NIL THEN\n\
-   \  n := NEW(Tree); n.key := key; RETURN n\n\
-   END;\n\
-   IF key < t.key THEN t.left := Insert(t.left, key)\n\
-   ELSIF key > t.key THEN t.right := Insert(t.right, key)\n\
-   END;\n\
-   RETURN t\n\
-   END Insert;\n\
-   PROCEDURE Walk(t: Tree);\n\
-   BEGIN\n\
-   IF t = NIL THEN RETURN END;\n\
-   Walk(t.left);\n\
-   IF t.key <= prev THEN ok := 0 END;\n\
-   prev := t.key;\n\
-   count := count + 1;\n\
-   Walk(t.right)\n\
-   END Walk;\n\
-   BEGIN\n\
-   root := NIL;\n\
-   FOR i := 1 TO 100 DO\n\
-   \  root := Insert(root, (i * 37) MOD 101)\n\
-   END;\n\
-   prev := -1; ok := 1; count := 0;\n\
-   Walk(root);\n\
-   PutInt(ok); PutChar(' '); PutInt(count); PutLn()\n\
-   END Bst.\n"
-
-let test_bst () = matrix "bst" bst "1 100\n" ~small:600
-
-(* String manipulation over TEXT: reverse and palindrome check. *)
-let strings =
-  "MODULE Strings;\n\
-   VAR t, r: TEXT; i, n: INTEGER; pal: BOOLEAN;\n\
-   PROCEDURE Reverse(s: TEXT): TEXT;\n\
-   VAR out: TEXT; k, len: INTEGER;\n\
-   BEGIN\n\
-   len := NUMBER(s);\n\
-   out := NEW(TEXT, len);\n\
-   FOR k := 0 TO len - 1 DO out[k] := s[len - 1 - k] END;\n\
-   RETURN out\n\
-   END Reverse;\n\
-   PROCEDURE Equal(a, b: TEXT): BOOLEAN;\n\
-   VAR k: INTEGER;\n\
-   BEGIN\n\
-   IF NUMBER(a) # NUMBER(b) THEN RETURN FALSE END;\n\
-   FOR k := 0 TO NUMBER(a) - 1 DO\n\
-   \  IF a[k] # b[k] THEN RETURN FALSE END\n\
-   END;\n\
-   RETURN TRUE\n\
-   END Equal;\n\
-   BEGIN\n\
-   t := \"stressed\";\n\
-   r := Reverse(t);\n\
-   PutText(r); PutChar(' ');\n\
-   pal := Equal(\"racecar\", Reverse(\"racecar\"));\n\
-   IF pal THEN PutText(\"yes\") ELSE PutText(\"no\") END;\n\
-   PutLn();\n\
-   (* churn: many transient reversals *)\n\
-   n := 0;\n\
-   FOR i := 1 TO 60 DO\n\
-   \  n := n + NUMBER(Reverse(\"abcdefghij\"))\n\
-   END;\n\
-   PutInt(n); PutLn()\n\
-   END Strings.\n"
-
-let test_strings () = matrix "strings" strings "desserts yes\n600\n" ~small:200
-
-(* 2-D matrix multiply through REF ARRAY OF REF ARRAY (rows are separate
-   heap objects — pointer-rich data). *)
-let matmul =
-  "MODULE Matmul;\n\
-   TYPE Row = REF ARRAY OF INTEGER; Mat = REF ARRAY OF Row;\n\
-   VAR a, b, c: Mat; i, j, k, n, sum: INTEGER;\n\
-   PROCEDURE MkMat(n: INTEGER): Mat;\n\
-   VAR m: Mat; i: INTEGER;\n\
-   BEGIN\n\
-   m := NEW(Mat, n);\n\
-   FOR i := 0 TO n - 1 DO m[i] := NEW(Row, n) END;\n\
-   RETURN m\n\
-   END MkMat;\n\
-   BEGIN\n\
-   n := 6;\n\
-   a := MkMat(n); b := MkMat(n); c := MkMat(n);\n\
-   FOR i := 0 TO n - 1 DO\n\
-   \  FOR j := 0 TO n - 1 DO\n\
-   \    a[i][j] := i + j;\n\
-   \    b[i][j] := i - j\n\
-   \  END\n\
-   END;\n\
-   FOR i := 0 TO n - 1 DO\n\
-   \  FOR j := 0 TO n - 1 DO\n\
-   \    c[i][j] := 0;\n\
-   \    FOR k := 0 TO n - 1 DO\n\
-   \      c[i][j] := c[i][j] + a[i][k] * b[k][j]\n\
-   \    END\n\
-   \  END\n\
-   END;\n\
-   sum := 0;\n\
-   FOR i := 0 TO n - 1 DO\n\
-   \  FOR j := 0 TO n - 1 DO sum := sum + c[i][j] END\n\
-   END;\n\
-   PutInt(sum); PutLn()\n\
-   END Matmul.\n"
-
-let test_matmul () =
-  (* compute expected: sum over i,j,k of (i+k)(k-j) for n=6 *)
-  let n = 6 in
-  let expected = ref 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      for k = 0 to n - 1 do
-        expected := !expected + ((i + k) * (k - j))
-      done
-    done
-  done;
-  matrix "matmul" matmul (Printf.sprintf "%d\n" !expected) ~small:300
-
-(* Ackermann (small): deep recursion, no allocation in the hot path;
-   collections triggered only by the surrounding churn. *)
-let ack =
-  "MODULE Ack;\n\
-   TYPE L = REF RECORD v: INTEGER END;\n\
-   VAR r, i: INTEGER; junk: L;\n\
-   PROCEDURE A(m, n: INTEGER): INTEGER;\n\
-   BEGIN\n\
-   IF m = 0 THEN RETURN n + 1 END;\n\
-   IF n = 0 THEN RETURN A(m - 1, 1) END;\n\
-   RETURN A(m - 1, A(m, n - 1))\n\
-   END A;\n\
-   BEGIN\n\
-   FOR i := 1 TO 30 DO junk := NEW(L); junk.v := i END;\n\
-   r := A(2, 3);\n\
-   PutInt(r); PutLn()\n\
-   END Ack.\n"
-
-let test_ack () = matrix "ackermann" ack "9\n" ~small:100
 
 let () =
   Alcotest.run "toys"
     [
       ( "programs",
-        [
-          Alcotest.test_case "sieve" `Quick test_sieve;
-          Alcotest.test_case "n-queens" `Quick test_queens;
-          Alcotest.test_case "binary search tree" `Quick test_bst;
-          Alcotest.test_case "strings" `Quick test_strings;
-          Alcotest.test_case "matrix multiply" `Quick test_matmul;
-          Alcotest.test_case "ackermann" `Quick test_ack;
-        ] );
+        List.map (fun (t : Toys.t) -> Alcotest.test_case t.Toys.name `Quick (matrix t)) Toys.all );
     ]

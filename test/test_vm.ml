@@ -8,9 +8,18 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* Every run names its collector and engine: the precise collector on
+   the threaded engine, except where [run] compares the two engines. *)
+let run_source = Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:true
 
 let run ?(options = Driver.Compile.default_options) src =
-  (Driver.Compile.run_source ~options src).Driver.Compile.output
+  let out threaded =
+    (Driver.Compile.run_source ~options ~collector:Driver.Compile.Precise ~threaded src)
+      .Driver.Compile.output
+  in
+  let t = out true in
+  check Alcotest.string "switch engine agrees" t (out false);
+  t
 
 let wrap body = Printf.sprintf "MODULE T;\n%s T.\n" body
 
@@ -107,7 +116,7 @@ let test_data () =
     "5e"
 
 let expect_guest_error name src fragment =
-  match Driver.Compile.run_source src with
+  match run_source src with
   | exception Vm.Interp.Guest_error msg ->
       check Alcotest.bool
         (name ^ ": message mentions " ^ fragment)
@@ -131,7 +140,7 @@ let test_runtime_errors () =
   (* Without checks, the same NIL dereference is a machine-level fault. *)
   let options = { Driver.Compile.default_options with checks = false } in
   match
-    Driver.Compile.run_source ~options
+    run_source ~options
       (wrap "TYPE P = REF INTEGER; VAR p: P; x: INTEGER; BEGIN p := NIL; x := p^ END")
   with
   | exception Vm.Vm_error.Error _ -> ()
@@ -142,7 +151,7 @@ let test_runtime_errors () =
 
 let test_div_by_zero () =
   match
-    Driver.Compile.run_source
+    run_source
       (wrap "VAR x, y: INTEGER; BEGIN y := 0; x := 4 DIV y; PutInt(x) END")
   with
   | exception Vm.Vm_error.Error e ->
@@ -157,7 +166,7 @@ let test_stack_overflow () =
        BEGIN PutInt(Loop(0)) END"
   in
   match
-    Driver.Compile.run_source
+    run_source
       ~options:{ Driver.Compile.default_options with stack_words = 2000 }
       src
   with
@@ -175,7 +184,7 @@ let test_heap_exhaustion () =
        FOR i := 1 TO 1000 DO l := NEW(L); l.n := keep; keep := l END END"
   in
   match
-    Driver.Compile.run_source
+    run_source
       ~options:{ Driver.Compile.default_options with heap_words = 100 }
       src
   with
@@ -186,7 +195,7 @@ let test_heap_exhaustion () =
 
 let test_fuel () =
   let src = wrap "VAR x: INTEGER; BEGIN x := 0; WHILE TRUE DO x := x + 1 END END" in
-  match Driver.Compile.run_source ~fuel:10_000 src with
+  match run_source ~fuel:10_000 src with
   | exception Vm.Vm_error.Error _ -> ()
   | _ -> Alcotest.fail "expected out-of-fuel"
 

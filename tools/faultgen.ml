@@ -11,8 +11,9 @@
 
    - Table mutations: the encoded gc-table streams of the benchmark
      programs are mutated (bit flips, byte rewrites, truncations, varint
-     padding, byte swaps) across every scheme × packing config and each
-     run is classified.
+     padding, byte swaps) across every scheme × packing config, and each
+     mutation runs under the precise, generational and incremental
+     collectors in turn and is classified.
    - Runtime faults (skip with --no-runtime): the running collector is
      driven through an allocation-failure storm, a forced collection
      every 7th allocation, with the post-collection verifier armed. The
@@ -81,7 +82,7 @@ let () =
   in
   let sweeps = table_sweeps @ runtime_sweeps @ incremental_sweeps in
   let total = List.fold_left (fun a (s : Fault.Faultinject.sweep) -> a + s.iterations) 0 sweeps in
-  Printf.printf "%-14s %-18s %6s %s\n" "program" "config" "iters" "outcomes";
+  Printf.printf "%-14s %-28s %6s %s\n" "program" "config" "iters" "outcomes";
   List.iter
     (fun (s : Fault.Faultinject.sweep) ->
       let outcomes =
@@ -90,7 +91,7 @@ let () =
         |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
         |> String.concat " "
       in
-      Printf.printf "%-14s %-18s %6d %s\n" s.program s.config s.iterations outcomes)
+      Printf.printf "%-14s %-28s %6d %s\n" s.program s.config s.iterations outcomes)
     sweeps;
   let failures =
     List.concat_map
