@@ -6,9 +6,10 @@
 # and validates the emitted Chrome trace JSON (parses, spans balanced,
 # both kinds of copying collection and every gc pause phase present), the
 # same workload compiled at O1 (laid-out code) run under the heap
-# verifier, three refused configurations (a census without --profile,
-# gc-unsafe code under a collector, a set MM_* variable; each must exit
-# 16) and the accepted one (gc-unsafe code with no collector), a
+# verifier, three refused configurations (a nursery size without the
+# generational collector, gc-unsafe code under a collector, a set MM_*
+# variable; each must exit 16) and the accepted one (gc-unsafe code with
+# no collector), a
 # fault-injection smoke sweep over mutated gc-table streams, the
 # profiling smoke test, and the A3 collector comparison.
 
@@ -81,7 +82,7 @@ smoke: build
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(OPT_TRACE_OUT) \
 	  opt.layout gc.collect gc.verify gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
-	@for args in "--census-every 8" "--no-gc-restrict"; do \
+	@for args in "--nursery 512" "--no-gc-restrict"; do \
 	  $(DUNE) exec bin/mmrun.exe -- $$args examples/sample.m3l > /dev/null 2>&1; rc=$$?; \
 	  if [ $$rc -ne 16 ]; then \
 	    echo "smoke: mmrun $$args exited $$rc, not 16 (configuration error)"; exit 1; fi; \
@@ -100,21 +101,23 @@ fault: build
 	  --out $(FAULT_OUT:.json=.nocross.json)
 
 # Profiling smoke test: a collecting run with the allocation-site profiler
-# and periodic heap censuses on, in both copying collector modes, and a
-# profiled run under each non-moving collector (address reuse credits the
-# previous occupant's death), each with the heap verifier armed,
-# validating the emitted profile documents
-# (schema, site resolution, survival rates in range, no site with more
-# deaths than allocations, bucket counts summing to pause counts) and
-# rendering them. A census request under a non-moving collector, which
-# never ends a copying collection, must be refused.
+# on, in both copying collector modes, and a profiled run under each
+# non-moving collector (address reuse credits the previous occupant's
+# death), each with the heap verifier armed, validating the emitted
+# profile documents (schema, site resolution, survival rates in range, no
+# site with more deaths than allocations) and rendering them. The
+# document holds counts only, so a second run must write the same bytes.
 profile: build
 	$(DUNE) exec bin/mmrun.exe -- --verify-heap --heap 2000 --profile $(PROFILE_OUT) \
-	  --census-every 8 examples/sample.m3l > /dev/null
+	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT) > /dev/null
+	$(DUNE) exec bin/mmrun.exe -- --heap 2000 --profile $(PROFILE_OUT:.json=.again.json) \
+	  examples/sample.m3l > /dev/null
+	@cmp $(PROFILE_OUT) $(PROFILE_OUT:.json=.again.json) || { \
+	  echo "profile: two --profile runs of sample.m3l wrote different documents"; exit 1; }
 	$(DUNE) exec bin/mmrun.exe -- --verify-heap --collector gen --heap 4000 --profile \
-	  $(PROFILE_OUT:.json=.gen.json) --census-every 8 examples/sample.m3l > /dev/null
+	  $(PROFILE_OUT:.json=.gen.json) examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.gen.json)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.gen.json) > /dev/null
 	$(DUNE) exec bin/mmrun.exe -- --verify-heap --collector inc --heap 4000 --profile \
@@ -125,11 +128,6 @@ profile: build
 	  $(PROFILE_OUT:.json=.cons.json) examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- --profile $(PROFILE_OUT:.json=.cons.json)
 	$(DUNE) exec tools/profview.exe -- $(PROFILE_OUT:.json=.cons.json) > /dev/null
-	@for c in "--collector inc" "--collector conservative"; do \
-	  if $(DUNE) exec bin/mmrun.exe -- $$c --census-every 8 --profile \
-	    $(PROFILE_OUT:.json=.refused.json) examples/sample.m3l > /dev/null 2>&1; then \
-	    echo "profile: mmrun accepted --census-every with $$c"; exit 1; fi; \
-	done
 
 # Ablation A3 (paper §7): precise compacting vs the conservative baseline
 # on destroy, typereg and ambig. Fails if the two collectors' program

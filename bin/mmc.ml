@@ -74,7 +74,7 @@ let run_compiler file optimize checks no_gc_restrict loop_gcpoints dump_mir dump
     end;
     if timings then begin
       Printf.printf "pass timings (wall clock):\n";
-      print_string (Telemetry.Timer.to_text ());
+      print_string (Telemetry.Trace.to_text ());
       (* The proxy count next to the wall times it explains. *)
       List.iter
         (fun name -> Printf.printf "%-28s %8d\n" name (Telemetry.Metrics.counter_value name))

@@ -4,7 +4,9 @@
      mmrun -O --heap 4096 --collector conservative file.m3l
      mmrun --collector gen --no-threaded --verify-heap file.m3l
      mmrun --gc-stats file.m3l
-     mmrun --trace out.json --metrics file.m3l *)
+     mmrun --trace out.json --metrics file.m3l
+     mmrun --collector gen --profile p.json file.m3l
+     mmrun --collector gen --placement p.json file.m3l *)
 
 open Cmdliner
 module T = Telemetry
@@ -187,7 +189,7 @@ let print_gc_stats ?placement () =
 
 let run file optimize checks no_gc_restrict heap stack collector pause_budget nursery
     no_barrier_elim no_threaded gc_stats trace metrics no_decode_cache verify_heap verify_pre
-    profile census_every policy fuel =
+    profile placement fuel =
   if no_decode_cache then Gcmaps.Decode_cache.set_enabled false;
   if no_threaded then Vm.Threaded.set_enabled false;
   if verify_heap then Gc.Verify.set_post true;
@@ -203,7 +205,7 @@ let run file optimize checks no_gc_restrict heap stack collector pause_budget nu
       stack_words = stack;
     }
   in
-  if gc_stats || metrics || trace <> None || profile <> None then T.Control.enable ();
+  if gc_stats || metrics || trace <> None then T.Control.enable ();
   try
     (* The flags resolve as [run]'s arguments do, each under its own
        name, so a refusal names both settings. *)
@@ -213,31 +215,24 @@ let run file optimize checks no_gc_restrict heap stack collector pause_budget nu
     let collector =
       RC.resolve
         ?collector:(Option.map (fun c -> ("--collector " ^ RC.collector_name c, c)) collector)
-        ?census:(if census_every > 0 then Some (Printf.sprintf "--census-every %d" census_every) else None)
-        ?profile:(Option.map (fun path -> "--profile " ^ path) profile)
         ?gc_unsafe:(if no_gc_restrict then Some "--no-gc-restrict" else None)
         ~needs:
           (setting "--nursery" nursery string_of_int RC.Generational
-          @ setting "--policy" policy Fun.id RC.Generational
+          @ setting "--placement" placement Fun.id RC.Generational
           @ setting "--pause-budget-us" pause_budget string_of_int RC.Incremental)
-        ~bounds:
-          [ ("--nursery", nursery, 1); ("--pause-budget-us", pause_budget, 0);
-            ("--census-every", Some census_every, 0) ]
+        ~bounds:[ ("--nursery", nursery, 1); ("--pause-budget-us", pause_budget, 0) ]
         ()
     in
     let image = Driver.Compile.compile ~options (read_file file) in
     (* Attach a profiler only when asked: with --profile off the machine
        carries no profiler and the run is byte-identical to pre-profiling
        behavior. *)
-    let prof =
-      match profile with
-      | None -> None
-      | Some _ ->
-          let p = Driver.Compile.profile_for image in
-          Profile.set_census_every p census_every;
-          Some p
+    let prof = Option.map (fun _ -> Driver.Compile.profile_for image) profile in
+    (* Placement reads the document a --profile run wrote, keyed by
+       stable site, so a profile of the O0 image places the O1 image. *)
+    let pol =
+      Option.map (fun path -> Policy.derive_from_profile (T.Json.parse (read_file path))) placement
     in
-    let pol = Option.map Driver.Compile.policy_of_file policy in
     let t0 = T.Control.now_ns () in
     let r =
       Driver.Compile.run ~collector ?nursery_words:nursery
@@ -287,8 +282,8 @@ let run file optimize checks no_gc_restrict heap stack collector pause_budget nu
         "mmrun: corrupt gc table (proc %d, code offset %d, stream byte %d): %s\n%!"
         fid offset pos reason;
       exit (Vm.Vm_error.exit_code (Vm.Vm_error.Corrupt_table { fid; offset; reason }))
-  | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
-  | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad policy file: %s" m)
+  | Policy.Policy_error m -> `Error (false, Printf.sprintf "bad placement profile: %s" m)
+  | T.Json.Parse_error m -> `Error (false, Printf.sprintf "bad placement profile: %s" m)
   | Sys_error m -> `Error (false, m)
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
@@ -393,31 +388,28 @@ let profile =
     & opt (some string) None
     & info [ "profile" ] ~docv:"FILE"
         ~doc:
-          "Write a versioned JSON allocation profile: per-site allocation \
-           counts and survival rates (sites carry their m3l source location), \
-           pause-time distributions, and any heap censuses. Off by default; \
-           when off, execution is byte-identical to a build without profiling.")
-let policy =
+          "Write a versioned JSON allocation profile (mm-profile): per-site \
+           allocation counts and survival rates (sites carry their m3l source \
+           location) and collection counts. Two runs of one image write the \
+           same bytes. Off by default; when off, execution is byte-identical \
+           to a build without profiling.")
+let placement =
   Arg.(
     value
     & opt (some file) None
-    & info [ "policy" ] ~docv:"FILE"
+    & info [ "placement" ] ~docv:"PROFILE"
         ~doc:
-          "Load an mm-policy placement file (see policygen): sites the policy \
-           marks pretenure allocate directly in the old generation, \
-           bypassing the nursery. Generational mode only (exit 16 \
-           otherwise). Matching is by stable (proc, line, col, \
-           type) key, so a policy survives recompilation. Pure runtime \
-           switch — gc tables and program output are byte-identical.")
-let census_every =
-  Arg.(
-    value & opt int 0
-    & info [ "census-every" ] ~docv:"N"
-        ~doc:
-          "With --profile: take a heap census (live objects and words by type \
-           descriptor and by allocation site) after every Nth collection. 0 \
-           disables censuses. An error (exit 16) without --profile, and with \
-           a non-moving collector, which never ends a copying collection.")
+          (Printf.sprintf
+             "Place allocation sites by an mm-profile document that --profile \
+              wrote: a site whose measured survival rate is at least %.0f%% \
+              over at least %d words of completed lifetimes allocates directly \
+              in the old generation, bypassing the nursery; every other site, \
+              and every site the profile lacks, stays in the nursery. \
+              Generational mode only (exit 16 otherwise). Matching is by \
+              stable (proc, line, col, type) key, so a profile survives \
+              recompilation. Pure runtime switch — gc tables and program \
+              output are byte-identical."
+             (100.0 *. Policy.pretenure_rate) Policy.min_sample_words))
 let fuel =
   Arg.(value & opt int 1_000_000_000 & info [ "fuel" ] ~doc:"Instruction budget.")
 
@@ -430,6 +422,6 @@ let cmd =
         (const run $ file $ optimize $ checks $ no_gc_restrict $ heap $ stack $ collector
        $ pause_budget $ nursery $ no_barrier_elim $ no_threaded
        $ gc_stats $ trace $ metrics $ no_decode_cache $ verify_heap $ verify_pre $ profile
-       $ census_every $ policy $ fuel))
+       $ placement $ fuel))
 
 let () = exit (Cmd.eval cmd)

@@ -235,7 +235,7 @@ type program_tables = {
 
 let encode_program scheme opts (pms : Rawmaps.proc_maps array) (code_starts : int array) =
   let t =
-    Telemetry.Timer.time ~cat:"compile" "encode.tables" (fun () ->
+    Telemetry.Trace.span ~cat:"compile" "encode.tables" (fun () ->
         {
           scheme;
           opts;

@@ -31,29 +31,28 @@ let default_options =
 let to_mir ?(options = default_options) (source : string) : Mir.Ir.program =
   let module T = Telemetry in
   let tast =
-    T.Timer.time ~cat:"compile" "frontend.typecheck" (fun () ->
+    T.Trace.span ~cat:"compile" "frontend.typecheck" (fun () ->
         M3l.Typecheck.check_source source)
   in
   let prog =
-    T.Timer.time ~cat:"compile" "mir.lower" (fun () ->
+    T.Trace.span ~cat:"compile" "mir.lower" (fun () ->
         Mir.Lower.program ~checks:options.checks tast)
   in
   if options.optimize then Opt.Pipeline.optimize prog;
   if options.loop_gcpoints then
-    ignore (T.Timer.time ~cat:"compile" "opt.loop_gcpoints" (fun () ->
+    ignore (T.Trace.span ~cat:"compile" "opt.loop_gcpoints" (fun () ->
         Opt.Loop_gcpoints.run prog));
   (* Must run after every pass that can insert gc-points: a gc-point the
-     analysis did not see would make an elimination unsound. *)
-  if options.barrier_elim then
-    T.Timer.time ~cat:"compile" "opt.barrier_elim" (fun () ->
-        Opt.Barrier_elim.run prog);
+     analysis did not see would make an elimination unsound. The pass
+     records its own opt.barrier_elim span. *)
+  if options.barrier_elim then Opt.Barrier_elim.run prog;
   prog
 
 let image_of_mir ?(options = default_options) (prog : Mir.Ir.program) : Vm.Image.t =
   let module T = Telemetry in
   let noalloc =
     if options.noalloc_analysis then
-      T.Timer.time ~cat:"compile" "opt.noalloc" (fun () -> Opt.Noalloc.analyze prog)
+      T.Trace.span ~cat:"compile" "opt.noalloc" (fun () -> Opt.Noalloc.analyze prog)
     else fun _ -> false
   in
   let build_opts =
@@ -65,7 +64,7 @@ let image_of_mir ?(options = default_options) (prog : Mir.Ir.program) : Vm.Image
       table_opts = options.table_opts;
     }
   in
-  T.Timer.time ~cat:"compile" "codegen.image" (fun () -> Vm.Image.build ~opts:build_opts prog)
+  T.Trace.span ~cat:"compile" "codegen.image" (fun () -> Vm.Image.build ~opts:build_opts prog)
 
 let compile ?(options = default_options) (source : string) : Vm.Image.t =
   image_of_mir ~options (to_mir ~options source)
@@ -108,15 +107,6 @@ let sites_for (image : Vm.Image.t) : Profile.site array =
     memory map. Attach it via [run ~profile]. *)
 let profile_for (image : Vm.Image.t) : Profile.t =
   Profile.create ~words:image.Vm.Image.total_words (sites_for image)
-
-(** Parse an [mm-policy] file. @raise Policy.Policy_error on schema
-    mismatch, [Sys_error] on I/O failure. *)
-let policy_of_file path : Policy.t =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  Policy.of_json (Telemetry.Json.parse s)
 
 (** Resolve the arguments with {!Support.Runtime_config.resolve} and
     install the result on a fresh machine: [collector], the precise one

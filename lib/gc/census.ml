@@ -5,7 +5,18 @@
     object headers directly off the allocation frontiers — so a test can
     cross-check its totals against the verifier's live-heap parse without
     the two sharing any code. Taken at collection boundaries (right after a
-    collection retires the garbage) the census is exactly the live heap. *)
+    collection retires the garbage) the census is exactly the live heap.
+    Nothing in the runtime takes one: it is the test suite's oracle for
+    the copier's counts and the verifier's live-heap parse. *)
+
+(** Live objects and words, broken down by type descriptor and by
+    allocation site. *)
+type t = {
+  objects : int;
+  words : int;
+  by_tdesc : (int * int * int) list; (* (tdesc, objects, words), ascending *)
+  by_site : (int * int * int) list; (* (site, objects, words), ascending; -1 = unknown *)
+}
 
 (** Header-driven size of the object at [addr]; [None] when the header is
     not a plausible type descriptor (a corrupt heap — the verifier's
@@ -20,8 +31,9 @@ let object_size (st : Vm.Interp.t) addr =
 
 (** Take one census of the machine's live regions — flat mode walks
     [from_base, alloc); generational mode walks the old generation and the
-    nursery separately — and record it into the profiler. *)
-let take (st : Vm.Interp.t) (p : Profile.t) =
+    nursery separately — attributing each object to its site through the
+    profiler [p]. *)
+let take (st : Vm.Interp.t) (p : Profile.t) : t =
   let by_tdesc = Hashtbl.create 32 in
   let by_site = Hashtbl.create 64 in
   let objects = ref 0 in
@@ -57,11 +69,4 @@ let take (st : Vm.Interp.t) (p : Profile.t) =
   let dump tbl =
     Hashtbl.fold (fun k (o, w) acc -> (k, o, w) :: acc) tbl [] |> List.sort compare
   in
-  Profile.record_census p
-    {
-      Profile.c_collection = p.Profile.collections;
-      c_objects = !objects;
-      c_words = !words;
-      c_by_tdesc = dump by_tdesc;
-      c_by_site = dump by_site;
-    }
+  { objects = !objects; words = !words; by_tdesc = dump by_tdesc; by_site = dump by_site }

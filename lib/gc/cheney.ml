@@ -328,9 +328,7 @@ let run (st : Vm.Interp.t) ~minor ~regions ~extra_roots ~reopen =
   (* Lifetime accounting: whatever is still keyed in the evacuated source
      region was not forwarded, i.e. it died in this collection. *)
   (match st.Vm.Interp.prof with
-  | Some p ->
-      Profile.end_collection p ~src_lo:c.src_lo ~src_hi:c.src_hi;
-      if Profile.census_due p then Census.take st p
+  | Some p -> Profile.end_collection p ~src_lo:c.src_lo ~src_hi:c.src_hi
   | None -> ());
   (* Post-pass, after the reopen so it sees exactly the heap the mutator
      is about to resume on. *)

@@ -48,7 +48,7 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
     (* Each pass is timed individually so `mmc --timings` breaks the
        optimizer down per pass across all fixed-point iterations. *)
     let step cond name pass =
-      if cond && Telemetry.Timer.time ~cat:"opt" name (fun () -> wrap name cfg pass) then
+      if cond && Telemetry.Trace.span ~cat:"opt" name (fun () -> wrap name cfg pass) then
         changed := true
     in
     step opts.copyprop "opt.copyprop" (fun () -> Copyprop.run prog f);
@@ -63,7 +63,7 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
   done;
   if opts.layout then
     ignore
-      (Telemetry.Timer.time ~cat:"opt" "opt.layout" (fun () ->
+      (Telemetry.Trace.span ~cat:"opt" "opt.layout" (fun () ->
            wrap "opt.layout" cfg (fun () -> Layout.run cfg f)));
   Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.computed c_loop_analyses;
   Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.reused c_loop_reuses

@@ -1,6 +1,5 @@
-(** Allocation-site profiling: per-site allocation counts, object lifetime
-    (survival) attribution across copying collections, and heap census
-    snapshots.
+(** Allocation-site profiling: per-site allocation counts and object
+    lifetime (survival) attribution across copying collections.
 
     The profiler is entirely passive. Site ids are assigned at MIR lowering
     and ride inside the allocating runtime calls; the machine attributes
@@ -16,9 +15,9 @@
 
     Nothing here is gated on the telemetry master switch: a profiler is
     either attached to the machine (every event recorded) or absent (every
-    hook is a [None] match on the hot path). Pause-time distributions come
-    from the telemetry histograms, so emission ({!to_json}) expects
-    telemetry to have been enabled for the run. *)
+    hook is a [None] match on the hot path). The document it emits
+    ({!to_json}) holds only these counts, so two runs of one image write
+    the same bytes; pause times are [--gc-stats]'s. *)
 
 (** A static allocation site, as assigned at lowering (a mirror of
     [Mir.Ir.alloc_site], kept separate so this library sits below the
@@ -43,26 +42,14 @@ type site_stats = {
   mutable st_dead_words : int; (* words reclaimed *)
 }
 
-(** One heap census: live objects/words at a collection boundary, broken
-    down by type descriptor and by allocation site. *)
-type census = {
-  c_collection : int; (* completed collections when taken *)
-  c_objects : int;
-  c_words : int;
-  c_by_tdesc : (int * int * int) list; (* (tdesc, objects, words) *)
-  c_by_site : (int * int * int) list; (* (site, objects, words); -1 = unknown *)
-}
-
 type t = {
   sites : site array; (* index = site id *)
   stats : site_stats array; (* parallel to [sites] *)
   live : int array; (* heap addr -> packed (site, words); 0 = none *)
-  mutable census_every : int; (* 0 = censuses off *)
   mutable collections : int; (* collections observed end-to-end *)
   mutable minor_collections : int;
   mutable full_collections : int;
   mutable cur_minor : bool; (* kind of the collection in progress *)
-  mutable censuses : census list; (* most recent first *)
 }
 
 let fresh_stats () =
@@ -97,15 +84,11 @@ let create ~words (sites : site array) : t =
     sites;
     stats = Array.init (Array.length sites) (fun _ -> fresh_stats ());
     live = Array.make words 0;
-    census_every = 0;
     collections = 0;
     minor_collections = 0;
     full_collections = 0;
     cur_minor = false;
-    censuses = [];
   }
-
-let set_census_every t n = t.census_every <- max 0 n
 
 let in_range t site = site >= 0 && site < Array.length t.stats
 
@@ -175,9 +158,6 @@ let end_collection t ~src_lo ~src_hi =
   if t.cur_minor then t.minor_collections <- t.minor_collections + 1
   else t.full_collections <- t.full_collections + 1
 
-(** Is a census due right now (call after {!end_collection})? *)
-let census_due t = t.census_every > 0 && t.collections mod t.census_every = 0
-
 (** Site id of a live heap object, [-1] if the profiler never saw it. *)
 let site_of_addr t addr =
   if addr >= 0 && addr < Array.length t.live then entry_site t.live.(addr) else -1
@@ -194,8 +174,6 @@ let keyed_objects t =
     t.live;
   n
 
-let record_census t c = t.censuses <- c :: t.censuses
-
 (** Fraction of this site's attributed words that survived a collection,
     in [0,1]; objects still live (never collected either way) count for
     neither side. An object surviving several collections is credited each
@@ -211,36 +189,9 @@ let survival_rate (st : site_stats) =
 (* ------------------------------------------------------------------ *)
 
 module J = Telemetry.Json
-module M = Telemetry.Metrics
 
 let schema_name = "mm-profile"
 let schema_version = 1
-
-let hist_json name : J.t =
-  match M.find_histogram name with
-  | None -> J.Obj [ ("count", J.Int 0); ("buckets", J.List []) ]
-  | Some h ->
-      let buckets =
-        M.nonzero_buckets h
-        |> List.map (fun (lo, hi, n) ->
-               J.Obj
-                 [
-                   ("lo", J.Float lo);
-                   ("hi", if Float.is_finite hi then J.Float hi else J.Null);
-                   ("count", J.Int n);
-                 ])
-      in
-      J.Obj
-        [
-          ("count", J.Int h.M.h_count);
-          ("min_ns", J.Float (if h.M.h_count = 0 then 0.0 else h.M.h_min));
-          ("max_ns", J.Float (if h.M.h_count = 0 then 0.0 else h.M.h_max));
-          ("mean_ns", J.Float (M.mean h));
-          ("p50_ns", J.Float (M.percentile h 0.50));
-          ("p90_ns", J.Float (M.percentile h 0.90));
-          ("p99_ns", J.Float (M.percentile h 0.99));
-          ("buckets", J.List buckets);
-        ]
 
 let site_json t i : J.t =
   let s = t.sites.(i) and st = t.stats.(i) in
@@ -263,27 +214,8 @@ let site_json t i : J.t =
       ("survival_rate", J.Float (survival_rate st));
     ]
 
-let census_json (c : census) : J.t =
-  let breakdown key entries =
-    J.List
-      (List.map
-         (fun (id, objects, words) ->
-           J.Obj [ (key, J.Int id); ("objects", J.Int objects); ("words", J.Int words) ])
-         entries)
-  in
-  J.Obj
-    [
-      ("collection", J.Int c.c_collection);
-      ("live_objects", J.Int c.c_objects);
-      ("live_words", J.Int c.c_words);
-      ("by_tdesc", breakdown "tdesc" c.c_by_tdesc);
-      ("by_site", breakdown "site" c.c_by_site);
-    ]
-
-(** The versioned profile document. Pause distributions are read from the
-    telemetry histograms ([gc.pause_ns] for every collection, plus the
-    generational minor/major split), so the run must have had telemetry
-    enabled for them to be populated. *)
+(** The versioned profile document: every static site with its counts,
+    and the collections that attributed them. *)
 let to_json t : J.t =
   J.Obj
     [
@@ -297,28 +229,4 @@ let to_json t : J.t =
             ("minor", J.Int t.minor_collections);
             ("full", J.Int t.full_collections);
           ] );
-      ( "pauses",
-        J.Obj
-          [
-            ("all", hist_json "gc.pause_ns");
-            ("minor", hist_json "gc.minor_pause_ns");
-            ("full", hist_json "gc.major_pause_ns");
-          ] );
-      (* Copy-phase totals: the gc.copy_words counter, the exact
-         gc.copy_ns histogram sum, and the bandwidth they imply. *)
-      ( "copy",
-        let words = Telemetry.Metrics.counter_value "gc.copy_words" in
-        let ns =
-          match Telemetry.Metrics.find_histogram "gc.copy_ns" with
-          | Some h -> h.Telemetry.Metrics.h_sum
-          | None -> 0.0
-        in
-        J.Obj
-          [
-            ("copy_words", J.Int words);
-            ("copy_ns", J.Float ns);
-            ( "mwords_per_s",
-              J.Float (if ns > 0.0 then float_of_int words /. (ns /. 1e3) else 0.0) );
-          ] );
-      ("censuses", J.List (List.rev_map census_json t.censuses));
     ]

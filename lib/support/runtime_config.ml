@@ -42,10 +42,6 @@ let refuse_environment ?(env = Unix.environment ()) () =
 
 type collector = Precise | Generational | Incremental | Conservative | No_gc
 
-(** Only the copying collectors move objects, so only they end a copying
-    collection, where a census is taken. *)
-let moving = function Precise | Generational -> true | Incremental | Conservative | No_gc -> false
-
 (** [--collector]'s names, aliases included. *)
 let collector_names =
   [ ("precise", Precise); ("generational", Generational); ("gen", Generational);
@@ -58,11 +54,8 @@ let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
     request carries the name it was given under, so an error names both
     settings:
     - [collector]: the collector chosen; the precise one when none is.
-    - [census]: an explicit census request, which a non-moving collector
-      refuses, and which needs [profile], the setting that asks for the
-      profile document a census is written into.
     - [needs]: [(setting, c)] for each given setting that only collector
-      [c] reads (a nursery size or a policy, generational; a pause
+      [c] reads (a nursery size or a placement, generational; a pause
       budget, incremental). Under any other collector it would be
       silently dropped, so it is refused.
     - [gc_unsafe]: the setting that built the image without gc
@@ -71,8 +64,8 @@ let collector_name c = fst (List.find (fun (_, c') -> c' = c) collector_names)
     - [bounds]: [(setting, value, least)]; a given value below [least]
       is out of range.
     @raise Config_error *)
-let resolve ?(collector = ("the precise collector", Precise)) ?census ?profile ?(needs = [])
-    ?gc_unsafe ?(bounds = []) () =
+let resolve ?(collector = ("the precise collector", Precise)) ?(needs = []) ?gc_unsafe
+    ?(bounds = []) () =
   List.iter
     (function
       | setting, Some v, least when v < least ->
@@ -81,17 +74,6 @@ let resolve ?(collector = ("the precise collector", Precise)) ?census ?profile ?
       | _ -> ())
     bounds;
   let source, collector = collector in
-  if not (moving collector) then
-    Option.iter
-      (fun second ->
-        let reason = "censuses are taken where a copying collection ends, which this collector never runs" in
-        fail (Conflict { first = source; second; reason }))
-      census;
-  (match (census, profile) with
-  | Some first, None ->
-      let reason = "a census is written only into the profile document" in
-      fail (Conflict { first; second = "no --profile"; reason })
-  | _ -> ());
   if collector <> No_gc then
     Option.iter
       (fun second ->

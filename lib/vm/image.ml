@@ -116,7 +116,7 @@ let build ?(opts = default_build_options) (prog : Mir.Ir.program) : t =
     prog.Mir.Ir.texts;
   (* 3. Select code for every function. *)
   let outs =
-    Telemetry.Timer.time ~cat:"compile" "codegen.select" (fun () ->
+    Telemetry.Trace.span ~cat:"compile" "codegen.select" (fun () ->
         Array.map
           (fun f ->
             Codegen.Select.func ~prog opts.select

@@ -11,8 +11,9 @@
    old→young edges a placed object can hold: one created by a store
    whose barrier was elided, which the first minor after the object's
    allocation must scan, and one created after that minor, which only the
-   barrier may cover. The mm-policy serialization round-trips under
-   qcheck. *)
+   barrier may cover. A policy read back from the mm-profile document
+   decides exactly as one derived from the live profiler, and a profile
+   of the O0 image places the same sites of the O1 image. *)
 
 module T = Telemetry
 module C = Driver.Compile
@@ -62,90 +63,23 @@ let run_with ?policy ?profile ?(nursery = 512) ~threaded ~gen img =
   else C.run ~collector:C.Precise ?profile ~threaded img
 
 (* ------------------------------------------------------------------ *)
-(* mm-policy JSON round-trip                                           *)
-(* ------------------------------------------------------------------ *)
-
-let gen_policy =
-  let open QCheck.Gen in
-  let ident = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
-  let entry =
-    ident >>= fun proc ->
-    int_range 1 999 >>= fun line ->
-    int_range 0 80 >>= fun col ->
-    int_range 0 50 >>= fun tdesc ->
-    bool >>= fun open_ ->
-    oneofl [ Policy.Nursery; Policy.Pretenure ] >>= fun d ->
-    float_range 0.0 1.0 >>= fun rate ->
-    int_range 0 100_000 >>= fun samples ->
-    int_range 0 100_000 >>= fun allocs ->
-    return
-      {
-        Policy.e_proc = proc;
-        e_line = line;
-        e_col = col;
-        e_tdesc = tdesc;
-        e_open = open_;
-        e_decision = d;
-        e_rate = rate;
-        e_samples = samples;
-        e_allocs = allocs;
-      }
-  in
-  float_range 0.0 1.0 >>= fun pr ->
-  int_range 0 1000 >>= fun msw ->
-  list_size (int_range 0 20) entry >>= fun entries ->
-  return
-    { Policy.thresholds = { Policy.pretenure_rate = pr; min_sample_words = msw }; entries }
-
-let test_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"mm-policy JSON round-trip"
-    (QCheck.make gen_policy) (fun p ->
-      let text = T.Json.to_string (Policy.to_json p) in
-      Policy.of_json (T.Json.parse text) = p)
-
-let test_bad_documents () =
-  let rejects doc =
-    match Policy.of_json (T.Json.parse doc) with
-    | exception Policy.Policy_error _ -> true
-    | _ -> false
-  in
-  check Alcotest.bool "wrong schema rejected" true
-    (rejects {|{"schema":"mm-profile","version":1,"sites":[]}|});
-  check Alcotest.bool "wrong version rejected" true
-    (rejects {|{"schema":"mm-policy","version":99,"sites":[]}|});
-  check Alcotest.bool "missing sites rejected" true
-    (rejects {|{"schema":"mm-policy","version":2}|});
-  check Alcotest.bool "bad decision rejected" true
-    (rejects
-       {|{"schema":"mm-policy","version":2,"sites":[{"proc":"P","line":1,"col":1,"tdesc":0,"decision":"eden"}]}|});
-  (* Version 1 could name the pooled placement that version 2 dropped. *)
-  check Alcotest.bool "v1 document rejected" true
-    (rejects {|{"schema":"mm-policy","version":1,"sites":[]}|});
-  check Alcotest.bool "pool decision rejected" true
-    (rejects
-       {|{"schema":"mm-policy","version":2,"sites":[{"proc":"P","line":1,"col":1,"tdesc":0,"decision":"pool"}]}|})
-
-(* ------------------------------------------------------------------ *)
 (* Classifier                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_classify () =
-  let th = Policy.default_thresholds in
-  let c ~allocs ~survived_words ~dead_words =
-    (Policy.entry_of_counts th ~proc:"P" ~line:1 ~col:1 ~tdesc:0 ~open_:false ~allocs
-       ~survived_words ~dead_words)
-      .Policy.e_decision
-  in
+  let c = Policy.classify in
   check Alcotest.bool "under-sampled site stays in the nursery" true
-    (c ~allocs:1000 ~survived_words:63 ~dead_words:0 = Policy.Nursery);
+    (c ~survived_words:63 ~dead_words:0 = Policy.Nursery);
+  check Alcotest.bool "at the sample floor, all survivors pretenure" true
+    (c ~survived_words:64 ~dead_words:0 = Policy.Pretenure);
   check Alcotest.bool "low survival stays in the nursery" true
-    (c ~allocs:1000 ~survived_words:50 ~dead_words:950 = Policy.Nursery);
-  check Alcotest.bool "high survival, few allocs pretenures" true
-    (c ~allocs:10 ~survived_words:900 ~dead_words:100 = Policy.Pretenure);
-  check Alcotest.bool "high survival, many allocs pretenures" true
-    (c ~allocs:1000 ~survived_words:900 ~dead_words:100 = Policy.Pretenure);
+    (c ~survived_words:50 ~dead_words:950 = Policy.Nursery);
+  check Alcotest.bool "high survival pretenures" true
+    (c ~survived_words:900 ~dead_words:100 = Policy.Pretenure);
+  check Alcotest.bool "just under the rate floor stays in the nursery" true
+    (c ~survived_words:79 ~dead_words:21 = Policy.Nursery);
   check Alcotest.bool "exactly at the rate floor leaves the nursery" true
-    (c ~allocs:10 ~survived_words:80 ~dead_words:20 = Policy.Pretenure)
+    (c ~survived_words:80 ~dead_words:20 = Policy.Pretenure)
 
 (* ------------------------------------------------------------------ *)
 (* Nursery-capacity boundary                                           *)
@@ -406,12 +340,20 @@ let destroy_ballast =
   Programs.Destroy_src.make_ballast ~ballast:300 ~branch:3 ~depth:4 ~replace_depth:2
     ~iterations:150
 
-(* Derive a policy from a real profiled run of [img] (generational, so
-   the lifetime stats are populated by minor collections). *)
-let derived_policy img =
+(* The CLI's PGO example: one long-lived site among short-lived churn. *)
+let ballast_src = In_channel.with_open_bin "../examples/ballast.m3l" In_channel.input_all
+
+(* A real profiled run of [img] (generational, so the lifetime stats are
+   populated by minor collections). *)
+let trained img =
   let p = C.profile_for img in
   ignore (run_with ~profile:p ~threaded:false ~gen:true img);
-  Policy.derive_from_stats p
+  p
+
+let derived_policy img = Policy.derive_from_stats (trained img)
+
+(* The profile as mmrun --profile writes it and --placement reads it. *)
+let written_document p = T.Json.parse (T.Json.to_string (Profile.to_json p))
 
 (* Flat mode has no nursery to place around, so a policy there is a
    configuration error naming it. *)
@@ -422,6 +364,98 @@ let flat_with_policy what img policy =
         (Support.Runtime_config.Conflict { second = "~policy"; _ }) ->
       ()
   | _ -> Alcotest.failf "%s: a policy ran under the precise collector" what
+
+(* ------------------------------------------------------------------ *)
+(* The profile document as the placement source                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The document carries every count the classifier reads, so reading the
+   written profile back decides every site exactly as the live profiler
+   does, on every program this suite trains. *)
+let test_document_decides_alike () =
+  let pretenured =
+    List.map
+      (fun (name, src) ->
+        let img = compile ~heap:8192 src in
+        let p = trained img in
+        let codes policy = fst (Policy.decisions_for policy (C.sites_for img)) in
+        let live = codes (Policy.derive_from_stats p) in
+        check Alcotest.(array int) (name ^ ": document and live profiler decide alike") live
+          (codes (Policy.derive_from_profile (written_document p)));
+        Array.exists (fun c -> c = Policy.pretenure_code) live)
+      [ ("destroy", destroy_small); ("destroy-ballast", destroy_ballast); ("ballast", ballast_src) ]
+  in
+  check Alcotest.(list bool) "which programs pretenure a site" [ false; true; true ] pretenured
+
+let test_not_a_profile () =
+  let refused doc =
+    match Policy.derive_from_profile (T.Json.parse doc) with
+    | exception Policy.Policy_error _ -> true
+    | _ -> false
+  in
+  check Alcotest.bool "another schema refused" true
+    (refused {|{"schema":"mm-policy","version":2,"sites":[]}|});
+  check Alcotest.bool "no schema refused" true (refused {|{"version":1,"sites":[]}|});
+  check Alcotest.bool "no sites refused" true (refused {|{"schema":"mm-profile","version":1}|})
+
+(* Placement keys a site by (proc, line, col, tdesc), not by its id: a
+   profile of the O0 image places exactly the same sites of the O1 image,
+   which runs with the same output and instructions as without
+   placement. A site the profile lacks stays in the nursery. *)
+let test_o0_profile_places_o1 () =
+  verified (fun () ->
+      let image optimize =
+        C.compile ~options:{ C.default_options with optimize; heap_words = 8192 } destroy_ballast
+      in
+      let o0 = image false and o1 = image true in
+      let doc = written_document (trained o0) in
+      let key (s : Profile.site) = (s.Profile.s_proc, s.Profile.s_line, s.Profile.s_col, s.Profile.s_tdesc) in
+      let placed img policy =
+        let codes, matched = Policy.decisions_for policy (C.sites_for img) in
+        check Alcotest.int "every site of the image is in the profile" (Array.length codes) matched;
+        List.sort compare
+          (List.filteri (fun i _ -> codes.(i) = Policy.pretenure_code)
+             (Array.to_list (Array.map key (C.sites_for img))))
+      in
+      let policy = Policy.derive_from_profile doc in
+      let at_o0 = placed o0 policy and at_o1 = placed o1 policy in
+      check Alcotest.bool "the O0 profile pretenures a site" true (at_o0 <> []);
+      check Alcotest.bool "the O1 image places the same sites" true (at_o0 = at_o1);
+      let base = run_with ~threaded:true ~gen:true o1 in
+      let r = run_with ~policy ~threaded:true ~gen:true o1 in
+      check Alcotest.string "O1 output under the O0 placement" base.C.output r.C.output;
+      check Alcotest.int "O1 icount under the O0 placement" base.C.instructions r.C.instructions;
+      check Alcotest.bool "fewer words promoted" true
+        (r.C.gc.Vm.Interp.words_copied < base.C.gc.Vm.Interp.words_copied);
+      (* Drop one pretenured site from the document. *)
+      let dropped = List.hd at_o0 in
+      let doc_without =
+        match doc with
+        | T.Json.Obj kvs ->
+            let keep s =
+              let int k = match T.Json.member k s with Some (T.Json.Int i) -> i | _ -> -1 in
+              let proc = match T.Json.member "proc" s with Some (T.Json.Str p) -> p | _ -> "" in
+              (proc, int "line", int "col", int "tdesc") <> dropped
+            in
+            T.Json.Obj
+              (List.map
+                 (function
+                   | "sites", T.Json.List sites -> ("sites", T.Json.List (List.filter keep sites))
+                   | kv -> kv)
+                 kvs)
+        | j -> j
+      in
+      let codes, matched = Policy.decisions_for (Policy.derive_from_profile doc_without) (C.sites_for o1) in
+      check Alcotest.int "the dropped site is unmatched" (Array.length codes - 1) matched;
+      Array.iteri
+        (fun i (s : Profile.site) ->
+          if key s = dropped then
+            check Alcotest.int "a site missing from the profile stays in the nursery"
+              Policy.nursery_code codes.(i)
+          else
+            check Alcotest.bool "every other site keeps its decision" true
+              (List.mem (key s) at_o1 = (codes.(i) = Policy.pretenure_code)))
+        (C.sites_for o1))
 
 let test_differential () =
   verified (fun () ->
@@ -507,8 +541,11 @@ let () =
     [
       ( "serialization",
         [
-          QCheck_alcotest.to_alcotest test_roundtrip;
-          Alcotest.test_case "bad documents" `Quick (fresh test_bad_documents);
+          Alcotest.test_case "document and live profile decide alike" `Quick
+            (fresh test_document_decides_alike);
+          Alcotest.test_case "bad documents" `Quick (fresh test_not_a_profile);
+          Alcotest.test_case "O0 profile places the O1 image" `Quick
+            (fresh test_o0_profile_places_o1);
         ] );
       ("classifier", [ Alcotest.test_case "thresholds" `Quick (fresh test_classify) ]);
       ( "placement",

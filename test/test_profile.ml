@@ -2,11 +2,14 @@
    collectors attribute identical per-site counts, survival accounting is
    deterministic, the destroy-with-ballast benchmark ranks the long-lived
    ballast site's survival rate above every short-lived tree site, the
-   heap census agrees with the verifier's independent live-heap parse,
-   attaching a profiler does not perturb execution under any collector,
-   and the address-indexed side array matches a keyed-table model
-   ([Profile_model]) event by event, reproduces pinned profile digests and
-   conserves every allocation as a death or a keyed survivor. *)
+   heap census ({!Gc.Census}, an oracle taken by wrapping the installed
+   collector entry) agrees with the verifier's independent live-heap parse
+   and with the copier's counts, attaching a profiler does not perturb
+   execution under any collector and writes the same document on every
+   run and engine, and the address-indexed side array matches a
+   keyed-table model ([Profile_model]) event by event, reproduces pinned
+   profile digests and conserves every allocation as a death or a keyed
+   survivor. *)
 
 module T = Telemetry
 module C = Driver.Compile
@@ -26,10 +29,13 @@ let compile_opts ~optimize ~heap = { C.default_options with optimize; heap_words
 
 (* Run [img] with a fresh profiler under an explicit engine and collector
    (the incremental collector gets no pause budget, so its pacing is the
-   deterministic work quota); returns the profiler. *)
-let run_profiled ?(census_every = 0) ?nursery_words ~threaded ~collector img =
+   deterministic work quota). With [census_every] = N > 0, the installed
+   collector entry is wrapped to take a census whenever a call carries
+   the profiler's collection count past a multiple of N; the copying
+   collections are the ones the profiler counts. Returns the profiler and
+   the censuses, oldest first, each with the count it was taken at. *)
+let run_censused ?(census_every = 0) ?nursery_words ~threaded ~collector img =
   let p = C.profile_for img in
-  Profile.set_census_every p census_every;
   let st = Vm.Interp.create img in
   st.Vm.Interp.prof <- Some p;
   (match collector with
@@ -38,8 +44,23 @@ let run_profiled ?(census_every = 0) ?nursery_words ~threaded ~collector img =
   | C.Incremental -> ignore (Gc.Incremental.install ~pause_budget_us:0 st)
   | C.Conservative -> ignore (Gc.Incremental.install_conservative st)
   | C.No_gc -> ());
+  let censuses = ref [] in
+  (match st.Vm.Interp.collector with
+  | Some collect when census_every > 0 ->
+      st.Vm.Interp.collector <-
+        Some
+          (fun s ~needed ->
+            let before = p.Profile.collections in
+            collect s ~needed;
+            let n = p.Profile.collections in
+            if n / census_every > before / census_every then
+              censuses := (n, Gc.Census.take s p) :: !censuses)
+  | _ -> ());
   if threaded then Vm.Threaded.run st else Vm.Interp.run st;
-  p
+  (p, List.rev !censuses)
+
+let run_profiled ?nursery_words ~threaded ~collector img =
+  fst (run_censused ?nursery_words ~threaded ~collector img)
 
 let collectors =
   [
@@ -134,36 +155,36 @@ let census_checks ~heap ~iterations =
   let src = Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations in
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap) src in
   Gc.Verify.set_post true;
-  let p =
+  let p, censuses =
     Fun.protect
       ~finally:(fun () -> Gc.Verify.set_post false)
-      (fun () -> run_profiled ~census_every:1 ~threaded:false ~collector:C.Precise img)
+      (fun () -> run_censused ~census_every:1 ~threaded:false ~collector:C.Precise img)
   in
   if p.Profile.collections = 0 then Alcotest.fail "no collections, census never taken";
-  let c =
-    match p.Profile.censuses with
+  let collection, c =
+    match List.rev censuses with
     | c :: _ -> c
-    | [] -> Alcotest.fail "census due every collection but none recorded"
+    | [] -> Alcotest.fail "census due every collection but none taken"
   in
   (* Internal consistency: both breakdowns tile the censused heap. *)
   let total sel entries = List.fold_left (fun acc (_, o, w) -> acc + sel (o, w)) 0 entries in
-  check Alcotest.int "by_tdesc objects tile the census" c.Profile.c_objects
-    (total fst c.Profile.c_by_tdesc);
-  check Alcotest.int "by_tdesc words tile the census" c.Profile.c_words
-    (total snd c.Profile.c_by_tdesc);
-  check Alcotest.int "by_site objects tile the census" c.Profile.c_objects
-    (total fst c.Profile.c_by_site);
-  check Alcotest.int "by_site words tile the census" c.Profile.c_words
-    (total snd c.Profile.c_by_site);
+  check Alcotest.int "by_tdesc objects tile the census" c.Gc.Census.objects
+    (total fst c.Gc.Census.by_tdesc);
+  check Alcotest.int "by_tdesc words tile the census" c.Gc.Census.words
+    (total snd c.Gc.Census.by_tdesc);
+  check Alcotest.int "by_site objects tile the census" c.Gc.Census.objects
+    (total fst c.Gc.Census.by_site);
+  check Alcotest.int "by_site words tile the census" c.Gc.Census.words
+    (total snd c.Gc.Census.by_site);
   (* Cross-check against the verifier, which parsed the same post-collection
      heap through entirely separate code. *)
   match Gc.Verify.last_report () with
   | None -> Alcotest.fail "verifier enabled but no report"
   | Some r ->
-      check Alcotest.int "census taken at the verified collection"
-        r.Gc.Verify.collection c.Profile.c_collection;
+      check Alcotest.int "census taken at the verified collection" r.Gc.Verify.collection
+        collection;
       check Alcotest.int "census live objects equal the verifier's live-heap parse"
-        r.Gc.Verify.objects c.Profile.c_objects
+        r.Gc.Verify.objects c.Gc.Census.objects
 
 let test_census_matches_verifier () = census_checks ~heap:1500 ~iterations:200
 
@@ -212,10 +233,8 @@ let test_copy_counts_match_census () =
               (s.Vm.Interp.gc.Vm.Interp.objects_copied - objects0) !added;
             if n > n0 && minor.(n - 1) = 0.0 then begin
               incr fulls;
-              Gc.Census.take s p;
-              let c = List.hd p.Profile.censuses in
               check Alcotest.int (mode ^ ": objects copied by the full collection = census")
-                c.Profile.c_objects (int_of_float objects.(n - 1))
+                (Gc.Census.take s p).Gc.Census.objects (int_of_float objects.(n - 1))
             end);
       Vm.Interp.run st;
       check Alcotest.bool (mode ^ ": full collections happened") true (!fulls > 0);
@@ -229,7 +248,8 @@ let test_copy_counts_match_census () =
 (* Attaching a profiler changes nothing the program or the collector
    does, under every collector: the non-moving ones reach the profiler
    only through [on_alloc], whose stale-occupant credit is the path their
-   address reuse takes. *)
+   address reuse takes. The document it writes is a function of the run
+   alone. *)
 let test_profiler_transparent () =
   let img = C.compile ~options:(compile_opts ~optimize:true ~heap:1500) destroy_small in
   List.iter
@@ -253,8 +273,20 @@ let test_profiler_transparent () =
       check Alcotest.int (label "per-site words sum to the machine total")
         profiled.C.alloc_words
         (total (fun s -> s.Profile.st_alloc_words));
+      (* The document holds counts only: a second run on the other engine,
+         with telemetry off, records no spans and writes the same bytes. *)
+      let text = T.Json.to_string (Profile.to_json p) in
+      let p' = C.profile_for img in
+      T.Trace.clear ();
+      T.Control.disable ();
+      Fun.protect ~finally:T.Control.enable (fun () ->
+          ignore (C.run ~collector ~threaded:false ~profile:p' img));
+      check Alcotest.int (label "no spans recorded with telemetry off") 0
+        (List.length (T.Trace.recorded ()));
+      check Alcotest.string (label "same document on either engine, telemetry on or off") text
+        (T.Json.to_string (Profile.to_json p'));
       (* And the emitted document is well-formed JSON carrying every site. *)
-      let doc = T.Json.parse (T.Json.to_string (Profile.to_json p)) in
+      let doc = T.Json.parse text in
       check Alcotest.bool (label "schema present") true
         (T.Json.member "schema" doc = Some (T.Json.Str "mm-profile"));
       match Option.bind (T.Json.member "sites" doc) T.Json.to_list with
@@ -288,17 +320,35 @@ let digest_runs =
          List.map
            (fun (name, collector) ->
              ( prog ^ "/" ^ name,
-               run_profiled ~census_every:3 ?nursery_words ~threaded:false ~collector img ))
+               run_censused ~census_every:3 ?nursery_words ~threaded:false ~collector img ))
            collectors)
        digest_programs)
 
-(* The profile document without its timing objects, plus the placement
+(* A census rendered as the profile document's old [censuses] entries
+   were, so the digests below still cover the census tallies. *)
+let census_json (collection, (c : Gc.Census.t)) : T.Json.t =
+  let breakdown key entries =
+    T.Json.List
+      (List.map
+         (fun (id, objects, words) ->
+           T.Json.Obj [ (key, T.Json.Int id); ("objects", T.Json.Int objects); ("words", T.Json.Int words) ])
+         entries)
+  in
+  T.Json.Obj
+    [
+      ("collection", T.Json.Int collection);
+      ("live_objects", T.Json.Int c.Gc.Census.objects);
+      ("live_words", T.Json.Int c.Gc.Census.words);
+      ("by_tdesc", breakdown "tdesc" c.Gc.Census.by_tdesc);
+      ("by_site", breakdown "site" c.Gc.Census.by_site);
+    ]
+
+(* The profile document followed by the censuses, plus the placement
    decisions derived from it. *)
-let profile_digest p =
+let profile_digest (p, censuses) =
   let doc =
     match Profile.to_json p with
-    | T.Json.Obj kvs ->
-        T.Json.Obj (List.filter (fun (k, _) -> k <> "pauses" && k <> "copy") kvs)
+    | T.Json.Obj kvs -> T.Json.Obj (kvs @ [ ("censuses", T.Json.List (List.map census_json censuses)) ])
     | j -> j
   in
   let codes = fst (Policy.decisions_for (Policy.derive_from_stats p) p.Profile.sites) in
@@ -330,16 +380,16 @@ let pinned_digests =
 
 let test_pinned_digests () =
   List.iter
-    (fun (config, p) ->
+    (fun (config, run) ->
       check Alcotest.string (config ^ ": profile digest") (List.assoc config pinned_digests)
-        (profile_digest p))
+        (profile_digest run))
     (Lazy.force digest_runs)
 
 (* An object dies at most once and is otherwise still keyed, so per site
    the allocations split exactly into deaths and keyed survivors. *)
 let test_conservation () =
   List.iter
-    (fun (config, p) ->
+    (fun (config, (p, _)) ->
       let keyed = Profile.keyed_objects p in
       Array.iteri
         (fun i (st : Profile.site_stats) ->

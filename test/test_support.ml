@@ -309,8 +309,8 @@ let test_config_environment () =
 (* The refusals mmrun reports with exit 16, each built as mmrun builds
    its request (every setting under its flag's name). *)
 let test_config_refusals () =
-  let resolve ?collector ?census ?profile ?(needs = []) ?gc_unsafe ?(bounds = []) () =
-    RC.resolve ?collector ?census ?profile ~needs ?gc_unsafe ~bounds ()
+  let resolve ?collector ?(needs = []) ?gc_unsafe ?(bounds = []) () =
+    RC.resolve ?collector ~needs ?gc_unsafe ~bounds ()
   in
   let conflict what expected f =
     match refusal what f with
@@ -324,14 +324,10 @@ let test_config_refusals () =
   let gen = ("--collector gen", RC.Generational) in
   let inc = ("--collector inc", RC.Incremental) in
   let conservative = ("--collector conservative", RC.Conservative) in
-  conflict "--census-every 8 --collector inc" ("--collector inc", "--census-every 8") (fun () ->
-      resolve ~collector:inc ~census:"--census-every 8" ());
-  conflict "--collector conservative --census-every 1" ("--collector conservative", "--census-every 1")
-    (fun () -> resolve ~collector:conservative ~census:"--census-every 1" ());
   (* A setting that only one collector reads, given to another, would be
      dropped silently. *)
   let nursery = ("--nursery 64", RC.Generational) in
-  let policy = ("--policy P.json", RC.Generational) in
+  let placement = ("--placement p.json", RC.Generational) in
   let budget n = (Printf.sprintf "--pause-budget-us %d" n, RC.Incremental) in
   conflict "--nursery 64" ("the precise collector", "--nursery 64") (fun () ->
       resolve ~needs:[ nursery ] ());
@@ -339,17 +335,15 @@ let test_config_refusals () =
       resolve ~needs:[ budget 50 ] ());
   conflict "--collector inc --nursery 64" ("--collector inc", "--nursery 64") (fun () ->
       resolve ~collector:inc ~needs:[ nursery ] ());
-  conflict "--collector precise --policy P.json" ("--collector precise", "--policy P.json")
-    (fun () -> resolve ~collector:("--collector precise", RC.Precise) ~needs:[ policy ] ());
+  conflict "--collector precise --placement p.json" ("--collector precise", "--placement p.json")
+    (fun () -> resolve ~collector:("--collector precise", RC.Precise) ~needs:[ placement ] ());
+  conflict "--collector inc --placement p.json" ("--collector inc", "--placement p.json")
+    (fun () -> resolve ~collector:inc ~needs:[ placement ] ());
   conflict "--collector gen --pause-budget-us 500" ("--collector gen", "--pause-budget-us 500")
     (fun () -> resolve ~collector:gen ~needs:[ budget 500 ] ());
   conflict "--collector conservative --pause-budget-us 50"
     ("--collector conservative", "--pause-budget-us 50") (fun () ->
       resolve ~collector:conservative ~needs:[ budget 50 ] ());
-  (* A census is written only into the profile document: asked for
-     without one, it would be dropped silently. *)
-  conflict "--census-every 8 without --profile" ("--census-every 8", "no --profile") (fun () ->
-      resolve ~census:"--census-every 8" ());
   (* Code built without gc restrictions runs only with no collector. *)
   conflict "--no-gc-restrict" ("the precise collector", "--no-gc-restrict") (fun () ->
       resolve ~gc_unsafe:"--no-gc-restrict" ());
@@ -365,19 +359,16 @@ let test_config_refusals () =
   (match refusal "--pause-budget-us -5" (fun () -> resolve ~bounds:[ ("--pause-budget-us", Some (-5), 0) ] ()) with
   | RC.Bad_value { setting; _ } -> check Alcotest.string "--pause-budget-us -5" "--pause-budget-us" setting
   | _ -> Alcotest.fail "--pause-budget-us -5: not a bad value");
-  (* Accepted: the default is the precise collector, and a census under
-     a moving collector. *)
+  (* Accepted: the default is the precise collector, and each setting
+     under the collector that reads it. *)
   let accepted what expected c = check Alcotest.bool what true (c = expected) in
   accepted "no collector named" RC.Precise (resolve ());
-  accepted "--collector gen --census-every 8 --profile p.json" RC.Generational
-    (resolve ~collector:gen ~census:"--census-every 8" ~profile:"--profile p.json"
-       ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ());
-  accepted "--census-every 8 --profile p.json" RC.Precise
-    (resolve ~census:"--census-every 8" ~profile:"--profile p.json" ());
+  accepted "--collector gen --nursery 1 --pause-budget-us 0 bounds" RC.Generational
+    (resolve ~collector:gen ~bounds:[ ("--nursery", Some 1, 1); ("--pause-budget-us", Some 0, 0) ] ());
   accepted "--collector none --no-gc-restrict" RC.No_gc
     (resolve ~collector:("--collector none", RC.No_gc) ~gc_unsafe:"--no-gc-restrict" ());
-  accepted "--collector gen --nursery 512 --policy P.json" RC.Generational
-    (resolve ~collector:gen ~needs:[ ("--nursery 512", RC.Generational); policy ] ());
+  accepted "--collector gen --nursery 512 --placement p.json" RC.Generational
+    (resolve ~collector:gen ~needs:[ ("--nursery 512", RC.Generational); placement ] ());
   accepted "--collector inc --pause-budget-us 500" RC.Incremental
     (resolve ~collector:inc ~needs:[ budget 500 ] ())
 

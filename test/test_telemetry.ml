@@ -12,7 +12,6 @@ let check = Alcotest.check
 let fresh f () =
   T.Metrics.reset ();
   T.Trace.clear ();
-  T.Timer.clear ();
   T.Control.enable ();
   Fun.protect ~finally:T.Control.disable f
 
@@ -217,21 +216,23 @@ let test_json_roundtrip () =
     [ "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
 
 (* ------------------------------------------------------------------ *)
-(* Timer                                                               *)
+(* Pass timings: what mmc --timings prints                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A timed pass is a span; [Trace.aggregate] sums them per name in
+   first-completion order, nested ones included. *)
 let test_timer () =
-  ignore (T.Timer.time "t.pass" (fun () -> 1 + 1));
-  ignore (T.Timer.time "t.pass" (fun () -> ()));
-  ignore (T.Timer.time "t.other" (fun () -> ()));
-  (match T.Timer.entries () with
-  | [ ("t.pass", 2, _); ("t.other", 1, _) ] -> ()
+  ignore (T.Trace.span ~cat:"opt" "t.pass" (fun () -> 1 + 1));
+  T.Trace.span "t.outer" (fun () -> T.Trace.span "t.pass" (fun () -> ()));
+  T.Trace.span "t.other" (fun () -> ());
+  (match T.Trace.aggregate () with
+  | [ ("t.pass", 2, _); ("t.outer", 1, _); ("t.other", 1, _) ] -> ()
   | e ->
       Alcotest.fail
-        (Printf.sprintf "unexpected timer entries (%d)" (List.length e)));
-  check Alcotest.bool "timer spans recorded in trace" true
+        (Printf.sprintf "unexpected aggregate rows (%d)" (List.length e)));
+  check Alcotest.bool "the pass keeps its category" true
     (List.exists
-       (fun (ev : T.Trace.event) -> ev.T.Trace.name = "t.pass")
+       (fun (ev : T.Trace.event) -> ev.T.Trace.name = "t.pass" && ev.T.Trace.cat = "opt")
        (T.Trace.recorded ()))
 
 (* ------------------------------------------------------------------ *)
@@ -343,10 +344,9 @@ let test_disabled_is_inert () =
   T.Control.disable ();
   T.Trace.span "nope" (fun () -> ());
   T.Metrics.add "test.disabled" 5;
-  ignore (T.Timer.time "nope.pass" (fun () -> ()));
   check Alcotest.int "no events recorded" 0 (List.length (T.Trace.recorded ()));
   check Alcotest.int "no counter movement" 0 (T.Metrics.counter_value "test.disabled");
-  check Alcotest.bool "no timer entries" true (T.Timer.entries () = []);
+  check Alcotest.bool "no timed passes" true (T.Trace.aggregate () = []);
   T.Control.enable ()
 
 let () =

@@ -69,9 +69,9 @@ let engines_agree ~what ~collector (img : Vm.Image.t) =
       same ~what (observe ~threaded:true ~collector img) s;
       s)
 
-(* The six cells of one image. Returns the collections the three
-   collectors ran. *)
-let cells_agree ?expected ~what (img : Vm.Image.t) =
+(* The six cells of one image; with [collects], each collector must
+   collect. Returns the collections the three collectors ran. *)
+let cells_agree ?expected ~collects ~what (img : Vm.Image.t) =
   let runs =
     List.map
       (fun collector ->
@@ -85,6 +85,7 @@ let cells_agree ?expected ~what (img : Vm.Image.t) =
     (fun total (what, r) ->
       check Alcotest.string (what ^ ": output across collectors") base.output r.output;
       check Alcotest.int (what ^ ": icount across collectors") base.icount r.icount;
+      if collects then check Alcotest.bool (what ^ ": collected") true (r.collections > 0);
       total + r.collections)
     0 runs
 
@@ -97,39 +98,47 @@ let compile ~optimize ~heap src =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Every program with its heap (small enough that the allocating ones
-   collect) and its expected output where one is known. The examples are
+(* Every program with its heap, its expected output where one is known,
+   and why it cannot collect, for the toys that cannot; every other
+   program collects under each collector at its heap. The examples are
    read from the source tree, so a new example joins the matrix. *)
 let matrix_programs () =
   let examples =
     Sys.readdir "../examples" |> Array.to_list |> List.sort compare
     |> List.filter (fun f -> Filename.check_suffix f ".m3l")
-    |> List.map (fun f -> (f, read_file (Filename.concat "../examples" f), 4000, None))
+    |> List.map (fun f -> (f, read_file (Filename.concat "../examples" f), 4000, None, None))
   in
   [
     ( "destroy",
       Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:120,
       4000,
+      None,
       None );
-    ("takl", Programs.Takl_src.make ~n1:10 ~n2:6 ~n3:4 ~repeats:3 ~ballast:50, 900, None);
-    ("typereg", Programs.Typereg_src.src, 8000, None);
-    ("FieldList", Programs.Fieldlist_src.src, 4000, None);
+    ("takl", Programs.Takl_src.make ~n1:10 ~n2:6 ~n3:4 ~repeats:3 ~ballast:50, 300, None, None);
+    ("typereg", Programs.Typereg_src.src, 8000, None, None);
+    ("FieldList", Programs.Fieldlist_src.src, 100, None, None);
   ]
-  @ List.map (fun (t : Toys.t) -> (t.Toys.name, t.Toys.src, t.Toys.small, Some t.Toys.expected)) Toys.all
+  @ List.map
+      (fun (t : Toys.t) ->
+        (t.Toys.name, t.Toys.src, t.Toys.small, Some t.Toys.expected, t.Toys.never_collects))
+      Toys.all
   @ examples
 
 let test_benchmark_matrix () =
   let progs = matrix_programs () in
   check Alcotest.bool "examples found" true
-    (List.exists (fun (name, _, _, _) -> Filename.check_suffix name ".m3l") progs);
+    (List.exists (fun (name, _, _, _, _) -> Filename.check_suffix name ".m3l") progs);
   let total_collections = ref 0 in
   List.iter
-    (fun (name, src, heap, expected) ->
+    (fun (name, src, heap, expected, never_collects) ->
       List.iter
         (fun optimize ->
           let img = compile ~optimize ~heap src in
-          let what = Printf.sprintf "%s O%d" name (Bool.to_int optimize) in
-          total_collections := !total_collections + cells_agree ?expected ~what img)
+          let what =
+            Toys.small_row ~never:never_collects (Printf.sprintf "%s O%d" name (Bool.to_int optimize))
+          in
+          total_collections :=
+            !total_collections + cells_agree ?expected ~collects:(never_collects = None) ~what img)
         [ false; true ])
     progs;
   (* The matrix is only meaningful if collections actually struck. *)

@@ -1,7 +1,6 @@
 (* profview — render a human-readable report from an mmrun --profile JSON
-   document: collection counts, the pause-time percentile table, the top
-   allocation sites by survived words (the pretenuring signal), and a
-   summary of any heap censuses.
+   document: collection counts and the top allocation sites by survived
+   words (the pretenuring signal). Pause times are mmrun --gc-stats's.
 
      profview profile.json
      profview --top 20 profile.json
@@ -58,24 +57,6 @@ let () =
         (int_of (J.member "minor" c))
         (int_of (J.member "full" c))
   | None -> ());
-  (* --- pause percentiles --- *)
-  (match J.member "pauses" doc with
-  | Some p ->
-      List.iter
-        (fun key ->
-          match J.member key p with
-          | Some h when int_of (J.member "count" h) > 0 ->
-              Printf.printf
-                "pauses %-6s: n=%-6d p50 %8.1f us  p90 %8.1f us  p99 %8.1f us  max %8.1f us\n"
-                key
-                (int_of (J.member "count" h))
-                (num (J.member "p50_ns" h) /. 1e3)
-                (num (J.member "p90_ns" h) /. 1e3)
-                (num (J.member "p99_ns" h) /. 1e3)
-                (num (J.member "max_ns" h) /. 1e3)
-          | _ -> ())
-        [ "all"; "minor"; "full" ]
-  | None -> ());
   (* --- top sites --- *)
   let sites = Option.value ~default:[] (Option.bind (J.member "sites" doc) J.to_list) in
   let survived s =
@@ -124,17 +105,4 @@ let () =
             | Some r -> Printf.sprintf "%.1f%%" (100.0 *. r))
             (if bool_of (J.member "open_array" s) then "open" else ""))
       ranked
-  end;
-  (* --- censuses --- *)
-  let censuses =
-    Option.value ~default:[] (Option.bind (J.member "censuses" doc) J.to_list)
-  in
-  List.iter
-    (fun c ->
-      Printf.printf "census @%-4d : %d live objects, %d live words, %d tdescs, %d sites\n"
-        (int_of (J.member "collection" c))
-        (int_of (J.member "live_objects" c))
-        (int_of (J.member "live_words" c))
-        (List.length (Option.value ~default:[] (Option.bind (J.member "by_tdesc" c) J.to_list)))
-        (List.length (Option.value ~default:[] (Option.bind (J.member "by_site" c) J.to_list))))
-    censuses
+  end

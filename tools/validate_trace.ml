@@ -8,9 +8,8 @@
 
    With --profile it instead validates an mmrun --profile document: schema
    name and version, every site id resolving to a source location, survival
-   rates in [0,1], no site crediting more deaths (objects or words) than it
-   allocated, each pause histogram's bucket counts summing to its pause
-   count, and census site references resolving to the site table.
+   rates in [0,1], and no site crediting more deaths (objects or words) than
+   it allocated.
 
      validate_trace --profile p.json
 
@@ -62,52 +61,7 @@ let validate_profile path doc =
         fail "%s: site %d: dead_words %d exceed alloc_words %d" path i (int "dead_words")
           (int "alloc_words"))
     sites;
-  let pause_hists = ref 0 in
-  (match J.member "pauses" doc with
-  | Some p ->
-      List.iter
-        (fun key ->
-          match J.member key p with
-          | None -> fail "%s: pauses.%s missing" path key
-          | Some h ->
-              incr pause_hists;
-              let count =
-                match J.member "count" h with
-                | Some (J.Int n) -> n
-                | _ -> fail "%s: pauses.%s: no count" path key
-              in
-              let buckets =
-                Option.value ~default:[] (Option.bind (J.member "buckets" h) J.to_list)
-              in
-              let total =
-                List.fold_left
-                  (fun acc b ->
-                    match J.member "count" b with
-                    | Some (J.Int n) when n > 0 -> acc + n
-                    | _ -> fail "%s: pauses.%s: bucket without a positive count" path key)
-                  0 buckets
-              in
-              if total <> count then
-                fail "%s: pauses.%s: bucket counts sum to %d, want %d" path key total count)
-        [ "all"; "minor"; "full" ]
-  | None -> fail "%s: no pauses object" path);
-  let censuses =
-    Option.value ~default:[] (Option.bind (J.member "censuses" doc) J.to_list)
-  in
-  List.iteri
-    (fun i c ->
-      let entries =
-        Option.value ~default:[] (Option.bind (J.member "by_site" c) J.to_list)
-      in
-      List.iter
-        (fun e ->
-          match J.member "site" e with
-          | Some (J.Int id) when id = -1 || (id >= 0 && id < nsites) -> ()
-          | _ -> fail "%s: census %d: site reference outside the site table" path i)
-        entries)
-    censuses;
-  Printf.printf "validate_trace: %s ok (profile: %d sites, %d pause histograms, %d censuses)\n"
-    path nsites !pause_hists (List.length censuses)
+  Printf.printf "validate_trace: %s ok (profile: %d sites)\n" path nsites
 
 let () =
   let profile_mode, path, required =
