@@ -81,7 +81,7 @@ smoke: build
 	$(DUNE) exec bin/mmrun.exe -- -O --verify-heap --heap 256 --trace $(OPT_TRACE_OUT) \
 	  examples/sample.m3l > /dev/null
 	$(DUNE) exec tools/validate_trace.exe -- $(OPT_TRACE_OUT) \
-	  opt.layout gc.collect gc.verify gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
+	  opt.nonnil opt.layout gc.collect gc.verify gc.stackwalk gc.underive gc.forward_roots gc.copy gc.rederive
 	@for args in "--nursery 512" "--no-gc-restrict"; do \
 	  $(DUNE) exec bin/mmrun.exe -- $$args examples/sample.m3l > /dev/null 2>&1; rc=$$?; \
 	  if [ $$rc -ne 16 ]; then \

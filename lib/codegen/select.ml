@@ -433,6 +433,7 @@ let select_term st ~next_block (t : Ir.term) : unit =
       emit st I.Leave;
       emit st (I.Ret st.f.Ir.nparams)
   | Ir.Unreachable -> emit st (I.Trap "unreachable")
+  | Ir.Trap msg -> emit st (I.Trap msg)
 
 (* ------------------------------------------------------------------ *)
 (* Function driver                                                     *)

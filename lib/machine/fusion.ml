@@ -50,28 +50,30 @@ let falls_through = function
     ->
       false
 
-(** The fused pair kinds, ranked by how often their pairs execute on the
-    benchmark programs compiled at O1. Counted on the switch interpreter,
-    as a share of all executed instructions:
+(** The fused pair kinds. The table ranks them by how often their pairs
+    execute on the benchmark programs compiled at O1, counted on the
+    switch interpreter as a share of all executed instructions:
 
     {v
     kind        takl    destroy
-    mov_cbr     22.9%   14.2%    a load feeding a branch: the list walk
-    mov_mov     15.6%   14.2%    load and store chains
-    arith_mov    0.0%    5.9%    an add written back
-    push_call    1.2%    4.7%    the last argument and the call
-    enter_mov    2.4%    2.4%    the prologue's first load
-    mov_leave    1.2%    2.3%    the epilogue
-    mov_push     2.4%    0.0%    a load pushed as an argument
-    wbar_mov     0.0%    2.3%    a barrier and the next store
-    push_push    1.2%    0.6%    argument setup
-    mov_arith    0.0%    0.1%
+    mov_mov     18.8%   14.1%    load and store chains
+    mov_cbr     16.5%   11.9%    a load feeding a branch: the list walk
+    push_call    1.9%    5.9%    the last argument and the call
+    arith_mov    0.0%    6.6%    an add written back
+    enter_mov    3.1%    3.0%    the prologue's first load
+    mov_leave    1.6%    2.9%    the epilogue
+    mov_push     2.7%    0.0%    a load pushed as an argument
+    push_push    1.5%    0.7%    argument setup
+    mov_arith    0.0%    0.8%
+    wbar_mov     0.0%    0.0%    a barrier and the next store
     v}
 
     Since blocks are laid out for fall-through ({!Opt.Layout}), no
     benchmark program contains an unconditional jump, so a move feeding a
     jump no longer fuses anywhere, and an arithmetic result feeding a
-    branch never did; neither is a kind. *)
+    branch never did; neither is a kind. Since NIL checks that cannot
+    fail are gone ({!Opt.Nonnil}), no slot reload follows a barrier in
+    destroy any more, so [wbar_mov] fuses in no benchmark program. *)
 type pair_kind =
   | Mov_cbr
   | Mov_mov

@@ -14,18 +14,61 @@ let predecessors (f : Ir.func) : int list array =
   preds
 
 let reverse_postorder (f : Ir.func) : int array =
-  let nb = Array.length f.Ir.blocks in
+  let blocks = f.Ir.blocks in
+  let nb = Array.length blocks in
   let visited = Array.make nb false in
-  let order = ref [] in
+  (* Filled from the end: the block finished last comes first. *)
+  let order = Array.make nb 0 in
+  let next = ref nb in
   let rec dfs b =
     if not visited.(b) then begin
       visited.(b) <- true;
-      List.iter dfs (Ir.term_succs f.Ir.blocks.(b).Ir.term);
-      order := b :: !order
+      (match blocks.(b).Ir.term with
+      | Ir.Jmp l -> dfs l
+      | Ir.Cjmp (_, _, _, t, e) ->
+          dfs t;
+          dfs e
+      | Ir.Ret _ | Ir.Unreachable | Ir.Trap _ -> ());
+      decr next;
+      order.(!next) <- b
     end
   in
   dfs 0;
-  Array.of_list !order
+  Array.sub order !next (nb - !next)
+
+(** Extended basic blocks, for the local passes that carry what they know
+    across a block boundary. [ebb_walk f ~init visit] visits the reachable
+    blocks in reverse postorder, then the unreachable ones, and starts each
+    from the state [visit] returned for its only reachable predecessor, or
+    from [init] when it has none or several. That predecessor dominates
+    the block and is its only way in, so what held at its exit holds at
+    the block's entry; an unreachable predecessor never runs, so it does
+    not count. *)
+let ebb_walk (f : Ir.func) ~(init : 'a) (visit : 'a -> Ir.block -> 'a) : unit =
+  let blocks = f.Ir.blocks in
+  let nb = Array.length blocks in
+  let rpo = reverse_postorder f in
+  (* [pred.(b)]: the only reachable predecessor; -1 none, -2 several. *)
+  let pred = Array.make nb (-1) in
+  let edge p s = pred.(s) <- (if pred.(s) = -1 || pred.(s) = p then p else -2) in
+  Array.iter
+    (fun b ->
+      match blocks.(b).Ir.term with
+      | Ir.Jmp l -> edge b l
+      | Ir.Cjmp (_, _, _, t, e) ->
+          edge b t;
+          edge b e
+      | Ir.Ret _ | Ir.Unreachable | Ir.Trap _ -> ())
+    rpo;
+  let visited = Array.make nb false and exits = Array.make nb init in
+  Array.iter
+    (fun b ->
+      let p = pred.(b) in
+      let entry = if b <> 0 && p >= 0 && visited.(p) then exits.(p) else init in
+      exits.(b) <- visit entry blocks.(b);
+      visited.(b) <- true)
+    rpo;
+  Array.iteri (fun b seen -> if not seen then ignore (visit init blocks.(b))) visited
 
 (* Immediate dominators (Cooper–Harvey–Kennedy) over [preds]. *)
 let dominators_of (f : Ir.func) (preds : int list array) : int array =
@@ -106,29 +149,37 @@ let loops_of (f : Ir.func) ~(preds : int list array) ~(idom : int array) : loop 
 
 (** Immediate dominators and natural loops, shared by the loop passes and
     recomputed only when the CFG has changed since the last query. The CFG
-    is a function of every block's terminator, and terminators are
-    immutable, so a snapshot of their physical identities tells whether the
-    cached results are what {!dominators} and {!natural_loops} return. *)
+    is a function of every block's successors, so a snapshot of them tells
+    whether the cached results are what {!dominators} and
+    {!natural_loops} return; a pass that only rewrites a terminator's
+    operands leaves it valid. *)
 type analysis = {
-  mutable terms : Ir.term array; (* snapshot: each block's terminator *)
+  mutable succs : int array; (* snapshot: block [b]'s successors at [2b], [2b+1], or -1 *)
   mutable idom : int array;
   mutable loops : loop list;
   mutable computed : int; (* queries that recomputed *)
   mutable reused : int; (* queries answered from the snapshot *)
 }
 
-let analysis () = { terms = [||]; idom = [||]; loops = []; computed = 0; reused = 0 }
+let analysis () = { succs = [||]; idom = [||]; loops = []; computed = 0; reused = 0 }
+
+(* Successor [i] (0 or 1) of a terminator, or -1. *)
+let succ (t : Ir.term) i =
+  match (t, i) with
+  | Ir.Jmp l, 0 | Ir.Cjmp (_, _, _, l, _), 0 | Ir.Cjmp (_, _, _, _, l), _ -> l
+  | (Ir.Jmp _ | Ir.Ret _ | Ir.Unreachable | Ir.Trap _), _ -> -1
+
+let same_succs (blocks : Ir.block array) succs =
+  let rec go i = i < 0 || (succs.(i) = succ blocks.(i / 2).Ir.term (i mod 2) && go (i - 1)) in
+  2 * Array.length blocks = Array.length succs && go (Array.length succs - 1)
 
 let refresh (a : analysis) (f : Ir.func) =
   let blocks = f.Ir.blocks in
-  if
-    Array.length blocks = Array.length a.terms
-    && Array.for_all2 (fun (b : Ir.block) t -> b.Ir.term == t) blocks a.terms
-  then a.reused <- a.reused + 1
+  if same_succs blocks a.succs then a.reused <- a.reused + 1
   else begin
     let preds = predecessors f in
     let idom = dominators_of f preds in
-    a.terms <- Array.map (fun (b : Ir.block) -> b.Ir.term) blocks;
+    a.succs <- Array.init (2 * Array.length blocks) (fun i -> succ blocks.(i / 2).Ir.term (i mod 2));
     a.idom <- idom;
     a.loops <- loops_of f ~preds ~idom;
     a.computed <- a.computed + 1

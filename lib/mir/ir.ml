@@ -96,6 +96,9 @@ type term =
   | Cjmp of relop * operand * operand * label * label (* then/else targets *)
   | Ret of operand option
   | Unreachable (* after a no-return runtime call *)
+  | Trap of string
+    (* stops the run with a guest error; only {!Opt.Nonnil}'s audit mode
+       emits one, in place of the error path of a check it proved dead *)
 
 type block = { mutable instrs : instr list; mutable term : term }
 
@@ -138,6 +141,7 @@ type global_info = {
   g_name : string;
   g_size : int;
   g_ptrs : int list; (* pointer offsets within the global, for roots *)
+  mutable g_addr_taken : bool; (* some procedure takes its address *)
 }
 
 (** A static allocation site: one [NEW] in the source, identified by the
@@ -185,6 +189,9 @@ let fresh_temp f k =
   f.ntemps <- t + 1;
   t
 
+(** [is_temp t o]: operand [o] is temp [t]. *)
+let is_temp t = function Otemp t' -> t' = t | Oimm _ -> false
+
 (** Temps read by an instruction. *)
 let instr_uses = function
   | Mov (_, s) | Neg (_, s) | Abs (_, s) -> [ s ]
@@ -203,7 +210,7 @@ let instr_def = function
   | Call (d, _, _) -> d
 
 let term_uses = function
-  | Jmp _ | Unreachable -> []
+  | Jmp _ | Unreachable | Trap _ -> []
   | Cjmp (_, a, b, _, _) -> [ a; b ]
   | Ret (Some o) -> [ o ]
   | Ret None -> []
@@ -220,7 +227,7 @@ let negate_relop = function
 let term_succs = function
   | Jmp l -> [ l ]
   | Cjmp (_, _, _, t, e) -> [ t; e ]
-  | Ret _ | Unreachable -> []
+  | Ret _ | Unreachable | Trap _ -> []
 
 (** Locals read (as slots) by an instruction; [Lda_local] counts as an
     address-taken reference, returned separately. *)
@@ -281,7 +288,7 @@ let map_term_targets (g : label -> label) (t : term) : term =
   | Cjmp (r, a, b, tl, fl) ->
       let tl' = g tl and fl' = g fl in
       if tl' = tl && fl' = fl then t else Cjmp (r, a, b, tl', fl')
-  | Ret _ | Unreachable -> t
+  | Ret _ | Unreachable | Trap _ -> t
 
 (** How many times each temp is read, over every block. *)
 let use_counts (f : func) : int array =
@@ -298,7 +305,7 @@ let use_counts (f : func) : int array =
     returned as is, so a {!Cfg.analysis} snapshot outlives the rewrite. *)
 let map_term_uses (g : operand -> operand) (t : term) : term =
   match t with
-  | Jmp _ | Unreachable -> t
+  | Jmp _ | Unreachable | Trap _ -> t
   | Cjmp (r, a, b, tl, fl) ->
       let a' = g a and b' = g b in
       if a' == a && b' == b then t else Cjmp (r, a', b', tl, fl)

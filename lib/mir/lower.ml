@@ -252,6 +252,7 @@ let addr_of_place fb p : Ir.operand =
       emit fb (Ir.Lda_local (t, l, o));
       Ir.Otemp t
   | Pglob (g, o) ->
+      fb.pb.globals.(g).Ir.g_addr_taken <- true;
       let t = fresh fb Ir.Kstack in
       emit fb (Ir.Lda_global (t, g, o));
       Ir.Otemp t
@@ -442,6 +443,7 @@ and lower_index fb (base : T.texpr) (idx : T.texpr) : place =
               emit fb (Ir.Lda_local (ta, l, o));
               Pmem (lower_operand_temp fb (emit_add fb (Ir.Otemp ta) off), 0)
           | Pglob (g, o) ->
+              fb.pb.globals.(g).Ir.g_addr_taken <- true;
               let ta = fresh fb Ir.Kstack in
               emit fb (Ir.Lda_global (ta, g, o));
               Pmem (lower_operand_temp fb (emit_add fb (Ir.Otemp ta) off), 0)
@@ -866,6 +868,7 @@ let program ?(checks = true) (tprog : T.tprogram) : Ir.program =
              Ir.g_name = v.T.v_name;
              g_size = Ty.size_words v.T.v_ty;
              g_ptrs = Ty.pointer_offsets v.T.v_ty;
+             g_addr_taken = false;
            })
          tprog.T.globals)
   in

@@ -70,6 +70,7 @@ let pp_term fmt = function
   | Ret None -> Format.fprintf fmt "ret"
   | Ret (Some o) -> Format.fprintf fmt "ret %a" pp_operand o
   | Unreachable -> Format.fprintf fmt "unreachable"
+  | Trap msg -> Format.fprintf fmt "trap %S" msg
 
 let pp_func prog fmt (f : func) =
   Format.fprintf fmt "func %s(%d params) {@." f.fname f.nparams;

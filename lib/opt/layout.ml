@@ -12,12 +12,13 @@
       of the header's test that branches straight back into the body, so
       an iteration runs no jump. Only headers of at most
       {!max_rotated_instrs} instructions qualify, none of them a call (no
-      gc-point is ever duplicated), and each temp the header defines must
-      be used only inside it: the copy defines fresh temps of the same
-      kinds, so nothing the latch skips is read later.
+      gc-point is ever duplicated) and none defining a derived temp. A temp
+      that only the header reads gets a fresh name of the same kind in the
+      copy; one the loop also reads elsewhere is redefined in place, so the
+      body reads the copy's value where it read the header's.
     + {b Place blocks.} Greedy traces from the entry, which stays block 0.
       A trace continues into the unplaced successor that does not end in
-      [Unreachable] (error blocks go last), is not a bare return, and lies
+      [Unreachable] or [Trap] (error blocks go last), is not a bare return, and lies
       in the most loops; ties go to the [Cjmp]'s then-target. Rotation
       runs first so the traces see its edges: a rotated latch can fall
       through to the loop exit. Blocks no trace reaches are unreachable
@@ -75,9 +76,9 @@ let thread (f : Ir.func) : bool =
   | Some _ | None -> ());
   !changed
 
-(* The header's instructions and test, every temp they define renamed to
-   a fresh one of the same kind. *)
-let copy_test (f : Ir.func) instrs test : Ir.instr list * Ir.term =
+(* The header's instructions and test, each temp in [fresh_defs] renamed
+   to a fresh one of the same kind. *)
+let copy_test (f : Ir.func) ~fresh_defs instrs test : Ir.instr list * Ir.term =
   let ren = Hashtbl.create 4 in
   let rename = function
     | Ir.Otemp t as o -> (
@@ -85,9 +86,12 @@ let copy_test (f : Ir.func) instrs test : Ir.instr list * Ir.term =
     | Ir.Oimm _ as o -> o
   in
   let fresh d =
-    let d' = Ir.fresh_temp f (Ir.temp_kind f d) in
-    Hashtbl.replace ren d d';
-    d'
+    if not (List.mem d fresh_defs) then d
+    else begin
+      let d' = Ir.fresh_temp f (Ir.temp_kind f d) in
+      Hashtbl.replace ren d d';
+      d'
+    end
   in
   let instrs = List.map (fun i -> Ir.map_instr_def fresh (Ir.map_instr_uses rename i)) instrs in
   (instrs, Ir.map_term_uses rename test)
@@ -102,13 +106,14 @@ let rotate (f : Ir.func) (loops : Mir.Cfg.loop list) : bool =
     match h.Ir.term with
     | Ir.Cjmp (r, a, b, tl, fl) when List.length h.Ir.instrs <= max_rotated_instrs -> (
         let reads = List.concat_map Ir.instr_uses h.Ir.instrs @ Ir.term_uses h.Ir.term in
-        let private_def i =
+        let copyable i =
           match (i, Ir.instr_def i) with
           | Ir.Call _, _ -> false
+          | _, Some d -> ( match Ir.temp_kind f d with Ir.Kderived _ -> false | _ -> true)
           | _, None -> true
-          | _, Some d -> (
-              (Lazy.force uses).(d) = List.length (List.filter (( = ) (Ir.Otemp d)) reads)
-              && match Ir.temp_kind f d with Ir.Kderived _ -> false | _ -> true)
+        in
+        let private_def d =
+          (Lazy.force uses).(d) = List.length (List.filter (( = ) (Ir.Otemp d)) reads)
         in
         (* The copy's test is taken into the body. *)
         let test =
@@ -118,19 +123,21 @@ let rotate (f : Ir.func) (loops : Mir.Cfg.loop list) : bool =
           | _ -> None
         in
         match test with
-        | Some test when List.for_all private_def h.Ir.instrs -> Some (l, h.Ir.instrs, test)
+        | Some test when List.for_all copyable h.Ir.instrs ->
+            let fresh_defs = List.filter private_def (List.filter_map Ir.instr_def h.Ir.instrs) in
+            Some (l, fresh_defs, h.Ir.instrs, test)
         | Some _ | None -> None)
-    | Ir.Cjmp _ | Ir.Jmp _ | Ir.Ret _ | Ir.Unreachable -> None
+    | Ir.Cjmp _ | Ir.Jmp _ | Ir.Ret _ | Ir.Unreachable | Ir.Trap _ -> None
   in
   let rotations = List.filter_map qualifies loops in
   let changed = ref false in
   List.iter
-    (fun ((l : Mir.Cfg.loop), instrs, test) ->
+    (fun ((l : Mir.Cfg.loop), fresh_defs, instrs, test) ->
       Iset.iter
         (fun b ->
           let blk = f.Ir.blocks.(b) in
           if blk.Ir.term = Ir.Jmp l.Mir.Cfg.header && forwards blk = None then begin
-            let copy, term = copy_test f instrs test in
+            let copy, term = copy_test f ~fresh_defs instrs test in
             blk.Ir.instrs <- blk.Ir.instrs @ copy;
             blk.Ir.term <- term;
             changed := true
@@ -148,7 +155,7 @@ let place (f : Ir.func) ~(depth : int array) : int list =
   let order = ref [] and passed = ref [] and errors = ref [] in
   let rank s =
     match blocks.(s) with
-    | { Ir.term = Ir.Unreachable; _ } -> 0
+    | { Ir.term = Ir.Unreachable | Ir.Trap _; _ } -> 0
     | { Ir.instrs = []; term = Ir.Ret _ } -> 1
     | _ -> 2
   in

@@ -9,12 +9,18 @@
     Safety notes: memory-reading instructions are hoisted only out of the
     loop header (which runs at least once whenever the preheader does), so
     no speculative read can produce a garbage pointer; DIV/MOD are never
-    hoisted (traps must not be made speculative). *)
+    hoisted (traps must not be made speculative). A load stays when the
+    loop may write what it reads: a load through an address stays for
+    any call or store through an address in the loop, and for a store by
+    name to a global or local whose address is taken (an array indexed
+    by a variable is read through its address); a load of a global stays
+    for any call, and, when its address is taken, for any store through
+    an address. *)
 
 module Ir = Mir.Ir
 module Iset = Support.Ints.Iset
 
-let hoist_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
+let hoist_loop (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
   let body = l.Mir.Cfg.body in
   let in_body b = Iset.mem b body in
   (* Def blocks per temp, over the whole function. *)
@@ -37,13 +43,20 @@ let hoist_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
   let stored_globals = ref Iset.empty in
   let has_call = ref false in
   let has_store = ref false in
+  (* A store by name that a load through an address may read: to a
+     global or local whose address is taken. *)
+  let has_addressable_store = ref false in
   Iset.iter
     (fun b ->
       List.iter
         (fun i ->
           match i with
-          | Ir.St_local (lo, _, _) -> stored_locals := Iset.add lo !stored_locals
-          | Ir.St_global (g, _, _) -> stored_globals := Iset.add g !stored_globals
+          | Ir.St_local (lo, _, _) ->
+              stored_locals := Iset.add lo !stored_locals;
+              if f.Ir.locals.(lo).Ir.l_addr_taken then has_addressable_store := true
+          | Ir.St_global (g, _, _) ->
+              stored_globals := Iset.add g !stored_globals;
+              if prog.Ir.globals.(g).Ir.g_addr_taken then has_addressable_store := true
           | Ir.Call _ -> has_call := true
           | Ir.Store _ | Ir.Store_nb _ -> has_store := true
           | _ -> ())
@@ -67,9 +80,12 @@ let hoist_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
     | Ir.Bin (op, _, _, _) -> op <> Ir.Div && op <> Ir.Mod
     | Ir.Ld_local (_, lo, _) ->
         (not (Iset.mem lo !stored_locals))
-        && ((not f.Ir.locals.(lo).Ir.l_addr_taken) || not !has_call)
-    | Ir.Ld_global (_, g, _) -> (not !has_call) && not (Iset.mem g !stored_globals)
-    | Ir.Load _ -> in_header && (not !has_call) && not !has_store
+        && ((not f.Ir.locals.(lo).Ir.l_addr_taken) || not (!has_call || !has_store))
+    | Ir.Ld_global (_, g, _) ->
+        (not !has_call)
+        && (not (Iset.mem g !stored_globals))
+        && not (prog.Ir.globals.(g).Ir.g_addr_taken && !has_store)
+    | Ir.Load _ -> in_header && not (!has_call || !has_store || !has_addressable_store)
     | Ir.St_local _ | Ir.St_global _ | Ir.Store _ | Ir.Store_nb _ | Ir.Call _ -> false
   in
   let preheader = ref None in
@@ -112,5 +128,5 @@ let hoist_loop (f : Ir.func) (l : Mir.Cfg.loop) : bool =
   done;
   !changed
 
-let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
-  Mir.Cfg.visit_loops cfg f (hoist_loop f)
+let run (prog : Ir.program) (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+  Mir.Cfg.visit_loops cfg f (hoist_loop prog f)

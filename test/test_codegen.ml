@@ -339,50 +339,50 @@ let pinned_digests =
     ("typereg", false, Delta_main, false, "0ebf31bea12da49f53314986c1d15739");
     ("typereg", false, Full_info, true, "7b6f17f7c3077f334a636efeb2e3620c");
     ("typereg", false, Full_info, false, "8d4fa32f0e4eb6bca51ad770c2a5789a");
-    ("typereg", true, Delta_main, true, "7fa234249aaafea19be83ca72cef125a");
-    ("typereg", true, Delta_main, false, "c0b30bb8a7e5524520112c6e2cecbe85");
-    ("typereg", true, Full_info, true, "a3bb5cba259953f8edfe88403ef356c8");
-    ("typereg", true, Full_info, false, "ae33ff3701ef646adb42fab82a8f04e9");
+    ("typereg", true, Delta_main, true, "a1285f01bb601e8730c33dad63b8f092");
+    ("typereg", true, Delta_main, false, "4731f6bf77692b0d2fba028e10382cfe");
+    ("typereg", true, Full_info, true, "76bfacf8fb2d66b73187f33c6e2abd18");
+    ("typereg", true, Full_info, false, "674acc641e6107b0bc79c323dc7c96c6");
     ("FieldList", false, Delta_main, true, "9ecf0c57cb0afac8bd00e708820cc094");
     ("FieldList", false, Delta_main, false, "245a02eeca4b0cb3f761d449a61a2820");
     ("FieldList", false, Full_info, true, "9c9e9331813ff030b58675cfc39cb905");
     ("FieldList", false, Full_info, false, "0eccef8893623c5f664d9fde20d93ea4");
-    ("FieldList", true, Delta_main, true, "eedf93ca7a1a1ae0469179fec45129b6");
-    ("FieldList", true, Delta_main, false, "53a56e6edb3b7fd2963df9cffcef8ba3");
-    ("FieldList", true, Full_info, true, "f4a1b43580805f35e16a0d493279b33b");
-    ("FieldList", true, Full_info, false, "3ed3297c1ea9dc6302da8617534b3e83");
+    ("FieldList", true, Delta_main, true, "0eb3fb6db7d43102865c07e3dd424a49");
+    ("FieldList", true, Delta_main, false, "a41578fe288a2cf4e66b0b12022508b0");
+    ("FieldList", true, Full_info, true, "9bbbffe3385f83899c9822b10f6d3605");
+    ("FieldList", true, Full_info, false, "f00b3493dfbe923ce930d8454aeb15e8");
     ("takl", false, Delta_main, true, "f4c0576def00f0929ae822fc92ea2c1a");
     ("takl", false, Delta_main, false, "d07cb674d559a329c1001b8e2c77520b");
     ("takl", false, Full_info, true, "9526b2f1291af2e2e9ec1655a79ea3b0");
     ("takl", false, Full_info, false, "24f1a92967dd2cf846f5dbebe148ef4b");
-    ("takl", true, Delta_main, true, "ac79557ab6cb0f41895a614d745a2f37");
-    ("takl", true, Delta_main, false, "fd923edd8f8cd54acf2db302dbb44a90");
-    ("takl", true, Full_info, true, "f87933366976962262444fe8de3803af");
-    ("takl", true, Full_info, false, "8e04ba898c9676de4ae27ca427fc60a3");
+    ("takl", true, Delta_main, true, "cb5ba876520e62866968b5ad99c1b5ee");
+    ("takl", true, Delta_main, false, "7fe17274527153eb619578ba36069413");
+    ("takl", true, Full_info, true, "59c6fc96f6a65b9f395b5b58191ea1a7");
+    ("takl", true, Full_info, false, "250fd6283dd4b57a4fee4a4710719a50");
     ("destroy", false, Delta_main, true, "1451565a5ae11da9fce9f1ac3dfce509");
     ("destroy", false, Delta_main, false, "f60a9253a9ba2653a05395e83f6eac51");
     ("destroy", false, Full_info, true, "630adcd7ce20b8ec2a971f7e8222dbdb");
     ("destroy", false, Full_info, false, "f30bfaf92711df765b8979a2a2ea4c86");
-    ("destroy", true, Delta_main, true, "de99e74fe02fa1f12cb424ebe7e3fb74");
-    ("destroy", true, Delta_main, false, "86deb69ef87127db576982aba03567a8");
-    ("destroy", true, Full_info, true, "0c085ad00dd29edd1df75b7355c0f7fe");
-    ("destroy", true, Full_info, false, "182c35b0e9ec6da1ea01cddfe19ead8f");
+    ("destroy", true, Delta_main, true, "b0162420e3eb5fb87ea038f7cd866f76");
+    ("destroy", true, Delta_main, false, "0e3a48b65afd38ba4b77acf0bdf28170");
+    ("destroy", true, Full_info, true, "98b3b035517826ee73dae295de9062ad");
+    ("destroy", true, Full_info, false, "279cab923aadb52cb535b641a0880907");
     ("ambig", false, Delta_main, true, "a7d55c8bcdb49380cc09553a2870ff04");
     ("ambig", false, Delta_main, false, "02ff1320416804e7e9be33263a854d5d");
     ("ambig", false, Full_info, true, "dbaaa9cfa7014391cf629501081a882e");
     ("ambig", false, Full_info, false, "8a86f8b0087b06e2838c33451fb6c3de");
-    ("ambig", true, Delta_main, true, "3f5610d6fd3e249593a40b3e33a5fce2");
-    ("ambig", true, Delta_main, false, "b512ca0661b6b3964722acb75caee976");
-    ("ambig", true, Full_info, true, "3a7236c624fb387c80fafbff1f4c1c75");
-    ("ambig", true, Full_info, false, "e5cf79725db9b66d4706f3053912dd1c");
+    ("ambig", true, Delta_main, true, "6033fad1d95bf2dd997faff3521d5ab8");
+    ("ambig", true, Delta_main, false, "3d7370515c11ec0a8b1e2482506d0e65");
+    ("ambig", true, Full_info, true, "c0dd8234200bf0bafbd669c5d9bda95d");
+    ("ambig", true, Full_info, false, "008c5f9aac09f90ddc11f4f7ab0c5cba");
     ("indirect", false, Delta_main, true, "56a4fc802873ddc8cc67ab5a74b14d54");
     ("indirect", false, Delta_main, false, "4a0b92905d3fbbaa46bad2310955b890");
     ("indirect", false, Full_info, true, "58d2074f5e6327a1df7d17d79c00b9ee");
     ("indirect", false, Full_info, false, "88435d37086aa4fa8855b602c2eb6a22");
-    ("indirect", true, Delta_main, true, "28bb5d2618c5ae942ea87d7b06937290");
-    ("indirect", true, Delta_main, false, "6e2f1351ebfd9c504089ee97ce42dbac");
-    ("indirect", true, Full_info, true, "2b0d93a43ebd8759af5c07c06e441bfb");
-    ("indirect", true, Full_info, false, "b0273165559d58a3d4a7cbe46cf6cd94");
+    ("indirect", true, Delta_main, true, "66de47cd3f808e4ebe793fed0a95fc8e");
+    ("indirect", true, Delta_main, false, "4eba510a524742b8ad64d851c1c71636");
+    ("indirect", true, Full_info, true, "9cf597591bf677f27d9c4305d40de4c4");
+    ("indirect", true, Full_info, false, "6019c7e596fee21f4204b8f9b05e3890");
   ]
 
 let test_pinned_digests () =

@@ -347,6 +347,29 @@ let test_sweep_incremental () =
       check Alcotest.int (what ^ " failures") 0 (List.length s.F.failures))
     [ true; false ]
 
+(* The sweep's targets at O1 in audit mode, where each NIL check the
+   optimizer proves dead stays behind a trap: on their collecting heaps,
+   under the three collectors the sweep uses and with the verifier
+   armed, none fires and every run prints the O0 output. *)
+let test_sweep_targets_audit () =
+  F.with_verifier (fun () ->
+      List.iter
+        (fun (t : F.target) ->
+          let run optimize collector =
+            Audit.run_source
+              { Driver.Compile.default_options with optimize; heap_words = t.F.t_heap }
+              ~collector ~threaded:false t.F.t_source
+          in
+          let reference = run false Driver.Compile.Precise in
+          List.iter
+            (fun collector ->
+              check Alcotest.string
+                (Printf.sprintf "%s under %s" t.F.t_name
+                   (Driver.Compile.Config.collector_name collector))
+                reference (run true collector))
+            [ Driver.Compile.Precise; Driver.Compile.Generational; Driver.Compile.Incremental ])
+        F.default_targets)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -371,5 +394,7 @@ let () =
           Alcotest.test_case "cross-checked: nothing survives" `Slow test_sweep_cross_checked;
           Alcotest.test_case "uncross-checked: no crash, no hang" `Slow test_sweep_uncrosschecked;
           Alcotest.test_case "incremental collector: no crash, no hang" `Slow test_sweep_incremental;
+          Alcotest.test_case "audited NIL checks never fire on the targets" `Quick
+            test_sweep_targets_audit;
         ] );
     ]

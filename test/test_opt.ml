@@ -21,7 +21,9 @@ let run_with_opts ?(heap = 2000) ?(checks = true) opts src =
 
 let no_opts =
   {
-    Opt.Pipeline.copyprop = false;
+    Opt.Pipeline.nonnil = false;
+    audit_checks = false;
+    copyprop = false;
     constfold = false;
     pathvar = false;
     cse = false;
@@ -73,6 +75,7 @@ let test_each_pass_preserves () =
   same_behaviour "licm" { no_opts with licm = true };
   same_behaviour "dce" { no_opts with dce = true };
   same_behaviour "layout" { no_opts with layout = true };
+  same_behaviour "nonnil" { no_opts with nonnil = true };
   same_behaviour "all" Opt.Pipeline.all_on
 
 let count_instrs (p : Ir.program) =
@@ -553,7 +556,7 @@ let test_layout_rotates_negated () =
     (fun b (blk : Ir.block) ->
       match blk.Ir.term with
       | Ir.Jmp l -> check Alcotest.int "every jump falls through" (b + 1) l
-      | Ir.Cjmp _ | Ir.Ret _ | Ir.Unreachable -> ())
+      | Ir.Cjmp _ | Ir.Ret _ | Ir.Unreachable | Ir.Trap _ -> ())
     main.Ir.blocks
 
 (* The programs mmbench's takl and destroy workloads run, on their heaps.
@@ -588,6 +591,210 @@ let test_layout_jump_ceiling () =
         Programs.Destroy_src.make ~branch:4 ~depth:5 ~replace_depth:2 ~iterations:2000 );
     ]
 
+(* A WITH alias writes a local through its address. Neither CSE (a load
+   after the store) nor LICM (a load in the loop that stores) may reuse
+   a load of the local from before the store. *)
+let test_alias_store_invalidates () =
+  let src =
+    "MODULE W;\n\
+     TYPE R = RECORD a: INTEGER END;\n\
+     PROCEDURE P(): INTEGER;\n\
+     VAR r: R; x: INTEGER;\n\
+     BEGIN r.a := 1; x := r.a; WITH w = r DO w.a := 2 END; RETURN r.a * 10 + x END P;\n\
+     PROCEDURE Q(): INTEGER;\n\
+     VAR r: R; i, s: INTEGER;\n\
+     BEGIN\n\
+     \  r.a := 1; s := 0;\n\
+     \  FOR i := 1 TO 3 DO s := s + r.a; WITH w = r DO w.a := w.a + 1 END END;\n\
+     \  RETURN s\n\
+     END Q;\n\
+     BEGIN PutInt(P()); PutText(\" \"); PutInt(Q()); PutLn() END W.\n"
+  in
+  check Alcotest.string "O0" "21 6\n" (run_with_opts no_opts src);
+  check Alcotest.string "O1" "21 6\n" (run_with_opts Opt.Pipeline.all_on src);
+  check Alcotest.string "cse alone" "21 6\n" (run_with_opts { no_opts with cse = true } src);
+  check Alcotest.string "licm alone" "21 6\n" (run_with_opts { no_opts with licm = true } src);
+  (* An array indexed by a variable is read and written through its
+     address, at a constant index by name: a store either way must end
+     the reuse of a load the other way, for a local and for a global
+     array, in straight-line code (CSE) and in a loop header (LICM). *)
+  let arrays =
+    "MODULE V;\n\
+     VAR g: ARRAY [0..3] OF INTEGER;\n\
+     PROCEDURE LocalVar(i: INTEGER): INTEGER;\n\
+     VAR a: ARRAY [0..3] OF INTEGER; x: INTEGER;\n\
+     BEGIN a[0] := 1; x := a[i]; a[0] := 2; RETURN x * 10 + a[i] END LocalVar;\n\
+     PROCEDURE LocalConst(i: INTEGER): INTEGER;\n\
+     VAR a: ARRAY [0..3] OF INTEGER; x: INTEGER;\n\
+     BEGIN a[0] := 1; x := a[0]; a[i] := 2; RETURN x * 10 + a[0] END LocalConst;\n\
+     PROCEDURE GlobalVar(i: INTEGER): INTEGER;\n\
+     VAR x: INTEGER;\n\
+     BEGIN g[0] := 1; x := g[i]; g[0] := 2; RETURN x * 10 + g[i] END GlobalVar;\n\
+     PROCEDURE GlobalConst(i: INTEGER): INTEGER;\n\
+     VAR x: INTEGER;\n\
+     BEGIN g[0] := 1; x := g[0]; g[i] := 2; RETURN x * 10 + g[0] END GlobalConst;\n\
+     PROCEDURE LocalLoop(i: INTEGER): INTEGER;\n\
+     VAR a: ARRAY [0..3] OF INTEGER; n: INTEGER;\n\
+     BEGIN a[0] := 1; n := 0; WHILE (a[i] < 5) AND (n < 9) DO a[0] := a[0] + 1; n := n + 1 END;\n\
+     \  RETURN n END LocalLoop;\n\
+     PROCEDURE GlobalVarLoop(i: INTEGER): INTEGER;\n\
+     VAR n: INTEGER;\n\
+     BEGIN g[0] := 1; n := 0; WHILE (g[i] < 5) AND (n < 9) DO g[0] := g[0] + 1; n := n + 1 END;\n\
+     \  RETURN n END GlobalVarLoop;\n\
+     PROCEDURE GlobalConstLoop(i: INTEGER): INTEGER;\n\
+     VAR n: INTEGER;\n\
+     BEGIN g[0] := 1; n := 0; WHILE (g[0] < 5) AND (n < 9) DO g[i] := g[i] + 1; n := n + 1 END;\n\
+     \  RETURN n END GlobalConstLoop;\n\
+     BEGIN\n\
+     \  PutInt(LocalVar(0)); PutInt(LocalConst(0)); PutInt(GlobalVar(0)); PutInt(GlobalConst(0));\n\
+     \  PutInt(LocalLoop(0)); PutInt(GlobalVarLoop(0)); PutInt(GlobalConstLoop(0)); PutLn()\n\
+     END V.\n"
+  in
+  List.iter
+    (fun checks ->
+      List.iter
+        (fun (name, opts) ->
+          check Alcotest.string
+            (Printf.sprintf "arrays, %s, checks=%b" name checks)
+            "12121212444\n" (run_with_opts ~checks opts arrays))
+        [
+          ("O0", no_opts);
+          ("O1", Opt.Pipeline.all_on);
+          ("cse alone", { no_opts with cse = true });
+          ("licm alone", { no_opts with licm = true });
+        ])
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
+(* NIL-check elimination                                               *)
+(* ------------------------------------------------------------------ *)
+
+let o1 = { Driver.Compile.default_options with optimize = true }
+
+let proc (img : Vm.Image.t) name =
+  List.find (fun (p : Vm.Image.proc_info) -> p.Vm.Image.pi_name = name)
+    (Array.to_list img.Vm.Image.procs)
+
+(* takl's Shorterp at O1. The loop re-tests [x] after reloading it, and
+   [y.tail] re-tests the [y] the loop test just passed: both checks go,
+   with the reloads that fed them, and the rotated loop runs 8
+   instructions per iteration, none of them a jump. *)
+let test_nonnil_shorterp () =
+  let img = Driver.Compile.compile ~options:o1 Programs.Takl_src.src in
+  let p = proc img "Shorterp" in
+  let loop = ref None in
+  for pc = p.Vm.Image.pi_entry to p.Vm.Image.pi_code_end - 1 do
+    match img.Vm.Image.code.(pc) with
+    | Machine.Insn.Jmp _ -> Alcotest.failf "Shorterp keeps a jmp at %d" pc
+    | Machine.Insn.Cbr (_, _, _, t) when t >= p.Vm.Image.pi_entry && t <= pc ->
+        loop := Some (pc - t + 1)
+    | _ -> ()
+  done;
+  match !loop with
+  | Some n -> check Alcotest.bool (Printf.sprintf "%d instructions per iteration" n) true (n <= 8)
+  | None -> Alcotest.fail "Shorterp has no loop"
+
+(* Each procedure dereferences [p.x] (or [g.x]) once. A check goes only
+   when no path to it can make the value NIL: not after a call that may
+   clear a global, an address-taken local or what a VAR parameter refers
+   to, and not when one incoming edge redefines the value. *)
+let nonnil_src =
+  "MODULE N;\n\
+   TYPE R = RECORD x: INTEGER END; T = REF R;\n\
+   VAR g: T;\n\
+   PROCEDURE Clear(); BEGIN g := NIL END Clear;\n\
+   PROCEDURE Find(k: INTEGER): T; BEGIN IF k > 0 THEN RETURN NEW(T) END; RETURN NIL END Find;\n\
+   PROCEDURE Reset(VAR q: T); BEGIN q := NIL END Reset;\n\
+   PROCEDURE Fresh(): INTEGER; VAR p: T; BEGIN p := NEW(T); RETURN p.x END Fresh;\n\
+   PROCEDURE Tested(p: T): INTEGER;\n\
+   BEGIN IF p # NIL THEN Clear(); RETURN p.x END; RETURN 0 END Tested;\n\
+   PROCEDURE Global(): INTEGER;\n\
+   BEGIN IF g # NIL THEN Clear(); RETURN g.x END; RETURN 0 END Global;\n\
+   PROCEDURE Taken(): INTEGER; VAR p: T; BEGIN p := NEW(T); Reset(p); RETURN p.x END Taken;\n\
+   PROCEDURE ByRef(VAR p: T): INTEGER;\n\
+   BEGIN IF p # NIL THEN Clear(); RETURN p.x END; RETURN 0 END ByRef;\n\
+   PROCEDURE Merge(k: INTEGER): INTEGER;\n\
+   VAR p: T; BEGIN p := NEW(T); IF k > 1 THEN p := Find(k - 2) END; RETURN p.x END Merge;\n\
+   BEGIN\n\
+   \  g := NEW(T); PutInt(Fresh() + Tested(g) + Merge(3)); PutLn();\n\
+   \  g := NEW(T); PutInt(Merge(2))\n\
+   END N.\n"
+
+let test_nonnil_keeps_live_checks () =
+  let img = Driver.Compile.compile ~options:o1 nonnil_src in
+  let checks name =
+    let p = proc img name in
+    let n = ref 0 in
+    for pc = p.Vm.Image.pi_entry to p.Vm.Image.pi_code_end - 1 do
+      match img.Vm.Image.code.(pc) with
+      | Machine.Insn.Call (Machine.Insn.Crt Ir.Rt_nil_error) -> incr n
+      | _ -> ()
+    done;
+    !n > 0
+  in
+  List.iter
+    (fun (name, kept) -> check Alcotest.bool (name ^ " keeps its check") kept (checks name))
+    [
+      ("Fresh", false);
+      ("Tested", false);
+      ("Global", true);
+      ("Taken", true);
+      ("ByRef", true);
+      ("Merge", true);
+    ];
+  (* Merge(2) reaches its kept check with NIL, under audit too. *)
+  List.iter
+    (fun passes ->
+      match
+        Audit.run_source ~passes o1 ~collector:Driver.Compile.Precise ~threaded:true nonnil_src
+      with
+      | _ -> Alcotest.fail "Merge(2) must fail its NIL check"
+      | exception Vm.Interp.Guest_error msg ->
+          check Alcotest.string "the kept check fires" "NIL dereference" msg)
+    [ Opt.Pipeline.all_on; Audit.passes ]
+
+(* Audit mode keeps every check the pass proves dead, with a trap on its
+   NIL edge. The corpus and the benchmark programs run to the O0 output
+   under the precise, generational and incremental collectors on both
+   engines, at heaps small enough to collect: no such trap fires. *)
+let test_nonnil_audit () =
+  let traps = ref 0 in
+  List.iter
+    (fun (name, heap_words, src) ->
+      let reference =
+        (Driver.Compile.run_source ~options:{ Driver.Compile.default_options with heap_words }
+           ~collector:Driver.Compile.Precise ~threaded:true src)
+          .Driver.Compile.output
+      in
+      let img = Audit.compile { o1 with heap_words } src in
+      let code = img.Vm.Image.code in
+      Array.iter
+        (function
+          | Machine.Insn.Cbr (_, _, _, t) when code.(t) = Machine.Insn.Trap Opt.Nonnil.audit_message ->
+              incr traps
+          | _ -> ())
+        code;
+      List.iter
+        (fun (collector, threaded) ->
+          let out = (Driver.Compile.run ~collector ~threaded img).Driver.Compile.output in
+          check Alcotest.string
+            (Printf.sprintf "%s under %s" name (Driver.Compile.Config.collector_name collector))
+            reference out)
+        [
+          (Driver.Compile.Precise, true);
+          (Driver.Compile.Generational, false);
+          (Driver.Compile.Incremental, true);
+          (Driver.Compile.Precise, false);
+        ])
+    (List.map (fun (name, src) -> (name, 16000, src)) Corpus.programs
+    @ [
+        ("takl", 4000, Programs.Takl_src.make ~n1:14 ~n2:10 ~n3:4 ~repeats:5 ~ballast:100);
+        ( "destroy",
+          16000,
+          Programs.Destroy_src.make ~branch:4 ~depth:5 ~replace_depth:2 ~iterations:200 );
+      ]);
+  check Alcotest.bool (Printf.sprintf "%d audited checks" !traps) true (!traps > 20)
+
 let () =
   Alcotest.run "opt"
     [
@@ -610,6 +817,8 @@ let () =
           Alcotest.test_case "pathvar fires on ambig" `Quick test_pathvar_fires;
           Alcotest.test_case "oracles agree on the corpus" `Quick test_oracles_corpus;
           Alcotest.test_case "loop analysis is reused" `Quick test_analysis_reused;
+          Alcotest.test_case "a store through an alias invalidates loads" `Quick
+            test_alias_store_invalidates;
         ] );
       ( "layout",
         [
@@ -618,6 +827,13 @@ let () =
             test_layout_rotates_negated;
           Alcotest.test_case "executed jumps at most 3% on takl and destroy" `Slow
             test_layout_jump_ceiling;
+        ] );
+      ( "nonnil",
+        [
+          Alcotest.test_case "Shorterp's loop is 8 instructions" `Quick test_nonnil_shorterp;
+          Alcotest.test_case "checks a call or a merge can fail stay" `Quick
+            test_nonnil_keeps_live_checks;
+          Alcotest.test_case "audited checks never fire" `Slow test_nonnil_audit;
         ] );
       ( "gc-points",
         [

@@ -316,6 +316,34 @@ let prop_differential =
           | Some (_, []) -> false
           | None -> QCheck.Test.fail_reportf "a configuration exhausted even a %d-word heap" fit_cap))
 
+(* The NIL checks the optimizer proves dead, kept behind a trap in audit
+   mode, never fire: at O1 under the precise, generational and
+   incremental collectors, on the fitted small heap, every program prints
+   what the unoptimized reference prints. *)
+let prop_nonnil_audit =
+  QCheck.Test.make ~name:"eliminated NIL checks never fire" ~count:60
+    (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
+    (fun p ->
+      let src = to_m3l p in
+      let run h (optimize, collector) =
+        Audit.run_source ~fuel:20_000_000
+          { Driver.Compile.default_options with optimize; heap_words = h }
+          ~collector ~threaded:true src
+      in
+      let outputs h =
+        List.map (run h)
+          [
+            (false, Driver.Compile.Precise);
+            (true, Driver.Compile.Precise);
+            (true, Driver.Compile.Generational);
+            (true, Driver.Compile.Incremental);
+          ]
+      in
+      match fit outputs small_heap with
+      | Some (_, reference :: rest) -> List.for_all (fun out -> out = reference) rest
+      | Some (_, []) -> false
+      | None -> QCheck.Test.fail_reportf "exhausted even a %d-word heap" fit_cap)
+
 let prop_collections_strike =
   (* Sanity: the fitted small heap really does put the collector under
      pressure on allocating programs (otherwise the property above
@@ -368,6 +396,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_collections_strike;
+          QCheck_alcotest.to_alcotest prop_nonnil_audit;
           QCheck_alcotest.to_alcotest prop_liveness_oracle;
           QCheck_alcotest.to_alcotest prop_opt_oracle;
           QCheck_alcotest.to_alcotest prop_layout;
