@@ -21,7 +21,7 @@ FAULT_ITERS ?= 15
 FAULT_OUT := _build/fault-report.json
 PROFILE_OUT := _build/smoke.profile.json
 
-.PHONY: all build check-build check-env test smoke fault profile baseline check bench clean
+.PHONY: all build check-build check-env test smoke fault profile baseline check bench clean loc
 
 all: build
 
@@ -134,6 +134,18 @@ profile: build
 # outputs differ (the subcommand exits 1 after printing OUTPUT MISMATCH).
 baseline: build
 	$(DUNE) exec bench/main.exe -- baseline
+
+# Lines of OCaml (ml and mli), reported next to the perf numbers: the
+# libraries alone, and the libraries with the executables, the paper's
+# tables, the tests and the tools.
+LOC_LIB := lib
+LOC_ALL := lib bin bench test tools
+
+loc:
+	@for dirs in "$(LOC_LIB)" "$(LOC_ALL)"; do \
+	  n=$$(find $$dirs -name '*.ml' -o -name '*.mli' | xargs cat | wc -l); \
+	  echo "loc $$dirs: $$n"; \
+	done
 
 check: build check-build check-env test smoke fault profile baseline
 	@echo "check: ok"

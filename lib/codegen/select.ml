@@ -97,32 +97,6 @@ let temp_dst st t : I.operand * (unit -> unit) =
 
 let local_mem st l o = I.Mem (Machine.Reg.fp, Frame.local_off st.fr l + o)
 
-(* A heap store needs a write barrier iff the stored value may be a tidy
-   heap pointer (or derived from one) — NIL/immediates, scalars and
-   never-moving stack/static addresses cannot create old→young references.
-   Stores through a [Kstack] address target a frame or global word, which
-   the minor collection treats as a root, so they need no barrier either.
-   The same Wbar doubles as the incremental collector's insertion barrier
-   (shade the stored-to slot), and this predicate is sound for that
-   reading too: frame and global words are roots the final flip rescans,
-   and a NIL/scalar store cannot create a black→white edge. This is why
-   the incremental design is an insertion barrier rather than a deletion
-   (snapshot-at-the-beginning) barrier — NIL stores carry no Wbar here,
-   so an overwritten-pointer log would have a coverage hole, while the
-   insertion reading only ever needs the stores this predicate keeps. *)
-let store_needs_barrier st (a : Ir.operand) (v : Ir.operand) =
-  (match a with
-  | Ir.Otemp ta -> (
-      match Ir.temp_kind st.f ta with Ir.Kstack -> false | _ -> true)
-  | Ir.Oimm _ -> true)
-  &&
-  match v with
-  | Ir.Oimm _ -> false
-  | Ir.Otemp tv -> (
-      match Ir.temp_kind st.f tv with
-      | Ir.Kptr | Ir.Kderived _ -> true
-      | Ir.Kscalar | Ir.Kstack -> false)
-
 (* ------------------------------------------------------------------ *)
 (* GC info at a call                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -307,7 +281,7 @@ let try_fold st ~gc_restrict i1 i2 =
              | Regalloc.Areg _ -> true
              | Regalloc.Aspill _ -> false)) ->
       let wb =
-        if not (store_needs_barrier st (Ir.Otemp t3') v) then Wb_none
+        if not (Ir.store_needs_barrier st.f (Ir.Otemp t3') v) then Wb_none
         else match i2 with Ir.Store_nb _ -> Wb_elided | _ -> Wb_emit
       in
       Some (Fold_mem2_store (t1, t2, d, v, wb))
@@ -382,7 +356,7 @@ let select_instr st ~block ~instr_idx (instr : Ir.instr) : unit =
       let ra = (match sa with I.Reg r -> r | _ -> failwith "Select: store address not in register") in
       let sv = operand_src st ~scratch:Machine.Reg.scratch1 v in
       emit st (I.Mov (I.Mem (ra, o), sv));
-      if store_needs_barrier st a v then begin
+      if Ir.store_needs_barrier st.f a v then begin
         emit st (I.Wbar (I.Mem (ra, o)));
         st.barriers <- st.barriers + 1
       end
@@ -391,7 +365,7 @@ let select_instr st ~block ~instr_idx (instr : Ir.instr) : unit =
       let ra = (match sa with I.Reg r -> r | _ -> failwith "Select: store address not in register") in
       let sv = operand_src st ~scratch:Machine.Reg.scratch1 v in
       emit st (I.Mov (I.Mem (ra, o), sv));
-      if store_needs_barrier st a v then
+      if Ir.store_needs_barrier st.f a v then
         st.barriers_elided <- st.barriers_elided + 1
   | Ir.Call (dst, callee, args) ->
       (* Push arguments right to left so argument 0 lands lowest. *)

@@ -70,6 +70,58 @@ let ebb_walk (f : Ir.func) ~(init : 'a) (visit : 'a -> Ir.block -> 'a) : unit =
     rpo;
   Array.iteri (fun b seen -> if not seen then ignore (visit init blocks.(b))) visited
 
+(** The forward must-dataflow solver that {!Opt.Nonnil} and
+    {!Opt.Barrier_elim} share; each brings its own facts. [forward f
+    ~entry ~meet ~equal ~transfer] gives each block's state at its entry
+    and at its exit. At the entry block's entry it is [entry], met with
+    what reaches it along an edge; at any other block's, the meet over
+    its incoming edges. [transfer b s] is the state at the end of block
+    [b] entered with [s], and [edge p b s] what holds on the edge from [p]
+    to [b] when [p] ends with [s] ([None] when that edge is never taken;
+    by default, [s]). A predecessor not yet visited, or whose edge is
+    never taken, constrains nothing, so a loop's back edge first assumes
+    the best and the states only fall. A block that no taken edge from
+    the entry reaches has no states ([None]). Blocks are visited in
+    reverse postorder until nothing changes: once when no edge goes
+    backwards. *)
+let forward ?(edge = fun _ _ s -> Some s) (f : Ir.func) ~(entry : 'a) ~(meet : 'a -> 'a -> 'a)
+    ~(equal : 'a -> 'a -> bool) ~(transfer : int -> 'a -> 'a) :
+    'a option array * 'a option array =
+  let nb = Array.length f.Ir.blocks in
+  let rpo = reverse_postorder f and preds = predecessors f in
+  let index = Array.make nb (-1) in
+  Array.iteri (fun i b -> index.(b) <- i) rpo;
+  let back = Array.exists (fun b -> List.exists (fun p -> index.(p) >= index.(b)) preds.(b)) rpo in
+  let ins = Array.make nb None and outs = Array.make nb None in
+  (* [acc] met with what the edges from [ps] into [b] carry. *)
+  let rec meet_edges b acc = function
+    | [] -> acc
+    | p :: ps -> (
+        match outs.(p) with
+        | None -> meet_edges b acc ps
+        | Some s -> (
+            match (edge p b s, acc) with
+            | None, _ -> meet_edges b acc ps
+            | (Some _ as x), None -> meet_edges b x ps
+            | Some x, Some a -> meet_edges b (Some (meet a x)) ps))
+  in
+  let pass () =
+    let changed = ref false in
+    Array.iter
+      (fun b ->
+        match meet_edges b (if b = 0 then Some entry else None) preds.(b) with
+        | None -> ()
+        | Some s as i ->
+            ins.(b) <- i;
+            let out = transfer b s in
+            (match outs.(b) with Some o when equal o out -> () | _ -> changed := true);
+            outs.(b) <- Some out)
+      rpo;
+    !changed
+  in
+  if pass () && back then while pass () do () done;
+  (ins, outs)
+
 (* Immediate dominators (Cooper–Harvey–Kennedy) over [preds]. *)
 let dominators_of (f : Ir.func) (preds : int list array) : int array =
   let nb = Array.length f.Ir.blocks in
@@ -215,6 +267,21 @@ let visit_loops (a : analysis) (f : Ir.func) (visit : loop -> bool) : bool =
         go (Iset.add l.header processed) (c || changed)
   in
   go Iset.empty false
+
+(** [writers prog f l loc]: the instructions of loop [l] that may write
+    [loc] ({!Ir.may_write}), each with its block. Applied to the loop
+    alone, it collects the loop's writes once for any number of
+    locations. *)
+let writers (prog : Ir.program) (f : Ir.func) (l : loop) : Ir.loc -> (int * Ir.instr) list =
+  let writes =
+    Iset.fold
+      (fun b acc ->
+        List.fold_left
+          (fun acc i -> if Ir.writes i then (b, i) :: acc else acc)
+          acc f.Ir.blocks.(b).Ir.instrs)
+      l.body []
+  in
+  fun loc -> List.filter (fun (_, i) -> Ir.may_write prog f i loc) writes
 
 (* ------------------------------------------------------------------ *)
 (* Block surgery                                                       *)

@@ -245,6 +245,117 @@ let call_is_gcpoint ?(noalloc_funcs = fun (_ : int) -> false) callee =
   | Cuser fid -> not (noalloc_funcs fid)
   | Crt rc -> rt_allocates rc
 
+(** May [o] hold a heap pointer, tidy or derived? *)
+let is_pointer f = function
+  | Otemp t -> ( match temp_kind f t with Kptr | Kderived _ -> true | Kscalar | Kstack -> false)
+  | Oimm _ -> false
+
+(** The derivation [o] contributes as a base: itself, when it may hold a
+    heap pointer. *)
+let deriv_of f (o : operand) =
+  match o with
+  | Otemp t when is_pointer f o -> Deriv.of_base (Deriv.Btemp t)
+  | Otemp _ | Oimm _ -> Deriv.empty
+
+(* ------------------------------------------------------------------ *)
+(* Memory effects                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** A location a load reads: the word at an address plus a displacement
+    ([Load]), a word of a local's frame slot, or a word of a global. *)
+type loc = Lmem of operand * int | Lslot of local * int | Lglobal of int * int
+
+(** The location a load reads; [None] for any other instruction. *)
+let loc_read = function
+  | Ld_local (_, l, o) -> Some (Lslot (l, o))
+  | Ld_global (_, g, o) -> Some (Lglobal (g, o))
+  | Load (_, a, o) -> Some (Lmem (a, o))
+  | Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | St_local _ | St_global _ | Lda_local _
+  | Lda_global _ | Lda_text _ | Store _ | Store_nb _ | Call _ ->
+      None
+
+(* Where an address may point, by its kind: a tidy pointer only into the
+   heap, a [Kstack] address only at a frame slot, a global or static text.
+   A derived address may point anywhere: a VAR parameter is [Kderived]
+   and may hold the address of a global or of a caller's slot. *)
+let heap_only f = function
+  | Otemp t -> ( match temp_kind f t with Kptr -> true | Kscalar | Kstack | Kderived _ -> false)
+  | Oimm _ -> false
+
+let stack_only f = function
+  | Otemp t -> ( match temp_kind f t with Kstack -> true | Kscalar | Kptr | Kderived _ -> false)
+  | Oimm _ -> false
+
+(** May executing [i] write anything? [false] exactly when
+    {!may_write} is [false] for every location. *)
+let writes = function
+  | St_local _ | St_global _ | Store _ | Store_nb _ -> true
+  | Call (_, c, _) -> call_is_gcpoint c
+  | Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | Ld_local _ | Ld_global _ | Lda_local _
+  | Lda_global _ | Lda_text _ | Load _ ->
+      false
+
+(** The alias rules: may executing [i] change what location [l] holds?
+    Every optimizer pass that keeps a loaded value, moves a load or trusts
+    a slot's contents asks this, and nothing else decides it.
+    - A store by name writes its own word. Reached through its address, a
+      local or global whose address is taken ([l_addr_taken],
+      [g_addr_taken]) may also be any word a [Load] reads, unless that
+      [Load]'s address is a tidy pointer.
+    - A store through an address writes what a [Load] may read, unless one
+      address is a tidy pointer and the other a [Kstack] address. Unless
+      its own address is a tidy pointer, it may write any local or global
+      whose address is taken.
+    - A call that is a gc-point ({!call_is_gcpoint}) may write the heap,
+      every global and every local whose address is taken. A runtime
+      routine that cannot collect writes nothing a load can read. An
+      allocating routine changes no value a load could have read (a
+      collection moves objects without changing any), but counting it
+      as a write keeps passes from holding loaded values across it, which
+      would cost a callee-saved register and a table entry at the
+      gc-point, and on the corpus costs more instructions than it saves. *)
+let may_write (prog : program) (f : func) (i : instr) (l : loc) : bool =
+  let addressed = function
+    | Lmem _ -> true
+    | Lslot (x, _) -> f.locals.(x).l_addr_taken
+    | Lglobal (g, _) -> prog.globals.(g).g_addr_taken
+  in
+  match (i, l) with
+  | St_local (x, o, _), Lslot (x', o') -> x = x' && o = o'
+  | St_global (g, o, _), Lglobal (g', o') -> g = g' && o = o'
+  | St_local (x, _, _), Lmem (a, _) -> f.locals.(x).l_addr_taken && not (heap_only f a)
+  | St_global (g, _, _), Lmem (a, _) -> prog.globals.(g).g_addr_taken && not (heap_only f a)
+  | (Store (a, _, _) | Store_nb (a, _, _)), Lmem (a', _) ->
+      not ((heap_only f a && stack_only f a') || (stack_only f a && heap_only f a'))
+  | (Store (a, _, _) | Store_nb (a, _, _)), (Lslot _ | Lglobal _) ->
+      (not (heap_only f a)) && addressed l
+  | Call (_, c, _), Lglobal _ -> call_is_gcpoint c
+  | Call (_, c, _), (Lmem _ | Lslot _) -> call_is_gcpoint c && addressed l
+  | (St_local _ | St_global _), (Lslot _ | Lglobal _) -> false
+  | ( ( Mov _ | Bin _ | Neg _ | Abs _ | Setrel _ | Ld_local _ | Ld_global _ | Lda_local _
+      | Lda_global _ | Lda_text _ | Load _ ),
+      _ ) ->
+      false
+
+(** Does this store need a write barrier? Only if the stored value may be
+    a tidy heap pointer (or derived from one): NIL and other immediates,
+    scalars and never-moving stack or static addresses cannot create an
+    old→young reference. A store through a [Kstack] address writes a
+    frame or global word, which the minor collection treats as a root, so
+    it needs none either. The same barrier is the incremental collector's
+    insertion barrier (shade the stored-to slot), and this predicate is
+    sound for that reading too: frame and global words are roots the
+    final flip rescans, and a NIL or scalar store cannot create a
+    black→white edge. This is why the incremental design is an insertion
+    barrier rather than a deletion (snapshot-at-the-beginning) barrier:
+    NIL stores carry no barrier here, so an overwritten-pointer log would
+    have a coverage hole, while the insertion reading only ever needs the
+    stores this predicate keeps. Instruction selection emits a barrier
+    exactly where this holds, and {!Opt.Barrier_elim} counts and elides
+    only such stores. *)
+let store_needs_barrier (f : func) (a : operand) (v : operand) =
+  (not (stack_only f a)) && is_pointer f v
+
 (** Rewrite the operands an instruction reads (definitions untouched). *)
 let map_instr_uses (g : operand -> operand) (i : instr) : instr =
   match i with

@@ -325,9 +325,7 @@ let rec lower_expr fb (e : T.texpr) : Ir.operand =
           | Some Ir.Mul -> emit_mul fb oa ob
           | Some op -> (
               match (oa, ob) with
-              | Ir.Oimm x, Ir.Oimm y when op = Ir.Div && y <> 0 ->
-                  (* Modula-3 DIV rounds toward minus infinity. *)
-                  Ir.Oimm (if (x < 0) <> (y < 0) && x mod y <> 0 then (x / y) - 1 else x / y)
+              | Ir.Oimm x, Ir.Oimm y when op = Ir.Div && y <> 0 -> Ir.Oimm (Support.Ints.m3_div x y)
               | _ ->
                   let t = fresh fb Ir.Kscalar in
                   emit fb (Ir.Bin (op, t, oa, ob));

@@ -16,10 +16,11 @@
     propagates through moves and through pointer arithmetic whose
     pointer-kinded inputs are all fresh (a derived pointer into a fresh
     object is fresh), and dies at every gc-point and at any other
-    definition. The analysis is a forward must-dataflow over the CFG (meet
-    = intersection; entry starts empty; calls are treated as gc-points
-    whenever {!Mir.Ir.call_is_gcpoint} cannot prove otherwise — this pass
-    runs without the never-allocates analysis and stays conservative).
+    definition. The analysis is a forward must-dataflow over the CFG
+    ({!Mir.Cfg.forward}: meet = intersection; entry starts empty; calls
+    are treated as gc-points whenever {!Mir.Ir.call_is_gcpoint} cannot
+    prove otherwise — this pass runs without the never-allocates analysis
+    and stays conservative).
 
     M3L variables round-trip through frame and global slots
     ([St_local]/[Ld_local], [St_global]/[Ld_global]), so the alloc result
@@ -27,15 +28,8 @@
     variable's slot and re-loaded. Freshness therefore also tracks {e
     slots}: a slot becomes fresh when a fresh temp is stored to it, a load
     from a fresh slot yields a fresh temp, and slot freshness dies at
-    gc-points like everything else. Slots have no hidden aliases as long
-    as (a) address-taken locals are never tracked ([l_addr_taken]), and
-    (b) any [Store] through a base that is not a heap pointer
-    (stack-kinded temp, immediate address) kills every slot — heap
-    pointers cannot point at frame or global words, so heap stores leave
-    slot freshness intact, and every other write path is one of
-    [St_local]/[St_global] (keyed), a kill-all store, or a call that is
-    either a gc-point (kill-all) or a runtime routine that writes no user
-    memory.
+    gc-points like everything else, and at any instruction that may write
+    the slot ({!Mir.Ir.may_write}).
 
     A [Store] whose target temp is fresh is rewritten to [Store_nb], which
     instruction selection translates without a [Wbar]. The rewrite is
@@ -65,23 +59,6 @@ module T = Telemetry
 let c_seen = T.Metrics.counter "barrier_elim.stores_seen"
 let c_elided = T.Metrics.counter "barrier_elim.stores_elided"
 
-let pointerish (f : Ir.func) (o : Ir.operand) =
-  match o with
-  | Ir.Oimm _ -> false
-  | Ir.Otemp t -> (
-      match Ir.temp_kind f t with
-      | Ir.Kptr | Ir.Kderived _ -> true
-      | Ir.Kscalar | Ir.Kstack -> false)
-
-(* Would instruction selection emit a barrier for this store? Mirrors
-   [Codegen.Select.store_needs_barrier]: the target may move (not a stack
-   address) and the value is a pointer. *)
-let store_needs_barrier (f : Ir.func) (a : Ir.operand) (v : Ir.operand) =
-  (match a with
-  | Ir.Otemp ta -> ( match Ir.temp_kind f ta with Ir.Kstack -> false | _ -> true)
-  | Ir.Oimm _ -> true)
-  && pointerish f v
-
 (* Dataflow state: temps and variable slots currently known to hold a
    pointer into an object allocated since the last gc-point. *)
 type state = { ft : Iset.t (* fresh temps *); fs : Iset.t (* fresh slot keys *) }
@@ -96,8 +73,10 @@ let slot_key ~global idx off =
   if off < 0 || off >= 0x80000 then None
   else Some ((idx lsl 20) lor (off lsl 1) lor if global then 1 else 0)
 
-let trackable_local (f : Ir.func) l =
-  not f.Ir.locals.(l).Ir.l_addr_taken
+(* The location a slot key names. *)
+let loc_of_key k =
+  let idx = k lsr 20 and off = (k lsr 1) land 0x7ffff in
+  if k land 1 = 1 then Ir.Lglobal (idx, off) else Ir.Lslot (idx, off)
 
 let set_temp st d fresh =
   { st with ft = (if fresh then Iset.add d st.ft else Iset.remove d st.ft) }
@@ -108,129 +87,66 @@ let set_slot st key fresh =
   | Some k -> { st with fs = (if fresh then Iset.add k st.fs else Iset.remove k st.fs) }
 
 let operand_fresh st = function Ir.Otemp t -> Iset.mem t st.ft | Ir.Oimm _ -> false
+let slot_fresh st = function Some k -> Iset.mem k st.fs | None -> false
 
 (* One instruction's effect on the fresh state. *)
-let transfer (f : Ir.func) (st : state) (i : Ir.instr) : state =
+let transfer (prog : Ir.program) (f : Ir.func) (st : state) (i : Ir.instr) : state =
   match i with
   | Ir.Call (d, Ir.Crt (Ir.Rt_alloc _ | Ir.Rt_alloc_open _), _) ->
       (* The gc-point kills everything; the result is the one fresh temp. *)
       let st = empty_state in
       (match d with Some d -> set_temp st d true | None -> st)
-  | Ir.Call (d, callee, _) ->
-      let st = if Ir.call_is_gcpoint callee then empty_state else st in
-      (match d with Some d -> set_temp st d false | None -> st)
-  | Ir.Mov (d, s) -> set_temp st d (operand_fresh st s)
-  | Ir.Bin (_, d, a, b) ->
-      (* Pointer arithmetic: the result points into a fresh object iff
-         every pointer-kinded input is fresh (and there is one). *)
-      let ptr_temps =
-        List.filter_map
-          (function
-            | Ir.Otemp t when pointerish f (Ir.Otemp t) -> Some t
-            | Ir.Otemp _ | Ir.Oimm _ -> None)
-          [ a; b ]
-      in
-      set_temp st d
-        (ptr_temps <> [] && List.for_all (fun t -> Iset.mem t st.ft) ptr_temps)
-  | Ir.St_local (l, o, v) ->
-      set_slot st (slot_key ~global:false l o) (trackable_local f l && operand_fresh st v)
-  | Ir.St_global (g, o, v) -> set_slot st (slot_key ~global:true g o) (operand_fresh st v)
-  | Ir.Ld_local (d, l, o) ->
-      set_temp st d
-        (trackable_local f l
-        &&
-        match slot_key ~global:false l o with
-        | Some k -> Iset.mem k st.fs
-        | None -> false)
-  | Ir.Ld_global (d, g, o) ->
-      set_temp st d
-        (match slot_key ~global:true g o with Some k -> Iset.mem k st.fs | None -> false)
-  | Ir.Store (a, _, _) | Ir.Store_nb (a, _, _) ->
-      (* A store through a heap pointer cannot touch a frame or global
-         slot; any other base (stack-kinded temp, immediate address) may
-         alias an address-taken slot, so it kills them all. *)
-      let heap_base =
-        match a with
-        | Ir.Otemp t -> (
-            match Ir.temp_kind f t with
-            | Ir.Kptr | Ir.Kderived _ -> true
-            | Ir.Kscalar | Ir.Kstack -> false)
-        | Ir.Oimm _ -> false
-      in
-      if heap_base then st else { st with fs = Iset.empty }
+  | Ir.Call (_, callee, _) when Ir.call_is_gcpoint callee -> empty_state
   | _ -> (
-      (* Any other definition is not provably fresh; remaining effects
-         leave the state alone. *)
-      match Ir.instr_def i with Some d -> set_temp st d false | None -> st)
-
-let func (f : Ir.func) : bool =
-  let n = Array.length f.Ir.blocks in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun b (blk : Ir.block) ->
-      List.iter (fun s -> preds.(s) <- b :: preds.(s)) (Ir.term_succs blk.Ir.term))
-    f.Ir.blocks;
-  (* Forward must-analysis to a fixpoint: [None] is the optimistic "not yet
-     computed" top, ignored by the meet until the block has been visited.
-     A non-entry block none of whose predecessors has an out yet is skipped
-     rather than given [empty_state]: that is bottom, and raising it on a
-     later visit makes the iteration non-monotone, which need not converge.
-     A block never reached keeps [ins = empty_state], so nothing is elided
-     in it. *)
-  let outs : state option array = Array.make n None in
-  let ins = Array.make n empty_state in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = 0 to n - 1 do
-      let in_set =
-        if b = 0 then Some empty_state
+      let st =
+        if Iset.is_empty st.fs || not (Ir.writes i) then st
         else
-          List.fold_left
-            (fun acc p ->
-              match (outs.(p), acc) with
-              | None, acc -> acc
-              | Some s, None -> Some s
-              | Some s, Some a -> Some (state_meet a s))
-            None preds.(b)
+          let kept k = not (Ir.may_write prog f i (loc_of_key k)) in
+          { st with fs = Iset.filter kept st.fs }
       in
-      match in_set with
-      | None -> ()
-      | Some in_set -> (
-          ins.(b) <- in_set;
-          let out = List.fold_left (transfer f) in_set f.Ir.blocks.(b).Ir.instrs in
-          match outs.(b) with
-          | Some o when state_equal o out -> ()
-          | _ ->
-              outs.(b) <- Some out;
-              changed := true)
-    done
-  done;
+      match i with
+      | Ir.Mov (d, s) -> set_temp st d (operand_fresh st s)
+      | Ir.Bin (_, d, a, b) ->
+          (* Pointer arithmetic: the result points into a fresh object iff
+             every pointer-kinded input is fresh (and there is one). *)
+          let ptrs = List.filter (Ir.is_pointer f) [ a; b ] in
+          set_temp st d (ptrs <> [] && List.for_all (operand_fresh st) ptrs)
+      | Ir.St_local (l, o, v) -> set_slot st (slot_key ~global:false l o) (operand_fresh st v)
+      | Ir.St_global (g, o, v) -> set_slot st (slot_key ~global:true g o) (operand_fresh st v)
+      | Ir.Ld_local (d, l, o) -> set_temp st d (slot_fresh st (slot_key ~global:false l o))
+      | Ir.Ld_global (d, g, o) -> set_temp st d (slot_fresh st (slot_key ~global:true g o))
+      | _ -> (
+          (* Any other definition is not provably fresh. *)
+          match Ir.instr_def i with Some d -> set_temp st d false | None -> st))
+
+let func (prog : Ir.program) (f : Ir.func) : bool =
+  let ins, _ =
+    Mir.Cfg.forward f ~entry:empty_state ~meet:state_meet ~equal:state_equal
+      ~transfer:(fun b st -> List.fold_left (transfer prog f) st f.Ir.blocks.(b).Ir.instrs)
+  in
   (* Rewrite pass: replay the transfer through each block and relabel the
-     stores whose target is fresh at that point. *)
+     stores whose target is fresh at that point. A block the entry does
+     not reach starts from nothing fresh, so nothing is elided there. *)
   let rewrote = ref false in
   Array.iteri
     (fun b (blk : Ir.block) ->
-      let set = ref ins.(b) in
+      let set = ref (Option.value ins.(b) ~default:empty_state) in
       blk.Ir.instrs <-
         List.map
           (fun i ->
             let i =
               match i with
-              | Ir.Store ((Ir.Otemp t as a), o, v) when store_needs_barrier f a v ->
+              | Ir.Store (a, o, v) when Ir.store_needs_barrier f a v ->
                   T.Metrics.incr c_seen;
-                  if Iset.mem t !set.ft then begin
+                  if operand_fresh !set a then begin
                     T.Metrics.incr c_elided;
                     rewrote := true;
                     Ir.Store_nb (a, o, v)
                   end
                   else i
-              | Ir.Store (a, _, v) when store_needs_barrier f a v ->
-                  T.Metrics.incr c_seen;
-                  i
               | _ -> i
             in
-            set := transfer f !set i;
+            set := transfer prog f !set i;
             i)
           blk.Ir.instrs)
     f.Ir.blocks;
@@ -241,4 +157,4 @@ let func (f : Ir.func) : bool =
     a "fresh" range would make an elimination unsound. *)
 let run (prog : Ir.program) : unit =
   Telemetry.Trace.span ~cat:"compile" "opt.barrier_elim" (fun () ->
-      Array.iter (fun f -> ignore (func f)) prog.Ir.funcs)
+      Array.iter (fun f -> ignore (func prog f)) prog.Ir.funcs)

@@ -5,19 +5,13 @@
 
 module Ir = Mir.Ir
 
-let m3_div a b =
-  let q = a / b in
-  if (a < 0) <> (b < 0) && q * b <> a then q - 1 else q
-
-let m3_mod a b = a - (b * m3_div a b)
-
 let eval_binop (op : Ir.binop) a b : int option =
   match op with
   | Ir.Add -> Some (a + b)
   | Ir.Sub -> Some (a - b)
   | Ir.Mul -> Some (a * b)
-  | Ir.Div -> if b = 0 then None else Some (m3_div a b)
-  | Ir.Mod -> if b = 0 then None else Some (m3_mod a b)
+  | Ir.Div -> if b = 0 then None else Some (Support.Ints.m3_div a b)
+  | Ir.Mod -> if b = 0 then None else Some (Support.Ints.m3_mod a b)
   | Ir.Min -> Some (min a b)
   | Ir.Max -> Some (max a b)
 

@@ -7,17 +7,9 @@
     lifetime of derived values across gc-points, which is exactly what the
     derivation tables must then describe.
 
-    Memory-reading expressions are invalidated conservatively. A load
-    through an address ends at any store or call. A load of a local slot
-    ends at a store to the slot, and, when the slot's address has been
-    taken, at a call or a store through an address (a callee or an alias
-    could write through it). A load of a global ends at a store to it and
-    at any call, and, when its address has been taken, at a store through
-    an address. A store by name to a global or local whose address is
-    taken also ends every load through an address, since an array indexed
-    by a variable is read that way. A store to a slot whose address is
-    never taken forwards the stored temp to later loads of the slot, when
-    the two temps have the same kind. *)
+    A load stays available until an instruction that may write what it
+    read ({!Mir.Ir.may_write}). A store to a slot forwards the stored temp
+    to later loads of the slot, when the two temps have the same kind. *)
 
 module Ir = Mir.Ir
 
@@ -29,9 +21,6 @@ type key =
   | Klda_local of int * int
   | Klda_global of int * int
   | Klda_text of int
-  | Kld_local of int * int
-  | Kld_global of int * int
-  | Kload of Ir.operand * int
 
 let key_of (i : Ir.instr) : key option =
   match i with
@@ -42,9 +31,6 @@ let key_of (i : Ir.instr) : key option =
   | Ir.Lda_local (_, l, o) -> Some (Klda_local (l, o))
   | Ir.Lda_global (_, g, o) -> Some (Klda_global (g, o))
   | Ir.Lda_text (_, x) -> Some (Klda_text x)
-  | Ir.Ld_local (_, l, o) -> Some (Kld_local (l, o))
-  | Ir.Ld_global (_, g, o) -> Some (Kld_global (g, o))
-  | Ir.Load (_, a, o) -> Some (Kload (a, o))
   | _ -> None
 
 (* Comparisons written out, since the tables are searched linearly and a
@@ -54,46 +40,49 @@ let same_operand (a : Ir.operand) (b : Ir.operand) =
   | Ir.Otemp x, Ir.Otemp y | Ir.Oimm x, Ir.Oimm y -> x = y
   | Ir.Otemp _, Ir.Oimm _ | Ir.Oimm _, Ir.Otemp _ -> false
 
+let same_loc (l : Ir.loc) (l' : Ir.loc) =
+  match (l, l') with
+  | Ir.Lmem (a, o), Ir.Lmem (a', o') -> o = o' && same_operand a a'
+  | Ir.Lslot (x, y), Ir.Lslot (x', y') | Ir.Lglobal (x, y), Ir.Lglobal (x', y') ->
+      x = x' && y = y'
+  | (Ir.Lmem _ | Ir.Lslot _ | Ir.Lglobal _), _ -> false
+
 let same_key k k' =
   match (k, k') with
   | Kbin (op, a, b), Kbin (op', a', b') -> op == op' && same_operand a a' && same_operand b b'
   | Ksetrel (r, a, b), Ksetrel (r', a', b') -> r == r' && same_operand a a' && same_operand b b'
   | Kneg a, Kneg a' | Kabs a, Kabs a' -> same_operand a a'
-  | Kload (a, o), Kload (a', o') -> o = o' && same_operand a a'
-  | Klda_local (x, y), Klda_local (x', y')
-  | Klda_global (x, y), Klda_global (x', y')
-  | Kld_local (x, y), Kld_local (x', y')
-  | Kld_global (x, y), Kld_global (x', y') ->
+  | Klda_local (x, y), Klda_local (x', y') | Klda_global (x, y), Klda_global (x', y') ->
       x = x' && y = y'
   | Klda_text x, Klda_text x' -> x = x'
-  | ( ( Kbin _ | Ksetrel _ | Kneg _ | Kabs _ | Kload _ | Klda_local _ | Klda_global _
-      | Kld_local _ | Kld_global _ | Klda_text _ ),
-      _ ) ->
+  | (Kbin _ | Ksetrel _ | Kneg _ | Kabs _ | Klda_local _ | Klda_global _ | Klda_text _), _ ->
       false
 
-let rec find_key k = function
+let rec find same k = function
   | [] -> None
-  | (k', v) :: rest -> if same_key k k' then Some v else find_key k rest
+  | (k', v) :: rest -> if same k k' then Some v else find same k rest
 
 let key_mentions_temp t = function
   | Kbin (_, a, b) | Ksetrel (_, a, b) -> Ir.is_temp t a || Ir.is_temp t b
-  | Kneg s | Kabs s | Kload (s, _) -> Ir.is_temp t s
-  | Klda_local _ | Klda_global _ | Klda_text _ | Kld_local _ | Kld_global _ -> false
+  | Kneg s | Kabs s -> Ir.is_temp t s
+  | Klda_local _ | Klda_global _ | Klda_text _ -> false
 
-(* What one point of an extended basic block knows: available expressions
-   and the temp holding each, and the copies CSE's own hits made, which it
-   propagates itself so that no later round is needed to fold them. *)
-type state = { avail : (key * int) list; copies : Copyprop.env }
+let loc_mentions_temp t = function
+  | Ir.Lmem (a, _) -> Ir.is_temp t a
+  | Ir.Lslot _ | Ir.Lglobal _ -> false
+
+(* What one point of an extended basic block knows: available expressions,
+   and apart from them the loads, which a write can end; the temp holding
+   each; and the copies CSE's own hits made, which it propagates itself so
+   that no later round is needed to fold them. *)
+type state = { avail : (key * int) list; loads : (Ir.loc * int) list; copies : Copyprop.env }
 
 let run (prog : Ir.program) (f : Ir.func) : bool =
   let changed = ref false in
-  let tracked l = not f.Ir.locals.(l).Ir.l_addr_taken in
-  let addressed g = prog.Ir.globals.(g).Ir.g_addr_taken in
-  (* Over-approximations of what any state of the walk may hold, so that
-     the common definition or store, which invalidates nothing, costs no
-     scan: temps named by an entry or a copy, and locals with a load
-     entry. *)
-  let named = Array.make f.Ir.ntemps false and keyed = Array.make (Array.length f.Ir.locals) false in
+  (* Temps named by an entry or a copy of any state of the walk, an
+     over-approximation so that the common definition, which invalidates
+     nothing, costs no scan. *)
+  let named = Array.make f.Ir.ntemps false in
   let name = function Ir.Otemp t -> named.(t) <- true | Ir.Oimm _ -> () in
   let add_key avail k v =
     named.(v) <- true;
@@ -102,20 +91,25 @@ let run (prog : Ir.program) (f : Ir.func) : bool =
         name a;
         name b
     | Kneg a | Kabs a -> name a
-    | Kload (a, _) -> name a
-    | Kld_local (l, _) -> keyed.(l) <- true
-    | Kld_global _ | Klda_local _ | Klda_global _ | Klda_text _ -> ());
+    | Klda_local _ | Klda_global _ | Klda_text _ -> ());
     (k, v) :: avail
   in
-  Mir.Cfg.ebb_walk f ~init:{ avail = []; copies = [] } (fun st (blk : Ir.block) ->
-      let avail = ref st.avail and copies = ref st.copies in
-      let kill p =
-        if List.exists (fun (k, v) -> p k v) !avail then
-          avail := List.filter (fun (k, v) -> not (p k v)) !avail
-      in
+  let add_load loads l v =
+    named.(v) <- true;
+    (match l with Ir.Lmem (a, _) -> name a | Ir.Lslot _ | Ir.Lglobal _ -> ());
+    (l, v) :: loads
+  in
+  let drop p entries =
+    if List.exists (fun (k, v) -> p k v) entries then
+      List.filter (fun (k, v) -> not (p k v)) entries
+    else entries
+  in
+  Mir.Cfg.ebb_walk f ~init:{ avail = []; loads = []; copies = [] } (fun st (blk : Ir.block) ->
+      let avail = ref st.avail and loads = ref st.loads and copies = ref st.copies in
       let on_def t =
         if named.(t) then begin
-          kill (fun k v -> v = t || key_mentions_temp t k);
+          avail := drop (fun k v -> v = t || key_mentions_temp t k) !avail;
+          loads := drop (fun l v -> v = t || loc_mentions_temp t l) !loads;
           copies := Copyprop.forget t !copies
         end
       in
@@ -125,50 +119,23 @@ let run (prog : Ir.program) (f : Ir.func) : bool =
             let i =
               if !copies = [] then i else Ir.map_instr_uses (Copyprop.subst changed !copies) i
             in
-            let key = key_of i and def = Ir.instr_def i in
+            let key = key_of i and read = Ir.loc_read i and def = Ir.instr_def i in
             let hit =
-              match (key, def) with
-              | Some k, Some d -> (
-                  match find_key k !avail with
-                  | Some s when s <> d -> (
-                      (* A load may be given the value stored to its slot,
-                         which need not have the load's kind. *)
-                      match k with
-                      | Kld_local _ when Ir.temp_kind f s <> Ir.temp_kind f d -> None
-                      | _ -> Some s)
-                  | Some _ | None -> None)
+              match (key, read, def) with
+              | Some k, _, Some d -> (
+                  match find same_key k !avail with Some s when s <> d -> Some s | _ -> None)
+              | None, Some l, Some d -> (
+                  match (find same_loc l !loads, l) with
+                  | Some s, _ when s = d -> None
+                  (* A load may be given the value stored to its slot,
+                     which need not have the load's kind. *)
+                  | Some s, Ir.Lslot _ when Ir.temp_kind f s <> Ir.temp_kind f d -> None
+                  | hit, _ -> hit)
               | _ -> None
             in
             (* Kill invalidated entries, then record the new value. *)
-            (match i with
-            | Ir.St_local (l, _, _) when not (tracked l) ->
-                kill (fun k _ ->
-                    match k with Kload _ -> true | Kld_local (l', _) -> l' = l | _ -> false)
-            | Ir.St_local (l, _, _) ->
-                if keyed.(l) then
-                  kill (fun k _ -> match k with Kld_local (l', _) -> l' = l | _ -> false)
-            | Ir.St_global (g, _, _) ->
-                kill (fun k _ ->
-                    match k with
-                    | Kload _ -> addressed g
-                    | Kld_global (g', _) -> g' = g
-                    | _ -> false)
-            | Ir.Store _ | Ir.Store_nb _ ->
-                (* A store through a pointer may write any global or local
-                   whose address is taken. *)
-                kill (fun k _ ->
-                    match k with
-                    | Kload _ -> true
-                    | Kld_global (g, _) -> addressed g
-                    | Kld_local (l, _) -> not (tracked l)
-                    | _ -> false)
-            | Ir.Call _ ->
-                kill (fun k _ ->
-                    match k with
-                    | Kload _ | Kld_global _ -> true
-                    | Kld_local (l, _) -> not (tracked l)
-                    | _ -> false)
-            | _ -> ());
+            if !loads <> [] && Ir.writes i then
+              loads := drop (fun l _ -> Ir.may_write prog f i l) !loads;
             Option.iter on_def def;
             match (hit, def) with
             | Some s, Some d ->
@@ -178,15 +145,15 @@ let run (prog : Ir.program) (f : Ir.func) : bool =
                 named.(s) <- true;
                 Ir.Mov (d, Ir.Otemp s)
             | _ ->
-                (match (i, key, def) with
-                | Ir.Mov _, _, _ -> ()
-                | _, Some k, Some d -> avail := add_key !avail k d
+                (match (i, key, read, def) with
+                | Ir.Mov _, _, _, _ -> ()
+                | _, Some k, _, Some d -> avail := add_key !avail k d
+                | _, _, Some l, Some d -> loads := add_load !loads l d
                 | _ -> ());
-                (* A store to a slot only St_local writes makes the stored
-                   temp the slot's value for later loads. *)
+                (* A store to a slot makes the stored temp the slot's
+                   value for later loads. *)
                 (match i with
-                | Ir.St_local (l, o, Ir.Otemp t) when tracked l ->
-                    avail := add_key !avail (Kld_local (l, o)) t
+                | Ir.St_local (l, o, Ir.Otemp t) -> loads := add_load !loads (Ir.Lslot (l, o)) t
                 | _ -> ());
                 i)
           blk.Ir.instrs
@@ -194,5 +161,5 @@ let run (prog : Ir.program) (f : Ir.func) : bool =
       blk.Ir.instrs <- instrs;
       if !copies <> [] then
         blk.Ir.term <- Ir.map_term_uses (Copyprop.subst changed !copies) blk.Ir.term;
-      { avail = !avail; copies = !copies });
+      { avail = !avail; loads = !loads; copies = !copies });
   !changed

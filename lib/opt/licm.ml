@@ -9,13 +9,8 @@
     Safety notes: memory-reading instructions are hoisted only out of the
     loop header (which runs at least once whenever the preheader does), so
     no speculative read can produce a garbage pointer; DIV/MOD are never
-    hoisted (traps must not be made speculative). A load stays when the
-    loop may write what it reads: a load through an address stays for
-    any call or store through an address in the loop, and for a store by
-    name to a global or local whose address is taken (an array indexed
-    by a variable is read through its address); a load of a global stays
-    for any call, and, when its address is taken, for any store through
-    an address. *)
+    hoisted (traps must not be made speculative). A load stays when an
+    instruction of the loop may write what it reads ({!Mir.Ir.may_write}). *)
 
 module Ir = Mir.Ir
 module Iset = Support.Ints.Iset
@@ -39,29 +34,6 @@ let hoist_loop (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
           | None -> ())
         blk.Ir.instrs)
     f.Ir.blocks;
-  let stored_locals = ref Iset.empty in
-  let stored_globals = ref Iset.empty in
-  let has_call = ref false in
-  let has_store = ref false in
-  (* A store by name that a load through an address may read: to a
-     global or local whose address is taken. *)
-  let has_addressable_store = ref false in
-  Iset.iter
-    (fun b ->
-      List.iter
-        (fun i ->
-          match i with
-          | Ir.St_local (lo, _, _) ->
-              stored_locals := Iset.add lo !stored_locals;
-              if f.Ir.locals.(lo).Ir.l_addr_taken then has_addressable_store := true
-          | Ir.St_global (g, _, _) ->
-              stored_globals := Iset.add g !stored_globals;
-              if prog.Ir.globals.(g).Ir.g_addr_taken then has_addressable_store := true
-          | Ir.Call _ -> has_call := true
-          | Ir.Store _ | Ir.Store_nb _ -> has_store := true
-          | _ -> ())
-        f.Ir.blocks.(b).Ir.instrs)
-    body;
   let invariant_op (o : Ir.operand) =
     match o with
     | Ir.Oimm _ -> true
@@ -70,6 +42,8 @@ let hoist_loop (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
         | None -> true (* no remaining def: only possible if dead *)
         | Some defs -> Iset.for_all (fun b -> not (in_body b)) defs)
   in
+  let writers = Mir.Cfg.writers prog f l in
+  let unwritten i = match Ir.loc_read i with Some loc -> writers loc = [] | None -> false in
   let hoistable ~in_header (i : Ir.instr) =
     (match Ir.instr_def i with Some d -> def_count.(d) = 1 | None -> false)
     && List.for_all invariant_op (Ir.instr_uses i)
@@ -78,14 +52,8 @@ let hoist_loop (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
     | Ir.Mov _ | Ir.Neg _ | Ir.Abs _ | Ir.Setrel _ | Ir.Lda_local _ | Ir.Lda_global _
     | Ir.Lda_text _ -> true
     | Ir.Bin (op, _, _, _) -> op <> Ir.Div && op <> Ir.Mod
-    | Ir.Ld_local (_, lo, _) ->
-        (not (Iset.mem lo !stored_locals))
-        && ((not f.Ir.locals.(lo).Ir.l_addr_taken) || not (!has_call || !has_store))
-    | Ir.Ld_global (_, g, _) ->
-        (not !has_call)
-        && (not (Iset.mem g !stored_globals))
-        && not (prog.Ir.globals.(g).Ir.g_addr_taken && !has_store)
-    | Ir.Load _ -> in_header && not (!has_call || !has_store || !has_addressable_store)
+    | Ir.Ld_local _ | Ir.Ld_global _ -> unwritten i
+    | Ir.Load _ -> in_header && unwritten i
     | Ir.St_local _ | Ir.St_global _ | Ir.Store _ | Ir.Store_nb _ | Ir.Call _ -> false
   in
   let preheader = ref None in

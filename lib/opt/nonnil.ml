@@ -12,11 +12,10 @@
     - a copy, a load of a non-NIL slot and a store of a non-NIL temp carry
       the fact along.
 
-    A fact dies when its temp is redefined or its slot is stored with a
-    value not known to be non-NIL. Only the slots of locals whose address
-    is never taken are tracked: nothing but a [St_local] writes them, so a
-    call kills no fact. A collection moves objects but never turns a
-    pointer into NIL.
+    A fact dies when its temp is redefined, when its slot is stored with a
+    value not known to be non-NIL, and when anything else may write the
+    slot ({!Mir.Ir.may_write}). A collection moves objects but never turns
+    a pointer into NIL.
 
     A decided test becomes a [Jmp], and {!Layout} drops the error blocks
     it leaves unreachable. With [~audit] the test stays and its NIL edge
@@ -47,33 +46,39 @@ let max_facts = Sys.int_size - 1
    slots, stores of temps), numbered in the order found up to
    {!max_facts}. A temp or slot left without a number is never known to
    be non-NIL, which is always sound. [tbit] numbers temps; [sbit]
-   numbers the words of the locals whose address is never taken, from
-   [base.(l)] ([-1] when local [l]'s address is taken). *)
-type facts = { tbit : int array; sbit : int array; base : int array }
+   numbers the words of each local [l] from [base.(l)]; [slots] lists
+   the numbered slots with their bits. *)
+type facts = {
+  tbit : int array;
+  sbit : int array;
+  base : int array;
+  mutable slots : (int * Ir.loc) list;
+}
 
-let slot_bit fs (li : Ir.local_info) l o =
-  let b = fs.base.(l) in
-  if b < 0 || o < 0 || o >= li.Ir.l_size then -1 else fs.sbit.(b + o)
+(* Word [o] of local [l]'s index among the function's slot words, or -1. *)
+let slot_word (f : Ir.func) base l o =
+  if o < 0 || o >= f.Ir.locals.(l).Ir.l_size then -1 else base.(l) + o
+
+let slot_bit fs f l o =
+  let s = slot_word f fs.base l o in
+  if s < 0 then -1 else fs.sbit.(s)
 
 let number_facts (f : Ir.func) tests : facts =
   let nslots = ref 0 in
   let base =
     Array.map
       (fun (li : Ir.local_info) ->
-        if li.Ir.l_addr_taken then -1
-        else begin
-          let b = !nslots in
-          nslots := b + li.Ir.l_size;
-          b
-        end)
+        let b = !nslots in
+        nslots := b + li.Ir.l_size;
+        b)
       f.Ir.locals
   in
-  let fs = { tbit = Array.make f.Ir.ntemps (-1); sbit = Array.make !nslots (-1); base } in
+  let fs =
+    { tbit = Array.make f.Ir.ntemps (-1); sbit = Array.make !nslots (-1); base; slots = [] }
+  in
   (* Where each temp's and slot's value can come from. *)
   let from_temp = Array.make f.Ir.ntemps [] and from_slot = Array.make !nslots [] in
-  let slot l o =
-    if base.(l) < 0 || o < 0 || o >= f.Ir.locals.(l).Ir.l_size then -1 else base.(l) + o
-  in
+  let slot = slot_word f base in
   Array.iter
     (fun (blk : Ir.block) ->
       List.iter
@@ -81,7 +86,7 @@ let number_facts (f : Ir.func) tests : facts =
           | Ir.Mov (d, Ir.Otemp s) -> from_temp.(d) <- `Temp s :: from_temp.(d)
           | Ir.Ld_local (d, l, o) ->
               let s = slot l o in
-              if s >= 0 then from_temp.(d) <- `Slot s :: from_temp.(d)
+              if s >= 0 then from_temp.(d) <- `Slot (s, l, o) :: from_temp.(d)
           | Ir.St_local (l, o, Ir.Otemp t) ->
               let s = slot l o in
               if s >= 0 then from_slot.(s) <- `Temp t :: from_slot.(s)
@@ -94,8 +99,9 @@ let number_facts (f : Ir.func) tests : facts =
         fs.tbit.(t) <- !next;
         incr next;
         List.iter mark from_temp.(t)
-    | `Slot s when fs.sbit.(s) < 0 && !next < max_facts ->
+    | `Slot (s, l, o) when fs.sbit.(s) < 0 && !next < max_facts ->
         fs.sbit.(s) <- !next;
+        fs.slots <- (1 lsl !next, Ir.Lslot (l, o)) :: fs.slots;
         incr next;
         List.iter mark from_slot.(s)
     | `Temp _ | `Slot _ -> ()
@@ -105,22 +111,31 @@ let number_facts (f : Ir.func) tests : facts =
 
 let bit b = if b < 0 then 0 else 1 lsl b
 
+(* The slot facts that [i] may kill by writing their slot. *)
+let written prog f fs i =
+  if fs.slots = [] || not (Ir.writes i) then 0
+  else
+    List.fold_left
+      (fun m (b, loc) -> if Ir.may_write prog f i loc then m lor b else m)
+      0 fs.slots
+
 (* The facts that hold on the non-NIL edge of a test of [v] at the end of
    [instrs]: [v]'s, and those of the slots that hold [v] there. *)
-let edge_facts fs (f : Ir.func) v instrs =
-  let slot l o = bit (slot_bit fs f.Ir.locals.(l) l o) in
-  let rec scan stored = function
+let edge_facts prog fs (f : Ir.func) v instrs =
+  let slot l o = bit (slot_bit fs f l o) in
+  let rec scan written_since = function
     | [] -> 0
-    | Ir.St_local (l, o, src) :: rest ->
-        let b = slot l o in
-        if b = 0 || stored land b <> 0 then scan stored rest
-        else if src = Ir.Otemp v then b lor scan (stored lor b) rest
-        else scan (stored lor b) rest
-    | Ir.Ld_local (d, l, o) :: _ when d = v ->
-        let b = slot l o in
-        if stored land b <> 0 then 0 else b
+    | Ir.Ld_local (d, l, o) :: _ when d = v -> slot l o land lnot written_since
     | i :: rest -> (
-        match Ir.instr_def i with Some d when d = v -> 0 | Some _ | None -> scan stored rest)
+        match Ir.instr_def i with
+        | Some d when d = v -> 0
+        | Some _ | None ->
+            let holds =
+              match i with
+              | Ir.St_local (l, o, Ir.Otemp t) when t = v -> slot l o land lnot written_since
+              | _ -> 0
+            in
+            holds lor scan (written_since lor written prog f fs i) rest)
   in
   bit fs.tbit.(v) lor scan 0 (List.rev instrs)
 
@@ -130,14 +145,14 @@ let define fs st d fact =
   let b = bit fs.tbit.(d) in
   if fact then st lor b else st land lnot b
 
-let transfer fs (locals : Ir.local_info array) st (i : Ir.instr) =
+let transfer prog (f : Ir.func) fs st (i : Ir.instr) =
+  let st = st land lnot (written prog f fs i) in
   match i with
   | Ir.Call (Some d, Ir.Crt (Ir.Rt_alloc _ | Ir.Rt_alloc_open _), _) -> define fs st d true
   | Ir.Mov (d, s) -> define fs st d (known fs st s)
-  | Ir.Ld_local (d, l, o) -> define fs st d (st land bit (slot_bit fs locals.(l) l o) <> 0)
+  | Ir.Ld_local (d, l, o) -> define fs st d (st land bit (slot_bit fs f l o) <> 0)
   | Ir.St_local (l, o, v) ->
-      let b = bit (slot_bit fs locals.(l) l o) in
-      if known fs st v then st lor b else st land lnot b
+      if known fs st v then st lor bit (slot_bit fs f l o) else st
   | Ir.Bin (_, d, _, _)
   | Ir.Neg (d, _)
   | Ir.Abs (d, _)
@@ -151,30 +166,13 @@ let transfer fs (locals : Ir.local_info array) st (i : Ir.instr) =
       define fs st d false
   | Ir.St_global _ | Ir.Store _ | Ir.Store_nb _ | Ir.Call (None, _, _) -> st
 
-let rec transfer_all fs locals st = function
-  | [] -> st
-  | i :: rest -> transfer_all fs locals (transfer fs locals st i) rest
-
-let run ?(audit = false) (f : Ir.func) : bool =
+let run ?(audit = false) (prog : Ir.program) (f : Ir.func) : bool =
   let blocks = f.Ir.blocks in
   let tests = Array.map (fun (b : Ir.block) -> nil_test b.Ir.term) blocks in
   if Array.for_all Option.is_none tests then false
   else begin
     let nb = Array.length blocks in
     let fs = number_facts f tests in
-    let rpo = Mir.Cfg.reverse_postorder f in
-    let preds = Array.make nb [] and index = Array.make nb (-1) in
-    Array.iteri (fun i b -> index.(b) <- i) rpo;
-    (* Without a back edge, one pass in reverse postorder is the answer. *)
-    let loops = ref false in
-    Array.iter
-      (fun b ->
-        List.iter
-          (fun s ->
-            if index.(s) <= index.(b) then loops := true;
-            preds.(s) <- b :: preds.(s))
-          (Ir.term_succs blocks.(b).Ir.term))
-      rpo;
     (* What each edge adds: [along.(p)] holds on the edge from [p] to
        [ok.(p)], the non-NIL successor of its test. *)
     let ok = Array.make nb (-1) and along = Array.make nb 0 in
@@ -183,40 +181,21 @@ let run ?(audit = false) (f : Ir.func) : bool =
         match t with
         | Some (v, s, _) ->
             ok.(b) <- s;
-            along.(b) <- edge_facts fs f v blocks.(b).Ir.instrs
+            along.(b) <- edge_facts prog fs f v blocks.(b).Ir.instrs
         | None -> ())
       tests;
-    (* [outs.(b)], the facts at [b]'s end: every fact until [b] is first
-       visited, so a loop's back edge first assumes the best. *)
-    let outs = Array.make nb (-1) in
-    let decided p =
-      match tests.(p) with
-      | Some (v, _, _) -> outs.(p) land bit fs.tbit.(v) <> 0
-      | None -> false
+    let transfer b st = List.fold_left (transfer prog f fs) st blocks.(b).Ir.instrs in
+    (* Does block [p], ending with the facts [out], end with a decided test? *)
+    let decides p out =
+      match tests.(p) with Some (v, _, _) -> out land bit fs.tbit.(v) <> 0 | None -> false
     in
     (* The NIL edge of a decided test is never taken, so it constrains
        nothing: one run leaves nothing for the next to decide. *)
-    let rec meet b acc = function
-      | [] -> acc
-      | p :: rest ->
-          let along =
-            if ok.(p) = b then outs.(p) lor along.(p)
-            else if decided p then -1
-            else outs.(p)
-          in
-          meet b (acc land along) rest
+    let edge p s out =
+      if ok.(p) = s then Some (out lor along.(p)) else if decides p out then None else Some out
     in
-    let pass () =
-      Array.fold_left
-        (fun changed b ->
-          let entry = if b = 0 then 0 else meet b (-1) preds.(b) in
-          let out = transfer_all fs f.Ir.locals entry blocks.(b).Ir.instrs in
-          let changed = changed || out <> outs.(b) in
-          outs.(b) <- out;
-          changed)
-        false rpo
-    in
-    if pass () && !loops then while pass () do () done;
+    let _, outs = Mir.Cfg.forward ~edge f ~entry:0 ~meet:( land ) ~equal:Int.equal ~transfer in
+    let decided b = match outs.(b) with Some out -> decides b out | None -> false in
     let trap = ref None in
     let trap_block () =
       match !trap with
@@ -227,9 +206,9 @@ let run ?(audit = false) (f : Ir.func) : bool =
           l
     in
     let rewritten = ref false in
-    Array.iter
-      (fun b ->
-        match tests.(b) with
+    Array.iteri
+      (fun b t ->
+        match t with
         | Some (_, ok, nil) when decided b ->
             let blk = f.Ir.blocks.(b) in
             if not audit then begin
@@ -241,6 +220,6 @@ let run ?(audit = false) (f : Ir.func) : bool =
               rewritten := true
             end
         | _ -> ())
-      rpo;
+      tests;
     !rewritten
   end

@@ -95,7 +95,7 @@ type candidate = {
   ta : int; (* arm A's base temp (bijection representative) *)
 }
 
-let find_candidate (f : Ir.func) (l : Mir.Cfg.loop) : candidate option =
+let find_candidate (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : candidate option =
   let body = l.Mir.Cfg.body in
   let found = ref None in
   Iset.iter
@@ -128,10 +128,11 @@ let find_candidate (f : Ir.func) (l : Mir.Cfg.loop) : candidate option =
                 in
                 match (ok, !diff) with
                 | true, Some (ta, va, vb) ->
-                    (* Both slots must be stable tidy-pointer slots. *)
+                    (* Both slots must be tidy-pointer slots the loop
+                       never writes. *)
                     let slot_ok v =
-                      let info = f.Ir.locals.(v) in
-                      info.Ir.l_slot = Ir.Sptr && not info.Ir.l_addr_taken
+                      f.Ir.locals.(v).Ir.l_slot = Ir.Sptr
+                      && Mir.Cfg.writers prog f l (Ir.Lslot (v, 0)) = []
                     in
                     if slot_ok va && slot_ok vb then
                       found := Some { cond_block = cb; arm_a = a; arm_b = b; join = ja; va; vb; ta }
@@ -143,19 +144,9 @@ let find_candidate (f : Ir.func) (l : Mir.Cfg.loop) : candidate option =
 
 (* The condition instructions at the tail of the cond block that feed the
    Cjmp: we replicate them in the preheader. They must be invariant:
-   loads of slots unstored in the loop, and pure arithmetic. *)
-let extract_condition (f : Ir.func) (l : Mir.Cfg.loop) (cb : int) :
+   loads of slots the loop never writes, and pure arithmetic. *)
+let extract_condition (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) (cb : int) :
     (Ir.instr list * Ir.relop * Ir.operand * Ir.operand) option =
-  let stored = Hashtbl.create 8 in
-  Iset.iter
-    (fun b ->
-      List.iter
-        (fun i ->
-          match i with
-          | Ir.St_local (lo, _, _) -> Hashtbl.replace stored lo ()
-          | _ -> ())
-        f.Ir.blocks.(b).Ir.instrs)
-    l.Mir.Cfg.body;
   match f.Ir.blocks.(cb).Ir.term with
   | Ir.Cjmp (r, x, y, _, _) ->
       (* Walk backward collecting the defs of the condition operands. *)
@@ -173,9 +164,7 @@ let extract_condition (f : Ir.func) (l : Mir.Cfg.loop) (cb : int) :
         | Some d when Hashtbl.mem wanted d ->
             Hashtbl.remove wanted d;
             (match instrs.(i) with
-            | Ir.Ld_local (_, lo, _)
-              when (not (Hashtbl.mem stored lo))
-                   && not f.Ir.locals.(lo).Ir.l_addr_taken ->
+            | Ir.Ld_local (_, lo, o) when Mir.Cfg.writers prog f l (Ir.Lslot (lo, o)) = [] ->
                 List.iter note (Ir.instr_uses instrs.(i))
             | Ir.Mov _ | Ir.Bin _ | Ir.Neg _ | Ir.Abs _ | Ir.Setrel _ ->
                 List.iter note (Ir.instr_uses instrs.(i))
@@ -192,21 +181,13 @@ let refresh_kinds (f : Ir.func) (instrs : Ir.instr list) =
   let kind_of (o : Ir.operand) =
     match o with Ir.Oimm _ -> Ir.Kscalar | Ir.Otemp t -> Ir.temp_kind f t
   in
-  let deriv_of (o : Ir.operand) =
-    match o with
-    | Ir.Oimm _ -> Mir.Deriv.empty
-    | Ir.Otemp t -> (
-        match Ir.temp_kind f t with
-        | Ir.Kptr | Ir.Kderived _ -> Mir.Deriv.of_base (Mir.Deriv.Btemp t)
-        | Ir.Kscalar | Ir.Kstack -> Mir.Deriv.empty)
-  in
   List.iter
     (fun i ->
       match i with
       | Ir.Bin (op, d, a, b) when op = Ir.Add || op = Ir.Sub -> (
           match (kind_of a, kind_of b) with
           | (Ir.Kptr | Ir.Kderived _), _ | _, (Ir.Kptr | Ir.Kderived _) ->
-              let da = deriv_of a and db = deriv_of b in
+              let da = Ir.deriv_of f a and db = Ir.deriv_of f b in
               let dd = if op = Ir.Add then Mir.Deriv.add da db else Mir.Deriv.sub da db in
               Ir.set_temp_kind f d
                 (if Mir.Deriv.is_empty dd then Ir.Kscalar else Ir.Kderived dd)
@@ -215,8 +196,8 @@ let refresh_kinds (f : Ir.func) (instrs : Ir.instr list) =
       | _ -> ())
     instrs
 
-let apply (f : Ir.func) (l : Mir.Cfg.loop) (c : candidate) : bool =
-  match extract_condition f l c.cond_block with
+let apply (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) (c : candidate) : bool =
+  match extract_condition prog f l c.cond_block with
   | None -> false
   | Some (cond_instrs, rel, x, y) ->
       (* Locate arm A's address chain: ta feeds  taddr := add ta, off ;
@@ -383,6 +364,6 @@ let apply (f : Ir.func) (l : Mir.Cfg.loop) (c : candidate) : bool =
                 f.Ir.blocks.(c.cond_block).Ir.term <- Ir.Jmp c.arm_a;
                 true))
 
-let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+let run (prog : Ir.program) (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
   Mir.Cfg.visit_loops cfg f (fun l ->
-      match find_candidate f l with Some c -> apply f l c | None -> false)
+      match find_candidate prog f l with Some c -> apply prog f l c | None -> false)

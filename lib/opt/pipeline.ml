@@ -66,7 +66,7 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
      DCE's in 90. *)
   let settle cond name pass = ignore (cond && run name pass) in
   let nonnil () =
-    opts.nonnil && run "opt.nonnil" (fun () -> Nonnil.run ~audit:opts.audit_checks f)
+    opts.nonnil && run "opt.nonnil" (fun () -> Nonnil.run ~audit:opts.audit_checks prog f)
   in
   ignore (nonnil ());
   let budget = ref 6 in
@@ -74,10 +74,10 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
     again := false;
     step opts.copyprop "opt.copyprop" (fun () -> Copyprop.run prog f);
     step opts.constfold "opt.constfold" (fun () -> Constfold.run prog f);
-    step opts.pathvar "opt.pathvar" (fun () -> Pathvar.run cfg f);
+    step opts.pathvar "opt.pathvar" (fun () -> Pathvar.run prog cfg f);
     settle opts.cse "opt.cse" (fun () -> Cse.run prog f);
     step opts.virtual_origin "opt.virtual_origin" (fun () -> Virtual_origin.run prog f);
-    step opts.strength "opt.strength" (fun () -> Strength.run cfg f);
+    step opts.strength "opt.strength" (fun () -> Strength.run prog cfg f);
     step opts.licm "opt.licm" (fun () -> Licm.run prog cfg f);
     settle opts.dce "opt.dce" (fun () -> Dce.run prog f);
     decr budget

@@ -5,10 +5,10 @@
     derivation tables must describe.
 
     Recognized shape (produced by lowering, possibly after CSE/LICM):
-    - an induction local [iv] with exactly one in-loop store
+    - an induction local [iv] whose only write in the loop is
       [iv := load(iv) + step];
     - an address [taddr := base + off] where [base] is loop-invariant (an
-      invariant temp, or a fresh load of a slot never stored in the loop)
+      invariant temp, or a fresh load of a slot never written in the loop)
       and [off] is [(load(iv) − lo) · esz] (with the [−lo] and [·esz] parts
       optional).
 
@@ -72,32 +72,17 @@ let decompose_offset (defs, count) ~in_body (off : Ir.operand) : (int * int * in
           match sub_lo off with Some (iv, lo) -> Some (iv, lo, 1) | None -> None))
   | _ -> None
 
-let reduce_loop (cfg : Mir.Cfg.analysis) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
+let reduce_loop (prog : Ir.program) (cfg : Mir.Cfg.analysis) (f : Ir.func) (l : Mir.Cfg.loop) :
+    bool =
   let body = l.Mir.Cfg.body in
   let in_body b = Iset.mem b body in
   let defs, count = build_defs f in
-  (* Locals stored in the loop, with their single-store description. *)
-  let store_sites = Hashtbl.create 8 in
-  let store_counts = Hashtbl.create 8 in
-  Iset.iter
-    (fun b ->
-      List.iter
-        (fun i ->
-          match i with
-          | Ir.St_local (lo, 0, v) ->
-              Hashtbl.replace store_counts lo
-                (1 + Option.value ~default:0 (Hashtbl.find_opt store_counts lo));
-              Hashtbl.replace store_sites lo (b, v)
-          | Ir.St_local (lo, _, _) ->
-              Hashtbl.replace store_counts lo
-                (2 + Option.value ~default:0 (Hashtbl.find_opt store_counts lo))
-          | _ -> ())
-        f.Ir.blocks.(b).Ir.instrs)
-    body;
-  (* Induction variables: iv := load(iv) + step. *)
+  let writers = Mir.Cfg.writers prog f l in
+  (* Induction variables: iv := load(iv) + step, the only write of iv in
+     the loop. *)
   let induction iv =
-    match (Hashtbl.find_opt store_counts iv, Hashtbl.find_opt store_sites iv) with
-    | Some 1, Some (sb, Ir.Otemp tn) when count.(tn) = 1 -> (
+    match writers (Ir.Lslot (iv, 0)) with
+    | [ (sb, Ir.St_local (_, _, Ir.Otemp tn)) ] when count.(tn) = 1 -> (
         match Hashtbl.find_opt defs tn with
         | Some { db; instr = Ir.Bin (Ir.Add, _, Ir.Otemp tc, Ir.Oimm step) }
           when in_body db && count.(tc) = 1 -> (
@@ -109,28 +94,21 @@ let reduce_loop (cfg : Mir.Cfg.analysis) (f : Ir.func) (l : Mir.Cfg.loop) : bool
         | _ -> None)
     | _ -> None
   in
-  let stored_in_loop lo = Hashtbl.mem store_counts lo in
   (* Is [base] loop-invariant?  Either a temp whose single definition is
      outside the loop and dominates the header (usable directly in the
-     preheader), or a single in-loop load of a slot never stored in the
-     loop and safe from modification through its address (re-loaded fresh
-     in the preheader). *)
+     preheader), or a single in-loop load of a slot nothing in the loop
+     may write (re-loaded fresh in the preheader). *)
   let idom = Mir.Cfg.idom cfg f in
   let base_info (o : Ir.operand) : (Mir.Deriv.t * [ `Temp of int | `Slot of int ]) option =
     match o with
     | Ir.Oimm _ -> None
     | Ir.Otemp t -> (
-        let ptrish =
-          match Ir.temp_kind f t with
-          | Ir.Kptr | Ir.Kderived _ -> true
-          | Ir.Kscalar | Ir.Kstack -> false
-        in
-        if not ptrish then None
+        if not (Ir.is_pointer f o) then None
         else if count.(t) = 1 then
           match Hashtbl.find_opt defs t with
           | Some { db; instr = Ir.Ld_local (_, bslot, 0) }
-            when in_body db && (not (stored_in_loop bslot))
-                 && (not f.Ir.locals.(bslot).Ir.l_addr_taken)
+            when in_body db
+                 && writers (Ir.Lslot (bslot, 0)) = []
                  && (match f.Ir.locals.(bslot).Ir.l_slot with
                     | Ir.Sambig _ -> false
                     | _ -> true) ->
@@ -251,5 +229,5 @@ let reduce_loop (cfg : Mir.Cfg.analysis) (f : Ir.func) (l : Mir.Cfg.loop) : bool
     true
   end
 
-let run (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
-  Mir.Cfg.visit_loops cfg f (reduce_loop cfg f)
+let run (prog : Ir.program) (cfg : Mir.Cfg.analysis) (f : Ir.func) : bool =
+  Mir.Cfg.visit_loops cfg f (reduce_loop prog cfg f)

@@ -27,22 +27,6 @@ let run (_prog : Ir.program) (f : Ir.func) : bool =
       List.iter (fun i -> List.iter count (Ir.instr_uses i)) blk.Ir.instrs;
       List.iter count (Ir.term_uses blk.Ir.term))
     f.Ir.blocks;
-  let deriv_of_operand (o : Ir.operand) =
-    match o with
-    | Ir.Oimm _ -> Mir.Deriv.empty
-    | Ir.Otemp t -> (
-        match Ir.temp_kind f t with
-        | Ir.Kptr | Ir.Kderived _ -> Mir.Deriv.of_base (Mir.Deriv.Btemp t)
-        | Ir.Kscalar | Ir.Kstack -> Mir.Deriv.empty)
-  in
-  let is_addr_kind (o : Ir.operand) =
-    match o with
-    | Ir.Otemp t -> (
-        match Ir.temp_kind f t with
-        | Ir.Kptr | Ir.Kderived _ -> true
-        | Ir.Kscalar | Ir.Kstack -> false)
-    | Ir.Oimm _ -> false
-  in
   Array.iter
     (fun (blk : Ir.block) ->
       let rec rewrite (instrs : Ir.instr list) : Ir.instr list =
@@ -53,9 +37,9 @@ let run (_prog : Ir.program) (f : Ir.func) : bool =
           :: Ir.Bin (Ir.Add, t3, base, Ir.Otemp t2')
           :: rest
           when t1 = t1' && t2 = t2' && lo <> 0 && uses.(t1) = 1 && uses.(t2) = 1
-               && is_addr_kind base ->
+               && Ir.is_pointer f base ->
             changed := true;
-            let d = deriv_of_operand base in
+            let d = Ir.deriv_of f base in
             let tv = Ir.fresh_temp f (Ir.Kderived d) in
             Ir.Bin (Ir.Add, tv, base, Ir.Oimm (-lo * esz))
             :: Ir.Bin (Ir.Mul, t2, i_op, Ir.Oimm esz)
@@ -65,9 +49,9 @@ let run (_prog : Ir.program) (f : Ir.func) : bool =
         | Ir.Bin (Ir.Sub, t1, i_op, Ir.Oimm lo)
           :: Ir.Bin (Ir.Add, t3, base, Ir.Otemp t1')
           :: rest
-          when t1 = t1' && lo <> 0 && uses.(t1) = 1 && is_addr_kind base ->
+          when t1 = t1' && lo <> 0 && uses.(t1) = 1 && Ir.is_pointer f base ->
             changed := true;
-            let d = deriv_of_operand base in
+            let d = Ir.deriv_of f base in
             let tv = Ir.fresh_temp f (Ir.Kderived d) in
             Ir.Bin (Ir.Add, tv, base, Ir.Oimm (-lo))
             :: Ir.Bin (Ir.Add, t3, Ir.Otemp tv, i_op)

@@ -248,15 +248,10 @@ let store t (o : I.operand) v =
   | I.Imm _ -> Vm_error.fail "store to immediate"
   | I.Mem _ | I.Mem2 _ | I.Defer _ | I.Abs _ -> write t (addr_of t o) v
 
-(* Modula-3 arithmetic: DIV rounds toward minus infinity, MOD takes the
-   divisor's sign. *)
-let m3_div a b =
-  if b = 0 then Vm_error.fail "division by zero"
-  else
-    let q = a / b in
-    if (a < 0) <> (b < 0) && q * b <> a then q - 1 else q
-
-let m3_mod a b = if b = 0 then Vm_error.fail "modulo by zero" else a - (b * m3_div a b)
+(* Modula-3 arithmetic ({!Support.Ints.m3_div}), trapping on a zero
+   divisor. *)
+let m3_div a b = if b = 0 then Vm_error.fail "division by zero" else Support.Ints.m3_div a b
+let m3_mod a b = if b = 0 then Vm_error.fail "modulo by zero" else Support.Ints.m3_mod a b
 
 let apply_aop (op : I.aop) a b =
   match op with

@@ -93,6 +93,42 @@ let mir_with opts src =
   Opt.Pipeline.optimize ~opts prog;
   prog
 
+(* DIV and MOD of constants: run at O0, folded at O1, the same figures,
+   and the Modula-3 rule (the remainder takes the divisor's sign). MIN
+   keeps lowering from folding the DIV itself. *)
+let prop_div_mod_folds =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range (-1_000_000) 1_000_000)
+        (map (fun b -> if b = 0 then 1 else b) (int_range (-1000) 1000)))
+  in
+  QCheck.Test.make ~name:"DIV and MOD agree run and folded" ~count:40
+    (QCheck.make ~print:(fun (a, b) -> Printf.sprintf "%d, %d" a b) gen)
+    (fun (a, b) ->
+      let src =
+        Printf.sprintf
+          "MODULE D; BEGIN PutInt(MIN(%d, %d) DIV (%d)); PutText(\" \"); \
+           PutInt(MIN(%d, %d) MOD (%d)); PutLn() END D."
+          a a b a a b
+      in
+      let run0 = run_with_opts no_opts src and run1 = run_with_opts Opt.Pipeline.all_on src in
+      let q, r = Scanf.sscanf run0 "%d %d" (fun q r -> (q, r)) in
+      let divides opts =
+        let prog = mir_with opts src in
+        List.length
+          (List.filter
+             (function Ir.Bin ((Ir.Div | Ir.Mod), _, _, _) -> true | _ -> false)
+             (List.concat_map
+                (fun (blk : Ir.block) -> blk.Ir.instrs)
+                (Array.to_list prog.Ir.funcs.(prog.Ir.main_fid).Ir.blocks)))
+      in
+      run0 = run1
+      && divides no_opts = 2
+      && divides Opt.Pipeline.all_on = 0
+      && a = (q * b) + r
+      && abs r < abs b
+      && (r = 0 || (r < 0) = (b < 0)))
+
 let test_constfold_folds () =
   let prog = mir_with { no_opts with constfold = true; copyprop = true; dce = true }
       "MODULE T; VAR x: INTEGER; BEGIN x := 2 + 3 * 4 END T." in
@@ -614,6 +650,10 @@ let test_alias_store_invalidates () =
   check Alcotest.string "O1" "21 6\n" (run_with_opts Opt.Pipeline.all_on src);
   check Alcotest.string "cse alone" "21 6\n" (run_with_opts { no_opts with cse = true } src);
   check Alcotest.string "licm alone" "21 6\n" (run_with_opts { no_opts with licm = true } src);
+  check Alcotest.string "strength alone" "21 6\n"
+    (run_with_opts { no_opts with strength = true } src);
+  check Alcotest.string "pathvar alone" "21 6\n"
+    (run_with_opts { no_opts with pathvar = true } src);
   (* An array indexed by a variable is read and written through its
      address, at a constant index by name: a store either way must end
      the reuse of a load the other way, for a local and for a global
@@ -662,8 +702,188 @@ let test_alias_store_invalidates () =
           ("O1", Opt.Pipeline.all_on);
           ("cse alone", { no_opts with cse = true });
           ("licm alone", { no_opts with licm = true });
+          ("strength alone", { no_opts with strength = true });
+          ("pathvar alone", { no_opts with pathvar = true });
         ])
     [ true; false ]
+
+(* A loop pass may treat a slot as invariant, or a store as an induction
+   variable's only update, only when nothing else in the loop writes the
+   slot: [i] also steps through a WITH alias, and [pa] is stored in the
+   loop whose IF selects it. *)
+let test_loop_writes_respected () =
+  let stepped =
+    "MODULE S;\n\
+     TYPE Arr = REF ARRAY [0..7] OF INTEGER;\n\
+     VAR p: Arr; k: INTEGER;\n\
+     PROCEDURE Sum(a: Arr): INTEGER;\n\
+     VAR i, s: INTEGER;\n\
+     BEGIN\n\
+     \  i := 0; s := 0;\n\
+     \  WHILE i < 8 DO s := s + a[i]; WITH w = i DO w := w + 1 END; i := i + 1 END;\n\
+     \  RETURN s\n\
+     END Sum;\n\
+     BEGIN\n\
+     \  p := NEW(Arr);\n\
+     \  FOR k := 0 TO 7 DO p[k] := k END;\n\
+     \  PutInt(Sum(p)); PutLn()\n\
+     END S.\n"
+  and reselected =
+    "MODULE S;\n\
+     TYPE Arr = REF ARRAY [0..3] OF INTEGER;\n\
+     VAR p, q: Arr; k: INTEGER;\n\
+     PROCEDURE Pass(pa, qa: Arr; inv: BOOLEAN): INTEGER;\n\
+     VAR i, s: INTEGER;\n\
+     BEGIN\n\
+     \  s := 0;\n\
+     \  FOR i := 0 TO 3 DO\n\
+     \    IF inv THEN s := s + pa[i] ELSE s := s + qa[i] END;\n\
+     \    pa := qa\n\
+     \  END;\n\
+     \  RETURN s\n\
+     END Pass;\n\
+     BEGIN\n\
+     \  p := NEW(Arr); q := NEW(Arr);\n\
+     \  FOR k := 0 TO 3 DO p[k] := 1; q[k] := 10 END;\n\
+     \  PutInt(Pass(p, q, TRUE)); PutLn()\n\
+     END S.\n"
+  in
+  List.iter
+    (fun (name, src, want) ->
+      List.iter
+        (fun checks ->
+          List.iter
+            (fun (level, opts) ->
+              check Alcotest.string
+                (Printf.sprintf "%s, %s, checks=%b" name level checks)
+                want (run_with_opts ~checks opts src))
+            [
+              ("O1", Opt.Pipeline.all_on);
+              ("strength alone", { no_opts with strength = true });
+              ("pathvar alone", { no_opts with pathvar = true });
+            ])
+        [ true; false ])
+    [ ("induction variable", stepped, "12\n"); ("selected base", reselected, "31\n") ]
+
+(* A function to ask the alias rules about: local 0 is a two-word slot
+   whose address is never taken, local 1's is taken; global 0's address
+   is never taken, global 1's is. Temps 0-3 are a tidy pointer, a derived
+   value, a stack address and a scalar. *)
+let effects_prog () =
+  let local name addr_taken =
+    {
+      Ir.l_name = name;
+      l_size = 2;
+      l_slot = Ir.Sscalar;
+      l_user = true;
+      l_addr_taken = addr_taken;
+      l_stores = 0;
+    }
+  in
+  let f : Ir.func =
+    {
+      Ir.fid = 0;
+      fname = "h";
+      params = [];
+      nparams = 0;
+      ret = false;
+      ret_ptr = false;
+      locals = [| local "tracked" false; local "taken" true |];
+      blocks = [| { Ir.instrs = []; term = Ir.Ret None } |];
+      temp_kinds =
+        [|
+          Ir.Kptr; Ir.Kderived (Mir.Deriv.of_base (Mir.Deriv.Btemp 0)); Ir.Kstack; Ir.Kscalar;
+        |];
+      ntemps = 4;
+    }
+  in
+  let global name addr_taken =
+    { Ir.g_name = name; g_size = 1; g_ptrs = []; g_addr_taken = addr_taken }
+  in
+  ( {
+      Ir.pname = "effects";
+      globals = [| global "plain" false; global "addressed" true |];
+      texts = [||];
+      tdescs = [||];
+      funcs = [| f |];
+      main_fid = 0;
+      alloc_sites = [||];
+    },
+    f )
+
+(* Ir.may_write, writer by location. The columns: a word read through a
+   tidy pointer, a stack address and a derived address; words 0 and 1 of
+   the tracked local; word 0 of the address-taken local; the unaddressed
+   and the addressed global. *)
+let test_may_write_table () =
+  let prog, f = effects_prog () in
+  let ptr, der, stk, v = (Ir.Otemp 0, Ir.Otemp 1, Ir.Otemp 2, Ir.Otemp 3) in
+  let alloc = Ir.Crt (Ir.Rt_alloc 0) in
+  let locs =
+    [
+      Ir.Lmem (ptr, 1); Ir.Lmem (stk, 0); Ir.Lmem (der, 0); Ir.Lslot (0, 0); Ir.Lslot (0, 1);
+      Ir.Lslot (1, 0); Ir.Lglobal (0, 0); Ir.Lglobal (1, 0);
+    ]
+  in
+  let rows =
+    [
+      ("St_local tracked", Ir.St_local (0, 0, v), "00010000");
+      ("St_local address-taken", Ir.St_local (1, 0, v), "01100100");
+      ("St_global unaddressed", Ir.St_global (0, 0, v), "00000010");
+      ("St_global addressed", Ir.St_global (1, 0, v), "01100001");
+      ("Store via Kptr", Ir.Store (ptr, 1, v), "10100000");
+      ("Store via Kderived", Ir.Store (der, 0, v), "11100101");
+      ("Store via Kstack", Ir.Store (stk, 0, v), "01100101");
+      ("Store via immediate", Ir.Store (Ir.Oimm 64, 0, v), "11100101");
+      ("Store_nb via Kptr", Ir.Store_nb (ptr, 1, v), "10100000");
+      ("Store_nb via Kderived", Ir.Store_nb (der, 0, v), "11100101");
+      ("Store_nb via Kstack", Ir.Store_nb (stk, 0, v), "01100101");
+      ("Store_nb via immediate", Ir.Store_nb (Ir.Oimm 64, 0, v), "11100101");
+      ("Call gc-point (procedure)", Ir.Call (None, Ir.Cuser 0, []), "11100111");
+      ("Call gc-point (allocation)", Ir.Call (Some 0, alloc, [ Ir.Oimm 0 ]), "11100111");
+      ("Call non-allocating runtime routine", Ir.Call (None, Ir.Crt Ir.Rt_put_int, [ v ]), "00000000");
+      ("Mov", Ir.Mov (3, v), "00000000");
+    ]
+  in
+  List.iter
+    (fun (name, i, want) ->
+      let got =
+        String.concat "" (List.map (fun l -> if Ir.may_write prog f i l then "1" else "0") locs)
+      in
+      check Alcotest.string name want got;
+      check Alcotest.bool (name ^ ": writes") (String.contains want '1') (Ir.writes i))
+    rows
+
+(* Mir.Cfg.forward on a loop and an unreachable block, with the set of
+   temps defined on every path as its facts: the loop header meets the
+   entry with the back edge, an edge the hook says is never taken
+   constrains nothing, and the unreachable block gets no state. *)
+let test_forward_solver () =
+  let _, f = effects_prog () in
+  let def d = Ir.Mov (d, Ir.Oimm 0) in
+  f.Ir.blocks <-
+    [|
+      { Ir.instrs = [ def 0 ]; term = Ir.Jmp 1 };
+      { Ir.instrs = []; term = Ir.Cjmp (Ir.Req, Ir.Otemp 0, Ir.Oimm 0, 2, 3) };
+      { Ir.instrs = [ def 1 ]; term = Ir.Jmp 1 };
+      { Ir.instrs = [ def 2 ]; term = Ir.Jmp 5 };
+      { Ir.instrs = [ def 3 ]; term = Ir.Jmp 5 };
+      { Ir.instrs = []; term = Ir.Ret None };
+    |];
+  let transfer b st =
+    List.fold_left
+      (fun st i -> match Ir.instr_def i with Some d -> st lor (1 lsl d) | None -> st)
+      st f.Ir.blocks.(b).Ir.instrs
+  in
+  let solve edge = fst (Mir.Cfg.forward ~edge f ~entry:0 ~meet:( land ) ~equal:Int.equal ~transfer) in
+  let show ins =
+    String.concat " "
+      (Array.to_list (Array.map (function Some s -> string_of_int s | None -> "-") ins))
+  in
+  check Alcotest.string "every edge taken" "0 1 1 1 - 5" (show (solve (fun _ _ s -> Some s)));
+  (* With the loop's exit never taken, block 3 is never entered. *)
+  check Alcotest.string "exit never taken" "0 1 1 - - -"
+    (show (solve (fun p b s -> if p = 1 && b = 3 then None else Some s)))
 
 (* ------------------------------------------------------------------ *)
 (* NIL-check elimination                                               *)
@@ -795,6 +1015,63 @@ let test_nonnil_audit () =
       ]);
   check Alcotest.bool (Printf.sprintf "%d audited checks" !traps) true (!traps > 20)
 
+(* A store into the object an allocation just returned needs no barrier,
+   so Barrier_elim elides it when the entry reaches the two blocks; when
+   nothing reaches them, the pass assumes nothing fresh there and keeps
+   the barrier. *)
+let test_barrier_elim_unreachable () =
+  let stores reach_alloc =
+    let prog, f = effects_prog () in
+    f.Ir.blocks <-
+      [|
+        { Ir.instrs = []; term = (if reach_alloc then Ir.Jmp 1 else Ir.Ret None) };
+        { Ir.instrs = [ Ir.Call (Some 0, Ir.Crt (Ir.Rt_alloc 0), []) ]; term = Ir.Jmp 2 };
+        { Ir.instrs = [ Ir.Store (Ir.Otemp 0, 1, Ir.Otemp 1) ]; term = Ir.Ret None };
+      |];
+    Opt.Barrier_elim.run prog;
+    match f.Ir.blocks.(2).Ir.instrs with
+    | [ Ir.Store_nb _ ] -> "elided"
+    | [ Ir.Store _ ] -> "kept"
+    | _ -> "rewritten"
+  in
+  check Alcotest.string "reachable" "elided" (stores true);
+  check Alcotest.string "unreachable" "kept" (stores false)
+
+(* A VAR parameter is a derived address that may hold a global's: a
+   store through it ends the freshness of a global the procedure has just
+   stored a new object to, so the store through the reloaded global keeps
+   its barrier. Eliding it leaves an old object pointing at a young one
+   outside the remembered set, which the verifier reports. *)
+let test_barrier_elim_var_param () =
+  let src =
+    "MODULE B;\n\
+     TYPE N = RECORD v: INTEGER; f: T END; T = REF N;\n\
+     VAR g, old, junk: T; i: INTEGER;\n\
+     PROCEDURE P(VAR x: T);\n\
+     VAR t: T;\n\
+     BEGIN t := NEW(T); g := t; x := old; g.f := t END P;\n\
+     BEGIN\n\
+     \  old := NEW(T);\n\
+     \  FOR i := 1 TO 2000 DO junk := NEW(T) END;\n\
+     \  P(g); old.f.v := 7;\n\
+     \  FOR i := 1 TO 2000 DO junk := NEW(T) END;\n\
+     \  PutInt(old.f.v); PutLn()\n\
+     END B.\n"
+  in
+  Gc.Verify.set_post true;
+  Fun.protect ~finally:(fun () -> Gc.Verify.set_post false) @@ fun () ->
+  List.iter
+    (fun optimize ->
+      let options = { Driver.Compile.default_options with optimize; heap_words = 4000 } in
+      let r =
+        Driver.Compile.run_source ~options ~collector:Driver.Compile.Generational ~threaded:true
+          src
+      in
+      check Alcotest.string
+        (Printf.sprintf "output at O%d" (Bool.to_int optimize))
+        "7\n" r.Driver.Compile.output)
+    [ false; true ]
+
 let () =
   Alcotest.run "opt"
     [
@@ -819,6 +1096,14 @@ let () =
           Alcotest.test_case "loop analysis is reused" `Quick test_analysis_reused;
           Alcotest.test_case "a store through an alias invalidates loads" `Quick
             test_alias_store_invalidates;
+          Alcotest.test_case "loop passes respect the loop's writes" `Quick
+            test_loop_writes_respected;
+        ] );
+      ( "memory effects",
+        [
+          Alcotest.test_case "may_write truth table" `Quick test_may_write_table;
+          Alcotest.test_case "forward solver" `Quick test_forward_solver;
+          QCheck_alcotest.to_alcotest prop_div_mod_folds;
         ] );
       ( "layout",
         [
@@ -846,5 +1131,9 @@ let () =
         [
           Alcotest.test_case "fixpoint converges on join blocks" `Quick
             test_barrier_elim_converges;
+          Alcotest.test_case "an unreachable block elides nothing" `Quick
+            test_barrier_elim_unreachable;
+          Alcotest.test_case "a VAR parameter may write a global" `Quick
+            test_barrier_elim_var_param;
         ] );
     ]
