@@ -15,7 +15,9 @@
 
     Incoming parameter slots are read-only: they are described by the
     caller's gc tables for the duration of the call, so the callee never
-    lists them in its own stack-pointer tables. *)
+    lists them in its own stack-pointer tables. A local that
+    {!Opt.Promote} moved to a temp has no words, so it takes no frame
+    word. *)
 
 type t = {
   frame_size : int; (* words below the saved-FP slot *)

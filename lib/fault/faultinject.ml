@@ -393,13 +393,20 @@ let run_runtime_case ~reference ~fuel img mode : outcome =
   | exception Vm.Interp.Guest_error _ -> Rejected_run
   | exception e -> Crashed (Printexc.to_string e)
 
-(** Allocation-storm sweep over one target, a forced collection every
-    7th allocation with the post-collection verifier armed. The expected
-    outcome is [Benign]; crash, hang, divergence and verifier flags are
-    failures. *)
-let runtime_sweep (target : target) : sweep =
+(* The two images a runtime sweep runs: unoptimized and O1. O1 code keeps
+   locals in registers across gc-points, so only it exercises the
+   register tables at every collection. *)
+let levels = [ false; true ]
+
+let level_name optimize = if optimize then "O1" else "O0"
+
+(** Allocation-storm sweep over one target compiled at [optimize], a
+    forced collection every 7th allocation with the post-collection
+    verifier armed. The expected outcome is [Benign]; crash, hang,
+    divergence and verifier flags are failures. *)
+let runtime_sweep ~optimize (target : target) : sweep =
   let options =
-    { Driver.Compile.default_options with heap_words = target.t_heap }
+    { Driver.Compile.default_options with heap_words = target.t_heap; optimize }
   in
   let img = Driver.Compile.compile ~options target.t_source in
   with_verifier @@ fun () ->
@@ -420,15 +427,16 @@ let runtime_sweep (target : target) : sweep =
   in
   {
     program = target.t_name;
-    config = "runtime";
+    config = "runtime " ^ level_name optimize;
     iterations = 1;
     counts = [ (outcome_name outcome, 1) ];
     failures;
   }
 
-(** The allocation-storm sweep over the default targets. *)
+(** The allocation-storm sweep over the default targets, each at O0 and
+    at O1. *)
 let runtime_sweep_all ?(targets = default_targets) () : sweep list =
-  List.map runtime_sweep targets
+  List.concat_map (fun t -> List.map (fun optimize -> runtime_sweep ~optimize t) levels) targets
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-collector interleaving faults                           *)
@@ -481,10 +489,11 @@ let run_incremental_case ~reference ~ref_icount ~fuel img mode : outcome =
     flag) is a real interleaving bug. The heap is doubled relative to
     the STW sweeps: the non-moving collector cannot compact, and the
     fragmentation headroom keeps tiny-heap targets honest about testing
-    the schedule rather than the out-of-memory path. *)
-let incremental_sweep (target : target) : sweep =
+    the schedule rather than the out-of-memory path. [optimize] picks the
+    image, as for {!runtime_sweep}. *)
+let incremental_sweep ~optimize (target : target) : sweep =
   let options =
-    { Driver.Compile.default_options with heap_words = target.t_heap * 2 }
+    { Driver.Compile.default_options with heap_words = target.t_heap * 2; optimize }
   in
   let img = Driver.Compile.compile ~options target.t_source in
   with_verifier @@ fun () ->
@@ -517,15 +526,18 @@ let incremental_sweep (target : target) : sweep =
     cases;
   {
     program = target.t_name;
-    config = "incremental";
+    config = "incremental " ^ level_name optimize;
     iterations = List.length cases;
     counts = Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [];
     failures = List.rev !failures;
   }
 
-(** The incremental interleaving matrix over the default targets. *)
+(** The incremental interleaving matrix over the default targets, each at
+    O0 and at O1. *)
 let incremental_sweep_all ?(targets = default_targets) () : sweep list =
-  List.map incremental_sweep targets
+  List.concat_map
+    (fun t -> List.map (fun optimize -> incremental_sweep ~optimize t) levels)
+    targets
 
 (* ------------------------------------------------------------------ *)
 (* JSON report                                                         *)

@@ -117,7 +117,7 @@ and ambig = { path_local : int; cases : (int * Deriv.t) list }
 
 type local_info = {
   l_name : string;
-  l_size : int; (* words *)
+  l_size : int; (* words; 0 once {!Opt.Promote} has moved the local to a temp *)
   mutable l_slot : slot_kind; (* alias slots are classified at the binding site *)
   l_user : bool; (* user-declared (preferred as derivation base) *)
   mutable l_addr_taken : bool; (* someone takes its address: must stay in frame *)

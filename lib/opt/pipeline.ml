@@ -8,10 +8,14 @@
     array origin → strength reduction → LICM (with path variables for
     hoisted ambiguous derivations) → dead code elimination, until a round
     in which no pass but CSE and DCE changed anything (a rule measured on
-    the corpus, not proved: see [func]). {!Nonnil} runs
-    again on the fixed point, for the checks of heap and global loads that
-    CSE found to repeat an earlier load (followed by DCE when it decides
-    any), and {!Layout} runs last. *)
+    the corpus, not proved: see [func]). {!Promote} then turns the
+    frame locals that need no slot into temps, once, followed by copy
+    propagation and DCE; it runs after the loop so that strength
+    reduction's marching pointers, path variables and every derived slot
+    exist and stay in the frame. {!Nonnil} runs again on the result, for
+    the checks of heap and global loads that CSE found to repeat an
+    earlier load and of the locals now in temps (followed by DCE when it
+    decides any), and {!Layout} runs last. *)
 
 type options = {
   nonnil : bool;
@@ -82,6 +86,10 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
     settle opts.dce "opt.dce" (fun () -> Dce.run prog f);
     decr budget
   done;
+  if run "opt.promote" (fun () -> Promote.run prog f) then begin
+    settle opts.copyprop "opt.copyprop" (fun () -> Copyprop.run prog f);
+    settle opts.dce "opt.dce" (fun () -> Dce.run prog f)
+  end;
   if nonnil () then settle opts.dce "opt.dce" (fun () -> Dce.run prog f);
   settle opts.layout "opt.layout" (fun () -> Layout.run cfg f);
   Telemetry.Metrics.incr ~by:cfg.Mir.Cfg.computed c_loop_analyses;

@@ -339,50 +339,50 @@ let pinned_digests =
     ("typereg", false, Delta_main, false, "0ebf31bea12da49f53314986c1d15739");
     ("typereg", false, Full_info, true, "7b6f17f7c3077f334a636efeb2e3620c");
     ("typereg", false, Full_info, false, "8d4fa32f0e4eb6bca51ad770c2a5789a");
-    ("typereg", true, Delta_main, true, "a1285f01bb601e8730c33dad63b8f092");
-    ("typereg", true, Delta_main, false, "4731f6bf77692b0d2fba028e10382cfe");
-    ("typereg", true, Full_info, true, "76bfacf8fb2d66b73187f33c6e2abd18");
-    ("typereg", true, Full_info, false, "674acc641e6107b0bc79c323dc7c96c6");
+    ("typereg", true, Delta_main, true, "1696f176d7e50d90a65ef84928e57d05");
+    ("typereg", true, Delta_main, false, "33d3e39e331a880e9dcc6746564a401e");
+    ("typereg", true, Full_info, true, "bdffa35999f46e9445ca1d6ad196e196");
+    ("typereg", true, Full_info, false, "24c0bee0595b34f029a4fedcefef4c21");
     ("FieldList", false, Delta_main, true, "9ecf0c57cb0afac8bd00e708820cc094");
     ("FieldList", false, Delta_main, false, "245a02eeca4b0cb3f761d449a61a2820");
     ("FieldList", false, Full_info, true, "9c9e9331813ff030b58675cfc39cb905");
     ("FieldList", false, Full_info, false, "0eccef8893623c5f664d9fde20d93ea4");
-    ("FieldList", true, Delta_main, true, "0eb3fb6db7d43102865c07e3dd424a49");
-    ("FieldList", true, Delta_main, false, "a41578fe288a2cf4e66b0b12022508b0");
-    ("FieldList", true, Full_info, true, "9bbbffe3385f83899c9822b10f6d3605");
-    ("FieldList", true, Full_info, false, "f00b3493dfbe923ce930d8454aeb15e8");
+    ("FieldList", true, Delta_main, true, "bec3bf6245271cb227fd57265312af04");
+    ("FieldList", true, Delta_main, false, "4b29e72251640188122b8d1332b1da6d");
+    ("FieldList", true, Full_info, true, "99d17f14bcb04008b66abb9c3c1a9557");
+    ("FieldList", true, Full_info, false, "b84536f35bb4fcb7e59c933d93958889");
     ("takl", false, Delta_main, true, "f4c0576def00f0929ae822fc92ea2c1a");
     ("takl", false, Delta_main, false, "d07cb674d559a329c1001b8e2c77520b");
     ("takl", false, Full_info, true, "9526b2f1291af2e2e9ec1655a79ea3b0");
     ("takl", false, Full_info, false, "24f1a92967dd2cf846f5dbebe148ef4b");
-    ("takl", true, Delta_main, true, "cb5ba876520e62866968b5ad99c1b5ee");
-    ("takl", true, Delta_main, false, "7fe17274527153eb619578ba36069413");
-    ("takl", true, Full_info, true, "59c6fc96f6a65b9f395b5b58191ea1a7");
-    ("takl", true, Full_info, false, "250fd6283dd4b57a4fee4a4710719a50");
+    ("takl", true, Delta_main, true, "4cdd234062439a2abcc4ffed5f87f654");
+    ("takl", true, Delta_main, false, "c18d950cc2f5b0c9b1d192cd7e22f66d");
+    ("takl", true, Full_info, true, "dad604ffcd9a79316f16c573aabd1745");
+    ("takl", true, Full_info, false, "d754b656665804ed25227ee6bbfa07ad");
     ("destroy", false, Delta_main, true, "1451565a5ae11da9fce9f1ac3dfce509");
     ("destroy", false, Delta_main, false, "f60a9253a9ba2653a05395e83f6eac51");
     ("destroy", false, Full_info, true, "630adcd7ce20b8ec2a971f7e8222dbdb");
     ("destroy", false, Full_info, false, "f30bfaf92711df765b8979a2a2ea4c86");
-    ("destroy", true, Delta_main, true, "b0162420e3eb5fb87ea038f7cd866f76");
-    ("destroy", true, Delta_main, false, "0e3a48b65afd38ba4b77acf0bdf28170");
-    ("destroy", true, Full_info, true, "98b3b035517826ee73dae295de9062ad");
-    ("destroy", true, Full_info, false, "279cab923aadb52cb535b641a0880907");
+    ("destroy", true, Delta_main, true, "f93c83fc6fa921726c33fc3839563ab8");
+    ("destroy", true, Delta_main, false, "7cbba659768f14f2c461f342866c4365");
+    ("destroy", true, Full_info, true, "4ee03212d4350857c12cbcceafb97993");
+    ("destroy", true, Full_info, false, "2a956bba60cb643c8c80c6f541463f87");
     ("ambig", false, Delta_main, true, "a7d55c8bcdb49380cc09553a2870ff04");
     ("ambig", false, Delta_main, false, "02ff1320416804e7e9be33263a854d5d");
     ("ambig", false, Full_info, true, "dbaaa9cfa7014391cf629501081a882e");
     ("ambig", false, Full_info, false, "8a86f8b0087b06e2838c33451fb6c3de");
-    ("ambig", true, Delta_main, true, "6033fad1d95bf2dd997faff3521d5ab8");
-    ("ambig", true, Delta_main, false, "3d7370515c11ec0a8b1e2482506d0e65");
-    ("ambig", true, Full_info, true, "c0dd8234200bf0bafbd669c5d9bda95d");
-    ("ambig", true, Full_info, false, "008c5f9aac09f90ddc11f4f7ab0c5cba");
+    ("ambig", true, Delta_main, true, "42ebb3ff156d7357a0b00f3fa4ec027f");
+    ("ambig", true, Delta_main, false, "c1095fd2309a12002b2fa0e54d726a77");
+    ("ambig", true, Full_info, true, "d08cf43ab52cf1d7b8229bb7aa6670bc");
+    ("ambig", true, Full_info, false, "8f18f57dd90db004c7ae1274132a4d17");
     ("indirect", false, Delta_main, true, "56a4fc802873ddc8cc67ab5a74b14d54");
     ("indirect", false, Delta_main, false, "4a0b92905d3fbbaa46bad2310955b890");
     ("indirect", false, Full_info, true, "58d2074f5e6327a1df7d17d79c00b9ee");
     ("indirect", false, Full_info, false, "88435d37086aa4fa8855b602c2eb6a22");
-    ("indirect", true, Delta_main, true, "66de47cd3f808e4ebe793fed0a95fc8e");
-    ("indirect", true, Delta_main, false, "4eba510a524742b8ad64d851c1c71636");
-    ("indirect", true, Full_info, true, "9cf597591bf677f27d9c4305d40de4c4");
-    ("indirect", true, Full_info, false, "6019c7e596fee21f4204b8f9b05e3890");
+    ("indirect", true, Delta_main, true, "3d7114eea94645f59c46e6b54202f3f1");
+    ("indirect", true, Delta_main, false, "efef29b0f2bdf655040bee30f6a1aaed");
+    ("indirect", true, Full_info, true, "deb9363793d1f9231a75e4aaa42c5fa6");
+    ("indirect", true, Full_info, false, "ac2095ae6f0772660e08349e89170b43");
   ]
 
 let test_pinned_digests () =

@@ -329,7 +329,7 @@ let test_a3_pinned () =
       ( "ambig",
         Programs.Ambig_src.src,
         800,
-        {|"ambig: s=6360\n" gcs=1 marked=2 retained=709 blocks=0 largest=0|} );
+        {|"ambig: s=6360\n" gcs=1 marked=3 retained=712 blocks=1 largest=87|} );
     ]
 
 (* The object-start bitmap against the sorted-array lookup it replaced,

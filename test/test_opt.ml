@@ -10,15 +10,6 @@ let check = Alcotest.check
    threaded engine, except where a test says otherwise. *)
 let run_source = Driver.Compile.run_source ~collector:Driver.Compile.Precise ~threaded:true
 
-let run_with_opts ?(heap = 2000) ?(checks = true) opts src =
-  let options =
-    { Driver.Compile.default_options with optimize = false; checks; heap_words = heap }
-  in
-  let prog = Driver.Compile.to_mir ~options src in
-  Opt.Pipeline.optimize ~opts prog;
-  let img = Driver.Compile.image_of_mir ~options prog in
-  (Driver.Compile.run ~collector:Driver.Compile.Precise ~threaded:true img).Driver.Compile.output
-
 let no_opts =
   {
     Opt.Pipeline.nonnil = false;
@@ -33,6 +24,20 @@ let no_opts =
     dce = false;
     layout = false;
   }
+
+(* [no_opts] compiles nothing through the pipeline: {!Opt.Promote}, which
+   has no option, runs whenever the pipeline does, and the unoptimized
+   reference must not include it. *)
+let optimize opts prog = if opts <> no_opts then Opt.Pipeline.optimize ~opts prog
+
+let run_with_opts ?(heap = 2000) ?(checks = true) opts src =
+  let options =
+    { Driver.Compile.default_options with optimize = false; checks; heap_words = heap }
+  in
+  let prog = Driver.Compile.to_mir ~options src in
+  optimize opts prog;
+  let img = Driver.Compile.image_of_mir ~options prog in
+  (Driver.Compile.run ~collector:Driver.Compile.Precise ~threaded:true img).Driver.Compile.output
 
 (* A program exercising arrays with nonzero bounds, loops, conditionals and
    allocation, whose output is sensitive to misoptimization. *)
@@ -90,7 +95,7 @@ let count_instrs (p : Ir.program) =
 let mir_with opts src =
   let options = { Driver.Compile.default_options with optimize = false; checks = false } in
   let prog = Driver.Compile.to_mir ~options src in
-  Opt.Pipeline.optimize ~opts prog;
+  optimize opts prog;
   prog
 
 (* DIV and MOD of constants: run at O0, folded at O1, the same figures,
@@ -895,24 +900,29 @@ let proc (img : Vm.Image.t) name =
   List.find (fun (p : Vm.Image.proc_info) -> p.Vm.Image.pi_name = name)
     (Array.to_list img.Vm.Image.procs)
 
-(* takl's Shorterp at O1. The loop re-tests [x] after reloading it, and
-   [y.tail] re-tests the [y] the loop test just passed: both checks go,
-   with the reloads that fed them, and the rotated loop runs 8
-   instructions per iteration, none of them a jump. *)
-let test_nonnil_shorterp () =
-  let img = Driver.Compile.compile ~options:o1 Programs.Takl_src.src in
-  let p = proc img "Shorterp" in
+(* The instructions per iteration of procedure [name]'s one loop in the
+   O1 image of [src]: from a backward branch's target to the branch. The
+   procedure keeps no jump. *)
+let loop_length src name =
+  let img = Driver.Compile.compile ~options:o1 src in
+  let p = proc img name in
   let loop = ref None in
   for pc = p.Vm.Image.pi_entry to p.Vm.Image.pi_code_end - 1 do
     match img.Vm.Image.code.(pc) with
-    | Machine.Insn.Jmp _ -> Alcotest.failf "Shorterp keeps a jmp at %d" pc
+    | Machine.Insn.Jmp _ -> Alcotest.failf "%s keeps a jmp at %d" name pc
     | Machine.Insn.Cbr (_, _, _, t) when t >= p.Vm.Image.pi_entry && t <= pc ->
         loop := Some (pc - t + 1)
     | _ -> ()
   done;
-  match !loop with
-  | Some n -> check Alcotest.bool (Printf.sprintf "%d instructions per iteration" n) true (n <= 8)
-  | None -> Alcotest.fail "Shorterp has no loop"
+  match !loop with Some n -> n | None -> Alcotest.failf "%s has no loop" name
+
+(* takl's Shorterp at O1. The loop re-tests [x] after reloading it, and
+   [y.tail] re-tests the [y] the loop test just passed: both checks go,
+   with the reloads that fed them. With [x] and [y] in registers the
+   rotated loop is a test, two loads and the loop test. *)
+let test_nonnil_shorterp () =
+  let n = loop_length Programs.Takl_src.src "Shorterp" in
+  check Alcotest.bool (Printf.sprintf "%d instructions per iteration" n) true (n <= 4)
 
 (* Each procedure dereferences [p.x] (or [g.x]) once. A check goes only
    when no path to it can make the value NIL: not after a call that may
@@ -1015,6 +1025,189 @@ let test_nonnil_audit () =
       ]);
   check Alcotest.bool (Printf.sprintf "%d audited checks" !traps) true (!traps > 20)
 
+(* ------------------------------------------------------------------ *)
+(* Promotion of locals to temps                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* takl's Length at O1: with [n] and [l] in registers the loop is the
+   increment, the load of [l.tail] and the loop test. *)
+let test_promote_length () =
+  let n = loop_length Programs.Takl_src.src "Length" in
+  check Alcotest.bool (Printf.sprintf "%d instructions per iteration" n) true (n <= 3)
+
+(* Whether the local of procedure [proc] whose name starts with [name]
+   still has a frame slot after the O1 pipeline: promotion leaves a
+   promoted local with no words. *)
+let keeps_slot (prog : Ir.program) proc name =
+  let f = List.find (fun (f : Ir.func) -> f.Ir.fname = proc) (Array.to_list prog.Ir.funcs) in
+  match
+    List.find_opt
+      (fun (li : Ir.local_info) -> String.starts_with ~prefix:name li.Ir.l_name)
+      (Array.to_list f.Ir.locals)
+  with
+  | Some li -> li.Ir.l_size > 0
+  | None -> Alcotest.failf "%s has no local %s" proc name
+
+let promote_src =
+  "MODULE P;\n\
+   TYPE V = REF ARRAY OF INTEGER; R = RECORD a, b: INTEGER END; RR = REF R;\n\
+   VAR v: V; r: RR;\n\
+   PROCEDURE Bump(VAR x: INTEGER); BEGIN x := x + 1 END Bump;\n\
+   PROCEDURE ByRef(): INTEGER; VAR k, m: INTEGER;\n\
+   BEGIN k := 1; m := 2; Bump(k); RETURN k + m END ByRef;\n\
+   PROCEDURE Heap(q: RR): INTEGER; BEGIN WITH w = q.a DO w := w + 2 END; RETURN q.a END Heap;\n\
+   PROCEDURE Stack(): INTEGER; VAR k: INTEGER;\n\
+   BEGIN k := 4; WITH w = k DO w := w + 3 END; RETURN k END Stack;\n\
+   PROCEDURE Sum(a: V): INTEGER; VAR i, s: INTEGER;\n\
+   BEGIN s := 0; FOR i := 0 TO 49 DO s := s + a[i] END; RETURN s END Sum;\n\
+   BEGIN\n\
+   \  v := NEW(V, 50); r := NEW(RR);\n\
+   \  PutInt(ByRef()); PutInt(Heap(r)); PutInt(Stack()); PutInt(Sum(v)); PutLn()\n\
+   END P.\n"
+
+(* A local whose address is passed as a VAR argument, a WITH alias of a
+   heap place or of a local, and strength reduction's marching pointer
+   keep their frame slots; the other locals of the same procedures are
+   promoted, and the program prints what it prints unoptimized. *)
+let test_promote_keeps_slots () =
+  check Alcotest.string "output" (run_with_opts no_opts promote_src)
+    (run_with_opts Opt.Pipeline.all_on promote_src);
+  let prog = mir_with Opt.Pipeline.all_on promote_src in
+  List.iter
+    (fun (proc, name, kept) ->
+      check Alcotest.bool (Printf.sprintf "%s.%s keeps its slot" proc name) kept
+        (keeps_slot prog proc name))
+    [
+      ("ByRef", "k", true);
+      ("ByRef", "m", false);
+      ("Heap", "w", true);
+      ("Stack", "k", true);
+      ("Stack", "w", true);
+      ("Sum", "s", false);
+      ("Sum", "$sr", true);
+    ]
+
+(* Pathvar's path variable keeps its slot: the variants of the ambiguous
+   slot name it by its frame address. *)
+let test_promote_keeps_path_variable () =
+  let options = { Driver.Compile.default_options with optimize = true; checks = false } in
+  let prog = Driver.Compile.to_mir ~options Programs.Ambig_src.src in
+  let paths =
+    Array.fold_left
+      (fun acc (f : Ir.func) ->
+        Array.fold_left
+          (fun acc (li : Ir.local_info) ->
+            match li.Ir.l_slot with
+            | Ir.Sambig a -> f.Ir.locals.(a.Ir.path_local) :: acc
+            | _ -> acc)
+          acc f.Ir.locals)
+      [] prog.Ir.funcs
+  in
+  check Alcotest.int "one path variable" 1 (List.length paths);
+  List.iter (fun (li : Ir.local_info) -> check Alcotest.int "its slot" 1 li.Ir.l_size) paths
+
+(* A pointer local read before anything is stored to it reads NIL, as its
+   zero-filled slot did: the first iteration prints NIL, the next ones
+   the cell the one before allocated. *)
+let test_promote_reads_nil () =
+  let src =
+    "MODULE U;\n\
+     TYPE L = REF RECORD head: INTEGER END;\n\
+     PROCEDURE Walk(n: INTEGER); VAR p, q: L; i: INTEGER;\n\
+     BEGIN\n\
+     \  FOR i := 1 TO n DO\n\
+     \    IF p = NIL THEN PutText(\"NIL \") ELSE PutInt(p.head); PutText(\" \") END;\n\
+     \    q := NEW(L); q.head := i; p := q\n\
+     \  END\n\
+     END Walk;\n\
+     BEGIN Walk(3); PutLn() END U.\n"
+  in
+  let prog = mir_with Opt.Pipeline.all_on src in
+  check Alcotest.bool "p is promoted" false (keeps_slot prog "Walk" "p");
+  check Alcotest.string "O1 output" "NIL 1 2 \n"
+    (run_source ~options:o1 src).Driver.Compile.output
+
+(* When the entry block is a loop header, the zero goes in a block of its
+   own ahead of it: the loop's back edge must not reset the local. *)
+let test_promote_splits_entry () =
+  let prog, f = effects_prog () in
+  f.Ir.locals <-
+    [|
+      { Ir.l_name = "n"; l_size = 1; l_slot = Ir.Sscalar; l_user = true; l_addr_taken = false; l_stores = 1 };
+    |];
+  f.Ir.temp_kinds <- [| Ir.Kscalar; Ir.Kscalar |];
+  f.Ir.ntemps <- 2;
+  f.Ir.blocks <-
+    [|
+      {
+        Ir.instrs = [ Ir.Ld_local (0, 0, 0); Ir.Bin (Ir.Add, 1, Ir.Otemp 0, Ir.Oimm 1); Ir.St_local (0, 0, Ir.Otemp 1) ];
+        term = Ir.Cjmp (Ir.Rlt, Ir.Otemp 1, Ir.Oimm 10, 0, 1);
+      };
+      { Ir.instrs = []; term = Ir.Ret None };
+    |];
+  check Alcotest.bool "promoted" true (Opt.Promote.run prog f);
+  let n = Array.length f.Ir.blocks in
+  check Alcotest.int "one block more" 3 n;
+  (match f.Ir.blocks.(0) with
+  | { Ir.instrs = [ Ir.Mov (t, Ir.Oimm 0) ]; term = Ir.Jmp body } ->
+      check Alcotest.bool "a fresh temp" true (t >= 2);
+      check Alcotest.bool "the loop moved" true (body = n - 1)
+  | _ -> Alcotest.fail "the entry block is not the zero and a jump");
+  Array.iteri
+    (fun b (blk : Ir.block) ->
+      if List.mem 0 (Ir.term_succs blk.Ir.term) then Alcotest.failf "block %d jumps to the entry" b)
+    f.Ir.blocks
+
+(* Pointer locals of [Build] live in callee-saved registers across the
+   calls to [Cons], which allocate. A collection at every allocation,
+   with the post-collection verifier armed, moves the cells under them:
+   both engines print what the unoptimized program prints, in the same
+   number of instructions. *)
+let test_promote_survives_storm () =
+  let src =
+    "MODULE S;\n\
+     TYPE L = REF Cell; Cell = RECORD head: INTEGER; tail: L END;\n\
+     PROCEDURE Cons(h: INTEGER; t: L): L;\n\
+     VAR c: L; BEGIN c := NEW(L); c.head := h; c.tail := t; RETURN c END Cons;\n\
+     PROCEDURE Build(n: INTEGER): INTEGER;\n\
+     VAR keep, acc, p: L; i, s: INTEGER;\n\
+     BEGIN\n\
+     \  keep := Cons(100, NIL); acc := NIL;\n\
+     \  FOR i := 1 TO n DO acc := Cons(i, acc); keep := Cons(keep.head + 1, keep) END;\n\
+     \  s := 0; p := acc;\n\
+     \  WHILE p # NIL DO s := s + p.head; p := p.tail END;\n\
+     \  RETURN s * 1000 + keep.head\n\
+     END Build;\n\
+     BEGIN PutInt(Build(40)); PutLn() END S.\n"
+  in
+  let options = { o1 with heap_words = 400 } in
+  let img = Driver.Compile.compile ~options src in
+  let build = proc img "Build" in
+  check Alcotest.bool "Build saves callee-saved registers" true
+    (Array.length build.Vm.Image.pi_saves > 0);
+  check Alcotest.int "Build's frame holds only the saved registers"
+    (Array.length build.Vm.Image.pi_saves) build.Vm.Image.pi_frame_size;
+  let reference =
+    (run_source ~options:{ options with optimize = false } src).Driver.Compile.output
+  in
+  check Alcotest.string "O0 output" "820140\n" reference;
+  Gc.Verify.set_post true;
+  Fun.protect ~finally:(fun () -> Gc.Verify.set_post false) @@ fun () ->
+  let run threaded =
+    let st = Vm.Interp.create img in
+    Gc.Cheney.install st;
+    Fault.Faultinject.arm_runtime st (Fault.Faultinject.Alloc_storm { every = 1 });
+    let fuel = 10_000_000 in
+    if threaded then Vm.Threaded.run ~fuel st else Vm.Interp.run ~fuel st;
+    check Alcotest.bool "collected at every allocation" true
+      (st.Vm.Interp.gc.Vm.Interp.collections >= st.Vm.Interp.alloc_count);
+    (Vm.Interp.output st, st.Vm.Interp.icount)
+  in
+  let out_switch, icount_switch = run false and out_threaded, icount_threaded = run true in
+  check Alcotest.string "switch engine" reference out_switch;
+  check Alcotest.string "threaded engine" reference out_threaded;
+  check Alcotest.int "same instructions" icount_switch icount_threaded
+
 (* A store into the object an allocation just returned needs no barrier,
    so Barrier_elim elides it when the entry reaches the two blocks; when
    nothing reaches them, the pass assumes nothing fresh there and keeps
@@ -1115,10 +1308,24 @@ let () =
         ] );
       ( "nonnil",
         [
-          Alcotest.test_case "Shorterp's loop is 8 instructions" `Quick test_nonnil_shorterp;
+          Alcotest.test_case "Shorterp's loop is 4 instructions" `Quick test_nonnil_shorterp;
           Alcotest.test_case "checks a call or a merge can fail stay" `Quick
             test_nonnil_keeps_live_checks;
           Alcotest.test_case "audited checks never fire" `Slow test_nonnil_audit;
+        ] );
+      ( "promote",
+        [
+          Alcotest.test_case "Length's loop is 3 instructions" `Quick test_promote_length;
+          Alcotest.test_case "addressed, aliased and derived locals keep their slots" `Quick
+            test_promote_keeps_slots;
+          Alcotest.test_case "a path variable keeps its slot" `Quick
+            test_promote_keeps_path_variable;
+          Alcotest.test_case "a pointer read before any store is NIL" `Quick
+            test_promote_reads_nil;
+          Alcotest.test_case "a loop at the entry gets its zero ahead of it" `Quick
+            test_promote_splits_entry;
+          Alcotest.test_case "registers survive a collection at every allocation" `Quick
+            test_promote_survives_storm;
         ] );
       ( "gc-points",
         [
