@@ -122,7 +122,8 @@ let forward ?(edge = fun _ _ s -> Some s) (f : Ir.func) ~(entry : 'a) ~(meet : '
   if pass () && back then while pass () do () done;
   (ins, outs)
 
-(* Immediate dominators (Cooper–Harvey–Kennedy) over [preds]. *)
+(** Immediate dominators (Cooper–Harvey–Kennedy) over [preds]; the entry
+    maps to itself and unreachable blocks to -1. *)
 let dominators_of (f : Ir.func) (preds : int list array) : int array =
   let nb = Array.length f.Ir.blocks in
   let rpo = reverse_postorder f in
@@ -155,6 +156,8 @@ let dominators_of (f : Ir.func) (preds : int list array) : int array =
   done;
   idom
 
+let dominators (f : Ir.func) : int array = dominators_of f (predecessors f)
+
 let dominates idom a b =
   (* does a dominate b? *)
   let rec up x = if x = a then true else if x = idom.(x) then false else up idom.(x) in
@@ -163,7 +166,9 @@ let dominates idom a b =
 (** A natural loop: header plus body block set (including the header). *)
 type loop = { header : int; body : Iset.t }
 
-let loops_of (f : Ir.func) ~(preds : int list array) ~(idom : int array) : loop list =
+let loops_of (f : Ir.func) : loop list =
+  let preds = predecessors f in
+  let idom = dominators_of f preds in
   let loops = Hashtbl.create 8 in
   (* back edge: b -> h where h dominates b *)
   Array.iteri
@@ -199,21 +204,19 @@ let loops_of (f : Ir.func) ~(preds : int list array) ~(idom : int array) : loop 
 (* Shared loop analysis                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Immediate dominators and natural loops, shared by the loop passes and
-    recomputed only when the CFG has changed since the last query. The CFG
-    is a function of every block's successors, so a snapshot of them tells
-    whether the cached results are what {!dominators} and
-    {!natural_loops} return; a pass that only rewrites a terminator's
-    operands leaves it valid. *)
+(** Natural loops, shared by the loop passes and recomputed only when the
+    CFG has changed since the last query. The CFG is a function of every
+    block's successors, so a snapshot of them tells whether the cached
+    loops are what {!natural_loops} returns; a pass that only rewrites a
+    terminator's operands leaves it valid. *)
 type analysis = {
   mutable succs : int array; (* snapshot: block [b]'s successors at [2b], [2b+1], or -1 *)
-  mutable idom : int array;
   mutable loops : loop list;
   mutable computed : int; (* queries that recomputed *)
   mutable reused : int; (* queries answered from the snapshot *)
 }
 
-let analysis () = { succs = [||]; idom = [||]; loops = []; computed = 0; reused = 0 }
+let analysis () = { succs = [||]; loops = []; computed = 0; reused = 0 }
 
 (* Successor [i] (0 or 1) of a terminator, or -1. *)
 let succ (t : Ir.term) i =
@@ -229,11 +232,8 @@ let refresh (a : analysis) (f : Ir.func) =
   let blocks = f.Ir.blocks in
   if same_succs blocks a.succs then a.reused <- a.reused + 1
   else begin
-    let preds = predecessors f in
-    let idom = dominators_of f preds in
     a.succs <- Array.init (2 * Array.length blocks) (fun i -> succ blocks.(i / 2).Ir.term (i mod 2));
-    a.idom <- idom;
-    a.loops <- loops_of f ~preds ~idom;
+    a.loops <- loops_of f;
     a.computed <- a.computed + 1
   end
 
@@ -241,16 +241,6 @@ let refresh (a : analysis) (f : Ir.func) =
 let loops (a : analysis) (f : Ir.func) : loop list =
   refresh a f;
   a.loops
-
-(** [dominators f], from the snapshot when the CFG is unchanged. The array
-    is shared: callers must not write to it. *)
-let idom (a : analysis) (f : Ir.func) : int array =
-  refresh a f;
-  a.idom
-
-(** Immediate dominators; the entry maps to itself and unreachable blocks
-    to -1. *)
-let dominators (f : Ir.func) : int array = idom (analysis ()) f
 
 let natural_loops (f : Ir.func) : loop list = loops (analysis ()) f
 
@@ -268,20 +258,16 @@ let visit_loops (a : analysis) (f : Ir.func) (visit : loop -> bool) : bool =
   in
   go Iset.empty false
 
-(** [writers prog f l loc]: the instructions of loop [l] that may write
-    [loc] ({!Ir.may_write}), each with its block. Applied to the loop
-    alone, it collects the loop's writes once for any number of
-    locations. *)
-let writers (prog : Ir.program) (f : Ir.func) (l : loop) : Ir.loc -> (int * Ir.instr) list =
+(** [unwritten prog f l loc]: no instruction of loop [l] may write [loc]
+    ({!Ir.may_write}). Applied to the loop alone, it collects the loop's
+    writes once for any number of locations. *)
+let unwritten (prog : Ir.program) (f : Ir.func) (l : loop) : Ir.loc -> bool =
   let writes =
     Iset.fold
-      (fun b acc ->
-        List.fold_left
-          (fun acc i -> if Ir.writes i then (b, i) :: acc else acc)
-          acc f.Ir.blocks.(b).Ir.instrs)
+      (fun b acc -> List.filter Ir.writes f.Ir.blocks.(b).Ir.instrs @ acc)
       l.body []
   in
-  fun loc -> List.filter (fun (_, i) -> Ir.may_write prog f i loc) writes
+  fun loc -> not (List.exists (fun i -> Ir.may_write prog f i loc) writes)
 
 (* ------------------------------------------------------------------ *)
 (* Block surgery                                                       *)

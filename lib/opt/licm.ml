@@ -42,8 +42,8 @@ let hoist_loop (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : bool =
         | None -> true (* no remaining def: only possible if dead *)
         | Some defs -> Iset.for_all (fun b -> not (in_body b)) defs)
   in
-  let writers = Mir.Cfg.writers prog f l in
-  let unwritten i = match Ir.loc_read i with Some loc -> writers loc = [] | None -> false in
+  let unwritten_loc = Mir.Cfg.unwritten prog f l in
+  let unwritten i = match Ir.loc_read i with Some loc -> unwritten_loc loc | None -> false in
   let hoistable ~in_header (i : Ir.instr) =
     (match Ir.instr_def i with Some d -> def_count.(d) = 1 | None -> false)
     && List.for_all invariant_op (Ir.instr_uses i)

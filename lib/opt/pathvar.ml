@@ -132,7 +132,7 @@ let find_candidate (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) : candid
                        never writes. *)
                     let slot_ok v =
                       f.Ir.locals.(v).Ir.l_slot = Ir.Sptr
-                      && Mir.Cfg.writers prog f l (Ir.Lslot (v, 0)) = []
+                      && Mir.Cfg.unwritten prog f l (Ir.Lslot (v, 0))
                     in
                     if slot_ok va && slot_ok vb then
                       found := Some { cond_block = cb; arm_a = a; arm_b = b; join = ja; va; vb; ta }
@@ -164,7 +164,7 @@ let extract_condition (prog : Ir.program) (f : Ir.func) (l : Mir.Cfg.loop) (cb :
         | Some d when Hashtbl.mem wanted d ->
             Hashtbl.remove wanted d;
             (match instrs.(i) with
-            | Ir.Ld_local (_, lo, o) when Mir.Cfg.writers prog f l (Ir.Lslot (lo, o)) = [] ->
+            | Ir.Ld_local (_, lo, o) when Mir.Cfg.unwritten prog f l (Ir.Lslot (lo, o)) ->
                 List.iter note (Ir.instr_uses instrs.(i))
             | Ir.Mov _ | Ir.Bin _ | Ir.Neg _ | Ir.Abs _ | Ir.Setrel _ ->
                 List.iter note (Ir.instr_uses instrs.(i))

@@ -4,18 +4,25 @@
 
     Per function, {!Nonnil} runs first, so that every later pass sees the
     blocks its decided NIL checks chain together. The rest iterate to a
-    local fixed point: copy propagation → constant folding → CSE → virtual
-    array origin → strength reduction → LICM (with path variables for
-    hoisted ambiguous derivations) → dead code elimination, until a round
-    in which no pass but CSE and DCE changed anything (a rule measured on
-    the corpus, not proved: see [func]). {!Promote} then turns the
-    frame locals that need no slot into temps, once, followed by copy
-    propagation and DCE; it runs after the loop so that strength
-    reduction's marching pointers, path variables and every derived slot
+    local fixed point: copy propagation → constant folding → path
+    variables for ambiguous derivations ({!Pathvar}) → CSE → virtual array
+    origin → LICM → dead code elimination, until a round in which no pass
+    but CSE and DCE changed anything (a rule measured on the corpus, not
+    proved: see [func]). {!Promote} then turns the frame locals that need
+    no slot into temps, once, followed by copy propagation and DCE; it
+    runs after the loop so that path variables and every derived slot
     exist and stay in the frame. {!Nonnil} runs again on the result, for
     the checks of heap and global loads that CSE found to repeat an
     earlier load and of the locals now in temps (followed by DCE when it
-    decides any), and {!Layout} runs last. *)
+    decides any), and {!Layout} runs last.
+
+    There is no strength reduction, the paper's first example of a derived
+    value (§2): the UVM's [Mem2] operand [M\[r1 + r2 + disp\]] indexes at
+    no cost, so a pointer marching through an array would only add an
+    increment per trip, a frame slot and a derivation entry at each
+    gc-point of the loop. Optimized code gets its derived values from
+    virtual array origins, [VAR] parameters and WITH aliases, CSE'd
+    addresses and path variables. *)
 
 type options = {
   nonnil : bool;
@@ -27,7 +34,6 @@ type options = {
   pathvar : bool;
   cse : bool;
   virtual_origin : bool;
-  strength : bool;
   licm : bool;
   dce : bool;
   layout : bool;
@@ -42,7 +48,6 @@ let all_on =
     pathvar = true;
     cse = true;
     virtual_origin = true;
-    strength = true;
     licm = true;
     dce = true;
     layout = true;
@@ -52,7 +57,7 @@ let c_loop_analyses = Telemetry.Metrics.counter "opt.loop_analyses"
 let c_loop_reuses = Telemetry.Metrics.counter "opt.loop_analysis_reuses"
 
 (** Optimize one function. [cfg], its loop analysis, is shared by pathvar,
-    strength, licm and layout. Every pass runs as [wrap name cfg pass];
+    licm and layout. Every pass runs as [wrap name cfg pass];
     tests wrap passes to check state at each pass boundary. *)
 let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.func) =
   let cfg = Mir.Cfg.analysis () in
@@ -66,8 +71,8 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
      the round have seen its output. The rule is a heuristic: a DCE that
      deletes a dead store could let the next round's CSE or LICM find
      more. On the corpus, counting DCE's changes too gives the same code
-     in 86 function-rounds instead of 62, and counting both CSE's and
-     DCE's in 90. *)
+     in 77 function-rounds instead of 52, and counting both CSE's and
+     DCE's in 85. *)
   let settle cond name pass = ignore (cond && run name pass) in
   let nonnil () =
     opts.nonnil && run "opt.nonnil" (fun () -> Nonnil.run ~audit:opts.audit_checks prog f)
@@ -81,7 +86,6 @@ let func ?(opts = all_on) ?(wrap = fun _ _ pass -> pass ()) prog (f : Mir.Ir.fun
     step opts.pathvar "opt.pathvar" (fun () -> Pathvar.run prog cfg f);
     settle opts.cse "opt.cse" (fun () -> Cse.run prog f);
     step opts.virtual_origin "opt.virtual_origin" (fun () -> Virtual_origin.run prog f);
-    step opts.strength "opt.strength" (fun () -> Strength.run prog cfg f);
     step opts.licm "opt.licm" (fun () -> Licm.run prog cfg f);
     settle opts.dce "opt.dce" (fun () -> Dce.run prog f);
     decr budget

@@ -9,8 +9,8 @@
     parameter by a real local, which qualifies), it is not the path
     variable of an [Sambig] slot nor a base of any derivation, and every
     value it is loaded into or stored from has the kind of its slot. So a
-    strength-reduced [$sr] slot, a path variable and every derived slot
-    stay in the frame.
+    path variable and every derived slot (a WITH alias, say) stay in the
+    frame.
 
     The rewrite: [d := local[0]] becomes [d := tl] and [local[0] := s]
     becomes [tl := s], where [tl] is a fresh [Kscalar] or [Kptr] temp. The

@@ -4,8 +4,8 @@
    set, then rescan the whole function until it stops growing. [check]
    drives the O1 pipeline over a lowered program pass by pass and reports
    the first place where Opt.Dce removed different instructions than
-   [dce] would have, or where the pipeline's cached loops or dominators
-   differ from a fresh Cfg.natural_loops or Cfg.dominators. *)
+   [dce] would have, or where the pipeline's cached loops differ from a
+   fresh Cfg.natural_loops. *)
 
 module Ir = Mir.Ir
 module Iset = Support.Ints.Iset
@@ -111,8 +111,6 @@ let check (prog : Ir.program) : string option =
         | None -> ());
         if loops_repr (Mir.Cfg.loops cfg f) <> loops_repr (Mir.Cfg.natural_loops f) then
           report "%s: stale loops after %s" f.Ir.fname name;
-        if Mir.Cfg.idom cfg f <> Mir.Cfg.dominators f then
-          report "%s: stale dominators after %s" f.Ir.fname name;
         changed
       in
       Opt.Pipeline.func ~wrap prog f)

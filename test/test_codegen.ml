@@ -347,10 +347,10 @@ let pinned_digests =
     ("FieldList", false, Delta_main, false, "245a02eeca4b0cb3f761d449a61a2820");
     ("FieldList", false, Full_info, true, "9c9e9331813ff030b58675cfc39cb905");
     ("FieldList", false, Full_info, false, "0eccef8893623c5f664d9fde20d93ea4");
-    ("FieldList", true, Delta_main, true, "bec3bf6245271cb227fd57265312af04");
-    ("FieldList", true, Delta_main, false, "4b29e72251640188122b8d1332b1da6d");
-    ("FieldList", true, Full_info, true, "99d17f14bcb04008b66abb9c3c1a9557");
-    ("FieldList", true, Full_info, false, "b84536f35bb4fcb7e59c933d93958889");
+    ("FieldList", true, Delta_main, true, "0e14397b382b2f9d6686382bdac6e4a4");
+    ("FieldList", true, Delta_main, false, "5dd359cabdc90904322c6ddec420d87b");
+    ("FieldList", true, Full_info, true, "791e2b7724b35343e921fb7e411bf3ae");
+    ("FieldList", true, Full_info, false, "8db9ef73ccfafc5daae02020fa26347d");
     ("takl", false, Delta_main, true, "f4c0576def00f0929ae822fc92ea2c1a");
     ("takl", false, Delta_main, false, "d07cb674d559a329c1001b8e2c77520b");
     ("takl", false, Full_info, true, "9526b2f1291af2e2e9ec1655a79ea3b0");
@@ -363,26 +363,26 @@ let pinned_digests =
     ("destroy", false, Delta_main, false, "f60a9253a9ba2653a05395e83f6eac51");
     ("destroy", false, Full_info, true, "630adcd7ce20b8ec2a971f7e8222dbdb");
     ("destroy", false, Full_info, false, "f30bfaf92711df765b8979a2a2ea4c86");
-    ("destroy", true, Delta_main, true, "f93c83fc6fa921726c33fc3839563ab8");
-    ("destroy", true, Delta_main, false, "7cbba659768f14f2c461f342866c4365");
-    ("destroy", true, Full_info, true, "4ee03212d4350857c12cbcceafb97993");
-    ("destroy", true, Full_info, false, "2a956bba60cb643c8c80c6f541463f87");
+    ("destroy", true, Delta_main, true, "188bfaf671a59dc886f21b3e2b6a1f43");
+    ("destroy", true, Delta_main, false, "810211a5f23cb09405db09524476d25c");
+    ("destroy", true, Full_info, true, "9de98deaff820c7e0677736eaea5d8c3");
+    ("destroy", true, Full_info, false, "69fd30231379c3afef1e7ebd0d25e767");
     ("ambig", false, Delta_main, true, "a7d55c8bcdb49380cc09553a2870ff04");
     ("ambig", false, Delta_main, false, "02ff1320416804e7e9be33263a854d5d");
     ("ambig", false, Full_info, true, "dbaaa9cfa7014391cf629501081a882e");
     ("ambig", false, Full_info, false, "8a86f8b0087b06e2838c33451fb6c3de");
-    ("ambig", true, Delta_main, true, "42ebb3ff156d7357a0b00f3fa4ec027f");
-    ("ambig", true, Delta_main, false, "c1095fd2309a12002b2fa0e54d726a77");
-    ("ambig", true, Full_info, true, "d08cf43ab52cf1d7b8229bb7aa6670bc");
-    ("ambig", true, Full_info, false, "8f18f57dd90db004c7ae1274132a4d17");
+    ("ambig", true, Delta_main, true, "376c960cff699741fb8e376df6b8921d");
+    ("ambig", true, Delta_main, false, "0830fe1389f1f21599fcc49c011bb903");
+    ("ambig", true, Full_info, true, "edcf28f38e8c36236e30007b19c6ee66");
+    ("ambig", true, Full_info, false, "a03f1ecb8aafa81d4732288fdf2b24d0");
     ("indirect", false, Delta_main, true, "56a4fc802873ddc8cc67ab5a74b14d54");
     ("indirect", false, Delta_main, false, "4a0b92905d3fbbaa46bad2310955b890");
     ("indirect", false, Full_info, true, "58d2074f5e6327a1df7d17d79c00b9ee");
     ("indirect", false, Full_info, false, "88435d37086aa4fa8855b602c2eb6a22");
-    ("indirect", true, Delta_main, true, "3d7114eea94645f59c46e6b54202f3f1");
-    ("indirect", true, Delta_main, false, "efef29b0f2bdf655040bee30f6a1aaed");
-    ("indirect", true, Full_info, true, "deb9363793d1f9231a75e4aaa42c5fa6");
-    ("indirect", true, Full_info, false, "ac2095ae6f0772660e08349e89170b43");
+    ("indirect", true, Delta_main, true, "2e4b4341c764949f543be23e3519da27");
+    ("indirect", true, Delta_main, false, "cb232413530754f049dd562d76120551");
+    ("indirect", true, Full_info, true, "0c3cf36b949cf811bc2cab581ecd2538");
+    ("indirect", true, Full_info, false, "7b71e4ef2d47ea90c4905b41c07409b2");
   ]
 
 let test_pinned_digests () =

@@ -19,7 +19,6 @@ let no_opts =
     pathvar = false;
     cse = false;
     virtual_origin = false;
-    strength = false;
     licm = false;
     dce = false;
     layout = false;
@@ -76,7 +75,6 @@ let test_each_pass_preserves () =
   same_behaviour "constfold" { no_opts with constfold = true };
   same_behaviour "cse" { no_opts with cse = true };
   same_behaviour "virtual origin" { no_opts with virtual_origin = true };
-  same_behaviour "strength" { no_opts with strength = true };
   same_behaviour "licm" { no_opts with licm = true };
   same_behaviour "dce" { no_opts with dce = true };
   same_behaviour "layout" { no_opts with layout = true };
@@ -260,23 +258,6 @@ let test_dce_rules () =
   check Alcotest.bool "nothing removed" false removed;
   check Alcotest.bool "the old fixpoint agrees" false (Opt_oracle.dce g);
   check Alcotest.int "every instruction kept" (List.length instrs) (List.length f.Ir.blocks.(0).Ir.instrs)
-
-let test_strength_fires () =
-  let src =
-    "MODULE T; TYPE V = REF ARRAY OF INTEGER; VAR v: V; i: INTEGER;\n\
-     BEGIN v := NEW(V, 50); FOR i := 0 TO 49 DO v[i] := i END END T."
-  in
-  let prog = mir_with Opt.Pipeline.all_on src in
-  let main = prog.Ir.funcs.(prog.Ir.main_fid) in
-  let has_sr_slot =
-    Array.exists
-      (fun (li : Ir.local_info) ->
-        (match li.Ir.l_slot with Ir.Sderived _ -> true | _ -> false)
-        && String.length li.Ir.l_name >= 3
-        && String.sub li.Ir.l_name 0 3 = "$sr")
-      main.Ir.locals
-  in
-  check Alcotest.bool "strength reduction created a marching pointer" true has_sr_slot
 
 let test_virtual_origin_fires () =
   let src =
@@ -655,8 +636,6 @@ let test_alias_store_invalidates () =
   check Alcotest.string "O1" "21 6\n" (run_with_opts Opt.Pipeline.all_on src);
   check Alcotest.string "cse alone" "21 6\n" (run_with_opts { no_opts with cse = true } src);
   check Alcotest.string "licm alone" "21 6\n" (run_with_opts { no_opts with licm = true } src);
-  check Alcotest.string "strength alone" "21 6\n"
-    (run_with_opts { no_opts with strength = true } src);
   check Alcotest.string "pathvar alone" "21 6\n"
     (run_with_opts { no_opts with pathvar = true } src);
   (* An array indexed by a variable is read and written through its
@@ -707,15 +686,13 @@ let test_alias_store_invalidates () =
           ("O1", Opt.Pipeline.all_on);
           ("cse alone", { no_opts with cse = true });
           ("licm alone", { no_opts with licm = true });
-          ("strength alone", { no_opts with strength = true });
           ("pathvar alone", { no_opts with pathvar = true });
         ])
     [ true; false ]
 
-(* A loop pass may treat a slot as invariant, or a store as an induction
-   variable's only update, only when nothing else in the loop writes the
-   slot: [i] also steps through a WITH alias, and [pa] is stored in the
-   loop whose IF selects it. *)
+(* A loop pass may treat a slot as invariant only when nothing else in the
+   loop writes the slot: [i] also steps through a WITH alias, and [pa] is
+   stored in the loop whose IF selects it. *)
 let test_loop_writes_respected () =
   let stepped =
     "MODULE S;\n\
@@ -764,7 +741,6 @@ let test_loop_writes_respected () =
                 want (run_with_opts ~checks opts src))
             [
               ("O1", Opt.Pipeline.all_on);
-              ("strength alone", { no_opts with strength = true });
               ("pathvar alone", { no_opts with pathvar = true });
             ])
         [ true; false ])
@@ -1065,10 +1041,10 @@ let promote_src =
    \  PutInt(ByRef()); PutInt(Heap(r)); PutInt(Stack()); PutInt(Sum(v)); PutLn()\n\
    END P.\n"
 
-(* A local whose address is passed as a VAR argument, a WITH alias of a
-   heap place or of a local, and strength reduction's marching pointer
-   keep their frame slots; the other locals of the same procedures are
-   promoted, and the program prints what it prints unoptimized. *)
+(* A local whose address is passed as a VAR argument and a WITH alias of
+   a heap place (a derived slot) or of a local keep their frame slots; the
+   other locals of the same procedures are promoted, and the program
+   prints what it prints unoptimized. *)
 let test_promote_keeps_slots () =
   check Alcotest.string "output" (run_with_opts no_opts promote_src)
     (run_with_opts Opt.Pipeline.all_on promote_src);
@@ -1084,7 +1060,6 @@ let test_promote_keeps_slots () =
       ("Stack", "k", true);
       ("Stack", "w", true);
       ("Sum", "s", false);
-      ("Sum", "$sr", true);
     ]
 
 (* Pathvar's path variable keeps its slot: the variants of the ambiguous
@@ -1281,7 +1256,6 @@ let () =
           Alcotest.test_case "dce removes dead code" `Quick test_dce_removes;
           Alcotest.test_case "dce keeps derivation bases" `Quick test_dce_keeps_bases;
           Alcotest.test_case "dce rules the corpus never decides" `Quick test_dce_rules;
-          Alcotest.test_case "strength reduction fires" `Quick test_strength_fires;
           Alcotest.test_case "virtual origin fires" `Quick test_virtual_origin_fires;
           Alcotest.test_case "licm hoists" `Quick test_licm_hoists;
           Alcotest.test_case "pathvar fires on ambig" `Quick test_pathvar_fires;

@@ -317,7 +317,18 @@ let test_end_to_end_gc_phases () =
     [ ("gc.collect", collections - minors); ("gc.minor", minors) ];
   (* And the export of that real trace parses back. *)
   let j = T.Json.parse (T.Trace.to_chrome_string ()) in
-  check Alcotest.bool "export parses" true (T.Json.member "traceEvents" j <> None)
+  check Alcotest.bool "export parses" true (T.Json.member "traceEvents" j <> None);
+  (* The same program under the Cheney collector: every collection is a
+     full copy, and it too un-derives and re-derives live values. *)
+  T.Metrics.reset ();
+  let st = Vm.Interp.create (Driver.Compile.compile ~options Programs.Ambig_src.src) in
+  Gc.Cheney.install st;
+  Vm.Interp.run st;
+  check Alcotest.bool "cheney: collections" true (st.Vm.Interp.gc.Vm.Interp.collections >= 1);
+  let under = T.Metrics.counter_value "derived.underived" in
+  check Alcotest.bool "cheney: derived values were live at some gc" true (under > 0);
+  check Alcotest.int "cheney: un-derive count equals re-derive count" under
+    (T.Metrics.counter_value "derived.rederived")
 
 (* An image built without gc restrictions (§6.2) may hold pointers the
    tables cannot describe: running it under a collector is a typed
