@@ -11,21 +11,6 @@ type t = {
 
 type interval = { tmp : int; mutable istart : int; mutable iend : int }
 
-(* Collect the transitive temp-bases of a derivation. *)
-let rec deriv_temp_bases (f : Ir.func) (d : Mir.Deriv.t) acc =
-  List.fold_left
-    (fun acc b ->
-      match b with
-      | Mir.Deriv.Blocal _ -> acc
-      | Mir.Deriv.Btemp t ->
-          if List.mem t acc then acc
-          else
-            let acc = t :: acc in
-            (match Ir.temp_kind f t with
-            | Ir.Kderived d' -> deriv_temp_bases f d' acc
-            | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> acc))
-    acc (Mir.Deriv.bases d)
-
 let allocate (f : Ir.func) (liv : Mir.Liveness.t) : t =
   let nb = Array.length f.Ir.blocks in
   (* Linear position numbering: block b starts at base.(b); instruction i of
@@ -61,24 +46,11 @@ let allocate (f : Ir.func) (liv : Mir.Liveness.t) : t =
           (Ir.instr_uses instr);
         let lt, _ll = live_after.(i) in
         Bitset.iter (fun t -> extend t (p + 1)) lt;
-        (* Calls: record clobber positions and force derived-argument bases
-           live across the call. *)
+        (* Calls: record clobber positions. Bases of derived arguments are
+           in [lt]: Liveness keeps them live across the call. *)
         match instr with
-        | Ir.Call (_, callee, args) ->
-            let is_user = match callee with Ir.Cuser _ -> true | Ir.Crt _ -> false in
-            if is_user then user_call_positions := p :: !user_call_positions;
-            List.iter
-              (function
-                | Ir.Oimm _ -> ()
-                | Ir.Otemp a -> (
-                    match Ir.temp_kind f a with
-                    | Ir.Kderived d ->
-                        List.iter (fun tb -> extend tb (p + 1)) (deriv_temp_bases f d [])
-                    | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ()))
-              args
-        | Ir.Mov _ | Ir.Bin _ | Ir.Neg _ | Ir.Abs _ | Ir.Setrel _ | Ir.Ld_local _
-        | Ir.St_local _ | Ir.Ld_global _ | Ir.St_global _ | Ir.Lda_local _
-        | Ir.Lda_global _ | Ir.Lda_text _ | Ir.Load _ | Ir.Store _ | Ir.Store_nb _ -> ())
+        | Ir.Call (_, Ir.Cuser _, _) -> user_call_positions := p :: !user_call_positions
+        | _ -> ())
       blk.Ir.instrs;
     (* Terminator uses. *)
     let pterm = base.(b) + List.length blk.Ir.instrs in

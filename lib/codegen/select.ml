@@ -29,25 +29,6 @@ type out_func = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Analysis helpers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Temps that serve as derivation bases (of temps or derived slots). *)
-let base_temps (f : Ir.func) =
-  let is_base = Array.make f.Ir.ntemps false in
-  let mark (d : Mir.Deriv.t) =
-    List.iter
-      (function Mir.Deriv.Btemp t -> is_base.(t) <- true | Mir.Deriv.Blocal _ -> ())
-      (Mir.Deriv.bases d)
-  in
-  Array.iteri (fun _ k -> match k with Ir.Kderived d -> mark d | _ -> ()) f.Ir.temp_kinds;
-  Array.iter
-    (fun (li : Ir.local_info) ->
-      match li.Ir.l_slot with Ir.Sderived d -> mark d | _ -> ())
-    f.Ir.locals;
-  is_base
-
-(* ------------------------------------------------------------------ *)
 (* Selection                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -123,32 +104,10 @@ let deriv_entry_of st ~target (d : Mir.Deriv.t) : RM.deriv_entry option =
         minus = List.map Option.get minus;
       }
 
-let rec close_bases st (d : Mir.Deriv.t) (temps : Bitset.t) (locals : Bitset.t) =
-  List.iter
-    (fun b ->
-      match b with
-      | Mir.Deriv.Blocal l -> Bitset.set locals l
-      | Mir.Deriv.Btemp t ->
-          if not (Bitset.mem temps t) then begin
-            Bitset.set temps t;
-            match Ir.temp_kind st.f t with
-            | Ir.Kderived d' -> close_bases st d' temps locals
-            | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ()
-          end)
-    (Mir.Deriv.bases d)
-
 let record_gcpoint st ~block ~instr_idx ~(args : Ir.operand list) ~call_item =
+  (* The live sets hold the bases of derived outgoing arguments too
+     (Liveness's dead-base rule at a call, paper §3-4). *)
   let live_t, live_l = Mir.Liveness.live_at_gcpoint st.liv block instr_idx in
-  (* The bases of derivations passed as outgoing arguments live through the
-     call (dead-base rule at call-by-reference, paper §3-4). *)
-  List.iter
-    (function
-      | Ir.Oimm _ -> ()
-      | Ir.Otemp a -> (
-          match Ir.temp_kind st.f a with
-          | Ir.Kderived d -> close_bases st d live_t live_l
-          | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ()))
-    args;
   let stack_ptrs = ref [] and reg_ptrs = ref [] and derivs = ref [] in
   let variants = ref [] in
   (* Frame locals (never incoming parameters: those are described by the
@@ -430,7 +389,7 @@ let func ~(prog : Ir.program) (opts : options)
       ra;
       fr;
       counts = Ir.use_counts f;
-      is_base = base_temps f;
+      is_base = fst (Ir.derivation_bases f);
       items = Growarr.create ~dummy:(I.Trap "dummy");
       block_pos = Array.make (Array.length f.Ir.blocks) 0;
       gcpoints = [];

@@ -73,6 +73,23 @@ let order_derivs (entries : deriv_entry list) : deriv_entry list =
      first; reversing puts each derived value before its bases. *)
   !out
 
+let undescribed_bases (pm : proc_maps) =
+  List.concat_map
+    (fun g ->
+      let entries = g.derivs @ List.concat_map (fun v -> List.map snd v.cases) g.variants in
+      let described b =
+        (match b with
+        | Loc.Lreg r -> List.mem r g.reg_ptrs
+        | Loc.Lmem (Loc.FP, off) when off >= 2 && off < 2 + pm.pm_nargs -> true
+        | Loc.Lmem _ -> List.exists (Loc.equal b) g.stack_ptrs)
+        || List.exists (fun e -> Loc.equal e.target b) entries
+      in
+      List.concat_map (fun e -> e.plus @ e.minus) entries
+      |> List.sort_uniq Loc.compare
+      |> List.filter (fun b -> not (described b))
+      |> List.map (fun b -> (g, b)))
+    pm.pm_gcpoints
+
 let pp_deriv fmt (d : deriv_entry) =
   Format.fprintf fmt "%a =" Loc.pp d.target;
   List.iter (fun b -> Format.fprintf fmt " +%a" Loc.pp b) d.plus;

@@ -45,5 +45,13 @@ val order_derivs : deriv_entry list -> deriv_entry list
     well-formed input: "derivations are always made from previously
     calculated base values"). *)
 
+val undescribed_bases : proc_maps -> (gcpoint * Loc.t) list
+(** Every derivation base a gc-point does not describe, each once per
+    gc-point, gc-points in table order; [[]] for sound tables. The collector un-derives and
+    re-derives through the bases (§3), so each base of a derivation or of
+    a variant case must be a stack pointer, a register pointer, the target
+    of another derivation or case at the same gc-point, or an incoming
+    argument word ([FP+2+i]), which the caller's table describes. *)
+
 val pp_deriv : Format.formatter -> deriv_entry -> unit
 val pp_gcpoint : Format.formatter -> gcpoint -> unit

@@ -184,23 +184,27 @@ let count sweep name = try List.assoc name sweep.counts with Not_found -> 0
 let with_tables (img : Vm.Image.t) (tables : E.program_tables) : Vm.Image.t =
   { img with Vm.Image.tables; decode_cache = Gcmaps.Decode_cache.create tables }
 
-let run_mutated ?collector ~(reference : string) ~fuel (img : Vm.Image.t) : outcome =
+(* Create a machine over [img], let [install] set its collector up, run it
+   and classify the outcome: [Benign] when it prints [reference] (and,
+   given [icount], executes that many instructions). Every sweep runs its
+   cases here. A decode failure is a clean rejection only when [mutated]:
+   on tables the sweep did not corrupt it is a decoder or encoder bug, so
+   it counts as [Crashed]. *)
+let run_case ?icount ?(mutated = false) ~install ~(reference : string) ~fuel
+    (img : Vm.Image.t) : outcome =
   let st = Vm.Interp.create img in
-  (* The collector is resolved and installed as for the reference run, so
-     it (and its verifier checks) decodes the mutated tables. *)
-  ignore (Driver.Compile.install ?collector st);
+  install st;
   match Vm.Interp.run ~fuel st with
-  | () -> if Vm.Interp.output st = reference then Benign else Diverged
-  | exception Vm.Vm_error.Error e -> (
-      match e with
-      | Vm.Vm_error.Verify_failed _ -> Verifier_flagged
-      | Vm.Vm_error.Out_of_fuel _ -> Hung
-      | _ -> Rejected_run)
-  | exception Vm.Interp.Guest_error _ ->
-      (* A corrupt table can redirect control into a guest-level trap;
-         that is still a clean, reported rejection. *)
-      Rejected_run
-  | exception D.Table_corrupt _ -> Rejected_run
+  | () ->
+      if Vm.Interp.output st = reference && (icount = None || icount = Some st.Vm.Interp.icount)
+      then Benign
+      else Diverged
+  | exception Vm.Vm_error.Error (Vm.Vm_error.Verify_failed _) -> Verifier_flagged
+  | exception Vm.Vm_error.Error (Vm.Vm_error.Out_of_fuel _) -> Hung
+  (* A corrupt table can redirect control into a guest-level trap; that
+     is still a clean, reported rejection. *)
+  | exception (Vm.Vm_error.Error _ | Vm.Interp.Guest_error _) -> Rejected_run
+  | exception D.Table_corrupt _ when mutated -> Rejected_run
   | exception e -> Crashed (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -269,16 +273,19 @@ let sweep_target ?(cross_check = true) ?collector ~seed ~iterations (target : ta
         | Some m ->
             let tables = mutate_tables img.Vm.Image.tables m in
             let outcome =
+              (* The collector is installed as for the reference run, so it
+                 (and its verifier checks) decodes the mutated tables. *)
+              let run () =
+                run_case ~mutated:true
+                  ~install:(fun st -> ignore (Driver.Compile.install ?collector st))
+                  ~reference:reference.Driver.Compile.output ~fuel (with_tables img tables)
+              in
               if cross_check then
                 match D.validate_tables ~against:img.Vm.Image.rawmaps tables with
-                | () ->
-                    run_mutated ?collector ~reference:reference.Driver.Compile.output ~fuel
-                      (with_tables img tables)
+                | () -> run ()
                 | exception D.Table_corrupt _ -> Rejected_load
                 | exception e -> Crashed (Printexc.to_string e)
-              else
-                run_mutated ?collector ~reference:reference.Driver.Compile.output ~fuel
-                  (with_tables img tables)
+              else run ()
             in
             bump (outcome_name outcome);
             let is_failure =
@@ -379,20 +386,6 @@ let arm_runtime (st : Vm.Interp.t) mode =
         | Loop_storm, Loop_check -> collect st ~needed:0
         | _ -> ())
 
-let run_runtime_case ~reference ~fuel img mode : outcome =
-  let st = Vm.Interp.create img in
-  Gc.Cheney.install st;
-  arm_runtime st mode;
-  match Vm.Interp.run ~fuel st with
-  | () -> if Vm.Interp.output st = reference then Benign else Diverged
-  | exception Vm.Vm_error.Error e -> (
-      match e with
-      | Vm.Vm_error.Verify_failed _ -> Verifier_flagged
-      | Vm.Vm_error.Out_of_fuel _ -> Hung
-      | _ -> Rejected_run)
-  | exception Vm.Interp.Guest_error _ -> Rejected_run
-  | exception e -> Crashed (Printexc.to_string e)
-
 (* The two images a runtime sweep runs: unoptimized and O1. O1 code keeps
    locals in registers across gc-points, so only it exercises the
    register tables at every collection. *)
@@ -418,7 +411,11 @@ let runtime_sweep ~optimize (target : target) : sweep =
     Vm.Interp.output st
   in
   let mode = Alloc_storm { every = 7 } in
-  let outcome = run_runtime_case ~reference ~fuel img mode in
+  let install st =
+    Gc.Cheney.install st;
+    arm_runtime st mode
+  in
+  let outcome = run_case ~install ~reference ~fuel img in
   let failures =
     match outcome with
     | Crashed _ | Hung | Diverged | Verifier_flagged ->
@@ -462,26 +459,11 @@ let incremental_mode_name = function
   | Mark_spill { cap } -> Printf.sprintf "mark-spill(cap=%d)" cap
   | Tiny_budget { us } -> Printf.sprintf "tiny-budget(%dus)" us
 
-let run_incremental_case ~reference ~ref_icount ~fuel img mode : outcome =
-  let st = Vm.Interp.create img in
+let install_incremental mode (st : Vm.Interp.t) =
   let gray_cap = match mode with Mark_spill { cap } -> Some cap | _ -> None in
-  let pause_budget_us =
-    match mode with Tiny_budget { us } -> Some us | _ -> None
-  in
+  let pause_budget_us = match mode with Tiny_budget { us } -> Some us | _ -> None in
   ignore (Gc.Incremental.install ?gray_cap ?pause_budget_us st);
-  if mode = Slice_storm then st.Vm.Interp.inc_slice <- Some Gc.Incremental.slice;
-  match Vm.Interp.run ~fuel st with
-  | () ->
-      if Vm.Interp.output st = reference && st.Vm.Interp.icount = ref_icount
-      then Benign
-      else Diverged
-  | exception Vm.Vm_error.Error e -> (
-      match e with
-      | Vm.Vm_error.Verify_failed _ -> Verifier_flagged
-      | Vm.Vm_error.Out_of_fuel _ -> Hung
-      | _ -> Rejected_run)
-  | exception Vm.Interp.Guest_error _ -> Rejected_run
-  | exception e -> Crashed (Printexc.to_string e)
+  if mode = Slice_storm then st.Vm.Interp.inc_slice <- Some Gc.Incremental.slice
 
 (** Interleaving-fault sweep over one target under the incremental
     collector, verifier armed. Expected outcome for every mode is
@@ -517,7 +499,9 @@ let incremental_sweep ~optimize (target : target) : sweep =
   let failures = ref [] in
   List.iter
     (fun mode ->
-      let outcome = run_incremental_case ~reference ~ref_icount ~fuel img mode in
+      let outcome =
+        run_case ~icount:ref_icount ~install:(install_incremental mode) ~reference ~fuel img
+      in
       bump (outcome_name outcome);
       match outcome with
       | Crashed _ | Hung | Diverged | Verifier_flagged | Rejected_run ->

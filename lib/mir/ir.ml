@@ -257,6 +257,27 @@ let deriv_of f (o : operand) =
   | Otemp t when is_pointer f o -> Deriv.of_base (Deriv.Btemp t)
   | Otemp _ | Oimm _ -> Deriv.empty
 
+(** The temps and the locals that some derivation of [f] names as a base:
+    of a derived temp, a derived slot or a case of an ambiguous slot. *)
+let derivation_bases (f : func) : bool array * bool array =
+  let temps = Array.make f.ntemps false and locals = Array.make (Array.length f.locals) false in
+  let mark d =
+    List.iter
+      (function Deriv.Btemp t -> temps.(t) <- true | Deriv.Blocal l -> locals.(l) <- true)
+      (Deriv.bases d)
+  in
+  for t = 0 to f.ntemps - 1 do
+    match f.temp_kinds.(t) with Kderived d -> mark d | Kscalar | Kptr | Kstack -> ()
+  done;
+  Array.iter
+    (fun li ->
+      match li.l_slot with
+      | Sderived d -> mark d
+      | Sambig a -> List.iter (fun (_, d) -> mark d) a.cases
+      | Sscalar | Sptr | Saddr | Saggregate _ -> ())
+    f.locals;
+  (temps, locals)
+
 (* ------------------------------------------------------------------ *)
 (* Memory effects                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -413,7 +434,8 @@ let use_counts (f : func) : int array =
   counts
 
 (** Rewrite the operands a terminator reads; an unchanged terminator is
-    returned as is, so a {!Cfg.analysis} snapshot outlives the rewrite. *)
+    returned as is. A {!Cfg.analysis} snapshot holds successor labels,
+    not terminators, so it outlives any operand rewrite. *)
 let map_term_uses (g : operand -> operand) (t : term) : term =
   match t with
   | Jmp _ | Unreachable | Trap _ -> t

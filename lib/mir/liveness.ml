@@ -90,11 +90,30 @@ let term_transfer cl term temps locals =
     (Ir.term_uses term);
   close cl temps locals
 
+(* The dead-base rule at a call (paper §3-4): a derived value passed by
+   reference stays live in the callee for the whole call, so the closure of
+   its bases is live after the call as well as before it. *)
+let call_transfer f cl instr temps locals =
+  match instr with
+  | Ir.Call (_, _, args) ->
+      List.iter
+        (function
+          | Ir.Otemp a -> (
+              match Ir.temp_kind f a with
+              | Ir.Kderived d ->
+                  deriv_bases_into d temps locals;
+                  close cl temps locals
+              | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ())
+          | Ir.Oimm _ -> ())
+        args
+  | _ -> ()
+
 (* Walk block [b] backward: [temps]/[locals] hold its live-out on entry and
    its live-in on return; [after i] sees them live after instruction [i]. *)
 let walk_block f cl instrs b temps locals ~after =
   term_transfer cl f.Ir.blocks.(b).Ir.term temps locals;
   for i = Array.length instrs.(b) - 1 downto 0 do
+    call_transfer f cl instrs.(b).(i) temps locals;
     after i;
     instr_transfer f cl instrs.(b).(i) temps locals
   done

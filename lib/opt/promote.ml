@@ -27,27 +27,6 @@
 
 module Ir = Mir.Ir
 
-(* The temps and the locals that some derivation of [f] names as a base:
-   of a derived temp, a derived slot or a case of an ambiguous slot. *)
-let bases (f : Ir.func) : bool array * bool array =
-  let temps = Array.make f.Ir.ntemps false and locals = Array.make (Array.length f.Ir.locals) false in
-  let mark d =
-    List.iter
-      (function Mir.Deriv.Btemp t -> temps.(t) <- true | Mir.Deriv.Blocal l -> locals.(l) <- true)
-      (Mir.Deriv.bases d)
-  in
-  for t = 0 to f.Ir.ntemps - 1 do
-    match Ir.temp_kind f t with Ir.Kderived d -> mark d | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ()
-  done;
-  Array.iter
-    (fun (li : Ir.local_info) ->
-      match li.Ir.l_slot with
-      | Ir.Sderived d -> mark d
-      | Ir.Sambig a -> List.iter (fun (_, d) -> mark d) a.Ir.cases
-      | Ir.Sscalar | Ir.Sptr | Ir.Saddr | Ir.Saggregate _ -> ())
-    f.Ir.locals;
-  (temps, locals)
-
 (* The kind each local's temp would have, [None] for a local that stays a
    slot. [base_local]: the locals some derivation names. *)
 let candidates (f : Ir.func) base_local : Ir.kind option array =
@@ -193,7 +172,7 @@ let retarget (f : Ir.func) ~first base_temp =
   end
 
 let run (_prog : Ir.program) (f : Ir.func) : bool =
-  let base_temp, base_local = bases f in
+  let base_temp, base_local = Ir.derivation_bases f in
   let kinds = candidates f base_local in
   if Array.for_all Option.is_none kinds then false
   else begin

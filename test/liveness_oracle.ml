@@ -1,7 +1,8 @@
 (* The reference liveness analysis that Mir.Liveness is tested against:
    round-robin passes over every block, fresh sets each pass, and the
-   dead-base closure iterated to a fixpoint after every instruction. Slow
-   and obviously faithful to the definition; test-only. *)
+   dead-base closure iterated to a fixpoint after every instruction, and
+   after every call the closed bases of its derived arguments. Slow and
+   obviously faithful to the definition; test-only. *)
 
 open Support
 module Ir = Mir.Ir
@@ -52,6 +53,22 @@ let instr_transfer f instr temps locals =
   List.iter (function Ir.Otemp t -> Bitset.set temps t | Ir.Oimm _ -> ()) (Ir.instr_uses instr);
   List.iter (fun l -> Bitset.set locals l) (Ir.instr_local_reads instr);
   close_uses f temps locals
+
+(* A derived value passed to a call stays live in the callee for the whole
+   call, so its bases, closed, are live after the call too. *)
+let call_bases f instr temps locals =
+  match instr with
+  | Ir.Call (_, _, args) ->
+      List.iter
+        (function
+          | Ir.Otemp a -> (
+              match Ir.temp_kind f a with
+              | Ir.Kderived d -> deriv_bases_into d temps locals
+              | Ir.Kscalar | Ir.Kptr | Ir.Kstack -> ())
+          | Ir.Oimm _ -> ())
+        args;
+      close_uses f temps locals
+  | _ -> ()
 
 let term_transfer f term temps locals =
   List.iter (function Ir.Otemp t -> Bitset.set temps t | Ir.Oimm _ -> ()) (Ir.term_uses term);
@@ -116,6 +133,7 @@ let per_instr_live_out t b =
   let locals = Bitset.copy t.local_out.(b) in
   term_transfer t.f blk.Ir.term temps locals;
   for i = n - 1 downto 0 do
+    call_bases t.f instrs.(i) temps locals;
     Bitset.union_into ~dst:locals t.always_locals;
     result.(i) <- (Bitset.copy temps, Bitset.copy locals);
     instr_transfer t.f instrs.(i) temps locals

@@ -277,6 +277,37 @@ let test_gcinfo_derived_var_arg () =
   in
   check Alcotest.bool "base is traced at the gc-point" true base_traced
 
+(* The dead-base rule through a WITH alias: at the call [Bump(w.a[2])] the
+   argument derives from [w], which derives from [p], and [p] is dead
+   after the call. The call's gc-point must still list [p]'s slot. *)
+let test_gcinfo_alias_base_kept () =
+  List.iter
+    (fun optimize ->
+      let options = { Driver.Compile.default_options with optimize } in
+      let prog = Driver.Compile.to_mir ~options Dead_base.src in
+      let fid = func_named prog "Once" in
+      let f = prog.Ir.funcs.(fid) in
+      let p =
+        match Array.find_index (fun (li : Ir.local_info) -> li.Ir.l_name = "p") f.Ir.locals with
+        | Some l -> l
+        | None -> Alcotest.fail "no local p"
+      in
+      let out = select prog fid in
+      let slot = L.Lmem (L.FP, Codegen.Frame.local_off out.Codegen.Select.of_frame p) in
+      let call =
+        List.find
+          (fun (gp : Codegen.Select.raw_gcpoint) ->
+            List.exists
+              (fun (d : Gcmaps.Rawmaps.deriv_entry) -> d.Gcmaps.Rawmaps.target = L.Lmem (L.AP, 0))
+              gp.Codegen.Select.rg_derivs)
+          out.Codegen.Select.of_gcpoints
+      in
+      check Alcotest.bool
+        (Printf.sprintf "O%d: p's slot is a stack pointer at the call" (Bool.to_int optimize))
+        true
+        (List.mem slot call.Codegen.Select.rg_stack_ptrs))
+    [ false; true ]
+
 let test_gcinfo_scalars_excluded () =
   (* Scalar locals never appear in the pointer tables. *)
   let gps =
@@ -397,10 +428,12 @@ let test_pinned_digests () =
         }
       in
       let img = Driver.Compile.compile ~options (List.assoc name Corpus.programs) in
-      check Alcotest.string
-        (Format.asprintf "%s O%d %a" name (Bool.to_int optimize) Gcmaps.Encode.pp_config
-           (scheme, options.Driver.Compile.table_opts))
-        want (image_digest img))
+      let what =
+        Format.asprintf "%s O%d %a" name (Bool.to_int optimize) Gcmaps.Encode.pp_config
+          (scheme, options.Driver.Compile.table_opts)
+      in
+      check Alcotest.string what want (image_digest img);
+      Dead_base.check_described what img)
     pinned_digests
 
 let () =
@@ -429,6 +462,8 @@ let () =
           Alcotest.test_case "outgoing pointer arg" `Quick test_gcinfo_outgoing_ptr_arg;
           Alcotest.test_case "derived VAR arg + dead-base" `Quick
             test_gcinfo_derived_var_arg;
+          Alcotest.test_case "base of a VAR argument through a WITH alias" `Quick
+            test_gcinfo_alias_base_kept;
           Alcotest.test_case "scalars excluded" `Quick test_gcinfo_scalars_excluded;
           Alcotest.test_case "noalloc callee" `Quick test_gcinfo_noalloc_callee_has_no_gcpoint;
         ] );

@@ -186,6 +186,11 @@ let test_alias () = matrix "alias" alias_src
 let test_deep () = matrix ~small:700 ~tiny:500 "deep" deep_src
 let test_stackagg () = matrix "stackagg" stackagg_src
 let test_globals () = matrix ~small:300 ~tiny:150 "globals" globals_src
+let test_dead_base () =
+  check Alcotest.string "DeadBase prints 65" Dead_base.expected
+    (run Dead_base.src).Driver.Compile.output;
+  matrix "DeadBase" Dead_base.src
+
 let test_srgc () =
   matrix ~small:400 ~tiny:300 "ambig" Programs.Ambig_src.src
 
@@ -602,6 +607,7 @@ let () =
           Alcotest.test_case "stack aggregates" `Quick test_stackagg;
           Alcotest.test_case "global roots and texts" `Quick test_globals;
           Alcotest.test_case "ambiguous derivations" `Quick test_srgc;
+          Alcotest.test_case "VAR argument through a WITH alias" `Quick test_dead_base;
         ] );
       ( "properties",
         [

@@ -373,6 +373,19 @@ let prop_liveness_oracle =
             (Driver.Compile.to_mir ~options src).Mir.Ir.funcs)
         [ false; true ])
 
+let prop_bases_described =
+  QCheck.Test.make ~name:"tables describe every derivation base" ~count:60
+    (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
+    (fun p ->
+      let src = to_m3l p in
+      List.for_all
+        (fun (optimize, checks) ->
+          let options = { Driver.Compile.default_options with optimize; checks } in
+          match Dead_base.undescribed (Driver.Compile.compile ~options src) with
+          | None -> true
+          | Some d -> QCheck.Test.fail_reportf "O%d checks=%b: %s" (Bool.to_int optimize) checks d)
+        [ (false, true); (true, true); (false, false); (true, false) ])
+
 let prop_opt_oracle =
   QCheck.Test.make ~name:"optimizer matches its oracles at O1" ~count:60
     (QCheck.make ~print:(fun p -> to_m3l p) gen_prog)
@@ -398,6 +411,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_collections_strike;
           QCheck_alcotest.to_alcotest prop_nonnil_audit;
           QCheck_alcotest.to_alcotest prop_liveness_oracle;
+          QCheck_alcotest.to_alcotest prop_bases_described;
           QCheck_alcotest.to_alcotest prop_opt_oracle;
           QCheck_alcotest.to_alcotest prop_layout;
         ] );

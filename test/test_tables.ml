@@ -235,6 +235,38 @@ let prop_packing_never_larger =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Each way a base can be described, and what is left when one is not. *)
+let test_undescribed_bases () =
+  let fp o = L.Lmem (L.FP, o) in
+  let entry target plus = { RM.target; plus; minus = [] } in
+  let undescribed g =
+    List.map (fun (_, b) -> L.to_string b) (RM.undescribed_bases (proc ~nargs:2 [ g ]))
+  in
+  let chain =
+    [
+      entry (L.Lmem (L.AP, 0)) [ L.Lreg 6 ];
+      entry (L.Lreg 6) [ fp (-3) ];
+      entry (fp (-3)) [ fp (-2) ];
+    ]
+  in
+  check (Alcotest.list Alcotest.string) "a chain ending in a dead slot" [ L.to_string (fp (-2)) ]
+    (undescribed (gcp ~index:0 ~offset:0 ~derivs:chain ()));
+  check (Alcotest.list Alcotest.string) "the slot listed" []
+    (undescribed (gcp ~index:0 ~offset:0 ~stack:[ fp (-2) ] ~derivs:chain ()));
+  let variant =
+    {
+      RM.path_loc = fp (-6);
+      cases = [ (0, entry (fp (-7)) [ fp (-5) ]); (1, entry (fp (-7)) [ L.Lreg 9 ]) ];
+    }
+  in
+  check (Alcotest.list Alcotest.string) "registers, argument words, targets, variant cases"
+    (List.sort compare [ L.to_string (L.Lreg 9); L.to_string (fp 4) ])
+    (List.sort compare
+       (undescribed
+          (gcp ~index:0 ~offset:0 ~regs:[ 2 ]
+             ~derivs:[ entry (fp (-5)) [ L.Lreg 2; fp 2; fp 3; fp 4; fp (-7) ] ]
+             ~variants:[ variant ] ())))
+
 let test_table_stats () =
   let s = Gcmaps.Table_stats.compute [| sample_proc |] in
   check Alcotest.int "size" 200 s.Gcmaps.Table_stats.size_bytes;
@@ -263,6 +295,7 @@ let () =
           Alcotest.test_case "packing shrinks" `Quick test_packing_much_smaller;
           Alcotest.test_case "deriv ordering" `Quick test_order_derivs;
           Alcotest.test_case "variants roundtrip" `Quick test_variants_roundtrip;
+          Alcotest.test_case "undescribed bases" `Quick test_undescribed_bases;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_pp_never_larger;
           QCheck_alcotest.to_alcotest prop_packing_never_larger;

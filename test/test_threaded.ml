@@ -6,8 +6,9 @@
    collector's two engines must agree on every observable — collection
    count, allocations, final registers and the final heap image. The
    matrix covers the benchmark programs at O0 and O1, the toy programs
-   ({!Toys}) and the examples, plus qcheck-randomized benchmark
-   parameterizations and heap sizes. *)
+   ({!Toys}), {!Dead_base}'s program and the examples, and checks that
+   each image's tables describe every derivation base; plus
+   qcheck-randomized benchmark parameterizations and heap sizes. *)
 
 let check = Alcotest.check
 
@@ -117,6 +118,7 @@ let matrix_programs () =
     ("takl", Programs.Takl_src.make ~n1:10 ~n2:6 ~n3:4 ~repeats:3 ~ballast:50, 300, None, None);
     ("typereg", Programs.Typereg_src.src, 8000, None, None);
     ("FieldList", Programs.Fieldlist_src.src, 100, None, None);
+    ("DeadBase", Dead_base.src, 250, Some Dead_base.expected, None);
   ]
   @ List.map
       (fun (t : Toys.t) ->
@@ -137,6 +139,7 @@ let test_benchmark_matrix () =
           let what =
             Toys.small_row ~never:never_collects (Printf.sprintf "%s O%d" name (Bool.to_int optimize))
           in
+          Dead_base.check_described what img;
           total_collections :=
             !total_collections + cells_agree ?expected ~collects:(never_collects = None) ~what img)
         [ false; true ])

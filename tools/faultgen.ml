@@ -3,8 +3,6 @@
      faultgen                         # default: 60 mutations/config, cross-check on
      faultgen --iters 50 --seed 7
      faultgen --no-cross-check        # let corrupt tables reach the collector
-     faultgen --no-runtime            # skip the runtime (allocation-storm) sweep
-     faultgen --no-incremental        # skip the incremental interleaving sweep
      faultgen --out report.json      # machine-readable report (CI artifact)
 
    Three sweeps share the outcome classification table:
@@ -14,17 +12,16 @@
      padding, byte swaps) across every scheme × packing config, and each
      mutation runs under the precise, generational and incremental
      collectors in turn and is classified.
-   - Runtime faults (skip with --no-runtime): the running collector is
-     driven through an allocation-failure storm, a forced collection
-     every 7th allocation, with the post-collection verifier armed. The
-     storm wraps the gc-point poll that every allocation calls. The
-     expected outcome is "benign": the reference output, verifier
-     clean.
-   - Incremental interleaving faults (skip with --no-incremental): the
-     incremental collector's slice schedule is perturbed in three ways:
-     a slice at every gc-point (slice-storm, through the wrapped poll),
-     a starved mark stack of 1 or 8 entries (mark-spill), and a 50 us
-     wall-clock budget (tiny-budget). Each run must still match the STW
+   - Runtime faults: the running collector is driven through an
+     allocation-failure storm, a forced collection every 7th allocation,
+     with the post-collection verifier armed. The storm wraps the
+     gc-point poll that every allocation calls. The expected outcome is
+     "benign": the reference output, verifier clean.
+   - Incremental interleaving faults: the incremental collector's slice
+     schedule is perturbed in three ways: a slice at every gc-point
+     (slice-storm, through the wrapped poll), a starved mark stack of 1
+     or 8 entries (mark-spill), and a 50 us wall-clock budget
+     (tiny-budget). Each run must still match the STW
      output and instruction count with the tri-color verifier armed.
 
    Exit 0 iff no case crashed the runtime, hung it, flagged the verifier,
@@ -32,8 +29,7 @@
    and exits 1 otherwise. Used by `make fault` / CI. *)
 
 let usage =
-  "usage: faultgen [--iters N] [--seed N] [--out FILE.json] [--no-cross-check] \
-   [--no-runtime] [--no-incremental]\n\
+  "usage: faultgen [--iters N] [--seed N] [--out FILE.json] [--no-cross-check]\n\
    sweeps: table mutations; runtime alloc-storm; incremental slice-storm, \
    mark-spill, tiny-budget"
 
@@ -42,8 +38,6 @@ let () =
   let seed = ref 0x7a11 in
   let out = ref "" in
   let cross_check = ref true in
-  let runtime = ref true in
-  let incremental = ref true in
   let rec parse = function
     | [] -> ()
     | "--iters" :: v :: rest ->
@@ -58,12 +52,6 @@ let () =
     | "--no-cross-check" :: rest ->
         cross_check := false;
         parse rest
-    | "--no-runtime" :: rest ->
-        runtime := false;
-        parse rest
-    | "--no-incremental" :: rest ->
-        incremental := false;
-        parse rest
     | arg :: _ ->
         prerr_endline ("faultgen: unknown argument " ^ arg);
         prerr_endline usage;
@@ -74,13 +62,11 @@ let () =
     Fault.Faultinject.sweep_all ~cross_check:!cross_check ~seed:!seed
       ~iterations_per_config:!iters ()
   in
-  let runtime_sweeps =
-    if !runtime then Fault.Faultinject.runtime_sweep_all () else []
+  let sweeps =
+    table_sweeps
+    @ Fault.Faultinject.runtime_sweep_all ()
+    @ Fault.Faultinject.incremental_sweep_all ()
   in
-  let incremental_sweeps =
-    if !incremental then Fault.Faultinject.incremental_sweep_all () else []
-  in
-  let sweeps = table_sweeps @ runtime_sweeps @ incremental_sweeps in
   let total = List.fold_left (fun a (s : Fault.Faultinject.sweep) -> a + s.iterations) 0 sweeps in
   Printf.printf "%-14s %-28s %6s %s\n" "program" "config" "iters" "outcomes";
   List.iter
