@@ -31,21 +31,15 @@ let print_engine_stats ~engine ~elapsed_ns () =
       insns
       (Int64.to_float elapsed_ns /. 1e6);
   if engine = "threaded" then begin
-    Printf.eprintf "translation  : %.1f us, %d closures, %d pairs fused\n"
+    let closures = T.Metrics.counter_value "vm.closures" in
+    let runs = T.Metrics.counter_value "vm.runs" in
+    Printf.eprintf "translation  : %.1f us, %d closures, %d runs (%.2f insns each)\n"
       (float_of_int (T.Metrics.counter_value "vm.translate_ns") /. 1e3)
-      (T.Metrics.counter_value "vm.closures")
-      (T.Metrics.counter_value "vm.fused_pairs");
-    let kinds =
-      List.filter_map
-        (fun k ->
-          match T.Metrics.counter_value ("vm.fuse." ^ k) with
-          | 0 -> None
-          | n -> Some (Printf.sprintf "%s %d" k n))
-        Vm.Threaded.fuse_kind_names
-    in
-    Printf.eprintf "fused execs  : %d (pairs: %s)\n"
-      (T.Metrics.counter_value "vm.fused_execs")
-      (if kinds = [] then "none" else String.concat ", " kinds)
+      closures runs
+      (float_of_int closures /. float_of_int (max 1 runs));
+    let dispatches = insns - T.Metrics.counter_value "vm.fused_execs" in
+    Printf.eprintf "dispatches   : %d (%.2f insns each)\n" dispatches
+      (float_of_int insns /. float_of_int (max 1 dispatches))
   end
 
 let print_gc_stats ?placement () =

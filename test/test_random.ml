@@ -14,7 +14,10 @@
    - a pool of helper procedures taking/returning integers, some of which
      allocate (so calls are gc-points with live state around them)
    - straight-line bodies of assignments, IFs, bounded FOR loops, calls,
-     list pushes and array writes with in-range indices. *)
+     list pushes, array writes with in-range indices, and calls of
+     [WithBump], which passes an element of a fresh record through a WITH
+     alias to an allocating [Bump(VAR x)] while the record's only pointer
+     dies at the call (the paper's dead base, §3-4). *)
 
 type expr =
   | Const of int
@@ -33,6 +36,7 @@ type stmt =
   | Push of expr (* cons onto the global list *)
   | ArrSet of int * expr (* arr[const] := e *)
   | CallS of int * expr
+  | WithBump of expr (* WithBump(e): a derived VAR argument, its base dead *)
 
 type prog = { helpers : stmt list array; main : stmt list }
 
@@ -75,6 +79,7 @@ let rec gen_stmt st depth =
         map (fun v -> Push v) e;
         map2 (fun i v -> ArrSet (i mod 8, v)) small_nat e;
         map2 (fun h v -> CallS (h mod 3, v)) small_nat e;
+        map (fun v -> WithBump v) e;
       ]
       st
   else
@@ -92,6 +97,7 @@ let rec gen_stmt st depth =
           small_nat
           (gen_stmts' (depth - 1));
         map2 (fun h v -> CallS (h mod 3, v)) small_nat e;
+        map (fun v -> WithBump v) e;
       ]
       st
 
@@ -163,6 +169,10 @@ and pr_stmt b ind = function
       Buffer.add_string b (Printf.sprintf "l0 := H%d(" h);
       pr_expr b e;
       Buffer.add_char b ')'
+  | WithBump e ->
+      Buffer.add_string b "WithBump(";
+      pr_expr b e;
+      Buffer.add_char b ')'
   | If (c, a, bs) ->
       Buffer.add_string b "IF ";
       pr_expr b c;
@@ -182,14 +192,30 @@ let to_m3l (p : prog) : string =
     "MODULE Rnd;\n\
      TYPE Node = RECORD v: INTEGER; n: List END; List = REF Node;\n\
      Arr = REF ARRAY OF INTEGER;\n\
-     VAR g0, g1, g2, g3: INTEGER; head: List; arr: Arr;\n\n\
+     Rec = RECORD v: INTEGER; a: ARRAY [0..3] OF INTEGER END; RecP = REF Rec;\n\
+     VAR g0, g1, g2, g3, bumps: INTEGER; head: List; arr: Arr; junk: RecP;\n\n\
      PROCEDURE PushList(v: INTEGER);\n\
      VAR c: List;\n\
      BEGIN c := NEW(List); c.v := v; c.n := head; head := c END PushList;\n\n\
      PROCEDURE SumList(): INTEGER;\n\
      VAR s: INTEGER; l: List;\n\
      BEGIN s := 0; l := head;\n\
-     WHILE l # NIL DO s := s + l.v; l := l.n END; RETURN s END SumList;\n\n";
+     WHILE l # NIL DO s := s + l.v; l := l.n END; RETURN s END SumList;\n\n\
+     PROCEDURE Bump(VAR x: INTEGER);\n\
+     VAR k: INTEGER;\n\
+     BEGIN\n\
+     \  FOR k := 1 TO 12 DO\n\
+     \    junk := NEW(RecP); junk.v := 7777; junk.a[0] := 7777; junk.a[1] := 7777;\n\
+     \    junk.a[2] := 7777; junk.a[3] := 7777\n\
+     \  END;\n\
+     \  x := x + 1; bumps := bumps + x\n\
+     END Bump;\n\n\
+     PROCEDURE WithBump(v: INTEGER);\n\
+     VAR p: RecP; k: INTEGER;\n\
+     BEGIN\n\
+     \  k := v MOD 4; p := NEW(RecP); p.a[k] := v;\n\
+     \  WITH w = p^ DO Bump(w.a[k]) END\n\
+     END WithBump;\n\n";
   Array.iteri
     (fun i body ->
       Buffer.add_string b
@@ -215,6 +241,7 @@ let to_m3l (p : prog) : string =
         | ArrSet (i, e) -> ArrSet (i, strip_e e)
         | If (c, x, y) -> If (strip_e c, List.map strip_s x, List.map strip_s y)
         | For (hi, st, body) -> For (hi, st, List.map strip_s body)
+        | WithBump e -> WithBump (strip_e e)
       in
       pr_stmts b "  " (List.map strip_s body);
       Buffer.add_string b ";\n  RETURN l0 + l1 + l2\nEND ";
@@ -225,7 +252,7 @@ let to_m3l (p : prog) : string =
   pr_stmts b "  " p.main;
   Buffer.add_string b
     ";\n  PutInt(g0 + g1 * 3 + g2 * 5 + g3 * 7); PutChar(' ');\n\
-     \  PutInt(SumList()); PutChar(' ');\n\
+     \  PutInt(SumList()); PutChar(' '); PutInt(bumps); PutChar(' ');\n\
      \  FOR iv := 0 TO 7 DO PutInt(arr[iv]); PutChar(',') END;\n\
      \  PutLn()\nEND Rnd.\n";
   Buffer.contents b

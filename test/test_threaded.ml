@@ -202,9 +202,8 @@ let test_engine_switch () =
 (* Fuel semantics                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A fuel-killed threaded run may overshoot the budget by at most one
-   instruction (a fused pair straddling the boundary); a completed run is
-   exact. *)
+(* Fuel is exact: a fuel-killed threaded run stops where the switch run
+   stops. *)
 let test_fuel_tolerance () =
   let src =
     "MODULE T; VAR i, s: INTEGER;\n\
@@ -221,16 +220,71 @@ let test_fuel_tolerance () =
   List.iter
     (fun fuel ->
       match (spent false fuel, spent true fuel) with
-      | Ok s, Ok t ->
-          check Alcotest.bool
-            (Printf.sprintf "fuel %d: overshoot at most 1 (switch %d, threaded %d)"
-               fuel s t)
-            true
-            (t >= s && t <= s + 1)
+      | Ok s, Ok t -> check Alcotest.int (Printf.sprintf "fuel %d: same count at exhaustion" fuel) s t
       | Error s, Error t ->
           check Alcotest.int (Printf.sprintf "fuel %d: both completed" fuel) s t
       | _ -> Alcotest.fail (Printf.sprintf "fuel %d: engines disagree on completion" fuel))
     [ 1; 2; 100; 101; 1000; 100_000_000 ]
+
+let leaders_of (img : Vm.Image.t) =
+  let entries = Array.map (fun p -> p.Vm.Image.pi_entry) img.Vm.Image.procs in
+  Vm.Threaded.leaders ~entries img.Vm.Image.code
+
+(* The lengths of the runs [img] translates to, one per leader. *)
+let run_lengths (img : Vm.Image.t) =
+  let lead = leaders_of img in
+  let n = Array.length lead in
+  let starts = List.filter (fun pc -> lead.(pc)) (List.init n Fun.id) in
+  let rec lengths = function
+    | a :: (b :: _ as rest) -> (b - a) :: lengths rest
+    | [ a ] -> [ n - a ]
+    | [] -> []
+  in
+  lengths starts
+
+(* Every budget from 1 to the whole run: both engines stop at the same
+   instruction, in the same state, on a program whose runs have several
+   lengths, so budgets end at every place in a run. *)
+let test_fuel_sweep () =
+  let src =
+    "MODULE T; VAR a, b, i: INTEGER;\n\
+     PROCEDURE F(x, y: INTEGER): INTEGER;\n\
+     VAR z: INTEGER;\n\
+     BEGIN z := x * 3 + y; IF z > 40 THEN z := z MOD 17 + x - y END; RETURN z END F;\n\
+     BEGIN a := 1; b := 2;\n\
+     FOR i := 1 TO 6 DO a := F(a, b) + b; b := b + i; PutInt(a) END;\n\
+     PutInt(b) END T.\n"
+  in
+  List.iter
+    (fun optimize ->
+      let img = C.compile ~options:{ C.default_options with optimize } src in
+      let lengths = List.sort_uniq compare (run_lengths img) in
+      check Alcotest.bool
+        (Printf.sprintf "O%d: runs of several lengths" (Bool.to_int optimize))
+        true
+        (List.length lengths >= 4 && List.exists (fun l -> l >= 5) lengths);
+      let state threaded fuel =
+        let st = Vm.Interp.create img in
+        Gc.Cheney.install st;
+        let completed =
+          match if threaded then Vm.Threaded.run ~fuel st else Vm.Interp.run ~fuel st with
+          | () -> true
+          | exception Vm.Vm_error.Error (Vm.Vm_error.Out_of_fuel _) -> false
+        in
+        (completed, st.Vm.Interp.icount, st.Vm.Interp.pc, Array.copy st.Vm.Interp.regs)
+      in
+      let _, total, _, _ = state false max_int in
+      for fuel = 1 to total do
+        let sc, si, sp, sr = state false fuel in
+        let tc, ti, tp, tr = state true fuel in
+        let what = Printf.sprintf "O%d fuel %d" (Bool.to_int optimize) fuel in
+        check Alcotest.bool (what ^ ": completion") sc tc;
+        check Alcotest.bool (what ^ ": completes only at the end") (fuel >= total) sc;
+        check Alcotest.int (what ^ ": icount") si ti;
+        check Alcotest.int (what ^ ": pc") sp tp;
+        check Alcotest.(array int) (what ^ ": registers") sr tr
+      done)
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Faults observe exact state                                          *)
@@ -239,16 +293,72 @@ let test_fuel_tolerance () =
 (* DESIGN.md §8: a fault leaves the same pc, icount and registers under
    both engines. Each program faults one way, at O0 and O1: a NIL store
    with checks off (the VM's write guard), DIV by zero, a stack overflow
-   from unbounded recursion, and a bounds trap. *)
+   from unbounded recursion, and a bounds trap. The same three VM faults
+   also strike at an instruction inside a run, not at its leader, where
+   the threaded engine has not yet counted the run; and a heap with no
+   collector runs out inside a runtime call, which ends its run. *)
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+type fault_case = {
+  name : string;
+  checks : bool;
+  heap : int;
+  collect : bool; (* install the copying collector; none otherwise *)
+  mid_run : bool; (* the faulting instruction is not a leader *)
+  expect : string;
+  src : string;
+}
+
+let fault_cases =
+  let case ?(checks = true) ?(heap = 65536) ?(collect = true) ?(mid_run = false) name expect
+      src =
+    { name; checks; heap; collect; mid_run; expect; src }
+  in
+  [
+    case "NIL store, checks off" ~checks:false "memory write out of range"
+      "MODULE T; TYPE R = REF RECORD a, b: INTEGER END; VAR p: R; i: INTEGER;\n\
+       BEGIN p := NEW(R); FOR i := 1 TO 3 DO p^.a := i END; p := NIL; p^.b := 5 END T.\n";
+    case "DIV by zero" "division by zero"
+      "MODULE T; VAR a, b, i: INTEGER;\n\
+       BEGIN a := 7; b := 3; FOR i := 1 TO 3 DO b := b - 1; a := a + 7 DIV b END;\n\
+       PutInt(a) END T.\n";
+    case "stack overflow" "stack overflow"
+      "MODULE T;\n\
+       PROCEDURE F(n: INTEGER): INTEGER; BEGIN RETURN F(n + 1) + 1 END F;\n\
+       BEGIN PutInt(F(0)) END T.\n";
+    case "bounds trap" "index out of range"
+      "MODULE T; VAR a: ARRAY [0..3] OF INTEGER; i: INTEGER;\n\
+       BEGIN FOR i := 0 TO 9 DO a[i] := i END END T.\n";
+    case "NIL store inside a run, checks off" ~checks:false ~mid_run:true
+      "memory write out of range"
+      "MODULE T; TYPE R = REF RECORD a, b: INTEGER END; VAR p, q: R; i, s: INTEGER;\n\
+       BEGIN q := NEW(R); s := 0;\n\
+       FOR i := 1 TO 3 DO IF i = 3 THEN p := NIL ELSE p := q END; s := s + i; p^.b := s END\n\
+       END T.\n";
+    case "DIV by zero inside a run" ~mid_run:true "division by zero"
+      "MODULE T; VAR a, b, c, i: INTEGER;\n\
+       BEGIN a := 7; b := 3; c := 0;\n\
+       FOR i := 1 TO 3 DO b := b - 1; c := c + b * 2; a := a + c + 7 DIV b END;\n\
+       PutInt(a) END T.\n";
+    case "stack overflow from an argument push" ~mid_run:true "stack overflow"
+      "MODULE T;\n\
+       PROCEDURE F(n, a, b, c, d, e, f, g: INTEGER): INTEGER;\n\
+       BEGIN RETURN F(n + 1, a + 1, b + 1, c + 1, d + 1, e + 1, f + 1, g + 1) + 1 END F;\n\
+       BEGIN PutInt(F(0, 1, 2, 3, 4, 5, 6, 7)) END T.\n";
+    case "heap exhausted in a runtime call, no collector" ~heap:200 ~collect:false
+      "heap exhausted"
+      "MODULE T; TYPE C = RECORD v: INTEGER; next: L END; L = REF C; VAR l, n: L; i: INTEGER;\n\
+       BEGIN l := NIL; FOR i := 1 TO 1000 DO n := NEW(L); n.v := i; n.next := l; l := n END;\n\
+       PutInt(l.v) END T.\n";
+  ]
+
 let test_fault_state () =
-  let fault ~threaded img =
+  let fault ~threaded ~collect img =
     let st = Vm.Interp.create img in
-    Gc.Cheney.install st;
+    if collect then Gc.Cheney.install st;
     let outcome =
       match if threaded then Vm.Threaded.run st else Vm.Interp.run st with
       | () -> "completed"
@@ -257,86 +367,75 @@ let test_fault_state () =
     in
     (outcome, st.Vm.Interp.pc, st.Vm.Interp.icount, Array.copy st.Vm.Interp.regs)
   in
-  let cases =
-    [
-      ( "NIL store, checks off",
-        false,
-        "memory write out of range",
-        "MODULE T; TYPE R = REF RECORD a, b: INTEGER END; VAR p: R; i: INTEGER;\n\
-         BEGIN p := NEW(R); FOR i := 1 TO 3 DO p^.a := i END; p := NIL; p^.b := 5 END T.\n" );
-      ( "DIV by zero",
-        true,
-        "division by zero",
-        "MODULE T; VAR a, b, i: INTEGER;\n\
-         BEGIN a := 7; b := 3; FOR i := 1 TO 3 DO b := b - 1; a := a + 7 DIV b END;\n\
-         PutInt(a) END T.\n" );
-      ( "stack overflow",
-        true,
-        "stack overflow",
-        "MODULE T;\n\
-         PROCEDURE F(n: INTEGER): INTEGER; BEGIN RETURN F(n + 1) + 1 END F;\n\
-         BEGIN PutInt(F(0)) END T.\n" );
-      ( "bounds trap",
-        true,
-        "index out of range",
-        "MODULE T; VAR a: ARRAY [0..3] OF INTEGER; i: INTEGER;\n\
-         BEGIN FOR i := 0 TO 9 DO a[i] := i END END T.\n" );
-    ]
-  in
   List.iter
-    (fun (name, checks, expect, src) ->
+    (fun c ->
       List.iter
         (fun optimize ->
-          let what = Printf.sprintf "%s, O%d" name (Bool.to_int optimize) in
-          let img = C.compile ~options:{ C.default_options with optimize; checks } src in
-          let so, spc, sic, sregs = fault ~threaded:false img in
-          let tout, tpc, tic, tregs = fault ~threaded:true img in
+          let what = Printf.sprintf "%s, O%d" c.name (Bool.to_int optimize) in
+          let img =
+            C.compile
+              ~options:{ C.default_options with optimize; checks = c.checks; heap_words = c.heap }
+              c.src
+          in
+          let so, spc, sic, sregs = fault ~threaded:false ~collect:c.collect img in
+          let tout, tpc, tic, tregs = fault ~threaded:true ~collect:c.collect img in
           check Alcotest.bool (what ^ ": faults as expected (" ^ so ^ ")") true
-            (contains ~needle:expect so);
+            (contains ~needle:c.expect so);
+          if c.mid_run then
+            check Alcotest.bool (what ^ ": faults inside a run") false (leaders_of img).(spc);
           check Alcotest.string (what ^ ": fault") so tout;
           check Alcotest.int (what ^ ": pc") spc tpc;
           check Alcotest.int (what ^ ": icount") sic tic;
           check Alcotest.(array int) (what ^ ": registers") sregs tregs)
         [ false; true ])
-    cases
+    fault_cases
 
 (* ------------------------------------------------------------------ *)
-(* Fusion legality (unit)                                              *)
+(* Run boundaries (unit)                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_fusion_legality () =
+let test_run_boundaries () =
   let module I = Machine.Insn in
-  let module F = Machine.Fusion in
-  (* mov ; add ; jmp@1 — the add is a branch target, so the pair (0,1) is
-     illegal; with the jump gone it fuses. *)
+  let leaders code = Vm.Threaded.leaders ~entries:[| 0 |] code in
+  (* mov ; add ; jmp@1 — the add is a jump target, so it starts a run;
+     with the jump gone the two share one. *)
   let looped =
     [| I.Mov (I.Reg 2, I.Imm 1); I.Arith (I.Add, I.Reg 2, I.Reg 2, I.Imm 1); I.Jmp 1 |]
   in
-  let tgt = F.targets looped in
-  check Alcotest.bool "jump target marked" true tgt.(1);
-  check Alcotest.bool "no fusion into a branch target" true
-    (F.fusible looped tgt 0 = None);
+  check Alcotest.bool "a jump target leads a run" true (leaders looped).(1);
   let straight =
     [| I.Mov (I.Reg 2, I.Imm 1); I.Arith (I.Add, I.Reg 2, I.Reg 2, I.Imm 1) |]
   in
-  let tgt = F.targets straight in
-  check Alcotest.bool "mov+arith fuses" true
-    (F.fusible straight tgt 0 = Some F.Mov_arith);
-  (* A call is a gc-point: legal only as the last element of a pair. *)
-  let callpair = [| I.Push (I.Imm 3); I.Call (I.Crt (Mir.Ir.Rt_alloc 0)) |] in
-  let tgt = F.targets callpair in
-  check Alcotest.bool "push+call fuses (call last)" true
-    (F.fusible callpair tgt 0 = Some F.Push_call);
-  let callfirst = [| I.Call (I.Crt (Mir.Ir.Rt_alloc 0)); I.Mov (I.Reg 2, I.Imm 0) |] in
-  let tgt = F.targets callfirst in
-  check Alcotest.bool "call never fuses as first element" true
-    (F.fusible callfirst tgt 0 = None);
+  check Alcotest.(array bool) "straight-line code is one run" [| true; false |]
+    (leaders straight);
+  (* A call is a gc-point: it may end a run, never continue one. *)
+  let call =
+    [| I.Push (I.Imm 3); I.Call (I.Crt (Mir.Ir.Rt_alloc 0)); I.Mov (I.Reg 2, I.Imm 0) |]
+  in
+  check Alcotest.(array bool) "a call only ever ends a run" [| true; false; true |]
+    (leaders call);
   (* The instruction after a procedure call is a return point. *)
   let retpoint =
     [| I.Push (I.Reg 2); I.Call (I.Cproc 0); I.Mov (I.Reg 2, I.Reg 0); I.Ret 1 |]
   in
-  let tgt = F.targets retpoint in
-  check Alcotest.bool "return point marked" true tgt.(2)
+  check Alcotest.bool "a return point leads a run" true (leaders retpoint).(2);
+  (* In a translated image, control that lands inside a run fails. *)
+  let img =
+    compile ~optimize:true ~heap:4000
+      (Programs.Destroy_src.make ~branch:3 ~depth:4 ~replace_depth:2 ~iterations:2)
+  in
+  let ops = (Vm.Threaded.engine_for img).Vm.Threaded.ops in
+  let lead = leaders_of img in
+  let inside = List.filter (fun pc -> not lead.(pc)) (List.init (Array.length ops) Fun.id) in
+  check Alcotest.bool "the image has runs longer than one" true (inside <> []);
+  List.iter
+    (fun pc ->
+      let st = Vm.Interp.create img in
+      st.Vm.Interp.pc <- pc;
+      match ops.(pc) st with
+      | () -> Alcotest.fail (Printf.sprintf "pc %d: a transfer inside a run ran" pc)
+      | exception Vm.Vm_error.Error _ -> ())
+    inside
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: randomized benchmark parameterizations                      *)
@@ -410,7 +509,8 @@ let () =
         [
           Alcotest.test_case "runtime switch" `Quick test_engine_switch;
           Alcotest.test_case "fuel tolerance" `Quick test_fuel_tolerance;
+          Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep;
           Alcotest.test_case "faults observe exact state" `Quick test_fault_state;
-          Alcotest.test_case "fusion legality" `Quick test_fusion_legality;
+          Alcotest.test_case "run boundaries" `Quick test_run_boundaries;
         ] );
     ]
